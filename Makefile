@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test lint lint-runtime bench bench-kernels bench-pipeline bench-service obs-smoke serve examples results clean
+.PHONY: install test lint lint-runtime bench bench-kernels bench-pipeline bench-service bench-e2e obs-smoke serve examples results clean
 
 install:
 	python setup.py develop
@@ -37,6 +37,11 @@ bench-pipeline:
 bench-service:
 	PYTHONPATH=src python benchmarks/bench_service.py $(if $(SMOKE),--smoke)
 	cp benchmarks/results/BENCH_service.json BENCH_service.json
+
+# The benchmark BENCHMARK.json declares: every workload, untraced then
+# traced, each in a fresh subprocess (see benchmarks/e2e/README.md).
+bench-e2e:
+	python3 benchmarks/e2e/run.py
 
 serve:
 	PYTHONPATH=src python -m repro serve --metrics

@@ -2,8 +2,7 @@
 
 Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — ragged-batch sketching, batched
-compositeKModes fit, blocked similarity matrix, packed-bitmap Apriori
-mining, the fast LZ77 coder and the batched WebGraph coder — asserting
+compositeKModes fit, packed-bitmap Apriori mining, the fast LZ77 coder and the batched WebGraph coder — asserting
 bit-identical outputs before reporting any number, and writes the
 measurements to ``benchmarks/results/BENCH_kernels.json``.
 
@@ -12,8 +11,7 @@ Each section records per-tier timings under ``tiers`` — ``reference``,
 kernels with no native tier). The autotuner
 (:mod:`repro.perf.autotune`) reads these measurements to rank the
 native tier against numpy, so re-running this benchmark re-seeds
-``kernel="auto"`` dispatch. The legacy ``batched_s`` / ``reference_s``
-/ ``speedup`` keys are kept for older tooling.
+``kernel="auto"`` dispatch. ``speedup`` is numpy vs reference.
 
 Runs standalone (no pytest needed)::
 
@@ -44,8 +42,14 @@ from repro.stratify.kmodes import CompositeKModes
 from repro.stratify.minhash import MinHasher
 
 
-def _tiers(t_reference: float, t_numpy: float, t_native: float | None) -> dict:
-    return {"reference": t_reference, "numpy": t_numpy, "native": t_native}
+def _section(t_reference: float, t_numpy: float, t_native: float | None, **extra) -> dict:
+    """One kernel's result block; ``speedup`` is numpy vs reference."""
+    return {
+        "speedup": t_reference / t_numpy,
+        "tiers": {"reference": t_reference, "numpy": t_numpy, "native": t_native},
+        **extra,
+        "bit_identical": True,
+    }
 
 FULL = {
     "num_sets": 10_000,
@@ -54,7 +58,6 @@ FULL = {
     "kmodes_rows": 5_000,
     "kmodes_hashes": 64,
     "kmodes_clusters": 8,
-    "similarity_rows": 1_500,
     "apriori_transactions": 4_000,
     "apriori_items": 48,
     "apriori_tx_len": (6, 14),
@@ -70,7 +73,6 @@ SMOKE = {
     "kmodes_rows": 400,
     "kmodes_hashes": 16,
     "kmodes_clusters": 4,
-    "similarity_rows": 200,
     "apriori_transactions": 300,
     "apriori_items": 24,
     "apriori_tx_len": (4, 10),
@@ -127,13 +129,7 @@ def run_kernel_bench(cfg: dict) -> dict:
         nat_hasher = MinHasher(num_hashes=cfg["sketch_hashes"], seed=0, kernel="native")
         assert np.array_equal(nat_hasher.sketch_all(sets), batched), "native sketch diverged"
         t_native = _best_of(lambda: nat_hasher.sketch_all(sets))
-    results["sketch_all"] = {
-        "batched_s": t_batched,
-        "reference_s": t_reference,
-        "speedup": t_reference / t_batched,
-        "tiers": _tiers(t_reference, t_batched, t_native),
-        "bit_identical": True,
-    }
+    results["sketch_all"] = _section(t_reference, t_batched, t_native)
 
     # -- CompositeKModes.fit: batched kernels vs python loops --------------
     km_rng = np.random.default_rng(2)
@@ -142,7 +138,7 @@ def run_kernel_bench(cfg: dict) -> dict:
     )
     sketches = MinHasher(num_hashes=cfg["kmodes_hashes"], seed=0).sketch_all(km_sets)
     km_batched = CompositeKModes(
-        num_clusters=cfg["kmodes_clusters"], top_l=3, seed=0, kernel="batched"
+        num_clusters=cfg["kmodes_clusters"], top_l=3, seed=0, kernel="numpy"
     )
     km_reference = CompositeKModes(
         num_clusters=cfg["kmodes_clusters"], top_l=3, seed=0, kernel="reference"
@@ -163,29 +159,7 @@ def run_kernel_bench(cfg: dict) -> dict:
         assert np.array_equal(fit_n.labels, fit_b.labels), "native kmodes diverged"
         assert fit_n.cost == fit_b.cost
         t_native = _best_of(lambda: km_native.fit(sketches), repeats=2)
-    results["kmodes_fit"] = {
-        "batched_s": t_batched,
-        "reference_s": t_reference,
-        "speedup": t_reference / t_batched,
-        "tiers": _tiers(t_reference, t_batched, t_native),
-        "iterations": fit_b.iterations,
-        "bit_identical": True,
-    }
-
-    # -- similarity matrix: blocked vs row loop ----------------------------
-    sim_sketches = sketches[: cfg["similarity_rows"]]
-    sim_b = hasher.similarity_matrix(sim_sketches)
-    sim_r = hasher.similarity_matrix_reference(sim_sketches)
-    assert np.array_equal(sim_b, sim_r), "similarity kernel diverged"
-    t_batched = _best_of(lambda: hasher.similarity_matrix(sim_sketches), repeats=2)
-    t_reference = _best_of(lambda: hasher.similarity_matrix_reference(sim_sketches), repeats=1)
-    results["similarity_matrix"] = {
-        "batched_s": t_batched,
-        "reference_s": t_reference,
-        "speedup": t_reference / t_batched,
-        "tiers": _tiers(t_reference, t_batched, None),  # no native tier
-        "bit_identical": True,
-    }
+    results["kmodes_fit"] = _section(t_reference, t_batched, t_native, iterations=fit_b.iterations)
 
     # -- Apriori: packed vertical bitmaps vs containment scan --------------
     from repro.workloads.fpm.apriori import AprioriMiner
@@ -201,7 +175,7 @@ def run_kernel_bench(cfg: dict) -> dict:
         ).tolist()
         for _ in range(cfg["apriori_transactions"])
     ]
-    fast_miner = AprioriMiner(min_support=cfg["apriori_min_support"], kernel="bitmap")
+    fast_miner = AprioriMiner(min_support=cfg["apriori_min_support"], kernel="numpy")
     ref_miner = AprioriMiner(min_support=cfg["apriori_min_support"], kernel="reference")
     out_f = fast_miner.mine(transactions)
     out_r = ref_miner.mine(transactions)
@@ -217,14 +191,7 @@ def run_kernel_bench(cfg: dict) -> dict:
         out_n = nat_miner.mine(transactions)
         assert out_n.counts == out_f.counts, "native apriori diverged"
         t_native = _best_of(lambda: nat_miner.mine(transactions), repeats=2)
-    results["apriori_mine"] = {
-        "batched_s": t_batched,
-        "reference_s": t_reference,
-        "speedup": t_reference / t_batched,
-        "tiers": _tiers(t_reference, t_batched, t_native),
-        "patterns": len(out_f.counts),
-        "bit_identical": True,
-    }
+    results["apriori_mine"] = _section(t_reference, t_batched, t_native, patterns=len(out_f.counts))
 
     # -- LZ77: precomputed-link coder vs hash-chain loop -------------------
     from repro.workloads.compression.lz77 import LZ77Codec
@@ -240,7 +207,7 @@ def run_kernel_bench(cfg: dict) -> dict:
             chunks.append(chunk)
             data += chunk
     data = bytes(data[: cfg["lz77_bytes"]])
-    fast_codec = LZ77Codec(kernel="fast")
+    fast_codec = LZ77Codec(kernel="numpy")
     ref_codec = LZ77Codec(kernel="reference")
     blob_f, st_f = fast_codec.compress(data)
     blob_r, st_r = ref_codec.compress(data)
@@ -254,14 +221,7 @@ def run_kernel_bench(cfg: dict) -> dict:
         blob_n, st_n = nat_codec.compress(data)
         assert blob_n == blob_f and st_n == st_f, "native lz77 diverged"
         t_native = _best_of(lambda: nat_codec.compress(data), repeats=2)
-    results["lz77_compress"] = {
-        "batched_s": t_batched,
-        "reference_s": t_reference,
-        "speedup": t_reference / t_batched,
-        "tiers": _tiers(t_reference, t_batched, t_native),
-        "ratio": st_f.ratio,
-        "bit_identical": True,
-    }
+    results["lz77_compress"] = _section(t_reference, t_batched, t_native, ratio=st_f.ratio)
 
     # -- WebGraph: batched interval/mask coder vs per-symbol loops ---------
     from repro.workloads.compression.webgraph import WebGraphCodec
@@ -276,28 +236,20 @@ def run_kernel_bench(cfg: dict) -> dict:
         keep = base[wg_rng.random(base.size) < 0.8]
         extra = wg_rng.choice(5_000, size=int(wg_rng.integers(0, 6)))
         adjacency.append(np.concatenate([keep, extra]).tolist())
-    fast_wg = WebGraphCodec(kernel="batched")
+    fast_wg = WebGraphCodec(kernel="numpy")
     ref_wg = WebGraphCodec(kernel="reference")
     wg_f, wst_f = fast_wg.compress(adjacency)
     wg_r, wst_r = ref_wg.compress(adjacency)
     assert wg_f == wg_r and wst_f == wst_r, "webgraph kernel diverged"
     t_batched = _best_of(lambda: fast_wg.compress(adjacency), repeats=2)
     t_reference = _best_of(lambda: ref_wg.compress(adjacency), repeats=1)
-    results["webgraph_compress"] = {
-        "batched_s": t_batched,
-        "reference_s": t_reference,
-        "speedup": t_reference / t_batched,
-        "tiers": _tiers(t_reference, t_batched, None),  # no native tier
-        "bits_per_edge": wst_f.bits_per_edge,
-        "bit_identical": True,
-    }
+    results["webgraph_compress"] = _section(t_reference, t_batched, None, bits_per_edge=wst_f.bits_per_edge)  # no native tier
     return results
 
 
 _KERNEL_SECTIONS = (
     "sketch_all",
     "kmodes_fit",
-    "similarity_matrix",
     "apriori_mine",
     "lz77_compress",
     "webgraph_compress",
@@ -351,8 +303,7 @@ def test_bench_kernels(benchmark):
         tiers = results[name]["tiers"]
         assert tiers["reference"] > 0 and tiers["numpy"] > 0
         if results["native_available"] and name not in (
-            "similarity_matrix",
-            "webgraph_compress",
+                    "webgraph_compress",
         ):
             assert tiers["native"] > 0
 

@@ -93,7 +93,7 @@ def run_pipeline_bench(cfg: dict) -> dict:
         )
     )
     items = data.transactions
-    workload = AprioriWorkload(min_support=cfg["min_support"], kernel="bitmap")
+    workload = AprioriWorkload(min_support=cfg["min_support"], kernel="numpy")
     cluster = paper_cluster(cfg["num_nodes"], seed=0)
     stratifier = Stratifier(
         kind="set",

@@ -20,10 +20,6 @@ from repro.core.framework import ParetoPartitioner, PreparedInput, RunReport
 from repro.core.strategies import Strategy
 from repro.data.datasets import Dataset, load_dataset
 from repro.workloads.base import Workload
-from repro.workloads.fpm.apriori import AprioriWorkload
-from repro.workloads.fpm.eclat import EclatWorkload
-from repro.workloads.fpm.fpgrowth import FPGrowthWorkload
-from repro.workloads.fpm.treemining import TreeMiningWorkload
 
 _log = get_logger(__name__)
 
@@ -56,13 +52,6 @@ class ExperimentRow:
         }
         out.update(self.quality)
         return out
-
-
-def _is_mining(workload: Workload) -> bool:
-    return isinstance(
-        workload,
-        (AprioriWorkload, EclatWorkload, FPGrowthWorkload, TreeMiningWorkload),
-    )
 
 
 @dataclass
@@ -130,13 +119,9 @@ class StrategyRunner:
             partitions=partitions,
         ):
             pp, prep = self.prepared_for(partitions)
-            workload = self.workload_factory()
-            if _is_mining(workload):
-                report = pp.execute_fpm(
-                    self.dataset.items, workload, strategy, prepared=prep
-                )
-            else:
-                report = pp.execute(self.dataset.items, workload, strategy, prepared=prep)
+            report = pp.execute(
+                self.dataset.items, self.workload_factory(), strategy, prepared=prep
+            )
         log_event(
             _log, logging.DEBUG, "harness.run.done",
             dataset=self.dataset.name, strategy=strategy.name, partitions=partitions,

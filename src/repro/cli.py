@@ -49,34 +49,7 @@ from repro.core.strategies import (
     het_energy_aware,
 )
 from repro.data.datasets import DATASET_NAMES, dataset_summary, load_dataset
-
-_MINING_WORKLOADS = ("apriori", "eclat", "fpgrowth", "treemining")
-_WORKLOADS = _MINING_WORKLOADS + ("webgraph", "lz77")
-
-
-def _workload_factory(name: str, support: float):
-    if name == "apriori":
-        from repro.workloads.fpm.apriori import AprioriWorkload
-
-        return lambda: AprioriWorkload(min_support=support, max_len=3)
-    if name == "eclat":
-        from repro.workloads.fpm.eclat import EclatWorkload
-
-        return lambda: EclatWorkload(min_support=support, max_len=3)
-    if name == "fpgrowth":
-        from repro.workloads.fpm.fpgrowth import FPGrowthWorkload
-
-        return lambda: FPGrowthWorkload(min_support=support, max_len=3)
-    if name == "treemining":
-        from repro.workloads.fpm.treemining import TreeMiningWorkload
-
-        return lambda: TreeMiningWorkload(min_support=support, max_len=2)
-    from repro.workloads.compression.distributed import CompressionWorkload
-
-    if name == "lz77":
-        return lambda: CompressionWorkload("lz77", max_chain=8)
-    return lambda: CompressionWorkload("webgraph")
-
+from repro.service.jobs import MINING_WORKLOADS, SERVICE_WORKLOADS, build_workload
 
 def _default_workload(kind: str) -> str:
     return {"tree": "treemining", "graph": "webgraph", "text": "apriori"}[kind]
@@ -92,12 +65,12 @@ def _runner(args) -> StrategyRunner:
     else:
         dataset = load_dataset(args.dataset, size_scale=args.scale, seed=args.seed)
     workload = args.workload or _default_workload(dataset.kind)
-    if workload in _MINING_WORKLOADS and dataset.kind == "tree" and workload != "treemining":
+    if workload in MINING_WORKLOADS and dataset.kind == "tree" and workload != "treemining":
         raise SystemExit("tree datasets require the treemining workload")
     unit_rate = {"webgraph": 5e3, "lz77": 2e4}.get(workload, 5e4)
     return StrategyRunner(
         dataset=dataset,
-        workload_factory=_workload_factory(workload, args.support),
+        workload_factory=lambda: build_workload(workload, args.support),
         unit_rate=unit_rate,
         seed=args.seed,
     )
@@ -371,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="domain of --file",
             )
-            p.add_argument("--workload", choices=_WORKLOADS, default=None)
+            p.add_argument("--workload", choices=SERVICE_WORKLOADS, default=None)
             p.add_argument("--support", type=float, default=0.1)
             p.add_argument("--partitions", type=int, default=8)
 
@@ -506,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("submit", help="submit one job to a running service")
     p.add_argument("--url", default="http://127.0.0.1:8642")
-    p.add_argument("--workload", choices=_WORKLOADS, default="apriori")
+    p.add_argument("--workload", choices=SERVICE_WORKLOADS, default="apriori")
     p.add_argument("--dataset", choices=DATASET_NAMES, default="rcv1")
     p.add_argument("--support", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=None)

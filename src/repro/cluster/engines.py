@@ -1,21 +1,30 @@
 """Execution engines: run partitioned workloads on the emulated cluster.
 
-Two engines share one interface:
+Every engine runs a job the same way — :meth:`ExecutionEngine.run_job`
+is defined once — in three steps:
 
-- :class:`SimulatedEngine` runs each partition's workload in-process to
-  obtain its real output and work-unit count, then derives runtime
+- **measure** (``_execute_partitions``): run the workload on each
+  partition and report its result and runtime on the assigned node.
+  :class:`SimulatedEngine` runs in-process and derives runtime
   deterministically as ``overhead/speed + work_units/(unit_rate·speed)``
-  — the busy-loop emulation in closed form. This is the default for
-  experiments: results are exactly reproducible.
-- :class:`ProcessPoolEngine` executes partitions on a real, persistent
+  — the busy-loop emulation in closed form, exactly reproducible.
+  :class:`ProcessPoolEngine` executes on a real, persistent
   ``ProcessPoolExecutor`` (created lazily, reused across jobs and
   profiling probes) and scales measured wall time by the node's speed
   factor, exercising genuine parallel execution (pickling, process
   startup, concurrent scheduling).
-
-Both account dirty energy against each node's green trace over the
-node's busy interval and support multiple partitions queued on one node
-(executed back to back, as a slow node with two chunks would).
+- **schedule** (``_schedule``): place the measured work on per-node
+  timelines as events ``(partition_id, node_id, start_s, runtime_s,
+  result, wasted)``. The base policy queues a node's partitions back
+  to back (as a slow node with two chunks would);
+  :class:`~repro.cluster.faults.FaultInjectingEngine` kills nodes and
+  re-runs lost partitions, :class:`~repro.cluster.workstealing
+  .WorkStealingScheduler` lets idle nodes steal chunks.
+- **account** (:func:`account_job`): turn the events into
+  :class:`TaskResult` s — energy and dirty energy billed against each
+  node's green trace over the task's interval — merge the non-wasted
+  outputs and sum the :class:`JobResult`; :func:`record_job_telemetry`
+  then emits the spans, metrics and live events.
 """
 
 from __future__ import annotations
@@ -29,8 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Sequence
-
+from typing import Any, Iterable, Sequence
 
 import repro.obs as obs
 from repro.cluster.cluster import Cluster
@@ -42,7 +50,7 @@ from repro.cluster.dataplane import (
 )
 from repro.obs.energy import node_energy_breakdown, record_job_metrics, task_energy_attrs
 from repro.obs.log import get_logger, log_event
-from repro.obs.trace import Tracer
+from repro.obs.trace import NOOP_SPAN, Tracer
 from repro.workloads.base import Workload, WorkloadResult
 
 _log = get_logger(__name__)
@@ -100,6 +108,37 @@ class JobResult:
         return work
 
 
+def _publish_live(kind: str, **fields: Any) -> None:
+    """Push one event onto the live telemetry bus, when a plane is attached."""
+    # Deferred import: repro.obs.live sits above the cluster layer.
+    from repro.obs.live import active_plane
+
+    plane = active_plane()
+    if plane is not None:
+        plane.publish_event(kind, **fields)
+
+
+def emit_timeline_mark(
+    name: str,
+    start_s: float,
+    duration_s: float,
+    counters: Iterable[tuple[str, dict[str, str], float]],
+    publish: bool = True,
+    **attrs: Any,
+) -> None:
+    """One scheduler decision (fault, retry, steal) on the simulated
+    timeline: a pre-timed span, its ``(name, labels, amount)`` counter
+    bumps and, with ``publish``, a live event carrying the same attrs."""
+    if not obs.enabled():
+        return
+    obs.get_tracer().emit(name, start_s=start_s, duration_s=duration_s, **attrs)
+    metrics = obs.get_metrics()
+    for counter, labels, amount in counters:
+        metrics.counter(counter, **labels).inc(amount)
+    if publish:
+        _publish_live(name, **attrs)
+
+
 def record_job_telemetry(
     job: JobResult, job_span, wall0: float, engine: str, workload: str | None = None
 ) -> None:
@@ -112,10 +151,8 @@ def record_job_telemetry(
     ``workload`` tags each span with the workload name so the live
     :class:`~repro.obs.live.NodeEstimator` can fit per-workload models
     (mixing workloads with different per-item costs would bias a
-    pooled slope).
-
-    Shared by every engine that produces a :class:`JobResult`
-    (simulated, process-pool, fault-injecting, work-stealing).
+    pooled slope). Energy burnt on wasted (fault-lost) tasks is
+    additionally counted and published as ``fault.wasted``.
     """
     tracer = obs.get_tracer()
     for task in job.tasks:
@@ -133,20 +170,20 @@ def record_job_telemetry(
     job_span.set_attr("total_energy_j", job.total_energy_j)
     job_span.set_attr("total_dirty_energy_j", job.total_dirty_energy_j)
     record_job_metrics(obs.get_metrics(), job, engine=engine)
-    # Deferred import: repro.obs.live sits above the cluster layer.
-    from repro.obs.live import active_plane
-
-    plane = active_plane()
-    if plane is not None:
-        plane.publish_event(
-            "job.complete",
-            engine=engine,
-            workload=workload,
-            tasks=len(job.tasks),
-            makespan_s=job.makespan_s,
-            energy_j=job.total_energy_j,
-            dirty_energy_j=job.total_dirty_energy_j,
-        )
+    _publish_live(
+        "job.complete",
+        engine=engine,
+        workload=workload,
+        tasks=len(job.tasks),
+        makespan_s=job.makespan_s,
+        energy_j=job.total_energy_j,
+        dirty_energy_j=job.total_dirty_energy_j,
+    )
+    wasted = [t.energy_j for t in job.tasks if t.stats.get("wasted")]
+    wasted_j = sum(wasted)
+    if wasted_j:
+        obs.get_metrics().counter("repro_fault_wasted_energy_joules_total").inc(wasted_j)
+        _publish_live("fault.wasted", wasted_energy_j=wasted_j, retries=len(wasted))
 
 
 def _validate_assignment(cluster: Cluster, partitions: Sequence, assignment: Sequence[int]) -> None:
@@ -157,6 +194,55 @@ def _validate_assignment(cluster: Cluster, partitions: Sequence, assignment: Seq
     for node in assignment:
         if not 0 <= node < cluster.num_nodes:
             raise ValueError(f"assignment references unknown node {node}")
+
+
+#: One placed piece of work: ``(partition_id, node_id, start_s,
+#: runtime_s, result, wasted)``. A wasted event burnt energy on a run
+#: whose output was lost (the node died mid-task).
+TimelineEvent = tuple[int, int, float, float, WorkloadResult, bool]
+
+
+def account_job(
+    cluster: Cluster,
+    workload: Workload,
+    events: Sequence[TimelineEvent],
+    start_offset_s: float,
+) -> JobResult:
+    """Turn a placed timeline into the job's books.
+
+    Each event becomes one :class:`TaskResult` charged the node's
+    energy for its runtime and the dirty share of it over the window
+    ``start_offset_s + start_s`` of the node's green trace; a wasted
+    event is charged but contributes no work or output. The makespan
+    is the latest end time; outputs merge in event order.
+    """
+    tasks: list[TaskResult] = []
+    for pid, node_id, start, runtime, result, wasted in events:
+        accountant = cluster[node_id].accountant
+        tasks.append(
+            TaskResult(
+                partition_id=pid,
+                node_id=node_id,
+                start_s=start,
+                runtime_s=runtime,
+                work_units=0.0 if wasted else result.work_units,
+                dirty_energy_j=accountant.measured_dirty_energy(
+                    runtime, start_s=start_offset_s + start
+                ),
+                energy_j=accountant.power.energy_joules(runtime),
+                output=None if wasted else result.output,
+                stats={"wasted": True} if wasted else result.stats,
+            )
+        )
+    return JobResult(
+        tasks=tasks,
+        makespan_s=max((t.end_s for t in tasks), default=0.0),
+        total_dirty_energy_j=sum(t.dirty_energy_j for t in tasks),
+        total_energy_j=sum(t.energy_j for t in tasks),
+        merged_output=workload.merge(
+            [result for *_, result, wasted in events if not wasted]
+        ),
+    )
 
 
 class ExecutionEngine(abc.ABC):
@@ -187,21 +273,45 @@ class ExecutionEngine(abc.ABC):
     def profile_all_nodes(
         self, workload: Workload, records: Sequence[Any]
     ) -> list[float]:
-        """Runtime of one sample on *every* node (node-id order).
-
-        Default: one probe per node. Engines whose runtime is a pure
-        function of work units override this to run the workload once.
-        """
+        """Runtime of one sample on *every* node (node-id order)."""
         with obs.span(
             "engine.profile_all_nodes",
             engine=type(self).__name__,
             nodes=self.cluster.num_nodes,
             records=len(records),
         ):
-            return [
-                self.profile(workload, records, node_id)
-                for node_id in range(self.cluster.num_nodes)
-            ]
+            return self._probe_all_nodes(workload, records)
+
+    def _probe_all_nodes(self, workload: Workload, records: Sequence[Any]) -> list[float]:
+        """Default: one probe per node. Engines whose runtime is a pure
+        function of one measurement override this to run the workload once."""
+        return [
+            self.profile(workload, records, node_id)
+            for node_id in range(self.cluster.num_nodes)
+        ]
+
+    def _schedule(
+        self,
+        workload: Workload,
+        partitions: Sequence[Sequence[Any]],
+        assignment: Sequence[int],
+        job_span,
+        wall0: float,
+    ) -> list[TimelineEvent]:
+        """Measure the partitions and place them on per-node timelines.
+
+        Base policy: every partition runs on its assigned node, a
+        node's partitions back to back from t=0. Overrides may tag
+        ``job_span`` and emit marks anchored at ``wall0``.
+        """
+        executed = self._execute_partitions(workload, partitions, assignment)
+        events: list[TimelineEvent] = []
+        clock: dict[int, float] = {}
+        for pid, ((result, runtime), node_id) in enumerate(zip(executed, assignment)):
+            start = clock.get(node_id, 0.0)
+            events.append((pid, node_id, start, runtime, result, False))
+            clock[node_id] = start + runtime
+        return events
 
     def run_job(
         self,
@@ -213,12 +323,11 @@ class ExecutionEngine(abc.ABC):
         """Execute one partition per assignment slot and aggregate.
 
         ``assignment=None`` maps partition ``i`` to node
-        ``i % num_nodes``. Multiple partitions on a node run back to
-        back; all nodes start at ``start_offset_s`` (global barrier
-        semantics — pass the previous phase's makespan so energy is
-        billed against the right window of each node's green trace).
-        Reported start/end times and the makespan are relative to the
-        offset.
+        ``i % num_nodes``. All nodes start at ``start_offset_s`` (global
+        barrier semantics — pass the previous phase's makespan so
+        energy is billed against the right window of each node's green
+        trace). Reported start/end times and the makespan are relative
+        to the offset.
         """
         if assignment is None:
             assignment = [i % self.cluster.num_nodes for i in range(len(partitions))]
@@ -233,43 +342,8 @@ class ExecutionEngine(abc.ABC):
             partitions=len(partitions),
             nodes=self.cluster.num_nodes,
         ) as job_span:
-            executed = self._execute_partitions(workload, partitions, assignment)
-
-            tasks: list[TaskResult] = []
-            node_clock: dict[int, float] = {}
-            for pid, ((result, runtime), node_id) in enumerate(zip(executed, assignment)):
-                node = self.cluster[node_id]
-                start = node_clock.get(node_id, 0.0)
-                dirty = node.accountant.measured_dirty_energy(
-                    runtime, start_s=start_offset_s + start
-                )
-                energy = node.accountant.power.energy_joules(runtime)
-                tasks.append(
-                    TaskResult(
-                        partition_id=pid,
-                        node_id=node_id,
-                        start_s=start,
-                        runtime_s=runtime,
-                        work_units=result.work_units,
-                        dirty_energy_j=dirty,
-                        energy_j=energy,
-                        output=result.output,
-                        stats=result.stats,
-                    )
-                )
-                node_clock[node_id] = start + runtime
-
-            makespan = max(node_clock.values())
-            merged = workload.merge(
-                [WorkloadResult(t.work_units, t.output, t.stats) for t in tasks]
-            )
-            job = JobResult(
-                tasks=tasks,
-                makespan_s=makespan,
-                total_dirty_energy_j=sum(t.dirty_energy_j for t in tasks),
-                total_energy_j=sum(t.energy_j for t in tasks),
-                merged_output=merged,
-            )
+            events = self._schedule(workload, partitions, assignment, job_span, wall0)
+            job = account_job(self.cluster, workload, events, start_offset_s)
             if obs.enabled():
                 record_job_telemetry(
                     job, job_span, wall0, type(self).__name__, workload=workload.name
@@ -302,16 +376,10 @@ class SimulatedEngine(ExecutionEngine):
             out.append((result, runtime))
         return out
 
-    def profile_all_nodes(self, workload, records):
+    def _probe_all_nodes(self, workload, records):
         # Simulated runtime is work/(rate·speed): run the workload once
         # and derive every node's runtime from the same work count.
-        with obs.span(
-            "engine.profile_all_nodes",
-            engine=type(self).__name__,
-            nodes=self.cluster.num_nodes,
-            records=len(records),
-        ):
-            result = workload.run(list(records))
+        result = workload.run(list(records))
         return [
             node.runtime_for_work(result.work_units, self.unit_rate)
             for node in self.cluster
@@ -331,46 +399,30 @@ def _worker_ignore_sigint() -> None:
 
 
 def _pool_task(
-    args: tuple[Workload, Sequence[Any], bool]
+    args: tuple[Workload, Sequence[Any] | PartitionRef, bool]
 ) -> tuple[WorkloadResult, float, tuple]:
     workload, records, trace = args
     tracer = Tracer() if trace else None
-    span = tracer.span("worker.run", items=len(records), shm=False) if tracer is not None else None
+    shm = isinstance(records, PartitionRef)
+    if shm:
+        # Fetch outside the timer: on the eager path the partition was
+        # unpickled by the executor before this function started, so
+        # measured wall time covers only workload.run either way.
+        ref = records
+        fetch_span = (
+            tracer.span("worker.fetch", segment=ref.segment, bytes=ref.total_bytes)
+            if tracer is not None
+            else NOOP_SPAN
+        )
+        with fetch_span:
+            records = fetch_partition(ref)
+    span = tracer.span("worker.run", items=len(records), shm=shm) if tracer is not None else NOOP_SPAN
     t0 = time.perf_counter()
-    if span is not None:
-        with span:
-            result = workload.run(records)
-    else:
+    with span:
         result = workload.run(records)
     wall = time.perf_counter() - t0
     # Worker spans ship back through the normal task return path; the
     # parent re-parents them under the span that launched the job.
-    return result, wall, tuple(tracer.finished_spans()) if tracer is not None else ()
-
-
-def _pool_task_shm(
-    args: tuple[Workload, PartitionRef, bool]
-) -> tuple[WorkloadResult, float, tuple]:
-    workload, ref, trace = args
-    tracer = Tracer() if trace else None
-    # Fetch outside the timer: with the eager path the partition was
-    # unpickled by the executor before _pool_task started, so measured
-    # wall time covers only workload.run either way.
-    if tracer is not None:
-        with tracer.span(
-            "worker.fetch", segment=ref.segment, bytes=ref.total_bytes
-        ):
-            records = fetch_partition(ref)
-    else:
-        records = fetch_partition(ref)
-    span = tracer.span("worker.run", items=len(records), shm=True) if tracer is not None else None
-    t0 = time.perf_counter()
-    if span is not None:
-        with span:
-            result = workload.run(records)
-    else:
-        result = workload.run(records)
-    wall = time.perf_counter() - t0
     return result, wall, tuple(tracer.finished_spans()) if tracer is not None else ()
 
 
@@ -557,9 +609,10 @@ class ProcessPoolEngine(ExecutionEngine):
         # Workers must see a real list either way; keeping list inputs
         # un-copied lets the store's identity cache recognise repeats.
         parts = [p if isinstance(p, list) else list(p) for p in partitions]
+        payloads: list = parts
         if self.use_shared_memory:
             try:
-                refs = self._ensure_store().put_many(parts)
+                payloads = self._ensure_store().put_many(parts)
             except OSError as exc:
                 # No usable shared memory on this host (e.g. /dev/shm
                 # missing): fall back to eager pickling for good.
@@ -568,17 +621,9 @@ class ProcessPoolEngine(ExecutionEngine):
                     error=type(exc).__name__, detail=str(exc),
                 )
                 self.use_shared_memory = False
-            else:
-                return self._run_map(
-                    pool, _pool_task_shm, [(workload, r, trace) for r in refs], chunksize
-                )
-        return self._run_map(
-            pool, _pool_task, [(workload, p, trace) for p in parts], chunksize
-        )
-
-    def _run_map(self, pool, fn, tasks, chunksize):
+        tasks = [(workload, p, trace) for p in payloads]
         try:
-            raw = list(pool.map(fn, tasks, chunksize=chunksize))
+            raw = list(pool.map(_pool_task, tasks, chunksize=chunksize))
         except BrokenProcessPool:
             # A dead worker poisons the whole executor; discard it so
             # the next job starts clean, then surface the failure.
@@ -603,18 +648,12 @@ class ProcessPoolEngine(ExecutionEngine):
             out.append((result, runtime))
         return out
 
-    def profile_all_nodes(self, workload, records):
+    def _probe_all_nodes(self, workload, records):
         # Runtime derives from one measured wall time scaled per node —
         # run the sample once on the pool instead of once per node.
         # Passing `records` through unchanged lets repeat probes of the
         # same sample hit the data plane's identity cache.
-        with obs.span(
-            "engine.profile_all_nodes",
-            engine=type(self).__name__,
-            nodes=self.cluster.num_nodes,
-            records=len(records),
-        ):
-            ((_, wall),) = self._map_tasks(workload, [records])
+        ((_, wall),) = self._map_tasks(workload, [records])
         return [
             node.task_overhead_s / node.speed_factor + wall / node.speed_factor
             for node in self.cluster

@@ -2,8 +2,9 @@
 
 The paper's Section II motivates heterogeneity with node churn ("nodes
 fail periodically and are often replaced with upgraded hardware").
-:class:`FaultInjectingEngine` wraps the simulated engine and kills
-chosen nodes at chosen times: a partition running on a failed node is
+:class:`FaultInjectingEngine` is the simulated engine with a different
+*schedule* step (see :mod:`repro.cluster.engines`): it kills chosen
+nodes at chosen times, so a partition running on a failed node is
 lost (its energy is still charged — wasted work costs real joules) and
 re-executed, after a detection latency, on the surviving node that can
 finish it earliest. Because the framework's partitions are independent
@@ -13,18 +14,14 @@ re-running the lost partitions — no global restart.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
 
-import repro.obs as obs
 from repro.cluster.cluster import Cluster
-from repro.cluster.engines import JobResult, TaskResult, record_job_telemetry
-from repro.workloads.base import Workload, WorkloadResult
+from repro.cluster.engines import JobResult, SimulatedEngine, emit_timeline_mark
 
 
 @dataclass
-class FaultInjectingEngine:
+class FaultInjectingEngine(SimulatedEngine):
     """Simulated engine with scheduled node failures.
 
     Parameters
@@ -46,8 +43,7 @@ class FaultInjectingEngine:
     detection_latency_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.unit_rate <= 0:
-            raise ValueError("unit_rate must be positive")
+        SimulatedEngine.__init__(self, self.cluster, self.unit_rate)
         if self.detection_latency_s < 0:
             raise ValueError("detection_latency_s must be non-negative")
         for node, t in self.fail_at.items():
@@ -58,171 +54,63 @@ class FaultInjectingEngine:
         if len(self.fail_at) >= self.cluster.num_nodes:
             raise ValueError("at least one node must survive")
 
-    def _runtime_on(self, node_id: int, work_units: float) -> float:
-        return self.cluster[node_id].runtime_for_work(work_units, self.unit_rate)
-
-    def run_job(
-        self,
-        workload: Workload,
-        partitions: Sequence[Sequence[Any]],
-        assignment: Sequence[int] | None = None,
-    ) -> JobResult:
-        """Execute with failures; lost partitions re-run on survivors."""
-        p = self.cluster.num_nodes
-        if assignment is None:
-            assignment = [i % p for i in range(len(partitions))]
-        if len(assignment) != len(partitions):
-            raise ValueError("one node assignment required per partition")
-
-        wall0 = time.time()
-        job_span = obs.span(
-            "engine.run_job",
-            engine=type(self).__name__,
-            partitions=len(partitions),
-            nodes=p,
-            failures=len(self.fail_at),
-        )
-        with job_span:
-            job = self._run_job_impl(workload, partitions, assignment, p, wall0, job_span)
-        return job
-
-    def _inject_fault(self, wall0: float, node_id: int, pid: int, lost_at: float) -> None:
-        """Telemetry for one lost partition (point event on the
-        simulated timeline plus the ``fault.injected`` counter)."""
-        if not obs.enabled():
-            return
-        obs.get_tracer().emit(
-            "fault.injected",
-            start_s=wall0 + lost_at,
-            duration_s=0.0,
-            node_id=node_id,
-            partition_id=pid,
-            lost_at_s=lost_at,
-        )
-        obs.get_metrics().counter("repro_fault_injected_total", node=str(node_id)).inc()
-        from repro.obs.live import active_plane
-
-        plane = active_plane()
-        if plane is not None:
-            plane.publish_event(
-                "fault.injected", node_id=node_id, partition_id=pid, lost_at_s=lost_at
-            )
-
-    def _run_job_impl(
-        self,
-        workload: Workload,
-        partitions: Sequence[Sequence[Any]],
-        assignment: Sequence[int],
-        p: int,
-        wall0: float,
-        job_span,
-    ) -> JobResult:
-        results: list[WorkloadResult] = [workload.run(list(part)) for part in partitions]
-
-        clock = {node: 0.0 for node in range(p)}
-        tasks: list[TaskResult] = []
+    def _schedule(self, workload, partitions, assignment, job_span, wall0):
+        """Nominal placement until each node's failure time, then lost
+        partitions re-run on the survivor that finishes them earliest."""
+        job_span.set_attr("failures", len(self.fail_at))
+        executed = self._execute_partitions(workload, partitions, assignment)
+        clock = {node: 0.0 for node in range(self.cluster.num_nodes)}
+        events = []
         orphans: list[tuple[int, float]] = []  # (partition id, loss time)
 
-        def charge(node_id: int, pid: int, start: float, runtime: float, result, wasted: bool):
-            node = self.cluster[node_id]
-            tasks.append(
-                TaskResult(
-                    partition_id=pid,
-                    node_id=node_id,
-                    start_s=start,
-                    runtime_s=runtime,
-                    work_units=0.0 if wasted else result.work_units,
-                    dirty_energy_j=node.accountant.measured_dirty_energy(runtime, start_s=start),
-                    energy_j=node.accountant.power.energy_joules(runtime),
-                    output=None if wasted else result.output,
-                    stats={"wasted": True} if wasted else dict(result.stats),
-                )
-            )
-
-        # First pass: nominal execution until each node's failure time.
-        for pid, node_id in enumerate(assignment):
-            if not 0 <= node_id < p:
-                raise ValueError(f"assignment references unknown node {node_id}")
+        for pid, ((result, runtime), node_id) in enumerate(zip(executed, assignment)):
             fail_time = self.fail_at.get(node_id)
             start = clock[node_id]
-            if fail_time is not None and start >= fail_time:
-                orphans.append((pid, fail_time))
-                self._inject_fault(wall0, node_id, pid, fail_time)
+            if fail_time is None or (start < fail_time and start + runtime <= fail_time):
+                events.append((pid, node_id, start, runtime, result, False))
+                clock[node_id] = start + runtime
                 continue
-            runtime = self._runtime_on(node_id, results[pid].work_units)
-            if fail_time is not None and start + runtime > fail_time:
+            if start < fail_time:
                 # Partial run wasted; node burns power until it dies.
-                charge(node_id, pid, start, fail_time - start, results[pid], wasted=True)
+                events.append((pid, node_id, start, fail_time - start, result, True))
                 clock[node_id] = fail_time
-                orphans.append((pid, fail_time))
-                self._inject_fault(wall0, node_id, pid, fail_time)
-                continue
-            charge(node_id, pid, start, runtime, results[pid], wasted=False)
-            clock[node_id] = start + runtime
+            orphans.append((pid, fail_time))
+            emit_timeline_mark(
+                "fault.injected",
+                wall0 + fail_time,
+                0.0,
+                [("repro_fault_injected_total", {"node": str(node_id)}, 1)],
+                node_id=node_id,
+                partition_id=pid,
+                lost_at_s=fail_time,
+            )
 
-        # Recovery pass: earliest-finish-time assignment on survivors.
-        survivors = [n for n in range(p) if n not in self.fail_at]
+        survivors = [n for n in clock if n not in self.fail_at]
         for pid, lost_at in sorted(orphans, key=lambda o: o[1]):
             ready = lost_at + self.detection_latency_s
-
-            def finish_time(node_id: int) -> float:
-                start = max(clock[node_id], ready)
-                return start + self._runtime_on(node_id, results[pid].work_units)
-
-            best = min(survivors, key=finish_time)
-            start = max(clock[best], ready)
-            runtime = self._runtime_on(best, results[pid].work_units)
-            charge(best, pid, start, runtime, results[pid], wasted=False)
-            clock[best] = start + runtime
-            if obs.enabled():
-                obs.get_tracer().emit(
-                    "fault.retried",
-                    start_s=wall0 + start,
-                    duration_s=runtime,
-                    partition_id=pid,
-                    node_id=best,
-                    detection_latency_s=self.detection_latency_s,
+            result = executed[pid][0]
+            placed = {
+                n: (
+                    max(clock[n], ready),
+                    self.cluster[n].runtime_for_work(result.work_units, self.unit_rate),
                 )
-                obs.get_metrics().counter(
-                    "repro_fault_retried_total", node=str(best)
-                ).inc()
-
-        makespan = max(
-            (t.end_s for t in tasks), default=0.0
-        )
-        merged = workload.merge(
-            [
-                WorkloadResult(t.work_units, t.output, t.stats)
-                for t in tasks
-                if not t.stats.get("wasted")
-            ]
-        )
-        job = JobResult(
-            tasks=tasks,
-            makespan_s=makespan,
-            total_dirty_energy_j=sum(t.dirty_energy_j for t in tasks),
-            total_energy_j=sum(t.energy_j for t in tasks),
-            merged_output=merged,
-        )
-        if obs.enabled():
-            record_job_telemetry(
-                job, job_span, wall0, type(self).__name__, workload=workload.name
+                for n in survivors
+            }
+            best = min(placed, key=lambda n: placed[n][0] + placed[n][1])
+            start, runtime = placed[best]
+            events.append((pid, best, start, runtime, result, False))
+            clock[best] = start + runtime
+            emit_timeline_mark(
+                "fault.retried",
+                wall0 + start,
+                runtime,
+                [("repro_fault_retried_total", {"node": str(best)}, 1)],
+                publish=False,
+                partition_id=pid,
+                node_id=best,
+                detection_latency_s=self.detection_latency_s,
             )
-            wasted = self.wasted_energy_j(job)
-            if wasted:
-                obs.get_metrics().counter(
-                    "repro_fault_wasted_energy_joules_total"
-                ).inc(wasted)
-                from repro.obs.live import active_plane
-
-                plane = active_plane()
-                if plane is not None:
-                    plane.publish_event(
-                        "fault.wasted",
-                        wasted_energy_j=wasted,
-                        retries=len([t for t in job.tasks if t.stats.get("wasted")]),
-                    )
-        return job
+        return events
 
     @staticmethod
     def wasted_energy_j(job: JobResult) -> float:

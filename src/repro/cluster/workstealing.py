@@ -9,8 +9,9 @@ growing the locally-frequent candidate union and with it the global
 pruning cost. Stealing also pays data-movement costs the planner-based
 approach avoids.
 
-:class:`WorkStealingScheduler` simulates chunk-level stealing over the
-emulated cluster: partitions are split into fixed-size chunks, each
+:class:`WorkStealingScheduler` is the simulated engine with a
+different *schedule* step (see :mod:`repro.cluster.engines`): it
+simulates chunk-level stealing over the emulated cluster — partitions are split into fixed-size chunks, each
 node drains its own queue and, when idle, steals the tail chunk of the
 most-loaded victim, paying a latency plus per-item transfer cost. The
 chunk outputs are merged with the workload's own ``merge``, so the
@@ -20,14 +21,10 @@ candidate-inflation effect is measured, not assumed.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
 
-import repro.obs as obs
 from repro.cluster.cluster import Cluster
-from repro.cluster.engines import JobResult, TaskResult, record_job_telemetry
-from repro.workloads.base import Workload, WorkloadResult
+from repro.cluster.engines import SimulatedEngine, emit_timeline_mark
 
 
 @dataclass
@@ -41,7 +38,7 @@ class StealEvent:
 
 
 @dataclass
-class WorkStealingScheduler:
+class WorkStealingScheduler(SimulatedEngine):
     """Chunk-level work stealing on an emulated heterogeneous cluster.
 
     Parameters
@@ -71,155 +68,74 @@ class WorkStealingScheduler:
     events: list[StealEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.unit_rate <= 0:
-            raise ValueError("unit_rate must be positive")
+        SimulatedEngine.__init__(self, self.cluster, self.unit_rate)
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         if self.steal_latency_s < 0 or self.transfer_s_per_item < 0:
             raise ValueError("costs must be non-negative")
 
-    def _chunks(self, partition: Sequence[Any]) -> list[list[Any]]:
-        return [
-            list(partition[i : i + self.chunk_size])
-            for i in range(0, len(partition), self.chunk_size)
-        ]
-
-    def run_job(
-        self,
-        workload: Workload,
-        partitions: Sequence[Sequence[Any]],
-        assignment: Sequence[int] | None = None,
-    ) -> JobResult:
-        """Execute with stealing; returns the same JobResult shape as
-        the planner-based engines, so comparisons are one-liners."""
+    def _schedule(self, workload, partitions, assignment, job_span, wall0):
+        """Event-driven greedy simulation over a heap of ``(ready_time,
+        node)``: a node drains its own chunk queue, then steals the
+        tail chunk of the most-loaded victim. Every chunk is its own
+        task, so the job has one event per chunk, in execution order."""
         p = self.cluster.num_nodes
-        if assignment is None:
-            assignment = [i % p for i in range(len(partitions))]
-        if len(assignment) != len(partitions):
-            raise ValueError("one node assignment required per partition")
-
-        queues: list[list[list[Any]]] = [[] for _ in range(p)]
+        chunks, homes = [], []
         for part, node in zip(partitions, assignment):
-            if not 0 <= node < p:
-                raise ValueError(f"assignment references unknown node {node}")
-            queues[node].extend(self._chunks(part))
-
-        self.events = []
-        wall0 = time.time()
-        job_span = obs.span(
-            "engine.run_job",
-            engine=type(self).__name__,
-            partitions=len(partitions),
-            nodes=p,
-            chunk_size=self.chunk_size,
-        )
-        with job_span:
-            return self._run_job_impl(workload, queues, p, wall0, job_span)
-
-    def _run_job_impl(
-        self,
-        workload: Workload,
-        queues: list[list[list[Any]]],
-        p: int,
-        wall0: float,
-        job_span,
-    ) -> JobResult:
-        # Event-driven greedy simulation: a heap of (ready_time, node).
-        clock = [0.0] * p
-        heap = [(0.0, node) for node in range(p)]
-        heapq.heapify(heap)
-        tasks: list[TaskResult] = []
-        partials: list[WorkloadResult] = []
-        pid = 0
+            for i in range(0, len(part), self.chunk_size):
+                chunks.append(list(part[i : i + self.chunk_size]))
+                homes.append(node)
+        # Measure each chunk once; its runtime depends on who ends up
+        # running it, so only the result is kept.
+        measured = self._execute_partitions(workload, chunks, homes)
+        queues: list[list[tuple[int, object]]] = [[] for _ in range(p)]
+        for chunk, home, (result, _) in zip(chunks, homes, measured):
+            queues[home].append((len(chunk), result))
 
         def remaining_items(node: int) -> int:
-            return sum(len(c) for c in queues[node])
+            return sum(items for items, _ in queues[node])
 
+        self.events = []
+        events = []
+        heap = [(0.0, node) for node in range(p)]
+        heapq.heapify(heap)
         while heap:
             now, node = heapq.heappop(heap)
-            chunk: list[Any] | None = None
             overhead = 0.0
             if queues[node]:
-                chunk = queues[node].pop(0)
+                items, result = queues[node].pop(0)
             else:
                 victim = max(range(p), key=remaining_items)
                 if remaining_items(victim) == 0:
                     continue  # global queue drained; this node retires
-                chunk = queues[victim].pop()  # steal the tail chunk
-                overhead = self.steal_latency_s + self.transfer_s_per_item * len(chunk)
+                items, result = queues[victim].pop()  # steal the tail chunk
+                overhead = self.steal_latency_s + self.transfer_s_per_item * items
                 self.events.append(
-                    StealEvent(time_s=now, thief=node, victim=victim, chunk_items=len(chunk))
+                    StealEvent(time_s=now, thief=node, victim=victim, chunk_items=items)
                 )
-                if obs.enabled():
-                    obs.get_tracer().emit(
-                        "worksteal.steal",
-                        start_s=wall0 + now,
-                        duration_s=overhead,
-                        thief=node,
-                        victim=victim,
-                        chunk_items=len(chunk),
-                    )
-                    metrics = obs.get_metrics()
-                    metrics.counter(
-                        "repro_worksteal_steals_total", thief=str(node)
-                    ).inc()
-                    metrics.counter("repro_worksteal_items_stolen_total").inc(
-                        len(chunk)
-                    )
-                    from repro.obs.live import active_plane
-
-                    plane = active_plane()
-                    if plane is not None:
-                        plane.publish_event(
-                            "worksteal.steal",
-                            thief=node,
-                            victim=victim,
-                            chunk_items=len(chunk),
-                        )
-            result = workload.run(chunk)
-            node_obj = self.cluster[node]
-            speed = node_obj.speed_factor
+                emit_timeline_mark(
+                    "worksteal.steal",
+                    wall0 + now,
+                    overhead,
+                    [
+                        ("repro_worksteal_steals_total", {"thief": str(node)}, 1),
+                        ("repro_worksteal_items_stolen_total", {}, items),
+                    ],
+                    thief=node,
+                    victim=victim,
+                    chunk_items=items,
+                )
+            speed = self.cluster[node].speed_factor
             runtime = (
                 overhead
                 + self.chunk_overhead_s / speed
                 + result.work_units / (self.unit_rate * speed)
             )
-            start = now
-            dirty = node_obj.accountant.measured_dirty_energy(runtime, start_s=start)
-            energy = node_obj.accountant.power.energy_joules(runtime)
-            tasks.append(
-                TaskResult(
-                    partition_id=pid,
-                    node_id=node,
-                    start_s=start,
-                    runtime_s=runtime,
-                    work_units=result.work_units,
-                    dirty_energy_j=dirty,
-                    energy_j=energy,
-                    output=result.output,
-                    stats=result.stats,
-                )
-            )
-            partials.append(result)
-            pid += 1
-            clock[node] = now + runtime
-            heapq.heappush(heap, (clock[node], node))
-
-        makespan = max(clock) if tasks else 0.0
-        merged = workload.merge(partials)
-        job = JobResult(
-            tasks=tasks,
-            makespan_s=makespan,
-            total_dirty_energy_j=sum(t.dirty_energy_j for t in tasks),
-            total_energy_j=sum(t.energy_j for t in tasks),
-            merged_output=merged,
-        )
-        if obs.enabled():
-            record_job_telemetry(
-                job, job_span, wall0, type(self).__name__, workload=workload.name
-            )
-            job_span.set_attr("steals", len(self.events))
-        return job
+            events.append((len(events), node, now, runtime, result, False))
+            heapq.heappush(heap, (now + runtime, node))
+        job_span.set_attr("chunk_size", self.chunk_size)
+        job_span.set_attr("steals", len(self.events))
+        return events
 
     @property
     def num_steals(self) -> int:

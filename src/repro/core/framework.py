@@ -40,10 +40,7 @@ from repro.core.strategies import Strategy
 from repro.kvstore.serializers import deserialize_item, serialize_item
 from repro.stratify.stratifier import Stratification, Stratifier
 from repro.workloads.base import Workload
-from repro.workloads.fpm.apriori import AprioriWorkload, CandidateCountWorkload
-from repro.workloads.fpm.eclat import EclatWorkload
-from repro.workloads.fpm.fpgrowth import FPGrowthWorkload
-from repro.workloads.fpm.treemining import TreeMiningWorkload
+from repro.workloads.fpm.apriori import CandidateCountWorkload
 
 
 @dataclass
@@ -162,6 +159,15 @@ class ParetoPartitioner:
             window_s=self.energy_window_s,
         )
 
+    def _min_items(self, prepared: PreparedInput) -> int:
+        """The per-partition floor both planners apply."""
+        min_items = self.min_partition_items
+        if min_items is None:
+            # Auto: never plan a partition smaller than the smallest
+            # sample the time model was fitted on.
+            min_items = min(prepared.profiling.sample_sizes)
+        return min(min_items, prepared.num_items // prepared.optimizer.num_partitions)
+
     def plan(self, prepared: PreparedInput, strategy: Strategy) -> PartitionPlan:
         """Partition sizes for a strategy: LP when het-aware, else equal."""
         n = prepared.num_items
@@ -171,13 +177,9 @@ class ParetoPartitioner:
             if strategy.alpha is None:
                 plan = prepared.optimizer.equal_split_plan(n)
             else:
-                min_items = self.min_partition_items
-                if min_items is None:
-                    # Auto: never plan a partition smaller than the smallest
-                    # sample the time model was fitted on.
-                    min_items = min(prepared.profiling.sample_sizes)
-                min_items = min(min_items, n // prepared.optimizer.num_partitions)
-                plan = prepared.optimizer.solve(n, strategy.alpha, min_items=min_items)
+                plan = prepared.optimizer.solve(
+                    n, strategy.alpha, min_items=self._min_items(prepared)
+                )
             sp.set_attr("sizes", [int(s) for s in plan.sizes])
             return plan
 
@@ -230,8 +232,8 @@ class ParetoPartitioner:
         """Execute the α sweep and return measured ``(α, report)`` pairs.
 
         The paper's Figure-5 primitive as a library call: one
-        preparation pass, one execution per α (two-phase for mining
-        workloads), in the given order. Feed the resulting
+        preparation pass, one execution per α (two-phase when
+        ``workload.two_phase``), in the given order. Feed the resulting
         ``(makespan, dirty energy)`` pairs to
         :func:`repro.core.pareto.pareto_front` or
         :func:`repro.bench.plotting.ascii_scatter`.
@@ -240,18 +242,10 @@ class ParetoPartitioner:
             raise ValueError("need at least one alpha")
         if prepared is None:
             prepared = self.prepare(items, workload)
-        is_mining = isinstance(
-            workload,
-            (AprioriWorkload, EclatWorkload, FPGrowthWorkload, TreeMiningWorkload),
-        )
         out: list[tuple[float, RunReport]] = []
         for alpha in alphas:
             strategy = Strategy(name=f"alpha={alpha}", alpha=alpha, placement=placement)
-            if is_mining:
-                report = self.execute_fpm(items, workload, strategy, prepared=prepared)
-            else:
-                report = self.execute(items, workload, strategy, prepared=prepared)
-            out.append((alpha, report))
+            out.append((alpha, self.execute(items, workload, strategy, prepared=prepared)))
         return out
 
     def plan_for_budget(
@@ -265,13 +259,9 @@ class ParetoPartitioner:
         """
         from repro.core.budget import CarbonBudgetPlanner
 
-        min_items = self.min_partition_items
-        if min_items is None:
-            min_items = min(prepared.profiling.sample_sizes)
-        min_items = min(min_items, prepared.num_items // prepared.optimizer.num_partitions)
         planner = CarbonBudgetPlanner(prepared.optimizer)
         return planner.plan(
-            prepared.num_items, max_dirty_energy_j, min_items=min_items
+            prepared.num_items, max_dirty_energy_j, min_items=self._min_items(prepared)
         )
 
     # -- end-to-end execution -------------------------------------------------
@@ -283,19 +273,12 @@ class ParetoPartitioner:
         strategy: Strategy,
         prepared: PreparedInput | None = None,
     ) -> RunReport:
-        """Full pipeline: prepare (or reuse), plan, place, stage, run."""
+        """Full pipeline: prepare (or reuse), plan, place, stage, run —
+        in two barrier-separated phases when ``workload.two_phase``."""
         with obs.span("pipeline.execute", strategy=strategy.name):
             if prepared is None:
                 prepared = self.prepare(items, workload)
-            plan = self.plan(prepared, strategy)
-            with obs.span(
-                "stage.partition", placement=strategy.placement, via_kv=self.stage_via_kv
-            ):
-                indices = self.place(prepared, strategy, plan)
-                partitions, round_trips = self._materialize(prepared, indices)
-            with obs.span("stage.execute", partitions=len(partitions)):
-                job = self.engine.run_job(workload, partitions)
-        return RunReport(strategy=strategy, plan=plan, job=job, kv_round_trips=round_trips)
+            return self._run(prepared, workload, strategy)
 
     def execute_fpm(
         self,
@@ -304,55 +287,54 @@ class ParetoPartitioner:
         strategy: Strategy,
         prepared: PreparedInput | None = None,
     ) -> RunReport:
-        """Two-phase Savasere execution for mining workloads.
+        """Two-phase Savasere execution, for mining workloads only.
 
         Phase 1 mines locally; phase 2 counts the candidate union for
         global pruning. Reported makespan/energy sum both barrier-
         separated phases, as in the paper's evaluation.
         """
-        if not isinstance(
-            workload,
-            (AprioriWorkload, EclatWorkload, FPGrowthWorkload, TreeMiningWorkload),
-        ):
+        if not workload.two_phase:
             raise TypeError("execute_fpm requires a local-mining workload")
         if prepared is None:
             prepared = self.prepare(items, workload)
         with obs.span("pipeline.execute_fpm", strategy=strategy.name):
-            plan = self.plan(prepared, strategy)
-            with obs.span(
-                "stage.partition", placement=strategy.placement, via_kv=self.stage_via_kv
-            ):
-                indices = self.place(prepared, strategy, plan)
-                partitions, round_trips = self._materialize(prepared, indices)
+            return self._run(prepared, workload, strategy)
 
-            with obs.span(
-                "stage.execute", partitions=len(partitions), phase="local-mine"
-            ):
-                local_job = self.engine.run_job(workload, partitions)
-            candidates = local_job.merged_output
-
-            if isinstance(workload, TreeMiningWorkload):
-                from repro.workloads.fpm.treemining import trees_to_pivot_sets
-
-                count_parts = [trees_to_pivot_sets(p)[0] for p in partitions]
-            else:
-                count_parts = partitions
-            total = sum(len(p) for p in partitions)
-            counter = CandidateCountWorkload(
-                candidates=sorted(candidates),
-                min_support=workload.min_support,
-                total_transactions=total,
+    def _run(
+        self, prepared: PreparedInput, workload: Workload, strategy: Strategy
+    ) -> RunReport:
+        """Plan → place → materialize → run, shared by both entry points."""
+        plan = self.plan(prepared, strategy)
+        with obs.span(
+            "stage.partition", placement=strategy.placement, via_kv=self.stage_via_kv
+        ):
+            indices = self.place(prepared, strategy, plan)
+            partitions, round_trips = self._materialize(prepared, indices)
+        if not workload.two_phase:
+            with obs.span("stage.execute", partitions=len(partitions)):
+                job = self.engine.run_job(workload, partitions)
+            return RunReport(
+                strategy=strategy, plan=plan, job=job, kv_round_trips=round_trips
             )
-            # Phase 2 runs after the phase-1 barrier: bill its energy against
-            # the later window of each node's green trace.
-            with obs.span(
-                "stage.execute", partitions=len(count_parts), phase="candidate-count"
-            ):
-                count_job = self.engine.run_job(
-                    counter, count_parts, start_offset_s=local_job.makespan_s
-                )
-            frequent = count_job.merged_output
 
+        with obs.span("stage.execute", partitions=len(partitions), phase="local-mine"):
+            local_job = self.engine.run_job(workload, partitions)
+        candidates = local_job.merged_output
+        count_parts = [workload.count_records(p) for p in partitions]
+        counter = CandidateCountWorkload(
+            candidates=sorted(candidates),
+            min_support=workload.min_support,
+            total_transactions=sum(len(p) for p in partitions),
+        )
+        # Phase 2 runs after the phase-1 barrier: bill its energy against
+        # the later window of each node's green trace.
+        with obs.span(
+            "stage.execute", partitions=len(count_parts), phase="candidate-count"
+        ):
+            count_job = self.engine.run_job(
+                counter, count_parts, start_offset_s=local_job.makespan_s
+            )
+        frequent = count_job.merged_output
         combined = JobResult(
             tasks=local_job.tasks + count_job.tasks,
             makespan_s=local_job.makespan_s + count_job.makespan_s,

@@ -112,7 +112,8 @@ def waterfill_makespan(
         return float(x.sum())
 
     lo = float(c.min())
-    hi = float(c.max() + m[usable].min() ** -1 * 0 + (total_items * m[usable].max() + c.max()))
+    # At this level even the slowest usable node alone holds every item.
+    hi = float(total_items * m[usable].max() + c.max())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if assigned(mid) < total_items:

@@ -11,8 +11,8 @@ the stratifier modules call into:
   (one broadcasted multiply-add over all sets at once, per-set minima
   via ``np.minimum.reduceat``) and the ndarray element fast path.
 - :mod:`repro.perf.kmodes_kernels` — batched match-count matrices with
-  memory-aware row chunking, a sort/bincount-based top-L centre update,
-  and a blocked similarity matrix.
+  memory-aware row chunking and a sort/bincount-based top-L centre
+  update.
 - :mod:`repro.perf.fpm_kernels` / :mod:`repro.perf.lz77_kernels` —
   packed-bitmap support counting and the precomputed-link LZ77 coder.
 - :mod:`repro.perf.native` — optional numba-compiled (``native``)
@@ -36,7 +36,6 @@ import cycles and are trivially testable.
 from repro.perf.kmodes_kernels import (
     factorize_columns,
     match_counts,
-    similarity_matrix_blocked,
     top_l_centers,
 )
 from repro.perf.minhash_kernels import (
@@ -54,7 +53,6 @@ __all__ = [
     "flatten_sets",
     "hash_elements",
     "match_counts",
-    "similarity_matrix_blocked",
     "sketch_batch",
     "top_l_centers",
 ]

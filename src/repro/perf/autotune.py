@@ -6,11 +6,9 @@ batched kernels of PRs 1–2) and ``native`` (the optional numba tier in
 :mod:`repro.perf.native`) — all bit-identical. This module picks one
 per call:
 
-- An explicit ``kernel=`` argument wins outright. The historical
-  spellings ``"batched"``, ``"bitmap"`` and ``"fast"`` remain accepted
-  as aliases of the numpy tier. Explicitly requesting ``"native"``
-  without numba raises (you asked for something the interpreter cannot
-  provide); everything else degrades gracefully.
+- An explicit ``kernel=`` argument wins outright. Explicitly
+  requesting ``"native"`` without numba raises (you asked for something
+  the interpreter cannot provide); everything else degrades gracefully.
 - ``kernel="auto"`` (the new default everywhere) consults, in order:
   the ``REPRO_KERNEL_TIER`` environment variable (a process-wide pin;
   ignored for kinds that lack the pinned tier, softened to the shape
@@ -49,7 +47,6 @@ __all__ = [
     "SMALL_WORK",
     "ENV_TIER",
     "ENV_SEEDS",
-    "canonical_kernel",
     "validate_kernel",
     "resolve_tier",
     "seed_measurements",
@@ -59,9 +56,6 @@ AUTO = "auto"
 
 #: Canonical tier names, slowest-but-simplest first.
 TIERS = ("reference", "numpy", "native")
-
-#: Pre-autotuner kernel spellings, kept as aliases of the numpy tier.
-_ALIASES = {"batched": "numpy", "bitmap": "numpy", "fast": "numpy"}
 
 #: Tiers each kernel kind actually implements. WebGraph's batched coder
 #: is symbol-stream bookkeeping over Python sets — no native candidate.
@@ -99,25 +93,16 @@ ENV_TIER = "REPRO_KERNEL_TIER"
 ENV_SEEDS = "REPRO_BENCH_KERNELS"
 
 
-def canonical_kernel(kernel: str) -> str:
-    """Map legacy kernel spellings onto canonical tier names."""
-    return _ALIASES.get(kernel, kernel)
-
-
 def validate_kernel(kernel: str, kind: str) -> str:
-    """Check a ``kernel=`` argument for ``kind``; returns the canonical name.
+    """Check a ``kernel=`` argument for ``kind`` and return it.
 
     Raises ``ValueError`` for spellings that name no tier of this kind,
-    so constructors fail fast exactly as they did pre-autotuner.
+    so constructors fail fast.
     """
-    choice = canonical_kernel(kernel)
     allowed = (AUTO,) + KIND_TIERS[kind]
-    if choice not in allowed:
-        raise ValueError(
-            f"kernel must be one of {allowed} (or a legacy alias "
-            f"{tuple(_ALIASES)}), got {kernel!r}"
-        )
-    return choice
+    if kernel not in allowed:
+        raise ValueError(f"kernel must be one of {allowed}, got {kernel!r}")
+    return kernel
 
 
 def _seed_paths() -> Iterator[pathlib.Path]:
@@ -203,14 +188,10 @@ def resolve_tier(kernel: str, *, kind: str, work: float = 0) -> str:
     """
     choice = validate_kernel(kernel, kind)
     if choice == AUTO:
-        env = os.environ.get(ENV_TIER)
-        if env:
-            pinned = canonical_kernel(env)
+        pinned = os.environ.get(ENV_TIER)
+        if pinned:
             if pinned not in TIERS:
-                raise ValueError(
-                    f"{ENV_TIER} must name a tier {TIERS} (or a legacy "
-                    f"alias {tuple(_ALIASES)}), got {env!r}"
-                )
+                raise ValueError(f"{ENV_TIER} must name a tier {TIERS}, got {pinned!r}")
             if pinned in KIND_TIERS[kind]:
                 if pinned == "native" and not runtime.numba_available():
                     _log_native_unavailable(kind)

@@ -22,8 +22,6 @@ The kernels here replace both with numpy-level batches while producing
   when the key space is too large), ranking ties exactly like
   ``Counter.most_common`` (count descending, first appearance in
   member-row order ascending).
-- :func:`similarity_matrix_blocked` computes the pairwise sketch-match
-  matrix in row blocks instead of one Python-loop row at a time.
 """
 
 from __future__ import annotations
@@ -165,24 +163,3 @@ def top_l_centers(
     if empty.any():
         new_centers[empty] = old_centers[empty]
     return new_centers
-
-
-def similarity_matrix_blocked(
-    sketches: np.ndarray, chunk_bytes: int = DEFAULT_CHUNK_BYTES
-) -> np.ndarray:
-    """Pairwise sketch-match fractions, computed in row blocks.
-
-    Equivalent to the reference per-row loop; the block size is chosen
-    so the ``(rows, n, k)`` boolean temporary stays under
-    ``chunk_bytes``.
-    """
-    sketches = np.asarray(sketches)
-    n, k = sketches.shape if sketches.ndim == 2 else (sketches.shape[0], 1)
-    sim = np.empty((n, n), dtype=np.float64)
-    rows = max(1, chunk_bytes // max(1, n * k))
-    for start in range(0, n, rows):
-        block = sketches[start : start + rows]
-        sim[start : start + rows] = np.mean(
-            block[:, None, :] == sketches[None, :, :], axis=2
-        )
-    return sim

@@ -29,7 +29,7 @@ from repro.cluster.engines import ExecutionEngine, ProcessPoolEngine, SimulatedE
 from repro.core.framework import ParetoPartitioner, PreparedInput, RunReport
 from repro.core.strategies import Strategy
 from repro.data.datasets import Dataset, load_dataset
-from repro.service.jobs import JobSpec, MINING_WORKLOADS, build_workload
+from repro.service.jobs import JobSpec, build_workload
 
 __all__ = ["ScenarioExecutor", "build_executor"]
 
@@ -123,10 +123,7 @@ class ScenarioExecutor:
             )
         with self._lock:
             dataset = self._dataset_for_locked(spec)
-        if spec.workload in MINING_WORKLOADS:
-            report = pp.execute_fpm(dataset.items, workload, strategy, prepared=prep)
-        else:
-            report = pp.execute(dataset.items, workload, strategy, prepared=prep)
+        report = pp.execute(dataset.items, workload, strategy, prepared=prep)
         return self._result_payload(spec, report)
 
     @staticmethod

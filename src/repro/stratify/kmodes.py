@@ -85,7 +85,7 @@ class CompositeKModes:
         RNG seed for centre initialisation.
     kernel:
         Matching tier: ``"auto"`` (shape-dispatched, the default),
-        ``"numpy"`` (alias ``"batched"``) for the chunked-broadcast
+        ``"numpy"`` for the chunked-broadcast
         kernels of :mod:`repro.perf.kmodes_kernels`, ``"native"`` for
         the compiled matcher, or ``"reference"`` for the original
         Python-loop implementations. All tiers produce bit-identical

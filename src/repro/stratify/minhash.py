@@ -31,7 +31,6 @@ from repro.perf.minhash_kernels import (
     hash_elements,
     sketch_batch,
 )
-from repro.perf.kmodes_kernels import similarity_matrix_blocked
 from repro.perf import autotune
 from repro.stratify.pivots import UNIVERSE_SIZE
 
@@ -101,14 +100,13 @@ class MinHasher:
         Seed for drawing the permutation coefficients; two hashers with
         the same seed produce identical, comparable sketches.
     chunk_bytes:
-        Ceiling on the batch kernels' largest temporary (the hashed
-        ``(m, k)`` block in ``sketch_all``, the ``(rows, n, k)`` block
-        in ``similarity_matrix``). Purely a speed/memory knob — results
-        are identical for any positive value.
+        Ceiling on the batch kernel's largest temporary (the hashed
+        ``(m, k)`` block in ``sketch_all``). Purely a speed/memory knob
+        — results are identical for any positive value.
     kernel:
         Tier for :meth:`sketch_all`: ``"auto"`` (shape-dispatched, the
-        default), ``"reference"``, ``"numpy"`` (alias ``"batched"``) or
-        ``"native"``. All tiers are bit-identical.
+        default), ``"reference"``, ``"numpy"`` or ``"native"``. All tiers
+        are bit-identical.
     """
 
     num_hashes: int = 64
@@ -189,10 +187,6 @@ class MinHasher:
 
     def similarity_matrix(self, sketches: np.ndarray) -> np.ndarray:
         """Pairwise estimated Jaccard similarities of sketched items."""
-        return similarity_matrix_blocked(sketches, chunk_bytes=self.chunk_bytes)
-
-    def similarity_matrix_reference(self, sketches: np.ndarray) -> np.ndarray:
-        """Row-at-a-time reference for :meth:`similarity_matrix`."""
         sketches = np.asarray(sketches)
         n = sketches.shape[0]
         sim = np.empty((n, n), dtype=np.float64)

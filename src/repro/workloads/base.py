@@ -50,6 +50,12 @@ class Workload(abc.ABC):
     #: Human-readable workload name (used in reports).
     name: str = "workload"
 
+    #: True for local miners whose merged output is only a candidate
+    #: set: the framework then runs a second, candidate-counting phase
+    #: over :meth:`count_records` of each partition (Savasere) and
+    #: reads ``min_support`` off the workload.
+    two_phase: bool = False
+
     @abc.abstractmethod
     def run(self, records: Sequence[Any]) -> WorkloadResult:
         """Process one partition and report output + work units."""
@@ -61,3 +67,8 @@ class Workload(abc.ABC):
         candidate-union / global-count step of Savasere's algorithm.
         """
         return [p.output for p in partials]
+
+    def count_records(self, partition: Sequence[Any]) -> Sequence[Any]:
+        """The transactions phase 2 counts candidates against, for a
+        ``two_phase`` workload; by default the partition itself."""
+        return partition

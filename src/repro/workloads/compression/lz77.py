@@ -63,7 +63,7 @@ class LZ77Codec:
         Longest emitted match.
     kernel:
         Tier: ``"auto"`` (shape-dispatched, the default), ``"numpy"``
-        (alias ``"fast"``) runs the precomputed-link coder of
+        runs the precomputed-link coder of
         :mod:`repro.perf.lz77_kernels`, ``"native"`` the compiled scan
         over the same links, ``"reference"`` the original hash-chain
         loop. Blobs and stats are byte-identical for every tier.

@@ -233,7 +233,7 @@ class WebGraphCodec:
         ``W``; 7 is the format's classic default).
     kernel:
         ``"auto"`` (default) dispatches on partition size; ``"numpy"``
-        (alias ``"batched"``) scores reference candidates by computed
+        scores reference candidates by computed
         byte length and varint-encodes the whole partition in one
         batched call; ``"reference"`` serializes every candidate with
         per-symbol Python loops. There is no native tier — the coder is

@@ -54,7 +54,7 @@ class AprioriMiner:
         Optional cap on pattern length (None = unbounded).
     kernel:
         Counting tier: ``"auto"`` (shape-dispatched, the default),
-        ``"numpy"`` (alias ``"bitmap"``) counts candidates on the
+        ``"numpy"`` counts candidates on the
         packed vertical bitmaps of :mod:`repro.perf.fpm_kernels`,
         ``"native"`` on the compiled popcount loops, ``"reference"``
         runs the original per-transaction containment scan. Outputs
@@ -221,7 +221,7 @@ def count_patterns(
 
     This is the global-pruning scan of Savasere's algorithm. Returns the
     counts and the containment-check work performed. The bitmap tiers
-    (``"numpy"``/``"bitmap"``, ``"native"``) pack the partition once and
+    (``"numpy"``, ``"native"``) pack the partition once and
     count every pattern via popcount over ANDed item rows; patterns
     naming items this partition never saw count 0, as in the reference
     scan.
@@ -271,6 +271,7 @@ class AprioriWorkload(Workload):
     """
 
     name = "apriori-local"
+    two_phase = True
 
     def __init__(
         self, min_support: float, max_len: int | None = None, kernel: str = "auto"

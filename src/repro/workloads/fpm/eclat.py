@@ -24,7 +24,7 @@ from repro.workloads.fpm.apriori import MiningOutput, Pattern
 class EclatMiner:
     """Configured Eclat miner (equivalent output to :class:`AprioriMiner`).
 
-    The bitmap tiers (``"numpy"``/``"bitmap"``, ``"native"``) keep
+    The bitmap tiers (``"numpy"``, ``"native"``) keep
     tidlists as packed uint64 bitmaps and batch every DFS node's
     extension intersections — one ``np.bitwise_and`` + popcount, or the
     compiled word loop; ``kernel="reference"`` is the original
@@ -166,6 +166,7 @@ class EclatWorkload(Workload):
     """Per-partition Eclat mining — drop-in for :class:`AprioriWorkload`."""
 
     name = "eclat-local"
+    two_phase = True
 
     def __init__(
         self, min_support: float, max_len: int | None = None, kernel: str = "auto"

@@ -168,6 +168,7 @@ class FPGrowthWorkload(Workload):
     """Per-partition FP-growth mining — drop-in for :class:`AprioriWorkload`."""
 
     name = "fpgrowth-local"
+    two_phase = True
 
     def __init__(self, min_support: float, max_len: int | None = None):
         self.miner = FPGrowthMiner(min_support=min_support, max_len=max_len)

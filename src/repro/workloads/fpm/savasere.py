@@ -64,7 +64,7 @@ class SavasereJob:
     min_support: float
     max_len: int | None = None
     #: Kernel for both phases: ``"auto"`` (shape-dispatched), a bitmap
-    #: tier (``"numpy"``/``"bitmap"``, ``"native"``) or ``"reference"``
+    #: tier (``"numpy"``, ``"native"``) or ``"reference"``
     #: — outputs are bit-identical whichever tier runs.
     kernel: str = "auto"
 

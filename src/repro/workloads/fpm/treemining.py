@@ -39,6 +39,7 @@ class TreeMiningWorkload(Workload):
     """Per-partition frequent tree (pivot-set) mining."""
 
     name = "tree-mining"
+    two_phase = True
 
     def __init__(self, min_support: float, max_len: int | None = 3):
         self.miner = AprioriMiner(min_support=min_support, max_len=max_len)
@@ -65,3 +66,6 @@ class TreeMiningWorkload(Workload):
         for p in partials:
             union.update(p.output.patterns())
         return union
+
+    def count_records(self, partition: Sequence) -> list[list[int]]:
+        return trees_to_pivot_sets(partition)[0]

@@ -1,0 +1,139 @@
+"""Every engine honours the one ``ExecutionEngine`` contract.
+
+The fault-injecting and work-stealing runners used to be stand-alone
+classes with their own ``run_job`` loops; they had drifted from the
+real engines (no ``profile``, no ``start_offset_s``, weaker
+validation). They are now :class:`SimulatedEngine` subclasses that
+override only the schedule step — these tests pin what that buys.
+"""
+
+from typing import Sequence
+
+import pytest
+
+import repro.obs as obs
+from repro.cluster.cluster import paper_cluster
+from repro.cluster.engines import ExecutionEngine, SimulatedEngine
+from repro.cluster.faults import FaultInjectingEngine
+from repro.cluster.workstealing import WorkStealingScheduler
+from repro.core.framework import ParetoPartitioner
+from repro.core.strategies import HET_AWARE
+from repro.data.datasets import load_dataset
+from repro.obs.energy import energy_split
+from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.fpm.apriori import AprioriMiner, AprioriWorkload
+
+ENGINES = {
+    "simulated": lambda c: SimulatedEngine(c, unit_rate=10.0),
+    "faults": lambda c: FaultInjectingEngine(c, fail_at={3: 1.0}, unit_rate=10.0),
+    "stealing": lambda c: WorkStealingScheduler(c, unit_rate=10.0, chunk_size=8),
+}
+PARTS = [[1] * 40, [2] * 40, [3] * 40, [4] * 40]
+
+
+class SumWorkload(Workload):
+    name = "sum"
+
+    def run(self, records: Sequence[int]) -> WorkloadResult:
+        return WorkloadResult(work_units=float(len(records)), output=sum(records))
+
+    def merge(self, partials):
+        return sum(p.output for p in partials)
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    return paper_cluster(4, seed=0)
+
+
+@pytest.fixture(params=sorted(ENGINES))
+def engine(request, cluster):
+    return ENGINES[request.param](cluster)
+
+
+class TestIsAnEngine:
+    def test_isinstance_and_profiling(self, engine, cluster):
+        assert isinstance(engine, ExecutionEngine)
+        records = list(range(30))
+        expected = [n.runtime_for_work(30.0, 10.0) for n in cluster]
+        assert engine.profile_all_nodes(SumWorkload(), records) == expected
+        assert [
+            engine.profile(SumWorkload(), records, n) for n in range(4)
+        ] == expected
+
+    def test_run_job_is_defined_once(self, engine):
+        assert type(engine).run_job is ExecutionEngine.run_job
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "partitions,kwargs,message",
+        [
+            ([], {}, "job needs at least one partition"),
+            ([[1], [2]], {"assignment": [0]}, "one node assignment required per partition"),
+            ([[1]], {"assignment": [99]}, "assignment references unknown node 99"),
+            ([[1]], {"start_offset_s": -1.0}, "start_offset_s must be non-negative"),
+        ],
+    )
+    def test_same_errors_everywhere(self, engine, partitions, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            engine.run_job(SumWorkload(), partitions, **kwargs)
+
+
+class TestStartOffset:
+    def test_offset_rebills_energy_but_keeps_the_timeline(self, engine, cluster):
+        offset = 3 * 3600.0
+        base = engine.run_job(SumWorkload(), PARTS)
+        late = engine.run_job(SumWorkload(), PARTS, start_offset_s=offset)
+        assert [(t.node_id, t.start_s, t.runtime_s, t.energy_j) for t in late.tasks] == [
+            (t.node_id, t.start_s, t.runtime_s, t.energy_j) for t in base.tasks
+        ]
+        assert late.makespan_s == base.makespan_s
+        assert late.merged_output == base.merged_output
+        for t in late.tasks:
+            accountant = cluster[t.node_id].accountant
+            assert t.dirty_energy_j == accountant.measured_dirty_energy(
+                t.runtime_s, start_s=offset + t.start_s
+            )
+        # Three hours on, the sites' green supply differs: the books move.
+        assert late.total_dirty_energy_j != base.total_dirty_energy_j
+
+
+class TestUnderTheFramework:
+    """Faults and stealing now run under ``ParetoPartitioner.execute``
+    — profiling, both mining phases, offset billing and telemetry."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return load_dataset("rcv1", size_scale=0.1, seed=0)
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_two_phase_job_reconciles(self, name, dataset):
+        make = {
+            "simulated": lambda c: SimulatedEngine(c, unit_rate=5e4),
+            "faults": lambda c: FaultInjectingEngine(c, fail_at={3: 0.2}, unit_rate=5e4),
+            "stealing": lambda c: WorkStealingScheduler(c, unit_rate=5e4, chunk_size=25),
+        }[name]
+        pp = ParetoPartitioner(
+            make(paper_cluster(4, seed=0)), kind=dataset.kind, num_strata=6, seed=0
+        )
+        workload = AprioriWorkload(min_support=0.15, max_len=2)
+        obs.disable()
+        obs.reset()
+        obs.enable()
+        try:
+            report = pp.execute(dataset.items, workload, HET_AWARE)
+            split = energy_split(obs.get_tracer().finished_spans())
+        finally:
+            obs.disable()
+            obs.reset()
+        assert int(report.plan.sizes.sum()) == len(dataset)
+        # The fault really fires (in both phases) and is retried.
+        assert any(t.stats.get("wasted") for t in report.job.tasks) == (name == "faults")
+        assert split["energy_j"] == pytest.approx(report.total_energy_j, abs=1e-6)
+        assert split["dirty_energy_j"] == pytest.approx(
+            report.total_dirty_energy_j, abs=1e-6
+        )
+        # Phase 2 prunes exactly, however phase 1 was scheduled.
+        central = AprioriMiner(min_support=0.15, max_len=2).mine(dataset.items).counts
+        assert report.merged_output == central

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
 from repro.core.framework import ParetoPartitioner
+from repro.core.optimizer import ParetoOptimizer
 from repro.core.strategies import HET_AWARE, RANDOM, STRATIFIED, Strategy
 from repro.data.datasets import load_dataset
 from repro.workloads.compression.distributed import CompressionWorkload
@@ -60,6 +61,24 @@ class TestPlanning:
         floor = min(prepared.profiling.sample_sizes)
         for s in plan.sizes:
             assert s == 0 or s >= min(floor, prepared.num_items // 4) - 1
+
+    @pytest.mark.parametrize("configured", [None, 0, 7, 10**9])
+    def test_plan_and_budget_plan_see_the_same_floor(
+        self, pp, prepared, monkeypatch, configured
+    ):
+        floors = []
+        solve = ParetoOptimizer.solve
+
+        def spy(self, total_items, alpha, min_items=0):
+            floors.append(min_items)
+            return solve(self, total_items, alpha, min_items=min_items)
+
+        monkeypatch.setattr(ParetoOptimizer, "solve", spy)
+        monkeypatch.setattr(pp, "min_partition_items", configured)
+        pp.plan(prepared, HET_AWARE)
+        pp.plan_for_budget(prepared, max_dirty_energy_j=1e12)
+        wanted = min(prepared.profiling.sample_sizes) if configured is None else configured
+        assert floors == [min(wanted, prepared.num_items // 4)] * 2
 
     def test_placement_matches_plan_sizes(self, pp, prepared):
         for strategy in (STRATIFIED, HET_AWARE, RANDOM):

@@ -30,21 +30,16 @@ def native_missing(monkeypatch):
 
 
 class TestAliasesAndValidation:
-    @pytest.mark.parametrize(
-        "legacy,canonical",
-        [("batched", "numpy"), ("bitmap", "numpy"), ("fast", "numpy")],
-    )
-    def test_legacy_aliases_map_to_numpy(self, legacy, canonical):
-        assert autotune.canonical_kernel(legacy) == canonical
-
     def test_canonical_names_pass_through(self):
         for name in autotune.TIERS + (autotune.AUTO,):
-            assert autotune.canonical_kernel(name) == name
+            assert autotune.validate_kernel(name, "minhash") == name
 
     @pytest.mark.parametrize("kind", sorted(autotune.KIND_TIERS))
     def test_unknown_kernel_rejected(self, kind):
-        with pytest.raises(ValueError):
-            autotune.validate_kernel("gpu", kind)
+        # The pre-autotuner spellings are ordinary unknown names now.
+        for name in ("gpu", "batched", "bitmap", "fast"):
+            with pytest.raises(ValueError, match="kernel must be one of"):
+                autotune.validate_kernel(name, kind)
 
     def test_native_rejected_for_kinds_without_native_tier(self):
         with pytest.raises(ValueError):
@@ -60,15 +55,15 @@ class TestAliasesAndValidation:
         with pytest.raises(ValueError):
             EclatMiner(min_support=0.5, kernel="magic")
         with pytest.raises(ValueError):
-            LZ77Codec(kernel="magic")
+            LZ77Codec(kernel="bitmap")
         with pytest.raises(ValueError):
-            WebGraphCodec(kernel="magic")
+            WebGraphCodec(kernel="batched")
 
 
 class TestShapeDispatch:
     def test_explicit_tier_always_wins(self, native_available):
         assert autotune.resolve_tier("reference", kind="minhash", work=10**9) == "reference"
-        assert autotune.resolve_tier("batched", kind="minhash", work=0) == "numpy"
+        assert autotune.resolve_tier("numpy", kind="minhash", work=0) == "numpy"
         assert autotune.resolve_tier("native", kind="minhash", work=0) == "native"
 
     def test_small_work_goes_reference(self):
@@ -93,18 +88,15 @@ class TestEnvPin:
         monkeypatch.setenv(autotune.ENV_TIER, "reference")
         assert autotune.resolve_tier("auto", kind="minhash", work=10**9) == "reference"
 
-    def test_env_accepts_legacy_alias(self, monkeypatch):
-        monkeypatch.setenv(autotune.ENV_TIER, "batched")
-        assert autotune.resolve_tier("auto", kind="lz77", work=1) == "numpy"
-
     def test_env_does_not_override_explicit_kernel(self, monkeypatch):
         monkeypatch.setenv(autotune.ENV_TIER, "reference")
         assert autotune.resolve_tier("numpy", kind="minhash", work=10**9) == "numpy"
 
     def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(autotune.ENV_TIER, "turbo")
-        with pytest.raises(ValueError):
-            autotune.resolve_tier("auto", kind="minhash", work=10**9)
+        for value in ("turbo", "batched"):
+            monkeypatch.setenv(autotune.ENV_TIER, value)
+            with pytest.raises(ValueError, match=autotune.ENV_TIER):
+                autotune.resolve_tier("auto", kind="minhash", work=10**9)
 
     def test_pin_of_missing_tier_is_ignored_for_that_kind(self, monkeypatch, native_available):
         # webgraph has no native tier; the pin falls back to the shape choice.
@@ -147,7 +139,7 @@ class TestDispatchCounters:
         try:
             autotune.resolve_tier("reference", kind="kmodes", work=1)
             autotune.resolve_tier("reference", kind="kmodes", work=1)
-            autotune.resolve_tier("batched", kind="kmodes", work=1)
+            autotune.resolve_tier("numpy", kind="kmodes", work=1)
             snap = obs.metrics_snapshot()
         finally:
             obs.disable()

@@ -77,7 +77,7 @@ class TestAprioriEquivalence:
     def test_mine_matches_reference(self, tx, min_support):
         if not tx:
             return
-        fast = AprioriMiner(min_support=min_support, kernel="bitmap").mine(tx)
+        fast = AprioriMiner(min_support=min_support, kernel="numpy").mine(tx)
         ref = AprioriMiner(min_support=min_support, kernel="reference").mine(tx)
         assert fast.counts == ref.counts
         assert fast.candidates_generated == ref.candidates_generated
@@ -89,7 +89,7 @@ class TestAprioriEquivalence:
     def test_max_len_matches_reference(self, tx, max_len):
         if not tx:
             return
-        fast = AprioriMiner(min_support=0.1, max_len=max_len, kernel="bitmap").mine(tx)
+        fast = AprioriMiner(min_support=0.1, max_len=max_len, kernel="numpy").mine(tx)
         ref = AprioriMiner(min_support=0.1, max_len=max_len, kernel="reference").mine(tx)
         assert fast.counts == ref.counts
         assert fast.work_units == ref.work_units
@@ -105,7 +105,7 @@ class TestEclatEquivalence:
     def test_mine_matches_reference(self, tx, min_support):
         if not tx:
             return
-        fast = EclatMiner(min_support=min_support, kernel="bitmap").mine(tx)
+        fast = EclatMiner(min_support=min_support, kernel="numpy").mine(tx)
         ref = EclatMiner(min_support=min_support, kernel="reference").mine(tx)
         assert fast.counts == ref.counts
         assert fast.candidates_generated == ref.candidates_generated
@@ -116,8 +116,8 @@ class TestEclatEquivalence:
     def test_eclat_agrees_with_apriori(self, tx):
         if not tx:
             return
-        eclat = EclatMiner(min_support=0.2, kernel="bitmap").mine(tx)
-        apriori = AprioriMiner(min_support=0.2, kernel="bitmap").mine(tx)
+        eclat = EclatMiner(min_support=0.2, kernel="numpy").mine(tx)
+        apriori = AprioriMiner(min_support=0.2, kernel="numpy").mine(tx)
         assert eclat.counts == apriori.counts
 
 
@@ -132,7 +132,7 @@ class TestCountPatternsEquivalence:
     @given(transactions_strategy, patterns_strategy)
     @settings(max_examples=40, deadline=None)
     def test_matches_reference(self, tx, patterns):
-        fast_counts, fast_work = count_patterns(tx, patterns, kernel="bitmap")
+        fast_counts, fast_work = count_patterns(tx, patterns, kernel="numpy")
         ref_counts, ref_work = count_patterns_reference(tx, patterns)
         assert fast_counts == ref_counts
         assert fast_work == ref_work
@@ -140,7 +140,7 @@ class TestCountPatternsEquivalence:
     def test_duplicate_patterns_count_per_occurrence(self):
         tx = [[1, 2], [1], [2]]
         pats = [(1,), (1,), (1, 2), ()]
-        fast, fw = count_patterns(tx, pats, kernel="bitmap")
+        fast, fw = count_patterns(tx, pats, kernel="numpy")
         ref, rw = count_patterns_reference(tx, pats)
         assert fast == ref
         assert fw == rw

@@ -139,7 +139,7 @@ class TestKModesEquivalence:
         n, k, card, seed = spec
         data = _low_card_matrix(n, k, card, seed)
         kwargs = dict(num_clusters=5, top_l=2, seed=seed % 1000, max_iter=30)
-        batched = CompositeKModes(kernel="batched", chunk_bytes=chunk_bytes, **kwargs).fit(data)
+        batched = CompositeKModes(kernel="numpy", chunk_bytes=chunk_bytes, **kwargs).fit(data)
         reference = CompositeKModes(kernel="reference", **kwargs).fit(data)
         assert np.array_equal(batched.labels, reference.labels)
         assert np.array_equal(batched.centers, reference.centers)
@@ -167,7 +167,7 @@ class TestKModesEquivalence:
 
     def test_assign_matches_reference(self):
         data = _low_card_matrix(80, 5, 4, seed=9)
-        batched = CompositeKModes(num_clusters=4, top_l=2, seed=1, kernel="batched")
+        batched = CompositeKModes(num_clusters=4, top_l=2, seed=1, kernel="numpy")
         reference = CompositeKModes(num_clusters=4, top_l=2, seed=1, kernel="reference")
         result = batched.fit(data)
         new = _low_card_matrix(40, 5, 4, seed=10)
@@ -178,20 +178,3 @@ class TestKModesEquivalence:
     def test_invalid_kernel_rejected(self):
         with pytest.raises(ValueError):
             CompositeKModes(kernel="magic")
-
-
-class TestSimilarityEquivalence:
-    @given(
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=1, max_value=16),
-        st.sampled_from([128, 8 * 1024 * 1024]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_blocked_matches_row_loop(self, n, k, chunk_bytes):
-        rng = np.random.default_rng(n * 1000 + k)
-        sketches = rng.integers(0, 50, size=(n, k)).astype(np.uint64)
-        hasher = MinHasher(num_hashes=k, chunk_bytes=chunk_bytes)
-        assert np.array_equal(
-            hasher.similarity_matrix(sketches),
-            hasher.similarity_matrix_reference(sketches),
-        )

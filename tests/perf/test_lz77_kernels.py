@@ -75,7 +75,7 @@ class TestLZ77Equivalence:
     )
     @settings(max_examples=50, deadline=None)
     def test_blob_and_stats_match_reference(self, data, window, max_chain, max_match):
-        fast = LZ77Codec(window=window, max_chain=max_chain, max_match=max_match, kernel="fast")
+        fast = LZ77Codec(window=window, max_chain=max_chain, max_match=max_match, kernel="numpy")
         ref = LZ77Codec(window=window, max_chain=max_chain, max_match=max_match, kernel="reference")
         blob_f, st_f = fast.compress(data)
         blob_r, st_r = ref.compress(data)
@@ -86,7 +86,7 @@ class TestLZ77Equivalence:
     @given(st.lists(st.lists(st.integers(0, 50), max_size=10), max_size=20))
     @settings(max_examples=25, deadline=None)
     def test_record_roundtrip(self, records):
-        codec = LZ77Codec(kernel="fast")
+        codec = LZ77Codec(kernel="numpy")
         blob, _ = codec.compress_records(records)
         assert codec.decompress_records(blob) == [[int(v) for v in r] for r in records]
 
@@ -100,7 +100,7 @@ class TestWebGraphEquivalence:
     @given(adjacency_strategy, st.sampled_from([0, 1, 3, 7]))
     @settings(max_examples=50, deadline=None)
     def test_blob_and_stats_match_reference(self, adjacency, window):
-        fast = WebGraphCodec(window=window, kernel="batched")
+        fast = WebGraphCodec(window=window, kernel="numpy")
         ref = WebGraphCodec(window=window, kernel="reference")
         blob_f, st_f = fast.compress(adjacency)
         blob_r, st_r = ref.compress(adjacency)
@@ -111,6 +111,6 @@ class TestWebGraphEquivalence:
 
     def test_interval_heavy_lists(self):
         adjacency = [list(range(10, 40)), list(range(10, 40)) + [99], [0, 2, 4, 6]]
-        fast, _ = WebGraphCodec(kernel="batched").compress(adjacency)
+        fast, _ = WebGraphCodec(kernel="numpy").compress(adjacency)
         ref, _ = WebGraphCodec(kernel="reference").compress(adjacency)
         assert fast == ref

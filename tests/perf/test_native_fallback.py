@@ -96,7 +96,7 @@ class TestGracefulFallback:
 
         tx = [set(map(int, rng.integers(0, 10, size=6))) for _ in range(60)]
         out_auto = AprioriMiner(min_support=0.2, kernel="auto").mine(tx)
-        out_np = AprioriMiner(min_support=0.2, kernel="bitmap").mine(tx)
+        out_np = AprioriMiner(min_support=0.2, kernel="numpy").mine(tx)
         assert out_auto.counts == out_np.counts
         assert out_auto.work_units == out_np.work_units
 

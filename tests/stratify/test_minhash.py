@@ -130,6 +130,14 @@ class TestSimilarityMatrix:
         sim = h.similarity_matrix(sk)
         assert np.allclose(sim, sim.T)
 
+    def test_entries_are_pairwise_sketch_jaccard(self):
+        h = MinHasher(32, seed=2)
+        sk = h.sketch_all([{1, 2, 3}, {2, 3, 4}, {9}, {1, 2, 3}])
+        sim = h.similarity_matrix(sk)
+        for i in range(4):
+            for j in range(4):
+                assert sim[i, j] == sketch_jaccard(sk[i], sk[j])
+
 
 class TestPermutationProperty:
     def test_hash_is_injective_on_sample(self):

@@ -13,15 +13,11 @@ from conftest import run_once, save_result
 from repro.bench import experiments
 from repro.bench.reporting import format_frontier
 
-ALPHAS = (1.0, 0.999, 0.998, 0.997, 0.995, 0.99, 0.95, 0.9, 0.5, 0.0)
-
 
 def test_fig5_pareto_frontiers(benchmark):
     series = run_once(
         benchmark,
-        lambda: experiments.fig5_pareto_frontiers(
-            size_scale=0.8, partitions=8, alphas=ALPHAS
-        ),
+        lambda: experiments.fig5_pareto_frontiers(size_scale=0.8, partitions=8),
     )
     blocks = []
     for fs in series:

@@ -36,6 +36,7 @@ import json
 import sys
 from typing import Sequence
 
+from repro.bench.experiments import FRONTIER_ALPHAS
 from repro.bench.harness import StrategyRunner
 from repro.bench.plotting import ascii_scatter
 from repro.bench.reporting import format_frontier, format_table
@@ -367,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--alphas",
-        default="1.0,0.999,0.998,0.997,0.995,0.99,0.9,0.0",
-        help="comma-separated alpha values",
+        default=",".join(str(a) for a in FRONTIER_ALPHAS),
+        help="comma-separated alpha values (default: the Figure 5/6 grid)",
     )
     p.set_defaults(func=cmd_frontier)
 

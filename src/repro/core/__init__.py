@@ -9,14 +9,16 @@ Pipeline (Figure 1 of the paper):
 2. the green-energy estimator lives in :mod:`repro.energy` (each node's
    ``k_i = E_i − ḠE_i``);
 3. the data stratifier lives in :mod:`repro.stratify`;
-4. :mod:`repro.core.optimizer` — the scalarized multi-objective LP
-   ``min α·v + (1−α)·Σ k_i f_i(x_i)``;
+4. :mod:`repro.core.optimizer` — the exact time–energy front of the
+   multi-objective LP ``min (v, Σ k_i f_i(x_i))``; the paper's weight
+   ``α`` picks one of its vertices;
 5. :mod:`repro.core.partitioner` — representative and similar-together
    placement of the optimizer's partition sizes.
 
 :mod:`repro.core.framework` wires the five stages into the public
 :class:`~repro.core.framework.ParetoPartitioner` API;
-:mod:`repro.core.pareto` provides frontier sweeps and dominance checks;
+:mod:`repro.core.budget` reads a dirty-energy budget off the same
+front; :mod:`repro.core.pareto` judges measured points for dominance;
 :mod:`repro.core.strategies` names the paper's evaluated schemes.
 """
 
@@ -26,9 +28,9 @@ from repro.core.heterogeneity import (
     ProgressiveSampler,
     ProfilingReport,
 )
-from repro.core.optimizer import PartitionPlan, ParetoOptimizer, waterfill_makespan
+from repro.core.optimizer import PartitionPlan, ParetoOptimizer
 from repro.core.budget import CarbonBudgetPlanner, BudgetInfeasibleError
-from repro.core.pareto import pareto_dominates, pareto_front, ParetoPoint, frontier_sweep
+from repro.core.pareto import pareto_dominates, pareto_front
 from repro.core.partitioner import (
     representative_partitions,
     similar_partitions,
@@ -46,13 +48,10 @@ __all__ = [
     "ProfilingReport",
     "PartitionPlan",
     "ParetoOptimizer",
-    "waterfill_makespan",
     "CarbonBudgetPlanner",
     "BudgetInfeasibleError",
     "pareto_dominates",
     "pareto_front",
-    "ParetoPoint",
-    "frontier_sweep",
     "representative_partitions",
     "similar_partitions",
     "random_partitions",

@@ -28,6 +28,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.cluster.engines import ExecutionEngine, JobResult
+from repro.core.budget import CarbonBudgetPlanner
 from repro.core.heterogeneity import ProfilingReport, ProgressiveSampler
 from repro.core.optimizer import ParetoOptimizer, PartitionPlan
 from repro.core.partitioner import (
@@ -169,7 +170,7 @@ class ParetoPartitioner:
         return min(min_items, prepared.num_items // prepared.optimizer.num_partitions)
 
     def plan(self, prepared: PreparedInput, strategy: Strategy) -> PartitionPlan:
-        """Partition sizes for a strategy: LP when het-aware, else equal."""
+        """Partition sizes for a strategy: α's front vertex, or equal."""
         n = prepared.num_items
         with obs.span(
             "stage.optimize", items=n, strategy=strategy.name, alpha=strategy.alpha
@@ -257,8 +258,6 @@ class ParetoPartitioner:
         Raises :class:`~repro.core.budget.BudgetInfeasibleError` when
         even the greenest plan overdraws.
         """
-        from repro.core.budget import CarbonBudgetPlanner
-
         planner = CarbonBudgetPlanner(prepared.optimizer)
         return planner.plan(
             prepared.num_items, max_dirty_energy_j, min_items=self._min_items(prepared)

@@ -1,35 +1,35 @@
-"""Scalarized multi-objective LP (paper Section III-D).
+"""The exact time–energy front of the partition-sizing LP (paper
+Section III-D).
 
-The partition-sizing problem:
+The paper's problem is bi-objective and linear:
 
 .. math::
 
-    \\min\\; \\alpha v + (1-\\alpha) \\sum_i k_i (m_i x_i + c_i)
+    \\min\\; \\bigl(v,\\; \\textstyle\\sum_i k_i (m_i x_i + c_i)\\bigr)
     \\quad\\text{s.t.}\\quad v \\ge m_i x_i + c_i,\\; x_i \\ge 0,\\;
     \\sum_i x_i = N
 
 with ``v`` the makespan, ``m_i, c_i`` the learned time-model
-coefficients and ``k_i`` the dirty-power coefficients. Scalarization
-guarantees every solution is Pareto-optimal; ``α = 1`` is the Het-Aware
-special case. Solved with ``scipy.optimize.linprog`` (HiGHS), then
-rounded to integer sizes with the largest-remainder method.
-
-``normalize=True`` implements the paper's proposed fix for the scale
-mismatch between the two objectives ("in future … normalizing both the
-objective functions to 0-1 scale"): both terms are divided by their
-value at the equal-split baseline, making α scale-free.
-
-:func:`waterfill_makespan` is an independent closed-form solution of
-the α=1 case, used to cross-check the LP in tests.
+coefficients and ``k_i`` the dirty-power coefficients. Its Pareto front
+is piecewise linear with at most ``p`` vertices, and they have a closed
+form: at a given makespan ``v`` the cheapest feasible plan fills nodes
+in ascending ``k_i·m_i`` (joules per extra item) up to their capacity
+``(v − c_i)/m_i`` — a fractional knapsack — so the vertices sit at the
+makespans where the ``j`` cheapest nodes, all full, hold exactly ``N``.
+:meth:`ParetoOptimizer.front` enumerates them once; the paper's
+scalarised ``min α·v + (1−α)·Σ k_i f_i(x_i)`` is then a choice among
+them (:meth:`ParetoOptimizer.solve` — a weighted-sum LP optimum is
+always a vertex; ``α = 1`` is Het-Aware), and a dirty-energy budget is
+a point on one segment between two of them (:mod:`repro.core.budget`).
+Sizes are rounded to integers with the largest-remainder method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.heterogeneity import LinearTimeModel
 
@@ -42,7 +42,6 @@ class PartitionPlan:
     alpha: float
     predicted_makespan_s: float
     predicted_dirty_energy_j: float
-    lp_objective: float = float("nan")
 
     def __post_init__(self) -> None:
         self.sizes = np.asarray(self.sizes, dtype=np.int64)
@@ -64,74 +63,40 @@ def _largest_remainder_round(x: np.ndarray, total: int) -> np.ndarray:
     remainder = total - int(floors.sum())
     if remainder < 0:
         raise ValueError("rounding underflow")
-    order = np.argsort(-(x - floors))
-    out = floors.copy()
-    for idx in order[:remainder]:
-        out[idx] += 1
-    return out
+    floors[np.argsort(-(x - floors))[:remainder]] += 1
+    return floors
 
 
 def predict_makespan(models: Sequence[LinearTimeModel], sizes: np.ndarray) -> float:
     """Max predicted runtime across partitions (empty partitions are free)."""
-    times = [
-        models[i].predict(float(s)) if s > 0 else 0.0 for i, s in enumerate(sizes)
-    ]
-    return max(times)
+    return max(mod.predict(float(s)) if s > 0 else 0.0 for mod, s in zip(models, sizes))
 
 
 def predict_dirty_energy(
     models: Sequence[LinearTimeModel], dirty_coeffs: np.ndarray, sizes: np.ndarray
 ) -> float:
     """Σ k_i · f_i(x_i) over non-empty partitions."""
-    total = 0.0
-    for i, s in enumerate(sizes):
-        if s > 0:
-            total += dirty_coeffs[i] * models[i].predict(float(s))
-    return float(total)
+    nodes = zip(dirty_coeffs, models, sizes)
+    return float(sum(k * mod.predict(float(s)) for k, mod, s in nodes if s > 0))
 
 
-def waterfill_makespan(
-    models: Sequence[LinearTimeModel], total_items: int
-) -> np.ndarray:
-    """Closed-form α=1 solution: equalize ``m_i x_i + c_i`` by water-filling.
+#: One plan before rounding: (makespan, dirty energy, real sizes).
+_Vertex = tuple[float, float, np.ndarray]
 
-    Finds ``v`` with ``Σ max(0, (v − c_i)/m_i) = N`` by bisection and
-    returns the (real-valued) sizes. Nodes whose intercept already
-    exceeds ``v`` get zero items.
-    """
-    m = np.array([mod.slope for mod in models], dtype=np.float64)
-    c = np.array([mod.intercept for mod in models], dtype=np.float64)
-    if (m <= 0).all():
-        # All nodes are size-insensitive; split evenly.
-        return np.full(len(models), total_items / len(models))
-    usable = m > 0
 
-    def assigned(v: float) -> float:
-        x = np.zeros_like(m)
-        x[usable] = np.maximum(0.0, (v - c[usable]) / m[usable])
-        return float(x.sum())
+#: No caller states α to more digits than this.
+_UNSTATABLE = 1e-12
 
-    lo = float(c.min())
-    # At this level even the slowest usable node alone holds every item.
-    hi = float(total_items * m[usable].max() + c.max())
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if assigned(mid) < total_items:
-            lo = mid
-        else:
-            hi = mid
-    v = 0.5 * (lo + hi)
-    x = np.zeros_like(m)
-    x[usable] = np.maximum(0.0, (v - c[usable]) / m[usable])
-    # Nodes with m == 0 take nothing here; renormalise tiny drift.
-    if x.sum() > 0:
-        x *= total_items / x.sum()
-    return x
+
+def _tie_alpha(faster: _Vertex, greener: _Vertex) -> float:
+    """The α at which two front points score the same ``α·T + (1−α)·E``."""
+    d_energy = faster[1] - greener[1]
+    return d_energy / (d_energy + greener[0] - faster[0])
 
 
 @dataclass
 class ParetoOptimizer:
-    """The scalarized LP solver.
+    """The partition-sizing solver: one exact front, read three ways.
 
     Parameters
     ----------
@@ -139,15 +104,14 @@ class ParetoOptimizer:
         Per-node time models (from progressive sampling), node order.
     dirty_coeffs:
         Per-node dirty-power coefficients ``k_i`` (W), same order.
-    normalize:
-        Normalize both objectives by their equal-split value so α is
-        scale-free (paper's future-work extension).
     """
 
     models: Sequence[LinearTimeModel]
     dirty_coeffs: Sequence[float]
-    normalize: bool = False
     _k: np.ndarray = field(init=False, repr=False)
+    _m: np.ndarray = field(init=False, repr=False)
+    _c: np.ndarray = field(init=False, repr=False)
+    _least_capable_first: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.models) == 0:
@@ -157,70 +121,140 @@ class ParetoOptimizer:
         self._k = np.asarray(self.dirty_coeffs, dtype=np.float64)
         if (self._k < 0).any():
             raise ValueError("dirty coefficients must be non-negative")
+        self._m = np.array([mod.slope for mod in self.models], dtype=np.float64)
+        self._c = np.array([mod.intercept for mod in self.models], dtype=np.float64)
+        self._least_capable_first = np.lexsort((-self._m, -self._c))
 
     @property
     def num_partitions(self) -> int:
         return len(self.models)
 
-    def equal_split_plan(self, total_items: int) -> PartitionPlan:
-        """The stratified baseline: equal sizes, no heterogeneity awareness."""
-        p = self.num_partitions
-        sizes = _largest_remainder_round(
-            np.full(p, total_items / p, dtype=np.float64), total_items
-        )
+    def plan_from(
+        self, x: np.ndarray, total_items: int, alpha: float = float("nan")
+    ) -> PartitionPlan:
+        """Round real sizes summing to ``total_items`` and predict what
+        the integer plan costs (``alpha`` records the weight that chose
+        it, NaN when none did)."""
+        sizes = _largest_remainder_round(x, total_items)
         return PartitionPlan(
             sizes=sizes,
-            alpha=float("nan"),
+            alpha=alpha,
             predicted_makespan_s=predict_makespan(self.models, sizes),
             predicted_dirty_energy_j=predict_dirty_energy(self.models, self._k, sizes),
         )
 
-    def _solve_lp(
-        self, total_items: int, alpha: float, idle: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """One LP solve with the given idle-node mask; returns (x, obj)."""
+    def equal_split_plan(self, total_items: int) -> PartitionPlan:
+        """The stratified baseline: equal sizes, no heterogeneity awareness."""
         p = self.num_partitions
-        m = np.array([mod.slope for mod in self.models], dtype=np.float64)
-        c = np.array([mod.intercept for mod in self.models], dtype=np.float64)
-        k = self._k
+        return self.plan_from(np.full(p, total_items / p), total_items)
 
-        time_scale = 1.0
-        energy_scale = 1.0
-        if self.normalize:
-            baseline = self.equal_split_plan(total_items)
-            time_scale = max(baseline.predicted_makespan_s, 1e-12)
-            energy_scale = max(baseline.predicted_dirty_energy_j, 1e-12)
+    def _vertices(self, total_items: int, idle: np.ndarray) -> list[_Vertex]:
+        """The LP's front over the non-idle nodes, fastest → greenest.
 
-        # Variables z = [x_1..x_p, v].
-        cost = np.concatenate(
-            [(1.0 - alpha) * k * m / energy_scale, [alpha / time_scale]]
-        )
-        # m_i x_i − v ≤ −c_i  (idle nodes pay no time at all).
-        active = ~idle
-        rows = np.flatnonzero(active)
-        a_ub = np.zeros((rows.size, p + 1))
-        a_ub[np.arange(rows.size), rows] = m[rows]
-        a_ub[:, -1] = -1.0
-        b_ub = -c[rows]
-        a_eq = np.zeros((1, p + 1))
-        a_eq[0, :p] = 1.0
-        b_eq = np.array([float(total_items)])
-        bounds = [
-            (0.0, 0.0) if idle[i] else (0.0, None) for i in range(p)
-        ] + [(0.0, None)]
+        Idle nodes hold nothing and constrain nothing; an active node
+        bounds the makespan by its intercept even when left empty, as
+        in the paper's LP.
+        """
+        active = np.flatnonzero(~idle)
+        m, c, k = self._m[active], self._c[active], self._k[active]
+        # Joules per extra item; among equals the faster node fills first.
+        cheapest_first = np.lexsort((m, k * m))
+        active = active[cheapest_first]
+        m, c, k = m[cheapest_first], c[cheapest_first], k[cheapest_first]
+        flat = m == 0.0  # size-insensitive: holds anything once v ≥ c_i
+        inv = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, m))
+        # Makespan at which the j cheapest nodes, each filled to
+        # (v − c_i)/m_i, hold exactly N — the front's breakpoints.
+        with np.errstate(divide="ignore"):
+            levels = (total_items + np.cumsum(c * inv)) / np.cumsum(inv)
+        levels[np.logical_or.accumulate(flat)] = -np.inf
+        levels = np.unique(np.maximum(levels, max(float(c.max()), 0.0)))
+        # One row per level: fill cheapest-first up to capacity.
+        capacity = np.where(flat, np.inf, (levels[:, None] - c) * inv)
+        ahead = np.cumsum(capacity, axis=1)
+        ahead = np.hstack([np.zeros((levels.size, 1)), ahead[:, :-1]])
+        x = np.clip(total_items - ahead, 0.0, capacity)
+        x[x < 1e-9] = 0.0  # a node emptied at a breakpoint, up to round-off
+        # Non-increasing by construction; pin the round-off. Where every
+        # node still filling ties in k·m (two identical nodes at night)
+        # the tail keeps its energy while one of them drains: no gain
+        # to the LP, but the floor rule below idles the drained node.
+        energy = np.minimum.accumulate((m * x + c) @ k)
+        sizes = np.zeros((levels.size, self.num_partitions))
+        sizes[:, active] = x
+        return list(zip(levels.tolist(), energy.tolist(), sizes))
 
-        res = linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
-        )
-        if not res.success:
-            raise RuntimeError(f"LP failed: {res.message}")
-        obj = float(res.fun) + (1.0 - alpha) * float(
-            np.sum(k[active] * c[active])
-        ) / energy_scale
-        return np.maximum(res.x[:p], 0.0), obj
+    def _sliver(self, x: np.ndarray, idle: np.ndarray, min_items: int) -> int | None:
+        """The node the floor rule retires next, if any.
 
-    def solve(self, total_items: int, alpha: float, min_items: int = 0) -> PartitionPlan:
-        """Optimize partition sizes for the given tradeoff weight ``α``.
+        Below-floor nodes (zeros included) should idle: a node left at
+        zero still floors the makespan with its intercept (v ≥ c_i),
+        and a sliver runs on an extrapolated cost model. The least
+        capable offender goes first — largest intercept, then largest
+        slope; each drop only relaxes the makespan constraint set.
+        """
+        slivers = (x < min_items - 1e-9) & ~idle
+        if not slivers.any() or int(idle.sum()) >= self.num_partitions - 1:
+            return None
+        return next(i for i in self._least_capable_first if slivers[i])
+
+    def _floored(
+        self, total_items: int, min_items: int, idle: np.ndarray, lo: float, hi: float
+    ) -> Iterator[tuple[float, _Vertex]]:
+        """Where the floor rule ends for each α in [lo, hi]: ``(highest
+        α, vertex)`` per band of α, highest band first.
+
+        The rule is the standard LP-relaxation heuristic for
+        semi-continuous variables: take α's vertex, idle one sliver
+        node, recompute. A vertex is α's optimum between the tie points
+        with its neighbours, so following each vertex with its own band
+        visits exactly the plans some α leads to.
+        """
+        vertices = self._vertices(total_items, idle)
+        for j, vertex in enumerate(vertices):
+            last = j + 1 == len(vertices)
+            above = _tie_alpha(vertices[j - 1], vertex) if j else 1.0
+            # α = 0 itself belongs to the greenest end, however flat the
+            # tail before it; no other vertex reaches below a statable α.
+            below = 0.0 if last else max(_tie_alpha(vertex, vertices[j + 1]), _UNSTATABLE)
+            below, above = max(lo, below), min(hi, above)
+            # Too narrow to be anything but round-off re-walking a
+            # neighbour's path after a node was idled.
+            if above - below <= _UNSTATABLE and not (last and below == 0.0):
+                continue
+            x = vertex[2]
+            drop = self._sliver(x, idle, min_items)
+            if drop is None:
+                # Judged as the engine will bill it: unlike the LP's rows,
+                # a node left empty takes no time and burns nothing.
+                energy = predict_dirty_energy(self.models, self._k, x)
+                yield above, (predict_makespan(self.models, x), energy, x)
+            else:
+                retired = idle.copy()
+                retired[drop] = True
+                yield from self._floored(total_items, min_items, retired, below, above)
+
+    def _bands(self, total_items: int, min_items: int) -> list[tuple[float, _Vertex]]:
+        """The α axis cut into bands, highest first: ``(highest α, the
+        band's vertex)``. Without a floor these are the LP's vertices,
+        each with the α range whose weighted sum it minimises."""
+        if total_items <= 0:
+            raise ValueError("total_items must be positive")
+        if min_items < 0:
+            raise ValueError("min_items must be non-negative")
+        nobody = np.zeros(self.num_partitions, dtype=bool)
+        reached = list(self._floored(total_items, min_items, nobody, 0.0, 1.0))
+        # Idling different nodes for different α can leave one band's
+        # plan beaten on both counts by another's; serve that band with
+        # its fastest dominator, so every plan handed out is on the front.
+        served = []
+        for above, v in reached:
+            rivals = (w for _, w in reached if w[0] <= v[0] and w[1] <= v[1])
+            served.append((above, min(rivals, key=lambda w: w[:2])))
+        return served
+
+    def front(self, total_items: int, min_items: int = 0) -> list[PartitionPlan]:
+        """The Pareto-optimal plans, fastest first, greenest last.
 
         Parameters
         ----------
@@ -229,53 +263,31 @@ class ParetoOptimizer:
             (its node idles) or holds at least ``min_items`` items. The
             time model was fitted on samples no smaller than this, so
             slivers below it would run on an extrapolated — and for
-            relative-support mining, badly wrong — cost model. ``0``
-            reproduces the paper's plain LP. Enforced by iteratively
-            re-solving with sliver nodes forced idle (the standard
-            LP-relaxation heuristic for semi-continuous variables).
+            relative-support mining, badly wrong — cost model. ``0`` is
+            the paper's plain LP, whose front this then is exactly.
 
         Raises
         ------
         ValueError
-            For α outside [0, 1] or non-positive item counts.
-        RuntimeError
-            If the LP solver fails (should not happen: the feasible
-            region is a non-empty bounded polytope).
+            For non-positive item counts or a negative floor.
+        """
+        distinct = {v[:2]: v[2] for _, v in self._bands(total_items, min_items)}
+        return [self.plan_from(distinct[point], total_items) for point in sorted(distinct)]
+
+    def solve(self, total_items: int, alpha: float, min_items: int = 0) -> PartitionPlan:
+        """The front vertex minimising ``α·T + (1−α)·E`` over the nodes
+        the floor leaves running — the paper's scalarised LP at tradeoff
+        weight ``α``.
+
+        Raises
+        ------
+        ValueError
+            For α outside [0, 1], non-positive item counts or a
+            negative floor.
         """
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if total_items <= 0:
-            raise ValueError("total_items must be positive")
-        if min_items < 0:
-            raise ValueError("min_items must be non-negative")
-        p = self.num_partitions
-        idle = np.zeros(p, dtype=bool)
-        x = np.zeros(p)
-        obj = float("nan")
-        c = np.array([mod.intercept for mod in self.models])
-        m = np.array([mod.slope for mod in self.models])
-        for _ in range(p):
-            x, obj = self._solve_lp(total_items, alpha, idle)
-            if min_items == 0:
-                break
-            # Below-floor nodes (zeros included) should idle: a node left
-            # at zero still floors the makespan with its intercept
-            # (v ≥ c_i), and a sliver runs on an extrapolated cost model.
-            # Retire the least capable offender first — largest intercept,
-            # then largest slope — and re-solve; each drop only relaxes
-            # the makespan constraint set.
-            slivers = (x < min_items - 1e-9) & ~idle
-            if not slivers.any() or int(idle.sum()) >= p - 1:
-                break
-            order = np.lexsort((-m, -c))
-            drop = next(i for i in order if slivers[i])
-            idle[int(drop)] = True
-        sizes = _largest_remainder_round(x, total_items)
-        k = self._k
-        return PartitionPlan(
-            sizes=sizes,
-            alpha=alpha,
-            predicted_makespan_s=predict_makespan(self.models, sizes),
-            predicted_dirty_energy_j=predict_dirty_energy(self.models, k, sizes),
-            lp_objective=obj,
-        )
+        bands = self._bands(total_items, min_items)
+        # α's band is the lowest one that still reaches up to it.
+        _, _, x = next((v for above, v in reversed(bands) if above >= alpha), bands[0][1])
+        return self.plan_from(x, total_items, alpha)

@@ -1,38 +1,19 @@
-"""Pareto dominance, frontiers, and α-sweeps (paper Sections III-D, V-D).
+"""Pareto dominance, fronts and hypervolume of objective points (paper
+Sections III-D, V-D).
 
 A solution is Pareto-optimal when no objective can improve without
-degrading another. The scalarized LP produces one frontier point per
-α; sweeping α from 1 to 0 traces the time–energy tradeoff curve of
-Figure 5, on which the equal-split stratified baseline sits strictly
-above (not Pareto-efficient).
+degrading another. The *predicted* time–energy front is enumerated
+exactly by :meth:`repro.core.optimizer.ParetoOptimizer.front`; the
+helpers here judge any set of ``(makespan, dirty energy)`` points —
+measured sweeps such as Figure 5's, on which the equal-split stratified
+baseline sits strictly above the front (not Pareto-efficient).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from repro.core.optimizer import ParetoOptimizer, PartitionPlan
-
-#: The α grid used for Figure 5-style sweeps: dense near 1.0 where the
-#: interesting tradeoffs live (the objectives have different scales).
-DEFAULT_ALPHA_GRID: tuple[float, ...] = (
-    1.0, 0.9999, 0.9995, 0.999, 0.995, 0.99, 0.97, 0.95, 0.9, 0.8, 0.6, 0.4, 0.2, 0.0,
-)
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    """One point of the time–energy tradeoff curve."""
-
-    alpha: float
-    makespan_s: float
-    dirty_energy_j: float
-
-    def objectives(self) -> tuple[float, float]:
-        return (self.makespan_s, self.dirty_energy_j)
 
 
 def pareto_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -61,32 +42,6 @@ def pareto_front(points: Sequence[Sequence[float]]) -> list[int]:
 def is_pareto_efficient(point: Sequence[float], others: Iterable[Sequence[float]]) -> bool:
     """True when no point in ``others`` dominates ``point``."""
     return not any(pareto_dominates(q, point) for q in others)
-
-
-def frontier_sweep(
-    optimizer: ParetoOptimizer,
-    total_items: int,
-    alphas: Sequence[float] = DEFAULT_ALPHA_GRID,
-) -> list[tuple[ParetoPoint, PartitionPlan]]:
-    """Solve the LP for each α and return predicted frontier points.
-
-    Points use the optimizer's *predicted* makespan/energy; the bench
-    harness re-measures them by executing the plans.
-    """
-    out: list[tuple[ParetoPoint, PartitionPlan]] = []
-    for alpha in alphas:
-        plan = optimizer.solve(total_items, alpha)
-        out.append(
-            (
-                ParetoPoint(
-                    alpha=alpha,
-                    makespan_s=plan.predicted_makespan_s,
-                    dirty_energy_j=plan.predicted_dirty_energy_j,
-                ),
-                plan,
-            )
-        )
-    return out
 
 
 def hypervolume_2d(points: Sequence[Sequence[float]], reference: Sequence[float]) -> float:

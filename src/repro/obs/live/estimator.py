@@ -145,14 +145,12 @@ class ClusterEstimate:
     def dirty_coeffs(self) -> list[float]:
         return [n.dirty_power_w for n in self.nodes]
 
-    def optimizer(self, normalize: bool = False):
+    def optimizer(self):
         """A :class:`~repro.core.optimizer.ParetoOptimizer` over the
         live models — the re-planning hook."""
         from repro.core.optimizer import ParetoOptimizer
 
-        return ParetoOptimizer(
-            models=self.models, dirty_coeffs=self.dirty_coeffs, normalize=normalize
-        )
+        return ParetoOptimizer(models=self.models, dirty_coeffs=self.dirty_coeffs)
 
 
 class NodeEstimator:

@@ -34,7 +34,35 @@ class TestPlanning:
         fastest = optimizer.solve(1000, 1.0)
         budget = 0.5 * fastest.predicted_dirty_energy_j
         plan = planner.plan(1000, max_dirty_energy_j=budget)
-        assert plan.predicted_dirty_energy_j <= budget * 1.001
+        assert plan.sizes.sum() == 1000
+        assert plan.predicted_dirty_energy_j <= budget
+
+    def test_budget_between_vertices_beats_the_greener_vertex(self, planner, optimizer):
+        """A budget strictly inside a front segment is met *on* the
+        segment, not by retreating to the vertex below it."""
+        front = optimizer.front(1000)
+        for dirtier, greener in zip(front, front[1:]):
+            budget = 0.5 * (
+                dirtier.predicted_dirty_energy_j + greener.predicted_dirty_energy_j
+            )
+            plan = planner.plan(1000, budget)
+            assert plan.predicted_dirty_energy_j <= budget
+            assert (
+                dirtier.predicted_makespan_s
+                < plan.predicted_makespan_s
+                < greener.predicted_makespan_s
+            )
+
+    def test_budget_at_a_vertex_returns_it(self, planner, optimizer):
+        for vertex in optimizer.front(1000)[:-1]:
+            plan = planner.plan(1000, vertex.predicted_dirty_energy_j)
+            assert plan.sizes.tolist() == vertex.sizes.tolist()
+
+    def test_plans_from_the_front_not_from_solves(self, planner, optimizer, monkeypatch):
+        monkeypatch.setattr(
+            ParetoOptimizer, "solve", lambda *a, **k: pytest.fail("bisecting α again")
+        )
+        planner.plan(1000, 20_000.0)
 
     def test_tighter_budget_never_faster(self, planner, optimizer):
         fastest = optimizer.solve(1000, 1.0)
@@ -72,6 +100,20 @@ class TestPlanning:
         )
         for s in plan.sizes:
             assert s == 0 or s >= 99
+
+    def test_min_items_holds_on_interpolated_plans(self, planner, optimizer):
+        """Near the greener end of a segment the draining node would
+        pass through a sliver; the planner steps to the vertex instead."""
+        front = optimizer.front(1000, min_items=100)
+        for dirtier, greener in zip(front, front[1:]):
+            span = dirtier.predicted_dirty_energy_j - greener.predicted_dirty_energy_j
+            for frac in (0.02, 0.3, 0.7, 0.98):
+                budget = greener.predicted_dirty_energy_j + frac * span
+                plan = planner.plan(1000, budget, min_items=100)
+                assert plan.sizes.sum() == 1000
+                assert plan.predicted_dirty_energy_j <= budget
+                assert plan.predicted_makespan_s <= greener.predicted_makespan_s
+                assert all(s == 0 or s >= 99 for s in plan.sizes)
 
 
 class TestHeadroom:

@@ -67,13 +67,13 @@ class TestPlanning:
         self, pp, prepared, monkeypatch, configured
     ):
         floors = []
-        solve = ParetoOptimizer.solve
+        bands = ParetoOptimizer._bands  # what solve and the budget planner both read
 
-        def spy(self, total_items, alpha, min_items=0):
+        def spy(self, total_items, min_items):
             floors.append(min_items)
-            return solve(self, total_items, alpha, min_items=min_items)
+            return bands(self, total_items, min_items)
 
-        monkeypatch.setattr(ParetoOptimizer, "solve", spy)
+        monkeypatch.setattr(ParetoOptimizer, "_bands", spy)
         monkeypatch.setattr(pp, "min_partition_items", configured)
         pp.plan(prepared, HET_AWARE)
         pp.plan_for_budget(prepared, max_dirty_energy_j=1e12)

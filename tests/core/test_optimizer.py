@@ -1,4 +1,4 @@
-"""Unit tests for the scalarized multi-objective LP."""
+"""Unit tests for the partition-sizing solver (front + scalarised solve)."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.core.optimizer import (
     _largest_remainder_round,
     predict_dirty_energy,
     predict_makespan,
-    waterfill_makespan,
 )
 
 
@@ -85,12 +84,10 @@ class TestHetAwareSolve:
 
     def test_alpha_one_matches_waterfill(self, optimizer):
         plan = optimizer.solve(10_000, alpha=1.0)
-        wf = waterfill_makespan(optimizer.models, 10_000)
-        lp_makespan = plan.predicted_makespan_s
-        wf_makespan = predict_makespan(
-            optimizer.models, np.round(wf).astype(int)
-        )
-        assert lp_makespan == pytest.approx(wf_makespan, rel=0.01)
+        assert plan.sizes.tolist() == optimizer.front(10_000)[0].sizes.tolist()
+        # Water-filling: every node finishes together.
+        times = [m.predict(float(s)) for m, s in zip(optimizer.models, plan.sizes)]
+        assert max(times) - min(times) <= max(m.slope for m in optimizer.models)
 
     def test_beats_equal_split_makespan(self, optimizer):
         equal = optimizer.equal_split_plan(1000)
@@ -148,23 +145,6 @@ class TestMinItems:
         assert plan.sizes.sum() == 10
 
 
-class TestNormalization:
-    def test_normalized_alpha_half_balances(self):
-        """With objectives normalized to the equal-split scale, α=0.5
-        weighs them equally — the optimizer must land strictly between
-        the pure-time and pure-energy extremes."""
-        opt = ParetoOptimizer(
-            models=models_for_speeds([4.0, 1.0]),
-            dirty_coeffs=[400.0, 0.0],
-            normalize=True,
-        )
-        t = opt.solve(1000, alpha=1.0)
-        e = opt.solve(1000, alpha=0.0)
-        mid = opt.solve(1000, alpha=0.5)
-        assert e.predicted_dirty_energy_j <= mid.predicted_dirty_energy_j <= t.predicted_dirty_energy_j
-        assert t.predicted_makespan_s <= mid.predicted_makespan_s <= e.predicted_makespan_s
-
-
 class TestValidation:
     def test_bad_alpha(self, optimizer):
         with pytest.raises(ValueError):
@@ -199,15 +179,23 @@ class TestValidation:
 
 
 class TestWaterfill:
+    """The fastest front vertex equalises ``m_i x_i + c_i`` (the α=1
+    water-filling solution)."""
+
+    @staticmethod
+    def fastest(models, total):
+        opt = ParetoOptimizer(models=models, dirty_coeffs=[1.0] * len(models))
+        return opt.front(total)[0].sizes
+
     def test_respects_total(self):
-        x = waterfill_makespan(models_for_speeds([4.0, 2.0, 1.0]), 700)
-        assert x.sum() == pytest.approx(700)
+        x = self.fastest(models_for_speeds([4.0, 2.0, 1.0]), 700)
+        assert x.sum() == 700
 
     def test_proportional_when_intercepts_equal(self):
-        x = waterfill_makespan(models_for_speeds([4.0, 1.0], intercept=0.0), 500)
+        x = self.fastest(models_for_speeds([4.0, 1.0], intercept=0.0), 500)
         assert x[0] == pytest.approx(400, rel=0.01)
 
     def test_zero_slope_models(self):
         models = [LinearTimeModel(slope=0.0, intercept=1.0)] * 3
-        x = waterfill_makespan(models, 300)
-        assert x.sum() == pytest.approx(300)
+        x = self.fastest(models, 300)
+        assert x.sum() == 300

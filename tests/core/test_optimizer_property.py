@@ -1,4 +1,12 @@
-"""Property-based robustness tests for the LP optimizer."""
+"""Property-based robustness tests for the front and its two views.
+
+Instances include the ugly inputs the planner meets in practice: flat
+models (slope 0, what a noisy profile clamps to), zero dirty
+coefficients (a node running on green power — two of four on
+``paper_cluster``), negative intercepts, fewer items than nodes, and a
+floor above N/p. ``scipy``'s ``linprog`` is the independent oracle; the
+production path does not import it.
+"""
 
 import numpy as np
 import pytest
@@ -7,23 +15,147 @@ from hypothesis import strategies as st
 
 from repro.core.heterogeneity import LinearTimeModel
 from repro.core.optimizer import ParetoOptimizer, predict_makespan
+from repro.core.pareto import pareto_dominates
+
+linprog = pytest.importorskip("scipy.optimize").linprog
 
 model_strategy = st.builds(
     LinearTimeModel,
-    slope=st.floats(min_value=0.001, max_value=2.0),
-    intercept=st.floats(min_value=0.0, max_value=5.0),
+    slope=st.one_of(st.just(0.0), st.floats(min_value=0.001, max_value=2.0)),
+    intercept=st.floats(min_value=-1.0, max_value=5.0),
 )
 
 instance_strategy = st.integers(min_value=2, max_value=8).flatmap(
     lambda p: st.tuples(
         st.lists(model_strategy, min_size=p, max_size=p),
         st.lists(
-            st.floats(min_value=0.0, max_value=500.0), min_size=p, max_size=p
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=500.0)),
+            min_size=p,
+            max_size=p,
         ),
-        st.integers(min_value=p, max_value=5000),
+        st.integers(min_value=1, max_value=5000),
         st.sampled_from([1.0, 0.999, 0.99, 0.9, 0.5, 0.0]),
     )
 )
+
+#: Floors from "none" through "above N/p" to "above N".
+floor_strategy = st.integers(min_value=0, max_value=6000)
+
+
+def lp_oracle(models, coeffs, total, alpha):
+    """The paper's scalarised LP, solved by HiGHS: the optimal
+    ``α·v + (1−α)·Σ k_i (m_i x_i + c_i)`` over z = [x_1..x_p, v]."""
+    p = len(models)
+    m = np.array([mod.slope for mod in models])
+    c = np.array([mod.intercept for mod in models])
+    k = np.asarray(coeffs, dtype=np.float64)
+    a_ub = np.hstack([np.diag(m), -np.ones((p, 1))])  # m_i x_i − v ≤ −c_i
+    a_eq = np.concatenate([np.ones(p), [0.0]])[None, :]
+    res = linprog(
+        np.concatenate([(1.0 - alpha) * k * m, [alpha]]),
+        A_ub=a_ub, b_ub=-c, A_eq=a_eq, b_eq=[float(total)],
+        bounds=[(0.0, None)] * (p + 1), method="highs",
+        # HiGHS' default 1e-7 would call a basis optimal while a cost of
+        # (1−α)·k·m below that is still on the table.
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    assert res.success, res.message
+    return float(res.fun) + (1.0 - alpha) * float(k @ c)
+
+
+def scalarised(alpha, makespan, energy):
+    return alpha * makespan + (1.0 - alpha) * energy
+
+
+class TestFrontProperties:
+    @given(instance_strategy, floor_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_vertices_monotone_and_mutually_non_dominated(self, instance, floor):
+        models, coeffs, total, _alpha = instance
+        bands = ParetoOptimizer(models, coeffs)._bands(total, floor)
+        points = sorted({(t, e) for _above, (t, e, _x) in bands})
+        assert points
+        for (t0, e0), (t1, e1) in zip(points, points[1:]):
+            assert t1 > t0 and e1 < e0
+        for a in points:
+            assert not any(pareto_dominates(b, a) for b in points)
+
+    @given(instance_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_scalarised_optimum_equals_the_lp_oracle(self, instance):
+        """Before rounding, the best front vertex scores what HiGHS
+        finds for the paper's LP — at every α, on every ugly input."""
+        models, coeffs, total, _alpha = instance
+        nobody = np.zeros(len(models), dtype=bool)
+        front = ParetoOptimizer(models, coeffs)._vertices(total, nobody)
+        for t, _e, x in front:  # feasible, so never better than the oracle by luck
+            assert x.min() >= 0.0 and x.sum() == pytest.approx(total, rel=1e-12)
+            times = [m.slope * xi + m.intercept for m, xi in zip(models, x)]
+            assert t >= max(times) - 1e-9 * (1 + t)
+        for alpha in (1.0, 0.999, 0.99, 0.9, 0.5, 0.0):
+            ours = min(scalarised(alpha, t, e) for t, e, _x in front)
+            # abs: what the oracle's own 1e-10 tolerance is worth over N items.
+            assert ours == pytest.approx(
+                lp_oracle(models, coeffs, total, alpha), rel=1e-9, abs=1e-6
+            )
+
+    @given(instance_strategy, floor_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_every_solve_is_a_front_member(self, instance, floor):
+        models, coeffs, total, alpha = instance
+        opt = ParetoOptimizer(models, coeffs)
+        front = [p.sizes.tolist() for p in opt.front(total, floor)]
+        assert opt.solve(total, alpha, min_items=floor).sizes.tolist() in front
+
+    @given(instance_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_equal_split_never_dominates_a_front_point(self, instance):
+        """Equal sizes are feasible for the LP, so on the LP's own
+        accounting (an empty node still bounds v by its intercept) they
+        cannot beat a Pareto-optimal vertex in both objectives."""
+        models, coeffs, total, _alpha = instance
+        p = len(models)
+        times = [m.slope * total / p + m.intercept for m in models]
+        equal = (max(max(times), 0.0), float(np.dot(coeffs, times)))
+        vertices = ParetoOptimizer(models, coeffs)._vertices(total, np.zeros(p, bool))
+        for i, (t, e, _x) in enumerate(vertices):
+            if i and e == vertices[i - 1][1]:
+                continue  # the flat tail kept for the floor rule, not a Pareto point
+            slack = 1e-9 * (abs(t) + abs(e) + 1.0)
+            assert not (equal[0] < t - slack and equal[1] <= e + slack)
+            assert not (equal[0] <= t + slack and equal[1] < e - slack)
+
+    @given(instance_strategy, floor_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_front_plans_partition_the_total_above_the_floor(self, instance, floor):
+        models, coeffs, total, _alpha = instance
+        for plan in ParetoOptimizer(models, coeffs).front(total, floor):
+            assert plan.sizes.sum() == total
+            for s in plan.sizes:
+                # Idle, at/above the floor (±1 from rounding), or the
+                # degenerate everything-on-one-node case.
+                assert s == 0 or s >= floor - 1 or s == total
+
+    @given(instance_strategy, floor_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_front_deterministic(self, instance, floor):
+        models, coeffs, total, _alpha = instance
+        a = ParetoOptimizer(models, coeffs).front(total, floor)
+        b = ParetoOptimizer(models, coeffs).front(total, floor)
+        assert [p.sizes.tolist() for p in a] == [p.sizes.tolist() for p in b]
+
+
+def billed_as_planned(instance):
+    """The instance bent so that a plan's predicted cost is what the LP
+    charged for it: every node gets an item under equal split and no
+    intercept is negative, so leaving a node empty never costs more
+    than the LP's ``v ≥ c_i`` row assumed."""
+    models, coeffs, total, alpha = instance
+    models = [LinearTimeModel(m.slope, abs(m.intercept)) for m in models]
+    return models, coeffs, max(total, len(models)), alpha
 
 
 class TestLPProperties:
@@ -38,7 +170,7 @@ class TestLPProperties:
     @given(instance_strategy)
     @settings(max_examples=60, deadline=None)
     def test_alpha_one_never_worse_than_equal_split(self, instance):
-        models, coeffs, total, _alpha = instance
+        models, coeffs, total, _alpha = billed_as_planned(instance)
         opt = ParetoOptimizer(models=models, dirty_coeffs=coeffs)
         het = opt.solve(total, 1.0)
         equal = opt.equal_split_plan(total)
@@ -49,7 +181,7 @@ class TestLPProperties:
     @given(instance_strategy)
     @settings(max_examples=60, deadline=None)
     def test_alpha_zero_never_dirtier_than_equal_split(self, instance):
-        models, coeffs, total, _alpha = instance
+        models, coeffs, total, _alpha = billed_as_planned(instance)
         opt = ParetoOptimizer(models=models, dirty_coeffs=coeffs)
         green = opt.solve(total, 0.0)
         equal = opt.equal_split_plan(total)

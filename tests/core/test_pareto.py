@@ -1,12 +1,10 @@
-"""Unit tests for Pareto dominance, frontiers and sweeps."""
+"""Unit tests for Pareto dominance, fronts and the predicted frontier."""
 
 import pytest
 
 from repro.core.heterogeneity import LinearTimeModel
-from repro.core.optimizer import ParetoOptimizer
+from repro.core.optimizer import ParetoOptimizer, predict_dirty_energy, predict_makespan
 from repro.core.pareto import (
-    ParetoPoint,
-    frontier_sweep,
     hypervolume_2d,
     is_pareto_efficient,
     pareto_dominates,
@@ -78,46 +76,45 @@ class TestFrontierSweep:
             dirty_coeffs=[300.0, 100.0, 0.0],
         )
 
+    @staticmethod
+    def objectives(plan):
+        return (plan.predicted_makespan_s, plan.predicted_dirty_energy_j)
+
     def test_one_point_per_alpha(self, optimizer):
-        sweep = frontier_sweep(optimizer, 500, alphas=(1.0, 0.5, 0.0))
-        assert len(sweep) == 3
-        assert [pt.alpha for pt, _ in sweep] == [1.0, 0.5, 0.0]
+        front = [p.sizes.tolist() for p in optimizer.front(500)]
+        for alpha in (1.0, 0.5, 0.0):
+            assert front.count(optimizer.solve(500, alpha).sizes.tolist()) == 1
 
     def test_endpoints_are_extremes(self, optimizer):
-        sweep = frontier_sweep(optimizer, 500, alphas=(1.0, 0.5, 0.0))
-        points = [pt for pt, _ in sweep]
-        assert points[0].makespan_s == min(p.makespan_s for p in points)
-        assert points[-1].dirty_energy_j == min(p.dirty_energy_j for p in points)
+        points = [self.objectives(p) for p in optimizer.front(500)]
+        assert points[0][0] == min(t for t, _ in points)
+        assert points[-1][1] == min(e for _, e in points)
+        assert points[0] == self.objectives(optimizer.solve(500, 1.0))
+        assert points[-1] == self.objectives(optimizer.solve(500, 0.0))
 
     def test_sweep_points_mutually_non_dominating(self, optimizer):
-        sweep = frontier_sweep(optimizer, 500)
-        objs = [pt.objectives() for pt, _ in sweep]
+        objs = [self.objectives(p) for p in optimizer.front(500)]
+        assert len(objs) == 3
         for i, a in enumerate(objs):
             for j, b in enumerate(objs):
                 if i != j:
-                    assert not (a[0] < b[0] - 1e-6 and a[1] < b[1] - 1e-6)
+                    assert not pareto_dominates(a, b)
 
     def test_equal_split_baseline_above_frontier(self, optimizer):
         """The paper's Figure 5 observation: the stratified (equal-split)
         baseline never dominates the frontier, and the frontier beats it
-        in each objective somewhere along the sweep."""
-        baseline = optimizer.equal_split_plan(500)
-        base_obj = (baseline.predicted_makespan_s, baseline.predicted_dirty_energy_j)
-        sweep = frontier_sweep(optimizer, 500)
-        points = [pt for pt, _ in sweep]
-        assert min(p.makespan_s for p in points) <= base_obj[0] + 1e-9
-        assert min(p.dirty_energy_j for p in points) <= base_obj[1] + 1e-9
-        for p in points:
-            assert not pareto_dominates(base_obj, p.objectives())
+        in each objective somewhere along its length."""
+        base_obj = self.objectives(optimizer.equal_split_plan(500))
+        points = [self.objectives(p) for p in optimizer.front(500)]
+        assert min(t for t, _ in points) <= base_obj[0] + 1e-9
+        assert min(e for _, e in points) <= base_obj[1] + 1e-9
+        for point in points:
+            assert not pareto_dominates(base_obj, point)
 
     def test_point_objectives_match_plan(self, optimizer):
-        sweep = frontier_sweep(optimizer, 500, alphas=(0.9,))
-        pt, plan = sweep[0]
-        assert pt.makespan_s == plan.predicted_makespan_s
-        assert pt.dirty_energy_j == plan.predicted_dirty_energy_j
-
-
-class TestParetoPoint:
-    def test_objectives_tuple(self):
-        pt = ParetoPoint(alpha=0.5, makespan_s=2.0, dirty_energy_j=3.0)
-        assert pt.objectives() == (2.0, 3.0)
+        for plan in optimizer.front(500):
+            assert plan.sizes.sum() == 500
+            assert plan.predicted_makespan_s == predict_makespan(optimizer.models, plan.sizes)
+            assert plan.predicted_dirty_energy_j == predict_dirty_energy(
+                optimizer.models, optimizer.dirty_coeffs, plan.sizes
+            )

@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test lint lint-runtime bench bench-kernels bench-pipeline bench-service bench-e2e obs-smoke serve examples results clean
+.PHONY: install test lint lint-runtime bench bench-kernels bench-pipeline bench-service bench-e2e bench-e2e-record obs-smoke serve examples results clean
 
 install:
 	python setup.py develop
@@ -42,6 +42,11 @@ bench-service:
 # traced, each in a fresh subprocess (see benchmarks/e2e/README.md).
 bench-e2e:
 	python3 benchmarks/e2e/run.py
+
+# The same runs, kept: one JSON line per run (git sha, host, seed, every
+# metric) appended to BENCH_history.jsonl, so a regression is a diff.
+bench-e2e-record:
+	python3 benchmarks/record_e2e.py
 
 serve:
 	PYTHONPATH=src python -m repro serve --metrics

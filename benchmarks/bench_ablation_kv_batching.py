@@ -48,8 +48,8 @@ def _run():
             pipe.get(f"item:{i}")
     rows.append(("pipelined width 128", store.stats.round_trips, net.delta_time_s(before, store.stats)))
 
-    # (c) the paper's layout: list of length-prefixed records,
-    #     pipelined writes, single-LRANGE read.
+    # (c) the paper's layout: list of length-prefixed records, one
+    #     pipelined write batch (variadic RPUSH), single-LRANGE read.
     client = ClusterClient(num_nodes=1, pipeline_width=128)
     store = client.store_for(0)
     before = snapshot(store)

@@ -6,23 +6,31 @@ O(partition bytes) serialization per task — and pays it again on every
 repeat of the same partitions (the profile → optimize → execute
 pipeline sends the same data several times).
 
-:class:`SharedPartitionStore` serializes each partition **once** with
-pickle protocol 5, splitting out-of-band buffers (numpy arrays, big
-bytes) from the pickle frame, and publishes the bytes in
-``multiprocessing.shared_memory`` segments. Tasks then carry only a
-:class:`PartitionRef` — segment name, offset, lengths — a few dozen
-bytes regardless of partition size. Workers attach each segment once
-per process (:func:`fetch_partition` keeps a module-level attachment
-cache) and unpickle straight out of the mapping: the pickle frame is
-read through a memoryview and out-of-band buffers stay zero-copy.
+:class:`SharedPartitionStore` serializes a partition with pickle
+protocol 5, splitting out-of-band buffers (numpy arrays, big bytes)
+from the pickle frame, and publishes the bytes — **once** per distinct
+content — in ``multiprocessing.shared_memory`` segments. Tasks then
+carry only a :class:`PartitionRef` — segment name, offset, lengths — a
+few dozen bytes regardless of partition size. Workers attach each
+segment once per process (:func:`fetch_partition` keeps a module-level
+attachment cache) and unpickle straight out of the mapping: the pickle
+frame is read through a memoryview and out-of-band buffers stay
+zero-copy. A staged partition
+(:class:`~repro.kvstore.codec.FramedPartition`) is two flat arrays
+(the framed words and where each record starts), so its frame is O(1)
+and a ``serialization`` costs a memcpy and a digest pass, not an
+object-graph pickle; plain record lists
+(profiling probes, direct ``run_job`` callers) still pickle in-band.
 
-Repeats are free twice over:
+Repeats are cheap twice over:
 
 - **identity cache** — a partition object already published (same
   ``id``, pinned by a strong reference so the id cannot be recycled)
   returns its existing ref without touching pickle;
 - **digest cache** — a new object with byte-identical serialized form
-  (blake2b over frame + buffers) reuses the published bytes.
+  (blake2b over frame + buffers) reuses the published bytes and takes
+  over the ref's pin: at most one object is held alive per live ref,
+  however many equal copies repeat jobs hand in.
 
 Segments live until :meth:`SharedPartitionStore.close` (idempotent,
 also registered via ``atexit`` so interpreter exit never leaks
@@ -93,6 +101,9 @@ class DataPlaneStats:
     evicted_bytes: int = 0
     ref_bytes_total: int = 0
     bytes_referenced: int = 0
+    #: Objects the identity cache holds alive right now (a level, not a
+    #: running total): at most one per live ref.
+    pinned_objects: int = 0
 
     @property
     def ref_bytes_per_task(self) -> float:
@@ -125,6 +136,9 @@ class SharedPartitionStore:
         # id(obj) -> (obj, ref); the strong reference pins the object so
         # its id cannot be recycled while the cache entry lives.
         self._by_identity: dict[int, tuple[object, PartitionRef]] = {}
+        # ref -> id of the one object pinned for it: a byte-identical
+        # duplicate replaces the older pin instead of joining it.
+        self._pinned: dict[PartitionRef, int] = {}
         self._by_digest: dict[bytes, PartitionRef] = {}
         self._closed = False
         atexit.register(self.close)
@@ -157,6 +171,7 @@ class SharedPartitionStore:
             self._by_identity = {
                 i: (o, r) for i, (o, r) in self._by_identity.items() if r.segment != name
             }
+            self._pinned = {r: i for r, i in self._pinned.items() if r.segment != name}
             self.stats.segments_evicted += 1
             self.stats.evicted_bytes += seg.size
             log_event(
@@ -171,6 +186,13 @@ class SharedPartitionStore:
                     _log, logging.DEBUG, "dataplane.segment.evict_failed",
                     segment=name, error=type(exc).__name__,
                 )
+
+    def _pin(self, part: object, ref: PartitionRef) -> None:
+        """Make ``part`` the one object whose identity answers for
+        ``ref``, releasing whichever duplicate held that place."""
+        self._by_identity.pop(self._pinned.get(ref), None)
+        self._by_identity[id(part)] = (part, ref)
+        self._pinned[ref] = id(part)
 
     # -- publishing ---------------------------------------------------------
 
@@ -200,7 +222,7 @@ class SharedPartitionStore:
             ref = self._by_digest.get(digest)
             if ref is not None:
                 self.stats.digest_hits += 1
-                self._by_identity[id(part)] = (part, ref)
+                self._pin(part, ref)
                 refs[i] = ref
                 self._touch(ref.segment)
                 continue
@@ -233,7 +255,7 @@ class SharedPartitionStore:
                     buffer_lengths=tuple(lengths),
                 )
                 self._by_digest[digest] = ref
-                self._by_identity[id(part)] = (part, ref)
+                self._pin(part, ref)
                 refs[i] = ref
 
         out = [r for r in refs if r is not None]
@@ -244,6 +266,7 @@ class SharedPartitionStore:
         )
         self.stats.bytes_referenced += sum(r.total_bytes for r in out)
         self._evict_over_limit(pinned={r.segment for r in out})
+        self.stats.pinned_objects = len(self._by_identity)
         if before is not None:
             self._record_metrics(before)
         return out
@@ -291,7 +314,9 @@ class SharedPartitionStore:
         readable until :meth:`close`). Unpins cached partitions."""
         with self._lock:
             self._by_identity.clear()
+            self._pinned.clear()
             self._by_digest.clear()
+            self.stats.pinned_objects = 0
 
     def close(self) -> None:
         """Close and unlink every segment. Idempotent and exit-safe."""

@@ -4,7 +4,9 @@ Every engine runs a job the same way — :meth:`ExecutionEngine.run_job`
 is defined once — in three steps:
 
 - **measure** (``_execute_partitions``): run the workload on each
-  partition and report its result and runtime on the assigned node.
+  partition's records (:func:`~repro.kvstore.codec.records_of` decodes
+  a staged partition, once, where the workload runs) and report its
+  result and runtime on the assigned node.
   :class:`SimulatedEngine` runs in-process and derives runtime
   deterministically as ``overhead/speed + work_units/(unit_rate·speed)``
   — the busy-loop emulation in closed form, exactly reproducible.
@@ -48,6 +50,7 @@ from repro.cluster.dataplane import (
     SharedPartitionStore,
     fetch_partition,
 )
+from repro.kvstore.codec import FramedPartition, records_of
 from repro.obs.energy import node_energy_breakdown, record_job_metrics, task_energy_attrs
 from repro.obs.log import get_logger, log_event
 from repro.obs.trace import NOOP_SPAN, Tracer
@@ -369,8 +372,8 @@ class SimulatedEngine(ExecutionEngine):
 
     def _execute_partitions(self, workload, partitions, assignment):
         out = []
-        for records, node_id in zip(partitions, assignment):
-            result = workload.run(records)
+        for partition, node_id in zip(partitions, assignment):
+            result = workload.run(records_of(partition))
             node = self.cluster[node_id]
             runtime = node.runtime_for_work(result.work_units, self.unit_rate)
             out.append((result, runtime))
@@ -399,23 +402,25 @@ def _worker_ignore_sigint() -> None:
 
 
 def _pool_task(
-    args: tuple[Workload, Sequence[Any] | PartitionRef, bool]
+    args: tuple[Workload, Sequence[Any] | FramedPartition | PartitionRef, bool]
 ) -> tuple[WorkloadResult, float, tuple]:
-    workload, records, trace = args
+    workload, payload, trace = args
     tracer = Tracer() if trace else None
-    shm = isinstance(records, PartitionRef)
-    if shm:
-        # Fetch outside the timer: on the eager path the partition was
-        # unpickled by the executor before this function started, so
-        # measured wall time covers only workload.run either way.
-        ref = records
-        fetch_span = (
-            tracer.span("worker.fetch", segment=ref.segment, bytes=ref.total_bytes)
-            if tracer is not None
-            else NOOP_SPAN
-        )
-        with fetch_span:
-            records = fetch_partition(ref)
+    shm = isinstance(payload, PartitionRef)
+    # Fetch and decode outside the timer: on the eager path the payload
+    # was unpickled by the executor before this function started, and a
+    # staged partition is framed bytes until this point either way, so
+    # measured wall time covers only workload.run.
+    fetch_span = (
+        tracer.span("worker.fetch", segment=payload.segment, bytes=payload.total_bytes)
+        if shm and tracer is not None
+        else NOOP_SPAN
+    )
+    with fetch_span:
+        staged = fetch_partition(payload) if shm else payload
+        t0 = time.perf_counter()
+        records = records_of(staged)
+        fetch_span.set_attr("decode_s", time.perf_counter() - t0)
     span = tracer.span("worker.run", items=len(records), shm=shm) if tracer is not None else NOOP_SPAN
     t0 = time.perf_counter()
     with span:
@@ -448,10 +453,14 @@ class ProcessPoolEngine(ExecutionEngine):
 
     With ``use_shared_memory=True`` (the default) partitions travel
     through the :mod:`repro.cluster.dataplane` shared-memory store:
-    each distinct partition is serialized once into a shared segment
-    and tasks carry only a tiny :class:`PartitionRef`, so repeated
-    ``run_job``/``profile`` calls over the same partitions never
-    re-pickle the data. :meth:`shutdown` unlinks the segments. Set the
+    each distinct partition is copied once into a shared segment and
+    tasks carry only a tiny :class:`PartitionRef`, so repeated
+    ``run_job``/``profile`` calls over the same partitions (the same
+    objects, or new ones with the same bytes) publish nothing. A
+    partition arrives either as a plain record list or as a staged
+    :class:`~repro.kvstore.codec.FramedPartition`; the worker turns the
+    latter into records (``records_of``) before the task timer starts.
+    :meth:`shutdown` unlinks the segments. Set the
     flag to ``False`` to pickle partitions into every task tuple (the
     pre-data-plane behaviour). ``cache_limit`` bounds the store's
     segment cache: least-recently-used segments are unlinked once more
@@ -606,9 +615,12 @@ class ProcessPoolEngine(ExecutionEngine):
         # The tracing flag rides in the task tuple, so toggling obs
         # needs no pool restart (workers may predate enable()).
         trace = obs.enabled()
-        # Workers must see a real list either way; keeping list inputs
-        # un-copied lets the store's identity cache recognise repeats.
-        parts = [p if isinstance(p, list) else list(p) for p in partitions]
+        # Workers must see a real list or a staged buffer either way;
+        # keeping those un-copied lets the store's identity cache
+        # recognise repeats.
+        parts = [
+            p if isinstance(p, (list, FramedPartition)) else list(p) for p in partitions
+        ]
         payloads: list = parts
         if self.use_shared_memory:
             try:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.engines import SimulatedEngine, emit_timeline_mark
+from repro.kvstore.codec import records_of
 
 
 @dataclass
@@ -82,8 +83,9 @@ class WorkStealingScheduler(SimulatedEngine):
         p = self.cluster.num_nodes
         chunks, homes = [], []
         for part, node in zip(partitions, assignment):
-            for i in range(0, len(part), self.chunk_size):
-                chunks.append(list(part[i : i + self.chunk_size]))
+            records = records_of(part)
+            for i in range(0, len(records), self.chunk_size):
+                chunks.append(list(records[i : i + self.chunk_size]))
                 homes.append(node)
         # Measure each chunk once; its runtime depends on who ends up
         # running it, so only the result is kept.

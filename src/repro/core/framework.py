@@ -14,15 +14,26 @@ Typical use::
     report = pp.execute(dataset.items, AprioriWorkload(0.05), HET_AWARE)
     print(report.makespan_s, report.total_dirty_energy_j)
 
-``prepare`` (stratify + profile + build optimizer) is the one-time cost
-the paper amortizes over repeated runs; it can be reused across
-strategies and α values on the same dataset/workload pair.
+``prepare`` (stratify + profile + build optimizer + serialize the
+dataset) is the one-time cost the paper amortizes over repeated runs;
+it can be reused across strategies and α values on the same
+dataset/workload pair.
+
+**Staging.** A partition is staged once, as the KV codec's framed
+bytes (:class:`~repro.kvstore.codec.FramedPartition`): ``prepare``
+serializes the dataset into columnar form, each run frames its index
+arrays out of that by a vectorised gather, the buffer optionally hops
+through the KV middleware (``stage_via_kv``: two round trips per
+partition), and the engine ships it to the worker, which decodes it —
+the parent process never touches a record. Phase 2 of a two-phase
+workload gathers from ``count_records`` of the dataset, also computed
+once in ``prepare``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +49,7 @@ from repro.core.partitioner import (
     similar_partitions,
 )
 from repro.core.strategies import Strategy
-from repro.kvstore.serializers import deserialize_item, serialize_item
+from repro.kvstore.codec import EncodedDataset, FramedPartition, encode_dataset
 from repro.stratify.stratifier import Stratification, Stratifier
 from repro.workloads.base import Workload
 from repro.workloads.fpm.apriori import CandidateCountWorkload
@@ -46,12 +57,24 @@ from repro.workloads.fpm.apriori import CandidateCountWorkload
 
 @dataclass
 class PreparedInput:
-    """Cached one-time work: stratification, profiling, optimizer."""
+    """Cached one-time work: stratification, profiling, optimizer and
+    the serialized dataset. Never mutated after ``prepare`` built it,
+    so threads may run jobs over one instance concurrently."""
 
     items: list[Any]
     stratification: Stratification
     profiling: ProfilingReport
     optimizer: ParetoOptimizer
+    #: The dataset in the codec's columnar form; partitions are gathers of it.
+    staged: EncodedDataset
+    #: What phase 2 of a two-phase workload counts against:
+    #: ``count_records`` of the whole dataset by the workload it was
+    #: prepared for, columnar — ``staged`` itself when that is the
+    #: identity.
+    counted: EncodedDataset
+    #: The ``count_records`` implementation ``counted`` was built with;
+    #: a two-phase run checks its workload still has this one.
+    counted_by: Callable[..., Sequence[Any]]
     window_s: float | None = None
 
     @property
@@ -152,11 +175,19 @@ class ParetoPartitioner:
             profiling = sampler.profile(workload, items, stratification)
             dirty = self.engine.cluster.dirty_power_coefficients(self.energy_window_s)
             optimizer = ParetoOptimizer(models=profiling.models, dirty_coeffs=dirty)
+            staged = encode_dataset(self.kind, items)
+            transactions = workload.count_records(items)
+            counted = (
+                staged if transactions is items else encode_dataset("set", transactions)
+            )
         return PreparedInput(
             items=items,
             stratification=stratification,
             profiling=profiling,
             optimizer=optimizer,
+            staged=staged,
+            counted=counted,
+            counted_by=type(workload).count_records,
             window_s=self.energy_window_s,
         )
 
@@ -203,23 +234,20 @@ class ParetoPartitioner:
 
     def _materialize(
         self, prepared: PreparedInput, indices: list[np.ndarray]
-    ) -> tuple[list[list[Any]], int]:
-        """Turn index partitions into record partitions, optionally via KV."""
-        partitions = [[prepared.items[i] for i in idx] for idx in indices]
+    ) -> tuple[list[FramedPartition], int]:
+        """Frame each index array into one staged buffer; with
+        ``stage_via_kv`` every buffer then makes the hop through its
+        node's KV store. Returns the partitions and the round trips."""
+        partitions = [prepared.staged.gather(idx) for idx in indices]
         round_trips = 0
         if self.stage_via_kv:
             kv = self.engine.cluster.kv
             before = kv.total_round_trips()
-            staged: list[list[Any]] = []
-            for pid, records in enumerate(partitions):
+            for pid, framed in enumerate(partitions):
                 node = pid % self.engine.cluster.num_nodes
-                kv.put_partition(
-                    node, pid, [serialize_item(self.kind, r) for r in records]
-                )
-                fetched = kv.get_partition(node, pid)
-                staged.append([deserialize_item(self.kind, f) for f in fetched])
+                kv.put_partition(node, pid, framed)
+                partitions[pid] = kv.get_partition(node, pid)
             round_trips = kv.total_round_trips() - before
-            partitions = staged
         return partitions, round_trips
 
     def measure_frontier(
@@ -273,7 +301,14 @@ class ParetoPartitioner:
         prepared: PreparedInput | None = None,
     ) -> RunReport:
         """Full pipeline: prepare (or reuse), plan, place, stage, run —
-        in two barrier-separated phases when ``workload.two_phase``."""
+        in two barrier-separated phases when ``workload.two_phase``.
+
+        A reused ``prepared`` must come from ``prepare`` with this
+        workload (its profile and, for two-phase workloads, its
+        ``count_records`` of the dataset are kept there); a two-phase
+        workload whose ``count_records`` is a different one raises
+        ``ValueError``.
+        """
         with obs.span("pipeline.execute", strategy=strategy.name):
             if prepared is None:
                 prepared = self.prepare(items, workload)
@@ -290,7 +325,9 @@ class ParetoPartitioner:
 
         Phase 1 mines locally; phase 2 counts the candidate union for
         global pruning. Reported makespan/energy sum both barrier-
-        separated phases, as in the paper's evaluation.
+        separated phases, as in the paper's evaluation. As for
+        :meth:`execute`, a reused ``prepared`` must have been prepared
+        with this workload.
         """
         if not workload.two_phase:
             raise TypeError("execute_fpm requires a local-mining workload")
@@ -303,12 +340,21 @@ class ParetoPartitioner:
         self, prepared: PreparedInput, workload: Workload, strategy: Strategy
     ) -> RunReport:
         """Plan → place → materialize → run, shared by both entry points."""
+        if workload.two_phase and type(workload).count_records is not prepared.counted_by:
+            raise ValueError(
+                f"prepared input holds {prepared.counted_by.__qualname__} of the "
+                f"dataset, not {type(workload).__name__}'s: prepare with the "
+                "workload that runs"
+            )
         plan = self.plan(prepared, strategy)
         with obs.span(
             "stage.partition", placement=strategy.placement, via_kv=self.stage_via_kv
-        ):
+        ) as sp:
             indices = self.place(prepared, strategy, plan)
             partitions, round_trips = self._materialize(prepared, indices)
+            sp.set_attr("items", prepared.num_items)
+            sp.set_attr("bytes", sum(p.nbytes for p in partitions))
+            sp.set_attr("round_trips", round_trips)
         if not workload.two_phase:
             with obs.span("stage.execute", partitions=len(partitions)):
                 job = self.engine.run_job(workload, partitions)
@@ -319,7 +365,13 @@ class ParetoPartitioner:
         with obs.span("stage.execute", partitions=len(partitions), phase="local-mine"):
             local_job = self.engine.run_job(workload, partitions)
         candidates = local_job.merged_output
-        count_parts = [workload.count_records(p) for p in partitions]
+        # Phase 2 reads what each node already holds: the staged
+        # partitions themselves (same objects — the dataplane answers
+        # by identity), or the same records' transactions.
+        if prepared.counted is prepared.staged:
+            count_parts = partitions
+        else:
+            count_parts = [prepared.counted.gather(idx) for idx in indices]
         counter = CandidateCountWorkload(
             candidates=sorted(candidates),
             min_support=workload.min_support,

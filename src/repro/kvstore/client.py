@@ -5,6 +5,15 @@ hashing would defeat the point — the framework must place each partition
 on the node the optimizer chose. :class:`ClusterClient` holds one
 :class:`~repro.kvstore.store.KeyValueStore` per node and routes by an
 explicit node index, exactly like the paper's middleware.
+
+A partition moves as the paper describes: a list of length-prefixed
+byte sequences, written in **one** pipelined batch (delete, one
+variadic ``RPUSH`` of every record, metadata) and read back in one
+(``LRANGE`` + the kind), so staging costs two round trips per
+partition whatever its size. What goes in and comes out is a
+:class:`~repro.kvstore.codec.FramedPartition` — the same framed bytes
+the dataplane and the workers see; the store keeps one blob per record,
+so ``LINDEX``/``LLEN`` still address single items.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.kvstore.codec import decode_records, encode_records
+from repro.kvstore.codec import FramedPartition, decode_record
 from repro.kvstore.pipeline import Pipeline
 from repro.kvstore.store import KeyValueStore, StoreError
 
@@ -49,25 +58,32 @@ class ClusterClient:
 
     # -- partition payload movement ---------------------------------------
 
-    def put_partition(self, node: int, pid: int, records: Sequence[Iterable[int]]) -> int:
-        """Encode ``records`` and push them to ``node`` as one pipelined
-        list write. Returns the number of records stored."""
-        store = self.store_for(node)
-        key = PARTITION_KEY.format(pid=pid)
-        store.delete(key)
-        blobs = encode_records(records)
-        with Pipeline(store, width=self.pipeline_width) as pipe:
-            for blob in blobs:
-                pipe.rpush(key, blob)
-        store.hset(META_KEY.format(pid=pid), "count", len(blobs))
-        store.hset(META_KEY.format(pid=pid), "node", node)
-        return len(blobs)
+    def put_partition(
+        self, node: int, pid: int, records: FramedPartition | Sequence[Iterable[int]]
+    ) -> int:
+        """Store a partition on ``node`` in one pipelined batch; returns
+        the number of records stored. ``records`` is a staged
+        :class:`FramedPartition`, or flat integer records to frame."""
+        if not isinstance(records, FramedPartition):
+            records = FramedPartition.from_records(records)
+        key, meta = PARTITION_KEY.format(pid=pid), META_KEY.format(pid=pid)
+        with self.pipeline_for(node) as pipe:
+            pipe.delete(key)
+            if len(records):
+                pipe.rpush(key, *records.blobs())
+            pipe.hset(meta, "count", len(records))
+            pipe.hset(meta, "node", node)
+            pipe.hset(meta, "kind", records.kind)
+        return len(records)
 
-    def get_partition(self, node: int, pid: int) -> list[list[int]]:
-        """Fetch a whole partition in a single LRANGE round trip."""
-        store = self.store_for(node)
-        blobs = store.lrange(PARTITION_KEY.format(pid=pid))
-        return decode_records(blobs)
+    def get_partition(self, node: int, pid: int) -> FramedPartition:
+        """Fetch a whole partition in a single round trip (``LRANGE``
+        and the kind, pipelined). A missing partition comes back empty."""
+        pipe = self.pipeline_for(node)
+        pipe.lrange(PARTITION_KEY.format(pid=pid))
+        pipe.hget(META_KEY.format(pid=pid), "kind")
+        blobs, kind = pipe.execute()
+        return FramedPartition.from_blobs(kind or "set", blobs)
 
     def get_item(self, node: int, pid: int, index: int) -> list[int] | None:
         """Fetch one record of a partition without moving the rest."""
@@ -75,8 +91,6 @@ class ClusterClient:
         blob = store.lindex(PARTITION_KEY.format(pid=pid), index)
         if blob is None:
             return None
-        from repro.kvstore.codec import decode_record
-
         return decode_record(blob)
 
     def partition_size(self, node: int, pid: int) -> int:

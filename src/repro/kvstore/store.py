@@ -47,6 +47,9 @@ class StoreStats:
         return self.gets + self.sets + self.list_ops + self.hash_ops + self.incrs
 
 
+_BLOB_TYPES = frozenset({bytes, bytearray})
+
+
 def _payload_bytes(value: Any) -> int:
     """Approximate wire size of a stored/fetched value."""
     if isinstance(value, (bytes, bytearray)):
@@ -60,12 +63,18 @@ def _payload_bytes(value: Any) -> int:
     if isinstance(value, float):
         return 8
     if isinstance(value, (list, tuple)):
-        return sum(_payload_bytes(v) for v in value)
+        # A partition is thousands of record blobs: size them without
+        # a Python-level call per element.
+        if _BLOB_TYPES.issuperset(map(type, value)):
+            return sum(map(len, value))
+        return sum(map(_payload_bytes, value))
     if isinstance(value, dict):
         return sum(
             _payload_bytes(k) + _payload_bytes(v) for k, v in value.items()
         )
-    return 8
+    # Buffer types (memoryview, numpy arrays) say how many bytes they hold.
+    nbytes = getattr(value, "nbytes", None)
+    return nbytes if isinstance(nbytes, int) else 8
 
 
 @dataclass

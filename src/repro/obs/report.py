@@ -81,7 +81,8 @@ class TraceAggregate:
         self.spans = 0
         self.task_spans = 0
         self.pids: set[int] = set()
-        self._stages: dict[str, list[float]] = defaultdict(lambda: [0, 0.0])
+        # stage name -> [spans, seconds, items]
+        self._stages: dict[str, list[float]] = defaultdict(lambda: [0, 0.0, 0])
         self._nodes: dict[int, dict[str, float]] = {}
         self._energy_j = 0.0
         self._dirty_j = 0.0
@@ -99,6 +100,7 @@ class TraceAggregate:
             bucket = self._stages[name]
             bucket[0] += 1
             bucket[1] += duration
+            bucket[2] += int(attrs.get("items", 0))
         if name == "task.execute" and "node_id" in attrs:
             self.task_spans += 1
             row = self._nodes.setdefault(
@@ -123,14 +125,20 @@ class TraceAggregate:
     # -- read side ----------------------------------------------------------
 
     def stage_rows(self) -> list[dict[str, Any]]:
+        """Per stage: span count, total and mean seconds and — where
+        the stage's spans say how many ``items`` they handled — the
+        items and seconds per item (``stage.partition``'s is the
+        measured staging cost of one data item)."""
         return [
             {
                 "stage": name,
                 "count": int(count),
                 "total_s": total,
                 "mean_s": total / count,
+                "items": int(items),
+                "s_per_item": total / items if items else None,
             }
-            for name, (count, total) in sorted(
+            for name, (count, total, items) in sorted(
                 self._stages.items(), key=lambda kv: -kv[1][1]
             )
         ]
@@ -169,20 +177,11 @@ class TraceAggregate:
 
 
 def stage_table(spans: list[dict]) -> list[dict[str, Any]]:
-    """Aggregate ``stage.*`` spans: count, total and mean seconds."""
-    agg: dict[str, list[float]] = defaultdict(list)
+    """Aggregate ``stage.*`` spans (see :meth:`TraceAggregate.stage_rows`)."""
+    agg = TraceAggregate(top_n=0)
     for span in spans:
-        if span["name"].startswith("stage."):
-            agg[span["name"]].append(float(span["duration_s"]))
-    return [
-        {
-            "stage": name,
-            "count": len(durs),
-            "total_s": sum(durs),
-            "mean_s": sum(durs) / len(durs),
-        }
-        for name, durs in sorted(agg.items(), key=lambda kv: -sum(kv[1]))
-    ]
+        agg.add(span)
+    return agg.stage_rows()
 
 
 def node_table(spans: list[dict]) -> list[dict[str, Any]]:
@@ -362,9 +361,16 @@ def _render_aggregate(
         sections.append("\n== pipeline stages ==")
         sections.append(
             _fmt_table(
-                ("stage", "count", "total_s", "mean_s"),
+                ("stage", "count", "total_s", "mean_s", "items", "us_per_item"),
                 [
-                    (r["stage"], r["count"], f"{r['total_s']:.4f}", f"{r['mean_s']:.4f}")
+                    (
+                        r["stage"],
+                        r["count"],
+                        f"{r['total_s']:.4f}",
+                        f"{r['mean_s']:.4f}",
+                        r["items"] or "-",
+                        f"{1e6 * r['s_per_item']:.2f}" if r["items"] else "-",
+                    )
                     for r in stages
                 ],
             )

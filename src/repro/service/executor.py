@@ -165,6 +165,7 @@ class ScenarioExecutor:
             "identity_hits": 0 if stats is None else stats.identity_hits,
             "digest_hits": 0 if stats is None else stats.digest_hits,
             "serializations": 0 if stats is None else stats.serializations,
+            "pinned_objects": 0 if stats is None else stats.pinned_objects,
         }
 
     def close(self) -> None:

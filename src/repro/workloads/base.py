@@ -70,5 +70,14 @@ class Workload(abc.ABC):
 
     def count_records(self, partition: Sequence[Any]) -> Sequence[Any]:
         """The transactions phase 2 counts candidates against, for a
-        ``two_phase`` workload; by default the partition itself."""
+        ``two_phase`` workload; by default the records themselves.
+
+        Contract: a per-record map, independent of partition boundaries
+        — one transaction (a flat sequence of non-negative ints) per
+        record, in order, so ``count_records(a + b) == count_records(a)
+        + count_records(b)``. The framework relies on it: it converts
+        the whole dataset once, in ``prepare``, and every phase-2
+        partition is a gather of that. Return the argument itself (the
+        same object) when there is nothing to convert.
+        """
         return partition

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import weakref
 from multiprocessing import shared_memory
 from typing import Sequence
 
@@ -18,6 +19,10 @@ from repro.cluster.dataplane import (
 )
 from repro.cluster.engines import ProcessPoolEngine
 from repro.workloads.base import Workload, WorkloadResult
+
+
+class Records(list):
+    """A record list that can be weakly referenced (plain lists cannot)."""
 
 
 class SummingWorkload(Workload):
@@ -84,6 +89,33 @@ class TestCaching:
         store.clear_cache()
         store.put(part)
         assert store.stats.serializations == 2
+        assert store.stats.pinned_objects == 1
+
+    def test_duplicates_replace_the_pin_instead_of_joining_it(self, store):
+        """A byte-identical duplicate takes over the identity entry of
+        its ref: repeat jobs that rebuild equal partitions must not pin
+        every copy for the life of the segment."""
+        first = [Records([1, 2, 3]), Records([4])]
+        refs = store.put_many(first)
+        watchers = [weakref.ref(p) for p in first]
+        for _ in range(50):
+            again = [Records([1, 2, 3]), Records([4])]
+            assert store.put_many(again) == refs
+            # Phase 2 of the same job hands the same objects in again.
+            assert store.put_many(again) == refs
+        assert store.stats.digest_hits == 100 and store.stats.identity_hits == 100
+        assert store.stats.pinned_objects == len(store._by_identity) == 2
+        assert store.stats.pinned_objects <= len(store._by_digest)
+        del first
+        assert all(w() is None for w in watchers)  # the old copies were let go
+        assert [fetch_partition(r) for r in refs] == [[1, 2, 3], [4]]
+
+    def test_eviction_drops_the_pins_of_the_segment(self):
+        with SharedPartitionStore(cache_limit=1) as store:
+            store.put([1, 2, 3])
+            store.put([1, 2, 3])  # a duplicate takes the pin
+            store.put([4] * 100)  # evicts the first segment
+            assert store.stats.pinned_objects == len(store._pinned) == 1
 
 
 class TestRefSize:

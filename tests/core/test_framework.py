@@ -145,6 +145,36 @@ class TestExecuteFpm:
             )
 
 
+class TestStaging:
+    @pytest.mark.parametrize("via_kv", (True, False))
+    def test_unencodable_items_are_rejected_at_prepare(self, dataset, workload, via_kv):
+        """The staged representation is the codec's whichever way the
+        partitions travel, so its range checks apply to both."""
+        engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=5e4)
+        pp2 = ParetoPartitioner(
+            engine, kind=dataset.kind, num_strata=6, stage_via_kv=via_kv, seed=0
+        )
+        items = [list(item) for item in dataset.items]
+        items[3] = items[3] + [2**32]
+        with pytest.raises(ValueError, match="uint32"):
+            pp2.prepare(items, workload)
+
+    def test_phase_two_form_is_built_once_at_prepare(self, prepared):
+        """Itemset miners count against the records themselves; a tree
+        miner against pivot lists converted once, for the whole dataset."""
+        from repro.workloads.fpm.treemining import TreeMiningWorkload
+
+        assert prepared.counted is prepared.staged
+        ds = load_dataset("swissprot", size_scale=0.15, seed=0)
+        engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=5e4)
+        pp2 = ParetoPartitioner(engine, kind="tree", num_strata=6, seed=0)
+        miner = TreeMiningWorkload(0.15, max_len=1)
+        mined = pp2.prepare(ds.items, miner)
+        assert mined.counted is not mined.staged
+        everything = mined.counted.gather(range(len(ds.items)))
+        assert everything.records() == miner.count_records(ds.items)
+
+
 class TestCompressionPath:
     def test_similar_placement_end_to_end(self):
         ds = load_dataset("uk", size_scale=0.2, seed=0)

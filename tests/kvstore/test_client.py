@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kvstore.client import ClusterClient
+from repro.kvstore.codec import encode_dataset
 from repro.kvstore.store import StoreError
 
 
@@ -38,12 +39,12 @@ class TestPartitionMovement:
         records = [[1, 2, 3], [], [7]]
         stored = client.put_partition(1, 5, records)
         assert stored == 3
-        assert client.get_partition(1, 5) == records
+        assert client.get_partition(1, 5).records() == records
 
     def test_put_overwrites_previous(self, client):
         client.put_partition(0, 1, [[1]])
         client.put_partition(0, 1, [[2, 3]])
-        assert client.get_partition(0, 1) == [[2, 3]]
+        assert client.get_partition(0, 1).records() == [[2, 3]]
 
     def test_get_item_by_index(self, client):
         client.put_partition(0, 0, [[1], [2, 2], [3]])
@@ -58,7 +59,7 @@ class TestPartitionMovement:
     def test_drop_partition(self, client):
         client.put_partition(0, 0, [[1]])
         client.drop_partition(0, 0)
-        assert client.get_partition(0, 0) == []
+        assert client.get_partition(0, 0).records() == []
         assert client.store_for(0).hget("partition:0:meta", "count") is None
 
     def test_metadata_written(self, client):
@@ -73,6 +74,34 @@ class TestPartitionMovement:
         before = store.stats.round_trips
         client.get_partition(0, 0)
         assert store.stats.round_trips == before + 1
+
+    def test_put_is_one_batch_whatever_the_size(self, client):
+        """Delete, the variadic RPUSH and the metadata ride one
+        pipelined batch: a partition costs one round trip to place."""
+        store = client.store_for(0)
+        for records in ([[1]], [[i, i + 1] for i in range(5000)]):
+            before = store.stats.round_trips
+            client.put_partition(0, 0, records)
+            assert store.stats.round_trips == before + 1
+            assert client.partition_size(0, 0) == len(records)
+
+    def test_empty_partition_issues_no_rpush(self, client):
+        client.put_partition(0, 4, [[1], [2]])
+        store = client.store_for(0)
+        before = store.stats.list_ops
+        assert client.put_partition(0, 4, []) == 0
+        assert store.stats.list_ops == before
+        assert store.hget("partition:4:meta", "count") == 0
+        fetched = client.get_partition(0, 4)  # the old records are gone
+        assert len(fetched) == 0 and fetched.records() == []
+
+    def test_kind_travels_with_the_partition(self, client):
+        trees = [((-1,), (7,)), ((-1, 0), (5, 6))]
+        client.put_partition(1, 2, encode_dataset("tree", trees).gather([0, 1]))
+        fetched = client.get_partition(1, 2)
+        assert fetched.kind == "tree"
+        assert fetched.records() == trees
+        assert client.get_item(1, 2, 0) == [1, 0, 7]  # the flat record, as stored
 
 
 class TestAggregates:

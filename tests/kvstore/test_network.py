@@ -1,5 +1,6 @@
 """Tests for byte accounting and the network cost model."""
 
+import numpy as np
 import pytest
 
 from repro.kvstore.client import ClusterClient
@@ -24,6 +25,23 @@ class TestPayloadBytes:
         assert _payload_bytes([b"ab", b"c"]) == 3
         assert _payload_bytes({"k": b"abc"}) == 1 + 3
 
+    def test_buffer_types_count_their_bytes(self):
+        """A buffer is priced at what it holds, not at a flat 8 bytes —
+        ``NetworkModel`` turns this number into seconds."""
+        words = np.arange(1000, dtype="<u4")
+        assert _payload_bytes(words) == 4000
+        assert _payload_bytes(memoryview(words)) == 4000
+        assert _payload_bytes(memoryview(b"x" * 37)) == 37
+        assert _payload_bytes((words, b"ab")) == 4002
+
+    def test_blob_sequences_sum_lengths(self):
+        blobs = tuple(bytes(n % 7) for n in range(6000))
+        assert _payload_bytes(blobs) == sum(len(b) for b in blobs)
+        assert _payload_bytes(list(blobs) + [bytearray(5)]) == _payload_bytes(blobs) + 5
+        # Mixed sequences still price each element by its own type.
+        assert _payload_bytes((b"abc", 256, "hé", [b"x"])) == 3 + 2 + 3 + 1
+        assert _payload_bytes(()) == 0
+
 
 class TestByteAccounting:
     def test_set_get_counted(self):
@@ -38,6 +56,16 @@ class TestByteAccounting:
         before = store.stats.bytes_moved
         store.lrange("l", 0, 0)
         assert store.stats.bytes_moved == before + 10
+
+    def test_partition_bytes_counted_once_each_way(self):
+        client = ClusterClient(num_nodes=1)
+        records = [[i, i + 1, i + 2] for i in range(300)]
+        client.put_partition(0, 0, records)
+        store = client.store_for(0)
+        framed_bytes = 300 * (4 + 3 * 4)  # header + three items per record
+        assert store.stats.bytes_moved == framed_bytes
+        client.get_partition(0, 0)
+        assert store.stats.bytes_moved == 2 * framed_bytes
 
     def test_llen_moves_nothing(self):
         store = KeyValueStore()

@@ -67,6 +67,17 @@ class TestStageCoverage:
             parent = by_id[stage["parent_id"]]
             assert parent["name"] == "pipeline.execute"
 
+    def test_partition_stage_says_what_staging_moved(self, traced_run):
+        """``duration / items`` of this span is the measured per-item
+        staging cost; bytes and round trips say what it bought."""
+        report, spans, _snap = traced_run
+        (stage,) = [s for s in spans if s["name"] == "stage.partition"]
+        attrs = stage["attrs"]
+        assert attrs["items"] == sum(report.plan.sizes)
+        assert attrs["round_trips"] == report.kv_round_trips > 0
+        # Framed bytes: one header word per record plus one per item.
+        assert attrs["bytes"] >= 4 * attrs["items"]
+
 
 class TestEnergyInvariant:
     def test_task_spans_cover_every_task(self, traced_run):
@@ -137,6 +148,8 @@ class TestProcessPoolTracing:
         assert len(run_jobs) == 2
         assert len(workers) == 2 * len(parts)  # every worker task traced
         assert len(fetches) == 2 * len(parts)
+        # The fetch span reports the share spent decoding the partition.
+        assert all(0 <= s["attrs"]["decode_s"] <= s["duration_s"] for s in fetches)
         job_ids = {s["span_id"] for s in run_jobs}
         assert all(s["parent_id"] in job_ids for s in workers + fetches)
         assert {s["pid"] for s in workers} != {run_jobs[0]["pid"]}

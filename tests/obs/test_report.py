@@ -51,6 +51,9 @@ class TestTables:
         rows = stage_table(spans)
         assert [r["stage"] for r in rows] == ["stage.sketch"]
         assert rows[0]["count"] == 1
+        # Spans that say how many items they handled give a per-item cost.
+        assert rows[0]["items"] == 120
+        assert rows[0]["s_per_item"] == pytest.approx(rows[0]["total_s"] / 120)
 
     def test_node_table_covers_all_nodes(self, trace_path):
         _meta, spans = obs.read_spans(trace_path)

@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test lint lint-runtime bench bench-kernels bench-pipeline bench-service bench-e2e bench-e2e-record obs-smoke serve examples results clean
+.PHONY: install test lint lint-runtime bench bench-kernels bench-e2e bench-e2e-record obs-smoke serve examples results clean
 
 install:
 	python setup.py develop
@@ -23,20 +23,10 @@ lint-runtime:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Both bench targets mirror their results JSON to the repo root, where
-# the autotuner (repro.perf.autotune) picks it up as dispatch seeds.
+# Per-tier kernel timings (asserts bit-identity first); the record
+# docs/performance.md cites is benchmarks/results/BENCH_kernels.json.
 bench-kernels:
 	PYTHONPATH=src python benchmarks/bench_kernels.py
-	cp benchmarks/results/BENCH_kernels.json BENCH_kernels.json
-
-bench-pipeline:
-	PYTHONPATH=src python benchmarks/bench_pipeline.py
-	cp benchmarks/results/BENCH_pipeline.json BENCH_pipeline.json
-
-# Open-loop load harness for the job service; SMOKE=1 runs CI sizes.
-bench-service:
-	PYTHONPATH=src python benchmarks/bench_service.py $(if $(SMOKE),--smoke)
-	cp benchmarks/results/BENCH_service.json BENCH_service.json
 
 # The benchmark BENCHMARK.json declares: every workload, untraced then
 # traced, each in a fresh subprocess (see benchmarks/e2e/README.md).

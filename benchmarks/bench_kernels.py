@@ -8,10 +8,10 @@ measurements to ``benchmarks/results/BENCH_kernels.json``.
 
 Each section records per-tier timings under ``tiers`` — ``reference``,
 ``numpy`` and ``native`` (null when numba is not installed, or for
-kernels with no native tier). The autotuner
-(:mod:`repro.perf.autotune`) reads these measurements to rank the
-native tier against numpy, so re-running this benchmark re-seeds
-``kernel="auto"`` dispatch. ``speedup`` is numpy vs reference.
+kernels with no native tier). ``speedup`` is numpy vs reference. The
+file is a record (``docs/performance.md`` cites it); nothing reads it
+back — ``kernel="auto"`` (:mod:`repro.perf.autotune`) does not depend
+on measurements.
 
 Runs standalone (no pytest needed)::
 

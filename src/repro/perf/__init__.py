@@ -18,7 +18,7 @@ the stratifier modules call into:
 - :mod:`repro.perf.native` — optional numba-compiled (``native``)
   counterparts of the four hottest kernels. Imports lazily; without
   numba the tier reports unavailable and nothing changes.
-- :mod:`repro.perf.autotune` — shape-aware dispatch among the
+- :mod:`repro.perf.autotune` — dispatch among the
   ``reference | numpy | native`` tiers behind ``kernel="auto"``, the
   default on every workload. Deliberately not re-exported here — it
   imports :mod:`repro.obs`, and keeping it out of this package marker

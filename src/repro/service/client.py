@@ -1,6 +1,6 @@
 """Tiny urllib client for the service HTTP API.
 
-Used by ``repro submit`` and the open-loop load harness; kept
+Used by ``repro submit`` and the end-to-end benchmark; kept
 dependency-free (``urllib.request``) like the rest of the repo. A 429
 backpressure response is **not** an exception — it comes back as a
 normal :class:`ServiceResponse` with ``status == 429`` and the

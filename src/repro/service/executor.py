@@ -56,7 +56,7 @@ class ScenarioExecutor:
 
     def _dataset_for_locked(self, spec: JobSpec) -> Dataset:
         # Called with self._lock held: the dict probe-then-fill below
-        # would otherwise race run() against prepared_for() and load
+        # would otherwise race concurrent prepared_for() calls and load
         # the same dataset twice (or tear the dict).
         key = (spec.dataset, spec.size_scale, spec.seed)
         found = self._datasets.get(key)
@@ -121,9 +121,7 @@ class ScenarioExecutor:
                 alpha=spec.alpha,
                 placement=spec.effective_placement,
             )
-        with self._lock:
-            dataset = self._dataset_for_locked(spec)
-        report = pp.execute(dataset.items, workload, strategy, prepared=prep)
+        report = pp.execute(prep.items, workload, strategy, prepared=prep)
         return self._result_payload(spec, report)
 
     @staticmethod

@@ -245,7 +245,7 @@ class _Handler(BaseHTTPRequestHandler):
 class ServiceHTTPServer:
     """Owns a :class:`ThreadingHTTPServer` bound to a manager.
 
-    ``port=0`` binds an ephemeral port (tests, the load harness);
+    ``port=0`` binds an ephemeral port (tests, the end-to-end benchmark);
     :attr:`url` reports the resolved address either way.
     """
 

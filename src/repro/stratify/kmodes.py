@@ -84,9 +84,9 @@ class CompositeKModes:
     seed:
         RNG seed for centre initialisation.
     kernel:
-        Matching tier: ``"auto"`` (shape-dispatched, the default),
-        ``"numpy"`` for the chunked-broadcast
-        kernels of :mod:`repro.perf.kmodes_kernels`, ``"native"`` for
+        Matching tier: ``"auto"`` (the fastest available tier, the
+        default), ``"numpy"`` for the chunked-broadcast kernels of
+        :mod:`repro.perf.kmodes_kernels`, ``"native"`` for
         the compiled matcher, or ``"reference"`` for the original
         Python-loop implementations. All tiers produce bit-identical
         labels, centres and cost.
@@ -112,12 +112,6 @@ class CompositeKModes:
         autotune.validate_kernel(self.kernel, "kmodes")
 
     # -- internals ---------------------------------------------------------
-
-    def _resolve_tier(self, sketches: np.ndarray, num_clusters: int) -> str:
-        n, k = sketches.shape
-        return autotune.resolve_tier(
-            self.kernel, kind="kmodes", work=n * num_clusters * k * self.top_l
-        )
 
     def _match_counts(
         self, sketches: np.ndarray, centers: np.ndarray, tier: str
@@ -176,7 +170,7 @@ class CompositeKModes:
             raise ValueError("sketches must be a 2-D matrix")
         if centers.ndim != 3 or centers.shape[1] != sketches.shape[1]:
             raise ValueError("centers do not match sketch dimensionality")
-        tier = self._resolve_tier(sketches, centers.shape[0])
+        tier = autotune.resolve_tier(self.kernel, kind="kmodes")
         counts = self._match_counts(sketches, centers, tier)
         return np.argmax(counts, axis=1).astype(np.int64)
 
@@ -209,7 +203,7 @@ class CompositeKModes:
         # and centre updates run on the batched sort kernel for every
         # non-reference tier (they execute once per iteration, not once
         # per row — the native tier only compiles the matcher).
-        tier = self._resolve_tier(sketches, K)
+        tier = autotune.resolve_tier(self.kernel, kind="kmodes")
 
         # The sketch matrix never changes across iterations, so the
         # batched path factorises it once (per-attribute dense codes)

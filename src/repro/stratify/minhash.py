@@ -104,9 +104,9 @@ class MinHasher:
         ``(m, k)`` block in ``sketch_all``). Purely a speed/memory knob
         — results are identical for any positive value.
     kernel:
-        Tier for :meth:`sketch_all`: ``"auto"`` (shape-dispatched, the
-        default), ``"reference"``, ``"numpy"`` or ``"native"``. All tiers
-        are bit-identical.
+        Tier for :meth:`sketch_all`: ``"auto"`` (the fastest available
+        tier, the default), ``"reference"``, ``"numpy"`` or ``"native"``.
+        All tiers are bit-identical.
     """
 
     num_hashes: int = 64
@@ -157,9 +157,7 @@ class MinHasher:
         flat, offsets = flatten_sets(sets)
         if flat.size and int(flat.max()) >= UNIVERSE_SIZE:
             raise ValueError("element outside the pivot universe")
-        tier = autotune.resolve_tier(
-            self.kernel, kind="minhash", work=flat.size * self.num_hashes
-        )
+        tier = autotune.resolve_tier(self.kernel, kind="minhash")
         if tier == "reference":
             return self.sketch_all_reference(sets)
         if tier == "native":

@@ -62,8 +62,8 @@ class LZ77Codec:
     max_match:
         Longest emitted match.
     kernel:
-        Tier: ``"auto"`` (shape-dispatched, the default), ``"numpy"``
-        runs the precomputed-link coder of
+        Tier: ``"auto"`` (the fastest available tier, the default),
+        ``"numpy"`` runs the precomputed-link coder of
         :mod:`repro.perf.lz77_kernels`, ``"native"`` the compiled scan
         over the same links, ``"reference"`` the original hash-chain
         loop. Blobs and stats are byte-identical for every tier.
@@ -83,7 +83,7 @@ class LZ77Codec:
 
     def compress(self, data: bytes) -> tuple[bytes, LZ77Stats]:
         """Compress ``data``; returns the token stream and stats."""
-        tier = autotune.resolve_tier(self.kernel, kind="lz77", work=len(data))
+        tier = autotune.resolve_tier(self.kernel, kind="lz77")
         if tier == "reference":
             return self.compress_reference(data)
         if tier == "native":

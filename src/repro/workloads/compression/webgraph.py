@@ -232,10 +232,10 @@ class WebGraphCodec:
         How many previous lists are candidate references (WebGraph's
         ``W``; 7 is the format's classic default).
     kernel:
-        ``"auto"`` (default) dispatches on partition size; ``"numpy"``
-        scores reference candidates by computed
-        byte length and varint-encodes the whole partition in one
-        batched call; ``"reference"`` serializes every candidate with
+        ``"auto"`` (default) is ``"numpy"``, which scores reference
+        candidates by computed byte length and varint-encodes the whole
+        partition in one batched call; ``"reference"`` serializes every
+        candidate with
         per-symbol Python loops. There is no native tier — the coder is
         symbol-stream bookkeeping over Python sets. Blobs and stats are
         byte-identical.
@@ -251,9 +251,7 @@ class WebGraphCodec:
 
     def compress(self, adjacency: Sequence[Sequence[int]]) -> tuple[bytes, WebGraphStats]:
         """Compress a partition of sorted adjacency lists."""
-        tier = autotune.resolve_tier(
-            self.kernel, kind="webgraph", work=len(adjacency)
-        )
+        tier = autotune.resolve_tier(self.kernel, kind="webgraph")
         if tier == "reference":
             return self.compress_reference(adjacency)
         return self._compress_batched(adjacency)

@@ -53,9 +53,9 @@ class AprioriMiner:
     max_len:
         Optional cap on pattern length (None = unbounded).
     kernel:
-        Counting tier: ``"auto"`` (shape-dispatched, the default),
-        ``"numpy"`` counts candidates on the
-        packed vertical bitmaps of :mod:`repro.perf.fpm_kernels`,
+        Counting tier: ``"auto"`` (the fastest available tier, the
+        default), ``"numpy"`` counts candidates on the packed vertical
+        bitmaps of :mod:`repro.perf.fpm_kernels`,
         ``"native"`` on the compiled popcount loops, ``"reference"``
         runs the original per-transaction containment scan. Outputs
         (supports, candidate counts, work units) are bit-identical.
@@ -74,9 +74,7 @@ class AprioriMiner:
 
     def mine(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
         """Mine all frequent itemsets of ``transactions``."""
-        tier = autotune.resolve_tier(
-            self.kernel, kind="fpm", work=len(transactions)
-        )
+        tier = autotune.resolve_tier(self.kernel, kind="fpm")
         if tier == "reference":
             return self.mine_reference(transactions)
         return self._mine_bitmap(transactions, tier)
@@ -226,7 +224,7 @@ def count_patterns(
     naming items this partition never saw count 0, as in the reference
     scan.
     """
-    tier = autotune.resolve_tier(kernel, kind="fpm", work=len(transactions))
+    tier = autotune.resolve_tier(kernel, kind="fpm")
     if tier == "reference":
         return count_patterns_reference(transactions, patterns)
     supports_fn = None

@@ -28,7 +28,7 @@ class EclatMiner:
     tidlists as packed uint64 bitmaps and batch every DFS node's
     extension intersections — one ``np.bitwise_and`` + popcount, or the
     compiled word loop; ``kernel="reference"`` is the original
-    frozenset DFS. ``"auto"`` (default) dispatches on input shape.
+    frozenset DFS. ``"auto"`` (default) takes the fastest available tier.
     Traversal order, candidate counts and work units are identical.
     """
 
@@ -45,9 +45,7 @@ class EclatMiner:
 
     def mine(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
         """Mine all frequent itemsets via DFS tidlist intersection."""
-        tier = autotune.resolve_tier(
-            self.kernel, kind="fpm", work=len(transactions)
-        )
+        tier = autotune.resolve_tier(self.kernel, kind="fpm")
         if tier == "reference":
             return self.mine_reference(transactions)
         return self._mine_bitmap(transactions, tier)

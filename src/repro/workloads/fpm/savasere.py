@@ -63,8 +63,8 @@ class SavasereJob:
     engine: ExecutionEngine
     min_support: float
     max_len: int | None = None
-    #: Kernel for both phases: ``"auto"`` (shape-dispatched), a bitmap
-    #: tier (``"numpy"``, ``"native"``) or ``"reference"``
+    #: Kernel for both phases: ``"auto"`` (the fastest available tier),
+    #: a bitmap tier (``"numpy"``, ``"native"``) or ``"reference"``
     #: — outputs are bit-identical whichever tier runs.
     kernel: str = "auto"
 

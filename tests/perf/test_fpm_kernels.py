@@ -9,7 +9,7 @@ query items, tiny supports) through both and asserts exact equality.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.perf.fpm_kernels import (
@@ -73,10 +73,10 @@ class TestPackTransactions:
 
 class TestAprioriEquivalence:
     @given(transactions_strategy, support_strategy)
+    @example([], 0.5)
+    @example([[3, 5]], 0.5)
     @settings(max_examples=40, deadline=None)
     def test_mine_matches_reference(self, tx, min_support):
-        if not tx:
-            return
         fast = AprioriMiner(min_support=min_support, kernel="numpy").mine(tx)
         ref = AprioriMiner(min_support=min_support, kernel="reference").mine(tx)
         assert fast.counts == ref.counts
@@ -87,8 +87,6 @@ class TestAprioriEquivalence:
     @given(transactions_strategy, st.integers(min_value=1, max_value=3))
     @settings(max_examples=25, deadline=None)
     def test_max_len_matches_reference(self, tx, max_len):
-        if not tx:
-            return
         fast = AprioriMiner(min_support=0.1, max_len=max_len, kernel="numpy").mine(tx)
         ref = AprioriMiner(min_support=0.1, max_len=max_len, kernel="reference").mine(tx)
         assert fast.counts == ref.counts
@@ -101,10 +99,10 @@ class TestAprioriEquivalence:
 
 class TestEclatEquivalence:
     @given(transactions_strategy, support_strategy)
+    @example([], 0.5)
+    @example([[3, 5]], 0.5)
     @settings(max_examples=40, deadline=None)
     def test_mine_matches_reference(self, tx, min_support):
-        if not tx:
-            return
         fast = EclatMiner(min_support=min_support, kernel="numpy").mine(tx)
         ref = EclatMiner(min_support=min_support, kernel="reference").mine(tx)
         assert fast.counts == ref.counts
@@ -114,8 +112,6 @@ class TestEclatEquivalence:
     @given(transactions_strategy)
     @settings(max_examples=25, deadline=None)
     def test_eclat_agrees_with_apriori(self, tx):
-        if not tx:
-            return
         eclat = EclatMiner(min_support=0.2, kernel="numpy").mine(tx)
         apriori = AprioriMiner(min_support=0.2, kernel="numpy").mine(tx)
         assert eclat.counts == apriori.counts
@@ -130,6 +126,8 @@ class TestCountPatternsEquivalence:
     )
 
     @given(transactions_strategy, patterns_strategy)
+    @example([], [(1,), (1, 2)])
+    @example([[1, 2]], [(1,), (1, 2), (9,)])
     @settings(max_examples=40, deadline=None)
     def test_matches_reference(self, tx, patterns):
         fast_counts, fast_work = count_patterns(tx, patterns, kernel="numpy")

@@ -9,7 +9,7 @@ asserts exact array equality — no tolerances.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.perf.kmodes_kernels import factorize_columns, top_l_centers
@@ -42,9 +42,12 @@ def _low_card_matrix(n, k, card, seed):
 
 class TestSketchBatchEquivalence:
     @given(ragged_strategy, st.sampled_from([64, 1024, 8 * 1024 * 1024]))
+    @example([], 64)
+    @example([set()], 64)
+    @example([{7}], 64)
     @settings(max_examples=40, deadline=None)
     def test_batched_matches_per_set(self, sets, chunk_bytes):
-        hasher = MinHasher(num_hashes=9, seed=3, chunk_bytes=chunk_bytes)
+        hasher = MinHasher(num_hashes=9, seed=3, chunk_bytes=chunk_bytes, kernel="numpy")
         got = hasher.sketch_all(sets)
         ref = hasher.sketch_all_reference(sets)
         assert got.dtype == ref.dtype == np.uint64
@@ -134,6 +137,7 @@ class TestElementCoercion:
 
 class TestKModesEquivalence:
     @given(matrix_strategy, st.sampled_from([256, 8 * 1024 * 1024]))
+    @example((1, 3, 1, 0), 256)  # one row; an empty matrix is rejected before dispatch
     @settings(max_examples=25, deadline=None)
     def test_fit_matches_reference(self, spec, chunk_bytes):
         n, k, card, seed = spec
@@ -171,9 +175,10 @@ class TestKModesEquivalence:
         reference = CompositeKModes(num_clusters=4, top_l=2, seed=1, kernel="reference")
         result = batched.fit(data)
         new = _low_card_matrix(40, 5, 4, seed=10)
-        assert np.array_equal(
-            batched.assign(new, result.centers), reference.assign(new, result.centers)
-        )
+        for rows in (new, new[:1], new[:0]):
+            assert np.array_equal(
+                batched.assign(rows, result.centers), reference.assign(rows, result.centers)
+            )
 
     def test_invalid_kernel_rejected(self):
         with pytest.raises(ValueError):

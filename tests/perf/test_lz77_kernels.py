@@ -7,7 +7,7 @@ partitions through both paths; tiny windows and ``max_chain=1`` stress
 the deque-trimming probe accounting the fast coder emulates.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.perf.lz77_kernels import (
@@ -73,6 +73,8 @@ class TestLZ77Equivalence:
         st.sampled_from([1, 2, 16]),
         st.sampled_from([4, 8, 255]),
     )
+    @example(b"", 16, 2, 8)
+    @example(b"a", 16, 2, 8)
     @settings(max_examples=50, deadline=None)
     def test_blob_and_stats_match_reference(self, data, window, max_chain, max_match):
         fast = LZ77Codec(window=window, max_chain=max_chain, max_match=max_match, kernel="numpy")
@@ -98,6 +100,8 @@ class TestWebGraphEquivalence:
     )
 
     @given(adjacency_strategy, st.sampled_from([0, 1, 3, 7]))
+    @example([], 7)
+    @example([[1, 2, 3]], 7)
     @settings(max_examples=50, deadline=None)
     def test_blob_and_stats_match_reference(self, adjacency, window):
         fast = WebGraphCodec(window=window, kernel="numpy")

@@ -15,7 +15,7 @@ numba is genuinely absent, which is itself asserted here.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.perf import autotune
@@ -177,6 +177,8 @@ class TestFPMNativeParity:
         assert np.array_equal(empty_itemsets, np.full(3, 2, dtype=np.int64))
 
     @given(transactions_strategy, st.floats(min_value=0.1, max_value=1.0))
+    @example([], 0.5)
+    @example([{3, 5}], 0.5)
     @settings(max_examples=25, deadline=None)
     def test_apriori_native_matches_reference(self, transactions, min_support):
         runtime_available = runtime.numba_available
@@ -195,6 +197,8 @@ class TestFPMNativeParity:
         assert native.work_units == ref.work_units
 
     @given(transactions_strategy, st.floats(min_value=0.1, max_value=1.0))
+    @example([], 0.5)
+    @example([{3, 5}], 0.5)
     @settings(max_examples=25, deadline=None)
     def test_eclat_native_matches_reference(self, transactions, min_support):
         runtime_available = runtime.numba_available
@@ -234,6 +238,8 @@ class TestLZ77NativeParity:
         assert got[3] == ref[3]
 
     @given(repetitive_strategy)
+    @example(b"")
+    @example(b"a")
     @settings(max_examples=30, deadline=None)
     def test_native_blob_matches_reference_coder(self, data):
         codec = LZ77Codec(window=64, max_chain=8, max_match=32, kernel="reference")

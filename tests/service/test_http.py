@@ -2,8 +2,8 @@
 
 Each test spins up a :class:`ServiceHTTPServer` on port 0 against a
 stub-executor manager, then exercises the route contracts through the
-real :class:`ServiceClient` — the same transport the CLI and the load
-harness use.
+real :class:`ServiceClient` — the same transport the CLI and the
+end-to-end benchmark use.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class TestSubmitAndResult:
 
 class TestBackpressureOverHTTP:
     def test_429_with_retry_after_header(self, blocking):
-        client, _manager, executor = blocking
+        client, manager, executor = blocking
         first = client.submit({})
         assert first.status == 202
         assert executor.started.wait(timeout=5.0)
@@ -110,6 +110,7 @@ class TestBackpressureOverHTTP:
         assert rejected.body["reject_reason"] == "queue_full"
         assert rejected.retry_after_s > 0
         assert float(rejected.headers["Retry-After"]) > 0
+        assert manager.stats()["peak_queue_depth"] <= manager.config.max_queue_depth
         executor.release.set()
 
 
@@ -139,13 +140,17 @@ class TestOpsEndpoints:
         assert stats.body["config"]["max_queue_depth"] == 4
 
     def test_metrics_exposition(self, immediate):
-        client, _manager = immediate
+        client, manager = immediate
         obs.enable()
         resp = client.submit({})
         client.wait(resp.body["job_id"], timeout_s=10.0)
+        manager.drain(timeout_s=10.0)
+        assert client.submit({}).status == 429
         text = client.metrics_text()
         assert "repro_service_submitted_total" in text
         assert 'repro_service_jobs_total{state="SUCCEEDED"}' in text
+        assert "repro_service_queue_wait_seconds" in text
+        assert 'repro_service_rejected_total{reason="draining"}' in text
 
     def test_drain_endpoint_flips_health(self, immediate):
         client, manager = immediate
@@ -190,9 +195,9 @@ class TestSubmitCLI:
 
 class TestConcurrentClients:
     def test_parallel_submitters_all_answered(self, immediate):
-        client, _manager = immediate
+        client, manager = immediate
         # Every submit gets *a* response (202 or 429) — nothing hangs
-        # or drops: the zero-dropped invariant the harness asserts.
+        # or drops — and the queue stays bounded through the burst.
         results: list[int] = []
         lock = threading.Lock()
 
@@ -209,3 +214,4 @@ class TestConcurrentClients:
         assert len(results) == 12
         assert set(results) <= {202, 429}
         assert 202 in results
+        assert manager.stats()["peak_queue_depth"] <= manager.config.max_queue_depth

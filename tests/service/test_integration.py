@@ -80,6 +80,7 @@ class TestRepeatJobsShareDataplane:
         assert [f.body["state"] for f in finals] == ["SUCCEEDED"] * 3
 
         total_from_results = sum(f.body["result"]["total_energy_j"] for f in finals)
+        assert total_from_results > 0  # or the books below balance vacuously
         dirty_from_results = sum(
             f.body["result"]["total_dirty_energy_j"] for f in finals
         )

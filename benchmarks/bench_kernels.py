@@ -1,8 +1,9 @@
 """Kernel micro-benchmarks: reference vs numpy vs native tiers.
 
 Times the :mod:`repro.perf` kernels against the reference
-implementations they replaced — ragged-batch sketching, batched
-compositeKModes fit, packed-bitmap Apriori mining, the fast LZ77 coder and the batched WebGraph coder — asserting
+implementations they replaced — column-wise pivot hashing, ragged-batch
+sketching, code-space compositeKModes fit, packed-bitmap Apriori mining,
+the fast LZ77 coder and the batched WebGraph coder — asserting
 bit-identical outputs before reporting any number, and writes the
 measurements to ``benchmarks/results/BENCH_kernels.json``.
 
@@ -40,6 +41,7 @@ import numpy as np
 from repro.perf.native import runtime
 from repro.stratify.kmodes import CompositeKModes
 from repro.stratify.minhash import MinHasher
+from repro.stratify.pivots import pivot_ids, stable_pivot_id
 
 
 def _section(t_reference: float, t_numpy: float, t_native: float | None, **extra) -> dict:
@@ -52,6 +54,7 @@ def _section(t_reference: float, t_numpy: float, t_native: float | None, **extra
     }
 
 FULL = {
+    "pivot_triples": 350_000,
     "num_sets": 10_000,
     "pivots_per_set": (30, 70),
     "sketch_hashes": 48,
@@ -67,6 +70,7 @@ FULL = {
     "webgraph_degree": (10, 60),
 }
 SMOKE = {
+    "pivot_triples": 5_000,
     "num_sets": 400,
     "pivots_per_set": (30, 70),
     "sketch_hashes": 16,
@@ -116,6 +120,23 @@ def run_kernel_bench(cfg: dict) -> dict:
     native = runtime.numba_available()
     results: dict[str, dict] = {"config": dict(cfg), "native_available": native}
 
+    # -- pivot hashing: one mixer call per pivot vs whole columns ----------
+    # Label triples as the tree extractor hashes them, negative and
+    # 2**40-sized ids included; the text/graph shape is (ids, tag, tag).
+    ph_rng = np.random.default_rng(1)
+    triples = ph_rng.integers(-(1 << 40), 1 << 40, size=(3, cfg["pivot_triples"]))
+    columns = [col.tolist() for col in triples]
+    scalar = [stable_pivot_id(a, b, c) for a, b, c in zip(*columns)]
+    assert pivot_ids(*triples).tolist() == scalar, "pivot_ids diverged"
+    assert pivot_ids(triples[0], 2, 2).tolist() == [
+        stable_pivot_id(a, 2, 2) for a in columns[0]
+    ], "pivot_ids diverged on a tagged column"
+    t_reference = _best_of(
+        lambda: [stable_pivot_id(a, b, c) for a, b, c in zip(*columns)], repeats=1
+    )
+    t_batched = _best_of(lambda: pivot_ids(*columns))  # from lists, as extract_flat calls it
+    results["pivot_hash"] = _section(t_reference, t_batched, None)  # no native tier
+
     # -- sketch_all: ragged batch vs per-set loop --------------------------
     sets = _pivot_sets(cfg["num_sets"], cfg["pivots_per_set"], rng)
     hasher = MinHasher(num_hashes=cfg["sketch_hashes"], seed=0, kernel="numpy")
@@ -131,7 +152,7 @@ def run_kernel_bench(cfg: dict) -> dict:
         t_native = _best_of(lambda: nat_hasher.sketch_all(sets))
     results["sketch_all"] = _section(t_reference, t_batched, t_native)
 
-    # -- CompositeKModes.fit: batched kernels vs python loops --------------
+    # -- CompositeKModes.fit: code-space kernels vs python loops -----------
     km_rng = np.random.default_rng(2)
     km_sets = _clustered_sets(
         cfg["kmodes_rows"], cfg["kmodes_clusters"], cfg["pivots_per_set"], km_rng
@@ -157,7 +178,8 @@ def run_kernel_bench(cfg: dict) -> dict:
         )
         fit_n = km_native.fit(sketches)
         assert np.array_equal(fit_n.labels, fit_b.labels), "native kmodes diverged"
-        assert fit_n.cost == fit_b.cost
+        assert np.array_equal(fit_n.centers, fit_b.centers), "native kmodes centers diverged"
+        assert fit_n.cost == fit_b.cost and fit_n.iterations == fit_b.iterations
         t_native = _best_of(lambda: km_native.fit(sketches), repeats=2)
     results["kmodes_fit"] = _section(t_reference, t_batched, t_native, iterations=fit_b.iterations)
 
@@ -248,6 +270,7 @@ def run_kernel_bench(cfg: dict) -> dict:
 
 
 _KERNEL_SECTIONS = (
+    "pivot_hash",
     "sketch_all",
     "kmodes_fit",
     "apriori_mine",
@@ -302,9 +325,7 @@ def test_bench_kernels(benchmark):
         assert results[name]["bit_identical"]
         tiers = results[name]["tiers"]
         assert tiers["reference"] > 0 and tiers["numpy"] > 0
-        if results["native_available"] and name not in (
-                    "webgraph_compress",
-        ):
+        if results["native_available"] and name not in ("pivot_hash", "webgraph_compress"):
             assert tiers["native"] > 0
 
 

@@ -10,9 +10,9 @@ the stratifier modules call into:
 - :mod:`repro.perf.minhash_kernels` — ragged-batch MinHash sketching
   (one broadcasted multiply-add over all sets at once, per-set minima
   via ``np.minimum.reduceat``) and the ndarray element fast path.
-- :mod:`repro.perf.kmodes_kernels` — batched match-count matrices with
-  memory-aware row chunking and a sort/bincount-based top-L centre
-  update.
+- :mod:`repro.perf.kmodes_kernels` — compositeKModes in code space:
+  match counts from a membership-table gather with memory-aware row
+  chunking, and a two-sort top-L centre update.
 - :mod:`repro.perf.fpm_kernels` / :mod:`repro.perf.lz77_kernels` —
   packed-bitmap support counting and the precomputed-link LZ77 coder.
 - :mod:`repro.perf.native` — optional numba-compiled (``native``)
@@ -36,6 +36,7 @@ import cycles and are trivially testable.
 from repro.perf.kmodes_kernels import (
     factorize_columns,
     match_counts,
+    match_counts_coded,
     top_l_centers,
 )
 from repro.perf.minhash_kernels import (
@@ -53,6 +54,7 @@ __all__ = [
     "flatten_sets",
     "hash_elements",
     "match_counts",
+    "match_counts_coded",
     "sketch_batch",
     "top_l_centers",
 ]

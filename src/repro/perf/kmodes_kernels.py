@@ -1,27 +1,15 @@
 """Batched compositeKModes kernels.
 
-Two hot loops dominate the reference :class:`CompositeKModes`:
-
-- ``_match_counts`` builds a per-cluster ``(n, k, L)`` boolean
-  temporary and reduces it, looping over clusters in Python;
-- ``_update_centers`` runs ``collections.Counter`` over a Python list
-  for every (cluster, attribute) pair — ``K·k`` interpreter-speed
-  passes per iteration.
-
-The kernels here replace both with numpy-level batches while producing
-*bit-identical* results (asserted in ``tests/perf/``):
-
-- :func:`match_counts` compares a row block against all ``K·L`` centre
-  slots in one broadcasted equality, chunking rows so the largest
-  temporary stays under ``chunk_bytes`` — no per-cluster ``(n, k, L)``
-  allocations.
-- :func:`top_l_centers` factorises the sketch matrix per attribute once
-  (``np.unique`` codes), then recovers every cluster's per-attribute
-  value frequencies *and* first-occurrence positions from one
-  ``np.bincount`` + ``np.minimum.at`` over integer keys (stable argsort
-  when the key space is too large), ranking ties exactly like
-  ``Counter.most_common`` (count descending, first appearance in
-  member-row order ascending).
+The reference :class:`CompositeKModes` matches in a Python loop over
+clusters and updates with one ``collections.Counter`` per (cluster,
+attribute); these kernels do both in numpy batches, *bit-identically*
+(asserted in ``tests/perf/``). A sketch matrix never changes during a
+fit, so :func:`factorize_columns` turns it into dense codes once and
+the fit runs in that *code space*, centres carrying the codes of their
+values: :func:`match_counts_coded` answers every cell from a small
+membership table and :func:`top_l_centers` ranks values with two plain
+``int64`` sorts. :func:`match_counts` stays in value space for
+:meth:`CompositeKModes.assign`, whose rows are new and have no codes.
 """
 
 from __future__ import annotations
@@ -40,8 +28,7 @@ def match_counts(
 
     A row matches an attribute if its value appears anywhere in the
     centre's top-``L`` list. The ``(rows, K·L, k)`` equality block is
-    the only temporary; ``rows`` is sized so it stays below
-    ``chunk_bytes``.
+    the only temporary; ``rows`` keeps it below ``chunk_bytes``.
     """
     n, k = sketches.shape
     K, _, L = centers.shape
@@ -64,10 +51,8 @@ def factorize_columns(sketches: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
     Returns ``(codes, col_offsets, all_values)`` where
     ``codes[i, attr] + col_offsets[attr]`` is a globally unique id for
-    the value ``sketches[i, attr]`` and ``all_values`` maps that id back
-    to the value. Computed once per :meth:`fit`; the codes are what lets
-    :func:`top_l_centers` sort integer keys instead of raw ``uint64``
-    values.
+    the value ``sketches[i, attr]`` — one id names one (attribute,
+    value) pair — and ``all_values`` maps that id back to the value.
     """
     n, k = sketches.shape
     codes = np.empty((n, k), dtype=np.int64)
@@ -82,84 +67,99 @@ def factorize_columns(sketches: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return codes, col_offsets, all_values
 
 
+def match_counts_coded(
+    codes: np.ndarray,
+    col_offsets: np.ndarray,
+    center_codes: np.ndarray,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+) -> np.ndarray:
+    """:func:`match_counts` in code space.
+
+    ``center_codes`` is ``(K, k, L)`` global ids, ``-1`` for an unused
+    slot. An id names its attribute too, so a cell matches cluster ``c``
+    iff its id is among ``c``'s slots, and only ids held by some slot
+    can match: the table has one row per such id (row 0: the rest) and
+    one byte lane per cluster, eight lanes to a ``uint64`` word, so
+    summing words over ≤ 255 attributes adds every lane at once without
+    a carry. Temporaries are ``(rows, k)`` words, under ``chunk_bytes``.
+    """
+    n, k = codes.shape
+    K = center_codes.shape[0]
+    slots = center_codes.ravel()
+    live = np.flatnonzero(slots >= 0)
+    held, table_row_of_slot = np.unique(slots[live], return_inverse=True)
+    words = -(-K // 8)
+    table = np.zeros((held.size + 1, words * 8), dtype=np.uint8)
+    table[table_row_of_slot + 1, live // (slots.size // K)] = 1
+    lane_words = np.ascontiguousarray(table.view(np.uint64).T)
+    table_row = np.zeros(int(col_offsets[-1]), dtype=np.intp)
+    table_row[held] = np.arange(1, held.size + 1)
+    rows = max(1, chunk_bytes // max(1, 16 * k))
+    counts = np.zeros((n, K), dtype=np.int64)
+    for start in range(0, n, rows):
+        idx = np.take(table_row, codes[start : start + rows] + col_offsets[:-1])
+        lanes = np.empty((idx.shape[0], words), dtype=np.uint64)
+        for attr0 in range(0, k, 255):
+            block = idx[:, attr0 : attr0 + 255]
+            for w in range(words):
+                np.take(lane_words[w], block).sum(axis=1, out=lanes[:, w])
+            counts[start : start + rows] += lanes.view(np.uint8)[:, :K]
+    return counts
+
+
 def top_l_centers(
     codes: np.ndarray,
     col_offsets: np.ndarray,
     all_values: np.ndarray,
     labels: np.ndarray,
     old_centers: np.ndarray,
+    old_center_codes: np.ndarray,
     *,
     top_l: int,
     fill: np.uint64,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> np.ndarray:
-    """Recompute every cluster's top-``L`` centre lists in one pass.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every cluster's new top-``L`` lists, as ``(centers, center_codes)``.
 
-    Each cell becomes the integer key
-    ``label·C + col_offsets[attr] + code`` (``C`` = total distinct
-    values), so a (cluster, attribute, value) triple is one key. Value
-    frequencies are then one ``np.bincount`` over the keys, and
-    first-occurrence positions one ``np.minimum.at`` scatter of the row
-    indices (exact and order-independent — ``min`` is commutative).
-    When the key space would outgrow ``chunk_bytes`` the same
-    statistics come from a stable argsort of the keys instead (runs =
-    triples; a stable sort leaves ties in ascending row order, so the
-    first element of each run *is* the first occurrence).
-
-    Either way, surviving triples are ranked inside their (cluster,
-    attribute) group by count descending then first occurrence
-    ascending — ``Counter.most_common``'s exact order, since
-    ``heapq.nlargest`` is stable over ``Counter``'s first-come
-    insertion order — and ranks below ``top_l`` are written out.
-    Clusters with no members keep their stale centre, matching the
-    reference re-capture behaviour.
+    Sort one: a cell is the key ``(group, code, row)``, ``group =
+    label·k + attr``, packed into an ``int64`` in power-of-two radices.
+    Sorted, a run of equal ``(group, code)`` is one value of one
+    (cluster, attribute): its length the frequency, its first row the
+    first member holding it. Sort two: a run is the key ``(group,
+    n − count, first_row)`` — count descending, then first occurrence
+    ascending, which is ``Counter.most_common``'s order
+    (``heapq.nlargest`` is stable over first-come insertion order). The
+    value is whatever ``first_row`` holds in ``attr``. Memberless
+    clusters keep their stale centre, as in the reference. Keys beyond
+    ``int64`` raise instead of wrapping.
     """
     n, k = codes.shape
-    K, _, L = old_centers.shape
-    total_codes = int(col_offsets[-1])
-    num_keys = K * total_codes
-
+    K = old_centers.shape[0]
+    row_bits = max(1, (n - 1).bit_length())  # holds a row, and n − count
+    code_bits = int(np.diff(col_offsets).max(initial=1)).bit_length()
+    if (K * k) << max(code_bits + row_bits, 2 * row_bits) >= 1 << 63:
+        raise OverflowError(f"sort keys exceed int64: n={n}, k={k}, K={K}, {code_bits} code bits")
+    row_mask = (1 << row_bits) - 1
+    group_of_cell = labels[:, None] * np.int64(k) + np.arange(k, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)[:, None]
+    keys = ((group_of_cell << code_bits | codes) << row_bits | rows).ravel()
+    keys.sort()
+    # Neighbours start a new run iff they differ above the row bits.
+    starts = np.flatnonzero(np.r_[True, (keys[1:] ^ keys[:-1]) > row_mask])
+    first = keys[starts]
+    runs = first >> (code_bits + row_bits) << row_bits | (n - np.diff(starts, append=keys.size))
+    runs = runs << row_bits | (first & row_mask)
+    runs.sort()
+    group_starts = np.flatnonzero(np.r_[True, (runs[1:] ^ runs[:-1]) >> (2 * row_bits) > 0])
+    rank = np.arange(runs.size) - np.repeat(group_starts, np.diff(group_starts, append=runs.size))
+    keep = rank < top_l
+    top, rank = runs[keep], rank[keep]
+    cluster, attr = np.divmod(top >> (2 * row_bits), k)
+    ids = codes[top & row_mask, attr] + col_offsets[attr]
     new_centers = np.full_like(old_centers, fill)
-    keys = (
-        labels[:, None] * np.int64(total_codes) + (codes + col_offsets[:-1][None, :])
-    ).ravel()
-
-    if num_keys * 16 <= chunk_bytes:
-        # Dense path: one bincount + one minimum.at over the key space.
-        counts_per_key = np.bincount(keys, minlength=num_keys)
-        first_row = np.full(num_keys, n, dtype=np.int64)
-        np.minimum.at(first_row, keys, np.repeat(np.arange(n, dtype=np.int64), k))
-        run_keys = np.flatnonzero(counts_per_key)
-        run_counts = counts_per_key[run_keys]
-        first_pos = first_row[run_keys]
-    else:
-        # Sparse fallback: group keys by stable sort (row-major flat
-        # indices, so ties stay in ascending row order).
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        run_starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        run_counts = np.diff(np.r_[run_starts, sorted_keys.size])
-        run_keys = sorted_keys[run_starts]
-        first_pos = order[run_starts] // np.int64(k)
-
-    value_ids = run_keys % total_codes
-    run_labels = run_keys // total_codes
-    run_attrs = np.searchsorted(col_offsets, value_ids, side="right") - 1
-
-    # Rank runs inside each (cluster, attribute) group: count desc,
-    # then first occurrence asc.
-    group = run_labels * np.int64(k) + run_attrs
-    ranked = np.lexsort((first_pos, -run_counts, group))
-    group_sorted = group[ranked]
-    group_starts = np.flatnonzero(np.r_[True, group_sorted[1:] != group_sorted[:-1]])
-    rank_in_group = np.arange(group_sorted.size) - np.repeat(
-        group_starts, np.diff(np.r_[group_starts, group_sorted.size])
-    )
-    keep = rank_in_group < top_l
-    sel = ranked[keep]
-    new_centers[run_labels[sel], run_attrs[sel], rank_in_group[keep]] = all_values[value_ids[sel]]
-
+    new_codes = np.full_like(old_center_codes, -1)
+    new_centers[cluster, attr, rank] = all_values[ids]
+    new_codes[cluster, attr, rank] = ids
     empty = np.bincount(labels, minlength=K) == 0
-    if empty.any():
-        new_centers[empty] = old_centers[empty]
-    return new_centers
+    new_centers[empty] = old_centers[empty]
+    new_codes[empty] = old_center_codes[empty]
+    return new_centers, new_codes

@@ -40,14 +40,18 @@ def as_uint64_elements(items: Iterable[int]) -> np.ndarray:
     Integer ndarrays take a zero-copy (or single-cast) fast path;
     anything else goes through the reference per-element conversion.
     Negative elements are rejected rather than wrapped so the universe
-    bound check downstream stays meaningful.
+    bound check downstream stays meaningful — with the same
+    ``ValueError`` whichever container they arrive in.
     """
     if isinstance(items, np.ndarray) and np.issubdtype(items.dtype, np.integer):
         arr = items.ravel()
         if np.issubdtype(arr.dtype, np.signedinteger) and arr.size and int(arr.min()) < 0:
             raise ValueError("element outside the pivot universe")
         return arr.astype(np.uint64, copy=False)
-    return np.fromiter((int(v) for v in items), dtype=np.uint64)
+    try:
+        return np.fromiter((int(v) for v in items), dtype=np.uint64)
+    except OverflowError:  # negative, or beyond 64 bits
+        raise ValueError("element outside the pivot universe") from None
 
 
 def flatten_sets(sets: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:

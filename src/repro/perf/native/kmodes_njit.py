@@ -1,12 +1,14 @@
 """Compiled compositeKModes assignment (match counting).
 
-The numpy tier builds a chunked ``(rows, K·L)`` boolean equality
-temporary per block; the compiled loop needs none — it walks
-``(row, cluster, attribute)`` and breaks out of the inner top-``L``
-scan on the first hit, which is both the common case (L is 3) and
-exactly the reference semantics (``any`` over slots). Centre updates
-stay on the numpy ``top_l_centers`` kernel: they run once per
-iteration, not once per row, so compiling them buys nothing.
+The numpy tier's value-space matcher builds a chunked ``(rows, K·L)``
+boolean equality temporary per block; the compiled loop needs none —
+it walks ``(row, cluster, attribute)`` and breaks out of the inner
+top-``L`` scan on the first hit, which is both the common case (L is 3)
+and exactly the reference semantics (``any`` over slots). Centre
+updates stay on the numpy ``top_l_centers`` kernel (which also keeps
+the centres' codes the numpy tier matches on; this tier ignores them):
+they run once per iteration, not once per row, so compiling them buys
+nothing.
 """
 
 from __future__ import annotations

@@ -66,12 +66,13 @@ class DistributedStratifier:
             hasher = MinHasher(num_hashes=self.num_hashes, seed=self.seed)
             store = self.cluster.kv.store_for(node_id)
 
-            # Phase 1: pivot extraction (local).
-            pivot_sets = [extractor(items[i]) for i in indices]
+            # Phase 1: pivot extraction (local) — the centralised
+            # stratifier's own flat path, on this node's share.
+            flat, offsets = extractor.extract_flat([items[i] for i in indices])
             barrier.wait(party_id=node_id)
 
             # Phase 2: sketch generation, staged into the local store.
-            sketches = hasher.sketch_all(pivot_sets)
+            sketches = hasher.sketch_flat(flat, offsets)
             store.set(_SKETCH_KEY.format(node=node_id), sketches.tobytes())
             store.set(_INDEX_KEY.format(node=node_id), indices.tobytes())
             barrier.wait(party_id=node_id)
@@ -138,14 +139,4 @@ class DistributedStratifier:
         )
         result = kmodes.fit(gathered)
         self.phases_completed.append("clustering")
-
-        labels = result.labels
-        strata = [
-            np.flatnonzero(labels == s)
-            for s in range(result.num_clusters)
-            if np.any(labels == s)
-        ]
-        compact = np.empty(labels.size, dtype=np.int64)
-        for new_id, members in enumerate(strata):
-            compact[members] = new_id
-        return Stratification(labels=compact, strata=strata, kmodes=result)
+        return Stratification.from_kmodes(result)

@@ -11,10 +11,12 @@ assignment and the centre-update step never increase the total mismatch
 cost, so the cost is non-increasing and the algorithm terminates.
 
 The assign and centre-update steps run on the batched kernels in
-:mod:`repro.perf.kmodes_kernels` (chunked broadcast matching, a
-bincount/scatter-min top-L update). The original Python-loop
-implementations are kept behind ``kernel="reference"`` as the oracle
-the kernels are property-tested against — both paths are bit-identical.
+:mod:`repro.perf.kmodes_kernels`: ``fit`` factorises the sketch matrix
+into dense codes once and then matches (a membership-table gather) and
+updates (two integer sorts) in that code space, centres carrying their
+codes beside their values. The original Python-loop implementations
+are kept behind ``kernel="reference"`` as the oracle the kernels are
+property-tested against — both paths are bit-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perf.kmodes_kernels import factorize_columns, match_counts, top_l_centers
+from repro.perf.kmodes_kernels import (
+    factorize_columns,
+    match_counts,
+    match_counts_coded,
+    top_l_centers,
+)
 from repro.perf.minhash_kernels import DEFAULT_CHUNK_BYTES
 from repro.perf import autotune
 
@@ -85,14 +92,16 @@ class CompositeKModes:
         RNG seed for centre initialisation.
     kernel:
         Matching tier: ``"auto"`` (the fastest available tier, the
-        default), ``"numpy"`` for the chunked-broadcast kernels of
-        :mod:`repro.perf.kmodes_kernels`, ``"native"`` for
+        default), ``"numpy"`` for the batched kernels of
+        :mod:`repro.perf.kmodes_kernels` (code space in :meth:`fit`,
+        chunked broadcast in :meth:`assign`), ``"native"`` for
         the compiled matcher, or ``"reference"`` for the original
         Python-loop implementations. All tiers produce bit-identical
         labels, centres and cost.
     chunk_bytes:
-        Ceiling on the batched matcher's equality temporary; a pure
-        speed/memory knob.
+        Ceiling on the batched matchers' largest temporary (a row
+        block's gathered words in :meth:`fit`, its equality block in
+        :meth:`assign`); a pure speed/memory knob.
     """
 
     num_clusters: int = 8
@@ -199,44 +208,55 @@ class CompositeKModes:
         centers = np.full((K, k, self.top_l), _FILL, dtype=np.uint64)
         centers[:, :, 0] = sketches[chosen]
 
-        # Resolve the tier once per fit: the matcher dispatches on it,
-        # and centre updates run on the batched sort kernel for every
-        # non-reference tier (they execute once per iteration, not once
-        # per row — the native tier only compiles the matcher).
+        # Resolve the tier once per fit. Every non-reference tier
+        # factorises the sketch matrix once (it never changes across
+        # iterations) and updates centres with the two-sort kernel; the
+        # numpy tier also matches in that code space, the native tier
+        # with its compiled value-space matcher.
         tier = autotune.resolve_tier(self.kernel, kind="kmodes")
-
-        # The sketch matrix never changes across iterations, so the
-        # batched path factorises it once (per-attribute dense codes)
-        # and every centre update is a bincount/scatter-min over keys.
         if tier != "reference":
             codes, col_offsets, all_values = factorize_columns(sketches)
+            center_codes = np.full(centers.shape, -1, dtype=np.int64)
+            center_codes[:, :, 0] = codes[chosen] + col_offsets[:-1]
+
+        def match() -> np.ndarray:
+            """``(n, K)`` match counts against the current centres."""
+            if tier == "numpy":
+                return match_counts_coded(
+                    codes, col_offsets, center_codes, chunk_bytes=self.chunk_bytes
+                )
+            return self._match_counts(sketches, centers, tier)
 
         labels = np.full(n, -1, dtype=np.int64)
         converged = False
         iterations = 0
         for iterations in range(1, self.max_iter + 1):
-            counts = self._match_counts(sketches, centers, tier)
+            counts = match()
             new_labels = np.argmax(counts, axis=1).astype(np.int64)
             if np.array_equal(new_labels, labels):
                 converged = True
                 break
             labels = new_labels
             if tier != "reference":
-                centers = top_l_centers(
+                centers, center_codes = top_l_centers(
                     codes,
                     col_offsets,
                     all_values,
                     labels,
                     centers,
+                    center_codes,
                     top_l=self.top_l,
                     fill=_FILL,
-                    chunk_bytes=self.chunk_bytes,
                 )
             else:
                 centers = self._update_centers_reference(sketches, labels, centers)
 
-        final_counts = self._match_counts(sketches, centers, tier)
-        matched = final_counts[np.arange(n), labels]
+        # On convergence the last pass already matched the final centres
+        # (and reproduced the labels); out of rounds, its last act was
+        # an update, so match once more.
+        if not converged:
+            counts = match()
+        matched = counts[np.arange(n), labels]
         cost = float(np.sum(k - matched))
         return KModesResult(
             labels=labels,

@@ -145,21 +145,42 @@ class MinHasher:
     def sketch_all(self, sets: Sequence[Iterable[int]]) -> np.ndarray:
         """Sketch a dataset; returns an ``(n_items, k)`` uint64 matrix.
 
-        Dispatches on :attr:`kernel` via :mod:`repro.perf.autotune`:
-        the ragged-batch numpy kernel (flat concatenation, chunked
-        broadcasted hashing, ``np.minimum.reduceat``), the compiled
-        native scan, or the per-set reference. Every tier is
-        bit-identical to sketching each set with :meth:`sketch` (see
-        :meth:`sketch_all_reference`).
+        Flattens ``sets`` and sketches the ragged batch with
+        :meth:`sketch_flat`; bit-identical to sketching each set with
+        :meth:`sketch` (see :meth:`sketch_all_reference`).
         """
-        if len(sets) == 0:
+        return self.sketch_flat(*flatten_sets(sets))
+
+    def sketch_flat(self, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Sketch a ragged batch: set ``i`` is ``flat[offsets[i]:offsets[i + 1]]``.
+
+        The entry :meth:`sketch_all` and the stratifier share
+        (``PivotExtractor.extract_flat`` already returns this layout).
+        Dispatches on :attr:`kernel` via :mod:`repro.perf.autotune`:
+        the ragged-batch numpy kernel (chunked broadcasted hashing,
+        ``np.minimum.reduceat``), the compiled native scan, or the
+        per-set reference. Duplicate elements inside a set are allowed.
+        """
+        flat = as_uint64_elements(np.asarray(flat))
+        offsets = np.asarray(offsets, dtype=np.int64)
+        # The compiled tier indexes `flat` unchecked: bounds are settled here.
+        if (
+            offsets.ndim != 1
+            or offsets.size == 0
+            or offsets[0] != 0
+            or offsets[-1] != flat.size
+            or (np.diff(offsets) < 0).any()
+        ):
+            raise ValueError("offsets must rise from 0 to len(flat)")
+        if offsets.size == 1:
             return np.empty((0, self.num_hashes), dtype=np.uint64)
-        flat, offsets = flatten_sets(sets)
         if flat.size and int(flat.max()) >= UNIVERSE_SIZE:
             raise ValueError("element outside the pivot universe")
         tier = autotune.resolve_tier(self.kernel, kind="minhash")
         if tier == "reference":
-            return self.sketch_all_reference(sets)
+            return self.sketch_all_reference(
+                [flat[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+            )
         if tier == "native":
             from repro.perf.native.minhash_njit import sketch_all_native
 

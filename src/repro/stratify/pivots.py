@@ -11,19 +11,34 @@ clustering, partitioning) are domain independent.
 - **Graphs** use the adjacency list (neighbour set) of each vertex.
 - **Text** uses the set of token ids in each document.
 
-All extractors return sets of non-negative ``int`` pivot ids in a
-``2**32`` universe, produced by a deterministic (unsalted) mixer so runs
-are reproducible across processes.
+All extractors produce non-negative pivot ids in a ``2**32`` universe
+from a deterministic (unsalted) SplitMix64 mixer, so runs are
+reproducible across processes.
+
+The mixer exists twice, on purpose. :func:`stable_pivot_id` hashes one
+integer tuple in the interpreter and is the definition.
+:func:`pivot_ids` is the same function over whole columns — ``uint64``
+arrays wrap on overflow exactly where the scalar form masks with
+``2**64 - 1`` — and is what production runs:
+:meth:`PivotExtractor.extract_flat` flattens a dataset once, hashes
+every pivot of every item in one call and hands MinHash the ragged
+batch ``(flat, offsets)`` directly, so no per-pivot Python call and no
+per-item ``set`` is ever built (a min-wise hash ignores duplicates
+anyway). :func:`tree_pivots` (the tree-mining workload's per-record
+conversion) collects the same triples and hashes one tree per call. The
+per-item ``__call__`` / ``extract_all`` forms return sets and are the
+reference the tests hold ``extract_flat`` to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.stratify.prufer import depths_from_parents, lca, prufer_sequence
+from repro.stratify.prufer import _depths, _lca, _prufer, _validate_parent_array
 
 #: Size of the pivot universe; MinHash permutations operate modulo a
 #: prime just above this.
@@ -31,22 +46,89 @@ UNIVERSE_BITS = 32
 UNIVERSE_SIZE = 1 << UNIVERSE_BITS
 
 _MASK64 = (1 << 64) - 1
+_SEED = 0x51_7C_C1_B7_27_22_0A_95
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL_A = 0xBF58476D1CE4E5B9
+_MUL_B = 0x94D049BB133111EB
 
 
 def _mix64(x: int) -> int:
     """SplitMix64 finaliser — a deterministic, well-mixed 64-bit hash."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = (x + _GAMMA) & _MASK64
+    x = ((x ^ (x >> 30)) * _MUL_A) & _MASK64
+    x = ((x ^ (x >> 27)) * _MUL_B) & _MASK64
     return x ^ (x >> 31)
 
 
 def stable_pivot_id(*parts: int) -> int:
     """Deterministically hash an integer tuple into the pivot universe."""
-    acc = 0x51_7C_C1_B7_27_22_0A_95
+    acc = _SEED
     for part in parts:
         acc = _mix64(acc ^ _mix64(int(part)))
     return acc & (UNIVERSE_SIZE - 1)
+
+
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` over a ``uint64`` array (wrapping arithmetic)."""
+    x = x + np.uint64(_GAMMA)  # a fresh array: the in-place steps below own it
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MUL_A)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MUL_B)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _as_uint64_column(col) -> np.ndarray:
+    """One id column as a 1-D ``uint64`` array; signed values wrap to
+    their two's complement, which is what ``_mix64``'s mask does."""
+    arr = col if isinstance(col, np.ndarray) else np.asarray(col, dtype=np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(f"pivot id columns must be integers, got {arr.dtype}")
+    if np.issubdtype(arr.dtype, np.signedinteger):
+        arr = arr.astype(np.int64, copy=False).view(np.uint64)
+    return np.atleast_1d(arr.astype(np.uint64, copy=False))
+
+
+def pivot_ids(*columns) -> np.ndarray:
+    """:func:`stable_pivot_id` element-wise over integer columns.
+
+    ``pivot_ids(a, b, c)[i] == stable_pivot_id(a[i], b[i], c[i])`` for
+    every id that fits ``int64`` (or ``uint64``, in an unsigned array);
+    columns broadcast, so a scalar tags a whole column. Returns a
+    ``uint64`` array (at least 1-D).
+    """
+    acc = np.full(1, _SEED, dtype=np.uint64)
+    for col in columns:
+        acc = _mix64_array(acc ^ _mix64_array(_as_uint64_column(col)))
+    return acc & np.uint64(UNIVERSE_SIZE - 1)
+
+
+def _append_tree_triples(parent, labels, columns: tuple[list, list, list]) -> int:
+    """Append one tree's pivot label triples to ``columns``; returns
+    how many. The parent array is validated here, once."""
+    par_arr = _validate_parent_array(parent)
+    lab_arr = np.asarray(labels, dtype=np.int64)
+    if lab_arr.size != par_arr.size:
+        raise ValueError("labels and parent arrays must have equal length")
+    par, lab = par_arr.tolist(), lab_arr.tolist()
+    first, second, third = columns
+    before = len(first)
+    seq = _prufer(par)
+    if len(seq) >= 2:
+        depth = _depths(par)
+        for p, q in zip(seq, seq[1:]):
+            first.append(lab[_lca(par, depth, p, q)])
+            second.append(lab[p])
+            third.append(lab[q])
+    # Parent-child label pairs guarantee coverage of every edge's labels,
+    # and give small trees a non-empty representation.
+    for child, p in enumerate(par):
+        if p >= 0:
+            first.append(lab[p])
+            second.append(lab[child])
+            third.append(0)
+    return len(first) - before
 
 
 def tree_pivots(parent: Sequence[int], labels: Sequence[int]) -> set[int]:
@@ -57,26 +139,9 @@ def tree_pivots(parent: Sequence[int], labels: Sequence[int]) -> set[int]:
     universe; tiny trees (< 4 nodes) fall back to parent-child label
     pairs so no tree maps to the empty set.
     """
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    parent_arr = np.asarray(parent, dtype=np.int64)
-    if labels_arr.size != parent_arr.size:
-        raise ValueError("labels and parent arrays must have equal length")
-    seq = prufer_sequence(parent_arr)
-    pivots: set[int] = set()
-    if len(seq) >= 2:
-        depth = depths_from_parents(parent_arr)
-        for p, q in zip(seq, seq[1:]):
-            a = lca(parent_arr, depth, int(p), int(q))
-            pivots.add(
-                stable_pivot_id(labels_arr[a], labels_arr[p], labels_arr[q])
-            )
-    # Parent-child label pairs guarantee coverage of every edge's labels,
-    # and give small trees a non-empty representation.
-    for child in range(parent_arr.size):
-        par = int(parent_arr[child])
-        if par >= 0:
-            pivots.add(stable_pivot_id(labels_arr[par], labels_arr[child], 0))
-    return pivots
+    columns: tuple[list, list, list] = ([], [], [])
+    _append_tree_triples(parent, labels, columns)
+    return set(pivot_ids(*columns).tolist())
 
 
 def graph_pivots(neighbours: Iterable[int]) -> set[int]:
@@ -91,6 +156,10 @@ def graph_pivots(neighbours: Iterable[int]) -> set[int]:
 def text_pivots(tokens: Iterable[int]) -> set[int]:
     """Pivot set of one document: its token ids, hashed."""
     return {stable_pivot_id(int(t), 2, 2) for t in tokens}
+
+
+#: Domain tag hashed beside a raw graph / text id.
+_DOMAIN_TAG = {"graph": 1, "text": 2}
 
 
 @dataclass(frozen=True)
@@ -122,5 +191,35 @@ class PivotExtractor:
         return {int(x) for x in item}
 
     def extract_all(self, items: Iterable) -> list[set[int]]:
-        """Extract pivot sets for a whole dataset, preserving order."""
+        """Per-item pivot sets, preserving order — the reference form
+        of :meth:`extract_flat`."""
         return [self(item) for item in items]
+
+    def extract_flat(self, items: Iterable) -> tuple[np.ndarray, np.ndarray]:
+        """Pivots of a whole dataset as one ragged batch.
+
+        Returns ``(flat, offsets)``: item ``i``'s pivots are
+        ``flat[offsets[i]:offsets[i + 1]]``, equal *as a set* to
+        ``self(items[i])`` (duplicates are kept; MinHash ignores them).
+        ``flat`` is ``uint64`` pivot ids, except for ``"set"`` items,
+        which pass through unhashed as ``int64``.
+        """
+        offsets = [0]
+        if self.kind == "tree":
+            columns: tuple[list, list, list] = ([], [], [])
+            for parent, labels in items:
+                offsets.append(offsets[-1] + _append_tree_triples(parent, labels, columns))
+            return pivot_ids(*columns), np.array(offsets, dtype=np.int64)
+        sized = [it if hasattr(it, "__len__") else tuple(it) for it in items]
+        for it in sized:
+            offsets.append(offsets[-1] + len(it))
+        try:
+            raw = np.fromiter(
+                chain.from_iterable(sized), dtype=np.int64, count=offsets[-1]
+            )
+        except OverflowError:
+            raise ValueError(f"{self.kind} id does not fit int64") from None
+        if self.kind != "set":
+            tag = _DOMAIN_TAG[self.kind]
+            raw = pivot_ids(raw, tag, tag)
+        return raw, np.array(offsets, dtype=np.int64)

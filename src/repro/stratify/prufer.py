@@ -35,17 +35,54 @@ def _validate_parent_array(parent: Sequence[int]) -> np.ndarray:
     return arr
 
 
-def adjacency_from_parents(parent: Sequence[int]) -> list[list[int]]:
-    """Undirected adjacency lists of the tree defined by ``parent``."""
-    arr = _validate_parent_array(parent)
-    n = arr.size
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for child in range(n):
-        p = int(arr[child])
+def _adjacency(par: list[int]) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in par]
+    for child, p in enumerate(par):
         if p >= 0:
             adj[child].append(p)
             adj[p].append(child)
     return adj
+
+
+def adjacency_from_parents(parent: Sequence[int]) -> list[list[int]]:
+    """Undirected adjacency lists of the tree defined by ``parent``."""
+    return _adjacency(_validate_parent_array(parent).tolist())
+
+
+def _prufer(par: list[int]) -> list[int]:
+    """:func:`prufer_sequence` of an already validated parent list."""
+    n = len(par)
+    if n <= 2:
+        return []
+    # Cycle check: a valid parent array on n nodes with one root is always
+    # a tree (n-1 edges, connected via parent pointers to the root) unless
+    # a cycle exists among parent pointers; detect by walking up.
+    seen_root = [False] * n
+    for start in range(n):
+        path = []
+        v = start
+        while v != -1 and not seen_root[v]:
+            path.append(v)
+            if len(path) > n:
+                raise ValueError("cycle detected in parent array")
+            v = par[v]
+        for u in path:
+            seen_root[u] = True
+
+    # Live neighbours per node: a removed leaf is discarded from its
+    # neighbour's set, so a leaf's set holds exactly one node.
+    live = [set(a) for a in _adjacency(par)]
+    leaves = [i for i in range(n) if len(live[i]) == 1]
+    heapq.heapify(leaves)
+    seq: list[int] = []
+    for _ in range(n - 2):
+        leaf = heapq.heappop(leaves)
+        (nbr,) = live[leaf]
+        seq.append(nbr)
+        live[nbr].discard(leaf)
+        if len(live[nbr]) == 1:
+            heapq.heappush(leaves, nbr)
+    return seq
 
 
 def prufer_sequence(parent: Sequence[int]) -> list[int]:
@@ -60,42 +97,7 @@ def prufer_sequence(parent: Sequence[int]) -> list[int]:
     ValueError
         If ``parent`` does not describe a tree (cycle or disconnected).
     """
-    arr = _validate_parent_array(parent)
-    n = arr.size
-    if n <= 2:
-        return []
-    adj = adjacency_from_parents(arr)
-    degree = np.array([len(a) for a in adj], dtype=np.int64)
-    # Cycle check: a valid parent array on n nodes with one root is always
-    # a tree (n-1 edges, connected via parent pointers to the root) unless
-    # a cycle exists among parent pointers; detect by walking up.
-    seen_root = np.zeros(n, dtype=bool)
-    for start in range(n):
-        path = []
-        v = start
-        while v != -1 and not seen_root[v]:
-            path.append(v)
-            if len(path) > n:
-                raise ValueError("cycle detected in parent array")
-            v = int(arr[v])
-        for u in path:
-            seen_root[u] = True
-
-    neighbour_sets = [set(a) for a in adj]
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    removed = np.zeros(n, dtype=bool)
-    seq: list[int] = []
-    for _ in range(n - 2):
-        leaf = heapq.heappop(leaves)
-        removed[leaf] = True
-        (nbr,) = (u for u in neighbour_sets[leaf] if not removed[u])
-        seq.append(nbr)
-        neighbour_sets[nbr].discard(leaf)
-        degree[nbr] -= 1
-        if degree[nbr] == 1:
-            heapq.heappush(leaves, nbr)
-    return seq
+    return _prufer(_validate_parent_array(parent).tolist())
 
 
 def tree_from_prufer(seq: Sequence[int], n: int | None = None) -> list[int]:
@@ -146,33 +148,39 @@ def tree_from_prufer(seq: Sequence[int], n: int | None = None) -> list[int]:
     return parent
 
 
-def depths_from_parents(parent: Sequence[int]) -> np.ndarray:
-    """Depth of every node (root has depth 0)."""
-    arr = _validate_parent_array(parent)
-    n = arr.size
-    depth = np.full(n, -1, dtype=np.int64)
-    for start in range(n):
+def _depths(par: list[int]) -> list[int]:
+    """:func:`depths_from_parents` of an already validated parent list."""
+    depth = [-1] * len(par)
+    for start in range(len(par)):
         if depth[start] >= 0:
             continue
         path = []
         v = start
         while v != -1 and depth[v] < 0:
             path.append(v)
-            v = int(arr[v])
-        base = 0 if v == -1 else int(depth[v])
+            v = par[v]
+        base = -1 if v == -1 else depth[v]
         for offset, u in enumerate(reversed(path), start=1):
-            depth[u] = base + offset - (1 if v == -1 else 0)
+            depth[u] = base + offset
     return depth
+
+
+def depths_from_parents(parent: Sequence[int]) -> np.ndarray:
+    """Depth of every node (root has depth 0)."""
+    return np.array(_depths(_validate_parent_array(parent).tolist()), dtype=np.int64)
+
+
+def _lca(par, depth, p: int, q: int) -> int:
+    while depth[p] > depth[q]:
+        p = par[p]
+    while depth[q] > depth[p]:
+        q = par[q]
+    while p != q:
+        p = par[p]
+        q = par[q]
+    return p
 
 
 def lca(parent: Sequence[int], depth: np.ndarray, p: int, q: int) -> int:
     """Least common ancestor of ``p`` and ``q`` by depth-equalising walk."""
-    arr = np.asarray(parent, dtype=np.int64)
-    while depth[p] > depth[q]:
-        p = int(arr[p])
-    while depth[q] > depth[p]:
-        q = int(arr[q])
-    while p != q:
-        p = int(arr[p])
-        q = int(arr[q])
-    return p
+    return int(_lca(np.asarray(parent, dtype=np.int64), depth, p, q))

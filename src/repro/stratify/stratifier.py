@@ -43,6 +43,18 @@ class Stratification:
     strata: list[np.ndarray]
     kmodes: KModesResult | None = None
 
+    @classmethod
+    def from_kmodes(cls, result: KModesResult) -> "Stratification":
+        """Strata of a clustering: non-empty clusters in cluster-id
+        order, re-labelled compactly so stratum ids are dense."""
+        labels = result.labels
+        clusters = (np.flatnonzero(labels == s) for s in range(result.num_clusters))
+        strata = [members for members in clusters if members.size]
+        compact = np.empty(labels.size, dtype=np.int64)
+        for new_id, members in enumerate(strata):
+            compact[members] = new_id
+        return cls(labels=compact, strata=strata, kmodes=result)
+
     @property
     def num_items(self) -> int:
         return int(self.labels.size)
@@ -130,9 +142,8 @@ class Stratifier:
         with obs.span(
             "stage.sketch", items=len(items), kind=self.kind, num_hashes=self.num_hashes
         ):
-            pivot_sets = self._extractor.extract_all(items)
             hasher = MinHasher(num_hashes=self.num_hashes, seed=self.seed)
-            return hasher.sketch_all(pivot_sets)
+            return hasher.sketch_flat(*self._extractor.extract_flat(items))
 
     def assign_new(
         self, stratification: Stratification, new_items: Sequence
@@ -191,16 +202,6 @@ class Stratifier:
                 max_iter=self.max_iter,
                 seed=self.seed + 1,
             )
-            result = kmodes.fit(sketches)
-            labels = result.labels
-            strata = [
-                np.flatnonzero(labels == s)
-                for s in range(result.num_clusters)
-                if np.any(labels == s)
-            ]
-            # Re-label compactly so stratum ids are dense.
-            compact = np.empty(labels.size, dtype=np.int64)
-            for new_id, members in enumerate(strata):
-                compact[members] = new_id
-            sp.set_attr("strata", len(strata))
-            return Stratification(labels=compact, strata=strata, kmodes=result)
+            stratification = Stratification.from_kmodes(kmodes.fit(sketches))
+            sp.set_attr("strata", stratification.num_strata)
+            return stratification

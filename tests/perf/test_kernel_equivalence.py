@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.perf.kmodes_kernels import factorize_columns, top_l_centers
+from repro.perf.kmodes_kernels import factorize_columns, match_counts_coded, top_l_centers
 from repro.perf.minhash_kernels import as_uint64_elements, flatten_sets
 from repro.stratify.kmodes import _FILL, CompositeKModes
 from repro.stratify.minhash import EMPTY_SLOT, MinHasher
@@ -151,23 +151,80 @@ class TestKModesEquivalence:
         assert batched.iterations == reference.iterations
         assert batched.converged == reference.converged
 
-    @given(matrix_strategy)
-    @settings(max_examples=25, deadline=None)
-    def test_top_l_dense_and_sparse_paths_agree(self, spec):
+    @given(matrix_strategy, st.integers(min_value=1, max_value=7), st.sampled_from([1, 64, 1 << 23]))
+    @settings(max_examples=40, deadline=None)
+    def test_code_space_kernels_match_the_python_oracles(self, spec, num_clusters, chunk_bytes):
+        # One step of fit, driven by hand: random labels (ties, and with
+        # 7 clusters over few rows, empty clusters and n < K), stale
+        # centres to keep, then a match against the updated centres.
+        # chunk_bytes=1 is one row per block; 64 a handful.
         n, k, card, seed = spec
         data = _low_card_matrix(n, k, card, seed)
-        codes, col_offsets, all_values = factorize_columns(data)
         rng = np.random.default_rng(seed)
-        labels = rng.integers(0, 4, size=n).astype(np.int64)
-        old = np.full((4, k, 3), _FILL, dtype=np.uint64)
-        # chunk_bytes=1 forces the argsort fallback; 1 GiB the bincount path.
-        dense = top_l_centers(
-            codes, col_offsets, all_values, labels, old, top_l=3, fill=_FILL, chunk_bytes=1 << 30
+        if seed % 3 == 0:
+            data[rng.integers(0, n)] = EMPTY_SLOT  # an empty set's sketch row
+        top_l = 1 + seed % 3
+        oracle = CompositeKModes(num_clusters=num_clusters, top_l=top_l, kernel="reference")
+        codes, col_offsets, all_values = factorize_columns(data)
+        labels = rng.integers(0, num_clusters, size=n).astype(np.int64)
+        stale = np.full((num_clusters, k, top_l), _FILL, dtype=np.uint64)
+        stale_codes = np.full(stale.shape, -1, dtype=np.int64)
+        seed_rows = rng.integers(0, n, size=num_clusters)
+        stale[:, :, 0] = data[seed_rows]
+        stale_codes[:, :, 0] = codes[seed_rows] + col_offsets[:-1]
+
+        centers, center_codes = top_l_centers(
+            codes, col_offsets, all_values, labels, stale, stale_codes, top_l=top_l, fill=_FILL
         )
-        sparse = top_l_centers(
-            codes, col_offsets, all_values, labels, old, top_l=3, fill=_FILL, chunk_bytes=1
-        )
-        assert np.array_equal(dense, sparse)
+        assert np.array_equal(centers, oracle._update_centers_reference(data, labels, stale))
+        # The code array is the value array, slot for slot.
+        assert np.array_equal(center_codes >= 0, centers != _FILL)
+        assert np.array_equal(all_values[center_codes[center_codes >= 0]], centers[centers != _FILL])
+
+        got = match_counts_coded(codes, col_offsets, center_codes, chunk_bytes=chunk_bytes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle._match_counts_reference(data, centers))
+
+    def test_matcher_sums_more_than_255_attributes(self):
+        # Byte lanes hold at most 255, so attributes are summed in slabs.
+        data = _low_card_matrix(9, 600, 2, seed=4)
+        codes, col_offsets, _ = factorize_columns(data)
+        centers = np.full((3, 600, 2), _FILL, dtype=np.uint64)
+        centers[:, :, 0] = data[:3]
+        center_codes = np.full(centers.shape, -1, dtype=np.int64)
+        center_codes[:, :, 0] = codes[:3] + col_offsets[:-1]
+        got = match_counts_coded(codes, col_offsets, center_codes)
+        assert np.array_equal(got, CompositeKModes()._match_counts_reference(data, centers))
+        assert got.max() == 600
+
+    def test_top_l_raises_rather_than_wrap_int64(self):
+        # Two rows, one attribute — and a claimed cardinality of 2**61,
+        # which with the row and group bits no longer fits a sort key.
+        codes = np.zeros((2, 1), dtype=np.int64)
+        col_offsets = np.array([0, 1 << 61], dtype=np.int64)
+        old = np.full((2, 1, 1), _FILL, dtype=np.uint64)
+        with pytest.raises(OverflowError, match="int64"):
+            top_l_centers(
+                codes,
+                col_offsets,
+                np.zeros(1, dtype=np.uint64),
+                np.zeros(2, dtype=np.int64),
+                old,
+                np.full(old.shape, -1, dtype=np.int64),
+                top_l=1,
+                fill=_FILL,
+            )
+
+    def test_unconverged_fit_costs_the_final_centres(self):
+        # Out of rounds, fit's last act was an update: the cost must be
+        # that of the returned centres, not of the ones matched before.
+        data = _low_card_matrix(120, 6, 5, seed=2)
+        for kernel in ("numpy", "reference"):
+            km = CompositeKModes(num_clusters=6, top_l=2, seed=3, max_iter=1, kernel=kernel)
+            result = km.fit(data)
+            assert not result.converged and result.iterations == 1
+            counts = km._match_counts_reference(data, result.centers)
+            assert result.cost == float(np.sum(6 - counts[np.arange(120), result.labels]))
 
     def test_assign_matches_reference(self):
         data = _low_card_matrix(80, 5, 4, seed=9)

@@ -70,6 +70,52 @@ class TestSketching:
         with pytest.raises(ValueError):
             MinHasher(8).sketch({2**32})
 
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            pytest.param(container([bad, 2]), id=f"{container.__name__}{bad}")
+            for bad in (-1, 2**32, 2**64)
+            for container in (set, list, tuple)
+        ]
+        + [
+            pytest.param(np.array([-1, 2], dtype=np.int64), id="int64-1"),
+            pytest.param(np.array([2**32, 2], dtype=np.int64), id="int64-2**32"),
+            pytest.param(np.array([2**64, 2], dtype=object), id="object-2**64"),
+        ],
+    )
+    def test_same_error_whatever_the_container(self, elements):
+        # Used to depend on the container: a set with -1 died with a
+        # bare OverflowError from np.fromiter, an ndarray with ValueError.
+        h = MinHasher(4)
+        for call in (
+            lambda: h.sketch(elements),
+            lambda: h.sketch_all([{1}, elements]),
+            lambda: h.sketch_all_reference([{1}, elements]),
+        ):
+            with pytest.raises(ValueError, match="outside the pivot universe"):
+                call()
+
+    @pytest.mark.parametrize("bad", [-1, 2**32])
+    def test_sketch_flat_checks_the_universe(self, bad):
+        flat = np.array([1, bad, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="outside the pivot universe"):
+            MinHasher(4).sketch_flat(flat, np.array([0, 1, 3]))
+
+    @pytest.mark.parametrize("offsets", [[], [1, 3], [0, 2], [0, 4], [0, 2, 1, 3], [[0, 3]]])
+    def test_sketch_flat_rejects_offsets_that_do_not_tile_flat(self, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            MinHasher(4).sketch_flat(np.array([1, 2, 3]), np.array(offsets, dtype=np.int64))
+
+    def test_sketch_flat_is_sketch_all(self):
+        h = MinHasher(8, seed=2)
+        sets = [{1, 2}, set(), {3}, {2**32 - 1, 0}]
+        # Signed or unsigned, duplicates or not: the same sketches.
+        flat = np.array([2, 1, 1, 3, 0, 2**32 - 1, 0], dtype=np.int64)
+        offsets = np.array([0, 3, 3, 4, 7])
+        for arr in (flat, flat.astype(np.uint64)):
+            assert np.array_equal(h.sketch_flat(arr, offsets), h.sketch_all_reference(sets))
+        assert h.sketch_flat(flat[:0], offsets[:1]).shape == (0, 8)
+
     def test_invalid_num_hashes(self):
         with pytest.raises(ValueError):
             MinHasher(0)

@@ -1,15 +1,24 @@
 """Unit tests for domain-specific pivot extraction."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.stratify.minhash import MinHasher
 from repro.stratify.pivots import (
     UNIVERSE_SIZE,
     PivotExtractor,
     graph_pivots,
+    pivot_ids,
     stable_pivot_id,
     text_pivots,
     tree_pivots,
 )
+from repro.stratify.prufer import depths_from_parents, lca, prufer_sequence, tree_from_prufer
+from repro.stratify.stratifier import Stratifier
+
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
 class TestStableHash:
@@ -94,3 +103,123 @@ class TestPivotExtractor:
         docs = [[1], [2], [3]]
         out = ex.extract_all(docs)
         assert out == [text_pivots(d) for d in docs]
+
+
+class TestPivotIdsIsStablePivotId:
+    """The array mixer is the scalar mixer, element for element."""
+
+    @given(st.lists(st.tuples(int64s, int64s, int64s), max_size=20), int64s)
+    @example([(-(2**63), -1, 2**63 - 1), (0, 0, 0)], -1)
+    @settings(max_examples=100, deadline=None)
+    def test_columns_and_broadcast_scalars(self, rows, tag):
+        a, b, c = ([r[i] for r in rows] for i in range(3))
+        assert pivot_ids(a, b, c).tolist() == [stable_pivot_id(*r) for r in rows]
+        # A scalar column tags every row; arity follows the call.
+        assert pivot_ids(a, tag, b).tolist() == [stable_pivot_id(x, tag, y) for x, y in zip(a, b)]
+        assert pivot_ids(a).tolist() == [stable_pivot_id(x) for x in a]
+
+    def test_unsigned_arrays_reach_the_top_of_uint64(self):
+        big = np.array([2**64 - 1, 2**63], dtype=np.uint64)
+        assert pivot_ids(big, 1).tolist() == [stable_pivot_id(int(v), 1) for v in big]
+
+    def test_narrow_and_strided_columns(self):
+        col = np.arange(-6, 6, dtype=np.int16)[::2]
+        assert pivot_ids(col, 7).tolist() == [stable_pivot_id(int(v), 7) for v in col]
+
+    def test_non_integer_column_rejected(self):
+        with pytest.raises(TypeError):
+            pivot_ids(np.array([1.5]))
+
+
+def _tree_pivots_by_definition(parent, labels):
+    """The paper's tree pivots from the public pieces, one at a time."""
+    seq = prufer_sequence(parent)
+    pivots = set()
+    if len(seq) >= 2:
+        depth = depths_from_parents(parent)
+        for p, q in zip(seq, seq[1:]):
+            a = lca(parent, depth, p, q)
+            pivots.add(stable_pivot_id(labels[a], labels[p], labels[q]))
+    for child, par in enumerate(parent):
+        if par >= 0:
+            pivots.add(stable_pivot_id(labels[par], labels[child], 0))
+    return pivots
+
+
+#: One-node, two-node, three-node (empty LCA part), a star, a path and
+#: a bushy tree with repeated and negative labels.
+TREES = [
+    ([-1], [4]),
+    ([-1, 0], [1, 2]),
+    ([1, -1, 1], [5, 9, 5]),
+    ([-1, 0, 0, 0, 0], [3, 3, 3, 3, 3]),
+    ([1, 2, 3, 4, -1], [1, 2, 3, 4, 5]),
+    ([-1, 0, 0, 1, 1, 2, 2, 3], [7, -2, 7, 4, 4, 6, 2**40, 0]),
+]
+
+#: Per kind: empty items, duplicates inside an item, repeated items.
+ITEMS = {
+    "tree": TREES,
+    "graph": [[1, 1, 2], [], [5], [2, 1], [-3, 2**62]],
+    "text": [[9], [3, 4, 3, 3], [], []],
+    "set": [{1, 2}, set(), [7, 7, 2**32 - 1], (0,)],
+}
+
+
+class TestTreePivotsByDefinition:
+    @pytest.mark.parametrize("parent,labels", TREES)
+    def test_handpicked(self, parent, labels):
+        assert tree_pivots(parent, labels) == _tree_pivots_by_definition(parent, labels)
+
+    @given(st.lists(st.integers(min_value=0, max_value=11), min_size=0, max_size=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_trees(self, seq, data):
+        n = len(seq) + 2
+        parent = tree_from_prufer([s % n for s in seq], n)
+        labels = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        assert tree_pivots(parent, labels) == _tree_pivots_by_definition(parent, labels)
+
+    def test_malformed_tree_rejected_once_for_all_paths(self):
+        for bad in ([-1, 2, 3, 1], [-1, -1, 0], [1, 0], []):
+            with pytest.raises(ValueError):
+                tree_pivots(bad, [0] * len(bad))
+            with pytest.raises(ValueError):
+                PivotExtractor("tree").extract_flat([(bad, [0] * len(bad))])
+
+
+class TestExtractFlat:
+    @pytest.mark.parametrize("kind", sorted(ITEMS))
+    def test_slices_equal_per_item_sets(self, kind):
+        extractor = PivotExtractor(kind)
+        flat, offsets = extractor.extract_flat(ITEMS[kind])
+        assert offsets.dtype == np.int64 and offsets[0] == 0 and offsets[-1] == flat.size
+        got = [set(flat[lo:hi].tolist()) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        assert got == extractor.extract_all(ITEMS[kind])
+
+    @pytest.mark.parametrize("kind", sorted(ITEMS))
+    def test_no_items(self, kind):
+        flat, offsets = PivotExtractor(kind).extract_flat([])
+        assert flat.size == 0 and offsets.tolist() == [0]
+
+    @pytest.mark.parametrize("kind", sorted(ITEMS))
+    def test_stratifier_sketch_equals_the_per_item_reference(self, kind):
+        items = ITEMS[kind] * 3
+        hasher = MinHasher(num_hashes=12, seed=5)
+        sets = PivotExtractor(kind).extract_all(items)
+        got = Stratifier(kind=kind, num_hashes=12, seed=5).sketch(items)
+        assert np.array_equal(got, hasher.sketch_all(sets))
+        assert np.array_equal(got, hasher.sketch_all_reference(sets))
+
+    def test_unsized_items_are_materialised(self):
+        flat, offsets = PivotExtractor("graph").extract_flat([iter([1, 2]), iter([])])
+        assert offsets.tolist() == [0, 2, 2]
+        assert set(flat.tolist()) == graph_pivots([1, 2])
+
+    @pytest.mark.parametrize("kind", ["graph", "text"])
+    def test_id_beyond_int64_is_a_value_error(self, kind):
+        with pytest.raises(ValueError, match="int64"):
+            PivotExtractor(kind).extract_flat([[1], [2**63]])
+
+    def test_negative_ids_wrap_like_the_scalar_mixer(self):
+        flat, _ = PivotExtractor("graph").extract_flat([[-1, -(2**63)]])
+        assert flat.tolist() == [stable_pivot_id(-1, 1, 1), stable_pivot_id(-(2**63), 1, 1)]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.text import CorpusConfig, generate_corpus
+from repro.stratify.kmodes import KModesResult
 from repro.stratify.stratifier import Stratification, Stratifier
 
 
@@ -117,3 +118,19 @@ class TestOrdering:
         # Stratum ids along the ordering never revisit an earlier id.
         changes = (np.diff(seen) != 0).sum()
         assert changes == stratification.num_strata - 1
+
+
+class TestFromKModes:
+    def test_empty_clusters_are_skipped_and_ids_stay_dense(self):
+        # Clusters 0 and 2 of four have no members.
+        result = KModesResult(
+            labels=np.array([3, 1, 3, 1, 1]),
+            centers=np.zeros((4, 2, 1), dtype=np.uint64),
+            cost=0.0,
+            iterations=1,
+            converged=True,
+        )
+        strat = Stratification.from_kmodes(result)
+        assert strat.labels.tolist() == [1, 0, 1, 0, 0]
+        assert [s.tolist() for s in strat.strata] == [[1, 3, 4], [0, 2]]
+        assert strat.kmodes is result

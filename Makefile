@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test lint lint-runtime bench bench-kernels bench-e2e bench-e2e-record obs-smoke serve examples results clean
+.PHONY: install test lint lint-runtime bench results-check bench-kernels bench-e2e bench-e2e-record obs-smoke serve examples results clean
 
 install:
 	python setup.py develop
@@ -22,6 +22,13 @@ lint-runtime:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The committed paper artefacts regenerate byte for byte: the seven
+# figure/table benches and the ten ablations are deterministic, so any
+# diff under benchmarks/results/ is a behaviour change.
+results-check:
+	PYTHONPATH=src python -m pytest -q benchmarks/bench_fig*.py benchmarks/bench_table*.py benchmarks/bench_ablation_*.py --benchmark-only
+	git diff --exit-code benchmarks/results/
 
 # Per-tier kernel timings (asserts bit-identity first); the record
 # docs/performance.md cites is benchmarks/results/BENCH_kernels.json.

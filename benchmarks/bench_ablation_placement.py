@@ -12,17 +12,12 @@ from conftest import run_once, save_result
 from repro.bench.harness import StrategyRunner
 from repro.bench.reporting import format_table
 from repro.core.strategies import RANDOM, ROUND_ROBIN, STRATIFIED
-from repro.workloads.compression.distributed import CompressionWorkload
-from repro.workloads.fpm.apriori import AprioriWorkload
+from repro.data.datasets import load_dataset
 
 
 def _run():
-    mining = StrategyRunner.from_name(
-        "rcv1", lambda: AprioriWorkload(min_support=0.1, max_len=3)
-    )
-    compression = StrategyRunner.from_name(
-        "uk", lambda: CompressionWorkload("webgraph"), unit_rate=5e3
-    )
+    mining = StrategyRunner.for_workload(load_dataset("rcv1"), "apriori", 0.1)
+    compression = StrategyRunner.for_workload(load_dataset("uk"), "webgraph")
     rows = []
     for strategy in (STRATIFIED, RANDOM, ROUND_ROBIN):
         rows.append(mining.row(strategy, 8))

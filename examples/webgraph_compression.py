@@ -12,10 +12,10 @@ sizing then buys runtime on top for free.
 Run:  python examples/webgraph_compression.py
 """
 
-from repro import HET_AWARE, RANDOM, STRATIFIED, het_energy_aware, load_dataset
+from repro import RANDOM, load_dataset
 from repro.bench.harness import StrategyRunner
-from repro.core.strategies import ALPHA_COMPRESSION
-from repro.workloads.compression import CompressionWorkload, WebGraphCodec
+from repro.workloads.catalog import paper_strategies
+from repro.workloads.compression import WebGraphCodec
 
 
 def codec_demo(items) -> None:
@@ -37,15 +37,11 @@ def main() -> None:
     )
     codec_demo(dataset.items)
 
-    runner = StrategyRunner.from_name(
-        "uk", lambda: CompressionWorkload("webgraph"), unit_rate=5e3
-    )
-    strategies = [
-        STRATIFIED.with_placement("similar"),
-        HET_AWARE.with_placement("similar"),
-        het_energy_aware(ALPHA_COMPRESSION).with_placement("similar"),
-        RANDOM,  # naive placement baseline: same sizes, scattered content
-    ]
+    runner = StrategyRunner.for_workload(dataset, "webgraph")
+    # The paper's three schemes at the catalogue's placement (similar-
+    # together) and α, plus a naive placement baseline: same sizes,
+    # scattered content.
+    strategies = paper_strategies("webgraph") + [RANDOM]
     print(f"\n{'strategy':<22}{'makespan':>10}{'dirty kJ':>10}{'ratio':>8}")
     for strategy in strategies:
         report = runner.run(strategy, 8)

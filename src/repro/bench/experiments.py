@@ -18,18 +18,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.bench.harness import ExperimentRow, StrategyRunner
-from repro.core.strategies import (
-    ALPHA_COMPRESSION,
-    ALPHA_FPM,
-    HET_AWARE,
-    STRATIFIED,
-    Strategy,
-    het_energy_aware,
-)
+from repro.core.strategies import at_alpha
 from repro.data.datasets import DATASET_NAMES, dataset_summary, load_dataset
-from repro.workloads.compression.distributed import CompressionWorkload
-from repro.workloads.fpm.apriori import AprioriWorkload
-from repro.workloads.fpm.treemining import TreeMiningWorkload
+from repro.workloads.catalog import WORKLOADS, paper_strategies
 
 #: Partition counts the paper's figures report.
 PAPER_PARTITION_COUNTS: tuple[int, ...] = (4, 8, 16)
@@ -59,16 +50,30 @@ class FrontierSeries:
         return any(m <= bm and e <= be and (m < bm or e < be) for _, m, e in self.points)
 
 
-def _mining_strategies() -> list[Strategy]:
-    return [STRATIFIED, HET_AWARE, het_energy_aware(ALPHA_FPM)]
+def _runner(
+    dataset: str, workload: str, support: float | None, size_scale: float, seed: int
+) -> StrategyRunner:
+    return StrategyRunner.for_workload(
+        load_dataset(dataset, size_scale=size_scale), workload, support, seed=seed
+    )
 
 
-def _compression_strategies() -> list[Strategy]:
-    return [
-        STRATIFIED.with_placement("similar"),
-        HET_AWARE.with_placement("similar"),
-        het_energy_aware(ALPHA_COMPRESSION).with_placement("similar"),
-    ]
+def _compare(
+    datasets: Sequence[str],
+    workload: str,
+    partition_counts: Sequence[int],
+    *,
+    support: float | None = None,
+    size_scale: float,
+    seed: int,
+) -> list[ExperimentRow]:
+    """The paper's three strategies for one workload on each dataset
+    (``support`` for the miners only)."""
+    rows: list[ExperimentRow] = []
+    for name in datasets:
+        runner = _runner(name, workload, support, size_scale, seed)
+        rows.extend(runner.compare(paper_strategies(workload), partition_counts))
+    return rows
 
 
 # -- Table I ---------------------------------------------------------------
@@ -94,16 +99,10 @@ def fig2_tree_mining(
 ) -> list[ExperimentRow]:
     """Fig. 2: frequent tree mining time + dirty energy on the two tree
     datasets, three strategies, per partition count."""
-    rows: list[ExperimentRow] = []
-    for name in ("swissprot", "treebank"):
-        runner = StrategyRunner.from_name(
-            name,
-            lambda: TreeMiningWorkload(min_support=support, max_len=2),
-            size_scale=size_scale,
-            seed=seed,
-        )
-        rows.extend(runner.compare(_mining_strategies(), partition_counts))
-    return rows
+    return _compare(
+        ("swissprot", "treebank"), "treemining", partition_counts,
+        support=support, size_scale=size_scale, seed=seed,
+    )
 
 
 def fig3_text_mining(
@@ -114,13 +113,10 @@ def fig3_text_mining(
     seed: int = 0,
 ) -> list[ExperimentRow]:
     """Fig. 3: Apriori on the RCV1 analog, three strategies."""
-    runner = StrategyRunner.from_name(
-        "rcv1",
-        lambda: AprioriWorkload(min_support=support, max_len=3),
-        size_scale=size_scale,
-        seed=seed,
+    return _compare(
+        ("rcv1",), "apriori", partition_counts,
+        support=support, size_scale=size_scale, seed=seed,
     )
-    return runner.compare(_mining_strategies(), partition_counts)
 
 
 # -- Figure 4 and Tables II/III: compression ---------------------------------
@@ -134,17 +130,10 @@ def fig4_graph_compression(
 ) -> list[ExperimentRow]:
     """Fig. 4: WebGraph compression time, dirty energy and compression
     ratio on the two webgraphs, three strategies."""
-    rows: list[ExperimentRow] = []
-    for name in ("uk", "arabic"):
-        runner = StrategyRunner.from_name(
-            name,
-            lambda: CompressionWorkload("webgraph"),
-            size_scale=size_scale,
-            seed=seed,
-            unit_rate=5e3,
-        )
-        rows.extend(runner.compare(_compression_strategies(), partition_counts))
-    return rows
+    return _compare(
+        ("uk", "arabic"), "webgraph", partition_counts,
+        size_scale=size_scale, seed=seed,
+    )
 
 
 def table2_3_lz77(
@@ -155,44 +144,36 @@ def table2_3_lz77(
 ) -> list[ExperimentRow]:
     """Tables II/III: LZ77 on UK and Arabic, 8 partitions — execution
     time and compression ratio per strategy."""
-    rows: list[ExperimentRow] = []
-    for name in ("uk", "arabic"):
-        runner = StrategyRunner.from_name(
-            name,
-            lambda: CompressionWorkload("lz77", max_chain=8),
-            size_scale=size_scale,
-            seed=seed,
-            unit_rate=2e4,
-        )
-        rows.extend(runner.compare(_compression_strategies(), [partitions]))
-    return rows
+    return _compare(
+        ("uk", "arabic"), "lz77", [partitions], size_scale=size_scale, seed=seed
+    )
 
 
 # -- Figures 5 and 6: Pareto frontiers ---------------------------------------
 
 
-def _sweep(
+def frontier_series(
     runner: StrategyRunner,
+    workload: str,
     label: str,
     *,
     partitions: int = 8,
     alphas: Sequence[float] = FRONTIER_ALPHAS,
-    placement: str = "representative",
 ) -> FrontierSeries:
-    """Measure the α sweep and the stratified baseline for one setup."""
-    points: list[tuple[float, float, float]] = []
-    for alpha in alphas:
-        report = runner.run(
-            Strategy(name=f"alpha={alpha}", alpha=alpha, placement=placement),
-            partitions,
-        )
-        points.append(
-            (alpha, report.makespan_s, report.total_dirty_energy_j / 1e3)
-        )
-    base = runner.run(STRATIFIED.with_placement(placement), partitions)
+    """Measure the α sweep and the stratified baseline for one catalogue
+    workload, at that workload's placement."""
+    placement = WORKLOADS[workload].placement
+    pp, prep = runner.prepared_for(partitions)
+    sweep = pp.measure_frontier(
+        runner.dataset.items, runner.workload_factory(), alphas, placement, prep
+    )
+    base = runner.run(at_alpha(None, placement), partitions)
     return FrontierSeries(
         label=label,
-        points=points,
+        points=[
+            (alpha, report.makespan_s, report.total_dirty_energy_j / 1e3)
+            for alpha, report in sweep
+        ],
         baseline=(base.makespan_s, base.total_dirty_energy_j / 1e3),
         meta={"partitions": partitions},
     )
@@ -207,49 +188,20 @@ def fig5_pareto_frontiers(
 ) -> list[FrontierSeries]:
     """Fig. 5: measured time–energy frontiers for the tree, text and
     graph workloads at 8 partitions, baseline plotted alongside."""
-    series = []
-    series.append(
-        _sweep(
-            StrategyRunner.from_name(
-                "swissprot",
-                lambda: TreeMiningWorkload(min_support=TREE_SUPPORT, max_len=2),
-                size_scale=size_scale,
-                seed=seed,
-            ),
-            "tree (swissprot)",
+    return [
+        frontier_series(
+            _runner(dataset, workload, support, size_scale, seed),
+            workload,
+            f"{kind} ({dataset})",
             partitions=partitions,
             alphas=alphas,
         )
-    )
-    series.append(
-        _sweep(
-            StrategyRunner.from_name(
-                "rcv1",
-                lambda: AprioriWorkload(min_support=TEXT_SUPPORT, max_len=3),
-                size_scale=size_scale,
-                seed=seed,
-            ),
-            "text (rcv1)",
-            partitions=partitions,
-            alphas=alphas,
+        for kind, dataset, workload, support in (
+            ("tree", "swissprot", "treemining", TREE_SUPPORT),
+            ("text", "rcv1", "apriori", TEXT_SUPPORT),
+            ("graph", "uk", "webgraph", None),
         )
-    )
-    series.append(
-        _sweep(
-            StrategyRunner.from_name(
-                "uk",
-                lambda: CompressionWorkload("webgraph"),
-                size_scale=size_scale,
-                seed=seed,
-                unit_rate=5e3,
-            ),
-            "graph (uk)",
-            partitions=partitions,
-            alphas=alphas,
-            placement="similar",
-        )
-    )
-    return series
+    ]
 
 
 def fig6_support_sweep(
@@ -263,24 +215,18 @@ def fig6_support_sweep(
 ) -> list[FrontierSeries]:
     """Fig. 6: frontiers across support thresholds (tree and text)."""
     series: list[FrontierSeries] = []
-    for support in tree_supports:
-        runner = StrategyRunner.from_name(
-            "swissprot",
-            lambda s=support: TreeMiningWorkload(min_support=s, max_len=2),
-            size_scale=size_scale,
-            seed=seed,
-        )
-        fs = _sweep(runner, f"tree sup={support}", partitions=partitions, alphas=alphas)
-        fs.meta["support"] = support
-        series.append(fs)
-    for support in text_supports:
-        runner = StrategyRunner.from_name(
-            "rcv1",
-            lambda s=support: AprioriWorkload(min_support=s, max_len=3),
-            size_scale=size_scale,
-            seed=seed,
-        )
-        fs = _sweep(runner, f"text sup={support}", partitions=partitions, alphas=alphas)
-        fs.meta["support"] = support
-        series.append(fs)
+    for kind, dataset, workload, supports in (
+        ("tree", "swissprot", "treemining", tree_supports),
+        ("text", "rcv1", "apriori", text_supports),
+    ):
+        for support in supports:
+            fs = frontier_series(
+                _runner(dataset, workload, support, size_scale, seed),
+                workload,
+                f"{kind} sup={support}",
+                partitions=partitions,
+                alphas=alphas,
+            )
+            fs.meta["support"] = support
+            series.append(fs)
     return series

@@ -1,6 +1,7 @@
 """Generic strategy-comparison runner.
 
-One :class:`StrategyRunner` binds a dataset to a workload factory and
+One :class:`StrategyRunner` binds a dataset to a workload — a catalogue
+name (:meth:`StrategyRunner.for_workload`) or any factory — and
 executes any strategy on any partition count, reusing the prepared
 (stratify + profile) state per partition count — the paper's amortized
 one-time cost.
@@ -20,6 +21,7 @@ from repro.core.framework import ParetoPartitioner, PreparedInput, RunReport
 from repro.core.strategies import Strategy
 from repro.data.datasets import Dataset, load_dataset
 from repro.workloads.base import Workload
+from repro.workloads.catalog import WORKLOADS
 
 _log = get_logger(__name__)
 
@@ -73,7 +75,6 @@ class StrategyRunner:
     num_strata: int = 12
     unit_rate: float = 5e4
     seed: int = 0
-    stage_via_kv: bool = False
     _prepared: dict[int, tuple[ParetoPartitioner, PreparedInput]] = field(
         default_factory=dict, repr=False
     )
@@ -93,6 +94,26 @@ class StrategyRunner:
             **kwargs,
         )
 
+    @classmethod
+    def for_workload(
+        cls,
+        dataset: Dataset,
+        workload: str,
+        support: float | None = None,
+        *,
+        seed: int = 0,
+    ) -> "StrategyRunner":
+        """A runner for a catalogue workload: the catalogue's
+        constructor arguments (plus a miner's ``support``) and
+        simulated ``unit_rate``."""
+        spec = WORKLOADS[workload]
+        return cls(
+            dataset=dataset,
+            workload_factory=lambda: spec.build(support),
+            unit_rate=spec.unit_rate,
+            seed=seed,
+        )
+
     def prepared_for(self, partitions: int) -> tuple[ParetoPartitioner, PreparedInput]:
         """Build (and cache) the framework + prepared state for a
         cluster of ``partitions`` nodes."""
@@ -104,7 +125,7 @@ class StrategyRunner:
                 kind=self.dataset.kind,
                 num_strata=self.num_strata,
                 seed=self.seed,
-                stage_via_kv=self.stage_via_kv,
+                stage_via_kv=False,
             )
             prep = pp.prepare(self.dataset.items, self.workload_factory())
             self._prepared[partitions] = (pp, prep)
@@ -134,18 +155,6 @@ class StrategyRunner:
         """Execute and condense into an :class:`ExperimentRow`."""
         report = self.run(strategy, partitions)
         workload = self.workload_factory()
-        quality: dict[str, Any] = {}
-        if report.extra:
-            quality.update(
-                {
-                    k: report.extra[k]
-                    for k in ("candidates", "frequent", "false_positives")
-                    if k in report.extra
-                }
-            )
-        merged = report.merged_output
-        if hasattr(merged, "ratio"):
-            quality["compression_ratio"] = round(merged.ratio, 3)
         return ExperimentRow(
             dataset=self.dataset.name,
             workload=getattr(workload, "name", type(workload).__name__),
@@ -155,7 +164,7 @@ class StrategyRunner:
             makespan_s=report.makespan_s,
             dirty_energy_kj=report.total_dirty_energy_j / 1e3,
             energy_kj=report.total_energy_j / 1e3,
-            quality=quality,
+            quality=report.quality(digits=3),
             sizes=report.plan.sizes.tolist(),
         )
 

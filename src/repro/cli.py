@@ -36,27 +36,19 @@ import json
 import sys
 from typing import Sequence
 
-from repro.bench.experiments import FRONTIER_ALPHAS
+from repro.bench.experiments import FRONTIER_ALPHAS, frontier_series
 from repro.bench.harness import StrategyRunner
 from repro.bench.plotting import ascii_scatter
 from repro.bench.reporting import format_frontier, format_table
-from repro.core.strategies import (
-    ALPHA_COMPRESSION,
-    ALPHA_FPM,
-    HET_AWARE,
-    RANDOM,
-    STRATIFIED,
-    Strategy,
-    het_energy_aware,
-)
+from repro.core.strategies import RANDOM
 from repro.data.datasets import DATASET_NAMES, dataset_summary, load_dataset
-from repro.service.jobs import MINING_WORKLOADS, SERVICE_WORKLOADS, build_workload
-
-def _default_workload(kind: str) -> str:
-    return {"tree": "treemining", "graph": "webgraph", "text": "apriori"}[kind]
+from repro.workloads.catalog import WORKLOADS, paper_strategies
 
 
-def _runner(args) -> StrategyRunner:
+def _runner(args) -> tuple[StrategyRunner, str]:
+    """The runner for the parsed dataset/workload options, and the
+    workload's catalogue name (the dataset kind's default when
+    ``--workload`` is not given)."""
     if getattr(args, "file", None):
         if not getattr(args, "kind", None):
             raise SystemExit("--file requires --kind {tree,graph,text}")
@@ -65,27 +57,15 @@ def _runner(args) -> StrategyRunner:
         dataset = load_dataset_file(args.kind, args.file)
     else:
         dataset = load_dataset(args.dataset, size_scale=args.scale, seed=args.seed)
-    workload = args.workload or _default_workload(dataset.kind)
-    if workload in MINING_WORKLOADS and dataset.kind == "tree" and workload != "treemining":
-        raise SystemExit("tree datasets require the treemining workload")
-    unit_rate = {"webgraph": 5e3, "lz77": 2e4}.get(workload, 5e4)
-    return StrategyRunner(
-        dataset=dataset,
-        workload_factory=lambda: build_workload(workload, args.support),
-        unit_rate=unit_rate,
-        seed=args.seed,
+    workload = args.workload or next(
+        name for name, spec in WORKLOADS.items() if spec.default_for == dataset.kind
     )
-
-
-def _strategies(workload: str) -> list[Strategy]:
-    placement = "similar" if workload in ("webgraph", "lz77") else "representative"
-    alpha = ALPHA_COMPRESSION if placement == "similar" else ALPHA_FPM
-    return [
-        STRATIFIED.with_placement(placement),
-        HET_AWARE.with_placement(placement),
-        het_energy_aware(alpha).with_placement(placement),
-        RANDOM,
-    ]
+    try:
+        WORKLOADS[workload].check_runs_on(dataset.kind, dataset.name)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    runner = StrategyRunner.for_workload(dataset, workload, args.support, seed=args.seed)
+    return runner, workload
 
 
 def cmd_datasets(args) -> int:
@@ -101,9 +81,8 @@ def cmd_compare(args) -> int:
     if args.trace:
         obs.enable()
         obs.reset()
-    runner = _runner(args)
-    workload = args.workload or _default_workload(runner.dataset.kind)
-    rows = runner.compare(_strategies(workload), [args.partitions])
+    runner, workload = _runner(args)
+    rows = runner.compare(paper_strategies(workload) + [RANDOM], [args.partitions])
     print(format_table(rows, f"{runner.dataset.name} / {workload} / {args.partitions} partitions"))
     if args.trace:
         count = obs.export_jsonl(args.trace)
@@ -117,25 +96,24 @@ def cmd_compare(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    runner = _runner(args)
-    workload = args.workload or _default_workload(runner.dataset.kind)
-    placement = "similar" if workload in ("webgraph", "lz77") else "representative"
-    alphas = [float(a) for a in args.alphas.split(",")]
-    points = []
-    for alpha in alphas:
-        report = runner.run(
-            Strategy(name=f"a={alpha}", alpha=alpha, placement=placement),
-            args.partitions,
+    runner, workload = _runner(args)
+    series = frontier_series(
+        runner,
+        workload,
+        runner.dataset.name,
+        partitions=args.partitions,
+        alphas=[float(a) for a in args.alphas.split(",")],
+    )
+    print(
+        format_frontier(
+            series.points, baseline=series.baseline, title=f"frontier: {series.label}"
         )
-        points.append((alpha, report.makespan_s, report.total_dirty_energy_j / 1e3))
-    base = runner.run(STRATIFIED.with_placement(placement), args.partitions)
-    baseline = (base.makespan_s, base.total_dirty_energy_j / 1e3)
-    print(format_frontier(points, baseline=baseline, title=f"frontier: {runner.dataset.name}"))
+    )
     print()
     print(
         ascii_scatter(
-            [(m, e) for _, m, e in points],
-            baseline=baseline,
+            [(m, e) for _, m, e in series.points],
+            baseline=series.baseline,
             title=f"time–energy frontier ({runner.dataset.name}, {args.partitions} partitions)",
         )
     )
@@ -143,7 +121,7 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    runner = _runner(args)
+    runner, _workload = _runner(args)
     _pp, prep = runner.prepared_for(args.partitions)
     print(f"progressive sampling on {runner.dataset.name}: sizes {prep.profiling.sample_sizes}")
     for node_id, (model, r2) in enumerate(
@@ -345,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="domain of --file",
             )
-            p.add_argument("--workload", choices=SERVICE_WORKLOADS, default=None)
+            p.add_argument("--workload", choices=tuple(WORKLOADS), default=None)
             p.add_argument("--support", type=float, default=0.1)
             p.add_argument("--partitions", type=int, default=8)
 
@@ -480,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("submit", help="submit one job to a running service")
     p.add_argument("--url", default="http://127.0.0.1:8642")
-    p.add_argument("--workload", choices=SERVICE_WORKLOADS, default="apriori")
+    p.add_argument("--workload", choices=tuple(WORKLOADS), default="apriori")
     p.add_argument("--dataset", choices=DATASET_NAMES, default="rcv1")
     p.add_argument("--support", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=None)

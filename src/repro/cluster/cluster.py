@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -43,9 +43,9 @@ class Cluster:
     def speed_factors(self) -> np.ndarray:
         return np.array([n.speed_factor for n in self.nodes], dtype=np.float64)
 
-    def dirty_power_coefficients(self, window_s: float | None = None) -> np.ndarray:
+    def dirty_power_coefficients(self) -> np.ndarray:
         return np.array(
-            [n.dirty_power_coefficient(window_s) for n in self.nodes], dtype=np.float64
+            [n.dirty_power_coefficient() for n in self.nodes], dtype=np.float64
         )
 
     def fastest_node(self) -> Node:
@@ -65,11 +65,8 @@ def paper_cluster(
     num_nodes: int,
     *,
     trace_duration_s: float = 6 * 3600.0,
-    trace_resolution_s: float = 60.0,
     seed: int = 0,
     task_overhead_s: float = 0.5,
-    node_types: Sequence[NodeType] = PAPER_NODE_TYPES,
-    allow_negative_dirty: bool = False,
 ) -> Cluster:
     """Build the paper's emulated heterogeneous cluster.
 
@@ -82,12 +79,12 @@ def paper_cluster(
         raise ValueError("num_nodes must be positive")
     nodes = []
     for i in range(num_nodes):
-        ntype = node_types[i % len(node_types)]
+        ntype = PAPER_NODE_TYPES[i % len(PAPER_NODE_TYPES)]
         location = GOOGLE_DC_LOCATIONS[i % len(GOOGLE_DC_LOCATIONS)]
         trace = generate_trace(
             location,
             duration_s=trace_duration_s,
-            resolution_s=trace_resolution_s,
+            resolution_s=60.0,
             seed=seed * 1009 + i,
         )
         nodes.append(
@@ -96,7 +93,6 @@ def paper_cluster(
                 node_type=ntype,
                 trace=trace,
                 task_overhead_s=task_overhead_s,
-                allow_negative_dirty=allow_negative_dirty,
             )
         )
     return Cluster(nodes=nodes)

@@ -59,7 +59,6 @@ class Node:
     node_type: NodeType
     trace: EnergyTrace
     task_overhead_s: float = 0.5
-    allow_negative_dirty: bool = False
     accountant: DirtyEnergyAccountant = field(init=False)
 
     def __post_init__(self) -> None:
@@ -68,9 +67,7 @@ class Node:
         if self.task_overhead_s < 0:
             raise ValueError("task_overhead_s must be non-negative")
         self.accountant = DirtyEnergyAccountant(
-            power=self.node_type.power_model(),
-            trace=self.trace,
-            allow_negative=self.allow_negative_dirty,
+            power=self.node_type.power_model(), trace=self.trace
         )
 
     @property
@@ -96,6 +93,6 @@ class Node:
             unit_rate * self.speed_factor
         )
 
-    def dirty_power_coefficient(self, window_s: float | None = None) -> float:
+    def dirty_power_coefficient(self) -> float:
         """``k_i`` for the LP (see :class:`DirtyEnergyAccountant`)."""
-        return self.accountant.dirty_power_coefficient(window_s)
+        return self.accountant.dirty_power_coefficient()

@@ -48,11 +48,11 @@ from repro.core.partitioner import (
     round_robin_partitions,
     similar_partitions,
 )
-from repro.core.strategies import Strategy
+from repro.core.strategies import Strategy, at_alpha
 from repro.kvstore.codec import EncodedDataset, FramedPartition, encode_dataset
 from repro.stratify.stratifier import Stratification, Stratifier
 from repro.workloads.base import Workload
-from repro.workloads.fpm.apriori import CandidateCountWorkload
+from repro.workloads.fpm.apriori import CandidateCountWorkload, LocalMiningWorkload
 
 
 @dataclass
@@ -75,7 +75,6 @@ class PreparedInput:
     #: The ``count_records`` implementation ``counted`` was built with;
     #: a two-phase run checks its workload still has this one.
     counted_by: Callable[..., Sequence[Any]]
-    window_s: float | None = None
 
     @property
     def num_items(self) -> int:
@@ -108,6 +107,79 @@ class RunReport:
     def merged_output(self) -> Any:
         return self.job.merged_output
 
+    def quality(self, digits: int) -> dict[str, Any]:
+        """The workload's quality figures for a result row: the mining
+        candidate / frequent / false-positive counts of a two-phase
+        run, the aggregate ratio of a compression run — rounded once,
+        from the exact value, to the ``digits`` the row prints (the
+        tables' 3 and the service's 4 are both recorded outputs, and
+        rounding 4 → 3 is not rounding to 3)."""
+        out = {
+            k: self.extra[k]
+            for k in ("candidates", "frequent", "false_positives")
+            if k in self.extra
+        }
+        if hasattr(self.merged_output, "ratio"):
+            out["compression_ratio"] = round(self.merged_output.ratio, digits)
+        return out
+
+
+def run_two_phase(
+    engine: ExecutionEngine,
+    workload: LocalMiningWorkload,
+    partitions: Sequence[Sequence[Any]],
+    count_parts: Sequence[Sequence[Any]] | None = None,
+) -> tuple[JobResult, dict[str, Any]]:
+    """Savasere's partition algorithm: two jobs separated by a barrier.
+
+    Phase 1 mines every partition locally; the union of the locally
+    frequent patterns is a complete candidate set. Phase 2 counts that
+    union over ``count_parts`` — the same records as transactions
+    (default: the partitions themselves) — and prunes the false
+    positives at the global support, so the answer equals central
+    mining whatever the partitioning. Returns the combined job (tasks
+    of both phases, makespan and energies summed over them, the
+    frequent patterns with their counts as merged output) and the
+    phase breakdown. The false-positive count is the skew indicator the
+    paper highlights: representative partitions produce few, skewed
+    partitions many, and phase 2 costs in proportion to the candidates.
+    """
+    if count_parts is None:
+        count_parts = partitions
+    with obs.span("stage.execute", partitions=len(partitions), phase="local-mine"):
+        local_job = engine.run_job(workload, partitions)
+    candidates = local_job.merged_output
+    counter = CandidateCountWorkload(
+        candidates=sorted(candidates),
+        min_support=workload.min_support,
+        total_transactions=sum(len(p) for p in partitions),
+        kernel=workload.kernel,
+    )
+    # Phase 2 runs after the phase-1 barrier: bill its energy against
+    # the later window of each node's green trace.
+    with obs.span(
+        "stage.execute", partitions=len(count_parts), phase="candidate-count"
+    ):
+        count_job = engine.run_job(
+            counter, count_parts, start_offset_s=local_job.makespan_s
+        )
+    frequent = count_job.merged_output
+    combined = JobResult(
+        tasks=local_job.tasks + count_job.tasks,
+        makespan_s=local_job.makespan_s + count_job.makespan_s,
+        total_dirty_energy_j=local_job.total_dirty_energy_j
+        + count_job.total_dirty_energy_j,
+        total_energy_j=local_job.total_energy_j + count_job.total_energy_j,
+        merged_output=frequent,
+    )
+    return combined, {
+        "candidates": len(candidates),
+        "frequent": len(frequent),
+        "false_positives": len(candidates) - len(frequent),
+        "local_makespan_s": local_job.makespan_s,
+        "count_makespan_s": count_job.makespan_s,
+    }
+
 
 @dataclass
 class ParetoPartitioner:
@@ -126,9 +198,6 @@ class ParetoPartitioner:
     sample_fractions:
         Progressive-sampling fractions; defaults to the paper's
         0.05%–2% schedule.
-    energy_window_s:
-        Horizon over which mean green power is estimated for ``k_i``
-        (None = whole trace).
     stage_via_kv:
         Round-trip final partitions through the KV middleware before
         execution, as the paper's implementation does.
@@ -145,7 +214,6 @@ class ParetoPartitioner:
     num_hashes: int = 48
     top_l: int = 3
     sample_fractions: Sequence[float] | None = None
-    energy_window_s: float | None = None
     stage_via_kv: bool = True
     min_partition_items: int | None = None
     seed: int = 0
@@ -166,14 +234,11 @@ class ParetoPartitioner:
         items = list(items)
         with obs.span("pipeline.prepare", items=len(items), kind=self.kind):
             stratification = self.stratifier().stratify(items)
-            sampler_kwargs = {}
-            if self.sample_fractions is not None:
-                sampler_kwargs["fractions"] = tuple(self.sample_fractions)
             sampler = ProgressiveSampler(
-                engine=self.engine, seed=self.seed, **sampler_kwargs
+                engine=self.engine, fractions=self.sample_fractions, seed=self.seed
             )
             profiling = sampler.profile(workload, items, stratification)
-            dirty = self.engine.cluster.dirty_power_coefficients(self.energy_window_s)
+            dirty = self.engine.cluster.dirty_power_coefficients()
             optimizer = ParetoOptimizer(models=profiling.models, dirty_coeffs=dirty)
             staged = encode_dataset(self.kind, items)
             transactions = workload.count_records(items)
@@ -188,7 +253,6 @@ class ParetoPartitioner:
             staged=staged,
             counted=counted,
             counted_by=type(workload).count_records,
-            window_s=self.energy_window_s,
         )
 
     def _min_items(self, prepared: PreparedInput) -> int:
@@ -273,7 +337,7 @@ class ParetoPartitioner:
             prepared = self.prepare(items, workload)
         out: list[tuple[float, RunReport]] = []
         for alpha in alphas:
-            strategy = Strategy(name=f"alpha={alpha}", alpha=alpha, placement=placement)
+            strategy = at_alpha(alpha, placement)
             out.append((alpha, self.execute(items, workload, strategy, prepared=prepared)))
         return out
 
@@ -358,52 +422,16 @@ class ParetoPartitioner:
         if not workload.two_phase:
             with obs.span("stage.execute", partitions=len(partitions)):
                 job = self.engine.run_job(workload, partitions)
-            return RunReport(
-                strategy=strategy, plan=plan, job=job, kv_round_trips=round_trips
-            )
-
-        with obs.span("stage.execute", partitions=len(partitions), phase="local-mine"):
-            local_job = self.engine.run_job(workload, partitions)
-        candidates = local_job.merged_output
-        # Phase 2 reads what each node already holds: the staged
-        # partitions themselves (same objects — the dataplane answers
-        # by identity), or the same records' transactions.
-        if prepared.counted is prepared.staged:
-            count_parts = partitions
+            extra = {}
         else:
-            count_parts = [prepared.counted.gather(idx) for idx in indices]
-        counter = CandidateCountWorkload(
-            candidates=sorted(candidates),
-            min_support=workload.min_support,
-            total_transactions=sum(len(p) for p in partitions),
-        )
-        # Phase 2 runs after the phase-1 barrier: bill its energy against
-        # the later window of each node's green trace.
-        with obs.span(
-            "stage.execute", partitions=len(count_parts), phase="candidate-count"
-        ):
-            count_job = self.engine.run_job(
-                counter, count_parts, start_offset_s=local_job.makespan_s
-            )
-        frequent = count_job.merged_output
-        combined = JobResult(
-            tasks=local_job.tasks + count_job.tasks,
-            makespan_s=local_job.makespan_s + count_job.makespan_s,
-            total_dirty_energy_j=local_job.total_dirty_energy_j
-            + count_job.total_dirty_energy_j,
-            total_energy_j=local_job.total_energy_j + count_job.total_energy_j,
-            merged_output=frequent,
-        )
+            # Phase 2 reads what each node already holds: the staged
+            # partitions themselves (same objects — the dataplane
+            # answers by identity), or the same records' transactions.
+            if prepared.counted is prepared.staged:
+                count_parts = partitions
+            else:
+                count_parts = [prepared.counted.gather(idx) for idx in indices]
+            job, extra = run_two_phase(self.engine, workload, partitions, count_parts)
         return RunReport(
-            strategy=strategy,
-            plan=plan,
-            job=combined,
-            kv_round_trips=round_trips,
-            extra={
-                "candidates": len(candidates),
-                "frequent": len(frequent),
-                "false_positives": len(candidates) - len(frequent),
-                "local_makespan_s": local_job.makespan_s,
-                "count_makespan_s": count_job.makespan_s,
-            },
+            strategy=strategy, plan=plan, job=job, kv_round_trips=round_trips, extra=extra
         )

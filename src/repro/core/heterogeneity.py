@@ -37,18 +37,22 @@ PAPER_FRACTIONS: tuple[float, ...] = (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)
 #: degenerates to min-count 1 and the fitted model inverts).
 SMALL_DATA_FRACTIONS: tuple[float, ...] = (0.05, 0.08, 0.12, 0.16, 0.2)
 
+#: Floor on a probe's item count, so tiny datasets still give the
+#: regression distinct x-values.
+MIN_SAMPLE = 8
 
-def auto_fractions(num_items: int, min_sample: int = 8) -> tuple[float, ...]:
+
+def auto_fractions(num_items: int) -> tuple[float, ...]:
     """Pick a sampling schedule for the dataset scale.
 
     The paper's 0.05%–2% schedule assumes millions of records; when 2%
-    of the data is smaller than a few times ``min_sample`` the probes
+    of the data is smaller than a few times ``MIN_SAMPLE`` the probes
     collapse onto near-identical sizes and the regression degenerates,
     so small datasets get a proportionally wider schedule.
     """
     if num_items <= 0:
         raise ValueError("num_items must be positive")
-    if PAPER_FRACTIONS[0] * num_items >= min_sample:
+    if PAPER_FRACTIONS[0] * num_items >= MIN_SAMPLE:
         return PAPER_FRACTIONS
     return SMALL_DATA_FRACTIONS
 
@@ -173,14 +177,10 @@ class ProgressiveSampler:
     fractions:
         Sample-size fractions of the dataset, ascending; the paper uses
         0.05%–2%.
-    min_sample:
-        Floor on sample item count, so tiny datasets still give the
-        regression distinct x-values.
     """
 
     engine: ExecutionEngine
     fractions: Sequence[float] | None = None
-    min_sample: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -226,16 +226,12 @@ class ProgressiveSampler:
         n_items: int,
     ) -> ProfilingReport:
         num_nodes = self.engine.cluster.num_nodes
-        fractions = (
-            auto_fractions(n_items, self.min_sample)
-            if self.fractions is None
-            else tuple(self.fractions)
-        )
+        fractions = self.fractions or auto_fractions(n_items)
 
         sizes: list[int] = []
         samples: list[list[Any]] = []
         for fraction in fractions:
-            target = max(self.min_sample, int(round(fraction * n_items)))
+            target = max(MIN_SAMPLE, int(round(fraction * n_items)))
             target = min(target, n_items)
             idx = stratification.stratified_sample(min(1.0, target / n_items), rng)
             if idx.size < 2:

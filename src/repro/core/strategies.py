@@ -78,3 +78,11 @@ ROUND_ROBIN = Strategy(name="Round-Robin", alpha=None, placement="round-robin")
 def het_energy_aware(alpha: float = ALPHA_FPM) -> Strategy:
     """The Het-Energy-Aware scheme at a chosen tradeoff weight."""
     return Strategy(name="Het-Energy-Aware", alpha=alpha)
+
+
+def at_alpha(alpha: float | None, placement: str = "representative") -> Strategy:
+    """The strategy for one operating point: the LP at ``alpha``, or
+    the equal-split baseline for ``None`` — what an α sweep and a
+    service job with a per-request ``alpha`` both run."""
+    name = "stratified" if alpha is None else f"alpha={alpha}"
+    return Strategy(name=name, alpha=alpha, placement=placement)

@@ -27,7 +27,15 @@ from repro.data.graphs import WebGraphConfig, generate_webgraph
 from repro.data.text import CorpusConfig, generate_corpus
 from repro.data.trees import TreeDatasetConfig, generate_tree_dataset, tree_items
 
-DATASET_NAMES = ("swissprot", "treebank", "uk", "arabic", "rcv1")
+#: Registry name → pivot-extractor domain of the loaded dataset.
+DATASET_KINDS = {
+    "swissprot": "tree",
+    "treebank": "tree",
+    "uk": "graph",
+    "arabic": "graph",
+    "rcv1": "text",
+}
+DATASET_NAMES = tuple(DATASET_KINDS)
 
 
 @dataclass
@@ -72,113 +80,81 @@ def load_dataset(name: str, *, size_scale: float = 1.0, seed: int = 0) -> Datase
     def scaled(n: int, minimum: int = 50) -> int:
         return max(minimum, int(round(n * size_scale)))
 
-    if name == "swissprot":
-        config = TreeDatasetConfig(
-            num_trees=scaled(500),
-            nodes_mean=26,
-            nodes_spread=10,
-            num_clusters=10,
-            num_labels=80,
-            labels_per_cluster=14,
-            skew=0.6,
-            seed=seed,
-        )
+    kind = DATASET_KINDS[name]
+    if kind == "tree":
+        if name == "swissprot":
+            config = TreeDatasetConfig(
+                num_trees=scaled(500),
+                nodes_mean=26,
+                nodes_spread=10,
+                num_clusters=10,
+                num_labels=80,
+                labels_per_cluster=14,
+                skew=0.6,
+                seed=seed,
+            )
+        else:  # treebank
+            config = TreeDatasetConfig(
+                num_trees=scaled(450),
+                nodes_mean=20,
+                nodes_spread=6,
+                num_clusters=12,
+                num_labels=100,
+                labels_per_cluster=10,
+                mutation_rate=0.12,
+                skew=0.9,
+                seed=seed + 1,
+            )
         trees = generate_tree_dataset(config)
-        return Dataset(
-            name=name,
-            kind="tree",
-            items=tree_items(trees),
-            ground_truth=np.array([t.cluster for t in trees]),
-            meta={
-                "num_trees": len(trees),
-                "total_nodes": sum(t.num_nodes for t in trees),
-            },
-        )
-    if name == "treebank":
-        config = TreeDatasetConfig(
-            num_trees=scaled(450),
-            nodes_mean=20,
-            nodes_spread=6,
-            num_clusters=12,
-            num_labels=100,
-            labels_per_cluster=10,
-            mutation_rate=0.12,
-            skew=0.9,
-            seed=seed + 1,
-        )
-        trees = generate_tree_dataset(config)
-        return Dataset(
-            name=name,
-            kind="tree",
-            items=tree_items(trees),
-            ground_truth=np.array([t.cluster for t in trees]),
-            meta={
-                "num_trees": len(trees),
-                "total_nodes": sum(t.num_nodes for t in trees),
-            },
-        )
-    if name == "uk":
-        config = WebGraphConfig(
-            num_vertices=scaled(2500),
-            num_hosts=12,
-            mean_degree=14.0,
-            intra_host_prob=0.85,
-            copy_prob=0.55,
-            host_skew=0.7,
-            seed=seed + 2,
-        )
+        items = tree_items(trees)
+        ground_truth = np.array([t.cluster for t in trees])
+        meta = {
+            "num_trees": len(trees),
+            "total_nodes": sum(t.num_nodes for t in trees),
+        }
+    elif kind == "graph":
+        if name == "uk":
+            config = WebGraphConfig(
+                num_vertices=scaled(2500),
+                num_hosts=12,
+                mean_degree=14.0,
+                intra_host_prob=0.85,
+                copy_prob=0.55,
+                host_skew=0.7,
+                seed=seed + 2,
+            )
+        else:  # arabic
+            config = WebGraphConfig(
+                num_vertices=scaled(3500),
+                num_hosts=16,
+                mean_degree=18.0,
+                intra_host_prob=0.8,
+                copy_prob=0.5,
+                host_skew=0.9,
+                seed=seed + 3,
+            )
         graph = generate_webgraph(config)
-        return Dataset(
-            name=name,
-            kind="graph",
-            items=graph.records(),
-            ground_truth=graph.host_of,
-            meta={
-                "num_vertices": graph.num_vertices,
-                "num_edges": graph.num_edges,
-                "num_hosts": config.num_hosts,
-            },
+        items = graph.records()
+        ground_truth = graph.host_of
+        meta = {
+            "num_vertices": graph.num_vertices,
+            "num_edges": graph.num_edges,
+            "num_hosts": config.num_hosts,
+        }
+    else:  # text: rcv1
+        config = CorpusConfig(
+            num_docs=scaled(1200),
+            vocab_size=1000,
+            num_topics=12,
+            topic_skew=0.8,
+            seed=seed + 4,
         )
-    if name == "arabic":
-        config = WebGraphConfig(
-            num_vertices=scaled(3500),
-            num_hosts=16,
-            mean_degree=18.0,
-            intra_host_prob=0.8,
-            copy_prob=0.5,
-            host_skew=0.9,
-            seed=seed + 3,
-        )
-        graph = generate_webgraph(config)
-        return Dataset(
-            name=name,
-            kind="graph",
-            items=graph.records(),
-            ground_truth=graph.host_of,
-            meta={
-                "num_vertices": graph.num_vertices,
-                "num_edges": graph.num_edges,
-                "num_hosts": config.num_hosts,
-            },
-        )
-    # rcv1
-    config = CorpusConfig(
-        num_docs=scaled(1200),
-        vocab_size=1000,
-        num_topics=12,
-        topic_skew=0.8,
-        seed=seed + 4,
-    )
-    corpus = generate_corpus(config)
+        corpus = generate_corpus(config)
+        items = corpus.records()
+        ground_truth = corpus.topic_of
+        meta = {"num_docs": corpus.num_docs, "vocab_size": corpus.vocab_size}
     return Dataset(
-        name=name,
-        kind="text",
-        items=corpus.records(),
-        ground_truth=corpus.topic_of,
-        meta={
-            "num_docs": corpus.num_docs,
-            "vocab_size": corpus.vocab_size,
-        },
+        name=name, kind=kind, items=items, ground_truth=ground_truth, meta=meta
     )
 
 

@@ -92,7 +92,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-_enabled: bool = os.environ.get("REPRO_OBS", "") not in ("", "0", "false", "off")
+_enabled: bool = False
 _tracer = Tracer()
 _metrics = MetricsRegistry()
 

@@ -78,28 +78,37 @@ def node_energy_breakdown(job: Any) -> dict[int, dict[str, float]]:
     return dict(sorted(rows.items()))
 
 
-def energy_split(spans: Iterable[dict]) -> dict[str, float]:
-    """Total/dirty/green energy summed over task spans (from a trace).
+def carries_energy(attrs: dict) -> bool:
+    """True for the attributes of a span an energy split sums — one
+    with ``energy_j``, so stage and worker spans pass through
+    untouched."""
+    return "energy_j" in attrs
 
-    Only spans carrying an ``energy_j`` attribute contribute, so stage
-    and worker spans pass through untouched.
-    """
-    total = dirty = 0.0
-    tasks = 0
-    for span in spans:
-        attrs = span.get("attrs", {})
-        if "energy_j" not in attrs:
-            continue
-        total += float(attrs["energy_j"])
-        dirty += float(attrs.get("dirty_energy_j", 0.0))
-        tasks += 1
+
+def split_summary(task_spans: int, total: float, dirty: float) -> dict[str, float]:
+    """The energy-split record for summed total and dirty joules."""
     return {
-        "task_spans": tasks,
+        "task_spans": task_spans,
         "energy_j": total,
         "dirty_energy_j": dirty,
         "green_energy_j": total - dirty,
         "green_fraction": (total - dirty) / total if total > 0 else 1.0,
     }
+
+
+def energy_split(spans: Iterable[dict]) -> dict[str, float]:
+    """Total/dirty/green energy summed over the spans of a trace that
+    :func:`carries_energy` (its task spans)."""
+    total = dirty = 0.0
+    tasks = 0
+    for span in spans:
+        attrs = span.get("attrs", {})
+        if not carries_energy(attrs):
+            continue
+        total += float(attrs["energy_j"])
+        dirty += float(attrs.get("dirty_energy_j", 0.0))
+        tasks += 1
+    return split_summary(tasks, total, dirty)
 
 
 def record_job_metrics(metrics: Any, job: Any, engine: str) -> None:

@@ -35,6 +35,9 @@ __all__ = ["NodeEstimate", "ClusterEstimate", "NodeEstimator"]
 #: Pseudo-workload key for samples that carry no workload attribute.
 _ANY_WORKLOAD = "_"
 
+#: EWMA step of the per-node power split.
+_POWER_ALPHA = 0.2
+
 
 class _RegAcc:
     """EWMA-decayed least-squares accumulators for one (node, workload)."""
@@ -91,15 +94,15 @@ class _PowerAcc:
         self.dirty_j = 0.0
         self.busy_s = 0.0
 
-    def add(self, runtime_s: float, energy_j: float, dirty_j: float, alpha: float) -> None:
+    def add(self, runtime_s: float, energy_j: float, dirty_j: float) -> None:
         watts = energy_j / runtime_s
         dirty_watts = dirty_j / runtime_s
         if self.power_w is None:
             self.power_w = watts
             self.dirty_w = dirty_watts
         else:
-            self.power_w += alpha * (watts - self.power_w)
-            self.dirty_w += alpha * (dirty_watts - self.dirty_w)
+            self.power_w += _POWER_ALPHA * (watts - self.power_w)
+            self.dirty_w += _POWER_ALPHA * (dirty_watts - self.dirty_w)
         self.samples += 1
         self.energy_j += energy_j
         self.dirty_j += dirty_j
@@ -157,18 +160,14 @@ class NodeEstimator:
     """Folds ``task.execute`` span attrs into per-node live estimates.
 
     ``decay`` is the per-sample geometric weight on old regression
-    evidence (0.99 ≈ a ~100-task memory); ``power_alpha`` is the EWMA
-    step for the power split. Thread-safe: spans arrive from any
-    manager worker thread.
+    evidence (0.99 ≈ a ~100-task memory). Thread-safe: spans arrive
+    from any manager worker thread.
     """
 
-    def __init__(self, decay: float = 0.99, power_alpha: float = 0.2):
+    def __init__(self, decay: float = 0.99):
         if not 0.0 < decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
-        if not 0.0 < power_alpha <= 1.0:
-            raise ValueError("power_alpha must be in (0, 1]")
         self.decay = decay
-        self.power_alpha = power_alpha
         self._lock = threading.Lock()
         self._reg: dict[tuple[int, str], _RegAcc] = {}
         self._power: dict[int, _PowerAcc] = {}
@@ -188,7 +187,7 @@ class NodeEstimator:
             power = self._power.get(node)
             if power is None:
                 power = self._power[node] = _PowerAcc()
-            power.add(runtime, energy, dirty, self.power_alpha)
+            power.add(runtime, energy, dirty)
             # Wasted (fault-killed) attempts burn watts but their
             # work_units are zeroed — they inform power, not the model.
             if not wasted and work > 0.0:

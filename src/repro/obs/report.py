@@ -25,13 +25,11 @@ import re
 from collections import defaultdict
 from typing import Any, Iterable, Sequence
 
-from repro.obs.trace import SCHEMA_VERSION, iter_records
+from repro.obs.energy import carries_energy, split_summary
+from repro.obs.trace import iter_spans
 
 __all__ = [
     "TraceAggregate",
-    "stage_table",
-    "node_table",
-    "slowest_spans",
     "kernel_dispatch_table",
     "service_section",
     "histogram_quantile",
@@ -69,8 +67,7 @@ def _fmt_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 class TraceAggregate:
     """Everything the report needs, folded span-by-span in one pass.
 
-    The streaming counterpart of handing ``render_report`` a span list:
-    holds per-stage and per-node sums, energy-split accumulators and a
+    Holds per-stage and per-node sums, energy-split accumulators and a
     bounded top-N heap of slowest spans — memory is O(stages + nodes +
     top_n) regardless of trace size, which is what lets
     ``repro obs report`` digest multi-hundred-MB service traces.
@@ -111,7 +108,7 @@ class TraceAggregate:
             row["busy_s"] += float(attrs.get("runtime_s", duration))
             row["energy_j"] += float(attrs.get("energy_j", 0.0))
             row["dirty_energy_j"] += float(attrs.get("dirty_energy_j", 0.0))
-        if "energy_j" in attrs:  # the energy_split predicate
+        if carries_energy(attrs):
             self._energy_j += float(attrs["energy_j"])
             self._dirty_j += float(attrs.get("dirty_energy_j", 0.0))
             self._energy_spans += 1
@@ -166,55 +163,7 @@ class TraceAggregate:
 
     def split(self) -> dict[str, float]:
         """Same shape as :func:`repro.obs.energy.energy_split`."""
-        green = self._energy_j - self._dirty_j
-        return {
-            "task_spans": self._energy_spans,
-            "energy_j": self._energy_j,
-            "dirty_energy_j": self._dirty_j,
-            "green_energy_j": green,
-            "green_fraction": green / self._energy_j if self._energy_j > 0 else 1.0,
-        }
-
-
-def stage_table(spans: list[dict]) -> list[dict[str, Any]]:
-    """Aggregate ``stage.*`` spans (see :meth:`TraceAggregate.stage_rows`)."""
-    agg = TraceAggregate(top_n=0)
-    for span in spans:
-        agg.add(span)
-    return agg.stage_rows()
-
-
-def node_table(spans: list[dict]) -> list[dict[str, Any]]:
-    """Per-node latency and energy from ``task.execute`` spans."""
-    agg: dict[int, dict[str, float]] = {}
-    for span in spans:
-        attrs = span.get("attrs", {})
-        if span["name"] != "task.execute" or "node_id" not in attrs:
-            continue
-        row = agg.setdefault(
-            int(attrs["node_id"]),
-            {"tasks": 0, "busy_s": 0.0, "energy_j": 0.0, "dirty_energy_j": 0.0},
-        )
-        row["tasks"] += 1
-        row["busy_s"] += float(attrs.get("runtime_s", span["duration_s"]))
-        row["energy_j"] += float(attrs.get("energy_j", 0.0))
-        row["dirty_energy_j"] += float(attrs.get("dirty_energy_j", 0.0))
-    out = []
-    for node_id, row in sorted(agg.items()):
-        green = row["energy_j"] - row["dirty_energy_j"]
-        out.append(
-            {
-                "node": node_id,
-                **row,
-                "green_energy_j": green,
-                "green_fraction": green / row["energy_j"] if row["energy_j"] else 1.0,
-            }
-        )
-    return out
-
-
-def slowest_spans(spans: list[dict], top_n: int = 10) -> list[dict]:
-    return sorted(spans, key=lambda s: -float(s["duration_s"]))[:top_n]
+        return split_summary(self._energy_spans, self._energy_j, self._dirty_j)
 
 
 def kernel_dispatch_table(metrics: dict[str, Any]) -> list[dict[str, Any]]:
@@ -337,17 +286,13 @@ def render_report(
 ) -> str:
     """The full ASCII report over one trace's spans.
 
-    ``spans`` may be any iterable — it is consumed exactly once.
+    ``spans`` may be any iterable — it is consumed exactly once, folded
+    into a :class:`TraceAggregate` — so a streamed trace file is never
+    materialised.
     """
     agg = TraceAggregate(top_n)
     for span in spans:
         agg.add(span)
-    return _render_aggregate(agg, title=title, metrics=metrics)
-
-
-def _render_aggregate(
-    agg: TraceAggregate, title: str = "", metrics: dict[str, Any] | None = None
-) -> str:
     sections: list[str] = []
     if title:
         sections.append(title)
@@ -480,29 +425,13 @@ def _render_aggregate(
 
 
 def report_from_file(path: str | os.PathLike, top_n: int = 10) -> str:
-    """Validate and summarise one JSONL trace file, in one streaming pass.
-
-    Per-record schema checks happen inside :func:`iter_records`; the
-    header checks (schema version, span-count match) happen here, so a
-    corrupt trace still raises :class:`ValueError` without the whole
-    span list ever being materialised.
+    """Validate and summarise one JSONL trace file, in one streaming pass
+    (:func:`~repro.obs.trace.iter_spans`: a corrupt trace still raises
+    :class:`ValueError`, and the span list is never materialised).
 
     A ``<trace>.metrics.json`` sidecar next to the trace (written by
     ``repro compare --trace``) contributes the kernel-dispatch section.
     """
-    agg = TraceAggregate(top_n)
-    meta: dict = {}
-    for record in iter_records(path):
-        if record.get("type") == "meta":
-            meta = record
-            continue
-        agg.add(record)
-    if meta.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {meta.get('schema_version')!r}")
-    if meta.get("span_count") != agg.spans:
-        raise ValueError(
-            f"meta span_count {meta.get('span_count')} != {agg.spans} span lines"
-        )
     metrics: dict[str, Any] | None = None
     sidecar = str(path) + ".metrics.json"
     if os.path.exists(sidecar):
@@ -513,4 +442,4 @@ def report_from_file(path: str | os.PathLike, top_n: int = 10) -> str:
             loaded = None
         if isinstance(loaded, dict):
             metrics = loaded
-    return _render_aggregate(agg, title=f"trace: {path}", metrics=metrics)
+    return render_report(iter_spans(path), top_n, f"trace: {path}", metrics)

@@ -354,6 +354,30 @@ def read_spans(path: str | os.PathLike) -> tuple[dict, list[dict]]:
     return meta, spans
 
 
+def iter_spans(path: str | os.PathLike) -> Iterable[dict]:
+    """Stream the span records of a JSONL trace file.
+
+    Per-record checks happen in :func:`iter_records`; once the last
+    span has been yielded the meta header is checked against what was
+    read, so a wrong schema version or a span-count mismatch raises
+    :class:`ValueError` without the span list ever being materialised.
+    """
+    meta: dict = {}
+    count = 0
+    for record in iter_records(path):
+        if record.get("type") == "meta":
+            meta = record
+            continue
+        count += 1
+        yield record
+    if meta.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {meta.get('schema_version')!r}")
+    if meta.get("span_count") != count:
+        raise ValueError(
+            f"meta span_count {meta.get('span_count')} != {count} span lines"
+        )
+
+
 def validate_jsonl(path: str | os.PathLike) -> dict:
     """Validate a trace file's schema; returns summary stats.
 
@@ -361,25 +385,13 @@ def validate_jsonl(path: str | os.PathLike) -> dict:
     :class:`ValueError` on malformed records, wrong schema version, or a
     span-count mismatch against the meta header.
     """
-    meta: dict = {}
     count = 0
     names: set[str] = set()
     pids: set[int] = set()
-    for record in iter_records(path):
-        if record.get("type") == "meta":
-            meta = record
-            continue
+    for span in iter_spans(path):
         count += 1
-        names.add(record["name"])
-        pids.add(record["pid"])
-    if meta.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {meta.get('schema_version')!r}"
-        )
-    if meta.get("span_count") != count:
-        raise ValueError(
-            f"meta span_count {meta.get('span_count')} != {count} span lines"
-        )
+        names.add(span["name"])
+        pids.add(span["pid"])
     return {
         "spans": count,
         "names": sorted(names),

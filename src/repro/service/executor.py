@@ -24,10 +24,10 @@ import threading
 from typing import Any
 
 import repro.obs as obs
-from repro.cluster.cluster import Cluster, paper_cluster
+from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import ExecutionEngine, ProcessPoolEngine, SimulatedEngine
-from repro.core.framework import ParetoPartitioner, PreparedInput, RunReport
-from repro.core.strategies import Strategy
+from repro.core.framework import ParetoPartitioner, PreparedInput
+from repro.core.strategies import at_alpha
 from repro.data.datasets import Dataset, load_dataset
 from repro.service.jobs import JobSpec, build_workload
 
@@ -38,16 +38,8 @@ class ScenarioExecutor:
     """Runs one :class:`JobSpec` at a time per calling thread, sharing
     engine, dataplane and prepared state across all of them."""
 
-    def __init__(
-        self,
-        engine: ExecutionEngine,
-        *,
-        stage_via_kv: bool = False,
-        num_strata: int = 8,
-    ):
+    def __init__(self, engine: ExecutionEngine):
         self.engine = engine
-        self.stage_via_kv = stage_via_kv
-        self.num_strata = num_strata
         self._lock = threading.Lock()
         self._prepared: dict[tuple, tuple[ParetoPartitioner, PreparedInput]] = {}
         self._datasets: dict[tuple, Dataset] = {}
@@ -86,12 +78,14 @@ class ScenarioExecutor:
                     scale=spec.size_scale,
                 ):
                     dataset = self._dataset_for_locked(spec)
+                    # No KV hop: it keys a partition by id alone, so
+                    # concurrent jobs over one cluster would share keys.
                     pp = ParetoPartitioner(
                         self.engine,
                         kind=dataset.kind,
-                        num_strata=self.num_strata,
+                        num_strata=8,
                         seed=spec.seed,
-                        stage_via_kv=self.stage_via_kv,
+                        stage_via_kv=False,
                     )
                     prep = pp.prepare(
                         dataset.items, build_workload(spec.workload, spec.support)
@@ -111,29 +105,8 @@ class ScenarioExecutor:
         """Execute one job; returns the JSON-ready result payload."""
         pp, prep = self.prepared_for(spec)
         workload = build_workload(spec.workload, spec.support)
-        if spec.alpha is None:
-            strategy = Strategy(
-                name="stratified", alpha=None, placement=spec.effective_placement
-            )
-        else:
-            strategy = Strategy(
-                name=f"alpha={spec.alpha}",
-                alpha=spec.alpha,
-                placement=spec.effective_placement,
-            )
+        strategy = at_alpha(spec.alpha, spec.effective_placement)
         report = pp.execute(prep.items, workload, strategy, prepared=prep)
-        return self._result_payload(spec, report)
-
-    @staticmethod
-    def _result_payload(spec: JobSpec, report: RunReport) -> dict[str, Any]:
-        merged = report.merged_output
-        quality: dict[str, Any] = {
-            k: report.extra[k]
-            for k in ("candidates", "frequent", "false_positives")
-            if k in report.extra
-        }
-        if hasattr(merged, "ratio"):
-            quality["compression_ratio"] = round(merged.ratio, 4)
         return {
             "workload": spec.workload,
             "dataset": spec.dataset,
@@ -145,7 +118,7 @@ class ScenarioExecutor:
             "green_energy_j": report.total_energy_j - report.total_dirty_energy_j,
             "plan_sizes": [int(s) for s in report.plan.sizes],
             "kv_round_trips": report.kv_round_trips,
-            "quality": quality,
+            "quality": report.quality(digits=4),
         }
 
     # -- lifecycle ----------------------------------------------------------
@@ -178,10 +151,7 @@ def build_executor(
     *,
     num_nodes: int = 4,
     max_workers: int | None = None,
-    cluster: Cluster | None = None,
     seed: int = 0,
-    unit_rate: float = 5e4,
-    stage_via_kv: bool = False,
 ) -> ScenarioExecutor:
     """Standard service executor: a paper cluster plus the chosen engine.
 
@@ -190,12 +160,11 @@ def build_executor(
     deterministic closed-form runtimes (useful for tests and capacity
     math).
     """
-    if cluster is None:
-        cluster = paper_cluster(num_nodes, seed=seed)
+    cluster = paper_cluster(num_nodes, seed=seed)
     if engine_kind == "process":
         engine: ExecutionEngine = ProcessPoolEngine(cluster, max_workers=max_workers)
     elif engine_kind == "simulated":
-        engine = SimulatedEngine(cluster, unit_rate=unit_rate)
+        engine = SimulatedEngine(cluster)
     else:
         raise ValueError(f"unknown engine kind {engine_kind!r}")
-    return ScenarioExecutor(engine, stage_via_kv=stage_via_kv)
+    return ScenarioExecutor(engine)

@@ -21,11 +21,12 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any
 
-from repro.data.datasets import DATASET_NAMES
+from repro.data.datasets import DATASET_KINDS, DATASET_NAMES
+from repro.workloads.catalog import WORKLOADS
 
 __all__ = [
     "JobState",
@@ -38,28 +39,8 @@ __all__ = [
     "default_placement",
 ]
 
-MINING_WORKLOADS = ("apriori", "eclat", "fpgrowth", "treemining")
-SERVICE_WORKLOADS = MINING_WORKLOADS + ("webgraph", "lz77")
-
-#: Dataset kinds each workload can mine (treemining needs trees; the
-#: other miners need set-shaped items, i.e. text; compression runs on
-#: anything the pivot extractor handles).
-_WORKLOAD_KINDS = {
-    "apriori": ("text",),
-    "eclat": ("text",),
-    "fpgrowth": ("text",),
-    "treemining": ("tree",),
-    "webgraph": ("graph", "text", "tree"),
-    "lz77": ("graph", "text", "tree"),
-}
-
-_DATASET_KINDS = {
-    "swissprot": "tree",
-    "treebank": "tree",
-    "uk": "graph",
-    "arabic": "graph",
-    "rcv1": "text",
-}
+SERVICE_WORKLOADS = tuple(WORKLOADS)
+MINING_WORKLOADS = tuple(name for name, spec in WORKLOADS.items() if spec.mining)
 
 
 class JobState(str, Enum):
@@ -84,36 +65,15 @@ def _new_job_id() -> str:
 
 
 def default_placement(workload: str) -> str:
-    """Similar-together for compression, representative for mining —
-    the same defaults the CLI ``compare`` command uses."""
-    return "similar" if workload in ("webgraph", "lz77") else "representative"
+    """Similar-together for compression, representative for mining."""
+    return WORKLOADS[workload].placement
 
 
 def build_workload(name: str, support: float):
     """Instantiate a workload by service name."""
-    if name == "apriori":
-        from repro.workloads.fpm.apriori import AprioriWorkload
-
-        return AprioriWorkload(min_support=support, max_len=3)
-    if name == "eclat":
-        from repro.workloads.fpm.eclat import EclatWorkload
-
-        return EclatWorkload(min_support=support, max_len=3)
-    if name == "fpgrowth":
-        from repro.workloads.fpm.fpgrowth import FPGrowthWorkload
-
-        return FPGrowthWorkload(min_support=support, max_len=3)
-    if name == "treemining":
-        from repro.workloads.fpm.treemining import TreeMiningWorkload
-
-        return TreeMiningWorkload(min_support=support, max_len=2)
-    from repro.workloads.compression.distributed import CompressionWorkload
-
-    if name == "lz77":
-        return CompressionWorkload("lz77", max_chain=8)
-    if name == "webgraph":
-        return CompressionWorkload("webgraph")
-    raise ValueError(f"unknown workload {name!r}")
+    if name not in WORKLOADS:
+        raise ValueError(f"unknown workload {name!r}")
+    return WORKLOADS[name].build(support)
 
 
 @dataclass(frozen=True)
@@ -145,12 +105,9 @@ class JobSpec:
             raise ValueError(
                 f"unknown dataset {self.dataset!r}; choose from {DATASET_NAMES}"
             )
-        kind = _DATASET_KINDS[self.dataset]
-        if kind not in _WORKLOAD_KINDS[self.workload]:
-            raise ValueError(
-                f"workload {self.workload!r} cannot run on {kind!r} dataset "
-                f"{self.dataset!r}"
-            )
+        WORKLOADS[self.workload].check_runs_on(
+            DATASET_KINDS[self.dataset], self.dataset
+        )
         if not 0.0 < self.support <= 1.0:
             raise ValueError("support must be in (0, 1]")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
@@ -167,25 +124,15 @@ class JobSpec:
         return self.placement or default_placement(self.workload)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "dataset": self.dataset,
-            "support": self.support,
-            "alpha": self.alpha,
-            "placement": self.placement,
-            "size_scale": self.size_scale,
-            "seed": self.seed,
-            "tenant": self.tenant,
-        }
+        # Every status poll calls this: the instance dict is exactly
+        # the fields, in order, without asdict's deep copy.
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "JobSpec":
         if not isinstance(payload, dict):
             raise ValueError("job spec must be a JSON object")
-        unknown = set(payload) - {
-            "workload", "dataset", "support", "alpha", "placement",
-            "size_scale", "seed", "tenant",
-        }
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown job spec fields: {sorted(unknown)}")
         spec = cls(**payload)

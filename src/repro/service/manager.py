@@ -54,6 +54,9 @@ _log = get_logger(__name__)
 #: admission and dequeue — the "queue depth over time" distribution).
 QUEUE_DEPTH_BUCKETS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
+#: Retry hint before any job has finished, and the floor afterwards.
+DEFAULT_RETRY_AFTER_S = 0.5
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -63,8 +66,6 @@ class ServiceConfig:
     concurrency: int = 2
     per_tenant_inflight: int = 8
     result_ttl_s: float = 300.0
-    #: Fallback retry hint before any job has finished.
-    default_retry_after_s: float = 0.5
 
     def validate(self) -> None:
         if self.max_queue_depth <= 0:
@@ -177,10 +178,10 @@ class JobManager:
         """Backpressure hint: roughly one queue-drain interval — queued
         work divided by worker concurrency, priced at the EWMA runtime."""
         if self._run_ewma_s is None:
-            return self.config.default_retry_after_s
+            return DEFAULT_RETRY_AFTER_S
         pending = len(self._queue) + self._running
         per_slot = max(1.0, pending / self.config.concurrency)
-        return max(self.config.default_retry_after_s, per_slot * self._run_ewma_s)
+        return max(DEFAULT_RETRY_AFTER_S, per_slot * self._run_ewma_s)
 
     # -- queries ------------------------------------------------------------
 

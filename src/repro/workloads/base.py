@@ -52,8 +52,9 @@ class Workload(abc.ABC):
 
     #: True for local miners whose merged output is only a candidate
     #: set: the framework then runs a second, candidate-counting phase
-    #: over :meth:`count_records` of each partition (Savasere) and
-    #: reads ``min_support`` off the workload.
+    #: over :meth:`count_records` of each partition (Savasere). The
+    #: rest of that contract is stated by
+    #: :class:`~repro.workloads.fpm.apriori.LocalMiningWorkload`.
     two_phase: bool = False
 
     @abc.abstractmethod

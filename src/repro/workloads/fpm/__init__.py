@@ -1,14 +1,15 @@
 """Frequent pattern mining workloads (compute-intensive, skew-sensitive).
 
 Implements the paper's FPM stack: Apriori (Agrawal & Srikant) as the
-local miner, Savasere et al.'s partition-based distributed algorithm
-(local mining + global false-positive pruning scan), the frequent tree
-mining variant over LCA-pivot sets, and Eclat as an alternative
-vertical-layout backend (extension).
+local miner, the two workloads of Savasere et al.'s partition-based
+distributed algorithm (local mining, then the global false-positive
+pruning scan — run as two phases by
+:func:`repro.core.framework.run_two_phase`), the frequent tree mining
+variant over LCA-pivot sets, and Eclat and FP-growth as alternative
+local miners (extension).
 """
 
 from repro.workloads.fpm.apriori import AprioriMiner, AprioriWorkload, CandidateCountWorkload
-from repro.workloads.fpm.savasere import SavasereJob, DistributedMiningResult
 from repro.workloads.fpm.treemining import TreeMiningWorkload, trees_to_pivot_sets
 from repro.workloads.fpm.eclat import EclatMiner, EclatWorkload
 from repro.workloads.fpm.fpgrowth import FPGrowthMiner, FPGrowthWorkload
@@ -19,8 +20,6 @@ __all__ = [
     "AprioriMiner",
     "AprioriWorkload",
     "CandidateCountWorkload",
-    "SavasereJob",
-    "DistributedMiningResult",
     "TreeMiningWorkload",
     "trees_to_pivot_sets",
     "EclatMiner",

@@ -260,25 +260,32 @@ def count_patterns_reference(
     return counts, work
 
 
-class AprioriWorkload(Workload):
-    """Per-partition local mining stage (phase 1 of Savasere).
+class LocalMiningWorkload(Workload):
+    """Phase 1 of Savasere's partition algorithm: mine one partition at
+    the global relative support.
 
-    Output is the :class:`MiningOutput` of the partition; ``merge``
-    unions the locally frequent patterns — the global candidate set that
-    phase 2 must verify.
+    The ``two_phase`` contract, stated once for every local miner:
+    ``run`` outputs the partition's :class:`MiningOutput`; ``merge``
+    unions the locally frequent patterns — a complete candidate set,
+    since a globally frequent pattern is locally frequent in at least
+    one partition; phase 2 (:class:`CandidateCountWorkload`) then counts
+    that union over :meth:`~Workload.count_records` of every partition
+    and prunes at ``min_support``, on the ``kernel`` tier the miner was
+    constructed with.
     """
 
-    name = "apriori-local"
     two_phase = True
 
-    def __init__(
-        self, min_support: float, max_len: int | None = None, kernel: str = "auto"
-    ):
-        self.miner = AprioriMiner(min_support=min_support, max_len=max_len, kernel=kernel)
+    def __init__(self, miner):
+        self.miner = miner
 
     @property
     def min_support(self) -> float:
         return self.miner.min_support
+
+    @property
+    def kernel(self) -> str:
+        return self.miner.kernel
 
     def run(self, records: Sequence[Iterable[int]]) -> WorkloadResult:
         out = self.miner.mine(records)
@@ -297,6 +304,19 @@ class AprioriWorkload(Workload):
         for p in partials:
             union.update(p.output.patterns())
         return union
+
+
+class AprioriWorkload(LocalMiningWorkload):
+    """Per-partition Apriori mining."""
+
+    name = "apriori-local"
+
+    def __init__(
+        self, min_support: float, max_len: int | None = None, kernel: str = "auto"
+    ):
+        super().__init__(
+            AprioriMiner(min_support=min_support, max_len=max_len, kernel=kernel)
+        )
 
 
 class CandidateCountWorkload(Workload):

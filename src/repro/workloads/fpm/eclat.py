@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.perf.fpm_kernels import intersect_supports, pack_transactions
 from repro.perf import autotune
-from repro.workloads.base import Workload, WorkloadResult
-from repro.workloads.fpm.apriori import MiningOutput, Pattern
+from repro.workloads.fpm.apriori import LocalMiningWorkload, MiningOutput, Pattern
 
 
 @dataclass
@@ -160,31 +159,14 @@ class EclatMiner:
         )
 
 
-class EclatWorkload(Workload):
+class EclatWorkload(LocalMiningWorkload):
     """Per-partition Eclat mining — drop-in for :class:`AprioriWorkload`."""
 
     name = "eclat-local"
-    two_phase = True
 
     def __init__(
         self, min_support: float, max_len: int | None = None, kernel: str = "auto"
     ):
-        self.miner = EclatMiner(min_support=min_support, max_len=max_len, kernel=kernel)
-
-    @property
-    def min_support(self) -> float:
-        return self.miner.min_support
-
-    def run(self, records: Sequence[Iterable[int]]) -> WorkloadResult:
-        out = self.miner.mine(records)
-        return WorkloadResult(
-            work_units=out.work_units,
-            output=out,
-            stats={"patterns": len(out.counts), "candidates": out.candidates_generated},
+        super().__init__(
+            EclatMiner(min_support=min_support, max_len=max_len, kernel=kernel)
         )
-
-    def merge(self, partials: Sequence[WorkloadResult]) -> set[Pattern]:
-        union: set[Pattern] = set()
-        for p in partials:
-            union.update(p.output.patterns())
-        return union

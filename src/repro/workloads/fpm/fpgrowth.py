@@ -8,7 +8,7 @@ via conditional pattern bases, generating no candidate sets at all.
 Work units count tree-node visits plus conditional-base constructions,
 the cost drivers of the pattern-growth family; the output is bitwise
 identical to the other miners (property-tested), so FP-growth drops
-into the framework and the Savasere coordinator unchanged.
+into the framework's two-phase run unchanged.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.workloads.base import Workload, WorkloadResult
-from repro.workloads.fpm.apriori import MiningOutput, Pattern
+from repro.workloads.fpm.apriori import LocalMiningWorkload, MiningOutput, Pattern
 
 
 @dataclass
@@ -164,29 +163,13 @@ class FPGrowthMiner:
         )
 
 
-class FPGrowthWorkload(Workload):
+class FPGrowthWorkload(LocalMiningWorkload):
     """Per-partition FP-growth mining — drop-in for :class:`AprioriWorkload`."""
 
     name = "fpgrowth-local"
-    two_phase = True
+    #: The FP-tree walk has no counting tier of its own; phase 2 counts
+    #: on the default one.
+    kernel = "auto"
 
     def __init__(self, min_support: float, max_len: int | None = None):
-        self.miner = FPGrowthMiner(min_support=min_support, max_len=max_len)
-
-    @property
-    def min_support(self) -> float:
-        return self.miner.min_support
-
-    def run(self, records: Sequence[Iterable[int]]) -> WorkloadResult:
-        out = self.miner.mine(records)
-        return WorkloadResult(
-            work_units=out.work_units,
-            output=out,
-            stats={"patterns": len(out.counts), "bases": out.candidates_generated},
-        )
-
-    def merge(self, partials: Sequence[WorkloadResult]) -> set[Pattern]:
-        union: set[Pattern] = set()
-        for p in partials:
-            union.update(p.output.patterns())
-        return union
+        super().__init__(FPGrowthMiner(min_support=min_support, max_len=max_len))

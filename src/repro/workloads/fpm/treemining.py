@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.stratify.pivots import tree_pivots
-from repro.workloads.base import Workload, WorkloadResult
-from repro.workloads.fpm.apriori import AprioriMiner
+from repro.workloads.base import WorkloadResult
+from repro.workloads.fpm.apriori import AprioriMiner, LocalMiningWorkload
 
 
 def trees_to_pivot_sets(records: Sequence) -> tuple[list[list[int]], float]:
@@ -35,18 +35,13 @@ def trees_to_pivot_sets(records: Sequence) -> tuple[list[list[int]], float]:
     return transactions, work
 
 
-class TreeMiningWorkload(Workload):
+class TreeMiningWorkload(LocalMiningWorkload):
     """Per-partition frequent tree (pivot-set) mining."""
 
     name = "tree-mining"
-    two_phase = True
 
     def __init__(self, min_support: float, max_len: int | None = 3):
-        self.miner = AprioriMiner(min_support=min_support, max_len=max_len)
-
-    @property
-    def min_support(self) -> float:
-        return self.miner.min_support
+        super().__init__(AprioriMiner(min_support=min_support, max_len=max_len))
 
     def run(self, records: Sequence) -> WorkloadResult:
         transactions, convert_work = trees_to_pivot_sets(records)
@@ -60,12 +55,6 @@ class TreeMiningWorkload(Workload):
                 "trees": len(records),
             },
         )
-
-    def merge(self, partials: Sequence[WorkloadResult]) -> set:
-        union: set = set()
-        for p in partials:
-            union.update(p.output.patterns())
-        return union
 
     def count_records(self, partition: Sequence) -> list[list[int]]:
         return trees_to_pivot_sets(partition)[0]

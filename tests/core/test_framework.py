@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
 from repro.core.framework import ParetoPartitioner
@@ -143,6 +144,27 @@ class TestExecuteFpm:
             pp.execute_fpm(
                 dataset.items, CompressionWorkload("lz77"), STRATIFIED, prepared=prepared
             )
+
+    def test_phase_two_counts_on_the_local_miners_tier(self, pp, dataset, prepared):
+        """``kernel=`` on the local miner governs both phases: a
+        reference-tier workload never counts its candidates on the
+        default tier."""
+        workload = AprioriWorkload(min_support=0.15, max_len=2, kernel="reference")
+        obs.enable()
+        obs.reset()
+        try:
+            pp.execute(dataset.items, workload, STRATIFIED, prepared=prepared)
+            snapshot = obs.metrics_snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
+        fpm = {
+            key: entry["value"]
+            for key, entry in snapshot.items()
+            if key.startswith('repro_kernel_dispatch_total{kernel="fpm"')
+        }
+        # One resolution per partition per phase.
+        assert fpm == {'repro_kernel_dispatch_total{kernel="fpm",tier="reference"}': 8}
 
 
 class TestStaging:

@@ -1,10 +1,28 @@
 """Smoke tests for every per-figure experiment entry point (small scale)."""
 
+import pytest
 
 from repro.bench import experiments
 from repro.bench.experiments import FrontierSeries
+from repro.cli import main
+from repro.core.framework import ParetoPartitioner
 
 SMALL = dict(size_scale=0.35, seed=0)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The α tuple of every ``ParetoPartitioner.measure_frontier`` call:
+    the one α sweep the figures and ``repro frontier`` are measured by."""
+    calls = []
+    real = ParetoPartitioner.measure_frontier
+
+    def spy(self, items, workload, alphas, *args, **kwargs):
+        calls.append(tuple(alphas))
+        return real(self, items, workload, alphas, *args, **kwargs)
+
+    monkeypatch.setattr(ParetoPartitioner, "measure_frontier", spy)
+    return calls
 
 
 class TestTable1:
@@ -61,18 +79,19 @@ class TestTables23:
 
 
 class TestFig5:
-    def test_series_shape(self):
+    def test_series_shape(self, sweeps):
         series = experiments.fig5_pareto_frontiers(
             partitions=4, alphas=(1.0, 0.99, 0.0), **SMALL
         )
         assert len(series) == 3
+        assert sweeps == [(1.0, 0.99, 0.0)] * 3
         for fs in series:
             assert len(fs.points) == 3
             assert fs.baseline[0] > 0
 
 
 class TestFig6:
-    def test_series_shape(self):
+    def test_series_shape(self, sweeps):
         series = experiments.fig6_support_sweep(
             partitions=4,
             tree_supports=(0.2,),
@@ -82,6 +101,12 @@ class TestFig6:
         )
         assert len(series) == 2
         assert all("support" in fs.meta for fs in series)
+        assert sweeps == [(1.0, 0.0)] * 2
+
+    def test_repro_frontier_is_the_same_sweep(self, sweeps, capsys):
+        argv = "frontier --dataset uk --scale 0.15 --partitions 4 --alphas 1.0,0.0"
+        assert main(argv.split()) == 0
+        assert sweeps == [(1.0, 0.0)]
 
 
 class TestFrontierSeries:

@@ -10,14 +10,12 @@ from repro.cli import main
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
 from repro.obs.report import (
+    TraceAggregate,
     histogram_quantile,
     kernel_dispatch_table,
-    node_table,
     render_report,
     report_from_file,
     service_section,
-    slowest_spans,
-    stage_table,
 )
 from repro.workloads.base import Workload, WorkloadResult
 
@@ -45,10 +43,17 @@ def trace_path(tmp_path):
     return path
 
 
+def _aggregate(trace_path, top_n: int = 10) -> TraceAggregate:
+    _meta, spans = obs.read_spans(trace_path)
+    agg = TraceAggregate(top_n)
+    for span in spans:
+        agg.add(span)
+    return agg
+
+
 class TestTables:
     def test_stage_table(self, trace_path):
-        _meta, spans = obs.read_spans(trace_path)
-        rows = stage_table(spans)
+        rows = _aggregate(trace_path).stage_rows()
         assert [r["stage"] for r in rows] == ["stage.sketch"]
         assert rows[0]["count"] == 1
         # Spans that say how many items they handled give a per-item cost.
@@ -56,16 +61,14 @@ class TestTables:
         assert rows[0]["s_per_item"] == pytest.approx(rows[0]["total_s"] / 120)
 
     def test_node_table_covers_all_nodes(self, trace_path):
-        _meta, spans = obs.read_spans(trace_path)
-        rows = node_table(spans)
+        rows = _aggregate(trace_path).node_rows()
         assert [r["node"] for r in rows] == [0, 1, 2, 3]
         assert all(r["tasks"] == 1 for r in rows)
         assert all(r["energy_j"] > 0 for r in rows)
         assert all(0.0 <= r["green_fraction"] <= 1.0 for r in rows)
 
     def test_slowest_spans_ordering(self, trace_path):
-        _meta, spans = obs.read_spans(trace_path)
-        top = slowest_spans(spans, top_n=3)
+        top = _aggregate(trace_path, top_n=3).top_spans()
         assert len(top) == 3
         durations = [s["duration_s"] for s in top]
         assert durations == sorted(durations, reverse=True)

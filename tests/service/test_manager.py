@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.service.jobs import JobSpec, JobState
-from repro.service.manager import JobManager, ServiceConfig
+from repro.service.manager import DEFAULT_RETRY_AFTER_S, JobManager, ServiceConfig
 
 
 def _result(spec) -> dict:
@@ -143,7 +143,7 @@ class TestBackpressure:
         manager.submit(JobSpec())  # fills the depth-1 queue
         rejected = manager.submit(JobSpec())
         assert rejected.state is JobState.REJECTED
-        assert rejected.retry_after_s >= manager.config.default_retry_after_s
+        assert rejected.retry_after_s >= DEFAULT_RETRY_AFTER_S
         executor.release.set()
         assert wait_for(lambda: blocker.state is JobState.SUCCEEDED)
         manager.drain(timeout_s=10.0)

@@ -1,4 +1,4 @@
-"""Kernel micro-benchmarks: reference vs numpy vs native tiers.
+"""Kernel micro-benchmarks: reference vs numpy tiers.
 
 Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — column-wise pivot hashing, ragged-batch
@@ -7,12 +7,11 @@ the fast LZ77 coder and the batched WebGraph coder — asserting
 bit-identical outputs before reporting any number, and writes the
 measurements to ``benchmarks/results/BENCH_kernels.json``.
 
-Each section records per-tier timings under ``tiers`` — ``reference``,
-``numpy`` and ``native`` (null when numba is not installed, or for
-kernels with no native tier). ``speedup`` is numpy vs reference. The
-file is a record (``docs/performance.md`` cites it); nothing reads it
-back — ``kernel="auto"`` (:mod:`repro.perf.autotune`) does not depend
-on measurements.
+Each section records per-tier timings under ``tiers`` — ``reference``
+and ``numpy``. ``speedup`` is numpy vs reference. The file is a record
+(``docs/performance.md`` cites it); nothing reads it back —
+``kernel="auto"`` (:mod:`repro.perf.autotune`) does not depend on
+measurements.
 
 Runs standalone (no pytest needed)::
 
@@ -38,17 +37,16 @@ import time
 
 import numpy as np
 
-from repro.perf.native import runtime
 from repro.stratify.kmodes import CompositeKModes
 from repro.stratify.minhash import MinHasher
 from repro.stratify.pivots import pivot_ids, stable_pivot_id
 
 
-def _section(t_reference: float, t_numpy: float, t_native: float | None, **extra) -> dict:
+def _section(t_reference: float, t_numpy: float, **extra) -> dict:
     """One kernel's result block; ``speedup`` is numpy vs reference."""
     return {
         "speedup": t_reference / t_numpy,
-        "tiers": {"reference": t_reference, "numpy": t_numpy, "native": t_native},
+        "tiers": {"reference": t_reference, "numpy": t_numpy},
         **extra,
         "bit_identical": True,
     }
@@ -117,8 +115,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 def run_kernel_bench(cfg: dict) -> dict:
     rng = np.random.default_rng(0)
-    native = runtime.numba_available()
-    results: dict[str, dict] = {"config": dict(cfg), "native_available": native}
+    results: dict[str, dict] = {"config": dict(cfg)}
 
     # -- pivot hashing: one mixer call per pivot vs whole columns ----------
     # Label triples as the tree extractor hashes them, negative and
@@ -135,7 +132,7 @@ def run_kernel_bench(cfg: dict) -> dict:
         lambda: [stable_pivot_id(a, b, c) for a, b, c in zip(*columns)], repeats=1
     )
     t_batched = _best_of(lambda: pivot_ids(*columns))  # from lists, as extract_flat calls it
-    results["pivot_hash"] = _section(t_reference, t_batched, None)  # no native tier
+    results["pivot_hash"] = _section(t_reference, t_batched)
 
     # -- sketch_all: ragged batch vs per-set loop --------------------------
     sets = _pivot_sets(cfg["num_sets"], cfg["pivots_per_set"], rng)
@@ -145,12 +142,7 @@ def run_kernel_bench(cfg: dict) -> dict:
     assert np.array_equal(batched, reference), "sketch kernel diverged"
     t_batched = _best_of(lambda: hasher.sketch_all(sets))
     t_reference = _best_of(lambda: hasher.sketch_all_reference(sets), repeats=1)
-    t_native = None
-    if native:
-        nat_hasher = MinHasher(num_hashes=cfg["sketch_hashes"], seed=0, kernel="native")
-        assert np.array_equal(nat_hasher.sketch_all(sets), batched), "native sketch diverged"
-        t_native = _best_of(lambda: nat_hasher.sketch_all(sets))
-    results["sketch_all"] = _section(t_reference, t_batched, t_native)
+    results["sketch_all"] = _section(t_reference, t_batched)
 
     # -- CompositeKModes.fit: code-space kernels vs python loops -----------
     km_rng = np.random.default_rng(2)
@@ -171,17 +163,7 @@ def run_kernel_bench(cfg: dict) -> dict:
     assert fit_b.cost == fit_r.cost and fit_b.iterations == fit_r.iterations
     t_batched = _best_of(lambda: km_batched.fit(sketches), repeats=2)
     t_reference = _best_of(lambda: km_reference.fit(sketches), repeats=1)
-    t_native = None
-    if native:
-        km_native = CompositeKModes(
-            num_clusters=cfg["kmodes_clusters"], top_l=3, seed=0, kernel="native"
-        )
-        fit_n = km_native.fit(sketches)
-        assert np.array_equal(fit_n.labels, fit_b.labels), "native kmodes diverged"
-        assert np.array_equal(fit_n.centers, fit_b.centers), "native kmodes centers diverged"
-        assert fit_n.cost == fit_b.cost and fit_n.iterations == fit_b.iterations
-        t_native = _best_of(lambda: km_native.fit(sketches), repeats=2)
-    results["kmodes_fit"] = _section(t_reference, t_batched, t_native, iterations=fit_b.iterations)
+    results["kmodes_fit"] = _section(t_reference, t_batched, iterations=fit_b.iterations)
 
     # -- Apriori: packed vertical bitmaps vs containment scan --------------
     from repro.workloads.fpm.apriori import AprioriMiner
@@ -205,15 +187,7 @@ def run_kernel_bench(cfg: dict) -> dict:
     assert out_f.work_units == out_r.work_units
     t_batched = _best_of(lambda: fast_miner.mine(transactions), repeats=2)
     t_reference = _best_of(lambda: ref_miner.mine(transactions), repeats=1)
-    t_native = None
-    if native:
-        nat_miner = AprioriMiner(
-            min_support=cfg["apriori_min_support"], kernel="native"
-        )
-        out_n = nat_miner.mine(transactions)
-        assert out_n.counts == out_f.counts, "native apriori diverged"
-        t_native = _best_of(lambda: nat_miner.mine(transactions), repeats=2)
-    results["apriori_mine"] = _section(t_reference, t_batched, t_native, patterns=len(out_f.counts))
+    results["apriori_mine"] = _section(t_reference, t_batched, patterns=len(out_f.counts))
 
     # -- LZ77: precomputed-link coder vs hash-chain loop -------------------
     from repro.workloads.compression.lz77 import LZ77Codec
@@ -237,13 +211,7 @@ def run_kernel_bench(cfg: dict) -> dict:
     assert fast_codec.decompress(blob_f) == data
     t_batched = _best_of(lambda: fast_codec.compress(data), repeats=2)
     t_reference = _best_of(lambda: ref_codec.compress(data), repeats=1)
-    t_native = None
-    if native:
-        nat_codec = LZ77Codec(kernel="native")
-        blob_n, st_n = nat_codec.compress(data)
-        assert blob_n == blob_f and st_n == st_f, "native lz77 diverged"
-        t_native = _best_of(lambda: nat_codec.compress(data), repeats=2)
-    results["lz77_compress"] = _section(t_reference, t_batched, t_native, ratio=st_f.ratio)
+    results["lz77_compress"] = _section(t_reference, t_batched, ratio=st_f.ratio)
 
     # -- WebGraph: batched interval/mask coder vs per-symbol loops ---------
     from repro.workloads.compression.webgraph import WebGraphCodec
@@ -265,7 +233,9 @@ def run_kernel_bench(cfg: dict) -> dict:
     assert wg_f == wg_r and wst_f == wst_r, "webgraph kernel diverged"
     t_batched = _best_of(lambda: fast_wg.compress(adjacency), repeats=2)
     t_reference = _best_of(lambda: ref_wg.compress(adjacency), repeats=1)
-    results["webgraph_compress"] = _section(t_reference, t_batched, None, bits_per_edge=wst_f.bits_per_edge)  # no native tier
+    results["webgraph_compress"] = _section(
+        t_reference, t_batched, bits_per_edge=wst_f.bits_per_edge
+    )
     return results
 
 
@@ -280,21 +250,14 @@ _KERNEL_SECTIONS = (
 
 
 def _render(results: dict) -> str:
-    lines = ["kernel             reference      numpy     native    numpy-vs-ref  native-vs-numpy"]
+    lines = ["kernel             reference      numpy    numpy-vs-ref"]
     for name in _KERNEL_SECTIONS:
         r = results[name]
         tiers = r["tiers"]
-        t_native = tiers["native"]
-        native_col = f"{t_native:>8.3f}s" if t_native is not None else "       --"
-        native_speed = (
-            f"{tiers['numpy'] / t_native:>6.2f}x" if t_native else "    --"
-        )
         lines.append(
-            f"{name:<18} {tiers['reference']:>8.3f}s  {tiers['numpy']:>8.3f}s  {native_col}"
-            f"  {r['speedup']:>10.2f}x  {native_speed:>15}"
+            f"{name:<18} {tiers['reference']:>8.3f}s  {tiers['numpy']:>8.3f}s"
+            f"  {r['speedup']:>10.2f}x"
         )
-    if not results.get("native_available"):
-        lines.append("(native tier not measured: numba unavailable)")
     return "\n".join(lines)
 
 
@@ -325,8 +288,6 @@ def test_bench_kernels(benchmark):
         assert results[name]["bit_identical"]
         tiers = results[name]["tiers"]
         assert tiers["reference"] > 0 and tiers["numpy"] > 0
-        if results["native_available"] and name not in ("pivot_hash", "webgraph_compress"):
-            assert tiers["native"] > 0
 
 
 if __name__ == "__main__":

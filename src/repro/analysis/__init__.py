@@ -4,7 +4,7 @@ Tests catch regressions in behaviour they exercise; they are blind to
 *invariants* — properties every module must hold for the system to be
 trustworthy under concurrency and measurement. Two shipped defects
 motivated this package: a module-global MinHash scratch buffer that
-raced under ``DistributedStratifier`` threads (flaking, not failing),
+raced under concurrent sketching threads (flaking, not failing),
 and a ``Tracer.__len__`` that made an empty tracer falsy and silently
 disabled ``if tracer:`` guards in worker paths. Both are visible to an
 AST walk in milliseconds.
@@ -20,7 +20,7 @@ Rule catalogue (see ``docs/static-analysis.md``):
 ============== =========================================================
 RACE-GLOBAL    module-level mutable state mutated inside functions of
                thread/worker-shared modules (``repro.perf.*``,
-               ``repro.stratify.distributed``, ``repro.cluster.*``)
+               ``repro.cluster.*``)
 TRUTHY-SIZED   truth-testing instances of ``repro`` classes that define
                ``__len__`` without ``__bool__``
 SILENT-EXCEPT  bare/broad ``except`` whose body neither re-raises nor

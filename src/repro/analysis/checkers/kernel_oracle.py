@@ -10,13 +10,10 @@ The check is import-graph based: parse every module under
 ``tests/perf/``, collect the modules they import (``import x.y``,
 ``from x.y import z``, and ``from x import y`` resolving ``x.y``), and
 require each ``repro.perf.<kernel>`` module in the scanned set to be
-imported by at least one of them. The prefix match covers nested
-packages, so the native tier (``repro.perf.native.*``) is held to the
-same contract — its findings point at the native parity suite
-(``tests/perf/test_native_kernels.py``) instead. When the scanned set
-contains no ``tests/perf/`` files at all (e.g. ``repro lint src/``
-alone) the rule stays quiet — absence of the test tree is not evidence
-of a missing oracle.
+imported by at least one of them (the prefix match covers nested
+packages). When the scanned set contains no ``tests/perf/`` files at
+all (e.g. ``repro lint src/`` alone) the rule stays quiet — absence of
+the test tree is not evidence of a missing oracle.
 """
 
 from __future__ import annotations
@@ -84,15 +81,10 @@ class KernelOracleChecker(Checker):
                 continue
             if module.name in covered:
                 continue
-            exemplar = (
-                "tests/perf/test_native_kernels.py"
-                if module.name.startswith(prefix + "native.")
-                else "tests/perf/test_kernel_equivalence.py"
-            )
             yield self.finding(
                 module,
                 module.tree.body[0] if module.tree.body else None,
                 f"kernel module {module.name} is imported by no test under "
                 f"{self.tests_prefix} — add a reference-oracle parity test "
-                f"(see {exemplar} for the pattern)",
+                "(see tests/perf/test_kernel_equivalence.py for the pattern)",
             )

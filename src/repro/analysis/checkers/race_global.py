@@ -2,17 +2,17 @@
 
 The PR 2 regression this rule re-detects: the MinHash batch kernel
 cached its scratch blocks in a module-level slot and wrote into them
-via ``out=``; when ``DistributedStratifier`` sketched from several
-threads the slots were shared and hashes were corrupted — a flake, not
-a failure. The fix (``threading.local()``) is invisible to this rule:
+via ``out=``; when several threads sketched at once the slots were
+shared and hashes were corrupted — a flake, not a failure. The fix
+(``threading.local()``) is invisible to this rule:
 ``threading.local()`` is not a tracked mutable constructor, so
 attribute writes on it never fire.
 
 Scope: modules imported by thread or worker entry points —
-``repro.perf.*`` kernels (called from distributed stratifier threads
-and pool workers), ``repro.stratify.distributed``, and
-``repro.cluster.*``. A module-level ``list``/``dict``/``set``/
-``bytearray``/ndarray binding in one of those modules is flagged
+``repro.perf.*`` kernels (called from the service's manager threads
+and pool workers) and ``repro.cluster.*``. A module-level
+``list``/``dict``/``set``/``bytearray``/ndarray binding in one of
+those modules is flagged
 wherever a function mutates it: mutating method calls, subscript or
 attribute stores, augmented assignment, or use as a numpy ``out=``
 target. ``global`` rebinding is flagged for *any* module-level binding,
@@ -35,9 +35,8 @@ from repro.analysis.base import (
 from repro.analysis.findings import Finding
 from repro.analysis.project import SourceModule
 
-#: Module-name predicates for thread/worker-shared code.
+#: Package prefixes of thread/worker-shared code.
 DEFAULT_SHARED_PREFIXES = ("repro.perf", "repro.cluster")
-DEFAULT_SHARED_MODULES = ("repro.stratify.distributed",)
 
 #: Constructor names whose result is mutable shared state worth tracking.
 _MUTABLE_CALLS = {
@@ -88,8 +87,6 @@ def _is_mutable_value(node: ast.expr) -> bool:
 
 
 def default_shared_module(name: str) -> bool:
-    if name in DEFAULT_SHARED_MODULES:
-        return True
     return any(
         name == p or name.startswith(p + ".") for p in DEFAULT_SHARED_PREFIXES
     )

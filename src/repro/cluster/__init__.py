@@ -10,9 +10,7 @@ subpackage reproduces that environment in-process:
 - :func:`~repro.cluster.cluster.paper_cluster` — the 4-type preset;
 - execution engines that run partitioned workloads either in
   deterministic simulated time (work units ÷ speed) or on a real
-  process pool with wall-clock scaling;
-- a global barrier built on the KV store's fetch-and-increment, as in
-  the paper's middleware.
+  process pool with wall-clock scaling.
 """
 
 from repro.cluster.node import Node, NodeType, PAPER_NODE_TYPES
@@ -24,7 +22,6 @@ from repro.cluster.engines import (
     JobResult,
     TaskResult,
 )
-from repro.cluster.barrier import KVBarrier
 from repro.cluster.workstealing import WorkStealingScheduler, StealEvent
 from repro.cluster.faults import FaultInjectingEngine
 from repro.cluster.scenarios import (
@@ -53,5 +50,4 @@ __all__ = [
     "ProcessPoolEngine",
     "JobResult",
     "TaskResult",
-    "KVBarrier",
 ]

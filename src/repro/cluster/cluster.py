@@ -52,14 +52,6 @@ class Cluster:
         """The node the paper would pick as master (type 1 first)."""
         return max(self.nodes, key=lambda n: (n.speed_factor, -n.node_id))
 
-    def master_nodes(self) -> tuple[Node, Node]:
-        """Two distinct coordinator nodes (barrier master + clustering
-        master), fastest types first, per the paper's Section IV."""
-        if len(self.nodes) == 1:
-            return self.nodes[0], self.nodes[0]
-        ranked = sorted(self.nodes, key=lambda n: (-n.speed_factor, n.node_id))
-        return ranked[0], ranked[1]
-
 
 def paper_cluster(
     num_nodes: int,

@@ -11,7 +11,7 @@ job, the learned model absorbs everything the paper lists — CPU/IO
 ratio, co-location interference (emulated here as speed factors), and
 payload distribution — rather than trusting nominal CPU speeds.
 
-A polynomial alternative is provided for the Section III-D ablation:
+A polynomial model is also provided for the Section III-D ablation:
 with the few samples progressive sampling affords, higher-degree fits
 overfit, which the ablation bench demonstrates.
 """
@@ -100,7 +100,7 @@ class LinearTimeModel:
 
 @dataclass(frozen=True)
 class PolynomialTimeModel:
-    """Degree-``d`` polynomial fit — the ablation alternative.
+    """Degree-``d`` polynomial fit — the ablation's other model.
 
     Coefficients in :func:`numpy.polyval` order (highest degree first).
     """

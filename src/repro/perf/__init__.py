@@ -15,11 +15,8 @@ the stratifier modules call into:
   chunking, and a two-sort top-L centre update.
 - :mod:`repro.perf.fpm_kernels` / :mod:`repro.perf.lz77_kernels` —
   packed-bitmap support counting and the precomputed-link LZ77 coder.
-- :mod:`repro.perf.native` — optional numba-compiled (``native``)
-  counterparts of the four hottest kernels. Imports lazily; without
-  numba the tier reports unavailable and nothing changes.
-- :mod:`repro.perf.autotune` — dispatch among the
-  ``reference | numpy | native`` tiers behind ``kernel="auto"``, the
+- :mod:`repro.perf.autotune` — dispatch between the
+  ``reference | numpy`` tiers behind ``kernel="auto"``, the
   default on every workload. Deliberately not re-exported here — it
   imports :mod:`repro.obs`, and keeping it out of this package marker
   keeps the kernel modules import-cycle-free.

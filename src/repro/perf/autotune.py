@@ -1,37 +1,26 @@
 """Kernel tier dispatch (the autotuner).
 
-Every hot kernel family has up to three bit-identical implementations:
-``reference`` (the kept Python/numpy-loop oracle), ``numpy`` (the
-batched kernels) and ``native`` (the optional numba tier in
-:mod:`repro.perf.native`). This module picks one per call from the
-``kernel=`` argument, the kernel kind, ``REPRO_KERNEL_TIER`` and
-whether numba imports — nothing else:
+Every hot kernel family has two bit-identical implementations:
+``reference`` (the kept Python/numpy-loop oracle) and ``numpy`` (the
+batched kernels). This module picks one per call from the ``kernel=``
+argument and ``REPRO_KERNEL_TIER`` — nothing else:
 
-- An explicit ``kernel=`` wins outright; ``"native"`` without numba
-  raises (you asked for something the interpreter cannot provide).
+- an explicit ``kernel=`` wins outright;
 - ``kernel="auto"`` (the default everywhere) takes the tier
-  ``REPRO_KERNEL_TIER`` names, if this kind has it — a process-wide
-  pin, how a whole pipeline is held to the oracle tier;
-- otherwise, or when the pin is a native tier numba cannot back, the
-  fastest tier available: ``native`` where the kind has one and numba
-  imports, else ``numpy``. Unpinned ``auto`` never picks ``reference``.
+  ``REPRO_KERNEL_TIER`` names — a process-wide pin, how a whole
+  pipeline is held to the oracle tier;
+- otherwise ``numpy``. Unpinned ``auto`` never picks ``reference``.
 
 Every resolution increments ``repro_kernel_dispatch_total{kernel,tier}``
 when :mod:`repro.obs` is enabled, so ``repro obs report`` shows which
-tier ran during a job. When ``auto`` wanted the native tier but numba
-is missing, one ``kernel.native_unavailable`` log event per kernel kind
-per process records the downgrade and the numpy tier runs — never an
-exception.
+tier ran during a job.
 """
 
 from __future__ import annotations
 
-import functools
-import logging
 import os
 
 from repro import obs
-from repro.perf.native import runtime
 
 __all__ = [
     "AUTO",
@@ -45,16 +34,11 @@ __all__ = [
 AUTO = "auto"
 
 #: Canonical tier names, slowest-but-simplest first.
-TIERS = ("reference", "numpy", "native")
+TIERS = ("reference", "numpy")
 
-#: Tiers each kernel kind actually implements. WebGraph's batched coder
-#: is symbol-stream bookkeeping over Python sets — no native candidate.
+#: Tiers each kernel kind implements.
 KIND_TIERS = {
-    "minhash": ("reference", "numpy", "native"),
-    "kmodes": ("reference", "numpy", "native"),
-    "fpm": ("reference", "numpy", "native"),
-    "lz77": ("reference", "numpy", "native"),
-    "webgraph": ("reference", "numpy"),
+    kind: TIERS for kind in ("minhash", "kmodes", "fpm", "lz77", "webgraph")
 }
 
 ENV_TIER = "REPRO_KERNEL_TIER"
@@ -70,18 +54,6 @@ def validate_kernel(kernel: str, kind: str) -> str:
     if kernel not in allowed:
         raise ValueError(f"kernel must be one of {allowed}, got {kernel!r}")
     return kernel
-
-
-@functools.lru_cache(maxsize=None)
-def _log_native_unavailable(kind: str) -> None:
-    """One log event per kernel kind per process for the auto downgrade."""
-    obs.log_event(
-        obs.get_logger(__name__),
-        logging.INFO,
-        "kernel.native_unavailable",
-        kernel=kind,
-        fallback="numpy",
-    )
 
 
 def _record_dispatch(kind: str, tier: str) -> None:
@@ -102,19 +74,6 @@ def resolve_tier(kernel: str, *, kind: str, work: float = 0) -> str:
         pinned = os.environ.get(ENV_TIER)
         if pinned and pinned not in TIERS:
             raise ValueError(f"{ENV_TIER} must name a tier {TIERS}, got {pinned!r}")
-        if pinned in KIND_TIERS[kind] and pinned != "native":
-            choice = pinned
-        elif "native" not in KIND_TIERS[kind]:
-            choice = "numpy"
-        elif runtime.numba_available():
-            choice = "native"
-        else:
-            _log_native_unavailable(kind)
-            choice = "numpy"
-    elif choice == "native" and not runtime.numba_available():
-        raise RuntimeError(
-            "kernel='native' requested but numba is not importable; "
-            "install numba or use kernel='auto' to fall back gracefully"
-        )
+        choice = pinned or "numpy"
     _record_dispatch(kind, choice)
     return choice

@@ -23,7 +23,7 @@ the work-unit accounting all match the reference exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -156,19 +156,13 @@ def pattern_supports(
     bitmap: TransactionBitmap,
     patterns: Sequence[tuple[int, ...]],
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    supports: Callable[[TransactionBitmap, np.ndarray], np.ndarray] | None = None,
 ) -> dict[tuple[int, ...], int]:
     """Support of arbitrary (mixed-length) patterns, grouped by length.
 
     Patterns with items the partition never saw get support 0 via the
     sentinel row — the global-pruning scan of Savasere's phase 2 counts
-    a candidate union that other partitions contributed to. ``supports``
-    swaps the per-group counting kernel (the native tier passes its
-    compiled counterpart); default is :func:`candidate_supports`.
+    a candidate union that other partitions contributed to.
     """
-    if supports is None:
-        def supports(bm, rows):
-            return candidate_supports(bm, rows, chunk_bytes)
     by_len: dict[int, list[tuple[int, ...]]] = {}
     for p in patterns:
         by_len.setdefault(len(p), []).append(p)
@@ -179,7 +173,7 @@ def pattern_supports(
                 counts[p] = bitmap.num_transactions
             continue
         idx = bitmap.rows_for(np.asarray(group, dtype=np.int64).reshape(len(group), k))
-        sup = supports(bitmap, idx)
+        sup = candidate_supports(bitmap, idx, chunk_bytes)
         for p, c in zip(group, sup):
             counts[p] = int(c)
     return counts

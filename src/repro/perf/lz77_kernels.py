@@ -18,9 +18,7 @@ token stream** (and identical probe/match/literal statistics):
   and extends candidate matches by slice comparison — one ``memcmp``
   per doubling step instead of one interpreter iteration per byte.
   :func:`serialize_tokens` turns the chosen matches into the token
-  stream; :func:`compress_block` composes the two. The native tier
-  (:mod:`repro.perf.native.lz77_njit`) reuses ``serialize_tokens``, so
-  its blobs are byte-identical by construction.
+  stream; :func:`compress_block` composes the two.
 - :func:`encode_varint_batch` LEB128-encodes a whole int array at once
   (vectorised byte-count + scatter), so match tokens and the WebGraph
   coder's gap lists serialize without a per-value Python call.
@@ -145,9 +143,7 @@ def scan_matches(
 
     ``links`` is the output of :func:`build_match_links`. Returns
     ``(match_pos, match_dists, match_lens, probes_total)`` — matches in
-    position order with the reference's exact probe accounting. The
-    native tier's :func:`repro.perf.native.lz77_njit.scan_matches_native`
-    implements the same contract.
+    position order with the reference's exact probe accounting.
     """
     n = len(data)
     nlink = links.size
@@ -207,9 +203,8 @@ def serialize_tokens(
 ) -> tuple[bytes, dict[str, int]]:
     """Serialize a match scan into the reference coder's token stream.
 
-    Shared by the numpy and native tiers (identical match arrays in,
-    identical blob out). Returns ``(blob, stats)`` where stats carries
-    the reference's counters: ``matches``, ``literals``, ``probes``.
+    Returns ``(blob, stats)`` where stats carries the reference's
+    counters: ``matches``, ``literals``, ``probes``.
     """
     n = len(data)
     # Each op is (literal_start, literal_end, match_index); match_index

@@ -1,21 +1,2 @@
-"""Optional compiled (numba) kernel tier.
-
-One ``*_njit`` module per hot kernel family — MinHash sketching,
-compositeKModes assignment, LZ77 match scanning, bitmap support
-counting — each a tight loop decorated with the :mod:`runtime` shim's
-``@njit(cache=True)``. Importing this package never imports numba;
-the shim probes for it lazily, and without it the kernels run
-interpreted (bit-identical, slow) while
-:func:`repro.perf.native.runtime.numba_available` tells the autotuner
-to keep dispatching to the numpy tier instead.
-
-Like every :mod:`repro.perf` module, the kernels here are pure
-functions of their arguments, are bit-identical to the kept reference
-oracles, and must be imported by a parity test under ``tests/perf/``
-(the KERNEL-ORACLE lint rule enforces this for the native subpackage
-too).
-"""
-
-from repro.perf.native.runtime import njit, numba_available
-
-__all__ = ["njit", "numba_available"]
+"""Holds only :mod:`repro.perf.native.runtime`, the numba import probe
+the frozen end-to-end ruler reads; there is no native kernel tier."""

@@ -1,58 +1,19 @@
-"""Numba availability gate and ``@njit`` shim for the native tier.
+"""Whether numba imports, for the end-to-end ruler's host fingerprint.
 
-The native kernels are plain Python loops decorated with :func:`njit`.
-When numba imports cleanly, :func:`njit` is ``numba.njit`` and the
-loops compile to machine code on first call (``cache=True`` persists
-the compilation across processes). When numba is absent — the supported
-degraded mode — :func:`njit` is an identity decorator: the kernels stay
-importable and runnable (interpreted, slowly), so the parity suites can
-still exercise the exact arithmetic the compiled tier would run, while
-the autotuner never *selects* the native tier because
-:func:`numba_available` reports it unavailable.
-
-The availability probe is cached (one import attempt per process);
-tests that poison ``sys.modules["numba"]`` call
-``numba_available.cache_clear()`` to re-probe.
+``benchmarks/e2e/e2ebench/harness.py`` (frozen) imports
+:func:`numba_available` from this path; nothing under ``src/`` calls it.
+Delete this package when ROADMAP item 5(c) re-points the ruler.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
-import logging
-
-from repro.obs.log import get_logger, log_event
 
 
-@functools.lru_cache(maxsize=1)
 def numba_available() -> bool:
     """True iff ``import numba`` succeeds in this interpreter."""
     try:
         importlib.import_module("numba")
-    except Exception as exc:  # ImportError, or a broken install raising anything
-        log_event(
-            get_logger(__name__),
-            logging.DEBUG,
-            "native.numba_missing",
-            error=repr(exc),
-        )
+    except ImportError:
         return False
     return True
-
-
-def njit(*args, **kwargs):
-    """``numba.njit`` when numba imports; identity decorator otherwise.
-
-    Always used with arguments (``@njit(cache=True)``); the bare-
-    decorator form is accepted for completeness.
-    """
-    if numba_available():
-        numba = importlib.import_module("numba")
-        return numba.njit(*args, **kwargs)
-    if args and callable(args[0]):
-        return args[0]
-
-    def passthrough(fn):
-        return fn
-
-    return passthrough

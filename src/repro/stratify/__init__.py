@@ -23,7 +23,6 @@ from repro.stratify.minhash import (
 )
 from repro.stratify.kmodes import CompositeKModes, KModesResult
 from repro.stratify.stratifier import Stratifier, Stratification
-from repro.stratify.distributed import DistributedStratifier
 from repro.stratify.metrics import (
     adjusted_rand_index,
     normalized_mutual_information,
@@ -44,7 +43,6 @@ __all__ = [
     "KModesResult",
     "Stratifier",
     "Stratification",
-    "DistributedStratifier",
     "adjusted_rand_index",
     "normalized_mutual_information",
     "partition_label_entropy",

@@ -94,10 +94,9 @@ class CompositeKModes:
         Matching tier: ``"auto"`` (the fastest available tier, the
         default), ``"numpy"`` for the batched kernels of
         :mod:`repro.perf.kmodes_kernels` (code space in :meth:`fit`,
-        chunked broadcast in :meth:`assign`), ``"native"`` for
-        the compiled matcher, or ``"reference"`` for the original
-        Python-loop implementations. All tiers produce bit-identical
-        labels, centres and cost.
+        chunked broadcast in :meth:`assign`), or ``"reference"`` for
+        the original Python-loop implementations. Both tiers produce
+        bit-identical labels, centres and cost.
     chunk_bytes:
         Ceiling on the batched matchers' largest temporary (a row
         block's gathered words in :meth:`fit`, its equality block in
@@ -126,10 +125,6 @@ class CompositeKModes:
         self, sketches: np.ndarray, centers: np.ndarray, tier: str
     ) -> np.ndarray:
         """``(n, K)`` matrix of matched-attribute counts."""
-        if tier == "native":
-            from repro.perf.native.kmodes_njit import match_counts_native
-
-            return match_counts_native(sketches, centers)
         if tier == "numpy":
             return match_counts(sketches, centers, chunk_bytes=self.chunk_bytes)
         return self._match_counts_reference(sketches, centers)
@@ -208,13 +203,11 @@ class CompositeKModes:
         centers = np.full((K, k, self.top_l), _FILL, dtype=np.uint64)
         centers[:, :, 0] = sketches[chosen]
 
-        # Resolve the tier once per fit. Every non-reference tier
-        # factorises the sketch matrix once (it never changes across
-        # iterations) and updates centres with the two-sort kernel; the
-        # numpy tier also matches in that code space, the native tier
-        # with its compiled value-space matcher.
+        # Resolve the tier once per fit. The numpy tier factorises the
+        # sketch matrix once (it never changes across iterations), then
+        # matches and updates centres in that code space.
         tier = autotune.resolve_tier(self.kernel, kind="kmodes")
-        if tier != "reference":
+        if tier == "numpy":
             codes, col_offsets, all_values = factorize_columns(sketches)
             center_codes = np.full(centers.shape, -1, dtype=np.int64)
             center_codes[:, :, 0] = codes[chosen] + col_offsets[:-1]
@@ -225,7 +218,7 @@ class CompositeKModes:
                 return match_counts_coded(
                     codes, col_offsets, center_codes, chunk_bytes=self.chunk_bytes
                 )
-            return self._match_counts(sketches, centers, tier)
+            return self._match_counts_reference(sketches, centers)
 
         labels = np.full(n, -1, dtype=np.int64)
         converged = False
@@ -237,7 +230,7 @@ class CompositeKModes:
                 converged = True
                 break
             labels = new_labels
-            if tier != "reference":
+            if tier == "numpy":
                 centers, center_codes = top_l_centers(
                     codes,
                     col_offsets,

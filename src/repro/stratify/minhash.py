@@ -105,8 +105,8 @@ class MinHasher:
         — results are identical for any positive value.
     kernel:
         Tier for :meth:`sketch_all`: ``"auto"`` (the fastest available
-        tier, the default), ``"reference"``, ``"numpy"`` or ``"native"``.
-        All tiers are bit-identical.
+        tier, the default), ``"reference"`` or ``"numpy"``. Both tiers
+        are bit-identical.
     """
 
     num_hashes: int = 64
@@ -158,12 +158,11 @@ class MinHasher:
         (``PivotExtractor.extract_flat`` already returns this layout).
         Dispatches on :attr:`kernel` via :mod:`repro.perf.autotune`:
         the ragged-batch numpy kernel (chunked broadcasted hashing,
-        ``np.minimum.reduceat``), the compiled native scan, or the
-        per-set reference. Duplicate elements inside a set are allowed.
+        ``np.minimum.reduceat``) or the per-set reference. Duplicate
+        elements inside a set are allowed.
         """
         flat = as_uint64_elements(np.asarray(flat))
         offsets = np.asarray(offsets, dtype=np.int64)
-        # The compiled tier indexes `flat` unchecked: bounds are settled here.
         if (
             offsets.ndim != 1
             or offsets.size == 0
@@ -180,12 +179,6 @@ class MinHasher:
         if tier == "reference":
             return self.sketch_all_reference(
                 [flat[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
-            )
-        if tier == "native":
-            from repro.perf.native.minhash_njit import sketch_all_native
-
-            return sketch_all_native(
-                flat, offsets, self._a, self._b, prime=PRIME, empty_slot=EMPTY_SLOT
             )
         return sketch_batch(
             flat,

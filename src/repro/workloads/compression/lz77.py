@@ -19,11 +19,7 @@ from typing import Sequence
 
 from repro.kvstore.codec import decode_partition, encode_partition
 from repro.perf import autotune
-from repro.perf.lz77_kernels import (
-    build_match_links,
-    compress_block,
-    serialize_tokens,
-)
+from repro.perf.lz77_kernels import compress_block
 from repro.workloads.compression.varint import decode_varint, encode_varint
 
 _MIN_MATCH = 4
@@ -64,9 +60,8 @@ class LZ77Codec:
     kernel:
         Tier: ``"auto"`` (the fastest available tier, the default),
         ``"numpy"`` runs the precomputed-link coder of
-        :mod:`repro.perf.lz77_kernels`, ``"native"`` the compiled scan
-        over the same links, ``"reference"`` the original hash-chain
-        loop. Blobs and stats are byte-identical for every tier.
+        :mod:`repro.perf.lz77_kernels`, ``"reference"`` the original
+        hash-chain loop. Blobs and stats are byte-identical for both.
     """
 
     window: int = 1 << 15
@@ -86,25 +81,12 @@ class LZ77Codec:
         tier = autotune.resolve_tier(self.kernel, kind="lz77")
         if tier == "reference":
             return self.compress_reference(data)
-        if tier == "native":
-            from repro.perf.native.lz77_njit import scan_matches_native
-
-            links = build_match_links(data)
-            m_pos, m_dist, m_len, probes = scan_matches_native(
-                data,
-                links,
-                window=self.window,
-                max_chain=self.max_chain,
-                max_match=self.max_match,
-            )
-            blob, counters = serialize_tokens(data, m_pos, m_dist, m_len, probes)
-        else:
-            blob, counters = compress_block(
-                data,
-                window=self.window,
-                max_chain=self.max_chain,
-                max_match=self.max_match,
-            )
+        blob, counters = compress_block(
+            data,
+            window=self.window,
+            max_chain=self.max_chain,
+            max_match=self.max_match,
+        )
         return blob, LZ77Stats(
             input_bytes=len(data),
             output_bytes=len(blob),

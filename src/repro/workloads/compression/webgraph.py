@@ -235,9 +235,7 @@ class WebGraphCodec:
         ``"auto"`` (default) is ``"numpy"``, which scores reference
         candidates by computed byte length and varint-encodes the whole
         partition in one batched call; ``"reference"`` serializes every
-        candidate with
-        per-symbol Python loops. There is no native tier — the coder is
-        symbol-stream bookkeeping over Python sets. Blobs and stats are
+        candidate with per-symbol Python loops. Blobs and stats are
         byte-identical.
     """
 

@@ -5,7 +5,7 @@ local miner, the two workloads of Savasere et al.'s partition-based
 distributed algorithm (local mining, then the global false-positive
 pruning scan — run as two phases by
 :func:`repro.core.framework.run_two_phase`), the frequent tree mining
-variant over LCA-pivot sets, and Eclat and FP-growth as alternative
+variant over LCA-pivot sets, and Eclat and FP-growth as further
 local miners (extension).
 """
 

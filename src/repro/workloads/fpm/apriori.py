@@ -55,9 +55,8 @@ class AprioriMiner:
     kernel:
         Counting tier: ``"auto"`` (the fastest available tier, the
         default), ``"numpy"`` counts candidates on the packed vertical
-        bitmaps of :mod:`repro.perf.fpm_kernels`,
-        ``"native"`` on the compiled popcount loops, ``"reference"``
-        runs the original per-transaction containment scan. Outputs
+        bitmaps of :mod:`repro.perf.fpm_kernels`, ``"reference"`` runs
+        the original per-transaction containment scan. Outputs
         (supports, candidate counts, work units) are bit-identical.
     """
 
@@ -77,11 +76,9 @@ class AprioriMiner:
         tier = autotune.resolve_tier(self.kernel, kind="fpm")
         if tier == "reference":
             return self.mine_reference(transactions)
-        return self._mine_bitmap(transactions, tier)
+        return self._mine_bitmap(transactions)
 
-    def _mine_bitmap(
-        self, transactions: Sequence[Iterable[int]], tier: str = "numpy"
-    ) -> MiningOutput:
+    def _mine_bitmap(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
         """Levelwise mining over the packed vertical bitmap.
 
         Identical candidate generation (the shared
@@ -90,12 +87,6 @@ class AprioriMiner:
         ``n_tx`` checks per candidate — exactly what the reference scan
         performs — so work units match to the digit.
         """
-        if tier == "native":
-            from repro.perf.native.fpm_njit import candidate_supports_native
-
-            supports_fn = candidate_supports_native
-        else:
-            supports_fn = candidate_supports
         bitmap = pack_transactions(transactions)
         n = bitmap.num_transactions
         if n == 0:
@@ -121,7 +112,7 @@ class AprioriMiner:
                 break
             work += float(n * len(candidates))
             rows = bitmap.rows_for(np.asarray(candidates, dtype=np.int64))
-            supports = supports_fn(bitmap, rows)
+            supports = candidate_supports(bitmap, rows)
             survivors = [
                 (cand, int(c))
                 for cand, c in zip(candidates, supports)
@@ -218,23 +209,17 @@ def count_patterns(
     """Support counts of explicit ``patterns`` over ``transactions``.
 
     This is the global-pruning scan of Savasere's algorithm. Returns the
-    counts and the containment-check work performed. The bitmap tiers
-    (``"numpy"``, ``"native"``) pack the partition once and
-    count every pattern via popcount over ANDed item rows; patterns
-    naming items this partition never saw count 0, as in the reference
-    scan.
+    counts and the containment-check work performed. The ``"numpy"``
+    tier packs the partition once and counts every pattern via popcount
+    over ANDed item rows; patterns naming items this partition never
+    saw count 0, as in the reference scan.
     """
     tier = autotune.resolve_tier(kernel, kind="fpm")
     if tier == "reference":
         return count_patterns_reference(transactions, patterns)
-    supports_fn = None
-    if tier == "native":
-        from repro.perf.native.fpm_njit import candidate_supports_native
-
-        supports_fn = candidate_supports_native
     pats = list(patterns)
     bitmap = pack_transactions(transactions)
-    supports = pattern_supports(bitmap, pats, supports=supports_fn)
+    supports = pattern_supports(bitmap, pats)
     # A pattern listed m times is incremented m times per matching
     # transaction by the reference scan; mirror that exactly.
     multiplicity: dict[Pattern, int] = defaultdict(int)

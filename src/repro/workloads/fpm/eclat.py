@@ -23,11 +23,10 @@ from repro.workloads.fpm.apriori import LocalMiningWorkload, MiningOutput, Patte
 class EclatMiner:
     """Configured Eclat miner (equivalent output to :class:`AprioriMiner`).
 
-    The bitmap tiers (``"numpy"``, ``"native"``) keep
-    tidlists as packed uint64 bitmaps and batch every DFS node's
-    extension intersections — one ``np.bitwise_and`` + popcount, or the
-    compiled word loop; ``kernel="reference"`` is the original
-    frozenset DFS. ``"auto"`` (default) takes the fastest available tier.
+    The ``"numpy"`` tier keeps tidlists as packed uint64 bitmaps and
+    batches every DFS node's extension intersections — one
+    ``np.bitwise_and`` + popcount; ``kernel="reference"`` is the
+    original frozenset DFS; ``"auto"`` (default) is ``"numpy"``.
     Traversal order, candidate counts and work units are identical.
     """
 
@@ -47,17 +46,9 @@ class EclatMiner:
         tier = autotune.resolve_tier(self.kernel, kind="fpm")
         if tier == "reference":
             return self.mine_reference(transactions)
-        return self._mine_bitmap(transactions, tier)
+        return self._mine_bitmap(transactions)
 
-    def _mine_bitmap(
-        self, transactions: Sequence[Iterable[int]], tier: str = "numpy"
-    ) -> MiningOutput:
-        if tier == "native":
-            from repro.perf.native.fpm_njit import intersect_supports_native
-
-            intersect_fn = intersect_supports_native
-        else:
-            intersect_fn = intersect_supports
+    def _mine_bitmap(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
         bitmap = pack_transactions(transactions)
         n = bitmap.num_transactions
         if n == 0:
@@ -88,7 +79,7 @@ class EclatMiner:
                 continue
             candidates += len(extensions)
             ext_rows = np.array([item_row[e] for e in extensions], dtype=np.int64)
-            inter, counts = intersect_fn(tids, ext_rows, bitmap)
+            inter, counts = intersect_supports(tids, ext_rows, bitmap)
             work += float(
                 sum(min(tids_support, item_support[e]) for e in extensions)
             )

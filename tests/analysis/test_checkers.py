@@ -355,27 +355,6 @@ class TestKernelOracle:
         kernel = mod(self.KERNEL, "src/repro/perf/mystery_kernels.py")
         assert run_checker(KernelOracleChecker(), kernel) == []
 
-    def test_native_modules_in_scope_and_pointed_at_native_suite(self):
-        # The prefix match reaches the nested native package, and the
-        # finding names the native parity suite as the exemplar.
-        kernel = mod(self.KERNEL, "src/repro/perf/native/fixture_njit.py")
-        test = mod(
-            "from repro.perf.fpm_kernels import support_counts\n",
-            "tests/perf/test_other.py",
-        )
-        findings = run_checker(KernelOracleChecker(), kernel, test)
-        assert len(findings) == 1
-        assert "repro.perf.native.fixture_njit" in findings[0].message
-        assert "test_native_kernels" in findings[0].message
-
-    def test_native_module_clean_when_imported_by_parity_test(self):
-        kernel = mod(self.KERNEL, "src/repro/perf/native/fixture_njit.py")
-        test = mod(
-            "from repro.perf.native import fixture_njit\n",
-            "tests/perf/test_fixture_native.py",
-        )
-        assert run_checker(KernelOracleChecker(), kernel, test) == []
-
 
 # -- NONDET ----------------------------------------------------------------
 

@@ -3,8 +3,8 @@ the shipped defect that motivated it, run against a reverted snippet —
 and must stay quiet on the fixed code actually in the tree.
 
 - PR 2: the MinHash batch kernel cached scratch blocks in module-global
-  slots written via ``out=``; ``DistributedStratifier`` threads shared
-  them and corrupted hashes (flaked ``test_matches_centralized_result``).
+  slots written via ``out=``; threads sketching concurrently shared
+  them and corrupted hashes (a flake, not a failure).
 - PR 3: ``Tracer.__len__`` made an empty tracer falsy, so ``if tracer:``
   guards in worker paths silently stopped collecting spans.
 

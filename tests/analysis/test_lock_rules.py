@@ -408,8 +408,8 @@ class TestLockLeak:
         assert findings == []
 
     def test_unknown_receiver_wait_not_assumed_condition(self):
-        # KVBarrier.wait() and friends: `barrier.wait()` on a receiver
-        # that is not a known Condition must not fire.
+        # `threading.Barrier.wait()` and friends: `barrier.wait()` on a
+        # receiver that is not a known Condition must not fire.
         findings = run(
             LockLeakChecker(),
             """

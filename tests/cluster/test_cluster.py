@@ -88,18 +88,6 @@ class TestMasterSelection:
         cluster = paper_cluster(8)
         assert cluster.fastest_node().node_type.type_id == 1
 
-    def test_master_nodes_distinct_and_fastest(self):
-        cluster = paper_cluster(8)
-        a, b = cluster.master_nodes()
-        assert a.node_id != b.node_id
-        # Both masters are drawn from the fastest available type(s).
-        assert a.speed_factor == 4.0 and b.speed_factor == 4.0
-
-    def test_single_node_cluster_reuses_master(self):
-        cluster = paper_cluster(1)
-        a, b = cluster.master_nodes()
-        assert a is b
-
     def test_priority_order_without_type1(self):
         # Build a cluster of types 2..4 only; master must be type 2.
         nodes = [

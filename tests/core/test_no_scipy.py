@@ -3,9 +3,8 @@
 ``linprog`` used to sit under every ``plan`` call; it is now only the
 oracle the optimizer tests compare against, and scipy is a test-only
 dependency. A fresh interpreter with ``sys.modules["scipy"]`` poisoned
-(the ``tests/perf/test_native_fallback.py`` technique — a ``None`` entry
-makes any ``import scipy`` raise) must import ``repro.core`` and plan
-both ways.
+(a ``None`` entry makes any ``import scipy`` raise) must import
+``repro.core`` and plan both ways.
 """
 
 import subprocess

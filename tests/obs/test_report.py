@@ -93,7 +93,7 @@ _SNAPSHOT = {
         "type": "counter",
         "value": 7,
     },
-    'repro_kernel_dispatch_total{kernel="fpm",tier="native"}': {
+    'repro_kernel_dispatch_total{kernel="fpm",tier="reference"}': {
         "type": "counter",
         "value": 2,
     },
@@ -105,7 +105,7 @@ class TestKernelDispatch:
     def test_table_parses_dispatch_counters_only(self):
         rows = kernel_dispatch_table(_SNAPSHOT)
         assert rows == [
-            {"kernel": "fpm", "tier": "native", "count": 2},
+            {"kernel": "fpm", "tier": "reference", "count": 2},
             {"kernel": "minhash", "tier": "numpy", "count": 7},
         ]
 
@@ -120,7 +120,7 @@ class TestKernelDispatch:
         sidecar.write_text(json.dumps(_SNAPSHOT), encoding="utf-8")
         text = report_from_file(trace_path)
         assert "kernel tier dispatch" in text
-        assert "native" in text
+        assert "reference" in text
 
     def test_report_without_sidecar_omits_section(self, trace_path):
         assert "kernel tier dispatch" not in report_from_file(trace_path)

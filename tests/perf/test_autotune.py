@@ -4,6 +4,7 @@ import builtins
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -15,21 +16,17 @@ from repro.stratify.kmodes import CompositeKModes
 from repro.stratify.minhash import MinHasher
 from repro.workloads.compression.lz77 import LZ77Codec
 from repro.workloads.compression.webgraph import WebGraphCodec
-from repro.workloads.fpm.apriori import AprioriMiner
+from repro.workloads.fpm.apriori import AprioriMiner, count_patterns
 from repro.workloads.fpm.eclat import EclatMiner
 
 
-@pytest.fixture
-def native_available(monkeypatch):
-    monkeypatch.setattr(runtime, "numba_available", lambda: True)
-
-
-@pytest.fixture
-def native_missing(monkeypatch):
-    monkeypatch.setattr(runtime, "numba_available", lambda: False)
-    autotune._log_native_unavailable.cache_clear()
-    yield
-    autotune._log_native_unavailable.cache_clear()
+def test_numba_probe_reports_what_import_does(monkeypatch):
+    # The probe feeds only the end-to-end ruler's host fingerprint; no
+    # tier depends on it. A ``None`` entry makes the import raise.
+    monkeypatch.setitem(sys.modules, "numba", None)
+    assert runtime.numba_available() is False
+    monkeypatch.setitem(sys.modules, "numba", sys)
+    assert runtime.numba_available() is True
 
 
 class TestAliasesAndValidation:
@@ -39,47 +36,44 @@ class TestAliasesAndValidation:
 
     @pytest.mark.parametrize("kind", sorted(autotune.KIND_TIERS))
     def test_unknown_kernel_rejected(self, kind):
-        # The pre-autotuner spellings are ordinary unknown names now.
-        for name in ("gpu", "batched", "bitmap", "fast"):
+        # The pre-autotuner spellings and the deleted numba tier are
+        # ordinary unknown names now.
+        for name in ("gpu", "batched", "bitmap", "fast", "native"):
             with pytest.raises(ValueError, match="kernel must be one of"):
                 autotune.validate_kernel(name, kind)
 
-    def test_native_rejected_for_kinds_without_native_tier(self):
-        with pytest.raises(ValueError):
-            autotune.validate_kernel("native", "webgraph")
-
     def test_constructors_validate_eagerly(self):
-        with pytest.raises(ValueError):
-            MinHasher(kernel="magic")
-        with pytest.raises(ValueError):
-            CompositeKModes(kernel="magic")
-        with pytest.raises(ValueError):
-            AprioriMiner(min_support=0.5, kernel="magic")
-        with pytest.raises(ValueError):
-            EclatMiner(min_support=0.5, kernel="magic")
-        with pytest.raises(ValueError):
-            LZ77Codec(kernel="bitmap")
-        with pytest.raises(ValueError):
-            WebGraphCodec(kernel="batched")
+        for name in ("magic", "native"):
+            with pytest.raises(ValueError):
+                MinHasher(kernel=name)
+            with pytest.raises(ValueError):
+                CompositeKModes(kernel=name)
+            with pytest.raises(ValueError):
+                AprioriMiner(min_support=0.5, kernel=name)
+            with pytest.raises(ValueError):
+                EclatMiner(min_support=0.5, kernel=name)
+            with pytest.raises(ValueError):
+                LZ77Codec(kernel=name)
+            with pytest.raises(ValueError):
+                WebGraphCodec(kernel=name)
+            with pytest.raises(ValueError):
+                count_patterns([{1}], [(1,)], kernel=name)
 
 
 class TestShapeDispatch:
-    def test_explicit_tier_always_wins(self, native_available):
+    def test_explicit_tier_always_wins(self):
         assert autotune.resolve_tier("reference", kind="minhash", work=10**9) == "reference"
         assert autotune.resolve_tier("numpy", kind="minhash", work=0) == "numpy"
-        assert autotune.resolve_tier("native", kind="minhash", work=0) == "native"
 
-    def test_auto_is_blind_to_work_and_to_the_filesystem(
-        self, tmp_path, monkeypatch, native_available
-    ):
+    def test_auto_is_blind_to_work_and_to_the_filesystem(self, tmp_path, monkeypatch):
         # No input is small enough for ``auto`` to pick the oracle, and
         # no file can sway it: a BENCH_kernels.json in the working
-        # directory ranking every native tier last is never opened.
+        # directory ranking the numpy tier last is never opened.
         sections = (
             "sketch_all", "kmodes_fit", "apriori_mine", "lz77_compress", "webgraph_compress"
         )
         hostile = {
-            name: {"tiers": {"reference": 1e-9, "numpy": 1.0, "native": 1e9}}
+            name: {"tiers": {"reference": 1e-9, "numpy": 1e9}}
             for name in sections
         }
         (tmp_path / "BENCH_kernels.json").write_text(json.dumps(hostile), encoding="utf-8")
@@ -91,22 +85,13 @@ class TestShapeDispatch:
         for module in (builtins, io, os):
             monkeypatch.setattr(module, "open", no_files)
         for kind, tiers in autotune.KIND_TIERS.items():
+            assert tiers == autotune.TIERS
             for work in (0, 1, 15, 10**9):
-                assert autotune.resolve_tier("auto", kind=kind, work=work) == tiers[-1]
-            assert tiers[-1] != "reference"
-
-    def test_large_work_prefers_native_when_available(self, native_available):
-        assert autotune.resolve_tier("auto", kind="fpm", work=10**6) == "native"
-
-    def test_large_work_numpy_when_native_missing(self, native_missing):
-        assert autotune.resolve_tier("auto", kind="fpm", work=10**6) == "numpy"
-
-    def test_webgraph_never_native(self, native_available):
-        assert autotune.resolve_tier("auto", kind="webgraph", work=10**6) == "numpy"
+                assert autotune.resolve_tier("auto", kind=kind, work=work) == "numpy"
 
 
 class TestEnvPin:
-    def test_env_pins_auto(self, monkeypatch, native_available):
+    def test_env_pins_auto(self, monkeypatch):
         monkeypatch.setenv(autotune.ENV_TIER, "reference")
         assert autotune.resolve_tier("auto", kind="minhash", work=10**9) == "reference"
 
@@ -115,15 +100,10 @@ class TestEnvPin:
         assert autotune.resolve_tier("numpy", kind="minhash", work=10**9) == "numpy"
 
     def test_invalid_env_value_raises(self, monkeypatch):
-        for value in ("turbo", "batched"):
+        for value in ("turbo", "batched", "native"):
             monkeypatch.setenv(autotune.ENV_TIER, value)
             with pytest.raises(ValueError, match=autotune.ENV_TIER):
                 autotune.resolve_tier("auto", kind="minhash", work=10**9)
-
-    def test_pin_of_missing_tier_is_ignored_for_that_kind(self, monkeypatch, native_available):
-        # webgraph has no native tier; the pin falls back to the unpinned choice.
-        monkeypatch.setenv(autotune.ENV_TIER, "native")
-        assert autotune.resolve_tier("auto", kind="webgraph", work=10**6) == "numpy"
 
 
 class TestDispatchCounters:
@@ -142,6 +122,19 @@ class TestDispatchCounters:
         np_key = 'repro_kernel_dispatch_total{kernel="kmodes",tier="numpy"}'
         assert snap[ref_key]["value"] == 2
         assert snap[np_key]["value"] == 1
+
+    def test_dispatch_counter_records_numpy_tier(self):
+        obs.enable()
+        obs.reset()
+        try:
+            autotune.resolve_tier("auto", kind="lz77", work=10**6)
+            snap = obs.metrics_snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
+        key = 'repro_kernel_dispatch_total{kernel="lz77",tier="numpy"}'
+        assert key in snap
+        assert snap[key]["value"] == 1
 
     def test_no_counters_when_obs_disabled(self):
         obs.reset()
@@ -171,3 +164,19 @@ class TestAutoEndToEnd:
         assert AprioriMiner(min_support=0.5).kernel == "auto"
         assert EclatMiner(min_support=0.5).kernel == "auto"
         assert CompositeKModes().kernel == "auto"
+
+    def test_auto_results_identical_to_numpy(self):
+        rng = np.random.default_rng(3)
+        sets = [
+            rng.integers(0, 2**32, size=int(rng.integers(10, 80))).astype(np.uint64)
+            for _ in range(64)
+        ]
+        auto = MinHasher(num_hashes=16, seed=1, kernel="auto").sketch_all(sets)
+        explicit = MinHasher(num_hashes=16, seed=1, kernel="numpy").sketch_all(sets)
+        assert np.array_equal(auto, explicit)
+
+        tx = [set(map(int, rng.integers(0, 10, size=6))) for _ in range(60)]
+        out_auto = AprioriMiner(min_support=0.2, kernel="auto").mine(tx)
+        out_np = AprioriMiner(min_support=0.2, kernel="numpy").mine(tx)
+        assert out_auto.counts == out_np.counts
+        assert out_auto.work_units == out_np.work_units

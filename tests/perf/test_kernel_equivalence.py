@@ -82,10 +82,10 @@ class TestSketchBatchEquivalence:
             MinHasher(num_hashes=4).sketch_all([{1}, {2**32}])
 
     def test_concurrent_sketch_all_is_race_free(self):
-        # The distributed stratifier sketches from several threads at
-        # once; the kernel's reusable scratch must be thread-local or
-        # concurrent `out=` writes corrupt each other's hashes
-        # nondeterministically. Small chunk_bytes forces many chunk
+        # Callers may sketch from several threads at once (the service
+        # runs jobs on manager threads); the kernel's reusable scratch
+        # must be thread-local or concurrent `out=` writes corrupt each
+        # other's hashes nondeterministically. Small chunk_bytes forces many chunk
         # iterations per call to maximise interleaving.
         import threading
 

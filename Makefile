@@ -3,7 +3,7 @@
 .PHONY: install test lint lint-runtime bench results-check bench-kernels bench-e2e bench-e2e-record obs-smoke serve examples results clean
 
 install:
-	python setup.py develop
+	pip install -e .
 
 test:
 	pytest tests/
@@ -30,8 +30,8 @@ results-check:
 	PYTHONPATH=src python -m pytest -q benchmarks/bench_fig*.py benchmarks/bench_table*.py benchmarks/bench_ablation_*.py --benchmark-only
 	git diff --exit-code benchmarks/results/
 
-# Per-tier kernel timings (asserts bit-identity first); the record
-# docs/performance.md cites is benchmarks/results/BENCH_kernels.json.
+# Each kernel timed against its oracle (asserts bit-identity first); the
+# record docs/performance.md cites is benchmarks/results/BENCH_kernels.json.
 bench-kernels:
 	PYTHONPATH=src python benchmarks/bench_kernels.py
 

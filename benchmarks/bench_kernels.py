@@ -1,4 +1,4 @@
-"""Kernel micro-benchmarks: reference vs numpy tiers.
+"""Kernel micro-benchmarks: each kernel against its named oracle.
 
 Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — column-wise pivot hashing, ragged-batch
@@ -7,11 +7,11 @@ the fast LZ77 coder and the batched WebGraph coder — asserting
 bit-identical outputs before reporting any number, and writes the
 measurements to ``benchmarks/results/BENCH_kernels.json``.
 
-Each section records per-tier timings under ``tiers`` — ``reference``
-and ``numpy``. ``speedup`` is numpy vs reference. The file is a record
-(``docs/performance.md`` cites it); nothing reads it back —
-``kernel="auto"`` (:mod:`repro.perf.autotune`) does not depend on
-measurements.
+Each section records both timings under ``tiers`` — ``reference`` (the
+oracle: ``sketch_all_reference``, ``fit_reference``, ``mine_reference``,
+``compress_reference``) and ``numpy`` (the kernel the method itself
+runs). ``speedup`` is numpy vs reference. The file is a record
+(``docs/performance.md`` cites it); nothing reads it back.
 
 Runs standalone (no pytest needed)::
 
@@ -136,7 +136,7 @@ def run_kernel_bench(cfg: dict) -> dict:
 
     # -- sketch_all: ragged batch vs per-set loop --------------------------
     sets = _pivot_sets(cfg["num_sets"], cfg["pivots_per_set"], rng)
-    hasher = MinHasher(num_hashes=cfg["sketch_hashes"], seed=0, kernel="numpy")
+    hasher = MinHasher(num_hashes=cfg["sketch_hashes"], seed=0)
     batched = hasher.sketch_all(sets)  # warm scratch + caches
     reference = hasher.sketch_all_reference(sets)
     assert np.array_equal(batched, reference), "sketch kernel diverged"
@@ -150,19 +150,14 @@ def run_kernel_bench(cfg: dict) -> dict:
         cfg["kmodes_rows"], cfg["kmodes_clusters"], cfg["pivots_per_set"], km_rng
     )
     sketches = MinHasher(num_hashes=cfg["kmodes_hashes"], seed=0).sketch_all(km_sets)
-    km_batched = CompositeKModes(
-        num_clusters=cfg["kmodes_clusters"], top_l=3, seed=0, kernel="numpy"
-    )
-    km_reference = CompositeKModes(
-        num_clusters=cfg["kmodes_clusters"], top_l=3, seed=0, kernel="reference"
-    )
-    fit_b = km_batched.fit(sketches)
-    fit_r = km_reference.fit(sketches)
+    kmodes = CompositeKModes(num_clusters=cfg["kmodes_clusters"], top_l=3, seed=0)
+    fit_b = kmodes.fit(sketches)
+    fit_r = kmodes.fit_reference(sketches)
     assert np.array_equal(fit_b.labels, fit_r.labels), "kmodes labels diverged"
     assert np.array_equal(fit_b.centers, fit_r.centers), "kmodes centers diverged"
     assert fit_b.cost == fit_r.cost and fit_b.iterations == fit_r.iterations
-    t_batched = _best_of(lambda: km_batched.fit(sketches), repeats=2)
-    t_reference = _best_of(lambda: km_reference.fit(sketches), repeats=1)
+    t_batched = _best_of(lambda: kmodes.fit(sketches), repeats=2)
+    t_reference = _best_of(lambda: kmodes.fit_reference(sketches), repeats=1)
     results["kmodes_fit"] = _section(t_reference, t_batched, iterations=fit_b.iterations)
 
     # -- Apriori: packed vertical bitmaps vs containment scan --------------
@@ -179,14 +174,13 @@ def run_kernel_bench(cfg: dict) -> dict:
         ).tolist()
         for _ in range(cfg["apriori_transactions"])
     ]
-    fast_miner = AprioriMiner(min_support=cfg["apriori_min_support"], kernel="numpy")
-    ref_miner = AprioriMiner(min_support=cfg["apriori_min_support"], kernel="reference")
-    out_f = fast_miner.mine(transactions)
-    out_r = ref_miner.mine(transactions)
+    miner = AprioriMiner(min_support=cfg["apriori_min_support"])
+    out_f = miner.mine(transactions)
+    out_r = miner.mine_reference(transactions)
     assert out_f.counts == out_r.counts, "apriori kernel diverged"
     assert out_f.work_units == out_r.work_units
-    t_batched = _best_of(lambda: fast_miner.mine(transactions), repeats=2)
-    t_reference = _best_of(lambda: ref_miner.mine(transactions), repeats=1)
+    t_batched = _best_of(lambda: miner.mine(transactions), repeats=2)
+    t_reference = _best_of(lambda: miner.mine_reference(transactions), repeats=1)
     results["apriori_mine"] = _section(t_reference, t_batched, patterns=len(out_f.counts))
 
     # -- LZ77: precomputed-link coder vs hash-chain loop -------------------
@@ -203,14 +197,13 @@ def run_kernel_bench(cfg: dict) -> dict:
             chunks.append(chunk)
             data += chunk
     data = bytes(data[: cfg["lz77_bytes"]])
-    fast_codec = LZ77Codec(kernel="numpy")
-    ref_codec = LZ77Codec(kernel="reference")
-    blob_f, st_f = fast_codec.compress(data)
-    blob_r, st_r = ref_codec.compress(data)
+    codec = LZ77Codec()
+    blob_f, st_f = codec.compress(data)
+    blob_r, st_r = codec.compress_reference(data)
     assert blob_f == blob_r and st_f == st_r, "lz77 kernel diverged"
-    assert fast_codec.decompress(blob_f) == data
-    t_batched = _best_of(lambda: fast_codec.compress(data), repeats=2)
-    t_reference = _best_of(lambda: ref_codec.compress(data), repeats=1)
+    assert codec.decompress(blob_f) == data
+    t_batched = _best_of(lambda: codec.compress(data), repeats=2)
+    t_reference = _best_of(lambda: codec.compress_reference(data), repeats=1)
     results["lz77_compress"] = _section(t_reference, t_batched, ratio=st_f.ratio)
 
     # -- WebGraph: batched interval/mask coder vs per-symbol loops ---------
@@ -226,13 +219,12 @@ def run_kernel_bench(cfg: dict) -> dict:
         keep = base[wg_rng.random(base.size) < 0.8]
         extra = wg_rng.choice(5_000, size=int(wg_rng.integers(0, 6)))
         adjacency.append(np.concatenate([keep, extra]).tolist())
-    fast_wg = WebGraphCodec(kernel="numpy")
-    ref_wg = WebGraphCodec(kernel="reference")
-    wg_f, wst_f = fast_wg.compress(adjacency)
-    wg_r, wst_r = ref_wg.compress(adjacency)
+    webgraph = WebGraphCodec()
+    wg_f, wst_f = webgraph.compress(adjacency)
+    wg_r, wst_r = webgraph.compress_reference(adjacency)
     assert wg_f == wg_r and wst_f == wst_r, "webgraph kernel diverged"
-    t_batched = _best_of(lambda: fast_wg.compress(adjacency), repeats=2)
-    t_reference = _best_of(lambda: ref_wg.compress(adjacency), repeats=1)
+    t_batched = _best_of(lambda: webgraph.compress(adjacency), repeats=2)
+    t_reference = _best_of(lambda: webgraph.compress_reference(adjacency), repeats=1)
     results["webgraph_compress"] = _section(
         t_reference, t_batched, bits_per_edge=wst_f.bits_per_edge
     )

@@ -11,6 +11,10 @@ from repro.cluster.node import Node, NodeType, PAPER_NODE_TYPES
 from repro.energy.traces import GOOGLE_DC_LOCATIONS, generate_trace
 from repro.kvstore.client import ClusterClient
 
+#: Length of every preset node's renewable trace (a window past its end
+#: is billed at the final sample).
+TRACE_DURATION_S = 6 * 3600.0
+
 
 @dataclass
 class Cluster:
@@ -56,7 +60,6 @@ class Cluster:
 def paper_cluster(
     num_nodes: int,
     *,
-    trace_duration_s: float = 6 * 3600.0,
     seed: int = 0,
     task_overhead_s: float = 0.5,
 ) -> Cluster:
@@ -75,7 +78,7 @@ def paper_cluster(
         location = GOOGLE_DC_LOCATIONS[i % len(GOOGLE_DC_LOCATIONS)]
         trace = generate_trace(
             location,
-            duration_s=trace_duration_s,
+            duration_s=TRACE_DURATION_S,
             resolution_s=60.0,
             seed=seed * 1009 + i,
         )
@@ -95,9 +98,7 @@ def homogeneous_cluster(
     *,
     speed_factor: float = 1.0,
     cores: int = 2,
-    trace_duration_s: float = 6 * 3600.0,
     seed: int = 0,
-    task_overhead_s: float = 0.5,
 ) -> Cluster:
     """A control cluster with identical nodes (Wang et al.'s setting)."""
     ntype = NodeType(type_id=0, speed_factor=speed_factor, cores=cores)
@@ -107,9 +108,8 @@ def homogeneous_cluster(
             node_id=i,
             node_type=ntype,
             trace=generate_trace(
-                location, duration_s=trace_duration_s, resolution_s=60.0, seed=seed * 1009 + i
+                location, duration_s=TRACE_DURATION_S, resolution_s=60.0, seed=seed * 1009 + i
             ),
-            task_overhead_s=task_overhead_s,
         )
         for i in range(num_nodes)
     ]

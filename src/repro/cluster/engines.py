@@ -58,6 +58,10 @@ from repro.workloads.base import Workload, WorkloadResult
 
 _log = get_logger(__name__)
 
+#: Live shared-memory segments a :class:`ProcessPoolEngine` keeps before
+#: its store unlinks the least recently used.
+SEGMENT_CACHE_LIMIT = 64
+
 
 @dataclass
 class TaskResult:
@@ -451,8 +455,8 @@ class ProcessPoolEngine(ExecutionEngine):
     or call :meth:`shutdown`, to release the workers deterministically;
     a garbage-collected engine tears its pool down without waiting.
 
-    With ``use_shared_memory=True`` (the default) partitions travel
-    through the :mod:`repro.cluster.dataplane` shared-memory store:
+    Partitions travel through the :mod:`repro.cluster.dataplane`
+    shared-memory store:
     each distinct partition is copied once into a shared segment and
     tasks carry only a tiny :class:`PartitionRef`, so repeated
     ``run_job``/``profile`` calls over the same partitions (the same
@@ -460,28 +464,19 @@ class ProcessPoolEngine(ExecutionEngine):
     partition arrives either as a plain record list or as a staged
     :class:`~repro.kvstore.codec.FramedPartition`; the worker turns the
     latter into records (``records_of``) before the task timer starts.
-    :meth:`shutdown` unlinks the segments. Set the
-    flag to ``False`` to pickle partitions into every task tuple (the
-    pre-data-plane behaviour). ``cache_limit`` bounds the store's
-    segment cache: least-recently-used segments are unlinked once more
-    than ``cache_limit`` are live, so long-running engines streaming
-    many distinct jobs keep a bounded ``/dev/shm`` footprint (``None``
-    = unbounded, the pre-limit behaviour).
+    :meth:`shutdown` unlinks the segments. On a host with no usable
+    shared memory (the store raises ``OSError``) the engine pickles
+    partitions into every task tuple instead, from then on. The store
+    keeps at most :data:`SEGMENT_CACHE_LIMIT` segments, unlinking the
+    least recently used beyond that, so long-running engines streaming
+    many distinct jobs keep a bounded ``/dev/shm`` footprint.
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        max_workers: int | None = None,
-        use_shared_memory: bool = True,
-        cache_limit: int | None = 64,
-    ):
+    def __init__(self, cluster: Cluster, max_workers: int | None = None):
         super().__init__(cluster)
         self.max_workers = max_workers
-        self.use_shared_memory = use_shared_memory
-        if cache_limit is not None and cache_limit <= 0:
-            raise ValueError("cache_limit must be positive (or None for unbounded)")
-        self.cache_limit = cache_limit
+        # Cleared for good by the first OSError from the store.
+        self._shm_usable = True
         self._pool: ProcessPoolExecutor | None = None
         self._store: SharedPartitionStore | None = None
         self._pools_created = 0
@@ -520,7 +515,7 @@ class ProcessPoolEngine(ExecutionEngine):
     def _ensure_store(self) -> SharedPartitionStore:
         with self._lifecycle:
             if self._store is None or self._store.closed:
-                self._store = SharedPartitionStore(cache_limit=self.cache_limit)
+                self._store = SharedPartitionStore(cache_limit=SEGMENT_CACHE_LIMIT)
             return self._store
 
     @property
@@ -622,7 +617,7 @@ class ProcessPoolEngine(ExecutionEngine):
             p if isinstance(p, (list, FramedPartition)) else list(p) for p in partitions
         ]
         payloads: list = parts
-        if self.use_shared_memory:
+        if self._shm_usable:
             try:
                 payloads = self._ensure_store().put_many(parts)
             except OSError as exc:
@@ -632,7 +627,7 @@ class ProcessPoolEngine(ExecutionEngine):
                     _log, logging.DEBUG, "engine.dataplane.fallback",
                     error=type(exc).__name__, detail=str(exc),
                 )
-                self.use_shared_memory = False
+                self._shm_usable = False
         tasks = [(workload, p, trace) for p in payloads]
         try:
             raw = list(pool.map(_pool_task, tasks, chunksize=chunksize))

@@ -21,50 +21,46 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster, paper_cluster
+from repro.cluster.cluster import TRACE_DURATION_S, Cluster, paper_cluster
 from repro.cluster.node import PAPER_NODE_TYPES, Node
 from repro.energy.solar import SolarPanel
 from repro.energy.traces import GOOGLE_DC_LOCATIONS, EnergyTrace, generate_trace
 
+#: Rated panel watts per rack of the rack-level design (0 W = a purely
+#: grid-tied rack), cycled over the nodes.
+RACK_PANEL_WATTS = (800.0, 400.0, 200.0, 0.0)
 
-def rack_level_cluster(
-    num_nodes: int,
-    *,
-    panel_watts: tuple[float, ...] = (800.0, 400.0, 200.0, 0.0),
-    trace_duration_s: float = 6 * 3600.0,
-    seed: int = 0,
-    task_overhead_s: float = 0.5,
-) -> Cluster:
+
+def rack_level_cluster(num_nodes: int, *, seed: int = 0) -> Cluster:
     """Rack-level renewables: one site, per-rack panel capacity.
 
-    Node ``i`` gets panel ``panel_watts[i % len(panel_watts)]`` (0 W =
-    a purely grid-tied rack). All nodes share one location/weather, so
-    energy heterogeneity comes purely from provisioning.
+    Node ``i`` gets the next panel of :data:`RACK_PANEL_WATTS`, cycled.
+    All nodes share one location/weather, so energy heterogeneity comes
+    purely from provisioning.
     """
     if num_nodes <= 0:
         raise ValueError("num_nodes must be positive")
     location = GOOGLE_DC_LOCATIONS[1]
     nodes = []
     for i in range(num_nodes):
-        watts = panel_watts[i % len(panel_watts)]
+        watts = RACK_PANEL_WATTS[i % len(RACK_PANEL_WATTS)]
         if watts > 0:
             trace = generate_trace(
                 location,
-                duration_s=trace_duration_s,
+                duration_s=TRACE_DURATION_S,
                 resolution_s=60.0,
                 panel=SolarPanel(rated_dc_watts=watts),
                 seed=seed * 1009,  # one shared weather realisation
             )
         else:
             trace = EnergyTrace(
-                watts=np.zeros(int(trace_duration_s / 60.0)), resolution_s=60.0
+                watts=np.zeros(int(TRACE_DURATION_S / 60.0)), resolution_s=60.0
             )
         nodes.append(
             Node(
                 node_id=i,
                 node_type=PAPER_NODE_TYPES[i % len(PAPER_NODE_TYPES)],
                 trace=trace,
-                task_overhead_s=task_overhead_s,
             )
         )
     return Cluster(nodes=nodes)
@@ -74,9 +70,7 @@ def iswitch_cluster(
     num_nodes: int,
     *,
     green_fraction: float = 0.5,
-    trace_duration_s: float = 6 * 3600.0,
     seed: int = 0,
-    task_overhead_s: float = 0.5,
 ) -> Cluster:
     """iSwitch: racks are either fully green or fully grid-tied.
 
@@ -98,23 +92,16 @@ def iswitch_cluster(
             panel = SolarPanel(rated_dc_watts=3.0 * ntype.power_model().watts)
             trace = generate_trace(
                 location,
-                duration_s=trace_duration_s,
+                duration_s=TRACE_DURATION_S,
                 resolution_s=60.0,
                 panel=panel,
                 seed=seed * 1009 + i,
             )
         else:
             trace = EnergyTrace(
-                watts=np.zeros(int(trace_duration_s / 60.0)), resolution_s=60.0
+                watts=np.zeros(int(TRACE_DURATION_S / 60.0)), resolution_s=60.0
             )
-        nodes.append(
-            Node(
-                node_id=i,
-                node_type=ntype,
-                trace=trace,
-                task_overhead_s=task_overhead_s,
-            )
-        )
+        nodes.append(Node(node_id=i, node_type=ntype, trace=trace))
     return Cluster(nodes=nodes)
 
 
@@ -123,14 +110,7 @@ def geo_distributed_cluster(num_nodes: int, *, seed: int = 0, **kwargs) -> Clust
     return paper_cluster(num_nodes, seed=seed, **kwargs)
 
 
-def spread_cluster(
-    num_nodes: int,
-    max_speed_ratio: float,
-    *,
-    trace_duration_s: float = 6 * 3600.0,
-    seed: int = 0,
-    task_overhead_s: float = 0.5,
-) -> Cluster:
+def spread_cluster(num_nodes: int, max_speed_ratio: float, *, seed: int = 0) -> Cluster:
     """A cluster whose speeds span ``1x .. max_speed_ratio·x``.
 
     Four machine classes with geometrically spaced speeds (ratio 1 ⇒
@@ -159,39 +139,26 @@ def spread_cluster(
                 node_type=types[i % len(types)],
                 trace=generate_trace(
                     location,
-                    duration_s=trace_duration_s,
+                    duration_s=TRACE_DURATION_S,
                     resolution_s=60.0,
                     seed=seed * 1009 + i,
                 ),
-                task_overhead_s=task_overhead_s,
             )
         )
     return Cluster(nodes=nodes)
 
 
-def cluster_at_hour(
-    num_nodes: int,
-    start_hour: float,
-    *,
-    trace_duration_s: float = 6 * 3600.0,
-    seed: int = 0,
-    task_overhead_s: float = 0.5,
-) -> Cluster:
+def cluster_at_hour(num_nodes: int, start_hour: float, *, seed: int = 0) -> Cluster:
     """The geo-distributed preset with every trace starting at a chosen
     local solar hour — for time-of-day scheduling studies."""
     if not 0.0 <= start_hour < 24.0:
         raise ValueError("start_hour must be in [0, 24)")
-    cluster = paper_cluster(
-        num_nodes,
-        trace_duration_s=trace_duration_s,
-        seed=seed,
-        task_overhead_s=task_overhead_s,
-    )
+    cluster = paper_cluster(num_nodes, seed=seed)
     for i, node in enumerate(cluster.nodes):
         location = GOOGLE_DC_LOCATIONS[i % len(GOOGLE_DC_LOCATIONS)]
         node.trace = generate_trace(
             location,
-            duration_s=trace_duration_s,
+            duration_s=TRACE_DURATION_S,
             start_hour=start_hour,
             resolution_s=60.0,
             seed=seed * 1009 + i,

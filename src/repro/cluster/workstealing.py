@@ -27,6 +27,10 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.engines import SimulatedEngine, emit_timeline_mark
 from repro.kvstore.codec import records_of
 
+#: Per-chunk dispatch cost at unit speed (much smaller than a partition
+#: launch — chunks run inside an already-started task).
+CHUNK_OVERHEAD_S = 0.005
+
 
 @dataclass
 class StealEvent:
@@ -55,9 +59,6 @@ class WorkStealingScheduler(SimulatedEngine):
         Fixed cost per steal (coordination round trip).
     transfer_s_per_item:
         Data-movement cost per stolen item, charged to the thief.
-    chunk_overhead_s:
-        Per-chunk dispatch cost at unit speed (much smaller than a
-        partition launch — chunks run inside an already-started task).
     """
 
     cluster: Cluster
@@ -65,7 +66,6 @@ class WorkStealingScheduler(SimulatedEngine):
     chunk_size: int = 32
     steal_latency_s: float = 0.05
     transfer_s_per_item: float = 0.001
-    chunk_overhead_s: float = 0.005
     events: list[StealEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -130,7 +130,7 @@ class WorkStealingScheduler(SimulatedEngine):
             speed = self.cluster[node].speed_factor
             runtime = (
                 overhead
-                + self.chunk_overhead_s / speed
+                + CHUNK_OVERHEAD_S / speed
                 + result.work_units / (self.unit_rate * speed)
             )
             events.append((len(events), node, now, runtime, result, False))

@@ -153,7 +153,6 @@ def run_two_phase(
         candidates=sorted(candidates),
         min_support=workload.min_support,
         total_transactions=sum(len(p) for p in partitions),
-        kernel=workload.kernel,
     )
     # Phase 2 runs after the phase-1 barrier: bill its energy against
     # the later window of each node's green trace.
@@ -195,17 +194,9 @@ class ParetoPartitioner:
         (``"tree" | "graph" | "text" | "set"``).
     num_strata / num_hashes / top_l:
         Stratifier configuration (see :class:`Stratifier`).
-    sample_fractions:
-        Progressive-sampling fractions; defaults to the paper's
-        0.05%–2% schedule.
     stage_via_kv:
         Round-trip final partitions through the KV middleware before
         execution, as the paper's implementation does.
-    min_partition_items:
-        Lower bound per het-aware partition; ``None`` auto-derives it
-        from the smallest profiled sample (don't extrapolate the time
-        model below its fitted range), ``0`` is the paper's
-        unconstrained LP.
     """
 
     engine: ExecutionEngine
@@ -213,9 +204,7 @@ class ParetoPartitioner:
     num_strata: int = 16
     num_hashes: int = 48
     top_l: int = 3
-    sample_fractions: Sequence[float] | None = None
     stage_via_kv: bool = True
-    min_partition_items: int | None = None
     seed: int = 0
 
     def stratifier(self) -> Stratifier:
@@ -234,9 +223,7 @@ class ParetoPartitioner:
         items = list(items)
         with obs.span("pipeline.prepare", items=len(items), kind=self.kind):
             stratification = self.stratifier().stratify(items)
-            sampler = ProgressiveSampler(
-                engine=self.engine, fractions=self.sample_fractions, seed=self.seed
-            )
+            sampler = ProgressiveSampler(engine=self.engine, seed=self.seed)
             profiling = sampler.profile(workload, items, stratification)
             dirty = self.engine.cluster.dirty_power_coefficients()
             optimizer = ParetoOptimizer(models=profiling.models, dirty_coeffs=dirty)
@@ -256,13 +243,13 @@ class ParetoPartitioner:
         )
 
     def _min_items(self, prepared: PreparedInput) -> int:
-        """The per-partition floor both planners apply."""
-        min_items = self.min_partition_items
-        if min_items is None:
-            # Auto: never plan a partition smaller than the smallest
-            # sample the time model was fitted on.
-            min_items = min(prepared.profiling.sample_sizes)
-        return min(min_items, prepared.num_items // prepared.optimizer.num_partitions)
+        """The per-partition floor both planners apply: never plan a
+        partition smaller than the smallest sample the time model was
+        fitted on (nor than an equal split)."""
+        return min(
+            min(prepared.profiling.sample_sizes),
+            prepared.num_items // prepared.optimizer.num_partitions,
+        )
 
     def plan(self, prepared: PreparedInput, strategy: Strategy) -> PartitionPlan:
         """Partition sizes for a strategy: α's front vertex, or equal."""

@@ -174,26 +174,12 @@ class ProgressiveSampler:
     engine:
         Execution engine whose nodes are being profiled (the final job
         must run on the same engine for the models to transfer).
-    fractions:
-        Sample-size fractions of the dataset, ascending; the paper uses
-        0.05%–2%.
+
+    Sample sizes follow :func:`auto_fractions` of the dataset.
     """
 
     engine: ExecutionEngine
-    fractions: Sequence[float] | None = None
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.fractions is None:
-            return  # resolved per dataset in profile()
-        fr = tuple(self.fractions)
-        if not fr or any(not 0.0 < f <= 1.0 for f in fr):
-            raise ValueError("fractions must be in (0, 1]")
-        if list(fr) != sorted(fr):
-            raise ValueError("fractions must be ascending")
-        if len(fr) < 2:
-            raise ValueError("need at least two sample fractions")
-        self.fractions = fr
 
     def profile(
         self,
@@ -226,11 +212,9 @@ class ProgressiveSampler:
         n_items: int,
     ) -> ProfilingReport:
         num_nodes = self.engine.cluster.num_nodes
-        fractions = self.fractions or auto_fractions(n_items)
-
         sizes: list[int] = []
         samples: list[list[Any]] = []
-        for fraction in fractions:
+        for fraction in auto_fractions(n_items):
             target = max(MIN_SAMPLE, int(round(fraction * n_items)))
             target = min(target, n_items)
             idx = stratification.stratified_sample(min(1.0, target / n_items), rng)

@@ -36,15 +36,12 @@ class ClusterClient:
 
     num_nodes: int
     pipeline_width: int = 128
-    stores: list[KeyValueStore] = field(default_factory=list)
+    stores: list[KeyValueStore] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise StoreError("cluster must have at least one node")
-        if not self.stores:
-            self.stores = [KeyValueStore(node_id=i) for i in range(self.num_nodes)]
-        if len(self.stores) != self.num_nodes:
-            raise StoreError("stores list must match num_nodes")
+        self.stores = [KeyValueStore(node_id=i) for i in range(self.num_nodes)]
 
     def store_for(self, node: int) -> KeyValueStore:
         """The store instance hosted on ``node``."""

@@ -1,20 +1,15 @@
-"""Online per-node estimators: the live feedback signal for re-planning.
+"""Online per-node estimators: what each node costs right now.
 
 Every ``task.execute`` span carries ``(node_id, work_units, runtime_s,
 energy_j, dirty_energy_j)``; :class:`NodeEstimator` folds those into
 
-- an EWMA-weighted **linear regression** of runtime vs work per
-  ``(node, workload)`` — recovering the same ``f_i(x) = m_i·x + c_i``
-  shape progressive sampling fits offline, but continuously and from
-  production traffic instead of probes; and
+- an EWMA-weighted **linear regression** of runtime vs ``work_units``
+  per ``(node, workload)`` — the ``f_i(x) = m_i·x + c_i`` shape
+  progressive sampling fits offline, but continuously, from production
+  traffic instead of probes, and with ``x`` in the workload's *work
+  units*, not items: the slope is seconds per work unit, so these
+  models are not the item-space ones the partition planner takes; and
 - EWMA **power** estimates (total / dirty / green watts) per node.
-
-:meth:`NodeEstimator.estimates` returns the models and dirty-watt
-coefficients in exactly the shape
-:class:`repro.core.optimizer.ParetoOptimizer` consumes
-(``ParetoOptimizer(est.models, est.dirty_coeffs)``), so an online
-re-planner (ROADMAP item 2) can re-solve the Pareto LP mid-stream from
-live data with no adapter layer.
 
 The regression decays old evidence geometrically (sample weight
 ``decay^age``), so a node that slows down — co-location interference,
@@ -111,7 +106,13 @@ class _PowerAcc:
 
 @dataclass(frozen=True)
 class NodeEstimate:
-    """One node's live picture: time model + power split."""
+    """One node's live picture: time model + power split.
+
+    ``model`` predicts seconds from work units and
+    ``throughput_items_per_s`` is its inverse slope — work units per
+    second; the ``/live`` payload keeps both under the key names it has
+    always had.
+    """
 
     node_id: int
     model: "LinearTimeModel"
@@ -136,24 +137,9 @@ class NodeEstimate:
 
 @dataclass(frozen=True)
 class ClusterEstimate:
-    """Per-node estimates, node-id order — the optimizer's input shape."""
+    """Per-node estimates, node-id order."""
 
     nodes: tuple[NodeEstimate, ...]
-
-    @property
-    def models(self) -> list["LinearTimeModel"]:
-        return [n.model for n in self.nodes]
-
-    @property
-    def dirty_coeffs(self) -> list[float]:
-        return [n.dirty_power_w for n in self.nodes]
-
-    def optimizer(self):
-        """A :class:`~repro.core.optimizer.ParetoOptimizer` over the
-        live models — the re-planning hook."""
-        from repro.core.optimizer import ParetoOptimizer
-
-        return ParetoOptimizer(models=self.models, dirty_coeffs=self.dirty_coeffs)
 
 
 class NodeEstimator:

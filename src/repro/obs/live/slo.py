@@ -47,16 +47,13 @@ class Objective:
             raise ValueError("need 0 < fast_window_s <= slow_window_s")
 
 
-def default_objectives(
-    job_latency_s: float = 30.0,
-    dirty_j_per_job: float = 5e4,
-    queue_wait_s: float = 2.0,
-) -> tuple[Objective, ...]:
-    """The service's stock objectives; thresholds are deploy knobs."""
+def default_objectives() -> tuple[Objective, ...]:
+    """The service's stock objectives (an :class:`SLOMonitor` takes
+    any others)."""
     return (
-        Objective("job_latency", job_latency_s, budget=0.01, unit="s"),
-        Objective("dirty_j_per_job", dirty_j_per_job, budget=0.05, unit="J"),
-        Objective("queue_wait", queue_wait_s, budget=0.10, unit="s"),
+        Objective("job_latency", 30.0, budget=0.01, unit="s"),
+        Objective("dirty_j_per_job", 5e4, budget=0.05, unit="J"),
+        Objective("queue_wait", 2.0, budget=0.10, unit="s"),
     )
 
 

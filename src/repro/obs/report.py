@@ -7,13 +7,10 @@ renders the three views an engineer reads first:
 - per-node latency + energy split (``task.execute`` spans carry the
   energy attributes the engines attach),
 - top-N slowest spans of any kind,
-- kernel tier dispatch counts, when a ``<trace>.metrics.json`` sidecar
-  (written by ``repro compare --trace``) sits next to the trace — the
-  ``repro_kernel_dispatch_total{kernel,tier}`` counters say which
-  autotuner tier actually ran,
-- the job-service section, when the sidecar carries ``repro_service_*``
-  series — submissions/rejections, terminal states, queue-depth posture,
-  p50/p99 queue-wait and run latency.
+- the job-service section, when a ``<trace>.metrics.json`` sidecar
+  (written by ``repro compare --trace``) sits next to the trace and
+  carries ``repro_service_*`` series — submissions/rejections, terminal
+  states, queue-depth posture, p50/p99 queue-wait and run latency.
 """
 
 from __future__ import annotations
@@ -30,16 +27,11 @@ from repro.obs.trace import iter_spans
 
 __all__ = [
     "TraceAggregate",
-    "kernel_dispatch_table",
     "service_section",
     "histogram_quantile",
     "render_report",
     "report_from_file",
 ]
-
-_DISPATCH_KEY = re.compile(
-    r'^repro_kernel_dispatch_total\{kernel="([^"]+)",tier="([^"]+)"\}$'
-)
 
 _LABELLED_KEY = re.compile(r'^(?P<name>[^{]+)\{(?P<labels>.*)\}$')
 _LABEL_PAIR = re.compile(r'(\w+)="([^"]*)"')
@@ -164,25 +156,6 @@ class TraceAggregate:
     def split(self) -> dict[str, float]:
         """Same shape as :func:`repro.obs.energy.energy_split`."""
         return split_summary(self._energy_spans, self._energy_j, self._dirty_j)
-
-
-def kernel_dispatch_table(metrics: dict[str, Any]) -> list[dict[str, Any]]:
-    """Per-(kernel, tier) dispatch counts from a metrics snapshot.
-
-    ``metrics`` is the JSON object of a ``<trace>.metrics.json`` sidecar
-    — the :func:`repro.obs.metrics_snapshot` mapping whose keys render
-    labels inline (``name{k="v"}``). Non-dispatch entries are ignored.
-    """
-    rows = []
-    for key, entry in metrics.items():
-        m = _DISPATCH_KEY.match(key)
-        if not m or not isinstance(entry, dict):
-            continue
-        rows.append(
-            {"kernel": m.group(1), "tier": m.group(2), "count": int(entry["value"])}
-        )
-    rows.sort(key=lambda r: (r["kernel"], r["tier"]))
-    return rows
 
 
 def histogram_quantile(entry: dict[str, Any], q: float) -> float | None:
@@ -365,16 +338,6 @@ def render_report(
             )
         )
 
-    dispatch = kernel_dispatch_table(metrics) if metrics else []
-    if dispatch:
-        sections.append("\n== kernel tier dispatch ==")
-        sections.append(
-            _fmt_table(
-                ("kernel", "tier", "count"),
-                [(r["kernel"], r["tier"], r["count"]) for r in dispatch],
-            )
-        )
-
     service = service_section(metrics) if metrics else None
     if service:
         sections.append("\n== service ==")
@@ -430,7 +393,7 @@ def report_from_file(path: str | os.PathLike, top_n: int = 10) -> str:
     :class:`ValueError`, and the span list is never materialised).
 
     A ``<trace>.metrics.json`` sidecar next to the trace (written by
-    ``repro compare --trace``) contributes the kernel-dispatch section.
+    ``repro compare --trace``) contributes the service section.
     """
     metrics: dict[str, Any] | None = None
     sidecar = str(path) + ".metrics.json"

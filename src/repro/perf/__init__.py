@@ -15,19 +15,16 @@ the stratifier modules call into:
   chunking, and a two-sort top-L centre update.
 - :mod:`repro.perf.fpm_kernels` / :mod:`repro.perf.lz77_kernels` —
   packed-bitmap support counting and the precomputed-link LZ77 coder.
-- :mod:`repro.perf.autotune` — dispatch between the
-  ``reference | numpy`` tiers behind ``kernel="auto"``, the
-  default on every workload. Deliberately not re-exported here — it
-  imports :mod:`repro.obs`, and keeping it out of this package marker
-  keeps the kernel modules import-cycle-free.
 
+Each family has this one kernel and nothing selects it at run time.
 Every kernel is bit-identical to the reference implementation it
-replaces; the reference paths are kept on the calling classes as
-oracles (``sketch_all_reference``, ``kernel="reference"``, …) and the
-equivalence is asserted by ``tests/perf/`` and
-``benchmarks/bench_kernels.py``. Kernels are pure functions of their
-arguments (no imports from the stratifier modules) so they stay free of
-import cycles and are trivially testable.
+replaces; the reference paths are kept on the calling classes as named
+oracles (``sketch_all_reference``, ``fit_reference``,
+``mine_reference``, ``compress_reference``,
+``count_patterns_reference``) and the equivalence is asserted by
+``tests/perf/`` and ``benchmarks/bench_kernels.py``. Kernels are pure
+functions of their arguments (no imports from the stratifier modules)
+so they stay free of import cycles and are trivially testable.
 """
 
 from repro.perf.kmodes_kernels import (

@@ -14,10 +14,10 @@ single vectorised AND over words.
 
 As everywhere in :mod:`repro.perf`, the kernels are pure functions of
 their arguments (numpy only, no imports from the workload modules) and
-the callers keep their original implementations behind
-``kernel="reference"`` as the oracles the equivalence suite tests
-against. Outputs are bit-identical: supports, the candidate counts and
-the work-unit accounting all match the reference exactly.
+the callers keep their original implementations (``mine_reference``,
+``count_patterns_reference``) as the oracles the equivalence suite
+tests against. Outputs are bit-identical: supports, the candidate
+counts and the work-unit accounting all match the reference exactly.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ token stream** (and identical probe/match/literal statistics):
 
 Kernels are pure numpy + stdlib, importable without touching the
 workload modules; the reference coder survives as
-``LZ77Codec(kernel="reference")`` and the equivalence suite asserts
+``LZ77Codec.compress_reference`` and the equivalence suite asserts
 identical blobs and stats.
 """
 

@@ -15,14 +15,15 @@ The assign and centre-update steps run on the batched kernels in
 into dense codes once and then matches (a membership-table gather) and
 updates (two integer sorts) in that code space, centres carrying their
 codes beside their values. The original Python-loop implementations
-are kept behind ``kernel="reference"`` as the oracle the kernels are
-property-tested against — both paths are bit-identical.
+are kept as :meth:`CompositeKModes.fit_reference`, the oracle the
+kernels are property-tested against — both paths are bit-identical.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from repro.perf.kmodes_kernels import (
     top_l_centers,
 )
 from repro.perf.minhash_kernels import DEFAULT_CHUNK_BYTES
-from repro.perf import autotune
 
 
 @dataclass
@@ -90,13 +90,6 @@ class CompositeKModes:
         Cap on assign/update rounds.
     seed:
         RNG seed for centre initialisation.
-    kernel:
-        Matching tier: ``"auto"`` (the fastest available tier, the
-        default), ``"numpy"`` for the batched kernels of
-        :mod:`repro.perf.kmodes_kernels` (code space in :meth:`fit`,
-        chunked broadcast in :meth:`assign`), or ``"reference"`` for
-        the original Python-loop implementations. Both tiers produce
-        bit-identical labels, centres and cost.
     chunk_bytes:
         Ceiling on the batched matchers' largest temporary (a row
         block's gathered words in :meth:`fit`, its equality block in
@@ -107,7 +100,6 @@ class CompositeKModes:
     top_l: int = 3
     max_iter: int = 50
     seed: int = 0
-    kernel: str = "auto"
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
 
     def __post_init__(self) -> None:
@@ -117,17 +109,8 @@ class CompositeKModes:
             raise ValueError("top_l must be positive")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
-        autotune.validate_kernel(self.kernel, "kmodes")
 
     # -- internals ---------------------------------------------------------
-
-    def _match_counts(
-        self, sketches: np.ndarray, centers: np.ndarray, tier: str
-    ) -> np.ndarray:
-        """``(n, K)`` matrix of matched-attribute counts."""
-        if tier == "numpy":
-            return match_counts(sketches, centers, chunk_bytes=self.chunk_bytes)
-        return self._match_counts_reference(sketches, centers)
 
     def _match_counts_reference(
         self, sketches: np.ndarray, centers: np.ndarray
@@ -160,32 +143,12 @@ class CompositeKModes:
                     new_centers[c, attr, slot] = value
         return new_centers
 
-    # -- public API ----------------------------------------------------------
-
-    def assign(self, sketches: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Assign rows to the nearest existing centres (no refitting).
-
-        Supports the framework's incremental path: new data joins the
-        strata learned on the original payload, so the one-time
-        stratification cost is amortized across dataset growth.
-        """
-        sketches = np.ascontiguousarray(np.asarray(sketches, dtype=np.uint64))
-        if sketches.ndim != 2:
-            raise ValueError("sketches must be a 2-D matrix")
-        if centers.ndim != 3 or centers.shape[1] != sketches.shape[1]:
-            raise ValueError("centers do not match sketch dimensionality")
-        tier = autotune.resolve_tier(self.kernel, kind="kmodes")
-        counts = self._match_counts(sketches, centers, tier)
-        return np.argmax(counts, axis=1).astype(np.int64)
-
-    def fit(self, sketches: np.ndarray) -> KModesResult:
-        """Cluster sketch rows; returns labels, centres and diagnostics.
-
-        Parameters
-        ----------
-        sketches:
-            ``(n, k)`` matrix of categorical values (uint64 MinHash slots).
-        """
+    def _initial_centers(
+        self, sketches: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validate ``sketches`` and draw the starting centres: the
+        matrix, the chosen row per centre, and the ``(K, k, L)`` centres
+        with those rows in slot 0."""
         sketches = np.ascontiguousarray(np.asarray(sketches, dtype=np.uint64))
         if sketches.ndim != 2:
             raise ValueError("sketches must be a 2-D matrix")
@@ -202,59 +165,104 @@ class CompositeKModes:
         chosen = rng.choice(pool, size=K, replace=pool.size < K)
         centers = np.full((K, k, self.top_l), _FILL, dtype=np.uint64)
         centers[:, :, 0] = sketches[chosen]
+        return sketches, chosen, centers
 
-        # Resolve the tier once per fit. The numpy tier factorises the
-        # sketch matrix once (it never changes across iterations), then
-        # matches and updates centres in that code space.
-        tier = autotune.resolve_tier(self.kernel, kind="kmodes")
-        if tier == "numpy":
-            codes, col_offsets, all_values = factorize_columns(sketches)
-            center_codes = np.full(centers.shape, -1, dtype=np.int64)
-            center_codes[:, :, 0] = codes[chosen] + col_offsets[:-1]
+    def _iterate(
+        self,
+        shape: tuple[int, int],
+        state: tuple[np.ndarray, ...],
+        match: Callable[..., np.ndarray],
+        update: Callable[..., tuple[np.ndarray, ...]],
+    ) -> KModesResult:
+        """Assign/update rounds until the labels stop moving.
 
-        def match() -> np.ndarray:
-            """``(n, K)`` match counts against the current centres."""
-            if tier == "numpy":
-                return match_counts_coded(
-                    codes, col_offsets, center_codes, chunk_bytes=self.chunk_bytes
-                )
-            return self._match_counts_reference(sketches, centers)
-
+        ``state`` is the centres in whatever space ``match(*state)`` (→
+        ``(n, K)`` match counts) and ``update(labels, *state)`` (→ the
+        next state) work in; its first element is always the
+        ``(K, k, L)`` value centres.
+        """
+        n, k = shape
         labels = np.full(n, -1, dtype=np.int64)
         converged = False
         iterations = 0
         for iterations in range(1, self.max_iter + 1):
-            counts = match()
+            counts = match(*state)
             new_labels = np.argmax(counts, axis=1).astype(np.int64)
             if np.array_equal(new_labels, labels):
                 converged = True
                 break
             labels = new_labels
-            if tier == "numpy":
-                centers, center_codes = top_l_centers(
-                    codes,
-                    col_offsets,
-                    all_values,
-                    labels,
-                    centers,
-                    center_codes,
-                    top_l=self.top_l,
-                    fill=_FILL,
-                )
-            else:
-                centers = self._update_centers_reference(sketches, labels, centers)
+            state = update(labels, *state)
 
         # On convergence the last pass already matched the final centres
         # (and reproduced the labels); out of rounds, its last act was
         # an update, so match once more.
         if not converged:
-            counts = match()
+            counts = match(*state)
         matched = counts[np.arange(n), labels]
-        cost = float(np.sum(k - matched))
         return KModesResult(
             labels=labels,
-            centers=centers,
-            cost=cost,
+            centers=state[0],
+            cost=float(np.sum(k - matched)),
             iterations=iterations,
             converged=converged,
+        )
+
+    # -- public API ----------------------------------------------------------
+
+    def assign(self, sketches: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """Assign rows to the nearest existing centres (no refitting).
+
+        Supports the framework's incremental path: new data joins the
+        strata learned on the original payload, so the one-time
+        stratification cost is amortized across dataset growth.
+        """
+        sketches = np.ascontiguousarray(np.asarray(sketches, dtype=np.uint64))
+        if sketches.ndim != 2:
+            raise ValueError("sketches must be a 2-D matrix")
+        if centers.ndim != 3 or centers.shape[1] != sketches.shape[1]:
+            raise ValueError("centers do not match sketch dimensionality")
+        counts = match_counts(sketches, centers, chunk_bytes=self.chunk_bytes)
+        return np.argmax(counts, axis=1).astype(np.int64)
+
+    def fit(self, sketches: np.ndarray) -> KModesResult:
+        """Cluster sketch rows; returns labels, centres and diagnostics.
+
+        The sketch matrix is factorised once (it never changes across
+        iterations), then matched and its centres updated in that code
+        space.
+
+        Parameters
+        ----------
+        sketches:
+            ``(n, k)`` matrix of categorical values (uint64 MinHash slots).
+        """
+        sketches, chosen, centers = self._initial_centers(sketches)
+        codes, col_offsets, all_values = factorize_columns(sketches)
+        center_codes = np.full(centers.shape, -1, dtype=np.int64)
+        center_codes[:, :, 0] = codes[chosen] + col_offsets[:-1]
+        return self._iterate(
+            sketches.shape,
+            (centers, center_codes),
+            match=lambda _, center_codes: match_counts_coded(
+                codes, col_offsets, center_codes, chunk_bytes=self.chunk_bytes
+            ),
+            update=lambda labels, centers, center_codes: top_l_centers(
+                codes, col_offsets, all_values, labels, centers, center_codes,
+                top_l=self.top_l, fill=_FILL,
+            ),
+        )
+
+    def fit_reference(self, sketches: np.ndarray) -> KModesResult:
+        """:meth:`fit` in value space with the Python-loop matcher and
+        centre update — the oracle :meth:`fit` is tested against (same
+        initialisation, bit-identical labels, centres and cost)."""
+        sketches, _, centers = self._initial_centers(sketches)
+        return self._iterate(
+            sketches.shape,
+            (centers,),
+            match=lambda centers: self._match_counts_reference(sketches, centers),
+            update=lambda labels, centers: (
+                self._update_centers_reference(sketches, labels, centers),
+            ),
         )

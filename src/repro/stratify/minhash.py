@@ -31,7 +31,6 @@ from repro.perf.minhash_kernels import (
     hash_elements,
     sketch_batch,
 )
-from repro.perf import autotune
 from repro.stratify.pivots import UNIVERSE_SIZE
 
 #: Smallest prime exceeding the 2**32 pivot universe.
@@ -103,23 +102,17 @@ class MinHasher:
         Ceiling on the batch kernel's largest temporary (the hashed
         ``(m, k)`` block in ``sketch_all``). Purely a speed/memory knob
         — results are identical for any positive value.
-    kernel:
-        Tier for :meth:`sketch_all`: ``"auto"`` (the fastest available
-        tier, the default), ``"reference"`` or ``"numpy"``. Both tiers
-        are bit-identical.
     """
 
     num_hashes: int = 64
     seed: int = 0
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
-    kernel: str = "auto"
     _a: np.ndarray = field(init=False, repr=False)
     _b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_hashes <= 0:
             raise ValueError("num_hashes must be positive")
-        autotune.validate_kernel(self.kernel, "minhash")
         rng = np.random.default_rng(self.seed)
         # a must be non-zero mod P for h to be a permutation.
         self._a = rng.integers(1, PRIME, size=self.num_hashes, dtype=np.uint64)
@@ -155,11 +148,10 @@ class MinHasher:
         """Sketch a ragged batch: set ``i`` is ``flat[offsets[i]:offsets[i + 1]]``.
 
         The entry :meth:`sketch_all` and the stratifier share
-        (``PivotExtractor.extract_flat`` already returns this layout).
-        Dispatches on :attr:`kernel` via :mod:`repro.perf.autotune`:
-        the ragged-batch numpy kernel (chunked broadcasted hashing,
-        ``np.minimum.reduceat``) or the per-set reference. Duplicate
-        elements inside a set are allowed.
+        (``PivotExtractor.extract_flat`` already returns this layout):
+        the ragged-batch kernel (chunked broadcasted hashing,
+        ``np.minimum.reduceat``). Duplicate elements inside a set are
+        allowed.
         """
         flat = as_uint64_elements(np.asarray(flat))
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -175,11 +167,6 @@ class MinHasher:
             return np.empty((0, self.num_hashes), dtype=np.uint64)
         if flat.size and int(flat.max()) >= UNIVERSE_SIZE:
             raise ValueError("element outside the pivot universe")
-        tier = autotune.resolve_tier(self.kernel, kind="minhash")
-        if tier == "reference":
-            return self.sketch_all_reference(
-                [flat[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
-            )
         return sketch_batch(
             flat,
             offsets,

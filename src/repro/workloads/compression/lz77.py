@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.kvstore.codec import decode_partition, encode_partition
-from repro.perf import autotune
 from repro.perf.lz77_kernels import compress_block
 from repro.workloads.compression.varint import decode_varint, encode_varint
 
@@ -57,30 +56,25 @@ class LZ77Codec:
         Hash-chain probe cap per position — bounds worst-case time.
     max_match:
         Longest emitted match.
-    kernel:
-        Tier: ``"auto"`` (the fastest available tier, the default),
-        ``"numpy"`` runs the precomputed-link coder of
-        :mod:`repro.perf.lz77_kernels`, ``"reference"`` the original
-        hash-chain loop. Blobs and stats are byte-identical for both.
+
+    :meth:`compress` runs the precomputed-link coder of
+    :mod:`repro.perf.lz77_kernels`; :meth:`compress_reference`, the
+    original hash-chain loop, is its oracle. Blobs and stats are
+    byte-identical.
     """
 
     window: int = 1 << 15
     max_chain: int = 16
     max_match: int = 255
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.window <= 0 or self.max_chain <= 0:
             raise ValueError("window and max_chain must be positive")
         if self.max_match < _MIN_MATCH:
             raise ValueError(f"max_match must be >= {_MIN_MATCH}")
-        autotune.validate_kernel(self.kernel, "lz77")
 
     def compress(self, data: bytes) -> tuple[bytes, LZ77Stats]:
         """Compress ``data``; returns the token stream and stats."""
-        tier = autotune.resolve_tier(self.kernel, kind="lz77")
-        if tier == "reference":
-            return self.compress_reference(data)
         blob, counters = compress_block(
             data,
             window=self.window,

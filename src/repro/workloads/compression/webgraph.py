@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.perf import autotune
 from repro.perf.lz77_kernels import encode_varints_bytes
 from repro.workloads.compression.varint import (
     decode_varint,
@@ -231,31 +230,23 @@ class WebGraphCodec:
     window:
         How many previous lists are candidate references (WebGraph's
         ``W``; 7 is the format's classic default).
-    kernel:
-        ``"auto"`` (default) is ``"numpy"``, which scores reference
-        candidates by computed byte length and varint-encodes the whole
-        partition in one batched call; ``"reference"`` serializes every
-        candidate with per-symbol Python loops. Blobs and stats are
-        byte-identical.
+
+    :meth:`compress` scores reference candidates by computed byte
+    length and varint-encodes the whole partition in one batched call;
+    :meth:`compress_reference`, its oracle, serializes every candidate
+    with per-symbol Python loops. Blobs and stats are byte-identical.
     """
 
     window: int = 7
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.window < 0:
             raise ValueError("window must be non-negative")
-        autotune.validate_kernel(self.kernel, "webgraph")
 
     def compress(self, adjacency: Sequence[Sequence[int]]) -> tuple[bytes, WebGraphStats]:
-        """Compress a partition of sorted adjacency lists."""
-        tier = autotune.resolve_tier(self.kernel, kind="webgraph")
-        if tier == "reference":
-            return self.compress_reference(adjacency)
-        return self._compress_batched(adjacency)
-
-    def _compress_batched(self, adjacency: Sequence[Sequence[int]]) -> tuple[bytes, WebGraphStats]:
-        """Symbol-stream coder: byte-identical blob, one batched encode.
+        """Compress a partition of sorted adjacency lists with the
+        symbol-stream coder: one batched encode, blob byte-identical to
+        :meth:`compress_reference`'s.
 
         Every byte the format emits is a varint — the flag bytes 0/1
         are exactly their own varint encodings — so the whole blob is

@@ -23,7 +23,6 @@ from repro.perf.fpm_kernels import (
     pack_transactions,
     pattern_supports,
 )
-from repro.perf import autotune
 from repro.workloads.base import Workload, WorkloadResult
 
 Pattern = tuple[int, ...]
@@ -52,34 +51,25 @@ class AprioriMiner:
         Relative support threshold in (0, 1].
     max_len:
         Optional cap on pattern length (None = unbounded).
-    kernel:
-        Counting tier: ``"auto"`` (the fastest available tier, the
-        default), ``"numpy"`` counts candidates on the packed vertical
-        bitmaps of :mod:`repro.perf.fpm_kernels`, ``"reference"`` runs
-        the original per-transaction containment scan. Outputs
-        (supports, candidate counts, work units) are bit-identical.
+
+    :meth:`mine` counts candidates on the packed vertical bitmaps of
+    :mod:`repro.perf.fpm_kernels`; :meth:`mine_reference`, the original
+    per-transaction containment scan, is its oracle — supports,
+    candidate counts and work units are bit-identical.
     """
 
     min_support: float
     max_len: int | None = None
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_support <= 1.0:
             raise ValueError("min_support must be in (0, 1]")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        autotune.validate_kernel(self.kernel, "fpm")
 
     def mine(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
-        """Mine all frequent itemsets of ``transactions``."""
-        tier = autotune.resolve_tier(self.kernel, kind="fpm")
-        if tier == "reference":
-            return self.mine_reference(transactions)
-        return self._mine_bitmap(transactions)
-
-    def _mine_bitmap(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
-        """Levelwise mining over the packed vertical bitmap.
+        """Mine all frequent itemsets of ``transactions``, levelwise
+        over the packed vertical bitmap.
 
         Identical candidate generation (the shared
         :meth:`_generate_candidates`), identical accounting: level 1
@@ -204,19 +194,15 @@ class AprioriMiner:
 def count_patterns(
     transactions: Sequence[Iterable[int]],
     patterns: Sequence[Pattern],
-    kernel: str = "auto",
 ) -> tuple[dict[Pattern, int], float]:
     """Support counts of explicit ``patterns`` over ``transactions``.
 
     This is the global-pruning scan of Savasere's algorithm. Returns the
-    counts and the containment-check work performed. The ``"numpy"``
-    tier packs the partition once and counts every pattern via popcount
-    over ANDed item rows; patterns naming items this partition never
-    saw count 0, as in the reference scan.
+    counts and the containment-check work performed. Packs the
+    partition once and counts every pattern via popcount over ANDed
+    item rows; patterns naming items this partition never saw count 0,
+    as in the reference scan (:func:`count_patterns_reference`).
     """
-    tier = autotune.resolve_tier(kernel, kind="fpm")
-    if tier == "reference":
-        return count_patterns_reference(transactions, patterns)
     pats = list(patterns)
     bitmap = pack_transactions(transactions)
     supports = pattern_supports(bitmap, pats)
@@ -255,8 +241,7 @@ class LocalMiningWorkload(Workload):
     since a globally frequent pattern is locally frequent in at least
     one partition; phase 2 (:class:`CandidateCountWorkload`) then counts
     that union over :meth:`~Workload.count_records` of every partition
-    and prunes at ``min_support``, on the ``kernel`` tier the miner was
-    constructed with.
+    and prunes at ``min_support``.
     """
 
     two_phase = True
@@ -267,10 +252,6 @@ class LocalMiningWorkload(Workload):
     @property
     def min_support(self) -> float:
         return self.miner.min_support
-
-    @property
-    def kernel(self) -> str:
-        return self.miner.kernel
 
     def run(self, records: Sequence[Iterable[int]]) -> WorkloadResult:
         out = self.miner.mine(records)
@@ -296,12 +277,8 @@ class AprioriWorkload(LocalMiningWorkload):
 
     name = "apriori-local"
 
-    def __init__(
-        self, min_support: float, max_len: int | None = None, kernel: str = "auto"
-    ):
-        super().__init__(
-            AprioriMiner(min_support=min_support, max_len=max_len, kernel=kernel)
-        )
+    def __init__(self, min_support: float, max_len: int | None = None):
+        super().__init__(AprioriMiner(min_support=min_support, max_len=max_len))
 
 
 class CandidateCountWorkload(Workload):
@@ -316,20 +293,17 @@ class CandidateCountWorkload(Workload):
         candidates: Sequence[Pattern],
         min_support: float,
         total_transactions: int,
-        kernel: str = "auto",
     ):
         if total_transactions <= 0:
             raise ValueError("total_transactions must be positive")
         if not 0.0 < min_support <= 1.0:
             raise ValueError("min_support must be in (0, 1]")
-        autotune.validate_kernel(kernel, "fpm")
         self.candidates = sorted(set(candidates))
         self.min_support = min_support
         self.total_transactions = total_transactions
-        self.kernel = kernel
 
     def run(self, records: Sequence[Iterable[int]]) -> WorkloadResult:
-        counts, work = count_patterns(records, self.candidates, kernel=self.kernel)
+        counts, work = count_patterns(records, self.candidates)
         return WorkloadResult(
             work_units=work,
             output=counts,

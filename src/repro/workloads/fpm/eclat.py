@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.perf.fpm_kernels import intersect_supports, pack_transactions
-from repro.perf import autotune
 from repro.workloads.fpm.apriori import LocalMiningWorkload, MiningOutput, Pattern
 
 
@@ -23,32 +22,24 @@ from repro.workloads.fpm.apriori import LocalMiningWorkload, MiningOutput, Patte
 class EclatMiner:
     """Configured Eclat miner (equivalent output to :class:`AprioriMiner`).
 
-    The ``"numpy"`` tier keeps tidlists as packed uint64 bitmaps and
-    batches every DFS node's extension intersections — one
-    ``np.bitwise_and`` + popcount; ``kernel="reference"`` is the
-    original frozenset DFS; ``"auto"`` (default) is ``"numpy"``.
-    Traversal order, candidate counts and work units are identical.
+    :meth:`mine` keeps tidlists as packed uint64 bitmaps and batches
+    every DFS node's extension intersections — one ``np.bitwise_and`` +
+    popcount; :meth:`mine_reference`, the original frozenset DFS, is
+    its oracle. Traversal order, candidate counts and work units are
+    identical.
     """
 
     min_support: float
     max_len: int | None = None
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_support <= 1.0:
             raise ValueError("min_support must be in (0, 1]")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        autotune.validate_kernel(self.kernel, "fpm")
 
     def mine(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
         """Mine all frequent itemsets via DFS tidlist intersection."""
-        tier = autotune.resolve_tier(self.kernel, kind="fpm")
-        if tier == "reference":
-            return self.mine_reference(transactions)
-        return self._mine_bitmap(transactions)
-
-    def _mine_bitmap(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
         bitmap = pack_transactions(transactions)
         n = bitmap.num_transactions
         if n == 0:
@@ -155,9 +146,5 @@ class EclatWorkload(LocalMiningWorkload):
 
     name = "eclat-local"
 
-    def __init__(
-        self, min_support: float, max_len: int | None = None, kernel: str = "auto"
-    ):
-        super().__init__(
-            EclatMiner(min_support=min_support, max_len=max_len, kernel=kernel)
-        )
+    def __init__(self, min_support: float, max_len: int | None = None):
+        super().__init__(EclatMiner(min_support=min_support, max_len=max_len))

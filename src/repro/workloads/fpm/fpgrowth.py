@@ -167,9 +167,6 @@ class FPGrowthWorkload(LocalMiningWorkload):
     """Per-partition FP-growth mining — drop-in for :class:`AprioriWorkload`."""
 
     name = "fpgrowth-local"
-    #: The FP-tree walk has no counting tier of its own; phase 2 counts
-    #: on the default one.
-    kernel = "auto"
 
     def __init__(self, min_support: float, max_len: int | None = None):
         super().__init__(FPGrowthMiner(min_support=min_support, max_len=max_len))

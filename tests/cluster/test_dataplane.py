@@ -1,5 +1,8 @@
 """Tests for the shared-memory partition data plane."""
 
+import errno
+import glob
+import logging
 import os
 import pickle
 import subprocess
@@ -216,14 +219,10 @@ class TestCacheLimit:
     def test_rejects_non_positive_limit(self):
         with pytest.raises(ValueError):
             SharedPartitionStore(cache_limit=0)
-        with pytest.raises(ValueError):
-            ProcessPoolEngine(paper_cluster(2, seed=0), cache_limit=-1)
 
-    def test_engine_bounds_segments_across_jobs(self):
-        engine = ProcessPoolEngine(
-            paper_cluster(2, seed=0), max_workers=2, cache_limit=3
-        )
-        with engine:
+    def test_engine_bounds_segments_across_jobs(self, monkeypatch):
+        monkeypatch.setattr("repro.cluster.engines.SEGMENT_CACHE_LIMIT", 3)
+        with ProcessPoolEngine(paper_cluster(2, seed=0), max_workers=2) as engine:
             for i in range(8):
                 parts = [[i * 100 + j] * 40 for j in range(2)]
                 job = engine.run_job(SummingWorkload(), parts)
@@ -237,15 +236,41 @@ class TestEngineIntegration:
     def cluster(self):
         return paper_cluster(2, seed=0)
 
-    def test_shm_and_eager_agree(self, cluster):
+    def test_shm_and_eager_agree(self, cluster, monkeypatch, caplog):
+        """The eager path is reached the way a host reaches it: the
+        store cannot create a segment (``/dev/shm`` full)."""
         parts = [[1, 2, 3], [4, 5], list(range(50))]
+        segments_before = set(glob.glob("/dev/shm/psm_*"))
         with ProcessPoolEngine(cluster, max_workers=2) as shm_engine:
             shm_job = shm_engine.run_job(SummingWorkload(), parts)
             assert shm_engine.dataplane_stats.refs_issued == 3
-        with ProcessPoolEngine(cluster, max_workers=2, use_shared_memory=False) as eager:
-            eager_job = eager.run_job(SummingWorkload(), parts)
-            assert eager.dataplane_stats.refs_issued == 0
-        assert shm_job.merged_output == eager_job.merged_output == sum(map(sum, parts))
+
+        real = shared_memory.SharedMemory
+        creations = []
+
+        def no_space(*args, create=False, **kwargs):
+            if not create:
+                return real(*args, **kwargs)
+            creations.append(kwargs.get("size"))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_space)
+        with caplog.at_level(logging.DEBUG, logger="repro.cluster.engines"):
+            with ProcessPoolEngine(cluster, max_workers=2) as eager:
+                eager_job = eager.run_job(SummingWorkload(), parts)
+                # The next job stays eager and does not try the store again.
+                again = eager.run_job(SummingWorkload(), parts)
+                assert eager.dataplane_stats.refs_issued == 0
+        assert len(creations) == 1
+        fallbacks = [m for m in caplog.messages if m.startswith("engine.dataplane.fallback")]
+        assert len(fallbacks) == 1 and "error=OSError" in fallbacks[0]
+        assert (
+            shm_job.merged_output
+            == eager_job.merged_output
+            == again.merged_output
+            == sum(map(sum, parts))
+        )
+        assert set(glob.glob("/dev/shm/psm_*")) == segments_before
 
     def test_repeat_jobs_never_reserialize(self, cluster):
         parts = [[1] * 200, [2] * 200]

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.obs as obs
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
 from repro.core.framework import ParetoPartitioner
@@ -63,10 +62,7 @@ class TestPlanning:
         for s in plan.sizes:
             assert s == 0 or s >= min(floor, prepared.num_items // 4) - 1
 
-    @pytest.mark.parametrize("configured", [None, 0, 7, 10**9])
-    def test_plan_and_budget_plan_see_the_same_floor(
-        self, pp, prepared, monkeypatch, configured
-    ):
+    def test_plan_and_budget_plan_see_the_same_floor(self, pp, prepared, monkeypatch):
         floors = []
         bands = ParetoOptimizer._bands  # what solve and the budget planner both read
 
@@ -75,10 +71,9 @@ class TestPlanning:
             return bands(self, total_items, min_items)
 
         monkeypatch.setattr(ParetoOptimizer, "_bands", spy)
-        monkeypatch.setattr(pp, "min_partition_items", configured)
         pp.plan(prepared, HET_AWARE)
         pp.plan_for_budget(prepared, max_dirty_energy_j=1e12)
-        wanted = min(prepared.profiling.sample_sizes) if configured is None else configured
+        wanted = min(prepared.profiling.sample_sizes)
         assert floors == [min(wanted, prepared.num_items // 4)] * 2
 
     def test_placement_matches_plan_sizes(self, pp, prepared):
@@ -144,27 +139,6 @@ class TestExecuteFpm:
             pp.execute_fpm(
                 dataset.items, CompressionWorkload("lz77"), STRATIFIED, prepared=prepared
             )
-
-    def test_phase_two_counts_on_the_local_miners_tier(self, pp, dataset, prepared):
-        """``kernel=`` on the local miner governs both phases: a
-        reference-tier workload never counts its candidates on the
-        default tier."""
-        workload = AprioriWorkload(min_support=0.15, max_len=2, kernel="reference")
-        obs.enable()
-        obs.reset()
-        try:
-            pp.execute(dataset.items, workload, STRATIFIED, prepared=prepared)
-            snapshot = obs.metrics_snapshot()
-        finally:
-            obs.disable()
-            obs.reset()
-        fpm = {
-            key: entry["value"]
-            for key, entry in snapshot.items()
-            if key.startswith('repro_kernel_dispatch_total{kernel="fpm"')
-        }
-        # One resolution per partition per phase.
-        assert fpm == {'repro_kernel_dispatch_total{kernel="fpm",tier="reference"}': 8}
 
 
 class TestStaging:

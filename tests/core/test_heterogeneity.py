@@ -164,14 +164,6 @@ class TestProgressiveSampler:
                 LinearWorkload(), [], flat_stratification(1)
             )
 
-    def test_invalid_fractions(self, engine):
-        with pytest.raises(ValueError):
-            ProgressiveSampler(engine=engine, fractions=(0.5, 0.1))
-        with pytest.raises(ValueError):
-            ProgressiveSampler(engine=engine, fractions=(0.1,))
-        with pytest.raises(ValueError):
-            ProgressiveSampler(engine=engine, fractions=(0.0, 0.1))
-
     def test_nonlinear_workload_lower_r2(self, engine):
         items = list(range(1000))
         lin = ProgressiveSampler(engine=engine, seed=0).profile(

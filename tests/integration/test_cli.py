@@ -95,10 +95,9 @@ class TestCommands:
         sidecar = tmp_path / "run.trace.jsonl.metrics.json"
         assert sidecar.exists()
         snapshot = json.loads(sidecar.read_text(encoding="utf-8"))
-        # The miners ran through the autotuner, so dispatch counters exist.
-        assert any(k.startswith("repro_kernel_dispatch_total{") for k in snapshot)
+        assert any(k.startswith("repro_jobs_total{") for k in snapshot)
         assert main(["obs", "report", str(trace)]) == 0
-        assert "kernel tier dispatch" in capsys.readouterr().out
+        assert "per-node tasks & energy" in capsys.readouterr().out
 
     def test_frontier(self, capsys):
         rc = main(

@@ -15,15 +15,8 @@ def setup():
     dataset = load_dataset("rcv1", size_scale=0.3, seed=0)
     cluster = paper_cluster(4, seed=0)
     engine = ProcessPoolEngine(cluster, max_workers=2)
-    # Large sample fractions: each probe must do enough real work that
-    # the 4x/1x speed scaling dominates wall-clock jitter.
     pp = ParetoPartitioner(
-        engine,
-        kind=dataset.kind,
-        num_strata=4,
-        sample_fractions=(0.2, 0.5, 0.9),
-        stage_via_kv=False,
-        seed=0,
+        engine, kind=dataset.kind, num_strata=4, stage_via_kv=False, seed=0
     )
     return dataset, pp
 

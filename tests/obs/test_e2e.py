@@ -133,9 +133,7 @@ class TestProcessPoolTracing:
                  for i in range(8)]
         from repro.workloads.compression.distributed import CompressionWorkload
 
-        with ProcessPoolEngine(
-            paper_cluster(4, seed=0), max_workers=2, use_shared_memory=True
-        ) as engine:
+        with ProcessPoolEngine(paper_cluster(4, seed=0), max_workers=2) as engine:
             job = engine.run_job(CompressionWorkload(), parts)
             # Same partitions again: the dataplane must hit its caches.
             engine.run_job(CompressionWorkload(), parts)

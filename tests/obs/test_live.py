@@ -151,14 +151,6 @@ class TestNodeEstimator:
                 0.6 * self.WATTS[node.node_id]
             )
 
-    def test_estimates_feed_the_pareto_optimizer(self):
-        est = NodeEstimator()
-        self._feed(est)
-        optimizer = est.estimates(workload="sum").optimizer()
-        assert optimizer.num_partitions == 4
-        plan = optimizer.equal_split_plan(1000)
-        assert sum(plan.sizes) == 1000
-
     def test_wasted_tasks_inform_power_but_not_the_model(self):
         est = NodeEstimator()
         runtime = 0.5

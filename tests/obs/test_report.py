@@ -12,7 +12,6 @@ from repro.cluster.engines import SimulatedEngine
 from repro.obs.report import (
     TraceAggregate,
     histogram_quantile,
-    kernel_dispatch_table,
     render_report,
     report_from_file,
     service_section,
@@ -88,48 +87,8 @@ class TestRender:
         assert "0 spans" in text
 
 
-_SNAPSHOT = {
-    'repro_kernel_dispatch_total{kernel="minhash",tier="numpy"}': {
-        "type": "counter",
-        "value": 7,
-    },
-    'repro_kernel_dispatch_total{kernel="fpm",tier="reference"}': {
-        "type": "counter",
-        "value": 2,
-    },
-    'repro_other_metric_total{x="y"}': {"type": "counter", "value": 9},
-}
-
-
-class TestKernelDispatch:
-    def test_table_parses_dispatch_counters_only(self):
-        rows = kernel_dispatch_table(_SNAPSHOT)
-        assert rows == [
-            {"kernel": "fpm", "tier": "reference", "count": 2},
-            {"kernel": "minhash", "tier": "numpy", "count": 7},
-        ]
-
-    def test_render_includes_dispatch_section(self, trace_path):
-        _meta, spans = obs.read_spans(trace_path)
-        text = render_report(spans, metrics=_SNAPSHOT)
-        assert "kernel tier dispatch" in text
-        assert "minhash" in text
-
-    def test_report_from_file_discovers_sidecar(self, trace_path):
-        sidecar = trace_path.parent / (trace_path.name + ".metrics.json")
-        sidecar.write_text(json.dumps(_SNAPSHOT), encoding="utf-8")
-        text = report_from_file(trace_path)
-        assert "kernel tier dispatch" in text
-        assert "reference" in text
-
-    def test_report_without_sidecar_omits_section(self, trace_path):
-        assert "kernel tier dispatch" not in report_from_file(trace_path)
-
-    def test_malformed_sidecar_is_ignored(self, trace_path):
-        sidecar = trace_path.parent / (trace_path.name + ".metrics.json")
-        sidecar.write_text("{broken", encoding="utf-8")
-        text = report_from_file(trace_path)
-        assert "kernel tier dispatch" not in text
+#: A sidecar with no ``repro_service_*`` series.
+_SNAPSHOT = {'repro_other_metric_total{x="y"}': {"type": "counter", "value": 9}}
 
 
 _SERVICE_SNAPSHOT = {
@@ -216,6 +175,13 @@ class TestServiceSection:
         sidecar = trace_path.parent / (trace_path.name + ".metrics.json")
         sidecar.write_text(json.dumps(_SNAPSHOT), encoding="utf-8")
         assert "== service ==" not in report_from_file(trace_path)
+
+    def test_malformed_sidecar_is_ignored(self, trace_path):
+        sidecar = trace_path.parent / (trace_path.name + ".metrics.json")
+        sidecar.write_text("{broken", encoding="utf-8")
+        text = report_from_file(trace_path)
+        assert "per-node tasks & energy" in text
+        assert "== service ==" not in text
 
 
 class TestCli:

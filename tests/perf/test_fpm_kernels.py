@@ -77,8 +77,8 @@ class TestAprioriEquivalence:
     @example([[3, 5]], 0.5)
     @settings(max_examples=40, deadline=None)
     def test_mine_matches_reference(self, tx, min_support):
-        fast = AprioriMiner(min_support=min_support, kernel="numpy").mine(tx)
-        ref = AprioriMiner(min_support=min_support, kernel="reference").mine(tx)
+        fast = AprioriMiner(min_support=min_support).mine(tx)
+        ref = AprioriMiner(min_support=min_support).mine_reference(tx)
         assert fast.counts == ref.counts
         assert fast.candidates_generated == ref.candidates_generated
         assert fast.work_units == ref.work_units
@@ -87,14 +87,10 @@ class TestAprioriEquivalence:
     @given(transactions_strategy, st.integers(min_value=1, max_value=3))
     @settings(max_examples=25, deadline=None)
     def test_max_len_matches_reference(self, tx, max_len):
-        fast = AprioriMiner(min_support=0.1, max_len=max_len, kernel="numpy").mine(tx)
-        ref = AprioriMiner(min_support=0.1, max_len=max_len, kernel="reference").mine(tx)
+        fast = AprioriMiner(min_support=0.1, max_len=max_len).mine(tx)
+        ref = AprioriMiner(min_support=0.1, max_len=max_len).mine_reference(tx)
         assert fast.counts == ref.counts
         assert fast.work_units == ref.work_units
-
-    def test_bad_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            AprioriMiner(min_support=0.1, kernel="gpu")
 
 
 class TestEclatEquivalence:
@@ -103,8 +99,8 @@ class TestEclatEquivalence:
     @example([[3, 5]], 0.5)
     @settings(max_examples=40, deadline=None)
     def test_mine_matches_reference(self, tx, min_support):
-        fast = EclatMiner(min_support=min_support, kernel="numpy").mine(tx)
-        ref = EclatMiner(min_support=min_support, kernel="reference").mine(tx)
+        fast = EclatMiner(min_support=min_support).mine(tx)
+        ref = EclatMiner(min_support=min_support).mine_reference(tx)
         assert fast.counts == ref.counts
         assert fast.candidates_generated == ref.candidates_generated
         assert fast.work_units == ref.work_units
@@ -112,8 +108,8 @@ class TestEclatEquivalence:
     @given(transactions_strategy)
     @settings(max_examples=25, deadline=None)
     def test_eclat_agrees_with_apriori(self, tx):
-        eclat = EclatMiner(min_support=0.2, kernel="numpy").mine(tx)
-        apriori = AprioriMiner(min_support=0.2, kernel="numpy").mine(tx)
+        eclat = EclatMiner(min_support=0.2).mine(tx)
+        apriori = AprioriMiner(min_support=0.2).mine(tx)
         assert eclat.counts == apriori.counts
 
 
@@ -130,7 +126,7 @@ class TestCountPatternsEquivalence:
     @example([[1, 2]], [(1,), (1, 2), (9,)])
     @settings(max_examples=40, deadline=None)
     def test_matches_reference(self, tx, patterns):
-        fast_counts, fast_work = count_patterns(tx, patterns, kernel="numpy")
+        fast_counts, fast_work = count_patterns(tx, patterns)
         ref_counts, ref_work = count_patterns_reference(tx, patterns)
         assert fast_counts == ref_counts
         assert fast_work == ref_work
@@ -138,7 +134,7 @@ class TestCountPatternsEquivalence:
     def test_duplicate_patterns_count_per_occurrence(self):
         tx = [[1, 2], [1], [2]]
         pats = [(1,), (1,), (1, 2), ()]
-        fast, fw = count_patterns(tx, pats, kernel="numpy")
+        fast, fw = count_patterns(tx, pats)
         ref, rw = count_patterns_reference(tx, pats)
         assert fast == ref
         assert fw == rw

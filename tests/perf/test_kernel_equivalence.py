@@ -47,7 +47,7 @@ class TestSketchBatchEquivalence:
     @example([{7}], 64)
     @settings(max_examples=40, deadline=None)
     def test_batched_matches_per_set(self, sets, chunk_bytes):
-        hasher = MinHasher(num_hashes=9, seed=3, chunk_bytes=chunk_bytes, kernel="numpy")
+        hasher = MinHasher(num_hashes=9, seed=3, chunk_bytes=chunk_bytes)
         got = hasher.sketch_all(sets)
         ref = hasher.sketch_all_reference(sets)
         assert got.dtype == ref.dtype == np.uint64
@@ -143,8 +143,8 @@ class TestKModesEquivalence:
         n, k, card, seed = spec
         data = _low_card_matrix(n, k, card, seed)
         kwargs = dict(num_clusters=5, top_l=2, seed=seed % 1000, max_iter=30)
-        batched = CompositeKModes(kernel="numpy", chunk_bytes=chunk_bytes, **kwargs).fit(data)
-        reference = CompositeKModes(kernel="reference", **kwargs).fit(data)
+        batched = CompositeKModes(chunk_bytes=chunk_bytes, **kwargs).fit(data)
+        reference = CompositeKModes(**kwargs).fit_reference(data)
         assert np.array_equal(batched.labels, reference.labels)
         assert np.array_equal(batched.centers, reference.centers)
         assert batched.cost == reference.cost
@@ -164,7 +164,7 @@ class TestKModesEquivalence:
         if seed % 3 == 0:
             data[rng.integers(0, n)] = EMPTY_SLOT  # an empty set's sketch row
         top_l = 1 + seed % 3
-        oracle = CompositeKModes(num_clusters=num_clusters, top_l=top_l, kernel="reference")
+        oracle = CompositeKModes(num_clusters=num_clusters, top_l=top_l)
         codes, col_offsets, all_values = factorize_columns(data)
         labels = rng.integers(0, num_clusters, size=n).astype(np.int64)
         stale = np.full((num_clusters, k, top_l), _FILL, dtype=np.uint64)
@@ -219,24 +219,19 @@ class TestKModesEquivalence:
         # Out of rounds, fit's last act was an update: the cost must be
         # that of the returned centres, not of the ones matched before.
         data = _low_card_matrix(120, 6, 5, seed=2)
-        for kernel in ("numpy", "reference"):
-            km = CompositeKModes(num_clusters=6, top_l=2, seed=3, max_iter=1, kernel=kernel)
-            result = km.fit(data)
+        km = CompositeKModes(num_clusters=6, top_l=2, seed=3, max_iter=1)
+        for result in (km.fit(data), km.fit_reference(data)):
             assert not result.converged and result.iterations == 1
             counts = km._match_counts_reference(data, result.centers)
             assert result.cost == float(np.sum(6 - counts[np.arange(120), result.labels]))
 
     def test_assign_matches_reference(self):
         data = _low_card_matrix(80, 5, 4, seed=9)
-        batched = CompositeKModes(num_clusters=4, top_l=2, seed=1, kernel="numpy")
-        reference = CompositeKModes(num_clusters=4, top_l=2, seed=1, kernel="reference")
-        result = batched.fit(data)
+        km = CompositeKModes(num_clusters=4, top_l=2, seed=1)
+        result = km.fit(data)
         new = _low_card_matrix(40, 5, 4, seed=10)
         for rows in (new, new[:1], new[:0]):
+            oracle = km._match_counts_reference(rows, result.centers)
             assert np.array_equal(
-                batched.assign(rows, result.centers), reference.assign(rows, result.centers)
+                km.assign(rows, result.centers), np.argmax(oracle, axis=1)
             )
-
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeKModes(kernel="magic")

@@ -77,10 +77,9 @@ class TestLZ77Equivalence:
     @example(b"a", 16, 2, 8)
     @settings(max_examples=50, deadline=None)
     def test_blob_and_stats_match_reference(self, data, window, max_chain, max_match):
-        fast = LZ77Codec(window=window, max_chain=max_chain, max_match=max_match, kernel="numpy")
-        ref = LZ77Codec(window=window, max_chain=max_chain, max_match=max_match, kernel="reference")
+        fast = LZ77Codec(window=window, max_chain=max_chain, max_match=max_match)
         blob_f, st_f = fast.compress(data)
-        blob_r, st_r = ref.compress(data)
+        blob_r, st_r = fast.compress_reference(data)
         assert blob_f == blob_r
         assert st_f == st_r
         assert fast.decompress(blob_f) == data
@@ -88,7 +87,7 @@ class TestLZ77Equivalence:
     @given(st.lists(st.lists(st.integers(0, 50), max_size=10), max_size=20))
     @settings(max_examples=25, deadline=None)
     def test_record_roundtrip(self, records):
-        codec = LZ77Codec(kernel="numpy")
+        codec = LZ77Codec()
         blob, _ = codec.compress_records(records)
         assert codec.decompress_records(blob) == [[int(v) for v in r] for r in records]
 
@@ -104,10 +103,9 @@ class TestWebGraphEquivalence:
     @example([[1, 2, 3]], 7)
     @settings(max_examples=50, deadline=None)
     def test_blob_and_stats_match_reference(self, adjacency, window):
-        fast = WebGraphCodec(window=window, kernel="numpy")
-        ref = WebGraphCodec(window=window, kernel="reference")
+        fast = WebGraphCodec(window=window)
         blob_f, st_f = fast.compress(adjacency)
-        blob_r, st_r = ref.compress(adjacency)
+        blob_r, st_r = fast.compress_reference(adjacency)
         assert blob_f == blob_r
         assert st_f == st_r
         expected = [sorted(set(int(v) for v in lst)) for lst in adjacency]
@@ -115,6 +113,6 @@ class TestWebGraphEquivalence:
 
     def test_interval_heavy_lists(self):
         adjacency = [list(range(10, 40)), list(range(10, 40)) + [99], [0, 2, 4, 6]]
-        fast, _ = WebGraphCodec(kernel="numpy").compress(adjacency)
-        ref, _ = WebGraphCodec(kernel="reference").compress(adjacency)
+        fast, _ = WebGraphCodec().compress(adjacency)
+        ref, _ = WebGraphCodec().compress_reference(adjacency)
         assert fast == ref

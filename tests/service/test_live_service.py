@@ -83,8 +83,6 @@ class TestEstimatorUnderServiceLoad:
                 unit_rate * node.speed_factor, rel=0.15
             )
             assert est.power_w == pytest.approx(node.watts, rel=0.15)
-        optimizer = estimate.optimizer()
-        assert optimizer.num_partitions == len(cluster.nodes)
 
 
 class TestLedgerUnderServiceLoad:

@@ -21,7 +21,10 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import load_dataset
-from repro.stratify.stratifier import Stratifier
+from repro.stratify.kmodes import CompositeKModes
+from repro.stratify.minhash import MinHasher
+from repro.stratify.pivots import PivotExtractor
+from repro.stratify.stratifier import Stratification, Stratifier
 
 #: (dataset, size_scale) of the benchmark's four cold kinds:
 #: webgraph, lz77, treemining, fpgrowth.
@@ -37,7 +40,10 @@ def _characterise(name: str, scale: float, seed: int) -> dict:
     dataset = load_dataset(name, size_scale=scale, seed=seed)
     stratifier = Stratifier(kind=dataset.kind, seed=seed)  # the framework's defaults
     sketches = stratifier.sketch(dataset.items)
-    strat = stratifier.stratify(dataset.items, sketches=sketches)
+    return _digests(sketches, stratifier.stratify(dataset.items, sketches=sketches))
+
+
+def _digests(sketches: np.ndarray, strat: Stratification) -> dict:
     km = strat.kmodes
     return {
         "sketches": _md5(sketches),
@@ -114,11 +120,19 @@ def test_strata_bit_identical_to_parent(name, scale, seed):
 
 
 @pytest.mark.parametrize("name,scale", [("swissprot", 0.4), ("uk", 0.4)])
-def test_reference_tier_reaches_the_same_strata(name, scale, monkeypatch):
-    # The untouched Python-loop oracles, pinned process-wide the way a
-    # whole pipeline is held to them.
-    monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
-    assert _characterise(name, scale, 1) == GOLDEN[(name, scale, 1)]
+def test_reference_tier_reaches_the_same_strata(name, scale):
+    # The untouched Python-loop oracles, composed by name the way
+    # ``Stratifier.stratify`` composes the kernels.
+    dataset = load_dataset(name, size_scale=scale, seed=1)
+    cfg = Stratifier(kind=dataset.kind, seed=1)
+    sketches = MinHasher(num_hashes=cfg.num_hashes, seed=cfg.seed).sketch_all_reference(
+        PivotExtractor(dataset.kind).extract_all(dataset.items)
+    )
+    kmodes = CompositeKModes(
+        num_clusters=cfg.num_strata, top_l=cfg.top_l, max_iter=cfg.max_iter, seed=cfg.seed + 1
+    )
+    strat = Stratification.from_kmodes(kmodes.fit_reference(sketches))
+    assert _digests(sketches, strat) == GOLDEN[(name, scale, 1)]
 
 
 if __name__ == "__main__":

@@ -7,15 +7,14 @@ entry points of :mod:`repro.core.framework`, the engine
 ``run_job``/``profile`` paths in :mod:`repro.cluster.engines`, and the
 job-service ``submit``/``run_record``/``drain`` entry points in
 :mod:`repro.service.manager` must emit an ``obs`` span, and the live
-plane's ``publish_span``/``publish_event`` entry points in
-:mod:`repro.obs.live.plane` must publish onto the telemetry bus.
+plane's one entry point, ``publish_span`` in
+:mod:`repro.obs.live.plane`, must publish onto the telemetry bus.
 
 A required function is *covered* when its body contains a span-emitting
 call — ``obs.span(...)``, ``obs.emit(...)``, ``<tracer>.span(...)``,
-``<tracer>.emit(...)`` — or an ``@obs.traced``/``@traced`` decorator,
-or when it delegates to a same-module function that itself directly
-emits (``measure_frontier`` → ``execute``; the base
-``profile_all_nodes`` loop → ``profile``). Delegation is resolved one
+``<tracer>.emit(...)`` — or when it delegates to a same-module
+function that itself directly emits (``measure_frontier`` →
+``execute``; the base ``profile_all_nodes`` loop → ``profile``). Delegation is resolved one
 level deep and by terminal name, which is exact enough for a module
 the rule also forces to stay simple.
 """
@@ -39,24 +38,19 @@ DEFAULT_REQUIRED: Mapping[str, frozenset[str]] = {
     # submit or run means queue waits and per-job energy never reach
     # the trace, which defeats the service section of `repro obs report`.
     "repro.service.manager": frozenset({"submit", "run_record", "drain"}),
-    # The live plane's publication entry points: if these stop pushing
-    # onto the telemetry bus, `/live` and `repro obs top` go dark
-    # silently while the rest of the plane still looks healthy.
-    "repro.obs.live.plane": frozenset({"publish_span", "publish_event"}),
+    # The live plane's one entry point, the tracer sink: if it stops
+    # pushing onto the telemetry bus, `/live` and `repro obs top` go
+    # dark silently while the rest of the plane still looks healthy.
+    "repro.obs.live.plane": frozenset({"publish_span"}),
 }
 
-# ``publish`` counts as emitting: the live plane's entry points feed
+# ``publish`` counts as emitting: the live plane's entry point feeds
 # the bounded bus instead of opening spans (a span inside the tracer
 # sink would recurse back into the sink).
 _EMITTING_CALLS = {"span", "emit", "publish"}
-_TRACED_DECORATORS = {"traced"}
 
 
 def _directly_emits(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for deco in func.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if terminal_name(target) in _TRACED_DECORATORS:
-            return True
     for node in ast.walk(func):
         if isinstance(node, ast.Call) and terminal_name(node.func) in _EMITTING_CALLS:
             return True

@@ -168,13 +168,6 @@ class Project:
                 return mod
         return None
 
-    def by_name_prefix(self, prefix: str) -> list[SourceModule]:
-        return [
-            m
-            for m in self.modules
-            if m.name == prefix or m.name.startswith(prefix + ".")
-        ]
-
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Yield ``.py`` files under each path (files pass through as-is)."""

@@ -52,10 +52,6 @@ class Cluster:
             [n.dirty_power_coefficient() for n in self.nodes], dtype=np.float64
         )
 
-    def fastest_node(self) -> Node:
-        """The node the paper would pick as master (type 1 first)."""
-        return max(self.nodes, key=lambda n: (n.speed_factor, -n.node_id))
-
 
 def paper_cluster(
     num_nodes: int,

@@ -105,13 +105,6 @@ class DataPlaneStats:
     #: running total): at most one per live ref.
     pinned_objects: int = 0
 
-    @property
-    def ref_bytes_per_task(self) -> float:
-        """Mean pickled task-payload bytes — the O(1) the plane buys."""
-        if self.refs_issued == 0:
-            return 0.0
-        return self.ref_bytes_total / self.refs_issued
-
 
 class SharedPartitionStore:
     """Publishes partitions into shared memory, deduplicating repeats.

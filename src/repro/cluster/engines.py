@@ -26,7 +26,7 @@ is defined once — in three steps:
   :class:`TaskResult` s — energy and dirty energy billed against each
   node's green trace over the task's interval — merge the non-wasted
   outputs and sum the :class:`JobResult`; :func:`record_job_telemetry`
-  then emits the spans, metrics and live events.
+  then emits the spans and metrics.
 """
 
 from __future__ import annotations
@@ -92,13 +92,6 @@ class JobResult:
     total_energy_j: float
     merged_output: Any = None
 
-    def node_busy_times(self) -> dict[int, float]:
-        """Total busy seconds per node."""
-        busy: dict[int, float] = {}
-        for t in self.tasks:
-            busy[t.node_id] = busy.get(t.node_id, 0.0) + t.runtime_s
-        return busy
-
     def energy_breakdown(self) -> dict[int, dict[str, float]]:
         """Per-node time/energy/dirty-energy telemetry.
 
@@ -108,46 +101,27 @@ class JobResult:
         """
         return node_energy_breakdown(self)
 
-    def partition_sizes_by_node(self) -> dict[int, float]:
-        work: dict[int, float] = {}
-        for t in self.tasks:
-            work[t.node_id] = work.get(t.node_id, 0.0) + t.work_units
-        return work
-
-
-def _publish_live(kind: str, **fields: Any) -> None:
-    """Push one event onto the live telemetry bus, when a plane is attached."""
-    # Deferred import: repro.obs.live sits above the cluster layer.
-    from repro.obs.live import active_plane
-
-    plane = active_plane()
-    if plane is not None:
-        plane.publish_event(kind, **fields)
-
 
 def emit_timeline_mark(
     name: str,
     start_s: float,
     duration_s: float,
     counters: Iterable[tuple[str, dict[str, str], float]],
-    publish: bool = True,
     **attrs: Any,
 ) -> None:
     """One scheduler decision (fault, retry, steal) on the simulated
-    timeline: a pre-timed span, its ``(name, labels, amount)`` counter
-    bumps and, with ``publish``, a live event carrying the same attrs."""
+    timeline: a pre-timed span and its ``(name, labels, amount)``
+    counter bumps."""
     if not obs.enabled():
         return
     obs.get_tracer().emit(name, start_s=start_s, duration_s=duration_s, **attrs)
     metrics = obs.get_metrics()
     for counter, labels, amount in counters:
         metrics.counter(counter, **labels).inc(amount)
-    if publish:
-        _publish_live(name, **attrs)
 
 
 def record_job_telemetry(
-    job: JobResult, job_span, wall0: float, engine: str, workload: str | None = None
+    job: JobResult, job_span, wall0: float, engine: str, workload: str
 ) -> None:
     """Emit one ``task.execute`` span per task (on the job's node-local
     timeline, anchored at the job's wall start) plus the per-node
@@ -155,42 +129,30 @@ def record_job_telemetry(
     the job totals exactly — the spans carry the same floats the
     :class:`JobResult` summed. Callers must check ``obs.enabled()``.
 
-    ``workload`` tags each span with the workload name so the live
-    :class:`~repro.obs.live.NodeEstimator` can fit per-workload models
-    (mixing workloads with different per-item costs would bias a
-    pooled slope). Energy burnt on wasted (fault-lost) tasks is
-    additionally counted and published as ``fault.wasted``.
+    ``workload`` tags each span with the workload name so a consumer
+    of the span stream can fit per-workload time models (mixing
+    workloads with different per-item costs would bias a pooled
+    slope). Energy burnt on wasted (fault-lost) tasks is
+    additionally counted and set on the job span as ``wasted_energy_j``.
     """
     tracer = obs.get_tracer()
     for task in job.tasks:
-        attrs = task_energy_attrs(task)
-        if workload is not None:
-            attrs["workload"] = workload
         tracer.emit(
             "task.execute",
             start_s=wall0 + task.start_s,
             duration_s=task.runtime_s,
             parent_id=job_span.span_id,
-            **attrs,
+            **task_energy_attrs(task),
+            workload=workload,
         )
     job_span.set_attr("makespan_s", job.makespan_s)
     job_span.set_attr("total_energy_j", job.total_energy_j)
     job_span.set_attr("total_dirty_energy_j", job.total_dirty_energy_j)
     record_job_metrics(obs.get_metrics(), job, engine=engine)
-    _publish_live(
-        "job.complete",
-        engine=engine,
-        workload=workload,
-        tasks=len(job.tasks),
-        makespan_s=job.makespan_s,
-        energy_j=job.total_energy_j,
-        dirty_energy_j=job.total_dirty_energy_j,
-    )
-    wasted = [t.energy_j for t in job.tasks if t.stats.get("wasted")]
-    wasted_j = sum(wasted)
+    wasted_j = sum(t.energy_j for t in job.tasks if t.stats.get("wasted"))
     if wasted_j:
         obs.get_metrics().counter("repro_fault_wasted_energy_joules_total").inc(wasted_j)
-        _publish_live("fault.wasted", wasted_energy_j=wasted_j, retries=len(wasted))
+        job_span.set_attr("wasted_energy_j", wasted_j)
 
 
 def _validate_assignment(cluster: Cluster, partitions: Sequence, assignment: Sequence[int]) -> None:
@@ -346,6 +308,7 @@ class ExecutionEngine(abc.ABC):
         with obs.span(
             "engine.run_job",
             engine=type(self).__name__,
+            workload=workload.name,
             partitions=len(partitions),
             nodes=self.cluster.num_nodes,
         ) as job_span:
@@ -353,7 +316,7 @@ class ExecutionEngine(abc.ABC):
             job = account_job(self.cluster, workload, events, start_offset_s)
             if obs.enabled():
                 record_job_telemetry(
-                    job, job_span, wall0, type(self).__name__, workload=workload.name
+                    job, job_span, wall0, type(self).__name__, workload.name
                 )
             return job
 

@@ -105,7 +105,6 @@ class FaultInjectingEngine(SimulatedEngine):
                 wall0 + start,
                 runtime,
                 [("repro_fault_retried_total", {"node": str(best)}, 1)],
-                publish=False,
                 partition_id=pid,
                 node_id=best,
                 detection_latency_s=self.detection_latency_s,

@@ -19,7 +19,7 @@ overfit, which the ablation bench demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -55,12 +55,6 @@ def auto_fractions(num_items: int) -> tuple[float, ...]:
     if PAPER_FRACTIONS[0] * num_items >= MIN_SAMPLE:
         return PAPER_FRACTIONS
     return SMALL_DATA_FRACTIONS
-
-
-class TimeModel(Protocol):
-    """Anything that predicts runtime from a partition size."""
-
-    def predict(self, x: float) -> float: ...
 
 
 @dataclass(frozen=True)

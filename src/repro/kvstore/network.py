@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kvstore.client import ClusterClient
 from repro.kvstore.store import KeyValueStore, StoreStats
 
 
@@ -44,10 +43,6 @@ class NetworkModel:
         return self.transfer_time_s(
             store.stats.round_trips, store.stats.bytes_moved
         )
-
-    def client_time_s(self, client: ClusterClient) -> float:
-        """Aggregate transfer time across a cluster client's stores."""
-        return sum(self.store_time_s(s) for s in client.stores)
 
     def delta_time_s(self, before: StoreStats, after: StoreStats) -> float:
         """Transfer time of the traffic between two stat snapshots."""

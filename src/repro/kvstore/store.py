@@ -43,9 +43,6 @@ class StoreStats:
     round_trips: int = 0
     bytes_moved: int = 0
 
-    def total_commands(self) -> int:
-        return self.gets + self.sets + self.list_ops + self.hash_ops + self.incrs
-
 
 _BLOB_TYPES = frozenset({bytes, bytearray})
 

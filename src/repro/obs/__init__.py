@@ -28,7 +28,7 @@ when tracing is toggled.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs.energy import (
     energy_split,
@@ -62,7 +62,6 @@ __all__ = [
     "enabled",
     "reset",
     "span",
-    "traced",
     "emit",
     "get_tracer",
     "get_metrics",
@@ -147,30 +146,6 @@ def emit(
     if not _enabled:
         return None
     return _tracer.emit(name, start_s, duration_s, parent_id=parent_id, **attrs)
-
-
-def traced(name: str | None = None, **attrs: Any) -> Callable:
-    """Decorator: wrap a function in a span when obs is enabled.
-
-    The flag is consulted per call, so decorating costs nothing when
-    the subsystem stays off.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        import functools
-
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any):
-            if not _enabled:
-                return fn(*args, **kwargs)
-            with _tracer.span(span_name, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def export_jsonl(path: str | os.PathLike) -> int:

@@ -14,9 +14,11 @@ is an exact regrouping of the same floats, never a re-measurement.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 __all__ = [
+    "fold_task",
+    "node_rows",
     "node_energy_breakdown",
     "task_energy_attrs",
     "energy_split",
@@ -46,9 +48,42 @@ def task_energy_attrs(task: Any) -> dict[str, Any]:
     return attrs
 
 
+def fold_task(rows: dict[int, dict[str, float]], attrs: Mapping[str, Any]) -> None:
+    """Add one task's attributes — what :func:`task_energy_attrs` builds
+    and a ``task.execute`` span carries — to its node's row in ``rows``.
+
+    The one per-node regrouping: a job's breakdown, the trace report's
+    node table and the live estimator's books all keep their rows here.
+    """
+    node = int(attrs["node_id"])
+    row = rows.get(node)
+    if row is None:
+        row = rows[node] = {
+            "tasks": 0, "busy_s": 0.0, "energy_j": 0.0, "dirty_energy_j": 0.0
+        }
+    row["tasks"] += 1
+    row["busy_s"] += float(attrs.get("runtime_s", 0.0))
+    row["energy_j"] += float(attrs.get("energy_j", 0.0))
+    row["dirty_energy_j"] += float(attrs.get("dirty_energy_j", 0.0))
+
+
+def node_rows(rows: Mapping[int, Mapping[str, float]]) -> dict[int, dict[str, float]]:
+    """The folded rows in node-id order, each with its green share:
+    ``{tasks, busy_s, energy_j, dirty_energy_j, green_energy_j,
+    green_fraction}``."""
+    out: dict[int, dict[str, float]] = {}
+    for node, row in sorted(rows.items()):
+        green = row["energy_j"] - row["dirty_energy_j"]
+        out[node] = {
+            **row,
+            "green_energy_j": green,
+            "green_fraction": green / row["energy_j"] if row["energy_j"] > 0 else 1.0,
+        }
+    return out
+
+
 def node_energy_breakdown(job: Any) -> dict[int, dict[str, float]]:
-    """Per-node ``{busy_s, energy_j, dirty_energy_j, green_energy_j,
-    green_fraction, tasks}`` aggregated over ``job.tasks``.
+    """Per-node rows (see :func:`node_rows`) folded over ``job.tasks``.
 
     Sums are exact regroupings of the task fields, so
     ``sum(row["energy_j"]) == job.total_energy_j`` (and likewise for
@@ -56,26 +91,8 @@ def node_energy_breakdown(job: Any) -> dict[int, dict[str, float]]:
     """
     rows: dict[int, dict[str, float]] = {}
     for task in job.tasks:
-        row = rows.setdefault(
-            int(task.node_id),
-            {
-                "busy_s": 0.0,
-                "energy_j": 0.0,
-                "dirty_energy_j": 0.0,
-                "green_energy_j": 0.0,
-                "tasks": 0,
-            },
-        )
-        row["busy_s"] += float(task.runtime_s)
-        row["energy_j"] += float(task.energy_j)
-        row["dirty_energy_j"] += float(task.dirty_energy_j)
-        row["green_energy_j"] += float(task.energy_j) - float(task.dirty_energy_j)
-        row["tasks"] += 1
-    for row in rows.values():
-        row["green_fraction"] = (
-            row["green_energy_j"] / row["energy_j"] if row["energy_j"] > 0 else 1.0
-        )
-    return dict(sorted(rows.items()))
+        fold_task(rows, task_energy_attrs(task))
+    return node_rows(rows)
 
 
 def carries_energy(attrs: dict) -> bool:

@@ -4,7 +4,7 @@ Where :mod:`repro.obs` collects spans for *post-hoc* analysis (JSONL
 traces, ``repro obs report``), this subpackage consumes them *while the
 run is in flight*:
 
-- :class:`TelemetryBus` — bounded drop-oldest ring every publisher
+- :class:`TelemetryBus` — bounded drop-oldest ring the span sink
   writes into; subscribers snapshot by sequence number or long-poll.
 - :class:`NodeEstimator` — online per-node time models + power split,
   shaped for :class:`repro.core.optimizer.ParetoOptimizer` (the
@@ -19,9 +19,9 @@ Process-global lifecycle mirrors :mod:`repro.obs`::
 
     from repro.obs import live
 
-    live.enable_live()          # also enables obs; installs tracer sink
+    plane = live.enable_live()  # also enables obs; installs tracer sink
     ... run jobs ...
-    live.get_plane().snapshot() # estimates, ledger, SLO states
+    plane.snapshot()            # estimates, ledger, SLO states
     live.disable_live()
 
 Deliberately *not* imported by ``repro.obs`` itself: the base plane
@@ -30,6 +30,7 @@ stays import-light and the live plane is strictly opt-in.
 
 from __future__ import annotations
 
+import repro.obs as obs
 from repro.obs.live.bus import TelemetryBus
 from repro.obs.live.estimator import ClusterEstimate, NodeEstimate, NodeEstimator
 from repro.obs.live.ledger import Ledger
@@ -51,7 +52,6 @@ __all__ = [
     "enable_live",
     "disable_live",
     "live_enabled",
-    "get_plane",
     "active_plane",
     "reset_live",
 ]
@@ -65,8 +65,6 @@ def enable_live(**kwargs) -> LivePlane:
     Also enables :mod:`repro.obs` — the plane is fed by the tracer
     sink, so there is nothing to consume while tracing is off.
     """
-    import repro.obs as obs
-
     global _plane
     if _plane is None:
         _plane = LivePlane(**kwargs)
@@ -80,20 +78,15 @@ def disable_live() -> None:
         _plane.detach()
 
 
-def live_enabled() -> bool:
-    return _plane is not None and _plane.attached
-
-
-def get_plane() -> LivePlane | None:
-    """The global plane, attached or not (None if never enabled)."""
-    return _plane
-
-
 def active_plane() -> LivePlane | None:
-    """The global plane only while attached — the publisher-side check."""
+    """The global plane while the tracer feeds it, else None."""
     if _plane is not None and _plane.attached:
         return _plane
     return None
+
+
+def live_enabled() -> bool:
+    return active_plane() is not None
 
 
 def reset_live() -> None:

@@ -1,8 +1,9 @@
 """Bounded ring-buffer telemetry bus: the live plane's transport.
 
-One :class:`TelemetryBus` sits between every publisher (tracer sink,
-service manager, fault/steal paths) and every subscriber (the ``/live``
-endpoint, ``repro obs top``, future re-planners). Contract:
+One :class:`TelemetryBus` sits between its one publisher (the tracer
+sink, :meth:`LivePlane.publish_span`, on whichever thread finished the
+span) and every subscriber (the ``/live`` endpoint, ``repro obs top``,
+future re-planners). Contract:
 
 - **Bounded.** At most ``capacity`` events are buffered; publishing
   into a full buffer drops the *oldest* event and increments a drop

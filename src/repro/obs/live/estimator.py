@@ -22,6 +22,8 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.obs.energy import fold_task
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.core.heterogeneity import LinearTimeModel
 
@@ -79,15 +81,11 @@ class _RegAcc:
 class _PowerAcc:
     """EWMA power split for one node (constant-alpha, per-task samples)."""
 
-    __slots__ = ("power_w", "dirty_w", "samples", "energy_j", "dirty_j", "busy_s")
+    __slots__ = ("power_w", "dirty_w")
 
     def __init__(self) -> None:
         self.power_w: float | None = None
         self.dirty_w: float | None = None
-        self.samples = 0
-        self.energy_j = 0.0
-        self.dirty_j = 0.0
-        self.busy_s = 0.0
 
     def add(self, runtime_s: float, energy_j: float, dirty_j: float) -> None:
         watts = energy_j / runtime_s
@@ -98,10 +96,6 @@ class _PowerAcc:
         else:
             self.power_w += _POWER_ALPHA * (watts - self.power_w)
             self.dirty_w += _POWER_ALPHA * (dirty_watts - self.dirty_w)
-        self.samples += 1
-        self.energy_j += energy_j
-        self.dirty_j += dirty_j
-        self.busy_s += runtime_s
 
 
 @dataclass(frozen=True)
@@ -157,6 +151,8 @@ class NodeEstimator:
         self._lock = threading.Lock()
         self._reg: dict[tuple[int, str], _RegAcc] = {}
         self._power: dict[int, _PowerAcc] = {}
+        #: node → the :func:`~repro.obs.energy.fold_task` row of its tasks.
+        self._books: dict[int, dict[str, float]] = {}
 
     def observe_task(self, attrs: Mapping[str, Any]) -> None:
         """Ingest one ``task.execute`` span's attributes."""
@@ -170,6 +166,7 @@ class NodeEstimator:
         workload = str(attrs.get("workload", _ANY_WORKLOAD))
         wasted = bool(attrs.get("wasted"))
         with self._lock:
+            fold_task(self._books, attrs)
             power = self._power.get(node)
             if power is None:
                 power = self._power[node] = _PowerAcc()
@@ -185,11 +182,6 @@ class NodeEstimator:
 
     # -- read side ----------------------------------------------------------
 
-    @property
-    def nodes_seen(self) -> list[int]:
-        with self._lock:
-            return sorted(self._power)
-
     def estimates(
         self, workload: str | None = None, num_nodes: int | None = None
     ) -> ClusterEstimate:
@@ -204,7 +196,7 @@ class NodeEstimator:
         from repro.core.heterogeneity import LinearTimeModel
 
         with self._lock:
-            node_ids = sorted(self._power)
+            node_ids = sorted(self._books)
             if num_nodes is not None:
                 node_ids = list(range(num_nodes))
             out: list[NodeEstimate] = []
@@ -217,6 +209,7 @@ class NodeEstimator:
                         continue
                     acc.merge(reg)
                 slope, intercept = acc.fit()
+                books = self._books.get(node)
                 power = self._power.get(node)
                 watts = power.power_w if power and power.power_w is not None else 0.0
                 dirty_w = power.dirty_w if power and power.dirty_w is not None else 0.0
@@ -228,7 +221,7 @@ class NodeEstimator:
                         power_w=watts,
                         dirty_power_w=dirty_w,
                         green_power_w=max(watts - dirty_w, 0.0),
-                        samples=power.samples if power else 0,
+                        samples=books["tasks"] if books else 0,
                     )
                 )
         return ClusterEstimate(nodes=tuple(out))

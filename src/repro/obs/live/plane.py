@@ -1,18 +1,24 @@
-"""The live plane: tracer sink → bus + estimator + ledger + SLOs.
+"""The live plane: one tracer sink → bus + estimator + ledger + SLOs.
 
 One :class:`LivePlane` composes the four live-telemetry pieces and
-attaches to the global tracer as its span sink, so every finished span
-is processed **synchronously on the emitting thread**:
+attaches to the global tracer as its span sink. The span stream is the
+plane's **only** input — instrumentation sites emit spans and nothing
+else — and every finished span is processed **synchronously on the
+emitting thread** by :meth:`LivePlane.publish_span`:
 
-- every span is published onto the :class:`TelemetryBus` (name +
-  duration, bounded ring — subscribers can't stall emitters);
+- every span is published onto the :class:`TelemetryBus` with its
+  attributes (bounded ring — subscribers can't stall emitters);
 - spans carrying ``energy_j`` (the exact predicate
   :func:`repro.obs.energy.energy_split` counts) are billed to the
   current thread's tenant on the :class:`Ledger` — the manager wraps
   job execution in :func:`tenant_context`, and task spans are emitted
   on that same worker thread, which is what makes per-tenant
   attribution exact;
-- ``task.execute`` spans additionally feed the :class:`NodeEstimator`.
+- ``task.execute`` spans additionally feed the :class:`NodeEstimator`;
+- the SLO streams are read off the service's spans: ``queue_wait``
+  from a ``service.queue_wait`` span's duration, ``job_latency`` from
+  a ``service.run`` span's ``queue_wait_s`` plus its duration, and
+  ``dirty_j_per_job`` from its ``total_dirty_energy_j``.
 
 None of the plane's own methods emit spans: a span inside the sink
 path would recurse straight back into the sink.
@@ -25,6 +31,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
+import repro.obs as obs
 from repro.obs.live.bus import TelemetryBus
 from repro.obs.live.estimator import NodeEstimator
 from repro.obs.live.ledger import Ledger
@@ -70,28 +77,29 @@ class LivePlane:
         self.estimator = estimator if estimator is not None else NodeEstimator()
         self.ledger = ledger if ledger is not None else Ledger()
         self.slo = slo if slo is not None else SLOMonitor(default_objectives())
-        self.attached = False
 
     # -- tracer hookup ------------------------------------------------------
 
     def attach(self) -> "LivePlane":
         """Install this plane as the global tracer's span sink."""
-        import repro.obs as obs
-
         obs.get_tracer().set_sink(self.publish_span)
-        self.attached = True
         return self
 
     def detach(self) -> None:
-        import repro.obs as obs
-
         obs.get_tracer().set_sink(None)
-        self.attached = False
 
-    # -- publication entry points (SPAN-COVERAGE enforced) ------------------
+    @property
+    def attached(self) -> bool:
+        """Whether the tracer feeds this plane right now — read off the
+        tracer, so a sink it dropped for raising reads as detached."""
+        return obs.get_tracer().sink == self.publish_span
+
+    # -- the publication entry point (SPAN-COVERAGE enforced) ---------------
 
     def publish_span(self, record: Mapping[str, Any]) -> None:
-        """Sink for one finished span: ledger, estimator, then the bus."""
+        """Sink for one finished span: ledger, estimator, SLOs, then the bus."""
+        name = record.get("name")
+        duration = record.get("duration_s")
         attrs = record.get("attrs") or {}
         if "energy_j" in attrs:
             energy = float(attrs["energy_j"])
@@ -102,18 +110,18 @@ class LivePlane:
                 dirty_j=dirty,
                 wasted=bool(attrs.get("wasted")),
             )
-            if record.get("name") == "task.execute":
+            if name == "task.execute":
                 self.estimator.observe_task(attrs)
+        elif name == "service.queue_wait":
+            self.slo.record("queue_wait", duration)
+        elif name == "service.run":
+            if "queue_wait_s" in attrs:
+                self.slo.record("job_latency", attrs["queue_wait_s"] + duration)
+            if "total_dirty_energy_j" in attrs:
+                self.slo.record("dirty_j_per_job", float(attrs["total_dirty_energy_j"]))
         self.bus.publish(
-            "span",
-            name=record.get("name"),
-            duration_s=record.get("duration_s"),
-            tenant=current_tenant(),
+            "span", name=name, duration_s=duration, tenant=current_tenant(), attrs=attrs
         )
-
-    def publish_event(self, kind: str, **data: Any) -> int:
-        """Publish a non-span event (queue depth, faults, steals)."""
-        return self.bus.publish(kind, **data)
 
     # -- read side ----------------------------------------------------------
 

@@ -22,7 +22,7 @@ import re
 from collections import defaultdict
 from typing import Any, Iterable, Sequence
 
-from repro.obs.energy import carries_energy, split_summary
+from repro.obs.energy import carries_energy, fold_task, node_rows, split_summary
 from repro.obs.trace import iter_spans
 
 __all__ = [
@@ -92,14 +92,7 @@ class TraceAggregate:
             bucket[2] += int(attrs.get("items", 0))
         if name == "task.execute" and "node_id" in attrs:
             self.task_spans += 1
-            row = self._nodes.setdefault(
-                int(attrs["node_id"]),
-                {"tasks": 0, "busy_s": 0.0, "energy_j": 0.0, "dirty_energy_j": 0.0},
-            )
-            row["tasks"] += 1
-            row["busy_s"] += float(attrs.get("runtime_s", duration))
-            row["energy_j"] += float(attrs.get("energy_j", 0.0))
-            row["dirty_energy_j"] += float(attrs.get("dirty_energy_j", 0.0))
+            fold_task(self._nodes, attrs)
         if carries_energy(attrs):
             self._energy_j += float(attrs["energy_j"])
             self._dirty_j += float(attrs.get("dirty_energy_j", 0.0))
@@ -133,20 +126,7 @@ class TraceAggregate:
         ]
 
     def node_rows(self) -> list[dict[str, Any]]:
-        out = []
-        for node_id, row in sorted(self._nodes.items()):
-            green = row["energy_j"] - row["dirty_energy_j"]
-            out.append(
-                {
-                    "node": node_id,
-                    **row,
-                    "green_energy_j": green,
-                    "green_fraction": (
-                        green / row["energy_j"] if row["energy_j"] else 1.0
-                    ),
-                }
-            )
-        return out
+        return [{"node": node, **row} for node, row in node_rows(self._nodes).items()]
 
     def top_spans(self) -> list[dict]:
         return [

@@ -2,7 +2,7 @@
 
 Spans are plain dicts once finished (cheap to ship across the process
 boundary through the worker-pool return path, cheap to serialize), and
-the live API is a context manager / decorator::
+the live API is a context manager::
 
     tracer = Tracer()
     with tracer.span("stage.sketch", items=5000) as sp:
@@ -26,7 +26,6 @@ Export targets:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
@@ -137,8 +136,9 @@ class Tracer:
         self._stack = threading.local()
         # Optional live consumer: every finished span record is handed
         # to the sink (outside the collection lock) — the hook the
-        # repro.obs.live telemetry bus installs. None costs one check.
-        self._sink: Callable[[dict], None] | None = None
+        # repro.obs.live telemetry bus installs. None costs one check,
+        # and is what a sink detached for failing reads as afterwards.
+        self.sink: Callable[[dict], None] | None = None
 
     def set_sink(self, sink: Callable[[dict], None] | None) -> None:
         """Install (or clear) a per-record callback.
@@ -147,10 +147,10 @@ class Tracer:
         every finished span, including adopted worker spans. A failing
         sink is logged and detached rather than poisoning tracing.
         """
-        self._sink = sink
+        self.sink = sink
 
     def _feed_sink(self, record: dict) -> None:
-        sink = self._sink
+        sink = self.sink
         if sink is None:
             return
         try:
@@ -158,7 +158,7 @@ class Tracer:
         except Exception:
             # A broken live consumer must never take the tracer down;
             # detach it so one bad record doesn't log-spam every span.
-            self._sink = None
+            self.sink = None
             from repro.obs.log import get_logger, log_event
             import logging
 
@@ -197,21 +197,6 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a span; use as a context manager."""
         return Span(self, name, self.current_span_id(), attrs)
-
-    def traced(self, name: str | None = None, **attrs: Any) -> Callable:
-        """Decorator form of :meth:`span`."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any):
-                with self.span(span_name, **attrs):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def emit(
         self,

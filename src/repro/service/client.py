@@ -113,11 +113,6 @@ class ServiceClient:
     def stats(self) -> ServiceResponse:
         return self._request("GET", "/v1/stats")
 
-    def metrics_text(self) -> str:
-        req = urllib.request.Request(self.base_url + "/metrics")
-        with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-            return resp.read().decode("utf-8")
-
     def wait(
         self, job_id: str, timeout_s: float = 60.0, poll_s: float = 0.05
     ) -> ServiceResponse:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -73,7 +74,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict[str, Any] | None:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused; reading on would block until the client hangs up.
+            self.close_connection = True
+            self._send_json(
+                400, {"error": "Content-Length must be a non-negative integer"}
+            )
+            return None
         if length > _MAX_BODY_BYTES:
             self._send_json(413, {"error": "request body too large"})
             return None
@@ -209,9 +221,10 @@ class _Handler(BaseHTTPRequestHandler):
 
         def _number(key: str, default: float) -> float:
             try:
-                return float(query[key][0])
+                value = float(query[key][0])
             except (KeyError, IndexError, ValueError):
                 return default
+            return value if math.isfinite(value) else default
 
         since = int(_number("since", 0))
         # Long-poll bounded well under typical client timeouts; 0 means

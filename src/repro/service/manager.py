@@ -23,8 +23,11 @@ with ``concurrency`` worker threads. Its contract:
 
 Every path is instrumented: ``service.submit`` / ``service.run`` /
 ``service.drain`` spans, a pre-timed ``service.queue_wait`` span per
-dequeued job, queue-depth gauges + samples, and counters for
-submissions, rejections (by reason) and terminal states.
+dequeued job (it and ``service.submit`` carry the queue posture,
+``depth`` and ``running``, at those two moments), queue-depth gauges +
+samples, and counters for submissions, rejections (by reason) and
+terminal states. Spans are also all the live plane is fed: its SLO
+streams are read off ``service.queue_wait`` and ``service.run``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import repro.obs as obs
-from repro.obs.live import active_plane, tenant_context
+from repro.obs.live import tenant_context
 from repro.obs.log import get_logger, log_event
 from repro.service.jobs import (
     TERMINAL_STATES,
@@ -134,13 +137,15 @@ class JobManager:
                 self._cond.notify()
             sp.set_attr("state", record.state.value)
             sp.set_attr("job_id", record.job_id)
+            sp.set_attr("depth", depth)
+            sp.set_attr("running", running)
             if obs.enabled():
                 metrics = obs.get_metrics()
                 metrics.counter("repro_service_submitted_total").inc()
                 metrics.counter(
                     "repro_service_accepted_total", tenant=spec.tenant
                 ).inc()
-                self._record_queue_depth(depth, peak, running)
+                self._record_queue_depth(depth, peak)
             return record
 
     def _admission_reason_locked(self, spec: JobSpec) -> str | None:
@@ -209,7 +214,9 @@ class JobManager:
             record.finished_at = now
             record.expires_at = now + self.config.result_ttl_s
             self._release_tenant_locked(record.spec.tenant)
-            # Lazily removed from the deque by the worker loop.
+            # Out of the deque now: its length is what admission and
+            # the depth gauges read.
+            self._queue.remove(record)
             if obs.enabled():
                 obs.get_metrics().counter(
                     "repro_service_jobs_total", state=JobState.CANCELLED.value
@@ -224,9 +231,7 @@ class JobManager:
                 states[record.state.value] = states.get(record.state.value, 0) + 1
             return {
                 "accepting": self._accepting,
-                "queue_depth": sum(
-                    1 for r in self._queue if r.state is JobState.QUEUED
-                ),
+                "queue_depth": len(self._queue),
                 "peak_queue_depth": self._peak_queue_depth,
                 "running": self._running,
                 "jobs_tracked": len(self._jobs),
@@ -246,19 +251,18 @@ class JobManager:
     def _worker_loop(self) -> None:
         while True:
             with self._cond:
-                record = self._next_queued_locked()
-                while record is None and not self._stopped:
+                while not self._queue and not self._stopped:
                     self._cond.wait(timeout=0.1)
-                    record = self._next_queued_locked()
-                if record is None:
+                if not self._queue:
                     return  # stopped and the queue is fully drained
+                record = self._queue.popleft()
                 record.state = JobState.RUNNING
                 record.started_at = time.monotonic()
                 self._running += 1
                 depth = len(self._queue)
                 peak, running = self._peak_queue_depth, self._running
             if obs.enabled():
-                self._record_queue_depth(depth, peak, running)
+                self._record_queue_depth(depth, peak)
                 wait_s = record.queue_wait_s or 0.0
                 obs.emit(
                     "service.queue_wait",
@@ -266,22 +270,13 @@ class JobManager:
                     duration_s=wait_s,
                     job_id=record.job_id,
                     tenant=record.spec.tenant,
+                    depth=depth,
+                    running=running,
                 )
                 obs.get_metrics().histogram(
                     "repro_service_queue_wait_seconds"
                 ).observe(wait_s)
-                plane = active_plane()
-                if plane is not None:
-                    plane.slo.record("queue_wait", wait_s)
             self.run_record(record)
-
-    def _next_queued_locked(self) -> JobRecord | None:
-        while self._queue:
-            record = self._queue.popleft()
-            if record.state is JobState.QUEUED:
-                return record
-            # Cancelled while queued: already terminal, just drop it.
-        return None
 
     def run_record(self, record: JobRecord) -> None:
         """Execute one dequeued job and finalize its record."""
@@ -292,6 +287,7 @@ class JobManager:
             tenant=spec.tenant,
             workload=spec.workload,
             dataset=spec.dataset,
+            queue_wait_s=record.queue_wait_s or 0.0,
         ) as sp:
             try:
                 # Task spans are emitted synchronously on this worker
@@ -311,6 +307,8 @@ class JobManager:
             self._finish(record, JobState.SUCCEEDED, result=result)
             sp.set_attr("state", record.state.value)
             sp.set_attr("makespan_s", result.get("makespan_s"))
+            if "total_dirty_energy_j" in result:
+                sp.set_attr("total_dirty_energy_j", result["total_dirty_energy_j"])
 
     def _finish(
         self,
@@ -339,22 +337,6 @@ class JobManager:
             metrics = obs.get_metrics()
             metrics.counter("repro_service_jobs_total", state=state.value).inc()
             metrics.histogram("repro_service_run_seconds").observe(run_s)
-            plane = active_plane()
-            if plane is not None:
-                latency_s = (record.queue_wait_s or 0.0) + run_s
-                plane.slo.record("job_latency", latency_s)
-                if result is not None and "total_dirty_energy_j" in result:
-                    plane.slo.record(
-                        "dirty_j_per_job", float(result["total_dirty_energy_j"])
-                    )
-                plane.publish_event(
-                    "job.finished",
-                    job_id=record.job_id,
-                    tenant=record.spec.tenant,
-                    state=state.value,
-                    latency_s=latency_s,
-                    run_s=run_s,
-                )
 
     def _release_tenant_locked(self, tenant: str) -> None:
         left = self._tenant_inflight.get(tenant, 0) - 1
@@ -381,19 +363,16 @@ class JobManager:
                 len(expired)
             )
 
-    def _record_queue_depth(self, depth: int, peak: int, running: int) -> None:
-        # Callers capture depth/peak/running under self._cond and pass
-        # them in, so this method touches no shared state while
-        # publishing (metrics and the live plane lock internally).
+    def _record_queue_depth(self, depth: int, peak: int) -> None:
+        # Callers capture depth/peak under self._cond and pass them in,
+        # so this method touches no shared state while recording (the
+        # metrics registry locks internally).
         metrics = obs.get_metrics()
         metrics.gauge("repro_service_queue_depth").set(depth)
         metrics.gauge("repro_service_queue_depth_peak").set(peak)
         metrics.histogram(
             "repro_service_queue_depth_jobs", bounds=QUEUE_DEPTH_BUCKETS
         ).observe(depth)
-        plane = active_plane()
-        if plane is not None:
-            plane.publish_event("service.queue", depth=depth, running=running)
 
     # -- lifecycle ----------------------------------------------------------
 

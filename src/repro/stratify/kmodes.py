@@ -65,10 +65,6 @@ class KModesResult:
     def num_clusters(self) -> int:
         return self.centers.shape[0]
 
-    def cluster_sizes(self) -> np.ndarray:
-        """Row counts per cluster id."""
-        return np.bincount(self.labels, minlength=self.num_clusters)
-
 
 #: Sentinel for unused top-L slots; chosen so it cannot equal a sketch
 #: value (sketch values are < 2**64 - 1, and we offset per slot).

@@ -123,11 +123,6 @@ def _decode_plain(data: bytes, pos: int) -> tuple[list[int], int]:
     return sorted(values), pos
 
 
-def _varint_len(value: int) -> int:
-    """Byte length of ``encode_varint(value)`` without building bytes."""
-    return (value.bit_length() + 6) // 7 if value else 1
-
-
 def _symbols_len(symbols: list[int]) -> int:
     """Total encoded byte length of a symbol list (most symbols are one
     byte, so only multi-byte values pay the bit_length arithmetic)."""

@@ -481,20 +481,6 @@ class TestSpanCoverage:
         )
         assert run_checker(SpanCoverageChecker(self.REQUIRED), abstract) == []
 
-    def test_traced_decorator_counts(self):
-        good = mod(
-            """
-            import repro.obs as obs
-
-            class Partitioner:
-                @obs.traced("pipeline.execute")
-                def execute(self, items):
-                    return items
-            """,
-            "src/repro/core/framework.py",
-        )
-        assert run_checker(SpanCoverageChecker(self.REQUIRED), good) == []
-
     def test_default_contract_covers_service_manager(self):
         required = SpanCoverageChecker().required["repro.service.manager"]
         assert required == frozenset({"submit", "run_record", "drain"})
@@ -547,7 +533,7 @@ class TestSpanCoverage:
 
     def test_default_contract_covers_live_plane(self):
         required = SpanCoverageChecker().required["repro.obs.live.plane"]
-        assert required == frozenset({"publish_span", "publish_event"})
+        assert required == frozenset({"publish_span"})
 
     def test_true_positive_live_plane_publication_dropped(self):
         # publish_span charges the ledger but never reaches the bus:
@@ -557,9 +543,6 @@ class TestSpanCoverage:
             class LivePlane:
                 def publish_span(self, record):
                     self.ledger.charge(record)
-
-                def publish_event(self, kind, **data):
-                    self.bus.publish(kind, **data)
             """,
             "src/repro/obs/live/plane.py",
         )
@@ -574,9 +557,6 @@ class TestSpanCoverage:
             class LivePlane:
                 def publish_span(self, record):
                     self.bus.publish("span", name=record["name"])
-
-                def publish_event(self, kind, **data):
-                    self.bus.publish(kind, **data)
             """,
             "src/repro/obs/live/plane.py",
         )

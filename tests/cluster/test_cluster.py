@@ -81,22 +81,3 @@ class TestClusterStructure:
     def test_kv_client_matches_size(self):
         cluster = paper_cluster(4)
         assert cluster.kv.num_nodes == 4
-
-
-class TestMasterSelection:
-    def test_fastest_node_is_type1(self):
-        cluster = paper_cluster(8)
-        assert cluster.fastest_node().node_type.type_id == 1
-
-    def test_priority_order_without_type1(self):
-        # Build a cluster of types 2..4 only; master must be type 2.
-        nodes = [
-            Node(
-                node_id=i,
-                node_type=PAPER_NODE_TYPES[1 + (i % 3)],
-                trace=EnergyTrace(watts=np.zeros(1)),
-            )
-            for i in range(6)
-        ]
-        cluster = Cluster(nodes=nodes)
-        assert cluster.fastest_node().node_type.type_id == 2

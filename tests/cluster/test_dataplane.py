@@ -137,7 +137,7 @@ class TestRefSize:
     def test_stats_track_ref_bytes(self, store):
         store.put_many([[1], [2], [3]])
         assert store.stats.refs_issued == 3
-        assert 0 < store.stats.ref_bytes_per_task < 512
+        assert 0 < store.stats.ref_bytes_total / store.stats.refs_issued < 512
 
 
 class TestLifecycle:

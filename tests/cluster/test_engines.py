@@ -86,8 +86,8 @@ class TestJobExecution:
     def test_makespan_is_max_node_busy_time(self, engine):
         parts = [[1] * 10, [1] * 10]
         job = engine.run_job(CountingWorkload(), parts, assignment=[0, 3])
-        busy = job.node_busy_times()
-        assert job.makespan_s == pytest.approx(max(busy.values()))
+        # One partition per node, so a node's busy time is its task's.
+        assert job.makespan_s == pytest.approx(max(t.runtime_s for t in job.tasks))
 
     def test_multiple_partitions_on_node_serialize(self, engine):
         parts = [[1] * 10, [1] * 10]
@@ -122,11 +122,6 @@ class TestJobExecution:
             engine.run_job(CountingWorkload(), [[1], [2]], assignment=[0])
         with pytest.raises(ValueError):
             engine.run_job(CountingWorkload(), [], assignment=[])
-
-    def test_partition_sizes_by_node(self, engine):
-        parts = [[1] * 4, [1] * 6]
-        job = engine.run_job(CountingWorkload(), parts, assignment=[1, 1])
-        assert job.partition_sizes_by_node() == {1: 10.0}
 
 
 class TestEnergyWindows:

@@ -141,12 +141,14 @@ FAULT_SPANS = [
         None,
         {
             "engine": "FaultInjectingEngine",
+            "workload": "weight",
             "partitions": 5,
             "nodes": 4,
             "failures": 2,
             "makespan_s": 4.25,
             "total_energy_j": 3250.0,
             "total_dirty_energy_j": 1712.8034489898682,
+            "wasted_energy_j": 280.0,
         },
     ),
 ]
@@ -240,6 +242,7 @@ STEAL_SPANS = [
         None,
         {
             "engine": "WorkStealingScheduler",
+            "workload": "weight",
             "partitions": 4,
             "nodes": 4,
             "chunk_size": 4,
@@ -372,6 +375,7 @@ class TestTelemetryGolden:
                 None,
                 {
                     "engine": "SimulatedEngine",
+                    "workload": "weight",
                     "partitions": 5,
                     "nodes": 4,
                     "makespan_s": 4.5,

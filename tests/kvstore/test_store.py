@@ -196,4 +196,3 @@ class TestStats:
         assert store.stats.incrs == 1
         assert store.stats.list_ops == 1
         assert store.stats.hash_ops == 1
-        assert store.stats.total_commands() == 5

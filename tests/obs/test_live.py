@@ -20,7 +20,6 @@ from repro.obs.live import (
     active_plane,
     current_tenant,
     enable_live,
-    get_plane,
     live_enabled,
     reset_live,
     tenant_context,
@@ -294,16 +293,15 @@ class TestLivePlaneLifecycle:
         plane = enable_live()
         assert live_enabled()
         assert obs.enabled()
-        assert get_plane() is plane
         assert active_plane() is plane
         assert enable_live() is plane  # idempotent singleton
 
     def test_reset_live_detaches_and_drops(self):
-        enable_live()
+        plane = enable_live()
         reset_live()
         assert not live_enabled()
-        assert get_plane() is None
         assert active_plane() is None
+        assert enable_live() is not plane  # dropped, not just detached
 
     def test_tenant_context_nests_and_restores(self):
         assert current_tenant() == Ledger.UNATTRIBUTED
@@ -329,10 +327,20 @@ class TestPlaneSpanSink:
         assert recon["ok"], recon
         assert list(plane.ledger.totals()) == ["acme"]
         # Estimator saw every node the job touched.
-        assert plane.estimator.nodes_seen == [0, 1, 2, 3]
-        # Bus carries span events plus the job.complete publication.
-        kinds = {e["kind"] for e in plane.bus.events_since(0)}
-        assert "span" in kinds and "job.complete" in kinds
+        assert [n.node_id for n in plane.estimator.estimates().nodes] == [0, 1, 2, 3]
+        # The bus carries spans and nothing else; the job's summary
+        # rides on the engine.run_job span's attributes.
+        published = plane.bus.events_since(0)
+        assert {e["kind"] for e in published} == {"span"}
+        events = [e["data"] for e in published]
+        assert [e["name"] for e in events] == ["task.execute"] * 4 + ["engine.run_job"]
+        job_attrs = events[-1]["attrs"]
+        assert job_attrs["workload"] == "sum"
+        assert job_attrs["engine"] == "SimulatedEngine"
+        assert job_attrs["makespan_s"] > 0
+        assert job_attrs["total_energy_j"] == pytest.approx(split["energy_j"])
+        assert "wasted_energy_j" not in job_attrs
+        assert all(e["tenant"] == "acme" for e in events)
 
     def test_detached_plane_gets_nothing(self, cluster):
         plane = enable_live()
@@ -374,6 +382,19 @@ class TestFaultLedgerReconciliation:
         split = energy_split(obs.get_tracer().finished_spans())
         recon = plane.ledger.reconcile(split, tol=1e-6)
         assert recon["ok"], recon
-        # The fault path published its events onto the bus.
-        kinds = {e["kind"] for e in plane.bus.events_since(0)}
-        assert "fault.injected" in kinds and "fault.wasted" in kinds
+        # Every mark of the fault path reaches the bus once, as the
+        # span the engine emitted for it.
+        events = [e["data"] for e in plane.bus.events_since(0)]
+        spans = obs.get_tracer().finished_spans()
+        assert [e["name"] for e in events] == [s["name"] for s in spans]
+        injected = [e for e in events if e["name"] == "fault.injected"]
+        assert [e["attrs"]["partition_id"] for e in injected] == [0, 1, 2, 3]
+        assert all(e["attrs"]["lost_at_s"] == 1.0 for e in injected)
+        assert sum(e["name"] == "fault.retried" for e in events) == 4
+        wasted_tasks = [
+            e for e in events
+            if e["name"] == "task.execute" and e["attrs"].get("wasted")
+        ]
+        assert sum(e["attrs"]["energy_j"] for e in wasted_tasks) == pytest.approx(wasted)
+        (job_event,) = [e for e in events if e["name"] == "engine.run_job"]
+        assert job_event["attrs"]["wasted_energy_j"] == pytest.approx(wasted)

@@ -49,18 +49,6 @@ class TestSpanLifecycle:
         (record,) = tracer.finished_spans()
         assert record["error"] == "RuntimeError"
 
-    def test_decorator(self):
-        tracer = Tracer()
-
-        @tracer.traced("decorated", kind="unit")
-        def f(x):
-            return x + 1
-
-        assert f(1) == 2
-        (record,) = tracer.finished_spans()
-        assert record["name"] == "decorated"
-        assert record["attrs"] == {"kind": "unit"}
-
     def test_emit_pre_timed(self):
         tracer = Tracer()
         record = tracer.emit("sim", start_s=100.0, duration_s=2.5, node=3)
@@ -198,19 +186,6 @@ class TestGlobalSwitch:
             pass
         names = [s["name"] for s in obs.get_tracer().finished_spans()]
         assert names == ["live"]
-
-    def test_traced_decorator_checks_flag_per_call(self):
-        calls = []
-
-        @obs.traced("flagged")
-        def f():
-            calls.append(obs.enabled())
-
-        f()
-        obs.enable()
-        f()
-        assert calls == [False, True]
-        assert [s["name"] for s in obs.get_tracer().finished_spans()] == ["flagged"]
 
 
 class TestSink:

@@ -8,11 +8,15 @@ end-to-end benchmark use.
 
 from __future__ import annotations
 
+import socket
 import threading
+import urllib.parse
+import urllib.request
 
 import pytest
 
 import repro.obs as obs
+from repro.obs.live import enable_live
 from repro.service.client import ServiceClient
 from repro.service.http import ServiceHTTPServer
 from repro.service.jobs import JobState
@@ -70,6 +74,33 @@ class TestSubmitAndResult:
         client, _manager = immediate
         assert client.submit({"workload": "nope"}).status == 400
         assert client.submit({"bogus_field": 1}).status == 400
+
+    @pytest.mark.parametrize(
+        "request_head, status",
+        [
+            ("POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n", 400),
+            ("POST /v1/jobs HTTP/1.1\r\nContent-Length: -1\r\n", 400),
+            ("POST /v1/jobs HTTP/1.1\r\nContent-Length: 1e3\r\n", 400),
+            ("GET /live?since=inf HTTP/1.1\r\n", 200),
+            ("GET /live?since=nan&timeout=nan HTTP/1.1\r\n", 200),
+            ("GET /live?since=-inf&timeout=inf HTTP/1.1\r\n", 200),
+        ],
+        ids=["length-abc", "length-negative", "length-float", "since-inf", "nan", "neg-inf"],
+    )
+    def test_malformed_numbers_are_answered_not_dropped(
+        self, immediate, request_head, status
+    ):
+        # Raw socket: urllib would never send these. The handler must
+        # answer within a second (no traceback-and-drop, no blocking
+        # read) and leave the server serving.
+        client, _manager = immediate
+        enable_live()
+        url = urllib.parse.urlparse(client.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=1.0) as sock:
+            sock.sendall(f"{request_head}Host: test\r\n\r\n".encode("ascii"))
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[:2] == [b"HTTP/1.1", str(status).encode()]
+        assert client.healthz().status == 200
 
     def test_unknown_job_is_404(self, immediate):
         client, _manager = immediate
@@ -146,7 +177,8 @@ class TestOpsEndpoints:
         client.wait(resp.body["job_id"], timeout_s=10.0)
         manager.drain(timeout_s=10.0)
         assert client.submit({}).status == 429
-        text = client.metrics_text()
+        with urllib.request.urlopen(client.base_url + "/metrics", timeout=5.0) as resp:
+            text = resp.read().decode("utf-8")
         assert "repro_service_submitted_total" in text
         assert 'repro_service_jobs_total{state="SUCCEEDED"}' in text
         assert "repro_service_queue_wait_seconds" in text

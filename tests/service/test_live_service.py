@@ -24,7 +24,7 @@ from repro.obs.live import (
     Objective,
     SLOMonitor,
     enable_live,
-    get_plane,
+    live_enabled,
 )
 from repro.obs.live.dashboard import fetch_live, render_dashboard
 from repro.service import ServiceConfig, build_service
@@ -113,6 +113,39 @@ class TestLiveEndpoint:
             assert err.value.code == 503
             body = json.loads(err.value.read())
             assert "not enabled" in body["error"]
+
+    def test_503_once_the_tracer_drops_a_raising_sink(self, live_service):
+        # "Attached" is read off the tracer: when the sink raises and
+        # the tracer detaches it, the plane stops claiming to be live.
+        svc, plane = live_service
+        assert fetch_live(svc.url)["seq"] == 0
+        plane.bus.publish = None  # the next span makes publish_span raise
+        with obs.span("boom"):
+            pass
+        assert not plane.attached
+        assert not live_enabled()
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(f"{svc.url}/live", timeout=5.0)
+        assert err.value.code == 503
+
+    def test_slo_samples_and_queue_posture_come_off_the_spans(self, live_service):
+        svc, plane = live_service
+        finals = _run_mixed_load(svc)
+        status = plane.slo.status()
+        for name in ("queue_wait", "job_latency", "dirty_j_per_job"):
+            assert status[name]["slow_samples"] == len(finals), name
+        events = [e["data"] for e in fetch_live(svc.url)["events"]]
+        runs = [e for e in events if e["name"] == "service.run"]
+        assert [e["attrs"]["state"] for e in runs] == ["SUCCEEDED"] * len(finals)
+        assert [e["attrs"]["total_dirty_energy_j"] for e in runs] == [
+            f.body["result"]["total_dirty_energy_j"] for f in finals
+        ]
+        for e, final in zip(runs, finals):
+            assert e["attrs"]["queue_wait_s"] == final.body["queue_wait_s"]
+        for name in ("service.submit", "service.queue_wait"):
+            posture = [e["attrs"] for e in events if e["name"] == name]
+            assert len(posture) == len(finals)
+            assert all(p["depth"] >= 0 and p["running"] >= 0 for p in posture)
 
     def test_snapshot_events_and_longpoll(self, live_service):
         svc, _plane = live_service

@@ -193,6 +193,28 @@ class TestCancel:
         assert len(executor.runs) == 1
         manager.drain(timeout_s=10.0)
 
+    def test_cancelled_jobs_free_their_queue_slots(self):
+        # Admission and stats() must agree: a cancelled job no longer
+        # waits, so it cannot hold a slot of the bounded queue.
+        executor = BlockingExecutor()
+        manager = make_manager(executor, max_queue_depth=3, concurrency=1)
+        running = manager.submit(JobSpec())
+        assert executor.started.wait(timeout=5.0)
+        assert wait_for(lambda: running.state is JobState.RUNNING)
+        queued = [manager.submit(JobSpec()) for _ in range(3)]
+        assert manager.submit(JobSpec()).reject_reason == "queue_full"
+        for record in queued:
+            assert manager.cancel(record.job_id) is True
+        assert manager.stats()["queue_depth"] == 0
+        admitted = manager.submit(JobSpec())
+        assert admitted.state is JobState.QUEUED, admitted.reject_reason
+        assert manager.stats()["queue_depth"] == 1
+
+        executor.release.set()
+        assert wait_for(lambda: admitted.state is JobState.SUCCEEDED)
+        assert len(executor.runs) == 2  # no cancelled job ever ran
+        manager.drain(timeout_s=10.0)
+
     def test_cancel_running_job_only_flags(self):
         executor = BlockingExecutor()
         manager = make_manager(executor, concurrency=1)

@@ -3,7 +3,8 @@
 Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — column-wise pivot hashing, ragged-batch
 sketching, code-space compositeKModes fit, packed-bitmap Apriori mining,
-the fast LZ77 coder and the batched WebGraph coder — asserting
+the fast LZ77 coder (on chunk-repetitive bytes and on the uk text the
+end-to-end benchmark compresses) and the batched WebGraph coder — asserting
 bit-identical outputs before reporting any number, and writes the
 measurements to ``benchmarks/results/BENCH_kernels.json``.
 
@@ -64,6 +65,7 @@ FULL = {
     "apriori_tx_len": (6, 14),
     "apriori_min_support": 0.08,
     "lz77_bytes": 200_000,
+    "lz77_uk_scale": 0.8,
     "webgraph_lists": 1_500,
     "webgraph_degree": (10, 60),
 }
@@ -80,6 +82,7 @@ SMOKE = {
     "apriori_tx_len": (4, 10),
     "apriori_min_support": 0.1,
     "lz77_bytes": 12_000,
+    "lz77_uk_scale": 0.1,
     "webgraph_lists": 120,
     "webgraph_degree": (5, 25),
 }
@@ -206,6 +209,29 @@ def run_kernel_bench(cfg: dict) -> dict:
     t_reference = _best_of(lambda: codec.compress_reference(data), repeats=1)
     results["lz77_compress"] = _section(t_reference, t_batched, ratio=st_f.ratio)
 
+    # The same coder on what the e2e benchmark's lz77 jobs compress: uk
+    # adjacency records framed as text, the catalogue's max_chain=8.
+    # Short matches and deep chains — most positions probe several
+    # candidates — the opposite regime of the chunk stream above.
+    from repro.data.datasets import load_dataset
+
+    records = load_dataset("uk", size_scale=cfg["lz77_uk_scale"], seed=0).items
+    text = "\n".join(" ".join(map(str, rec)) for rec in records).encode()
+    codec = LZ77Codec(max_chain=8)
+    blob_f, st_f = codec.compress(text)
+    blob_r, st_r = codec.compress_reference(text)
+    assert blob_f == blob_r and st_f == st_r, "lz77 kernel diverged on uk text"
+    t_batched = _best_of(lambda: codec.compress(text), repeats=3)
+    t_reference = _best_of(lambda: codec.compress_reference(text), repeats=1)
+    results["lz77_compress_uk"] = _section(
+        t_reference,
+        t_batched,
+        ratio=st_f.ratio,
+        input_bytes=st_f.input_bytes,
+        avg_match_bytes=(st_f.input_bytes - st_f.literals) / st_f.matches,
+        probes_per_parse_position=st_f.probes / (st_f.matches + st_f.literals),
+    )
+
     # -- WebGraph: batched interval/mask coder vs per-symbol loops ---------
     from repro.workloads.compression.webgraph import WebGraphCodec
 
@@ -237,6 +263,7 @@ _KERNEL_SECTIONS = (
     "kmodes_fit",
     "apriori_mine",
     "lz77_compress",
+    "lz77_compress_uk",
     "webgraph_compress",
 )
 

@@ -3,8 +3,9 @@
 The reference :meth:`LZ77Codec.compress` maintains Python
 ``dict[bytes, deque]`` hash chains — a bytes-slice allocation plus dict
 probe per scanned position — and extends matches one byte at a time.
-The kernels here remove both costs while emitting the **byte-identical
-token stream** (and identical probe/match/literal statistics):
+The kernels here run no Python per chain candidate or per token while
+emitting the **byte-identical token stream** (and identical
+probe/match/literal statistics):
 
 - :func:`build_match_links` precomputes, with one vectorised stable
   argsort over the 4-byte keys, a ``prev`` array linking every position
@@ -12,13 +13,18 @@ token stream** (and identical probe/match/literal statistics):
   hash chains of the reference, newest-first, materialised up front.
   Because links compare the actual 32-bit key there are no hash
   collisions to re-verify.
-- :func:`scan_matches` walks the links with the reference's exact
-  probe discipline (``max_chain`` cap, the window-trimming the deques
-  performed, the count-then-break on the first out-of-window entry)
-  and extends candidate matches by slice comparison — one ``memcmp``
-  per doubling step instead of one interpreter iteration per byte.
-  :func:`serialize_tokens` turns the chosen matches into the token
-  stream; :func:`compress_block` composes the two.
+- :func:`scan_matches` scores a block of positions at a time: it
+  follows the links ``max_chain`` deep for every position of the block
+  at once, extends every (position, candidate) pair eight bytes per
+  step on an unaligned little-endian ``uint64`` view of the buffer, and
+  applies the reference's probe discipline (``max_chain`` cap, the
+  window trimming the deques performed, the break on a match that
+  reaches the limit) as masks. The greedy parse then walks the block's
+  per-position best — the only sequential step, and it visits parse
+  positions only.
+- :func:`serialize_tokens` lays the token stream out with one
+  offsets cumsum and scatters headers, varints and literal bytes into
+  one preallocated buffer; :func:`compress_block` composes the three.
 - :func:`encode_varint_batch` LEB128-encodes a whole int array at once
   (vectorised byte-count + scatter), so match tokens and the WebGraph
   coder's gap lists serialize without a per-value Python call.
@@ -38,6 +44,11 @@ import numpy as np
 _MIN_MATCH = 4
 _LITERAL_FLAG = 0
 _MATCH_FLAG = 1
+#: Positions scored per vectorised pass. Temporaries are
+#: O(block × ``max_chain``), so peak memory does not grow with the input.
+_BLOCK = 4096
+#: Positions scored per block while the parse runs at ``max_match``.
+_RUN_BLOCK = 64
 
 
 def build_match_links(data: bytes) -> np.ndarray:
@@ -64,28 +75,6 @@ def build_match_links(data: bytes) -> np.ndarray:
     same = sorted_keys[1:] == sorted_keys[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
-
-
-def _match_length(data: bytes, cand: int, pos: int, limit: int) -> int:
-    """Longest ``L <= limit`` with ``data[cand:cand+L] == data[pos:pos+L]``.
-
-    The first ``_MIN_MATCH`` bytes are known equal (same 4-byte key);
-    the extension binary-searches with slice compares (memcmp) instead
-    of byte-at-a-time interpreter steps. ``data[a:a+L] == data[b:b+L]``
-    is a pure function of the *original* buffer, exactly like the
-    reference's ``data[cand + length] == data[pos + length]`` walk, so
-    self-overlapping matches behave identically.
-    """
-    if data[cand + _MIN_MATCH : cand + limit] == data[pos + _MIN_MATCH : pos + limit]:
-        return limit
-    lo, hi = _MIN_MATCH, limit - 1
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if data[cand + lo : cand + mid] == data[pos + lo : pos + mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def encode_varint_batch(values: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,118 +125,207 @@ def encode_varints_bytes(values: Sequence[int] | np.ndarray) -> bytes:
     return buf.tobytes()
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concat(arange(s, s + l) for s, l in zip(starts, lengths))``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        ends[-1] if ends.size else 0
+    )
+
+
+def _word_view(data: bytes) -> np.ndarray:
+    """``w[i]`` = ``data[i:i+8]`` as a little-endian ``uint64``, zero-padded
+    past the end — an unaligned, overlapping view, one word per offset."""
+    buf = np.zeros(len(data) + 8, dtype=np.uint8)
+    buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    return np.ndarray((len(data) + 1,), dtype="<u8", buffer=buf, strides=(1,))
+
+
+def _extend(words: np.ndarray, a: np.ndarray, b: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Per pair, the longest ``L <= limit`` with ``data[a:a+L] == data[b:b+L]``.
+
+    The first ``_MIN_MATCH`` bytes are known equal (same 4-byte key).
+    Each step compares eight bytes of every still-equal pair; the equal
+    byte count of a word is its trailing-zero count / 8 (little-endian,
+    so the lowest set bit is the first differing byte). ``a < b``, and
+    ``data[a + i] == data[b + i]`` is a pure function of the original
+    buffer like the reference's byte walk, so self-overlapping matches
+    behave identically.
+    """
+    length = np.full(a.size, _MIN_MATCH, dtype=np.int64)
+    live = np.flatnonzero(limit > _MIN_MATCH)
+    while live.size:
+        off = length[live]
+        x = words[a[live] + off] ^ words[b[live] + off]
+        same = np.bitwise_count((x & -x) - 1) >> 3  # 8 when x == 0
+        length[live] = off + same
+        live = live[(same == 8) & (off + 8 < limit[live])]
+    return np.minimum(length, limit)
+
+
+def _score_block(
+    words: np.ndarray,
+    links: np.ndarray,
+    pos: np.ndarray,
+    *,
+    n: int,
+    window: int,
+    max_chain: int,
+    max_match: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reference's choice at every position of ``pos``.
+
+    ``links`` is :func:`build_match_links`'s output with a trailing
+    ``-1``, so following a link from ``-1`` stays at ``-1``; ``n`` is
+    the input length. Returns ``(best_len, best_dist, probes)`` per
+    position, ``best_len`` 0 where no candidate is in the window.
+    """
+    width = pos.size
+    limit = np.minimum(n - pos, max_match)
+    # chain[k] is every position's k-th candidate, -1 past the chain's end.
+    chain = np.full((max_chain, width), -1, dtype=np.int64)
+    chain[0] = first = links[pos]
+    for k in range(1, max_chain):
+        chain[k] = links[chain[k - 1]]
+        if chain[k].max() < 0:
+            break
+    # Links walk newest-first, so the candidates the reference's deque
+    # still held (it trimmed entries older than its newest, `first`, by
+    # more than the window) and the in-window ones are both prefixes.
+    in_deque = chain >= np.maximum(first - window, 0)
+    in_window = chain >= np.maximum(pos - window, 0)
+    lengths = np.zeros(chain.shape, dtype=np.int64)
+    # A candidate that reaches the limit ends the probe walk — on a run,
+    # the nearest one does — so deeper candidates are extended only
+    # where the nearest fell short.
+    near = np.flatnonzero(in_window[0])
+    lengths[0, near] = _extend(words, chain[0, near], pos[near], limit[near])
+    flat_chain, flat_len = chain.ravel(), lengths.ravel()
+    deep = np.flatnonzero(in_window[1:] & (lengths[0] < limit)) + width
+    col = deep % width
+    flat_len[deep] = _extend(words, flat_chain[deep], pos[col], limit[col])
+    # The earliest strict maximum wins: rank by length, then by depth.
+    rank = (lengths * max_chain + np.arange(max_chain - 1, -1, -1)[:, None]).max(axis=0)
+    best_len = rank // max_chain
+    depth = max_chain - 1 - rank % max_chain
+    # Probes: every candidate up to the first that reaches the limit;
+    # else every in-window one plus, if the deque still held it, the
+    # first one past the window (it costs one probe before the break).
+    n_in = in_window.sum(axis=0)
+    probes = np.where(
+        best_len >= limit, depth + 1, np.minimum(in_deque.sum(axis=0), n_in + 1)
+    )
+    best_dist = pos - flat_chain[depth * width + np.arange(width)]
+    return best_len, best_dist, probes
+
+
 def scan_matches(
     data: bytes, links: np.ndarray, *, window: int, max_chain: int, max_match: int
-) -> tuple[list[int], list[int], list[int], int]:
-    """Walk precomputed links, choosing the reference coder's matches.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Choose the reference coder's matches from precomputed links.
 
     ``links`` is the output of :func:`build_match_links`. Returns
-    ``(match_pos, match_dists, match_lens, probes_total)`` — matches in
-    position order with the reference's exact probe accounting.
+    ``(match_pos, match_dists, match_lens, probes_total)`` — int64
+    arrays in position order and the reference's exact probe count.
+
+    Each block starts at the parse position. It is ``_BLOCK``
+    consecutive positions, except right after a ``max_match``-long
+    match: on a run the parse then lands every ``max_match`` bytes, so
+    the block speculates on exactly those ``_RUN_BLOCK`` positions and
+    the parse leaves it at the first shorter match.
     """
     n = len(data)
     nlink = links.size
-
+    words = _word_view(data)
+    links = np.append(links, -1)
     probes_total = 0
-    match_pos: list[int] = []
-    match_dists: list[int] = []
-    match_lens: list[int] = []
-
-    pos = 0
-    while pos < n:
-        best_len = 0
-        best_dist = 0
-        if pos < nlink:
-            cand = int(links[pos])
-            # The reference deque was front-trimmed whenever a same-key
-            # position was indexed: after the newest entry `first` went
-            # in, only entries >= first - window survive. An
-            # out-of-window candidate still in the deque costs one
-            # probe before the break; a trimmed one costs nothing.
-            first = cand
-            probes = 0
-            limit = min(max_match, n - pos)
-            while cand >= 0:
-                if probes >= max_chain:
-                    break
-                dist = pos - cand
-                if dist > window:
-                    if cand >= first - window:
-                        probes += 1
-                    break
-                probes += 1
-                length = _match_length(data, cand, pos, limit)
-                if length > best_len:
-                    best_len = length
-                    best_dist = dist
-                    if length >= limit:
-                        break
-                cand = int(links[cand])
-            probes_total += probes
-        if best_len >= _MIN_MATCH:
-            match_pos.append(pos)
-            match_dists.append(best_dist)
-            match_lens.append(best_len)
-            pos += best_len
+    empty = np.empty(0, dtype=np.int64)
+    found = [(empty, empty, empty)]
+    pos, stride = 0, 1
+    # Positions past the last 4-byte key have no candidates: literals.
+    while pos < nlink:
+        count = _BLOCK if stride == 1 else _RUN_BLOCK
+        at = np.arange(pos, min(pos + stride * count, nlink), stride)
+        best_len, best_dist, probes = _score_block(
+            words, links, at, n=n, window=window, max_chain=max_chain, max_match=max_match
+        )
+        if stride == 1:
+            step = best_len.tolist()
+            visited, i = [], 0
+            while i < at.size:
+                visited.append(i)
+                i += step[i] or 1
+            seen = np.array(visited)
         else:
-            pos += 1
+            # The parse stays on the stride while every match is max_match long.
+            run = best_len == max_match
+            seen = np.arange(at.size if run.all() else int(run.argmin()) + 1)
+        last = seen[-1]
+        probes_total += int(probes[seen].sum())
+        pos = int(at[last]) + max(int(best_len[last]), 1)
+        stride = max_match if best_len[last] == max_match else 1
+        seen = seen[best_len[seen] > 0]
+        found.append((at[seen], best_dist[seen], best_len[seen]))
+    match_pos, match_dists, match_lens = (np.concatenate(col) for col in zip(*found))
     return match_pos, match_dists, match_lens, probes_total
 
 
 def serialize_tokens(
     data: bytes,
-    match_pos: Sequence[int],
-    match_dists: Sequence[int],
-    match_lens: Sequence[int],
+    match_pos: np.ndarray,
+    match_dists: np.ndarray,
+    match_lens: np.ndarray,
     probes_total: int,
 ) -> tuple[bytes, dict[str, int]]:
     """Serialize a match scan into the reference coder's token stream.
+
+    The stream is ``varint(n)``, then per match the literal run before
+    it (flag, varint length, bytes; absent when empty) and the match
+    (flag, varint distance, varint length), then the trailing run. All
+    token sizes are known up front, so one cumsum places every token and
+    each field is scattered into one preallocated buffer.
 
     Returns ``(blob, stats)`` where stats carries the reference's
     counters: ``matches``, ``literals``, ``probes``.
     """
     n = len(data)
-    # Each op is (literal_start, literal_end, match_index); match_index
-    # -1 marks the trailing literal run. Literal runs are the gaps
-    # between consecutive matches.
-    ops: list[tuple[int, int, int]] = []
-    prev_end = 0
-    for mi in range(len(match_pos)):
-        ops.append((prev_end, int(match_pos[mi]), mi))
-        prev_end = int(match_pos[mi]) + int(match_lens[mi])
-    if prev_end < n:
-        ops.append((prev_end, n, -1))
-
-    # Serialize: header + runs + match tokens, all varints batch-encoded
-    # up front (a single-value encode_varint_batch call per literal run
-    # would pay numpy dispatch ~5000 times on repetitive data).
-    run_lens = [lit_b - lit_a for lit_a, lit_b, _ in ops if lit_b > lit_a]
+    m = match_pos.size
+    # Literal run i precedes match i; run m is the trailing one.
+    run_start = np.concatenate(([0], match_pos + match_lens))
+    run_len = np.concatenate((match_pos, [n])) - run_start
+    lit = np.flatnonzero(run_len > 0)
+    head_buf, _ = encode_varint_batch([n])
+    run_buf, run_off = encode_varint_batch(run_len[lit])
     dist_buf, dist_off = encode_varint_batch(match_dists)
     len_buf, len_off = encode_varint_batch(match_lens)
-    run_buf, run_off = encode_varint_batch(run_lens)
-    dist_mem = dist_buf.data
-    len_mem = len_buf.data
-    run_mem = run_buf.data
-    out = bytearray(encode_varints_bytes([n]))
-    literals_total = 0
-    ri = 0
-    for lit_a, lit_b, mi in ops:
-        if lit_b > lit_a:
-            literals_total += lit_b - lit_a
-            out.append(_LITERAL_FLAG)
-            out += run_mem[run_off[ri] : run_off[ri + 1]]
-            ri += 1
-            out += data[lit_a:lit_b]
-        if mi >= 0:
-            out.append(_MATCH_FLAG)
-            out += dist_mem[dist_off[mi] : dist_off[mi + 1]]
-            out += len_mem[len_off[mi] : len_off[mi + 1]]
+    run_hdr = 1 + np.diff(run_off)
+    dist_size = np.diff(dist_off)
+
+    sizes = np.zeros((m + 1, 2), dtype=np.int64)  # (run i, match i) interleaved
+    sizes[lit, 0] = run_hdr + run_len[lit]
+    sizes[:m, 1] = 1 + dist_size + np.diff(len_off)
+    at = np.empty(sizes.size + 1, dtype=np.int64)
+    at[0] = head_buf.size
+    np.cumsum(sizes.ravel(), out=at[1:])
+    at[1:] += head_buf.size
+    run_at = at[0:-1:2][lit]
+    match_at = at[1:-1:2][:m]
+
+    out = np.empty(int(at[-1]), dtype=np.uint8)
+    out[: head_buf.size] = head_buf
+    out[run_at] = _LITERAL_FLAG
+    out[_ranges(run_at + 1, run_hdr - 1)] = run_buf
+    src = np.frombuffer(data, dtype=np.uint8)
+    out[_ranges(run_at + run_hdr, run_len[lit])] = src[_ranges(run_start[lit], run_len[lit])]
+    out[match_at] = _MATCH_FLAG
+    out[_ranges(match_at + 1, dist_size)] = dist_buf
+    out[_ranges(match_at + 1 + dist_size, np.diff(len_off))] = len_buf
     stats = {
-        "matches": len(match_dists),
-        "literals": literals_total,
+        "matches": m,
+        "literals": int(run_len.sum()),
         "probes": probes_total,
     }
-    return bytes(out), stats
+    return out.tobytes(), stats
 
 
 def compress_block(

@@ -52,6 +52,9 @@ class _Handler(BaseHTTPRequestHandler):
     manager: JobManager
 
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as two writes; with Nagle on, a client that
+    # reuses the connection waits out its delayed ACK (~40 ms) per request.
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 

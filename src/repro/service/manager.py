@@ -42,12 +42,7 @@ from typing import Any
 import repro.obs as obs
 from repro.obs.live import tenant_context
 from repro.obs.log import get_logger, log_event
-from repro.service.jobs import (
-    TERMINAL_STATES,
-    JobRecord,
-    JobSpec,
-    JobState,
-)
+from repro.service.jobs import JobRecord, JobSpec, JobState
 
 __all__ = ["ServiceConfig", "JobManager"]
 
@@ -91,6 +86,8 @@ class JobManager:
         self._cond = threading.Condition()
         self._queue: deque[JobRecord] = deque()
         self._jobs: dict[str, JobRecord] = {}
+        # (expires_at, job_id) of every terminal record, in expiry order.
+        self._expiry: deque[tuple[float, str]] = deque()
         self._tenant_inflight: dict[str, int] = {}
         self._running = 0
         self._accepting = True
@@ -161,13 +158,11 @@ class JobManager:
         return None
 
     def _reject_locked(self, spec: JobSpec, reason: str) -> JobRecord:
-        now = time.monotonic()
         record = JobRecord(spec=spec, state=JobState.REJECTED)
         record.reject_reason = reason
         record.retry_after_s = self._retry_after_locked()
-        record.finished_at = now
-        record.expires_at = now + self.config.result_ttl_s
         self._jobs[record.job_id] = record
+        self._stamp_finished_locked(record)
         if obs.enabled():
             metrics = obs.get_metrics()
             metrics.counter("repro_service_submitted_total").inc()
@@ -210,9 +205,7 @@ class JobManager:
             if record.state is not JobState.QUEUED:
                 return False
             record.state = JobState.CANCELLED
-            now = time.monotonic()
-            record.finished_at = now
-            record.expires_at = now + self.config.result_ttl_s
+            self._stamp_finished_locked(record)
             self._release_tenant_locked(record.spec.tenant)
             # Out of the deque now: its length is what admission and
             # the depth gauges read.
@@ -317,13 +310,11 @@ class JobManager:
         result: dict[str, Any] | None = None,
         error: str | None = None,
     ) -> None:
-        now = time.monotonic()
         with self._cond:
             record.state = state
             record.result = result
             record.error = error
-            record.finished_at = now
-            record.expires_at = now + self.config.result_ttl_s
+            self._stamp_finished_locked(record)
             self._running -= 1
             self._release_tenant_locked(record.spec.tenant)
             run_s = record.run_s or 0.0
@@ -347,21 +338,23 @@ class JobManager:
 
     # -- eviction -----------------------------------------------------------
 
+    def _stamp_finished_locked(self, record: JobRecord) -> None:
+        """Mark a record terminal now and queue it for eviction. Every
+        record expires ``result_ttl_s`` after a stamp taken under the
+        lock, so the expiry queue is in expiry order."""
+        now = time.monotonic()
+        record.finished_at = now
+        record.expires_at = now + self.config.result_ttl_s
+        self._expiry.append((record.expires_at, record.job_id))
+
     def _evict_expired_locked(self) -> None:
         now = time.monotonic()
-        expired = [
-            job_id
-            for job_id, record in self._jobs.items()
-            if record.state in TERMINAL_STATES
-            and record.expires_at is not None
-            and record.expires_at <= now
-        ]
-        for job_id in expired:
-            del self._jobs[job_id]
-        if expired and obs.enabled():
-            obs.get_metrics().counter("repro_service_results_evicted_total").inc(
-                len(expired)
-            )
+        evicted = 0
+        while self._expiry and self._expiry[0][0] <= now:
+            del self._jobs[self._expiry.popleft()[1]]
+            evicted += 1
+        if evicted and obs.enabled():
+            obs.get_metrics().counter("repro_service_results_evicted_total").inc(evicted)
 
     def _record_queue_depth(self, depth: int, peak: int) -> None:
         # Callers capture depth/peak under self._cond and pass them in,

@@ -209,10 +209,8 @@ class LZ77Codec:
         compressible than the fixed-width binary framing because nearby
         ids share digit prefixes.
         """
-        text = b"\n".join(
-            b" ".join(str(int(v)).encode() for v in rec) for rec in records
-        )
-        return self.compress(text)
+        text = "\n".join(" ".join(map(str, rec)) for rec in records)
+        return self.compress(text.encode())
 
     def decompress_text_records(self, blob: bytes) -> list[list[int]]:
         """Inverse of :meth:`compress_text_records`."""

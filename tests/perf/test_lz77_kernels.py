@@ -7,9 +7,14 @@ partitions through both paths; tiny windows and ``max_chain=1`` stress
 the deque-trimming probe accounting the fast coder emulates.
 """
 
+import random
+
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.data.datasets import load_dataset
 from repro.perf.lz77_kernels import (
     build_match_links,
     encode_varint_batch,
@@ -83,6 +88,65 @@ class TestLZ77Equivalence:
         assert blob_f == blob_r
         assert st_f == st_r
         assert fast.decompress(blob_f) == data
+
+    @staticmethod
+    def assert_matches_reference(data, **codec_kwargs):
+        codec = LZ77Codec(**codec_kwargs)
+        blob_f, st_f = codec.compress(data)
+        blob_r, st_r = codec.compress_reference(data)
+        assert blob_f == blob_r
+        assert st_f == st_r
+        return st_f
+
+    def test_input_spanning_several_blocks(self):
+        # > 2 scoring blocks; matches cross block boundaries.
+        rng = random.Random(3)
+        chunks = [
+            bytes(rng.randrange(97, 101) for _ in range(rng.randint(3, 60))) for _ in range(40)
+        ]
+        data = b"".join(rng.choice(chunks) for _ in range(1200))
+        assert len(data) >= 20_000
+        for max_chain in (1, 8, 16):
+            stats = self.assert_matches_reference(data, max_chain=max_chain)
+            assert stats.matches > 100
+
+    def test_ruler_shaped_partition_trims_the_window(self):
+        # uk text as the compression workload frames it, with a window
+        # short enough that candidates fall out of it mid-input: the
+        # nearest same-key position is sometimes already past the window
+        # and still costs its one probe.
+        records = load_dataset("uk", size_scale=0.8, seed=0).items[:300]
+        text = "\n".join(" ".join(map(str, rec)) for rec in records).encode()
+        window = 4096
+        links = build_match_links(text)
+        positions = np.arange(links.size)
+        assert ((links >= 0) & (positions - links > window)).any()
+        stats = self.assert_matches_reference(text, window=window, max_chain=8)
+        assert stats.probes > stats.matches > 0
+
+    @pytest.mark.parametrize("max_chain", [1, 16])
+    def test_limit_binds_on_every_candidate(self, max_chain):
+        # max_match=4 on long runs: every candidate reaches the limit,
+        # so each probe walk stops at its first candidate.
+        data = b"a" * 9000 + b"ab" * 3000 + b"\x00" * 7000
+        stats = self.assert_matches_reference(data, max_match=4, max_chain=max_chain)
+        assert stats.probes == stats.matches
+        self.assert_matches_reference(data, max_chain=max_chain)
+
+    def test_text_framing_of_numpy_ints(self):
+        # compress_text_records must frame numpy-int items exactly as
+        # str(int(v)) did.
+        rng = np.random.default_rng(4)
+        records = [
+            rng.integers(0, 10**6, size=int(rng.integers(0, 30))).astype(dtype)
+            for dtype in (np.int64, np.uint32, np.int32) * 20
+        ]
+        records.append([np.int64(-7), np.uint8(255), 3])
+        text = b"\n".join(b" ".join(str(int(v)).encode() for v in rec) for rec in records)
+        codec = LZ77Codec()
+        blob, stats = codec.compress_text_records(records)
+        assert (blob, stats) == codec.compress_reference(text)
+        assert codec.decompress_text_records(blob) == [[int(v) for v in r] for r in records]
 
     @given(st.lists(st.lists(st.integers(0, 50), max_size=10), max_size=20))
     @settings(max_examples=25, deadline=None)

@@ -8,8 +8,10 @@ end-to-end benchmark use.
 
 from __future__ import annotations
 
+import http.client
 import socket
 import threading
+import time
 import urllib.parse
 import urllib.request
 
@@ -124,6 +126,27 @@ class TestSubmitAndResult:
         client, _manager = immediate
         assert client._request("GET", "/v1/nope").status == 404
         assert client._request("POST", "/v1/nope").status == 404
+
+    def test_keep_alive_requests_do_not_wait_for_delayed_ack(self, immediate):
+        # Headers and body go out as two writes; with Nagle on, a client
+        # reusing one connection waits out the peer's delayed ACK
+        # (~40 ms) on every request.
+        client, _manager = immediate
+        job_id = client.submit({}).body["job_id"]
+        assert client.wait(job_id, timeout_s=10.0).body["state"] == "SUCCEEDED"
+        url = urllib.parse.urlparse(client.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5.0)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", f"/v1/jobs/{job_id}/result")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.5
 
 
 class TestBackpressureOverHTTP:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+import repro.obs as obs
 from repro.service.jobs import JobSpec, JobState
 from repro.service.manager import DEFAULT_RETRY_AFTER_S, JobManager, ServiceConfig
 
@@ -254,6 +256,59 @@ class TestTTLEviction:
         time.sleep(0.05)
         assert manager.get(running.job_id) is running
         assert manager.get(queued.job_id) is queued
+        executor.release.set()
+        assert wait_for(lambda: queued.state is JobState.SUCCEEDED)
+        manager.drain(timeout_s=10.0)
+
+    def test_expired_records_leave_in_expiry_order(self, monkeypatch):
+        # A frozen manager clock makes every expiry exact: each terminal
+        # record leaves result_ttl_s after its own stamp, earliest first,
+        # and a queued record — no stamp yet — never leaves.
+        clock = [1000.0]
+        monkeypatch.setattr(
+            "repro.service.manager.time",
+            SimpleNamespace(monotonic=lambda: clock[0], time=time.time),
+        )
+        obs.enable()
+        evicted = obs.get_metrics().counter("repro_service_results_evicted_total")
+        executor = BlockingExecutor()
+        manager = make_manager(
+            executor, max_queue_depth=1, concurrency=1, result_ttl_s=10.0
+        )
+        executor.release.set()
+        done = manager.submit(JobSpec())  # SUCCEEDED at 1000
+        assert wait_for(lambda: done.state is JobState.SUCCEEDED)
+        executor.release.clear()
+        executor.started.clear()
+        clock[0] = 1001.0
+        running = manager.submit(JobSpec())
+        assert executor.started.wait(timeout=5.0)
+        assert wait_for(lambda: running.state is JobState.RUNNING)
+        clock[0] = 1002.0
+        cancelled = manager.submit(JobSpec())
+        assert manager.cancel(cancelled.job_id)  # CANCELLED at 1002
+        clock[0] = 1003.0
+        queued = manager.submit(JobSpec())
+        rejected = manager.submit(JobSpec())  # REJECTED at 1003
+        assert rejected.reject_reason == "queue_full"
+
+        def tracked():
+            return [
+                r for r in (done, running, cancelled, queued, rejected)
+                if manager.get(r.job_id) is r
+            ]
+
+        clock[0] = 1009.9
+        assert tracked() == [done, running, cancelled, queued, rejected]
+        clock[0] = 1010.0
+        assert tracked() == [running, cancelled, queued, rejected]
+        clock[0] = 1012.5
+        assert tracked() == [running, queued, rejected]
+        clock[0] = 1e6
+        assert tracked() == [running, queued]
+        assert evicted.value == 3
+        assert manager.stats()["jobs_tracked"] == 2
+
         executor.release.set()
         assert wait_for(lambda: queued.state is JobState.SUCCEEDED)
         manager.drain(timeout_s=10.0)

@@ -25,8 +25,9 @@ from repro.analysis.base import Checker
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
 
-DEFAULT_KERNEL_PACKAGE = "repro.perf"
-DEFAULT_TESTS_PREFIX = "tests/perf/"
+#: Package whose modules are kernels, and where their parity tests live.
+KERNEL_PACKAGE = "repro.perf"
+TESTS_PREFIX = "tests/perf/"
 
 
 def imported_modules(module: SourceModule) -> set[str]:
@@ -52,19 +53,11 @@ class KernelOracleChecker(Checker):
         "under tests/perf/ (bit-identity contract unverified)"
     )
 
-    def __init__(
-        self,
-        kernel_package: str = DEFAULT_KERNEL_PACKAGE,
-        tests_prefix: str = DEFAULT_TESTS_PREFIX,
-    ):
-        self.kernel_package = kernel_package
-        self.tests_prefix = tests_prefix
-
     def check_project(self, project: Project) -> Iterable[Finding]:
         test_modules = [
             m
             for m in project
-            if m.relpath.startswith(self.tests_prefix) and m.tree is not None
+            if m.relpath.startswith(TESTS_PREFIX) and m.tree is not None
         ]
         if not test_modules:
             return
@@ -72,7 +65,7 @@ class KernelOracleChecker(Checker):
         for test in test_modules:
             covered |= imported_modules(test)
 
-        prefix = self.kernel_package + "."
+        prefix = KERNEL_PACKAGE + "."
         for module in project:
             if module.tree is None or not module.name.startswith(prefix):
                 continue
@@ -85,6 +78,6 @@ class KernelOracleChecker(Checker):
                 module,
                 module.tree.body[0] if module.tree.body else None,
                 f"kernel module {module.name} is imported by no test under "
-                f"{self.tests_prefix} — add a reference-oracle parity test "
+                f"{TESTS_PREFIX} — add a reference-oracle parity test "
                 "(see tests/perf/test_kernel_equivalence.py for the pattern)",
             )

@@ -27,7 +27,7 @@ module scope — ``time.*``/``datetime.now`` clock reads.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.analysis.base import ModuleChecker, dotted_name
 from repro.analysis.findings import Finding
@@ -103,20 +103,18 @@ _CLOCK_CALLS = {
 }
 
 #: Modules where results feed assertions/caches, so clocks are banned.
-DEFAULT_CLOCK_SCOPE_PREFIXES = ("repro.perf",)
-DEFAULT_CLOCK_SCOPE_MODULES = (
+CLOCK_SCOPE_PREFIXES = ("repro.perf",)
+CLOCK_SCOPE_MODULES = (
     "repro.core.optimizer",
     "repro.core.pareto",
     "repro.core.budget",
 )
 
 
-def default_clock_scope(name: str) -> bool:
-    if name in DEFAULT_CLOCK_SCOPE_MODULES:
+def clock_scoped(name: str) -> bool:
+    if name in CLOCK_SCOPE_MODULES:
         return True
-    return any(
-        name == p or name.startswith(p + ".") for p in DEFAULT_CLOCK_SCOPE_PREFIXES
-    )
+    return any(name == p or name.startswith(p + ".") for p in CLOCK_SCOPE_PREFIXES)
 
 
 class NondetChecker(ModuleChecker):
@@ -125,9 +123,6 @@ class NondetChecker(ModuleChecker):
         "unseeded legacy random/np.random global-state call, or wall-clock "
         "read inside kernel/optimizer code (breaks bit-reproducibility)"
     )
-
-    def __init__(self, clock_scope: Callable[[str], bool] | None = None):
-        self.clock_scope = clock_scope or default_clock_scope
 
     def check_module(self, module: SourceModule) -> Iterable[Finding]:
         assert module.tree is not None
@@ -156,7 +151,7 @@ class NondetChecker(ModuleChecker):
                     elif node.module == "numpy.random" and alias.name in _NUMPY_LEGACY:
                         from_random.add(alias.asname or alias.name)
 
-        clock_scoped = self.clock_scope(module.name)
+        in_clock_scope = clock_scoped(module.name)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -170,7 +165,7 @@ class NondetChecker(ModuleChecker):
                 from_random,
                 random_aliases,
                 numpy_random_aliases,
-                clock_scoped,
+                in_clock_scope,
             )
 
     def _check_call(
@@ -181,7 +176,7 @@ class NondetChecker(ModuleChecker):
         from_random: set[str],
         random_aliases: set[str],
         numpy_random_aliases: set[str],
-        clock_scoped: bool,
+        in_clock_scope: bool,
     ) -> Iterable[Finding]:
         head, _, tail = dotted.rpartition(".")
         if head in random_aliases and tail in _STDLIB_LEGACY:
@@ -214,7 +209,7 @@ class NondetChecker(ModuleChecker):
                 "unseeded np.random.RandomState() — seed it, or prefer "
                 "np.random.default_rng(seed)",
             )
-        elif clock_scoped and dotted in _CLOCK_CALLS:
+        elif in_clock_scope and dotted in _CLOCK_CALLS:
             yield self.finding(
                 module,
                 node,

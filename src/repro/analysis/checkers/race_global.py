@@ -23,7 +23,7 @@ around exactly such an immutable key slot.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.analysis.base import (
     ModuleChecker,
@@ -36,7 +36,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.project import SourceModule
 
 #: Package prefixes of thread/worker-shared code.
-DEFAULT_SHARED_PREFIXES = ("repro.perf", "repro.cluster")
+SHARED_PREFIXES = ("repro.perf", "repro.cluster")
 
 #: Constructor names whose result is mutable shared state worth tracking.
 _MUTABLE_CALLS = {
@@ -86,10 +86,8 @@ def _is_mutable_value(node: ast.expr) -> bool:
     return False
 
 
-def default_shared_module(name: str) -> bool:
-    return any(
-        name == p or name.startswith(p + ".") for p in DEFAULT_SHARED_PREFIXES
-    )
+def shared_module(name: str) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in SHARED_PREFIXES)
 
 
 class RaceGlobalChecker(ModuleChecker):
@@ -99,11 +97,8 @@ class RaceGlobalChecker(ModuleChecker):
         "functions of thread/worker-shared modules"
     )
 
-    def __init__(self, module_predicate: Callable[[str], bool] | None = None):
-        self.module_predicate = module_predicate or default_shared_module
-
     def check_module(self, module: SourceModule) -> Iterable[Finding]:
-        if module.tree is None or not self.module_predicate(module.name):
+        if module.tree is None or not shared_module(module.name):
             return
         tracked: dict[str, int] = {}
         module_level: dict[str, int] = {}

@@ -25,17 +25,17 @@ operands, and ``bool(x)``.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.base import Checker, iter_functions, terminal_name, walk_function_scope
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
 
 #: Only classes from these dotted-module prefixes count as "ours".
-DEFAULT_CLASS_PREFIXES: tuple[str, ...] = ("repro",)
+CLASS_PREFIXES: tuple[str, ...] = ("repro",)
 
 #: Factory functions whose return value is a known sized class.
-DEFAULT_FACTORIES: dict[str, str] = {"get_tracer": "Tracer"}
+FACTORIES: dict[str, str] = {"get_tracer": "Tracer"}
 
 
 def _annotation_names(node: ast.expr | None) -> set[str]:
@@ -57,22 +57,12 @@ class TruthySizedChecker(Checker):
         "__bool__ (empty instance is falsy; use `is not None` or a size check)"
     )
 
-    def __init__(
-        self,
-        class_prefixes: Sequence[str] = DEFAULT_CLASS_PREFIXES,
-        factories: dict[str, str] | None = None,
-    ):
-        self.class_prefixes = tuple(class_prefixes)
-        self.factories = DEFAULT_FACTORIES if factories is None else factories
-
     # -- pass 1: collect sized classes ---------------------------------
 
-    def _in_scope(self, module: SourceModule) -> bool:
-        if not self.class_prefixes:
-            return True
+    @staticmethod
+    def _in_scope(module: SourceModule) -> bool:
         return any(
-            module.name == p or module.name.startswith(p + ".")
-            for p in self.class_prefixes
+            module.name == p or module.name.startswith(p + ".") for p in CLASS_PREFIXES
         )
 
     def sized_classes(self, project: Project) -> dict[str, str]:
@@ -126,8 +116,8 @@ class TruthySizedChecker(Checker):
             name = terminal_name(value.func)
             if name in sized:
                 return name
-            if name in self.factories and self.factories[name] in sized:
-                return self.factories[name]
+            if name in FACTORIES and FACTORIES[name] in sized:
+                return FACTORIES[name]
             return None
 
         for node in walk_function_scope(func):

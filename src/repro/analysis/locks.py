@@ -244,17 +244,13 @@ def iter_with_held(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
     lock_attrs: frozenset[str] | set[str] = frozenset(),
     module_locks: frozenset[str] | set[str] = frozenset(),
-    ambient: bool | None = None,
 ) -> Iterator[HeldEvent]:
     """Walk ``func`` in statement order, tracking held locks.
 
     ``lock_attrs`` are the owning class's lock attribute names (matched
-    as ``self.X``); ``module_locks`` are module-level lock bindings.
-    ``ambient=None`` applies the ``*_locked`` naming convention;
-    pass True/False to force it.
+    as ``self.X``); ``module_locks`` are module-level lock bindings. A
+    ``*_locked`` function starts under the ambient guard.
     """
-    if ambient is None:
-        ambient = func.name.endswith(LOCKED_SUFFIX)
     aliases: dict[str, str] = {}
 
     def lock_key(expr: ast.expr) -> str | None:
@@ -393,5 +389,6 @@ def iter_with_held(
         # Simple statement: no nested statements, yield the whole subtree.
         yield from yield_expr(stmt, held)
 
+    ambient = func.name.endswith(LOCKED_SUFFIX)
     start: tuple[str, ...] = (AMBIENT_GUARD,) if ambient else ()
     yield from walk_body(func.body, start)

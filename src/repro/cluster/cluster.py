@@ -44,9 +44,6 @@ class Cluster:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def speed_factors(self) -> np.ndarray:
-        return np.array([n.speed_factor for n in self.nodes], dtype=np.float64)
-
     def dirty_power_coefficients(self) -> np.ndarray:
         return np.array(
             [n.dirty_power_coefficient() for n in self.nodes], dtype=np.float64

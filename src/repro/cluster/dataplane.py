@@ -37,12 +37,12 @@ also registered via ``atexit`` so interpreter exit never leaks
 ``/dev/shm`` entries). Unlinking is safe while workers remain attached
 — the kernel refcounts the mapping.
 
-A ``cache_limit`` bounds the number of live segments: once more than
-``cache_limit`` are held, the least-recently-used segments (hits and
-fresh publishes both refresh recency) are unlinked and every cache
-entry pointing into them dropped, so an engine streaming many distinct
-jobs keeps a bounded shared-memory footprint instead of growing the
-digest/identity caches without limit.
+A ``cache_limit`` (:data:`SEGMENT_CACHE_LIMIT` by default) bounds the
+number of live segments: once more than ``cache_limit`` are held, the
+least-recently-used segments (hits and fresh publishes both refresh
+recency) are unlinked and every cache entry pointing into them dropped,
+so an engine streaming many distinct jobs keeps a bounded shared-memory
+footprint instead of growing the digest/identity caches without limit.
 """
 
 from __future__ import annotations
@@ -64,8 +64,12 @@ __all__ = [
     "PartitionRef",
     "DataPlaneStats",
     "SharedPartitionStore",
+    "SEGMENT_CACHE_LIMIT",
     "fetch_partition",
 ]
+
+#: Live segments a store keeps before it unlinks the least recently used.
+SEGMENT_CACHE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -109,13 +113,12 @@ class DataPlaneStats:
 class SharedPartitionStore:
     """Publishes partitions into shared memory, deduplicating repeats.
 
-    ``cache_limit`` bounds the number of live segments; ``None`` keeps
-    every segment until :meth:`close` (the pre-limit behaviour).
+    ``cache_limit`` bounds the number of live segments.
     """
 
-    def __init__(self, cache_limit: int | None = None) -> None:
-        if cache_limit is not None and cache_limit <= 0:
-            raise ValueError("cache_limit must be positive (or None for unbounded)")
+    def __init__(self, cache_limit: int = SEGMENT_CACHE_LIMIT) -> None:
+        if cache_limit <= 0:
+            raise ValueError("cache_limit must be positive")
         self.cache_limit = cache_limit
         self.stats = DataPlaneStats()
         # One lock serializes publishing against eviction and close, so
@@ -152,8 +155,6 @@ class SharedPartitionStore:
         call (``pinned``) are never evicted, so a single oversized
         batch can exceed the limit transiently rather than lose refs it
         is about to hand out."""
-        if self.cache_limit is None:
-            return
         evictable = [n for n in self._segments if n not in pinned]
         excess = len(self._segments) - self.cache_limit
         for name in evictable[:max(0, excess)]:

@@ -5,8 +5,12 @@ is defined once — in three steps:
 
 - **measure** (``_execute_partitions``): run the workload on each
   partition's records (:func:`~repro.kvstore.codec.records_of` decodes
-  a staged partition, once, where the workload runs) and report its
-  result and runtime on the assigned node.
+  a staged partition, once, where the workload runs) and price the
+  measurement on the assigned node. An engine states only those two
+  halves — ``_measure`` (one raw figure per partition) and ``_runtime``
+  (a raw figure priced on one node) — so a job and a profiling probe
+  (:meth:`ExecutionEngine.profile_all_nodes`, one measurement priced on
+  every node) cannot disagree on what a node costs.
   :class:`SimulatedEngine` runs in-process and derives runtime
   deterministically as ``overhead/speed + work_units/(unit_rate·speed)``
   — the busy-loop emulation in closed form, exactly reproducible.
@@ -50,17 +54,14 @@ from repro.cluster.dataplane import (
     SharedPartitionStore,
     fetch_partition,
 )
+from repro.cluster.node import Node
 from repro.kvstore.codec import FramedPartition, records_of
-from repro.obs.energy import node_energy_breakdown, record_job_metrics, task_energy_attrs
+from repro.obs.energy import record_job_metrics, task_energy_attrs
 from repro.obs.log import get_logger, log_event
 from repro.obs.trace import NOOP_SPAN, Tracer
 from repro.workloads.base import Workload, WorkloadResult
 
 _log = get_logger(__name__)
-
-#: Live shared-memory segments a :class:`ProcessPoolEngine` keeps before
-#: its store unlinks the least recently used.
-SEGMENT_CACHE_LIMIT = 64
 
 
 @dataclass
@@ -91,15 +92,6 @@ class JobResult:
     total_dirty_energy_j: float
     total_energy_j: float
     merged_output: Any = None
-
-    def energy_breakdown(self) -> dict[int, dict[str, float]]:
-        """Per-node time/energy/dirty-energy telemetry.
-
-        Exact regrouping of the per-task fields: the per-node
-        ``energy_j``/``dirty_energy_j`` columns sum back to
-        ``total_energy_j``/``total_dirty_energy_j``.
-        """
-        return node_energy_breakdown(self)
 
 
 def emit_timeline_mark(
@@ -221,43 +213,46 @@ class ExecutionEngine(abc.ABC):
         self.cluster = cluster
 
     @abc.abstractmethod
+    def _measure(
+        self, workload: Workload, partitions: Sequence[Sequence[Any]]
+    ) -> list[tuple[WorkloadResult, float]]:
+        """Run the workload once per partition: ``(result, raw)`` in
+        order, where ``raw`` is what :meth:`_runtime` prices."""
+
+    @abc.abstractmethod
+    def _runtime(self, node: Node, raw: float) -> float:
+        """Seconds on ``node`` of a task whose measurement was ``raw``."""
+
     def _execute_partitions(
         self, workload: Workload, partitions: Sequence[Sequence[Any]], assignment: Sequence[int]
     ) -> list[tuple[WorkloadResult, float]]:
-        """Return ``(result, runtime_s)`` per partition, in order."""
+        """``(result, runtime_s)`` per partition on its assigned node."""
+        measured = self._measure(workload, partitions)
+        return [
+            (result, self._runtime(self.cluster[node_id], raw))
+            for (result, raw), node_id in zip(measured, assignment)
+        ]
 
     def profile(self, workload: Workload, records: Sequence[Any], node_id: int) -> float:
-        """Runtime of ``workload`` on ``records`` at ``node_id`` — the
-        probe the progressive-sampling estimator uses."""
-        with obs.span(
-            "engine.profile",
-            engine=type(self).__name__,
-            node=node_id,
-            records=len(records),
-        ) as sp:
-            (pair,) = self._execute_partitions(workload, [records], [node_id])
-            sp.set_attr("runtime_s", pair[1])
-            return pair[1]
+        """Runtime of one sample at ``node_id``. The planner probes with
+        :meth:`profile_all_nodes`; the end-to-end benchmark's harness
+        forks a fresh pool with this call."""
+        ((_, runtime),) = self._execute_partitions(workload, [records], [node_id])
+        return runtime
 
     def profile_all_nodes(
         self, workload: Workload, records: Sequence[Any]
     ) -> list[float]:
-        """Runtime of one sample on *every* node (node-id order)."""
+        """Runtime of one sample on *every* node (node-id order): the
+        sample is measured once and priced on each node."""
         with obs.span(
             "engine.profile_all_nodes",
             engine=type(self).__name__,
             nodes=self.cluster.num_nodes,
             records=len(records),
         ):
-            return self._probe_all_nodes(workload, records)
-
-    def _probe_all_nodes(self, workload: Workload, records: Sequence[Any]) -> list[float]:
-        """Default: one probe per node. Engines whose runtime is a pure
-        function of one measurement override this to run the workload once."""
-        return [
-            self.profile(workload, records, node_id)
-            for node_id in range(self.cluster.num_nodes)
-        ]
+            ((_, raw),) = self._measure(workload, [records])
+            return [self._runtime(node, raw) for node in self.cluster]
 
     def _schedule(
         self,
@@ -337,23 +332,12 @@ class SimulatedEngine(ExecutionEngine):
             raise ValueError("unit_rate must be positive")
         self.unit_rate = unit_rate
 
-    def _execute_partitions(self, workload, partitions, assignment):
-        out = []
-        for partition, node_id in zip(partitions, assignment):
-            result = workload.run(records_of(partition))
-            node = self.cluster[node_id]
-            runtime = node.runtime_for_work(result.work_units, self.unit_rate)
-            out.append((result, runtime))
-        return out
+    def _measure(self, workload, partitions):
+        results = [workload.run(records_of(partition)) for partition in partitions]
+        return [(result, result.work_units) for result in results]
 
-    def _probe_all_nodes(self, workload, records):
-        # Simulated runtime is work/(rate·speed): run the workload once
-        # and derive every node's runtime from the same work count.
-        result = workload.run(list(records))
-        return [
-            node.runtime_for_work(result.work_units, self.unit_rate)
-            for node in self.cluster
-        ]
+    def _runtime(self, node, raw):
+        return node.runtime_for_work(raw, self.unit_rate)
 
 
 def _worker_ignore_sigint() -> None:
@@ -409,20 +393,20 @@ class ProcessPoolEngine(ExecutionEngine):
 
     The worker pool is **persistent**: it is created lazily on the
     first job and reused by every subsequent :meth:`run_job` /
-    :meth:`profile` / :meth:`profile_all_nodes` call, so process
-    fork/spawn cost is paid once per engine, not once per job. Because
-    worker start-up is real wall time, the first task measured on a
-    cold pool can carry import/fork noise — callers comparing measured
-    runtimes should issue a throwaway :meth:`profile` first (or accept
-    the first probe as warm-up). Use the engine as a context manager,
-    or call :meth:`shutdown`, to release the workers deterministically;
-    a garbage-collected engine tears its pool down without waiting.
+    :meth:`profile_all_nodes` call, so process fork/spawn cost is paid
+    once per engine, not once per job. Because worker start-up is real
+    wall time, the first task measured on a cold pool can carry
+    import/fork noise — callers comparing measured runtimes should run
+    a throwaway probe first (or accept the first probe as warm-up). Use
+    the engine as a context manager, or call :meth:`shutdown`, to
+    release the workers deterministically; a garbage-collected engine
+    tears its pool down without waiting.
 
     Partitions travel through the :mod:`repro.cluster.dataplane`
     shared-memory store:
     each distinct partition is copied once into a shared segment and
     tasks carry only a tiny :class:`PartitionRef`, so repeated
-    ``run_job``/``profile`` calls over the same partitions (the same
+    ``run_job``/``profile_all_nodes`` calls over the same partitions (the same
     objects, or new ones with the same bytes) publish nothing. A
     partition arrives either as a plain record list or as a staged
     :class:`~repro.kvstore.codec.FramedPartition`; the worker turns the
@@ -430,9 +414,10 @@ class ProcessPoolEngine(ExecutionEngine):
     :meth:`shutdown` unlinks the segments. On a host with no usable
     shared memory (the store raises ``OSError``) the engine pickles
     partitions into every task tuple instead, from then on. The store
-    keeps at most :data:`SEGMENT_CACHE_LIMIT` segments, unlinking the
-    least recently used beyond that, so long-running engines streaming
-    many distinct jobs keep a bounded ``/dev/shm`` footprint.
+    keeps at most :data:`~repro.cluster.dataplane.SEGMENT_CACHE_LIMIT`
+    segments, unlinking the least recently used beyond that, so
+    long-running engines streaming many distinct jobs keep a bounded
+    ``/dev/shm`` footprint.
     """
 
     def __init__(self, cluster: Cluster, max_workers: int | None = None):
@@ -478,7 +463,7 @@ class ProcessPoolEngine(ExecutionEngine):
     def _ensure_store(self) -> SharedPartitionStore:
         with self._lifecycle:
             if self._store is None or self._store.closed:
-                self._store = SharedPartitionStore(cache_limit=SEGMENT_CACHE_LIMIT)
+                self._store = SharedPartitionStore()
             return self._store
 
     @property
@@ -496,7 +481,7 @@ class ProcessPoolEngine(ExecutionEngine):
         transparently builds a fresh pool (and store).
 
         With ``wait=True`` (the default) the call **drains first**: it
-        blocks until every in-flight :meth:`run_job` / :meth:`profile`
+        blocks until every in-flight :meth:`run_job` / :meth:`profile_all_nodes`
         on other threads has finished, then unlinks — so concurrent
         callers never observe their segments disappearing mid-fetch.
         ``wait=False`` tears down immediately (interpreter exit, broken
@@ -548,23 +533,25 @@ class ProcessPoolEngine(ExecutionEngine):
             except BaseException:  # repro: noqa[SILENT-EXCEPT] — logging itself is gone this deep into interpreter teardown
                 pass
 
-    def _map_tasks(
-        self, workload: Workload, partitions: Sequence[Sequence[Any]]
-    ) -> list[tuple[WorkloadResult, float]]:
+    def _measure(self, workload, partitions):
         # Every pool round-trip is bracketed by the in-flight counter so
         # a concurrent shutdown(wait=True) drains us before unlinking.
         with self._lifecycle:
             self._inflight += 1
         try:
-            return self._map_tasks_inner(workload, partitions)
+            return self._map_tasks(workload, partitions)
         finally:
             with self._lifecycle:
                 self._inflight -= 1
                 self._lifecycle.notify_all()
 
-    def _map_tasks_inner(
+    def _runtime(self, node, raw):
+        return node.task_overhead_s / node.speed_factor + raw / node.speed_factor
+
+    def _map_tasks(
         self, workload: Workload, partitions: Sequence[Sequence[Any]]
     ) -> list[tuple[WorkloadResult, float]]:
+        """``(result, wall seconds of workload.run)`` per partition."""
         pool = self._ensure_pool()
         workers = self.max_workers or os.cpu_count() or 1
         # Hand each worker a few tasks per round-trip: one pickle per
@@ -608,23 +595,3 @@ class ProcessPoolEngine(ExecutionEngine):
                 tracer.adopt(worker_spans, parent_id=parent)
             out.append((result, wall))
         return out
-
-    def _execute_partitions(self, workload, partitions, assignment):
-        raw = self._map_tasks(workload, partitions)
-        out = []
-        for (result, wall), node_id in zip(raw, assignment):
-            node = self.cluster[node_id]
-            runtime = node.task_overhead_s / node.speed_factor + wall / node.speed_factor
-            out.append((result, runtime))
-        return out
-
-    def _probe_all_nodes(self, workload, records):
-        # Runtime derives from one measured wall time scaled per node —
-        # run the sample once on the pool instead of once per node.
-        # Passing `records` through unchanged lets repeat probes of the
-        # same sample hit the data plane's identity cache.
-        ((_, wall),) = self._map_tasks(workload, [records])
-        return [
-            node.task_overhead_s / node.speed_factor + wall / node.speed_factor
-            for node in self.cluster
-        ]

@@ -58,12 +58,13 @@ class FaultInjectingEngine(SimulatedEngine):
         """Nominal placement until each node's failure time, then lost
         partitions re-run on the survivor that finishes them earliest."""
         job_span.set_attr("failures", len(self.fail_at))
-        executed = self._execute_partitions(workload, partitions, assignment)
+        measured = self._measure(workload, partitions)
         clock = {node: 0.0 for node in range(self.cluster.num_nodes)}
         events = []
         orphans: list[tuple[int, float]] = []  # (partition id, loss time)
 
-        for pid, ((result, runtime), node_id) in enumerate(zip(executed, assignment)):
+        for pid, ((result, raw), node_id) in enumerate(zip(measured, assignment)):
+            runtime = self._runtime(self.cluster[node_id], raw)
             fail_time = self.fail_at.get(node_id)
             start = clock[node_id]
             if fail_time is None or (start < fail_time and start + runtime <= fail_time):
@@ -88,12 +89,9 @@ class FaultInjectingEngine(SimulatedEngine):
         survivors = [n for n in clock if n not in self.fail_at]
         for pid, lost_at in sorted(orphans, key=lambda o: o[1]):
             ready = lost_at + self.detection_latency_s
-            result = executed[pid][0]
+            result, raw = measured[pid]
             placed = {
-                n: (
-                    max(clock[n], ready),
-                    self.cluster[n].runtime_for_work(result.work_units, self.unit_rate),
-                )
+                n: (max(clock[n], ready), self._runtime(self.cluster[n], raw))
                 for n in survivors
             }
             best = min(placed, key=lambda n: placed[n][0] + placed[n][1])

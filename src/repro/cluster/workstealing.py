@@ -89,7 +89,7 @@ class WorkStealingScheduler(SimulatedEngine):
                 homes.append(node)
         # Measure each chunk once; its runtime depends on who ends up
         # running it, so only the result is kept.
-        measured = self._execute_partitions(workload, chunks, homes)
+        measured = self._measure(workload, chunks)
         queues: list[list[tuple[int, object]]] = [[] for _ in range(p)]
         for chunk, home, (result, _) in zip(chunks, homes, measured):
             queues[home].append((len(chunk), result))

@@ -192,8 +192,9 @@ class ParetoPartitioner:
     kind:
         Dataset domain for the stratifier
         (``"tree" | "graph" | "text" | "set"``).
-    num_strata / num_hashes / top_l:
-        Stratifier configuration (see :class:`Stratifier`).
+    num_strata:
+        Strata the stratifier forms (see :class:`Stratifier`; sketch
+        length and centre width are its defaults).
     stage_via_kv:
         Round-trip final partitions through the KV middleware before
         execution, as the paper's implementation does.
@@ -202,19 +203,11 @@ class ParetoPartitioner:
     engine: ExecutionEngine
     kind: str
     num_strata: int = 16
-    num_hashes: int = 48
-    top_l: int = 3
     stage_via_kv: bool = True
     seed: int = 0
 
     def stratifier(self) -> Stratifier:
-        return Stratifier(
-            kind=self.kind,
-            num_strata=self.num_strata,
-            num_hashes=self.num_hashes,
-            top_l=self.top_l,
-            seed=self.seed,
-        )
+        return Stratifier(kind=self.kind, num_strata=self.num_strata, seed=self.seed)
 
     # -- pipeline stages ---------------------------------------------------
 

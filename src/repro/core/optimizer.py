@@ -174,7 +174,11 @@ class ParetoOptimizer:
         ahead = np.cumsum(capacity, axis=1)
         ahead = np.hstack([np.zeros((levels.size, 1)), ahead[:, :-1]])
         x = np.clip(total_items - ahead, 0.0, capacity)
-        x[x < 1e-9] = 0.0  # a node emptied at a breakpoint, up to round-off
+        # A node emptied at a breakpoint, up to round-off, holds nothing;
+        # its crumb goes to the row's largest share so the row still sums to N.
+        crumbs = np.where(x < 1e-9, x, 0.0)
+        x -= crumbs
+        x[np.arange(levels.size), x.argmax(axis=1)] += crumbs.sum(axis=1)
         # Non-increasing by construction; pin the round-off. Where every
         # node still filling ties in k·m (two identical nodes at night)
         # the tail keeps its energy while one of them drains: no gain

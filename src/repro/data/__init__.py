@@ -11,9 +11,8 @@ compression, topic structure for support thresholds) is exercised:
   templates (shared subtrees ⇒ shared pivots);
 - :mod:`repro.data.graphs` — copying-model webgraphs with host locality
   (similar adjacency lists ⇒ small gaps ⇒ compressible);
-- :mod:`repro.data.text` — Zipfian topic-model documents;
-- :mod:`repro.data.transactions` — IBM-style market-basket transactions
-  with planted frequent itemsets;
+- :mod:`repro.data.text` — Zipfian topic-model documents (the
+  set-shaped records frequent-pattern mining reads);
 - :mod:`repro.data.datasets` — the registry mapping paper dataset names
   to configured generators (Table I analog).
 """
@@ -21,7 +20,6 @@ compression, topic structure for support thresholds) is exercised:
 from repro.data.trees import LabeledTree, TreeDatasetConfig, generate_tree_dataset
 from repro.data.graphs import WebGraphConfig, generate_webgraph
 from repro.data.text import CorpusConfig, generate_corpus
-from repro.data.transactions import TransactionConfig, generate_transactions
 from repro.data.datasets import Dataset, load_dataset, DATASET_NAMES, dataset_summary
 from repro.data.io import (
     load_adjacency,
@@ -48,8 +46,6 @@ __all__ = [
     "generate_webgraph",
     "CorpusConfig",
     "generate_corpus",
-    "TransactionConfig",
-    "generate_transactions",
     "Dataset",
     "load_dataset",
     "DATASET_NAMES",

@@ -5,7 +5,7 @@ Two views, matching the paper's Section III-B/III-D:
 - **Planning view** (fed to the LP): the mean-rate approximation
   ``g(x_i) ≈ k_i · f(x_i)`` with ``k_i = E_i − ḠE_i`` the node's *dirty
   power coefficient* — consumption rate minus mean green supply over
-  the anticipated job window. By default ``k_i`` is clamped at zero
+  the node's trace. By default ``k_i`` is clamped at zero
   (surplus green power cannot make dirty energy negative); pass
   ``allow_negative=True`` for the paper's raw linear form.
 - **Measurement view** (reported by the evaluation harness): the exact
@@ -30,25 +30,20 @@ class DirtyEnergyAccountant:
     trace: EnergyTrace
     allow_negative: bool = False
 
-    def dirty_power_coefficient(self, window_s: float | None = None) -> float:
-        """``k_i = E_i − ḠE_i`` over an anticipated window (W).
+    def dirty_power_coefficient(self) -> float:
+        """``k_i = E_i − ḠE_i`` with ``ḠE_i`` the whole trace's mean (W).
 
-        ``window_s=None`` averages over the whole trace. The green
-        supply credited to a node is capped at its own draw — a node
-        cannot bank more green power than it consumes — unless
-        ``allow_negative`` reproduces the paper's uncapped form.
+        The green supply credited to a node is capped at its own draw —
+        a node cannot bank more green power than it consumes — unless
+        ``allow_negative`` reproduces the paper's uncapped form. The
+        planner's estimate ``k_i · f_i(x_i)`` is
+        :func:`repro.core.optimizer.predict_dirty_energy`.
         """
-        mean_green = self.trace.mean_power(0.0, window_s)
+        mean_green = self.trace.mean_power(0.0)
         k = self.power.watts - mean_green
         if self.allow_negative:
             return k
         return max(k, 0.0)
-
-    def predicted_dirty_energy(self, runtime_s: float, window_s: float | None = None) -> float:
-        """Planning estimate ``k_i · runtime`` (J)."""
-        if runtime_s < 0:
-            raise ValueError("runtime must be non-negative")
-        return self.dirty_power_coefficient(window_s) * runtime_s
 
     def measured_dirty_energy(self, runtime_s: float, start_s: float = 0.0) -> float:
         """Exact dirty energy over ``[start, start + runtime)`` (J).

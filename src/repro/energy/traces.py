@@ -153,11 +153,14 @@ class EnergyTrace:
         return total
 
 
+#: Day of year every generated trace starts on (172 ≈ June 21).
+START_DAY_OF_YEAR = 172
+
+
 def generate_trace(
     location: Location,
     duration_s: float,
     *,
-    start_day_of_year: int = 172,
     start_hour: float = 8.0,
     resolution_s: float = 1.0,
     panel: SolarPanel | None = None,
@@ -165,8 +168,9 @@ def generate_trace(
 ) -> EnergyTrace:
     """Generate a renewable trace for a site with AR(1) cloud dynamics.
 
-    The default start (day 172 ≈ June 21, 08:00 local solar time) puts
-    job windows into daylight so green supply is non-trivially variable.
+    Every trace starts on :data:`START_DAY_OF_YEAR`; the default hour
+    (08:00 local solar time) puts job windows into daylight so green
+    supply is non-trivially variable.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -174,7 +178,7 @@ def generate_trace(
     n = max(1, int(np.ceil(duration_s / resolution_s)))
     t = np.arange(n) * resolution_s
     hours = (start_hour + t / 3600.0) % 24.0
-    days = start_day_of_year + ((start_hour + t / 3600.0) // 24.0)
+    days = START_DAY_OF_YEAR + ((start_hour + t / 3600.0) // 24.0)
 
     rng = np.random.default_rng(seed)
     # AR(1) around the site's climatological mean; update per simulated

@@ -94,16 +94,6 @@ class ClusterClient:
         """Number of records in a stored partition."""
         return self.store_for(node).llen(PARTITION_KEY.format(pid=pid))
 
-    def drop_partition(self, node: int, pid: int) -> None:
-        """Remove a partition and its metadata from ``node``."""
-        store = self.store_for(node)
-        store.delete(PARTITION_KEY.format(pid=pid), META_KEY.format(pid=pid))
-
     def total_round_trips(self) -> int:
         """Aggregate round-trip count across all node stores."""
         return sum(s.stats.round_trips for s in self.stores)
-
-    def flushall(self) -> None:
-        """Clear every node's store."""
-        for store in self.stores:
-            store.flushall()

@@ -38,12 +38,6 @@ class NetworkModel:
             raise ValueError("counters must be non-negative")
         return round_trips * self.latency_s + bytes_moved / self.bandwidth_bytes_per_s
 
-    def store_time_s(self, store: KeyValueStore) -> float:
-        """Transfer time implied by one store's lifetime counters."""
-        return self.transfer_time_s(
-            store.stats.round_trips, store.stats.bytes_moved
-        )
-
     def delta_time_s(self, before: StoreStats, after: StoreStats) -> float:
         """Transfer time of the traffic between two stat snapshots."""
         return self.transfer_time_s(

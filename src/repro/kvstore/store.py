@@ -2,7 +2,7 @@
 
 Implements the subset of Redis semantics the partitioning framework
 relies on: strings, lists, hashes, atomic integer counters, key
-expiry-free lifecycle (DEL/EXISTS/KEYS), and per-command statistics so
+deletion (DEL), and per-command statistics so
 tests and benchmarks can assert on access patterns (e.g. "the whole
 partition moved in one LRANGE").
 
@@ -14,7 +14,6 @@ process-pool execution engine's worker threads.
 
 from __future__ import annotations
 
-import fnmatch
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -206,16 +205,6 @@ class KeyValueStore:
             self.stats.round_trips += 1
             return h.get(field_name)
 
-    def hgetall(self, key: str) -> dict[str, Any]:
-        """HGETALL: copy of the whole hash at ``key``."""
-        with self._lock:
-            h = self._data.get(key, {})
-            if not isinstance(h, dict):
-                raise WrongTypeError(f"key {key!r} is not a hash")
-            self.stats.hash_ops += 1
-            self.stats.round_trips += 1
-            return dict(h)
-
     # -- key lifecycle -----------------------------------------------------
 
     def delete(self, *keys: str) -> int:
@@ -228,29 +217,6 @@ class KeyValueStore:
                     removed += 1
             self.stats.round_trips += 1
             return removed
-
-    def exists(self, key: str) -> bool:
-        """EXISTS for a single key."""
-        with self._lock:
-            self.stats.round_trips += 1
-            return key in self._data
-
-    def keys(self, pattern: str = "*") -> list[str]:
-        """KEYS: glob-match key names (sorted, for determinism)."""
-        with self._lock:
-            self.stats.round_trips += 1
-            return sorted(k for k in self._data if fnmatch.fnmatchcase(k, pattern))
-
-    def flushall(self) -> None:
-        """FLUSHALL: drop every key (stats are preserved)."""
-        with self._lock:
-            self._data.clear()
-            self.stats.round_trips += 1
-
-    def dbsize(self) -> int:
-        """DBSIZE: number of keys."""
-        with self._lock:
-            return len(self._data)
 
     # -- bulk entry point used by the pipeline -----------------------------
 

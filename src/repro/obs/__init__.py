@@ -39,7 +39,6 @@ from repro.obs.energy import (
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import get_logger, log_event
 from repro.obs.metrics import (
-    DEFAULT_BYTES_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
@@ -87,7 +86,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_BYTES_BUCKETS",
     "SCHEMA_VERSION",
 ]
 

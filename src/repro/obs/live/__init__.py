@@ -59,7 +59,7 @@ __all__ = [
 _plane: LivePlane | None = None
 
 
-def enable_live(**kwargs) -> LivePlane:
+def enable_live(*, slo: SLOMonitor | None = None) -> LivePlane:
     """Create (or reuse) the process-global plane and attach it.
 
     Also enables :mod:`repro.obs` — the plane is fed by the tracer
@@ -67,7 +67,7 @@ def enable_live(**kwargs) -> LivePlane:
     """
     global _plane
     if _plane is None:
-        _plane = LivePlane(**kwargs)
+        _plane = LivePlane(slo=slo)
     obs.enable()
     return _plane.attach()
 

@@ -64,18 +64,10 @@ def tenant_context(tenant: str) -> Iterator[None]:
 class LivePlane:
     """Composition root for the live telemetry plane."""
 
-    def __init__(
-        self,
-        *,
-        capacity: int = 2048,
-        bus: TelemetryBus | None = None,
-        estimator: NodeEstimator | None = None,
-        ledger: Ledger | None = None,
-        slo: SLOMonitor | None = None,
-    ):
-        self.bus = bus if bus is not None else TelemetryBus(capacity)
-        self.estimator = estimator if estimator is not None else NodeEstimator()
-        self.ledger = ledger if ledger is not None else Ledger()
+    def __init__(self, *, slo: SLOMonitor | None = None):
+        self.bus = TelemetryBus()
+        self.estimator = NodeEstimator()
+        self.ledger = Ledger()
         self.slo = slo if slo is not None else SLOMonitor(default_objectives())
 
     # -- tracer hookup ------------------------------------------------------

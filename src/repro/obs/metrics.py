@@ -26,18 +26,12 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_BYTES_BUCKETS",
 ]
 
 #: Seconds buckets spanning sub-millisecond no-op checks to multi-minute
 #: jobs; the trailing +inf bucket is implicit in the exposition.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0,
-)
-
-#: Bytes buckets for payload-size distributions (128 B – 64 MiB).
-DEFAULT_BYTES_BUCKETS: tuple[float, ...] = tuple(
-    float(128 * 4**i) for i in range(10)
 )
 
 _LabelKey = tuple[tuple[str, str], ...]

@@ -90,7 +90,11 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return None
         if length > _MAX_BODY_BYTES:
-            self._send_json(413, {"error": "request body too large"})
+            # The body stays unread, so the connection cannot carry a
+            # next request; "Connection: close" also sets close_connection.
+            self._send_json(
+                413, {"error": "request body too large"}, headers={"Connection": "close"}
+            )
             return None
         raw = self.rfile.read(length) if length else b"{}"
         try:

@@ -183,12 +183,3 @@ class MinHasher:
         if len(sets) == 0:
             return np.empty((0, self.num_hashes), dtype=np.uint64)
         return np.stack([self.sketch(s) for s in sets])
-
-    def similarity_matrix(self, sketches: np.ndarray) -> np.ndarray:
-        """Pairwise estimated Jaccard similarities of sketched items."""
-        sketches = np.asarray(sketches)
-        n = sketches.shape[0]
-        sim = np.empty((n, n), dtype=np.float64)
-        for i in range(n):
-            sim[i] = np.mean(sketches == sketches[i][None, :], axis=1)
-        return sim

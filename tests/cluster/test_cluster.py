@@ -11,8 +11,8 @@ from repro.energy.traces import EnergyTrace
 class TestPaperCluster:
     def test_cycles_through_four_types(self):
         cluster = paper_cluster(8)
-        speeds = cluster.speed_factors()
-        assert speeds.tolist() == [4.0, 3.0, 2.0, 1.0, 4.0, 3.0, 2.0, 1.0]
+        speeds = [n.speed_factor for n in cluster]
+        assert speeds == [4.0, 3.0, 2.0, 1.0, 4.0, 3.0, 2.0, 1.0]
 
     def test_four_node_cluster_one_of_each(self):
         cluster = paper_cluster(4)
@@ -48,7 +48,7 @@ class TestPaperCluster:
 class TestHomogeneousCluster:
     def test_uniform_speeds(self):
         cluster = homogeneous_cluster(6, speed_factor=2.0)
-        assert (cluster.speed_factors() == 2.0).all()
+        assert all(n.speed_factor == 2.0 for n in cluster)
 
     def test_uniform_power(self):
         cluster = homogeneous_cluster(3, cores=2)

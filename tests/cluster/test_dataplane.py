@@ -17,6 +17,7 @@ import pytest
 
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.dataplane import (
+    SEGMENT_CACHE_LIMIT,
     SharedPartitionStore,
     fetch_partition,
 )
@@ -209,20 +210,20 @@ class TestCacheLimit:
             for i, ref in enumerate(refs):
                 assert fetch_partition(ref) == [i] * 30
 
-    def test_unbounded_by_default(self):
+    def test_bounded_by_default(self):
         with SharedPartitionStore() as store:
-            for i in range(8):
+            for i in range(SEGMENT_CACHE_LIMIT + 2):
                 store.put([i] * 10)
-            assert store.live_segments == 8
-            assert store.stats.segments_evicted == 0
+            assert store.live_segments == SEGMENT_CACHE_LIMIT
+            assert store.stats.segments_evicted == 2
 
     def test_rejects_non_positive_limit(self):
         with pytest.raises(ValueError):
             SharedPartitionStore(cache_limit=0)
 
-    def test_engine_bounds_segments_across_jobs(self, monkeypatch):
-        monkeypatch.setattr("repro.cluster.engines.SEGMENT_CACHE_LIMIT", 3)
+    def test_engine_bounds_segments_across_jobs(self):
         with ProcessPoolEngine(paper_cluster(2, seed=0), max_workers=2) as engine:
+            engine._store = SharedPartitionStore(cache_limit=3)
             for i in range(8):
                 parts = [[i * 100 + j] * 40 for j in range(2)]
                 job = engine.run_job(SummingWorkload(), parts)

@@ -2,7 +2,7 @@
 
 The fault-injecting and work-stealing runners used to be stand-alone
 classes with their own ``run_job`` loops; they had drifted from the
-real engines (no ``profile``, no ``start_offset_s``, weaker
+real engines (no profiling, no ``start_offset_s``, weaker
 validation). They are now :class:`SimulatedEngine` subclasses that
 override only the schedule step — these tests pin what that buys.
 """
@@ -13,7 +13,7 @@ import pytest
 
 import repro.obs as obs
 from repro.cluster.cluster import paper_cluster
-from repro.cluster.engines import ExecutionEngine, SimulatedEngine
+from repro.cluster.engines import ExecutionEngine, ProcessPoolEngine, SimulatedEngine
 from repro.cluster.faults import FaultInjectingEngine
 from repro.cluster.workstealing import WorkStealingScheduler
 from repro.core.framework import ParetoPartitioner
@@ -63,6 +63,37 @@ class TestIsAnEngine:
 
     def test_run_job_is_defined_once(self, engine):
         assert type(engine).run_job is ExecutionEngine.run_job
+
+
+class TestOneProbePath:
+    """A probe and a job price a node with the same ``_runtime``: what
+    the planner learns per node is what the engine then bills."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda c: SimulatedEngine(c, unit_rate=10.0),
+            # Every failure falls after the one-partition job ends.
+            lambda c: FaultInjectingEngine(c, fail_at={3: 1e6}, unit_rate=10.0),
+        ],
+        ids=["simulated", "faults-after-the-job"],
+    )
+    def test_probe_equals_the_job_it_predicts(self, make, cluster):
+        engine = make(cluster)
+        records = list(range(30))
+        probe = engine.profile_all_nodes(SumWorkload(), records)
+        for node in range(cluster.num_nodes):
+            (task,) = engine.run_job(SumWorkload(), [records], [node]).tasks
+            assert probe[node] == task.runtime_s
+
+    def test_pool_probe_prices_one_measurement_on_every_node(self, cluster):
+        with ProcessPoolEngine(cluster, max_workers=1) as engine:
+            probe = engine.profile_all_nodes(SumWorkload(), list(range(50)))
+        raw = [t * n.speed_factor - n.task_overhead_s for t, n in zip(probe, cluster)]
+        assert raw[0] > 0
+        # Absolute: inverting an overhead of 0.5 s leaves ~1e-16 s of
+        # round-off on a raw wall time of microseconds.
+        assert raw == pytest.approx([raw[0]] * cluster.num_nodes, rel=0.0, abs=1e-12)
 
 
 class TestValidation:

@@ -286,16 +286,3 @@ class TestProcessPoolEngine:
             job = engine.run_job(CountingWorkload(), [[1], [2]], assignment=[0, 1])
             assert job.merged_output == 3
         assert engine._pool is None
-
-    def test_profile_all_nodes_scales_one_measurement(self, cluster):
-        # The override runs the sample once; every node's runtime derives
-        # from the same wall time, so the node ordering by speed is exact
-        # (no cross-probe measurement noise).
-        with ProcessPoolEngine(cluster, max_workers=1) as engine:
-            times = engine.profile_all_nodes(CountingWorkload(), list(range(50)))
-        assert len(times) == cluster.num_nodes
-        wall_implied = [
-            (t - n.task_overhead_s / n.speed_factor) * n.speed_factor
-            for t, n in zip(times, cluster)
-        ]
-        assert wall_implied == pytest.approx([wall_implied[0]] * len(wall_implied))

@@ -34,7 +34,7 @@ class TestRackLevel:
 
     def test_speeds_unchanged(self):
         cluster = rack_level_cluster(8, seed=0)
-        assert cluster.speed_factors().tolist() == [4, 3, 2, 1, 4, 3, 2, 1]
+        assert [n.speed_factor for n in cluster] == [4, 3, 2, 1, 4, 3, 2, 1]
 
     def test_invalid(self):
         with pytest.raises(ValueError):

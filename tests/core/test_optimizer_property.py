@@ -84,6 +84,11 @@ class TestFrontProperties:
             assert not any(pareto_dominates(b, a) for b in points)
 
     @given(instance_strategy)
+    # Node 0's capacity at the first breakpoint is 8e-12 items: emptying
+    # it must not drop that mass from the vertex.
+    @example((
+        [LinearTimeModel(1.0, 1.0), LinearTimeModel(1.0, 1.6e-11)], [0.0, 0.0], 1, 1.0,
+    ))
     @settings(max_examples=80, deadline=None)
     def test_scalarised_optimum_equals_the_lp_oracle(self, instance):
         """Before rounding, the best front vertex scores what HiGHS

@@ -12,15 +12,13 @@ from repro.data.io import (
     save_transactions,
     save_trees,
 )
-from repro.data.transactions import TransactionConfig, generate_transactions
+from repro.data.text import CorpusConfig, generate_corpus
 from repro.data.trees import TreeDatasetConfig, generate_tree_dataset, tree_items
 
 
 class TestTransactions:
     def test_roundtrip(self, tmp_path):
-        records = generate_transactions(
-            TransactionConfig(num_transactions=50, seed=1)
-        ).transactions
+        records = generate_corpus(CorpusConfig(num_docs=50, seed=1)).documents
         path = tmp_path / "tx.dat"
         save_transactions(records, path)
         assert load_transactions(path) == records
@@ -115,9 +113,7 @@ class TestTrees:
 
 class TestDatasetFile:
     def test_text_dataset_usable_by_framework(self, tmp_path):
-        records = generate_transactions(
-            TransactionConfig(num_transactions=120, seed=4)
-        ).transactions
+        records = generate_corpus(CorpusConfig(num_docs=120, seed=4)).documents
         path = tmp_path / "corpus.dat"
         save_transactions(records, path)
         ds = load_dataset_file("text", path)

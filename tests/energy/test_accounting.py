@@ -29,32 +29,13 @@ class TestDirtyPowerCoefficient:
         acc = accountant([1000.0], allow_negative=True)
         assert acc.dirty_power_coefficient() == pytest.approx(250.0 - 1000.0)
 
-    def test_window_restricts_mean(self):
-        acc = accountant([0.0, 0.0, 500.0, 500.0])
-        k_early = acc.dirty_power_coefficient(window_s=2.0)
-        k_all = acc.dirty_power_coefficient()
-        assert k_early == pytest.approx(250.0)
-        assert k_all == pytest.approx(0.0)  # mean green 250 == draw
-
-
-class TestPredictedDirtyEnergy:
-    def test_linear_in_runtime(self):
-        acc = accountant([50.0])
-        assert acc.predicted_dirty_energy(10.0) == pytest.approx(2000.0)
-
-    def test_zero_runtime(self):
-        assert accountant([50.0]).predicted_dirty_energy(0.0) == 0.0
-
-    def test_negative_runtime_rejected(self):
-        with pytest.raises(ValueError):
-            accountant([50.0]).predicted_dirty_energy(-1.0)
-
 
 class TestMeasuredDirtyEnergy:
     def test_constant_trace_matches_prediction(self):
         acc = accountant([50.0, 50.0, 50.0, 50.0])
+        # On a constant trace the planning rate is exact: k · runtime.
         assert acc.measured_dirty_energy(3.0) == pytest.approx(
-            acc.predicted_dirty_energy(3.0, window_s=3.0)
+            acc.dirty_power_coefficient() * 3.0
         )
 
     def test_varying_trace_integrates_per_sample(self):

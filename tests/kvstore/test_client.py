@@ -29,9 +29,9 @@ class TestRouting:
 
     def test_data_stays_on_target_node(self, client):
         client.put_partition(2, 0, [[1, 2, 3]])
-        assert client.store_for(2).dbsize() > 0
+        assert client.partition_size(2, 0) == 1
         for other in (0, 1, 3):
-            assert client.store_for(other).dbsize() == 0
+            assert client.store_for(other).stats.round_trips == 0
 
 
 class TestPartitionMovement:
@@ -55,12 +55,6 @@ class TestPartitionMovement:
         client.put_partition(3, 7, [[1], [2]])
         assert client.partition_size(3, 7) == 2
         assert client.partition_size(3, 99) == 0
-
-    def test_drop_partition(self, client):
-        client.put_partition(0, 0, [[1]])
-        client.drop_partition(0, 0)
-        assert client.get_partition(0, 0).records() == []
-        assert client.store_for(0).hget("partition:0:meta", "count") is None
 
     def test_metadata_written(self, client):
         client.put_partition(2, 9, [[1], [2], [3]])
@@ -111,9 +105,3 @@ class TestAggregates:
         assert client.total_round_trips() == sum(
             s.stats.round_trips for s in client.stores
         )
-
-    def test_flushall_clears_every_node(self, client):
-        for node in range(4):
-            client.put_partition(node, node, [[node]])
-        client.flushall()
-        assert all(s.dbsize() == 0 for s in client.stores)

@@ -6,7 +6,7 @@ import pytest
 from repro.kvstore.client import ClusterClient
 from repro.kvstore.network import NetworkModel, snapshot
 from repro.kvstore.pipeline import Pipeline
-from repro.kvstore.store import KeyValueStore, _payload_bytes
+from repro.kvstore.store import KeyValueStore, StoreStats, _payload_bytes
 
 
 class TestPayloadBytes:
@@ -92,7 +92,7 @@ class TestNetworkModel:
         client = ClusterClient(num_nodes=2)
         client.put_partition(0, 0, [[1, 2, 3]] * 10)
         net = NetworkModel()
-        times = [net.store_time_s(s) for s in client.stores]
+        times = [net.delta_time_s(StoreStats(), s.stats) for s in client.stores]
         # Only the store that took the partition moved any traffic.
         assert times[0] > 0 and times[1] == 0
 
@@ -118,7 +118,9 @@ class TestPaperClaims:
         with Pipeline(piped, width=0) as pipe:
             for i in range(500):
                 pipe.rpush("l", b"x" * 20)
-        assert net.store_time_s(piped) < 0.05 * net.store_time_s(naive)
+        assert net.delta_time_s(StoreStats(), piped.stats) < 0.05 * net.delta_time_s(
+            StoreStats(), naive.stats
+        )
 
     def test_single_get_partition_beats_per_item_gets(self):
         """The §IV claim: the list layout fetches a whole partition in

@@ -42,9 +42,10 @@ class TestAutoFlush:
     def test_flushes_at_width(self, store):
         pipe = Pipeline(store, width=3)
         pipe.set("a", 1).set("b", 2)
-        assert store.dbsize() == 0
+        assert store.stats.sets == 0
         pipe.set("c", 3)  # hits the width, flushes
-        assert store.dbsize() == 3
+        assert store.stats.sets == 3
+        assert store.get("c") == 3
         assert pipe.flushes == 1
 
     def test_batch_counts_one_round_trip(self, store):

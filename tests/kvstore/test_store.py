@@ -121,12 +121,6 @@ class TestHashes:
         store.hset("h", "f", 1)
         assert store.hget("h", "other") is None
 
-    def test_hgetall_copies(self, store):
-        store.hset("h", "a", 1)
-        snapshot = store.hgetall("h")
-        snapshot["a"] = 99
-        assert store.hget("h", "a") == 1
-
     def test_hash_op_on_list_raises(self, store):
         store.rpush("k", 1)
         with pytest.raises(WrongTypeError):
@@ -139,24 +133,6 @@ class TestLifecycle:
         store.set("b", 2)
         assert store.delete("a", "b", "missing") == 2
         assert store.get("a") is None
-
-    def test_exists(self, store):
-        assert not store.exists("k")
-        store.set("k", 1)
-        assert store.exists("k")
-
-    def test_keys_glob(self, store):
-        store.set("user:1", 1)
-        store.set("user:2", 2)
-        store.set("other", 3)
-        assert store.keys("user:*") == ["user:1", "user:2"]
-        assert store.keys() == ["other", "user:1", "user:2"]
-
-    def test_flushall(self, store):
-        store.set("a", 1)
-        store.rpush("l", 1)
-        store.flushall()
-        assert store.dbsize() == 0
 
 
 class TestBatch:

@@ -17,7 +17,7 @@ from repro.cluster.engines import ProcessPoolEngine, SimulatedEngine
 from repro.core.framework import ParetoPartitioner
 from repro.core.strategies import HET_AWARE
 from repro.data.datasets import load_dataset
-from repro.obs.energy import energy_split
+from repro.obs.energy import energy_split, node_energy_breakdown
 from repro.workloads.fpm.apriori import AprioriWorkload
 
 FIVE_STAGES = {
@@ -95,7 +95,7 @@ class TestEnergyInvariant:
 
     def test_per_node_breakdown_sums_to_totals(self, traced_run):
         report, _spans, _snap = traced_run
-        rows = report.job.energy_breakdown()
+        rows = node_energy_breakdown(report.job)
         assert sum(r["energy_j"] for r in rows.values()) == pytest.approx(
             report.total_energy_j, abs=1e-6
         )

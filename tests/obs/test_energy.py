@@ -43,9 +43,6 @@ class TestNodeBreakdown:
         )
         assert sum(r["tasks"] for r in rows.values()) == len(job.tasks)
 
-    def test_available_on_jobresult(self, job):
-        assert job.energy_breakdown() == node_energy_breakdown(job)
-
 
 class TestEnergySplit:
     def test_ignores_spans_without_energy(self):

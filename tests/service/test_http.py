@@ -104,6 +104,28 @@ class TestSubmitAndResult:
         assert status_line.split()[:2] == [b"HTTP/1.1", str(status).encode()]
         assert client.healthz().status == 200
 
+    def test_oversize_body_is_413_and_closes_the_connection(self, immediate):
+        # The 413 leaves the claimed body unread, so the server must not
+        # read on for a next request: it says so and hangs up.
+        client, _manager = immediate
+        url = urllib.parse.urlparse(client.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=2.0) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 2097152\r\n\r\n"
+            )
+            reply = sock.makefile("rb")
+            status_line = reply.readline()
+            headers = {}
+            for line in iter(reply.readline, b"\r\n"):
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            reply.read(int(headers["content-length"]))
+            assert status_line.split()[:2] == [b"HTTP/1.1", b"413"]
+            assert headers.get("connection", "").lower() == "close"
+            assert reply.read() == b""  # EOF, not a timeout
+        assert client.healthz().status == 200
+
     def test_unknown_job_is_404(self, immediate):
         client, _manager = immediate
         assert client.status("job-missing").status == 404

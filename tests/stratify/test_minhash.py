@@ -163,28 +163,6 @@ class TestEstimation:
             sketch_jaccard(np.array([]), np.array([]))
 
 
-class TestSimilarityMatrix:
-    def test_diagonal_is_one(self):
-        h = MinHasher(32, seed=2)
-        sk = h.sketch_all([{1, 2}, {3, 4}, {1, 2, 3}])
-        sim = h.similarity_matrix(sk)
-        assert np.allclose(np.diag(sim), 1.0)
-
-    def test_symmetric(self):
-        h = MinHasher(32, seed=2)
-        sk = h.sketch_all([{1, 2}, {2, 3}, {9}])
-        sim = h.similarity_matrix(sk)
-        assert np.allclose(sim, sim.T)
-
-    def test_entries_are_pairwise_sketch_jaccard(self):
-        h = MinHasher(32, seed=2)
-        sk = h.sketch_all([{1, 2, 3}, {2, 3, 4}, {9}, {1, 2, 3}])
-        sim = h.similarity_matrix(sk)
-        for i in range(4):
-            for j in range(4):
-                assert sim[i, j] == sketch_jaccard(sk[i], sk[j])
-
-
 class TestPermutationProperty:
     def test_hash_is_injective_on_sample(self):
         # h(x) = (a x + b) mod P is a permutation of Z_P: no collisions.

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
 from repro.core.framework import run_two_phase
-from repro.data.transactions import TransactionConfig, generate_transactions
+from repro.data.text import CorpusConfig, generate_corpus
 from repro.workloads.fpm.apriori import AprioriMiner, AprioriWorkload
 
 
@@ -18,9 +18,14 @@ def engine():
 
 @pytest.fixture(scope="module")
 def transactions():
-    return generate_transactions(
-        TransactionConfig(num_transactions=300, num_items=60, seed=1)
-    ).transactions
+    # Small topic-model documents: set-shaped records whose background
+    # tokens give Apriori itemsets of length 3 at 10 % support.
+    return generate_corpus(
+        CorpusConfig(
+            num_docs=300, vocab_size=60, num_topics=4, doc_length_mean=10,
+            doc_length_spread=4, tokens_per_topic=40, background_tokens=20, seed=1,
+        )
+    ).documents
 
 
 def split(records, p):

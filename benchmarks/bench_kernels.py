@@ -4,7 +4,9 @@ Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — column-wise pivot hashing, ragged-batch
 sketching, code-space compositeKModes fit, packed-bitmap Apriori mining,
 the fast LZ77 coder (on chunk-repetitive bytes and on the uk text the
-end-to-end benchmark compresses) and the batched WebGraph coder — asserting
+end-to-end benchmark compresses) and the whole-partition WebGraph coder
+(on synthetic lists, on the end-to-end benchmark's uk partitions and on
+a probe-shaped shuffled sample) — asserting
 bit-identical outputs before reporting any number, and writes the
 measurements to ``benchmarks/results/BENCH_kernels.json``.
 
@@ -68,6 +70,8 @@ FULL = {
     "lz77_uk_scale": 0.8,
     "webgraph_lists": 1_500,
     "webgraph_degree": (10, 60),
+    "webgraph_uk_scale": 2.4,
+    "webgraph_probe_lists": 1_200,
 }
 SMOKE = {
     "pivot_triples": 5_000,
@@ -85,6 +89,8 @@ SMOKE = {
     "lz77_uk_scale": 0.1,
     "webgraph_lists": 120,
     "webgraph_degree": (5, 25),
+    "webgraph_uk_scale": 0.3,
+    "webgraph_probe_lists": 150,
 }
 
 
@@ -254,7 +260,52 @@ def run_kernel_bench(cfg: dict) -> dict:
     results["webgraph_compress"] = _section(
         t_reference, t_batched, bits_per_edge=wst_f.bits_per_edge
     )
+
+    # The same coder on what the e2e benchmark's webgraph jobs compress:
+    # its uk adjacency cut into one Het-Aware plan's similar-together
+    # partitions, and a shuffled sample the size of the progressive
+    # sampler's largest probe. In the sample neighbouring lists rarely
+    # overlap, which the reference rejects cheaply; the kernel's cost
+    # does not depend on overlap.
+    partitions, items = webgraph_plan_partitions(cfg["webgraph_uk_scale"])
+    pick = np.random.default_rng(11).permutation(len(items))[: cfg["webgraph_probe_lists"]]
+    for name, parts in (
+        ("webgraph_compress_uk", partitions),
+        ("webgraph_compress_probe", [[items[i] for i in pick]]),
+    ):
+        for part in parts:
+            assert webgraph.compress(part) == webgraph.compress_reference(part), (
+                f"webgraph kernel diverged on {name}"
+            )
+        t_batched = _best_of(lambda: [webgraph.compress(p) for p in parts], repeats=3)
+        t_reference = _best_of(lambda: [webgraph.compress_reference(p) for p in parts], repeats=1)
+        results[name] = _section(
+            t_reference,
+            t_batched,
+            lists=[len(p) for p in parts],
+            edges=sum(len(lst) for p in parts for lst in p),
+        )
     return results
+
+
+def webgraph_plan_partitions(scale: float):
+    """uk at ``scale`` (the e2e benchmark's webgraph data at 2.4), cut
+    into the partitions of its Het-Aware plan with the kind's placement.
+
+    Returns ``(partitions, items)``. ``tests/perf/test_webgraph_kernels.py``
+    asserts oracle parity on the same cut at 2.4."""
+    from repro.cluster import SimulatedEngine, paper_cluster
+    from repro.core import HET_AWARE, ParetoPartitioner
+    from repro.data.datasets import load_dataset
+    from repro.service.jobs import build_workload, default_placement
+
+    dataset = load_dataset("uk", size_scale=scale, seed=1)
+    engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=5e3)
+    pp = ParetoPartitioner(engine, kind=dataset.kind, seed=1)
+    prepared = pp.prepare(dataset.items, build_workload("webgraph", 0.1))
+    strategy = HET_AWARE.with_placement(default_placement("webgraph"))
+    indices = pp.place(prepared, strategy, pp.plan(prepared, strategy))
+    return [[dataset.items[i] for i in ix] for ix in indices if ix.size], dataset.items
 
 
 _KERNEL_SECTIONS = (
@@ -265,16 +316,18 @@ _KERNEL_SECTIONS = (
     "lz77_compress",
     "lz77_compress_uk",
     "webgraph_compress",
+    "webgraph_compress_uk",
+    "webgraph_compress_probe",
 )
 
 
 def _render(results: dict) -> str:
-    lines = ["kernel             reference      numpy    numpy-vs-ref"]
+    lines = ["kernel                   reference      numpy    numpy-vs-ref"]
     for name in _KERNEL_SECTIONS:
         r = results[name]
         tiers = r["tiers"]
         lines.append(
-            f"{name:<18} {tiers['reference']:>8.3f}s  {tiers['numpy']:>8.3f}s"
+            f"{name:<24} {tiers['reference']:>8.3f}s  {tiers['numpy']:>8.3f}s"
             f"  {r['speedup']:>10.2f}x"
         )
     return "\n".join(lines)

@@ -394,10 +394,10 @@ class ProcessPoolEngine(ExecutionEngine):
     The worker pool is **persistent**: it is created lazily on the
     first job and reused by every subsequent :meth:`run_job` /
     :meth:`profile_all_nodes` call, so process fork/spawn cost is paid
-    once per engine, not once per job. Because worker start-up is real
-    wall time, the first task measured on a cold pool can carry
-    import/fork noise — callers comparing measured runtimes should run
-    a throwaway probe first (or accept the first probe as warm-up). Use
+    once per engine, not once per job. A worker's first run of a
+    workload kind costs more than its later ones, so the first time a
+    pool meets a kind it runs that call's smallest partition once per
+    worker, unmeasured, before timing anything (see :meth:`_warm`). Use
     the engine as a context manager, or call :meth:`shutdown`, to
     release the workers deterministically; a garbage-collected engine
     tears its pool down without waiting.
@@ -433,6 +433,8 @@ class ProcessPoolEngine(ExecutionEngine):
         # unlinking shared-memory segments workers may still be reading.
         self._lifecycle = threading.Condition()
         self._inflight = 0
+        # Workload kinds the current pool's workers have run (see _warm).
+        self._warmed: set[str] = set()
 
     @property
     def pools_created(self) -> int:
@@ -452,6 +454,7 @@ class ProcessPoolEngine(ExecutionEngine):
                     initializer=_worker_ignore_sigint,
                 )
                 self._pools_created += 1
+                self._warmed.clear()
                 log_event(
                     _log, logging.DEBUG, "engine.pool.created",
                     total=self._pools_created, max_workers=self.max_workers,
@@ -548,6 +551,23 @@ class ProcessPoolEngine(ExecutionEngine):
     def _runtime(self, node, raw):
         return node.task_overhead_s / node.speed_factor + raw / node.speed_factor
 
+    def _warm(self, pool: ProcessPoolExecutor, task: tuple, workers: int) -> None:
+        """Run ``task`` once per worker, unmeasured, the first time this
+        pool meets the task's workload kind.
+
+        A worker's first run of a kind costs more than its later ones
+        (its heap and caches grow to the kind's working set). Left in,
+        that cost lands on whatever reaches each worker first: for the
+        progressive sampler, its smallest probes, which flattens the
+        fitted slope and can idle a node the plan needs.
+        """
+        name = task[0].name
+        with self._lifecycle:
+            if name in self._warmed:
+                return
+            self._warmed.add(name)
+        list(pool.map(_pool_task, [task] * workers))
+
     def _map_tasks(
         self, workload: Workload, partitions: Sequence[Sequence[Any]]
     ) -> list[tuple[WorkloadResult, float]]:
@@ -580,6 +600,8 @@ class ProcessPoolEngine(ExecutionEngine):
                 self._shm_usable = False
         tasks = [(workload, p, trace) for p in payloads]
         try:
+            smallest = min(range(len(parts)), key=lambda i: len(parts[i]))
+            self._warm(pool, (workload, payloads[smallest], False), workers)
             raw = list(pool.map(_pool_task, tasks, chunksize=chunksize))
         except BrokenProcessPool:
             # A dead worker poisons the whole executor; discard it so

@@ -79,12 +79,17 @@ class LinearTimeModel:
 
     @classmethod
     def fit(cls, sizes: Sequence[float], times: Sequence[float]) -> "LinearTimeModel":
-        """Least-squares fit with slope clamped ≥ 0 and intercept ≥ 0."""
+        """Least-squares fit with slope clamped ≥ 0 and intercept ≥ 0.
+
+        A clamped slope, or sizes with fewer than two distinct values
+        (no slope information at all), give the flat model at the mean
+        time.
+        """
         x = np.asarray(sizes, dtype=np.float64)
         y = np.asarray(times, dtype=np.float64)
         if x.size != y.size or x.size < 2:
             raise ValueError("need at least two (size, time) pairs")
-        slope, intercept = np.polyfit(x, y, 1)
+        slope, intercept = np.polyfit(x, y, 1) if np.unique(x).size > 1 else (0.0, 0.0)
         slope = max(float(slope), 0.0)
         if slope == 0.0:
             intercept = float(y.mean())
@@ -228,8 +233,9 @@ class ProgressiveSampler:
 
         # One probe per (sample, node); engines that can derive all nodes
         # from a single run do so inside profile_all_nodes. Samples run
-        # smallest-first, so for measured engines (persistent process
-        # pool) any cold-pool start-up noise lands on the cheapest probe.
+        # smallest-first. A worker's first run of a kind is slow, and on
+        # the cheapest probe that would flatten the slope, so a measured
+        # engine warms its workers on each kind before timing it.
         per_sample = [self.engine.profile_all_nodes(workload, s) for s in samples]
         models: list[LinearTimeModel] = []
         r2: list[float] = []

@@ -15,6 +15,9 @@ the stratifier modules call into:
   chunking, and a two-sort top-L centre update.
 - :mod:`repro.perf.fpm_kernels` / :mod:`repro.perf.lz77_kernels` —
   packed-bitmap support counting and the precomputed-link LZ77 coder.
+- :mod:`repro.perf.webgraph_kernels` — the whole-partition WebGraph
+  coder: every list's reference candidates scored in array passes, one
+  set per distance, and the winners emitted in one scatter.
 
 Each family has this one kernel and nothing selects it at run time.
 Every kernel is bit-identical to the reference implementation it

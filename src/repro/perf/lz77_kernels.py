@@ -77,6 +77,16 @@ def build_match_links(data: bytes) -> np.ndarray:
     return prev
 
 
+def varint_lengths(values: np.ndarray) -> np.ndarray:
+    """LEB128 byte length of every value (non-negative, ≤ 64 bits)."""
+    nbytes = np.ones(values.size, dtype=np.int64)
+    shifted = values.astype(np.uint64, copy=False) >> np.uint64(7)
+    while shifted.any():
+        nbytes += shifted > 0
+        shifted >>= np.uint64(7)
+    return nbytes
+
+
 def encode_varint_batch(values: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LEB128-encode an array of non-negative ints in one pass.
 
@@ -101,11 +111,7 @@ def encode_varint_batch(values: Sequence[int] | np.ndarray) -> tuple[np.ndarray,
             ) from exc
     if v.size == 0:
         return np.empty(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
-    nbytes = np.ones(v.size, dtype=np.int64)
-    shifted = v >> np.uint64(7)
-    while shifted.any():
-        nbytes += shifted > 0
-        shifted >>= np.uint64(7)
+    nbytes = varint_lengths(v)
     offsets = np.zeros(v.size + 1, dtype=np.int64)
     np.cumsum(nbytes, out=offsets[1:])
     buf = np.empty(int(offsets[-1]), dtype=np.uint8)

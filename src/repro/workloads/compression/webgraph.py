@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.perf.lz77_kernels import encode_varints_bytes
+from repro.perf.webgraph_kernels import compress_lists
 from repro.workloads.compression.varint import (
     decode_varint,
     encode_varint,
@@ -123,42 +123,6 @@ def _decode_plain(data: bytes, pos: int) -> tuple[list[int], int]:
     return sorted(values), pos
 
 
-def _symbols_len(symbols: list[int]) -> int:
-    """Total encoded byte length of a symbol list (most symbols are one
-    byte, so only multi-byte values pay the bit_length arithmetic)."""
-    total = len(symbols)
-    for s in symbols:
-        if s >= 128:
-            total += (s.bit_length() + 6) // 7 - 1
-    return total
-
-
-def _plain_symbols(neighbours: Sequence[int]) -> list[int]:
-    """The varint symbol sequence :func:`_encode_plain` would emit."""
-    intervals, residuals = _split_intervals(list(neighbours))
-    symbols = [len(intervals)]
-    symbols += gaps_encode([start for start, _ in intervals])
-    symbols += [length - MIN_INTERVAL_LENGTH for _, length in intervals]
-    gaps = gaps_encode(residuals)
-    symbols.append(len(gaps))
-    symbols += gaps
-    return symbols
-
-
-def _referenced_symbols(
-    target: set[int], shared: set[int], reference: Sequence[int], ref_offset: int
-) -> list[int]:
-    """The varint symbol sequence :func:`_encode_referenced` would emit.
-
-    ``shared`` must be ``target ∩ reference`` — the caller already built
-    it for the cheap-reject test, and it doubles as the copied set.
-    """
-    mask = [v in shared for v in reference]
-    extras = sorted(target - shared)
-    runs = _copy_runs(mask)
-    return [ref_offset, len(runs)] + runs + _plain_symbols(extras)
-
-
 def _copy_runs(mask: Sequence[bool]) -> list[int]:
     """Run-length encode a boolean copy mask, first run = kept entries."""
     runs: list[int] = []
@@ -226,8 +190,9 @@ class WebGraphCodec:
         How many previous lists are candidate references (WebGraph's
         ``W``; 7 is the format's classic default).
 
-    :meth:`compress` scores reference candidates by computed byte
-    length and varint-encodes the whole partition in one batched call;
+    :meth:`compress` scores every list's reference candidates by computed
+    byte length in array passes over the whole partition and
+    varint-encodes the winners in one batched call;
     :meth:`compress_reference`, its oracle, serializes every candidate
     with per-symbol Python loops. Blobs and stats are byte-identical.
     """
@@ -239,53 +204,27 @@ class WebGraphCodec:
             raise ValueError("window must be non-negative")
 
     def compress(self, adjacency: Sequence[Sequence[int]]) -> tuple[bytes, WebGraphStats]:
-        """Compress a partition of sorted adjacency lists with the
-        symbol-stream coder: one batched encode, blob byte-identical to
-        :meth:`compress_reference`'s.
+        """Compress a partition of adjacency lists with the whole-partition
+        kernel (:func:`repro.perf.webgraph_kernels.compress_lists`): blob
+        and stats byte-identical to :meth:`compress_reference`'s.
 
         Every byte the format emits is a varint — the flag bytes 0/1
         are exactly their own varint encodings — so the whole blob is
-        one varint stream. The coder therefore accumulates plain int
-        symbols, scores each reference candidate by its *computed* byte
-        length (the reference path serializes all ``window`` candidates
-        and throws most away), and serializes the winning stream with a
-        single :func:`encode_varints_bytes` call at the end.
+        one varint stream. The kernel scores every list's reference
+        candidates by *computed* byte length in array passes over the
+        partition, one pass set per distance, and serializes only the
+        winners, in one scatter. Ids are ``uint64``: a negative id or
+        one ≥ 2^64 raises ``ValueError``.
         """
-        stats = WebGraphStats()
-        symbols: list[int] = [len(adjacency)]
-        history: list[list[int]] = []
-        for raw in adjacency:
-            neighbours = sorted(set(int(v) for v in raw))
-            stats.input_edges += len(neighbours)
-            target = set(neighbours)
-            best = _plain_symbols(neighbours)
-            best_len = _symbols_len(best)
-            best_flag = _PLAIN
-            for back in range(1, min(self.window, len(history)) + 1):
-                reference = history[-back]
-                stats.work_units += len(reference)
-                shared = target.intersection(reference)
-                if not shared:
-                    continue
-                cand = _referenced_symbols(target, shared, reference, back)
-                cand_len = _symbols_len(cand)
-                if cand_len < best_len:
-                    best = cand
-                    best_len = cand_len
-                    best_flag = _REFERENCED
-            symbols.append(best_flag)
-            symbols += best
-            stats.work_units += best_len + len(neighbours)
-            if best_flag == _REFERENCED:
-                stats.referenced_lists += 1
-            else:
-                stats.plain_lists += 1
-            history.append(neighbours)
-            if len(history) > self.window:
-                history.pop(0)
-        blob = encode_varints_bytes(symbols)
-        stats.raw_bytes = 4 * stats.input_edges
-        stats.output_bytes = len(blob)
+        blob, counts = compress_lists(adjacency, self.window)
+        stats = WebGraphStats(
+            input_edges=counts["input_edges"],
+            raw_bytes=4 * counts["input_edges"],
+            output_bytes=len(blob),
+            referenced_lists=counts["referenced_lists"],
+            plain_lists=len(adjacency) - counts["referenced_lists"],
+            work_units=float(counts["work_units"]),
+        )
         return blob, stats
 
     def compress_reference(self, adjacency: Sequence[Sequence[int]]) -> tuple[bytes, WebGraphStats]:

@@ -35,6 +35,29 @@ class SlowWorkload(CountingWorkload):
         return super().run(records)
 
 
+class LoggingWorkload(CountingWorkload):
+    """Counting that appends each run's record count to a file, so a
+    test sees every run the pool workers made, measured or not."""
+
+    name = "logging"
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def run(self, records: Sequence[int]) -> WorkloadResult:
+        with open(self.path, "a") as fh:
+            fh.write(f"{len(records)}\n")
+        return super().run(records)
+
+
+class OtherLoggingWorkload(LoggingWorkload):
+    name = "logging-other"
+
+
+def logged_runs(path) -> list[int]:
+    return sorted(int(line) for line in path.read_text().split())
+
+
 @pytest.fixture(scope="module")
 def cluster():
     return paper_cluster(4, seed=0)
@@ -207,6 +230,26 @@ class TestProcessPoolEngine:
         job = engine.run_job(CountingWorkload(), [[1, 2]], assignment=[0])
         assert job.merged_output == 3
         assert engine.pools_created == 2
+        engine.shutdown()
+
+    def test_first_call_of_a_kind_warms_every_worker(self, cluster, tmp_path):
+        # A worker's first run of a kind is slow, so the first call a pool
+        # makes for a kind runs its smallest partition once per worker,
+        # unmeasured; later calls, and other kinds' calls, do not repeat it
+        # until the pool is rebuilt.
+        log = tmp_path / "runs"
+        engine = ProcessPoolEngine(cluster, max_workers=2)
+        engine.profile_all_nodes(LoggingWorkload(str(log)), [1, 2, 3])
+        assert logged_runs(log) == [3, 3, 3]
+        engine.run_job(LoggingWorkload(str(log)), [[1, 2], [3]], assignment=[0, 1])
+        assert logged_runs(log) == [1, 2, 3, 3, 3]
+        log.unlink()
+        engine.run_job(OtherLoggingWorkload(str(log)), [[1, 2], [3]], assignment=[0, 1])
+        assert logged_runs(log) == [1, 1, 1, 2]
+        engine.shutdown()
+        log.unlink()
+        engine.profile_all_nodes(LoggingWorkload(str(log)), [1, 2])
+        assert logged_runs(log) == [2, 2, 2]
         engine.shutdown()
 
     def test_shutdown_waits_for_inflight_job(self, cluster):

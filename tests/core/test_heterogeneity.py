@@ -1,5 +1,6 @@
 """Unit tests for the progressive-sampling heterogeneity estimator."""
 
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.heterogeneity import (
     ProgressiveSampler,
     auto_fractions,
 )
+from repro.core.optimizer import ParetoOptimizer
 from repro.stratify.stratifier import Stratification
 from repro.workloads.base import Workload, WorkloadResult
 
@@ -68,6 +70,12 @@ class TestLinearTimeModel:
     def test_fit_needs_two_points(self):
         with pytest.raises(ValueError):
             LinearTimeModel.fit([1], [1.0])
+
+    def test_one_distinct_size_fits_the_flat_model(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = LinearTimeModel.fit([1, 1], [0.2, 0.4])
+        assert model == LinearTimeModel(slope=0.0, intercept=pytest.approx(0.3))
 
 
 class TestPolynomialTimeModel:
@@ -157,6 +165,24 @@ class TestProgressiveSampler:
             LinearWorkload(), items, flat_stratification(10)
         )
         assert len(report.sample_sizes) >= 2
+
+    def test_one_item_dataset_plans_no_worse_than_equal_split(self, engine):
+        # Both probes are the one item, so there is no slope to fit: a
+        # polyfit through them is singular and its plan idled the
+        # fastest node ([0, 0, 1, 0] at twice the equal split's time).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ProgressiveSampler(engine=engine, seed=0).profile(
+                LinearWorkload(), [0], flat_stratification(1)
+            )
+        assert report.sample_sizes == [1, 1]
+        assert all(m.slope == 0.0 for m in report.models)
+        optimizer = ParetoOptimizer(
+            models=report.models, dirty_coeffs=engine.cluster.dirty_power_coefficients()
+        )
+        plan, equal = optimizer.solve(1, 1.0), optimizer.equal_split_plan(1)
+        assert plan.sizes.tolist() == equal.sizes.tolist() == [1, 0, 0, 0]
+        assert plan.predicted_makespan_s == equal.predicted_makespan_s
 
     def test_empty_dataset_rejected(self, engine):
         with pytest.raises(ValueError):

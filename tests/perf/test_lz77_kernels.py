@@ -19,6 +19,7 @@ from repro.perf.lz77_kernels import (
     build_match_links,
     encode_varint_batch,
     encode_varints_bytes,
+    varint_lengths,
 )
 from repro.workloads.compression.lz77 import LZ77Codec
 from repro.workloads.compression.varint import encode_varint
@@ -69,6 +70,13 @@ class TestVarintBatch:
     def test_empty(self):
         buf, offsets = encode_varint_batch([])
         assert buf.size == 0 and offsets.tolist() == [0]
+
+    def test_lengths(self):
+        edges = [0, 127, 128, 2**14 - 1, 2**14, 2**63 - 1, 2**63, 2**64 - 1]
+        got = varint_lengths(np.array(edges, dtype=np.uint64)).tolist()
+        assert got == [len(encode_varint(v)) for v in edges]
+        # Signed counts (the WebGraph kernel's bincounts) size the same.
+        assert varint_lengths(np.array([0, 128, 2**14], dtype=np.int64)).tolist() == [1, 2, 3]
 
 
 class TestLZ77Equivalence:

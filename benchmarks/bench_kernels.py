@@ -4,11 +4,12 @@ Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — column-wise pivot hashing, ragged-batch
 sketching, code-space compositeKModes fit, packed-bitmap Apriori mining,
 the fast LZ77 coder (on chunk-repetitive bytes and on the uk text the
-end-to-end benchmark compresses) and the whole-partition WebGraph coder
+end-to-end benchmark compresses), the whole-partition WebGraph coder
 (on synthetic lists, on the end-to-end benchmark's uk partitions and on
-a probe-shaped shuffled sample) — asserting
-bit-identical outputs before reporting any number, and writes the
-measurements to ``benchmarks/results/BENCH_kernels.json``.
+a probe-shaped shuffled sample) and the array-forest FP-growth miner (on
+the end-to-end benchmark's rcv1 partitions and on probe-sized samples) —
+asserting bit-identical outputs before reporting any number, and writes
+the measurements to ``benchmarks/results/BENCH_kernels.json``.
 
 Each section records both timings under ``tiers`` — ``reference`` (the
 oracle: ``sketch_all_reference``, ``fit_reference``, ``mine_reference``,
@@ -72,6 +73,8 @@ FULL = {
     "webgraph_degree": (10, 60),
     "webgraph_uk_scale": 2.4,
     "webgraph_probe_lists": 1_200,
+    "fpgrowth_rcv1_scale": 4.0,
+    "fpgrowth_probe_sizes": (240, 960),
 }
 SMOKE = {
     "pivot_triples": 5_000,
@@ -91,6 +94,8 @@ SMOKE = {
     "webgraph_degree": (5, 25),
     "webgraph_uk_scale": 0.3,
     "webgraph_probe_lists": 150,
+    "fpgrowth_rcv1_scale": 0.5,
+    "fpgrowth_probe_sizes": (30, 120),
 }
 
 
@@ -267,7 +272,7 @@ def run_kernel_bench(cfg: dict) -> dict:
     # sampler's largest probe. In the sample neighbouring lists rarely
     # overlap, which the reference rejects cheaply; the kernel's cost
     # does not depend on overlap.
-    partitions, items = webgraph_plan_partitions(cfg["webgraph_uk_scale"])
+    partitions, items = ruler_plan_partitions("webgraph", "uk", cfg["webgraph_uk_scale"])
     pick = np.random.default_rng(11).permutation(len(items))[: cfg["webgraph_probe_lists"]]
     for name, parts in (
         ("webgraph_compress_uk", partitions),
@@ -285,27 +290,59 @@ def run_kernel_bench(cfg: dict) -> dict:
             lists=[len(p) for p in parts],
             edges=sum(len(lst) for p in parts for lst in p),
         )
+
+    # -- FP-growth: one array forest per pattern length vs pointer trees ---
+    # What the e2e benchmark's fpgrowth jobs mine: rcv1 cut into one
+    # Het-Aware plan's representative partitions (catalogue max_len=3,
+    # support 0.1), and shuffled samples the size of the progressive
+    # sampler's smallest and largest probes, which price the plan.
+    from repro.service.jobs import build_workload
+
+    miner = build_workload("fpgrowth", 0.1).miner
+    partitions, items = ruler_plan_partitions("fpgrowth", "rcv1", cfg["fpgrowth_rcv1_scale"])
+    order = np.random.default_rng(13).permutation(len(items))
+    probes = [[items[i] for i in order[:n]] for n in cfg["fpgrowth_probe_sizes"]]
+    for name, parts in (("fpgrowth_mine_rcv1", partitions), ("fpgrowth_mine_probe", probes)):
+        patterns = []
+        for part in parts:
+            out_f, out_r = miner.mine(part), miner.mine_reference(part)
+            assert list(out_f.counts.items()) == list(out_r.counts.items()), (
+                f"fpgrowth kernel diverged on {name}"
+            )
+            assert out_f.work_units == out_r.work_units
+            assert out_f.candidates_generated == out_r.candidates_generated
+            patterns.append(len(out_f.counts))
+        t_batched = _best_of(lambda: [miner.mine(p) for p in parts], repeats=3)
+        t_reference = _best_of(lambda: [miner.mine_reference(p) for p in parts], repeats=1)
+        results[name] = _section(
+            t_reference,
+            t_batched,
+            transactions=[len(p) for p in parts],
+            patterns=patterns,
+        )
     return results
 
 
-def webgraph_plan_partitions(scale: float):
-    """uk at ``scale`` (the e2e benchmark's webgraph data at 2.4), cut
+def ruler_plan_partitions(workload: str, dataset: str, scale: float):
+    """``dataset`` at ``scale`` (the e2e benchmark's data for
+    ``workload``: uk × 2.4 for webgraph, rcv1 × 4.0 for fpgrowth), cut
     into the partitions of its Het-Aware plan with the kind's placement.
 
-    Returns ``(partitions, items)``. ``tests/perf/test_webgraph_kernels.py``
-    asserts oracle parity on the same cut at 2.4."""
+    Returns ``(partitions, items)``. The kernels' parity suites under
+    ``tests/perf/`` assert oracle parity on the same cut."""
     from repro.cluster import SimulatedEngine, paper_cluster
     from repro.core import HET_AWARE, ParetoPartitioner
     from repro.data.datasets import load_dataset
     from repro.service.jobs import build_workload, default_placement
+    from repro.workloads.catalog import WORKLOADS
 
-    dataset = load_dataset("uk", size_scale=scale, seed=1)
-    engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=5e3)
-    pp = ParetoPartitioner(engine, kind=dataset.kind, seed=1)
-    prepared = pp.prepare(dataset.items, build_workload("webgraph", 0.1))
-    strategy = HET_AWARE.with_placement(default_placement("webgraph"))
+    data = load_dataset(dataset, size_scale=scale, seed=1)
+    engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=WORKLOADS[workload].unit_rate)
+    pp = ParetoPartitioner(engine, kind=data.kind, seed=1)
+    prepared = pp.prepare(data.items, build_workload(workload, 0.1))
+    strategy = HET_AWARE.with_placement(default_placement(workload))
     indices = pp.place(prepared, strategy, pp.plan(prepared, strategy))
-    return [[dataset.items[i] for i in ix] for ix in indices if ix.size], dataset.items
+    return [[data.items[i] for i in ix] for ix in indices if ix.size], data.items
 
 
 _KERNEL_SECTIONS = (
@@ -318,6 +355,8 @@ _KERNEL_SECTIONS = (
     "webgraph_compress",
     "webgraph_compress_uk",
     "webgraph_compress_probe",
+    "fpgrowth_mine_rcv1",
+    "fpgrowth_mine_probe",
 )
 
 

@@ -18,6 +18,10 @@ the stratifier modules call into:
 - :mod:`repro.perf.webgraph_kernels` — the whole-partition WebGraph
   coder: every list's reference candidates scored in array passes, one
   set per distance, and the winners emitted in one scatter.
+- :mod:`repro.perf.fpgrowth_kernels` — FP-growth as one array forest
+  per pattern length: every conditional tree's nodes, bases and
+  frequent items from row bitmasks, with the pointer trees' exact node
+  visits.
 
 Each family has this one kernel and nothing selects it at run time.
 Every kernel is bit-identical to the reference implementation it

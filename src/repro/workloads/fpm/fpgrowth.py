@@ -9,14 +9,20 @@ Work units count tree-node visits plus conditional-base constructions,
 the cost drivers of the pattern-growth family; the output is bitwise
 identical to the other miners (property-tested), so FP-growth drops
 into the framework's two-phase run unchanged.
+
+:meth:`FPGrowthMiner.mine` mines every conditional tree of one pattern
+length at once, as an array forest (:mod:`repro.perf.fpgrowth_kernels`);
+:meth:`FPGrowthMiner.mine_reference`, the pointer-tree recursion below,
+is its oracle — patterns, base counts and node visits are identical.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
+from repro.perf.fpgrowth_kernels import mine_forest
 from repro.workloads.fpm.apriori import LocalMiningWorkload, MiningOutput, Pattern
 
 
@@ -69,7 +75,7 @@ class _FPTree:
         while node is not None:
             path: list[int] = []
             parent = node.parent
-            while parent is not None and parent.item != -1:
+            while parent is not self.root:
                 path.append(parent.item)
                 parent = parent.parent
                 visited += 1
@@ -93,8 +99,21 @@ class FPGrowthMiner:
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
 
-    def mine(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
-        """Mine all frequent itemsets of ``transactions``."""
+    def mine(self, transactions: Sequence[Collection[int]]) -> MiningOutput:
+        """Mine all frequent itemsets of ``transactions`` (ids must fit
+        ``int64``), one array forest per pattern length."""
+        n = len(transactions)
+        min_count = max(1, int(-(-self.min_support * n // 1)))
+        forest = mine_forest(transactions, min_count, self.max_len)
+        return MiningOutput(
+            counts=forest.counts,
+            num_transactions=n,
+            candidates_generated=forest.bases,
+            work_units=float(forest.visits),
+        )
+
+    def mine_reference(self, transactions: Sequence[Iterable[int]]) -> MiningOutput:
+        """Pointer-tree recursion — the array forest's oracle."""
         tx = [sorted(set(int(i) for i in t)) for t in transactions]
         n = len(tx)
         if n == 0:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from benchmarks.bench_kernels import webgraph_plan_partitions
+from benchmarks.bench_kernels import ruler_plan_partitions
 from repro.perf.webgraph_kernels import flatten_lists, plain_lengths
 from repro.workloads.compression.webgraph import WebGraphCodec, _encode_plain
 
@@ -96,7 +96,7 @@ class TestCompressParity:
         # The e2e benchmark's webgraph data (uk × 2.4), cut by a
         # Het-Aware plan with the kind's similar-together placement: the
         # cut the kernel bench times.
-        partitions, _ = webgraph_plan_partitions(2.4)
+        partitions, _ = ruler_plan_partitions("webgraph", "uk", 2.4)
         assert len(partitions) >= 3
         for part in partitions:
             _, stats = assert_matches_reference(part)

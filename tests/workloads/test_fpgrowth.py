@@ -68,6 +68,15 @@ class TestFPGrowthBasics:
         counts = FPGrowthMiner(min_support=1.0).mine([[1, 1, 2]]).counts
         assert counts == {(1,): 1, (2,): 1, (1, 2): 1}
 
+    def test_item_minus_one_is_not_the_root(self):
+        # -1 is a real id here: the prefix walk must stop at the root
+        # node, not at the first node whose item equals the root's -1.
+        tx = [[2, -1], [2, -1, 5]]
+        miner = FPGrowthMiner(min_support=1.0)
+        for mine in (miner.mine, miner.mine_reference):
+            assert mine(tx).counts == AprioriMiner(min_support=1.0).mine(tx).counts
+            assert mine(tx).counts[(-1, 2)] == 2
+
     def test_cheaper_than_apriori_on_dense_data(self):
         # On dense data the FP-tree collapses the shared prefixes, so
         # FP-growth does far less work than Apriori's repeated scans.

@@ -1,9 +1,13 @@
 """Kernel micro-benchmarks: each kernel against its named oracle.
 
 Times the :mod:`repro.perf` kernels against the reference
-implementations they replaced — column-wise pivot hashing, ragged-batch
-sketching, code-space compositeKModes fit, packed-bitmap Apriori mining,
-the fast LZ77 coder (on chunk-repetitive bytes and on the uk text the
+implementations they replaced — column-wise pivot hashing, the batch
+tree-pivot kernel (``extract_flat`` and ``count_records`` on the
+benchmark's swissprot trees), ragged-batch sketching, code-space
+compositeKModes fit (on synthetic clusters, and on the end-to-end
+benchmark's own sketches: K = 16 at its batch-cold sizes, K = 8 at the
+service's warm sizes, each with its ``tracemalloc`` peak), packed-bitmap
+Apriori mining, the fast LZ77 coder (on chunk-repetitive bytes and on the uk text the
 end-to-end benchmark compresses), the whole-partition WebGraph coder
 (on synthetic lists, on the end-to-end benchmark's uk partitions and on
 a probe-shaped shuffled sample) and the array-forest FP-growth miner (on
@@ -12,7 +16,8 @@ asserting bit-identical outputs before reporting any number, and writes
 the measurements to ``benchmarks/results/BENCH_kernels.json``.
 
 Each section records both timings under ``tiers`` — ``reference`` (the
-oracle: ``sketch_all_reference``, ``fit_reference``, ``mine_reference``,
+oracle: ``tree_triples_reference``, ``trees_to_pivot_sets``,
+``sketch_all_reference``, ``fit_reference``, ``mine_reference``,
 ``compress_reference``) and ``numpy`` (the kernel the method itself
 runs). ``speedup`` is numpy vs reference. The file is a record
 (``docs/performance.md`` cites it); nothing reads it back.
@@ -38,12 +43,19 @@ import argparse
 import json
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 
 from repro.stratify.kmodes import CompositeKModes
 from repro.stratify.minhash import MinHasher
-from repro.stratify.pivots import pivot_ids, stable_pivot_id
+from repro.stratify.pivots import (
+    PivotExtractor,
+    pivot_ids,
+    stable_pivot_id,
+    tree_triples_reference,
+)
+from repro.stratify.stratifier import Stratifier
 
 
 def _section(t_reference: float, t_numpy: float, **extra) -> dict:
@@ -63,6 +75,9 @@ FULL = {
     "kmodes_rows": 5_000,
     "kmodes_hashes": 64,
     "kmodes_clusters": 8,
+    "kmodes_cold": (("uk", 0.8), ("uk", 0.4), ("swissprot", 0.4), ("rcv1", 2.0)),
+    "kmodes_warm": (("uk", 2.4), ("uk", 0.8), ("swissprot", 0.8), ("rcv1", 4.0)),
+    "tree_scales": (0.4, 0.8),
     "apriori_transactions": 4_000,
     "apriori_items": 48,
     "apriori_tx_len": (6, 14),
@@ -84,6 +99,9 @@ SMOKE = {
     "kmodes_rows": 400,
     "kmodes_hashes": 16,
     "kmodes_clusters": 4,
+    "kmodes_cold": (("uk", 0.1), ("swissprot", 0.1), ("rcv1", 0.2)),
+    "kmodes_warm": (("uk", 0.2), ("rcv1", 0.3)),
+    "tree_scales": (0.1, 0.2),
     "apriori_transactions": 300,
     "apriori_items": 24,
     "apriori_tx_len": (4, 10),
@@ -148,6 +166,42 @@ def run_kernel_bench(cfg: dict) -> dict:
     t_batched = _best_of(lambda: pivot_ids(*columns))  # from lists, as extract_flat calls it
     results["pivot_hash"] = _section(t_reference, t_batched)
 
+    # -- tree pivots: every tree's triples in array passes vs one at a time
+    # The swissprot trees of the e2e benchmark's treemining jobs (its
+    # batch-cold and warm sizes in FULL): extract_flat as the sketch
+    # calls it, and count_records as prepare calls it.
+    from repro.data.datasets import load_dataset
+    from repro.workloads.fpm.treemining import TreeMiningWorkload, trees_to_pivot_sets
+
+    forests = [load_dataset("swissprot", size_scale=s, seed=1).items for s in cfg["tree_scales"]]
+    extractor = PivotExtractor("tree")
+    count_records = TreeMiningWorkload(min_support=0.3).count_records
+
+    def flat_reference(items):
+        *columns, offsets = tree_triples_reference(items)
+        return pivot_ids(*columns), offsets
+
+    for name, kernel, reference in (
+        ("tree_pivots_flat", extractor.extract_flat, flat_reference),
+        ("tree_pivots_count", count_records, lambda items: trees_to_pivot_sets(items)[0]),
+    ):
+        per_size = {}
+        for items in forests:
+            got, expected = kernel(items), reference(items)
+            if name == "tree_pivots_flat":
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected)), name
+            else:
+                assert got == expected, f"{name} diverged"
+            per_size[len(items)] = {
+                "reference": _best_of(lambda: reference(items), repeats=3),
+                "numpy": _best_of(lambda: kernel(items), repeats=5),
+            }
+        results[name] = _section(
+            sum(t["reference"] for t in per_size.values()),
+            sum(t["numpy"] for t in per_size.values()),
+            trees=per_size,
+        )
+
     # -- sketch_all: ragged batch vs per-set loop --------------------------
     sets = _pivot_sets(cfg["num_sets"], cfg["pivots_per_set"], rng)
     hasher = MinHasher(num_hashes=cfg["sketch_hashes"], seed=0)
@@ -173,6 +227,38 @@ def run_kernel_bench(cfg: dict) -> dict:
     t_batched = _best_of(lambda: kmodes.fit(sketches), repeats=2)
     t_reference = _best_of(lambda: kmodes.fit_reference(sketches), repeats=1)
     results["kmodes_fit"] = _section(t_reference, t_batched, iterations=fit_b.iterations)
+
+    # The fit on what the e2e benchmark clusters: each dataset's own
+    # sketches (library defaults, 48 hashes), K = 16 as a batch-cold
+    # prepare fits them and K = 8 as the service's warm scenarios do.
+    # The peak is tracemalloc's, the sketch matrix itself not counted.
+    for name, num_clusters in (("kmodes_fit_cold", 16), ("kmodes_fit_warm", 8)):
+        fits = []
+        for dataset, scale in cfg[name.replace("_fit", "")]:
+            data = load_dataset(dataset, size_scale=scale, seed=1)
+            sketches = Stratifier(kind=data.kind, seed=1).sketch(data.items)
+            km = CompositeKModes(num_clusters=num_clusters, seed=2)
+            fast, slow = km.fit(sketches), km.fit_reference(sketches)
+            assert np.array_equal(fast.labels, slow.labels), f"{name} labels diverged"
+            assert np.array_equal(fast.centers, slow.centers), f"{name} centers diverged"
+            assert fast.cost == slow.cost and fast.iterations == slow.iterations
+            fits.append((f"{dataset}x{scale}", km, sketches, fast.iterations))
+        peaks = {}
+        for label, km, sketches, _ in fits:
+            peaks[label] = {}
+            for tier, fit in (("numpy", km.fit), ("reference", km.fit_reference)):
+                tracemalloc.start()
+                fit(sketches)
+                peaks[label][tier] = tracemalloc.get_traced_memory()[1] / 2**20
+                tracemalloc.stop()
+        results[name] = _section(
+            _best_of(lambda: [km.fit_reference(sk) for _, km, sk, _ in fits], repeats=1),
+            _best_of(lambda: [km.fit(sk) for _, km, sk, _ in fits], repeats=5),
+            num_clusters=num_clusters,
+            rows={label: int(sk.shape[0]) for label, _, sk, _ in fits},
+            iterations={label: it for label, _, _, it in fits},
+            peak_mib=peaks,
+        )
 
     # -- Apriori: packed vertical bitmaps vs containment scan --------------
     from repro.workloads.fpm.apriori import AprioriMiner
@@ -224,8 +310,6 @@ def run_kernel_bench(cfg: dict) -> dict:
     # adjacency records framed as text, the catalogue's max_chain=8.
     # Short matches and deep chains — most positions probe several
     # candidates — the opposite regime of the chunk stream above.
-    from repro.data.datasets import load_dataset
-
     records = load_dataset("uk", size_scale=cfg["lz77_uk_scale"], seed=0).items
     text = "\n".join(" ".join(map(str, rec)) for rec in records).encode()
     codec = LZ77Codec(max_chain=8)
@@ -347,8 +431,12 @@ def ruler_plan_partitions(workload: str, dataset: str, scale: float):
 
 _KERNEL_SECTIONS = (
     "pivot_hash",
+    "tree_pivots_flat",
+    "tree_pivots_count",
     "sketch_all",
     "kmodes_fit",
+    "kmodes_fit_cold",
+    "kmodes_fit_warm",
     "apriori_mine",
     "lz77_compress",
     "lz77_compress_uk",

@@ -10,9 +10,13 @@ the stratifier modules call into:
 - :mod:`repro.perf.minhash_kernels` — ragged-batch MinHash sketching
   (one broadcasted multiply-add over all sets at once, per-set minima
   via ``np.minimum.reduceat``) and the ndarray element fast path.
+- :mod:`repro.perf.tree_kernels` — every tree's Prüfer/LCA pivot
+  triples in array passes: Prüfer sequences in lockstep, depths by
+  pointer jumping, LCAs by binary lifting.
 - :mod:`repro.perf.kmodes_kernels` — compositeKModes in code space:
-  match counts from a membership-table gather with memory-aware row
-  chunking, and a two-sort top-L centre update.
+  match counts from a per-id lane-word gather with memory-aware row
+  chunking, and a two-sort top-L centre update over static cell keys,
+  both restricted to the clusters whose membership moved.
 - :mod:`repro.perf.fpm_kernels` / :mod:`repro.perf.lz77_kernels` —
   packed-bitmap support counting and the precomputed-link LZ77 coder.
 - :mod:`repro.perf.webgraph_kernels` — the whole-partition WebGraph
@@ -25,9 +29,9 @@ the stratifier modules call into:
 
 Each family has this one kernel and nothing selects it at run time.
 Every kernel is bit-identical to the reference implementation it
-replaces; the reference paths are kept on the calling classes as named
-oracles (``sketch_all_reference``, ``fit_reference``,
-``mine_reference``, ``compress_reference``,
+replaces; the reference paths are kept beside the callers as named
+oracles (``tree_triples_reference``, ``sketch_all_reference``,
+``fit_reference``, ``mine_reference``, ``compress_reference``,
 ``count_patterns_reference``) and the equivalence is asserted by
 ``tests/perf/`` and ``benchmarks/bench_kernels.py``. Kernels are pure
 functions of their arguments (no imports from the stratifier modules)

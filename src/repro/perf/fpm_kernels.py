@@ -23,6 +23,7 @@ counts and the work-unit accounting all match the reference exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,18 +87,16 @@ def pack_transactions(transactions: Sequence[Iterable[int]]) -> TransactionBitma
     """Pack transactions into a :class:`TransactionBitmap`.
 
     Duplicate items within a transaction collapse to one bit, matching
-    the reference miners' ``frozenset(t)`` conversion.
+    the reference miners' ``frozenset(t)`` conversion. The items are
+    flattened once, ranked by one argsort and deduplicated per
+    transaction by one sort of the ``(item row, transaction)`` pairs,
+    with no per-transaction loop.
     """
-    tx_ids: list[int] = []
-    values: list[int] = []
-    n_tx = 0
-    for tid, t in enumerate(transactions):
-        n_tx = tid + 1
-        distinct = set(t)
-        values.extend(distinct)
-        tx_ids.extend([tid] * len(distinct))
+    sized = [t if hasattr(t, "__len__") else tuple(t) for t in transactions]
+    n_tx = len(sized)
+    lengths = np.fromiter(map(len, sized), dtype=np.int64, count=n_tx)
     num_words = max(1, -(-n_tx // 64))
-    vals = np.asarray(values, dtype=np.int64)
+    vals = np.fromiter(chain.from_iterable(sized), dtype=np.int64, count=int(lengths.sum()))
     if vals.size == 0:
         return TransactionBitmap(
             items=np.empty(0, dtype=np.int64),
@@ -106,11 +105,27 @@ def pack_transactions(transactions: Sequence[Iterable[int]]) -> TransactionBitma
             num_transactions=n_tx,
             total_occurrences=0,
         )
-    items, rows = np.unique(vals, return_inverse=True)
-    tx = np.asarray(tx_ids, dtype=np.uint64)
+    order = np.argsort(vals)
+    ordered = vals[order]
+    new_item = np.empty(vals.size, dtype=bool)
+    new_item[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_item[1:])
+    items = ordered[new_item]
+    # (item row, transaction) of every occurrence, sorted; a repeat of
+    # its predecessor is a duplicate inside one transaction.
+    pairs = (np.cumsum(new_item) - 1) * n_tx + np.repeat(np.arange(n_tx), lengths)[order]
+    pairs.sort()
+    first = np.empty(pairs.size, dtype=bool)
+    first[0] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    pairs = pairs[first]
+    rows, tx = np.divmod(pairs, n_tx)
+    # Sorted pairs visit each bitmap word in one run: OR every run once.
+    word = rows * num_words + (tx >> 6)
+    runs = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
     bits = np.zeros((items.size + 1, num_words), dtype=np.uint64)
-    np.bitwise_or.at(
-        bits, (rows, (tx >> np.uint64(6)).astype(np.int64)), np.uint64(1) << (tx & np.uint64(63))
+    bits.ravel()[word[runs]] = np.bitwise_or.reduceat(
+        np.uint64(1) << (tx & 63).astype(np.uint64), runs
     )
     supports = np.bitwise_count(bits[:-1]).sum(axis=1, dtype=np.int64)
     return TransactionBitmap(
@@ -118,7 +133,7 @@ def pack_transactions(transactions: Sequence[Iterable[int]]) -> TransactionBitma
         bits=bits,
         supports=supports,
         num_transactions=n_tx,
-        total_occurrences=int(vals.size),
+        total_occurrences=int(pairs.size),
     )
 
 

@@ -28,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from repro.perf.kmodes_kernels import (
-    factorize_columns,
+    code_sketches,
+    distinct_rows,
     match_counts,
     match_counts_coded,
     top_l_centers,
@@ -140,28 +141,23 @@ class CompositeKModes:
         return new_centers
 
     def _initial_centers(
-        self, sketches: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validate ``sketches`` and draw the starting centres: the
-        matrix, the chosen row per centre, and the ``(K, k, L)`` centres
-        with those rows in slot 0."""
-        sketches = np.ascontiguousarray(np.asarray(sketches, dtype=np.uint64))
-        if sketches.ndim != 2:
-            raise ValueError("sketches must be a 2-D matrix")
+        self, sketches: np.ndarray, distinct: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the starting centres: the chosen row per centre, and the
+        ``(K, k, L)`` centres with those rows in slot 0. ``distinct`` is
+        the first row of each distinct sketch row in lexicographic order
+        (``np.unique(sketches, axis=0, return_index=True)[1]``); the draw
+        indexes it, so its order is part of the result."""
         n, k = sketches.shape
-        if n == 0:
-            raise ValueError("cannot cluster an empty dataset")
         K = min(self.num_clusters, n)
-
         rng = np.random.default_rng(self.seed)
         # Initialise each centre from a distinct random row; prefer rows
         # with distinct sketches when available so initial centres differ.
-        _, unique_idx = np.unique(sketches, axis=0, return_index=True)
-        pool = unique_idx if unique_idx.size >= K else np.arange(n)
+        pool = distinct if distinct.size >= K else np.arange(n)
         chosen = rng.choice(pool, size=K, replace=pool.size < K)
         centers = np.full((K, k, self.top_l), _FILL, dtype=np.uint64)
         centers[:, :, 0] = sketches[chosen]
-        return sketches, chosen, centers
+        return chosen, centers
 
     def _iterate(
         self,
@@ -172,30 +168,41 @@ class CompositeKModes:
     ) -> KModesResult:
         """Assign/update rounds until the labels stop moving.
 
-        ``state`` is the centres in whatever space ``match(*state)`` (→
-        ``(n, K)`` match counts) and ``update(labels, *state)`` (→ the
-        next state) work in; its first element is always the
-        ``(K, k, L)`` value centres.
+        ``state`` is the centres in whatever space ``match(clusters,
+        *state)`` (→ ``(n, K)`` match counts, of which only the columns
+        of ``clusters`` can have changed) and ``update(labels, clusters,
+        *state)`` (→ the next state, in which only the centres of
+        ``clusters`` can have changed) work in; its first element is
+        always the ``(K, k, L)`` value centres. ``clusters`` is the
+        clusters a row left or joined in the last round — all of them
+        before the first match.
         """
         n, k = shape
+        K = state[0].shape[0]
         labels = np.full(n, -1, dtype=np.int64)
+        clusters = np.arange(K)
         converged = False
         iterations = 0
         for iterations in range(1, self.max_iter + 1):
-            counts = match(*state)
+            counts = match(clusters, *state)
             new_labels = np.argmax(counts, axis=1).astype(np.int64)
-            if np.array_equal(new_labels, labels):
+            moved = new_labels != labels
+            if not moved.any():
                 converged = True
                 break
+            touched = np.zeros(K + 1, dtype=bool)  # slot K: the unassigned -1
+            touched[new_labels[moved]] = True
+            touched[labels[moved]] = True
+            clusters = np.flatnonzero(touched[:K])
             labels = new_labels
-            state = update(labels, *state)
+            state = update(labels, clusters, *state)
 
         # On convergence the last pass already matched the final centres
         # (and reproduced the labels); out of rounds, its last act was
         # an update, so match once more.
         if not converged:
-            counts = match(*state)
-        matched = counts[np.arange(n), labels]
+            counts = match(clusters, *state)
+        matched = counts[np.arange(n), labels].astype(np.int64)
         return KModesResult(
             labels=labels,
             centers=state[0],
@@ -226,39 +233,67 @@ class CompositeKModes:
 
         The sketch matrix is factorised once (it never changes across
         iterations), then matched and its centres updated in that code
-        space.
+        space. From the second round on only the clusters a row left or
+        joined are re-ranked and re-matched; every other cluster's
+        centre, and so its column of match counts, is unchanged.
 
         Parameters
         ----------
         sketches:
             ``(n, k)`` matrix of categorical values (uint64 MinHash slots).
         """
-        sketches, chosen, centers = self._initial_centers(sketches)
-        codes, col_offsets, all_values = factorize_columns(sketches)
-        center_codes = np.full(centers.shape, -1, dtype=np.int64)
-        center_codes[:, :, 0] = codes[chosen] + col_offsets[:-1]
-        return self._iterate(
-            sketches.shape,
-            (centers, center_codes),
-            match=lambda _, center_codes: match_counts_coded(
-                codes, col_offsets, center_codes, chunk_bytes=self.chunk_bytes
-            ),
-            update=lambda labels, centers, center_codes: top_l_centers(
-                codes, col_offsets, all_values, labels, centers, center_codes,
-                top_l=self.top_l, fill=_FILL,
-            ),
+        sketches = _sketch_matrix(sketches)
+        coded = code_sketches(sketches, min(self.num_clusters, sketches.shape[0]))
+        chosen, centers = self._initial_centers(
+            sketches, distinct_rows(coded.column_ids, coded.col_offsets)
         )
+        center_ids = np.full(centers.shape, -1, dtype=np.int64)
+        center_ids[:, :, 0] = coded.column_ids[:, chosen].T
+        counts = np.empty(
+            (sketches.shape[0], centers.shape[0]),
+            dtype=np.uint8 if sketches.shape[1] <= 255 else np.int64,
+        )
+        member = np.empty(centers.shape[0], dtype=bool)
+
+        def match(clusters, _centers, center_ids):
+            counts[:, clusters] = match_counts_coded(
+                coded, center_ids[clusters], chunk_bytes=self.chunk_bytes
+            )
+            return counts
+
+        def update(labels, clusters, centers, center_ids):
+            member[:] = False
+            member[clusters] = True
+            return top_l_centers(
+                coded, labels, np.flatnonzero(member[labels]), centers, center_ids,
+                top_l=self.top_l, fill=_FILL,
+            )
+
+        return self._iterate(sketches.shape, (centers, center_ids), match, update)
 
     def fit_reference(self, sketches: np.ndarray) -> KModesResult:
         """:meth:`fit` in value space with the Python-loop matcher and
-        centre update — the oracle :meth:`fit` is tested against (same
-        initialisation, bit-identical labels, centres and cost)."""
-        sketches, _, centers = self._initial_centers(sketches)
+        centre update, every cluster every round — the oracle :meth:`fit`
+        is tested against (same initialisation, bit-identical labels,
+        centres and cost)."""
+        sketches = _sketch_matrix(sketches)
+        _, distinct = np.unique(sketches, axis=0, return_index=True)
+        _, centers = self._initial_centers(sketches, distinct)
         return self._iterate(
             sketches.shape,
             (centers,),
-            match=lambda centers: self._match_counts_reference(sketches, centers),
-            update=lambda labels, centers: (
+            match=lambda _clusters, centers: self._match_counts_reference(sketches, centers),
+            update=lambda labels, _clusters, centers: (
                 self._update_centers_reference(sketches, labels, centers),
             ),
         )
+
+
+def _sketch_matrix(sketches) -> np.ndarray:
+    """``sketches`` as a C-contiguous ``uint64`` matrix, or ``ValueError``."""
+    sketches = np.ascontiguousarray(np.asarray(sketches, dtype=np.uint64))
+    if sketches.ndim != 2:
+        raise ValueError("sketches must be a 2-D matrix")
+    if sketches.shape[0] == 0:
+        raise ValueError("cannot cluster an empty dataset")
+    return sketches

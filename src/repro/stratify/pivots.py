@@ -24,10 +24,18 @@ arrays wrap on overflow exactly where the scalar form masks with
 every pivot of every item in one call and hands MinHash the ragged
 batch ``(flat, offsets)`` directly, so no per-pivot Python call and no
 per-item ``set`` is ever built (a min-wise hash ignores duplicates
-anyway). :func:`tree_pivots` (the tree-mining workload's per-record
-conversion) collects the same triples and hashes one tree per call. The
-per-item ``__call__`` / ``extract_all`` forms return sets and are the
-reference the tests hold ``extract_flat`` to.
+anyway). The tree triples exist twice for the same reason.
+:func:`_append_tree_triples` builds one tree's in the interpreter and
+is the definition (:func:`tree_triples_reference` runs it over a
+batch); :func:`repro.perf.tree_kernels.tree_triples` builds every
+tree's at once in array passes, byte for byte the same, and is what
+``extract_flat`` and the tree-mining workload's ``count_records`` run —
+a batch it rejects is handed back to the definition, so a bad tree
+raises the same error either way. :func:`tree_pivots` (the tree-mining
+workload's per-record conversion inside the pool workers) still
+collects one tree's triples per call. The per-item ``__call__`` /
+``extract_all`` forms return sets and are the reference the tests hold
+``extract_flat`` to.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.perf.tree_kernels import InvalidTree, tree_triples
 from repro.stratify.prufer import _depths, _lca, _prufer, _validate_parent_array
 
 #: Size of the pivot universe; MinHash permutations operate modulo a
@@ -122,7 +131,8 @@ def _append_tree_triples(parent, labels, columns: tuple[list, list, list]) -> in
             second.append(lab[p])
             third.append(lab[q])
     # Parent-child label pairs guarantee coverage of every edge's labels,
-    # and give small trees a non-empty representation.
+    # and are the only pivots of a tree too small for a Prüfer pair (a
+    # one-node tree has none).
     for child, p in enumerate(par):
         if p >= 0:
             first.append(lab[p])
@@ -131,13 +141,45 @@ def _append_tree_triples(parent, labels, columns: tuple[list, list, list]) -> in
     return len(first) - before
 
 
+def tree_triples_reference(items) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`~repro.perf.tree_kernels.tree_triples` one tree at a time
+    (:func:`_append_tree_triples` per record) — the oracle the batch
+    kernel is held to, byte for byte and error for error."""
+    columns: tuple[list, list, list] = ([], [], [])
+    offsets = [0]
+    for parent, labels in items:
+        offsets.append(offsets[-1] + _append_tree_triples(parent, labels, columns))
+    first, second, third = (np.array(col, dtype=np.int64) for col in columns)
+    return first, second, third, np.array(offsets, dtype=np.int64)
+
+
+def _batch_tree_triples(items: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`~repro.perf.tree_kernels.tree_triples` of ``items``, with
+    the per-tree reference's errors: the first tree of a batch the
+    kernel rejects goes through :func:`_append_tree_triples`, which
+    raises its ``ValueError``; a batch that will not flatten into
+    ``int64`` goes through :func:`tree_triples_reference` whole, which
+    converts (or raises) as one tree at a time does."""
+    try:
+        return tree_triples(items)
+    except InvalidTree as bad:
+        if bad.index is None:
+            return tree_triples_reference(items)
+        parent, labels = items[bad.index]
+        _append_tree_triples(parent, labels, ([], [], []))
+        raise AssertionError(f"tree {bad.index} failed a batch check only") from None
+
+
 def tree_pivots(parent: Sequence[int], labels: Sequence[int]) -> set[int]:
     """Pivot set of one labelled tree.
 
     For consecutive Prüfer entries ``(p, q)`` the pivot is the label
     triple ``(label[lca(p,q)], label[p], label[q])`` hashed into the
-    universe; tiny trees (< 4 nodes) fall back to parent-child label
-    pairs so no tree maps to the empty set.
+    universe; every parent-child edge adds ``(label[parent],
+    label[child], 0)``, which covers every edge's labels and gives a
+    tree too small for a Prüfer pair (< 4 nodes) its only pivots. A
+    one-node tree has no edge and no pair, so it maps to the empty set
+    (and its sketch row is MinHash's empty-slot sentinel).
     """
     columns: tuple[list, list, list] = ([], [], [])
     _append_tree_triples(parent, labels, columns)
@@ -204,12 +246,10 @@ class PivotExtractor:
         ``flat`` is ``uint64`` pivot ids, except for ``"set"`` items,
         which pass through unhashed as ``int64``.
         """
-        offsets = [0]
         if self.kind == "tree":
-            columns: tuple[list, list, list] = ([], [], [])
-            for parent, labels in items:
-                offsets.append(offsets[-1] + _append_tree_triples(parent, labels, columns))
-            return pivot_ids(*columns), np.array(offsets, dtype=np.int64)
+            *columns, offsets = _batch_tree_triples(list(items))
+            return pivot_ids(*columns), offsets
+        offsets = [0]
         sized = [it if hasattr(it, "__len__") else tuple(it) for it in items]
         for it in sized:
             offsets.append(offsets[-1] + len(it))

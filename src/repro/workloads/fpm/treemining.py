@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.stratify.pivots import tree_pivots
+import numpy as np
+
+from repro.stratify.pivots import PivotExtractor, tree_pivots
 from repro.workloads.base import WorkloadResult
 from repro.workloads.fpm.apriori import AprioriMiner, LocalMiningWorkload
 
@@ -44,6 +46,12 @@ class TreeMiningWorkload(LocalMiningWorkload):
         super().__init__(AprioriMiner(min_support=min_support, max_len=max_len))
 
     def run(self, records: Sequence) -> WorkloadResult:
+        # The per-tree conversion is the tree miner's probed, billed
+        # work, so it stays per tree on purpose: the batch kernel that
+        # ``count_records`` uses would make the worker ≈ 4× cheaper and
+        # idle node 2 of the α=1 warm plan (ROADMAP item 5(a)). Once
+        # that check is replaced, phase 1 mines ``PreparedInput.counted``
+        # and this conversion goes (ROADMAP item 6).
         transactions, convert_work = trees_to_pivot_sets(records)
         out = self.miner.mine(transactions)
         return WorkloadResult(
@@ -57,4 +65,17 @@ class TreeMiningWorkload(LocalMiningWorkload):
         )
 
     def count_records(self, partition: Sequence) -> list[list[int]]:
-        return trees_to_pivot_sets(partition)[0]
+        """``trees_to_pivot_sets(partition)[0]`` from one batch of pivot
+        ids: one sort-and-dedupe of ``tree << 32 | id`` gives every
+        tree's sorted pivot set. Only ``prepare`` calls this; ``run``
+        keeps the per-tree conversion (see there)."""
+        flat, offsets = PivotExtractor("tree").extract_flat(partition)
+        trees = offsets.size - 1
+        tree = np.repeat(np.arange(trees, dtype=np.uint64), np.diff(offsets))
+        keys = np.sort(tree << np.uint64(32) | flat)
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        ids = (keys & np.uint64(0xFFFFFFFF)).tolist()
+        ends = np.cumsum(np.bincount((keys >> np.uint64(32)).astype(np.intp), minlength=trees))
+        return [ids[lo:hi] for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist())]

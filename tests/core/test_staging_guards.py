@@ -24,6 +24,7 @@ from repro.service.jobs import (
     build_workload,
     default_placement,
 )
+from repro.perf import tree_kernels
 from repro.stratify import pivots
 from repro.workloads.base import Workload
 
@@ -94,6 +95,7 @@ def test_warm_repeat_does_no_per_record_work_in_the_parent(engine, name, monkeyp
             codec.encode_record,
             codec.decode_record,
             pivots.tree_pivots,
+            tree_kernels.tree_triples,
         )
     }
     decodes = []
@@ -123,7 +125,7 @@ def test_warm_repeat_does_no_per_record_work_in_the_parent(engine, name, monkeyp
     assert spies["encode_record"] and spies["decode_record"]
     if name == "treemining":
         workload.count_records(items[:2])
-        assert len(spies["tree_pivots"]) == 2
+        assert len(spies["tree_triples"]) == 1  # one batch, not one call per tree
 
 
 def test_repeat_jobs_keep_one_pin_per_live_ref(engine):

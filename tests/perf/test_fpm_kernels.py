@@ -60,6 +60,38 @@ class TestPackTransactions:
         for item, support in zip(bm.items.tolist(), bm.supports.tolist()):
             assert support == sum(1 for s in sets if item in s)
 
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(min_value=-3, max_value=3),
+                    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                ),
+                max_size=8,
+            ),
+            max_size=140,  # past two 64-bit words of transactions
+        ),
+        st.sampled_from([list, tuple, set, iter]),
+    )
+    @example([[5, 5, 5], [], [-1, 2**63 - 1, -(2**63)]], iter)
+    @settings(max_examples=60, deadline=None)
+    def test_bitmap_is_the_per_transaction_set_definition(self, tx, container):
+        bm = pack_transactions([container(t) for t in tx])
+        sets = [set(t) for t in tx]
+        items = sorted(set().union(*sets))
+        assert bm.items.dtype == np.int64 and bm.items.tolist() == items
+        num_words = max(1, -(-len(tx) // 64))
+        assert bm.bits.dtype == np.uint64 and bm.bits.shape == (len(items) + 1, num_words)
+        expected = np.zeros(bm.bits.shape, dtype=np.uint64)
+        for t, s in enumerate(sets):
+            for item in s:
+                expected[items.index(item), t // 64] |= np.uint64(1) << np.uint64(t % 64)
+        assert bm.bits.tobytes() == expected.tobytes()  # the last row is the zero sentinel
+        assert bm.supports.dtype == np.int64
+        assert bm.supports.tolist() == [sum(item in s for s in sets) for item in items]
+        assert bm.num_transactions == len(tx)
+        assert bm.total_occurrences == sum(len(s) for s in sets)
+
     def test_chunked_candidate_supports_agree(self):
         rng = np.random.default_rng(0)
         tx = [rng.choice(20, size=rng.integers(1, 8)).tolist() for _ in range(300)]

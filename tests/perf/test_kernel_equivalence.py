@@ -12,7 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.perf.kmodes_kernels import factorize_columns, match_counts_coded, top_l_centers
+from repro.perf.kmodes_kernels import (
+    code_sketches,
+    distinct_rows,
+    factorize_columns,
+    match_counts_coded,
+    top_l_centers,
+)
 from repro.perf.minhash_kernels import as_uint64_elements, flatten_sets
 from repro.stratify.kmodes import _FILL, CompositeKModes
 from repro.stratify.minhash import EMPTY_SLOT, MinHasher
@@ -38,6 +44,20 @@ matrix_strategy = st.tuples(
 def _low_card_matrix(n, k, card, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, card, size=(n, k)).astype(np.uint64)
+
+
+#: ``matrix_strategy`` specs that drive ``fit``'s incremental update
+#: through its edge cases (``test_fit_examples_reach_their_edge_case``
+#: checks each still does).
+FIT_EXAMPLES = {
+    "k_exceeds_distinct_rows": (8, 2, 2, 33),
+    "one_row_moves": (7, 2, 4, 31),
+    "cluster_empties": (7, 3, 3, 74),
+}
+
+
+def _fit_kwargs(seed):
+    return dict(num_clusters=5, top_l=2, seed=seed % 1000, max_iter=30)
 
 
 class TestSketchBatchEquivalence:
@@ -138,11 +158,14 @@ class TestElementCoercion:
 class TestKModesEquivalence:
     @given(matrix_strategy, st.sampled_from([256, 8 * 1024 * 1024]))
     @example((1, 3, 1, 0), 256)  # one row; an empty matrix is rejected before dispatch
+    @example(FIT_EXAMPLES["k_exceeds_distinct_rows"], 256)
+    @example(FIT_EXAMPLES["one_row_moves"], 256)
+    @example(FIT_EXAMPLES["cluster_empties"], 256)
     @settings(max_examples=25, deadline=None)
     def test_fit_matches_reference(self, spec, chunk_bytes):
         n, k, card, seed = spec
         data = _low_card_matrix(n, k, card, seed)
-        kwargs = dict(num_clusters=5, top_l=2, seed=seed % 1000, max_iter=30)
+        kwargs = _fit_kwargs(seed)
         batched = CompositeKModes(chunk_bytes=chunk_bytes, **kwargs).fit(data)
         reference = CompositeKModes(**kwargs).fit_reference(data)
         assert np.array_equal(batched.labels, reference.labels)
@@ -151,12 +174,36 @@ class TestKModesEquivalence:
         assert batched.iterations == reference.iterations
         assert batched.converged == reference.converged
 
+    @pytest.mark.parametrize("case", sorted(FIT_EXAMPLES))
+    def test_fit_examples_reach_their_edge_case(self, case):
+        n, k, card, seed = FIT_EXAMPLES[case]
+        data = _low_card_matrix(n, k, card, seed)
+        km = CompositeKModes(**_fit_kwargs(seed))
+        rounds = []
+        update = km._update_centers_reference
+
+        def spy(sketches, labels, centers):
+            rounds.append(labels.copy())
+            return update(sketches, labels, centers)
+
+        km._update_centers_reference = spy
+        km.fit_reference(data)
+        moved = [int((a != b).sum()) for a, b in zip(rounds, rounds[1:])]
+        emptied = [set(a.tolist()) - set(b.tolist()) for a, b in zip(rounds, rounds[1:])]
+        reached = {
+            "k_exceeds_distinct_rows": np.unique(data, axis=0).shape[0] < min(5, n) and moved,
+            "one_row_moves": 1 in moved,
+            "cluster_empties": any(emptied),
+        }
+        assert reached[case]
+
     @given(matrix_strategy, st.integers(min_value=1, max_value=7), st.sampled_from([1, 64, 1 << 23]))
     @settings(max_examples=40, deadline=None)
     def test_code_space_kernels_match_the_python_oracles(self, spec, num_clusters, chunk_bytes):
         # One step of fit, driven by hand: random labels (ties, and with
         # 7 clusters over few rows, empty clusters and n < K), stale
-        # centres to keep, then a match against the updated centres.
+        # centres to keep, then a match against the updated centres —
+        # for every cluster, and for a subset given its members only.
         # chunk_bytes=1 is one row per block; 64 a handful.
         n, k, card, seed = spec
         data = _low_card_matrix(n, k, card, seed)
@@ -165,54 +212,83 @@ class TestKModesEquivalence:
             data[rng.integers(0, n)] = EMPTY_SLOT  # an empty set's sketch row
         top_l = 1 + seed % 3
         oracle = CompositeKModes(num_clusters=num_clusters, top_l=top_l)
-        codes, col_offsets, all_values = factorize_columns(data)
+        coded = code_sketches(data, num_clusters)
+        ids = coded.column_ids.T
         labels = rng.integers(0, num_clusters, size=n).astype(np.int64)
         stale = np.full((num_clusters, k, top_l), _FILL, dtype=np.uint64)
-        stale_codes = np.full(stale.shape, -1, dtype=np.int64)
+        stale_ids = np.full(stale.shape, -1, dtype=np.int64)
         seed_rows = rng.integers(0, n, size=num_clusters)
         stale[:, :, 0] = data[seed_rows]
-        stale_codes[:, :, 0] = codes[seed_rows] + col_offsets[:-1]
+        stale_ids[:, :, 0] = ids[seed_rows]
 
-        centers, center_codes = top_l_centers(
-            codes, col_offsets, all_values, labels, stale, stale_codes, top_l=top_l, fill=_FILL
+        centers, center_ids = top_l_centers(
+            coded, labels, np.arange(n), stale, stale_ids, top_l=top_l, fill=_FILL
         )
         assert np.array_equal(centers, oracle._update_centers_reference(data, labels, stale))
-        # The code array is the value array, slot for slot.
-        assert np.array_equal(center_codes >= 0, centers != _FILL)
-        assert np.array_equal(all_values[center_codes[center_codes >= 0]], centers[centers != _FILL])
+        # The id array is the value array, slot for slot.
+        assert np.array_equal(center_ids >= 0, centers != _FILL)
+        assert np.array_equal(coded.values[center_ids[center_ids >= 0]], centers[centers != _FILL])
 
-        got = match_counts_coded(codes, col_offsets, center_codes, chunk_bytes=chunk_bytes)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, oracle._match_counts_reference(data, centers))
+        subset = rng.random(num_clusters) < 0.5
+        part, part_ids = top_l_centers(
+            coded, labels, np.flatnonzero(subset[labels]), stale, stale_ids, top_l=top_l, fill=_FILL
+        )
+        assert np.array_equal(part[subset], centers[subset])
+        assert np.array_equal(part_ids[subset], center_ids[subset])
+        assert np.array_equal(part[~subset], stale[~subset])
+        assert np.array_equal(part_ids[~subset], stale_ids[~subset])
+
+        expected = oracle._match_counts_reference(data, centers)
+        got = match_counts_coded(coded, center_ids, chunk_bytes=chunk_bytes)
+        assert np.array_equal(got, expected)
+        columns = np.flatnonzero(subset)
+        got = match_counts_coded(coded, center_ids[columns], chunk_bytes=chunk_bytes)
+        assert np.array_equal(got, expected[:, columns])
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([1, 3, 300, 2**40]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(5, 3, 1, 0)  # every row the same
+    @settings(max_examples=40, deadline=None)
+    def test_factorised_ids_and_distinct_rows_match_numpy(self, n, k, card, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, card, size=(n, k)).astype(np.uint64)
+        data[rng.random((n, k)) < 0.1] = EMPTY_SLOT  # the top of uint64
+        column_ids, col_offsets, values = factorize_columns(data)
+        for attr in range(k):
+            uniq, inverse = np.unique(data[:, attr], return_inverse=True)
+            assert np.array_equal(values[col_offsets[attr] : col_offsets[attr + 1]], uniq)
+            assert np.array_equal(column_ids[attr] - col_offsets[attr], inverse)
+        expected = np.unique(data, axis=0, return_index=True)[1]
+        assert np.array_equal(distinct_rows(column_ids, col_offsets), expected)
 
     def test_matcher_sums_more_than_255_attributes(self):
         # Byte lanes hold at most 255, so attributes are summed in slabs.
         data = _low_card_matrix(9, 600, 2, seed=4)
-        codes, col_offsets, _ = factorize_columns(data)
+        coded = code_sketches(data, 3)
         centers = np.full((3, 600, 2), _FILL, dtype=np.uint64)
         centers[:, :, 0] = data[:3]
-        center_codes = np.full(centers.shape, -1, dtype=np.int64)
-        center_codes[:, :, 0] = codes[:3] + col_offsets[:-1]
-        got = match_counts_coded(codes, col_offsets, center_codes)
+        center_ids = np.full(centers.shape, -1, dtype=np.int64)
+        center_ids[:, :, 0] = coded.column_ids[:, :3].T
+        got = match_counts_coded(coded, center_ids)
         assert np.array_equal(got, CompositeKModes()._match_counts_reference(data, centers))
         assert got.max() == 600
 
     def test_top_l_raises_rather_than_wrap_int64(self):
-        # Two rows, one attribute — and a claimed cardinality of 2**61,
-        # which with the row and group bits no longer fits a sort key.
-        codes = np.zeros((2, 1), dtype=np.int64)
-        col_offsets = np.array([0, 1 << 61], dtype=np.int64)
-        old = np.full((2, 1, 1), _FILL, dtype=np.uint64)
-        with pytest.raises(OverflowError, match="int64"):
+        # Two rows, one attribute — and 2**64 clusters, which with the
+        # row bit no longer fit a 64-bit sort key.
+        data = np.zeros((2, 1), dtype=np.uint64)
+        with pytest.raises(OverflowError, match="64 bits"):
+            code_sketches(data, 2**64)
+        coded = code_sketches(data, 2)
+        old = np.full((4, 1, 1), _FILL, dtype=np.uint64)
+        with pytest.raises(ValueError, match="at most 2 clusters"):
             top_l_centers(
-                codes,
-                col_offsets,
-                np.zeros(1, dtype=np.uint64),
-                np.zeros(2, dtype=np.int64),
-                old,
-                np.full(old.shape, -1, dtype=np.int64),
-                top_l=1,
-                fill=_FILL,
+                coded, np.zeros(2, dtype=np.int64), np.arange(2), old,
+                np.full(old.shape, -1, dtype=np.int64), top_l=1, fill=_FILL,
             )
 
     def test_unconverged_fit_costs_the_final_centres(self):

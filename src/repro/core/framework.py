@@ -211,11 +211,27 @@ class ParetoPartitioner:
 
     # -- pipeline stages ---------------------------------------------------
 
-    def prepare(self, items: Sequence[Any], workload: Workload) -> PreparedInput:
-        """Stratify, profile and build the optimizer (the one-time cost)."""
+    def prepare(
+        self,
+        items: Sequence[Any],
+        workload: Workload,
+        stratification: Stratification | None = None,
+    ) -> PreparedInput:
+        """Stratify, profile and build the optimizer (the one-time cost).
+
+        Pass a precomputed ``stratification`` (from :meth:`stratifier`'s
+        ``stratify`` on the same items) to skip stratifying — the
+        service builds it in a separate process.
+        """
         items = list(items)
+        if stratification is not None and stratification.num_items != len(items):
+            raise ValueError(
+                f"stratification labels {stratification.num_items} items, "
+                f"not {len(items)}"
+            )
         with obs.span("pipeline.prepare", items=len(items), kind=self.kind):
-            stratification = self.stratifier().stratify(items)
+            if stratification is None:
+                stratification = self.stratifier().stratify(items)
             sampler = ProgressiveSampler(engine=self.engine, seed=self.seed)
             profiling = sampler.profile(workload, items, stratification)
             dirty = self.engine.cluster.dirty_power_coefficients()

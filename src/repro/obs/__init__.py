@@ -60,6 +60,7 @@ __all__ = [
     "disable",
     "enabled",
     "reset",
+    "reset_after_fork",
     "span",
     "emit",
     "get_tracer",
@@ -116,6 +117,20 @@ def reset() -> None:
     """Clear all collected spans and metric instruments."""
     _tracer.reset()
     _metrics.reset()
+
+
+def reset_after_fork() -> None:
+    """Fresh, empty collectors for a forked child process.
+
+    A forked child inherits the parent's tracer and registry, locks and
+    live sink included, and a lock that another parent thread held at
+    the fork stays held for ever in the child. Replacing both objects,
+    rather than :func:`reset`, which takes those locks, is safe whatever
+    was held.
+    """
+    global _tracer, _metrics
+    _tracer = Tracer()
+    _metrics = MetricsRegistry()
 
 
 def get_tracer() -> Tracer:

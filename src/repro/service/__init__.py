@@ -12,7 +12,7 @@ long-lived process serves sustained multi-tenant traffic:
   results, graceful drain;
 - :mod:`repro.service.http` — stdlib HTTP front end
   (submit/status/result/cancel/healthz/metrics);
-- :mod:`repro.service.client` — urllib client for the API.
+- :mod:`repro.service.client` — keep-alive stdlib client for the API.
 
 Quick start (in-process)::
 

@@ -1,7 +1,10 @@
-"""Tiny urllib client for the service HTTP API.
+"""Tiny stdlib client for the service HTTP API.
 
 Used by ``repro submit`` and the end-to-end benchmark; kept
-dependency-free (``urllib.request``) like the rest of the repo. A 429
+dependency-free (``http.client``) like the rest of the repo. Each
+calling thread keeps one HTTP/1.1 connection to the service and reuses
+it for every request, so a poll costs one round trip, not a TCP
+handshake plus a round trip. A 429
 backpressure response is **not** an exception — it comes back as a
 normal :class:`ServiceResponse` with ``status == 429`` and the
 ``retry_after_s`` hint, because rejected-with-hint is an expected
@@ -10,10 +13,13 @@ answer under load, not a client error.
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,46 +55,103 @@ class ServiceResponse:
         return None if header is None else float(header)
 
 
+def _hung_up(sock: socket.socket | None) -> bool:
+    """An idle keep-alive socket has nothing to read unless the server
+    closed it (EOF or reset), so a readable one is dead."""
+    if sock is None:
+        return True
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _response(status: int, raw: bytes, headers: dict[str, str]) -> ServiceResponse:
+    if 200 <= status < 300:
+        return ServiceResponse(status, json.loads(raw.decode("utf-8") or "{}"), headers)
+    # 4xx/5xx still carry a JSON body (rejections, 404s, ...).
+    text = raw.decode("utf-8", errors="replace")
+    try:
+        body = json.loads(text or "{}")
+    except ValueError:
+        body = {"error": text}
+    return ServiceResponse(status, body, headers)
+
+
 class ServiceClient:
-    """Blocking JSON client bound to one service base URL."""
+    """Blocking JSON client bound to one service base URL.
+
+    Thread-safe: every thread gets its own connection, so two threads
+    never interleave requests on one socket.
+    """
 
     def __init__(self, base_url: str, timeout_s: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        url = urllib.parse.urlsplit(self.base_url)
+        self._host = url.hostname or "localhost"
+        self._port = url.port or 80
+        self._prefix = url.path
+        self._local = threading.local()
 
     # -- transport ----------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, opened now if it has none or the
+        server closed it while it sat idle."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None and _hung_up(conn.sock):
+            self.close()
+            conn = None
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout_s
+            )
+            conn.connect()
+            self._local.conn = conn
+        return conn
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request opens
+        a new one)."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
 
     def _request(
         self, method: str, path: str, payload: dict[str, Any] | None = None
     ) -> ServiceResponse:
         data = None if payload is None else json.dumps(payload).encode("utf-8")
-        req = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return ServiceResponse(
-                    status=resp.status,
-                    body=json.loads(resp.read().decode("utf-8") or "{}"),
-                    headers=dict(resp.headers.items()),
-                )
-        except urllib.error.HTTPError as exc:
-            # 4xx/5xx still carry a JSON body (rejections, 404s, ...).
-            raw = exc.read().decode("utf-8", errors="replace")
+        headers = {"Content-Type": "application/json"} if data else {}
+        # One retry, and only where a repeat cannot run anything twice:
+        # nothing was sent yet, or the request is an idempotent GET.
+        for _ in range(2):
             try:
-                body = json.loads(raw or "{}")
-            except ValueError:
-                body = {"error": raw}
-            return ServiceResponse(
-                status=exc.code, body=body, headers=dict(exc.headers.items())
-            )
-        except urllib.error.URLError as exc:
-            raise ServiceUnavailableError(
-                f"service at {self.base_url} unreachable: {exc.reason}"
-            ) from exc
+                conn = self._connection()
+            except OSError as exc:
+                error: Exception = exc
+                continue
+            try:
+                try:
+                    conn.request(method, self._prefix + path, body=data, headers=headers)
+                except (BrokenPipeError, ConnectionResetError):
+                    # The server may have answered and hung up before
+                    # reading the whole body (a 413): read that answer.
+                    pass
+                resp = conn.getresponse()
+                raw = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                self.close()
+                error = exc
+                if method == "GET":
+                    continue
+                break
+            if resp.will_close:
+                self.close()
+            return _response(resp.status, raw, dict(resp.headers.items()))
+        raise ServiceUnavailableError(
+            f"service at {self.base_url} unreachable: {error}"
+        ) from error
 
     # -- API ----------------------------------------------------------------
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import socket
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -57,6 +58,14 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        if self.server.stopped.is_set():
+            # A request that reached a kept-alive connection after the
+            # stop is dropped unanswered, as a closed port would.
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     def log_message(self, fmt: str, *args: Any) -> None:
         log_event(
@@ -262,6 +271,41 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
+class _TrackingServer(ThreadingHTTPServer):
+    """Remembers its open connections so :meth:`ServiceHTTPServer.stop`
+    can end the idle keep-alive ones; otherwise a client's kept
+    connection would still be served after the stop."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.stopped = threading.Event()
+        self._open_lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        """Refuse further requests and shut the read side of every open
+        connection: a handler waiting for the next request reads EOF and
+        hangs up, while one mid-response still finishes it."""
+        self.stopped.set()
+        with self._open_lock:
+            open_now = list(self._open)
+        for sock in open_now:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
+
+
 class ServiceHTTPServer:
     """Owns a :class:`ThreadingHTTPServer` bound to a manager.
 
@@ -272,7 +316,7 @@ class ServiceHTTPServer:
     def __init__(self, manager: JobManager, host: str = "127.0.0.1", port: int = 8642):
         handler = type("BoundHandler", (_Handler,), {"manager": manager})
         self.manager = manager
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd = _TrackingServer((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -304,9 +348,11 @@ class ServiceHTTPServer:
         self._httpd.serve_forever(poll_interval=0.05)
 
     def stop(self) -> None:
-        """Stop accepting connections (does not drain the manager)."""
+        """Stop accepting connections and end the kept-alive ones (does
+        not drain the manager)."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.end_connections()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

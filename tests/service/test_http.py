@@ -19,8 +19,8 @@ import pytest
 
 import repro.obs as obs
 from repro.obs.live import enable_live
-from repro.service.client import ServiceClient
-from repro.service.http import ServiceHTTPServer
+from repro.service.client import ServiceClient, ServiceUnavailableError
+from repro.service.http import ServiceHTTPServer, _Handler
 from repro.service.jobs import JobState
 from repro.service.manager import JobManager, ServiceConfig
 
@@ -292,3 +292,98 @@ class TestConcurrentClients:
         assert set(results) <= {202, 429}
         assert 202 in results
         assert manager.stats()["peak_queue_depth"] <= manager.config.max_queue_depth
+
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """Counts the TCP connections the server accepts (one handler
+    ``setup`` per connection)."""
+    accepted: list[int] = []
+    setup = _Handler.setup
+
+    def counting_setup(handler):
+        accepted.append(1)
+        setup(handler)
+
+    monkeypatch.setattr(_Handler, "setup", counting_setup)
+    return accepted
+
+
+class TestClientTransport:
+    def test_one_connection_carries_every_request(self, immediate, connections):
+        client, _manager = immediate
+        job_id = client.submit({}).body["job_id"]
+        assert client.wait(job_id, timeout_s=10.0).body["state"] == "SUCCEEDED"
+        for _ in range(10):
+            assert client.status(job_id).status == 200
+            assert client.result(job_id).status == 200
+        assert client.submit({}).status == 202
+        assert len(connections) == 1
+
+    def test_connection_close_answer_makes_the_next_call_reconnect(
+        self, immediate, connections
+    ):
+        client, _manager = immediate
+        assert client.healthz().status == 200
+        too_big = client._request("POST", "/v1/jobs", {"pad": "x" * (1 << 20)})
+        assert too_big.status == 413
+        assert too_big.headers["Connection"] == "close"
+        assert len(connections) == 1
+        assert client.healthz().status == 200
+        assert client.healthz().status == 200
+        assert len(connections) == 2
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_call_after_the_server_stopped_is_unavailable(self, method):
+        manager = JobManager(ImmediateExecutor(), ServiceConfig(concurrency=1))
+        server = ServiceHTTPServer(manager, port=0).start()
+        client = ServiceClient(server.url, timeout_s=2.0)
+        assert client.healthz().status == 200  # leaves a kept-alive connection
+        server.stop()
+        with pytest.raises(ServiceUnavailableError):
+            client._request(method, "/v1/jobs" if method == "POST" else "/healthz", {})
+        manager.drain(timeout_s=10.0)
+
+    def test_threads_sharing_a_client_get_a_connection_each(
+        self, immediate, connections
+    ):
+        client, _manager = immediate
+        jobs = [client.submit({"seed": i}).body["job_id"] for i in range(2)]
+        for job_id in jobs:
+            client.wait(job_id, timeout_s=10.0)
+        mixed: list[str] = []
+        start = threading.Barrier(2)
+
+        def poll(job_id):
+            start.wait(timeout=5.0)
+            for _ in range(40):
+                body = client.status(job_id).body
+                if body.get("job_id") != job_id:
+                    mixed.append(f"{job_id} answered with {body}")
+
+        threads = [threading.Thread(target=poll, args=(j,)) for j in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20.0)
+        assert not mixed
+        assert len(connections) == 3  # the main thread's plus one per poller
+
+    def test_a_post_is_never_sent_twice(self, immediate, monkeypatch):
+        client, _manager = immediate
+        assert client.healthz().status == 200
+        hits = {"POST": 0, "GET": 0}
+
+        def hang_up(handler):
+            # Read the request, then drop the connection unanswered.
+            hits[handler.command] += 1
+            handler.close_connection = True
+
+        monkeypatch.setattr(_Handler, "_submit", hang_up)
+        monkeypatch.setattr(_Handler, "_healthz", hang_up)
+        with pytest.raises(ServiceUnavailableError):
+            client.submit({})
+        assert hits["POST"] == 1
+        with pytest.raises(ServiceUnavailableError):
+            client.healthz()
+        assert hits["GET"] == 2  # a GET is retried once

@@ -4,7 +4,8 @@ PR 3's telemetry is only trustworthy if every pipeline stage shows up
 in the trace: an uninstrumented stage is invisible latency and
 unattributed energy. This rule pins the contract — the public stage
 entry points of :mod:`repro.core.framework`, the engine
-``run_job``/``profile_all_nodes`` paths in :mod:`repro.cluster.engines`,
+``run_job``/``profile_samples``/``profile_all_nodes`` paths in
+:mod:`repro.cluster.engines`,
 and the job-service ``submit``/``run_record``/``drain`` entry points in
 :mod:`repro.service.manager` must emit an ``obs`` span, and the live
 plane's one entry point, ``publish_span`` in
@@ -33,7 +34,7 @@ DEFAULT_REQUIRED: Mapping[str, frozenset[str]] = {
     "repro.core.framework": frozenset(
         {"prepare", "plan", "execute", "execute_fpm", "measure_frontier"}
     ),
-    "repro.cluster.engines": frozenset({"run_job", "profile_all_nodes"}),
+    "repro.cluster.engines": frozenset({"run_job", "profile_samples", "profile_all_nodes"}),
     # The job service's admission/run/drain path: an uninstrumented
     # submit or run means queue waits and per-job energy never reach
     # the trace, which defeats the service section of `repro obs report`.
@@ -70,8 +71,8 @@ def _called_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
 class SpanCoverageChecker(Checker):
     rule_id = "SPAN-COVERAGE"
     description = (
-        "stage entry point / engine run_job-profile_all_nodes path emits no "
-        "obs span (invisible latency and unattributed energy in traces)"
+        "stage entry point / engine run_job-profile_samples-profile_all_nodes "
+        "path emits no obs span (invisible latency and unattributed energy in traces)"
     )
 
     def __init__(self, required: Mapping[str, frozenset[str]] | None = None):

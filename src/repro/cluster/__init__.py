@@ -10,7 +10,7 @@ subpackage reproduces that environment in-process:
 - :func:`~repro.cluster.cluster.paper_cluster` — the 4-type preset;
 - execution engines that run partitioned workloads either in
   deterministic simulated time (work units ÷ speed) or on a real
-  process pool with wall-clock scaling.
+  process pool, billing each task's worker CPU time ÷ speed.
 """
 
 from repro.cluster.node import Node, NodeType, PAPER_NODE_TYPES

@@ -13,7 +13,8 @@ content — in ``multiprocessing.shared_memory`` segments. Tasks then
 carry only a :class:`PartitionRef` — segment name, offset, lengths — a
 few dozen bytes regardless of partition size. Workers attach each
 segment once per process (:func:`fetch_partition` keeps a module-level
-attachment cache) and unpickle straight out of the mapping: the pickle
+attachment cache, bounded like the store) and unpickle straight out of
+the mapping: the pickle
 frame is read through a memoryview and out-of-band buffers stay
 zero-copy. A staged partition
 (:class:`~repro.kvstore.codec.FramedPartition`) is two flat arrays
@@ -353,14 +354,31 @@ def _digest(frame: bytes, buffers: list[memoryview]) -> bytes:
 
 # -- worker side ------------------------------------------------------------
 
-#: Per-process attachment cache: each worker maps a segment once and
-#: keeps it for the process lifetime (unpickled objects may hold
-#: zero-copy views into the mapping, so it must not be closed early).
+#: Per-process attachment cache, least recently used first: a worker
+#: maps a segment once and keeps at most :data:`SEGMENT_CACHE_LIMIT`
+#: mappings (the store's own bound), so the pages of segments the
+#: parent has since unlinked are released instead of pinned for the
+#: worker's lifetime.
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 
+def _release_over_limit() -> None:
+    """Close the least recently used attachments beyond the limit. A
+    mapping that unpickled objects still view (``close`` raises
+    ``BufferError``) stays attached until a later call finds it free."""
+    excess = len(_ATTACHED) - SEGMENT_CACHE_LIMIT
+    for name in list(_ATTACHED)[:max(0, excess)]:
+        try:
+            _ATTACHED[name].close()
+        except BufferError:
+            continue
+        # Per-process cache: pool workers are single-threaded.  # repro: noqa[RACE-GLOBAL]
+        del _ATTACHED[name]
+
+
 def _attach(name: str) -> shared_memory.SharedMemory:
-    seg = _ATTACHED.get(name)
+    # Per-process cache by design: pool workers are single-threaded.  # repro: noqa[RACE-GLOBAL]
+    seg = _ATTACHED.pop(name, None)
     if seg is None:
         # Python 3.11 registers even attachments with the resource
         # tracker. Under the fork start method (Linux, what the
@@ -369,10 +387,10 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         # unlink() performs the one matching unregister — no extra
         # bookkeeping needed, and no tracker KeyError/leak warnings.
         seg = shared_memory.SharedMemory(name=name, create=False)
-        # Per-process cache by design: pool workers are single-threaded, and a
-        # duplicate attach under a theoretical race is idempotent (same
-        # segment, same name).  # repro: noqa[RACE-GLOBAL]
-        _ATTACHED[name] = seg
+    # Re-inserted as the most recent; a duplicate attach under a
+    # theoretical race is idempotent (same segment, same name).  # repro: noqa[RACE-GLOBAL]
+    _ATTACHED[name] = seg
+    _release_over_limit()
     return seg
 
 

@@ -9,16 +9,18 @@ is defined once — in three steps:
   measurement on the assigned node. An engine states only those two
   halves — ``_measure`` (one raw figure per partition) and ``_runtime``
   (a raw figure priced on one node) — so a job and a profiling probe
-  (:meth:`ExecutionEngine.profile_all_nodes`, one measurement priced on
-  every node) cannot disagree on what a node costs.
+  (:meth:`ExecutionEngine.profile_samples`, the planner's whole probe
+  ladder measured in one ``_measure`` and priced on every node) cannot
+  disagree on what a node costs.
   :class:`SimulatedEngine` runs in-process and derives runtime
   deterministically as ``overhead/speed + work_units/(unit_rate·speed)``
   — the busy-loop emulation in closed form, exactly reproducible.
   :class:`ProcessPoolEngine` executes on a real, persistent
   ``ProcessPoolExecutor`` (created lazily, reused across jobs and
-  profiling probes) and scales measured wall time by the node's speed
-  factor, exercising genuine parallel execution (pickling, process
-  startup, concurrent scheduling).
+  profiling probes) and scales the worker's CPU time of each task by
+  the node's speed factor, exercising genuine parallel execution
+  (pickling, process startup, concurrent scheduling) while billing
+  only the work, not whatever else shared the box.
 - **schedule** (``_schedule``): place the measured work on per-node
   timelines as events ``(partition_id, node_id, start_s, runtime_s,
   result, wasted)``. The base policy queues a node's partitions back
@@ -214,10 +216,15 @@ class ExecutionEngine(abc.ABC):
 
     @abc.abstractmethod
     def _measure(
-        self, workload: Workload, partitions: Sequence[Sequence[Any]]
+        self,
+        workload: Workload,
+        partitions: Sequence[Sequence[Any]],
+        one_shot: bool = False,
     ) -> list[tuple[WorkloadResult, float]]:
         """Run the workload once per partition: ``(result, raw)`` in
-        order, where ``raw`` is what :meth:`_runtime` prices."""
+        order, where ``raw`` is what :meth:`_runtime` prices.
+        ``one_shot`` partitions (probe samples) are never seen again,
+        so an engine need not cache them."""
 
     @abc.abstractmethod
     def _runtime(self, node: Node, raw: float) -> float:
@@ -235,16 +242,34 @@ class ExecutionEngine(abc.ABC):
 
     def profile(self, workload: Workload, records: Sequence[Any], node_id: int) -> float:
         """Runtime of one sample at ``node_id``. The planner probes with
-        :meth:`profile_all_nodes`; the end-to-end benchmark's harness
+        :meth:`profile_samples`; the end-to-end benchmark's harness
         forks a fresh pool with this call."""
         ((_, runtime),) = self._execute_partitions(workload, [records], [node_id])
         return runtime
+
+    def profile_samples(
+        self, workload: Workload, samples: Sequence[Sequence[Any]]
+    ) -> list[list[float]]:
+        """The probe ladder: ``times[j][node]`` is sample ``j``'s runtime
+        on each node (node-id order). Every sample is measured once, all
+        in one :meth:`_measure`, and priced on every node."""
+        with obs.span(
+            "engine.profile_samples",
+            engine=type(self).__name__,
+            nodes=self.cluster.num_nodes,
+            samples=len(samples),
+            records=sum(len(s) for s in samples),
+        ):
+            measured = self._measure(workload, samples, one_shot=True)
+            return [[self._runtime(node, raw) for node in self.cluster] for _, raw in measured]
 
     def profile_all_nodes(
         self, workload: Workload, records: Sequence[Any]
     ) -> list[float]:
         """Runtime of one sample on *every* node (node-id order): the
-        sample is measured once and priced on each node."""
+        one-sample view of :meth:`profile_samples`. Unlike a ladder
+        sample, ``records`` may repeat, so a pool engine publishes it to
+        its shared store like a job's partition."""
         with obs.span(
             "engine.profile_all_nodes",
             engine=type(self).__name__,
@@ -332,7 +357,7 @@ class SimulatedEngine(ExecutionEngine):
             raise ValueError("unit_rate must be positive")
         self.unit_rate = unit_rate
 
-    def _measure(self, workload, partitions):
+    def _measure(self, workload, partitions, one_shot=False):
         results = [workload.run(records_of(partition)) for partition in partitions]
         return [(result, result.work_units) for result in results]
 
@@ -361,7 +386,7 @@ def _pool_task(
     # Fetch and decode outside the timer: on the eager path the payload
     # was unpickled by the executor before this function started, and a
     # staged partition is framed bytes until this point either way, so
-    # measured wall time covers only workload.run.
+    # the billed figure covers only workload.run.
     fetch_span = (
         tracer.span("worker.fetch", segment=payload.segment, bytes=payload.total_bytes)
         if shm and tracer is not None
@@ -373,27 +398,34 @@ def _pool_task(
         records = records_of(staged)
         fetch_span.set_attr("decode_s", time.perf_counter() - t0)
     span = tracer.span("worker.run", items=len(records), shm=shm) if tracer is not None else NOOP_SPAN
-    t0 = time.perf_counter()
+    # Billed on the worker's CPU clock (every thread of this process):
+    # what the work cost, not how long it waited for a core beside
+    # another worker or a busy parent. The span keeps the wall time.
     with span:
+        c0 = time.process_time()
         result = workload.run(records)
-    wall = time.perf_counter() - t0
+        cpu = time.process_time() - c0
     # Worker spans ship back through the normal task return path; the
     # parent re-parents them under the span that launched the job.
-    return result, wall, tuple(tracer.finished_spans()) if tracer is not None else ()
+    return result, cpu, tuple(tracer.finished_spans()) if tracer is not None else ()
 
 
 class ProcessPoolEngine(ExecutionEngine):
-    """Real parallel engine: wall time scaled by each node's speed factor.
+    """Real parallel engine: worker CPU time scaled by each node's speed
+    factor.
 
     Partition workloads run concurrently in worker processes (capped at
-    ``max_workers``); the measured wall time of each task is divided by
-    the assigned node's speed factor and the per-task overhead added,
-    emulating the busy-loop slowdown without burning cores on spin
-    loops.
+    ``max_workers``); the CPU time a worker spent in each task's
+    ``workload.run`` is divided by the assigned node's speed factor and
+    the per-task overhead added, emulating the busy-loop slowdown
+    without burning cores on spin loops. CPU time, not wall time: two
+    tasks sharing a core, or a busy parent process, would otherwise
+    bill each other's waits, so a probe's price and a job's bill would
+    depend on what ran beside them.
 
     The worker pool is **persistent**: it is created lazily on the
     first job and reused by every subsequent :meth:`run_job` /
-    :meth:`profile_all_nodes` call, so process fork/spawn cost is paid
+    :meth:`profile_samples` call, so process fork/spawn cost is paid
     once per engine, not once per job. A worker's first run of a
     workload kind costs more than its later ones, so the first time a
     pool meets a kind it runs that call's smallest partition once per
@@ -411,7 +443,10 @@ class ProcessPoolEngine(ExecutionEngine):
     partition arrives either as a plain record list or as a staged
     :class:`~repro.kvstore.codec.FramedPartition`; the worker turns the
     latter into records (``records_of``) before the task timer starts.
-    :meth:`shutdown` unlinks the segments. On a host with no usable
+    Probe-ladder samples (:meth:`profile_samples`) never repeat, so they
+    skip the store and ride in the task tuple, dispatched largest first
+    so the workers finish together. :meth:`shutdown` unlinks the
+    segments. On a host with no usable
     shared memory (the store raises ``OSError``) the engine pickles
     partitions into every task tuple instead, from then on. The store
     keeps at most :data:`~repro.cluster.dataplane.SEGMENT_CACHE_LIMIT`
@@ -484,7 +519,7 @@ class ProcessPoolEngine(ExecutionEngine):
         transparently builds a fresh pool (and store).
 
         With ``wait=True`` (the default) the call **drains first**: it
-        blocks until every in-flight :meth:`run_job` / :meth:`profile_all_nodes`
+        blocks until every in-flight :meth:`run_job` / :meth:`profile_samples`
         on other threads has finished, then unlinks — so concurrent
         callers never observe their segments disappearing mid-fetch.
         ``wait=False`` tears down immediately (interpreter exit, broken
@@ -536,13 +571,13 @@ class ProcessPoolEngine(ExecutionEngine):
             except BaseException:  # repro: noqa[SILENT-EXCEPT] — logging itself is gone this deep into interpreter teardown
                 pass
 
-    def _measure(self, workload, partitions):
+    def _measure(self, workload, partitions, one_shot=False):
         # Every pool round-trip is bracketed by the in-flight counter so
         # a concurrent shutdown(wait=True) drains us before unlinking.
         with self._lifecycle:
             self._inflight += 1
         try:
-            return self._map_tasks(workload, partitions)
+            return self._map_tasks(workload, partitions, one_shot)
         finally:
             with self._lifecycle:
                 self._inflight -= 1
@@ -569,9 +604,16 @@ class ProcessPoolEngine(ExecutionEngine):
         list(pool.map(_pool_task, [task] * workers))
 
     def _map_tasks(
-        self, workload: Workload, partitions: Sequence[Sequence[Any]]
+        self, workload: Workload, partitions: Sequence[Sequence[Any]], one_shot: bool
     ) -> list[tuple[WorkloadResult, float]]:
-        """``(result, wall seconds of workload.run)`` per partition."""
+        """``(result, CPU seconds of workload.run)`` per partition.
+
+        ``one_shot`` partitions skip the shared store (publishing
+        samples that never repeat would only pin segments the LRU keeps
+        for jobs) and go out largest first, so the last task to start
+        is the shortest and the workers finish together; results come
+        back in partition order either way.
+        """
         pool = self._ensure_pool()
         workers = self.max_workers or os.cpu_count() or 1
         # Hand each worker a few tasks per round-trip: one pickle per
@@ -587,7 +629,7 @@ class ProcessPoolEngine(ExecutionEngine):
             p if isinstance(p, (list, FramedPartition)) else list(p) for p in partitions
         ]
         payloads: list = parts
-        if self._shm_usable:
+        if self._shm_usable and not one_shot:
             try:
                 payloads = self._ensure_store().put_many(parts)
             except OSError as exc:
@@ -598,11 +640,16 @@ class ProcessPoolEngine(ExecutionEngine):
                     error=type(exc).__name__, detail=str(exc),
                 )
                 self._shm_usable = False
-        tasks = [(workload, p, trace) for p in payloads]
+        order = range(len(parts))
+        if one_shot:
+            order = sorted(order, key=lambda i: len(parts[i]), reverse=True)
+        tasks = [(workload, payloads[i], trace) for i in order]
         try:
             smallest = min(range(len(parts)), key=lambda i: len(parts[i]))
             self._warm(pool, (workload, payloads[smallest], False), workers)
-            raw = list(pool.map(_pool_task, tasks, chunksize=chunksize))
+            raw = [None] * len(tasks)
+            for i, task_out in zip(order, pool.map(_pool_task, tasks, chunksize=chunksize)):
+                raw[i] = task_out
         except BrokenProcessPool:
             # A dead worker poisons the whole executor; discard it so
             # the next job starts clean, then surface the failure.
@@ -612,8 +659,8 @@ class ProcessPoolEngine(ExecutionEngine):
         out = []
         tracer = obs.get_tracer() if obs.enabled() else None
         parent = tracer.current_span_id() if tracer is not None else None
-        for result, wall, worker_spans in raw:
+        for result, cpu, worker_spans in raw:
             if tracer is not None and worker_spans:
                 tracer.adopt(worker_spans, parent_id=parent)
-            out.append((result, wall))
+            out.append((result, cpu))
         return out

@@ -14,15 +14,16 @@ Typical use::
     report = pp.execute(dataset.items, AprioriWorkload(0.05), HET_AWARE)
     print(report.makespan_s, report.total_dirty_energy_j)
 
-``prepare`` (stratify + profile + build optimizer + serialize the
-dataset) is the one-time cost the paper amortizes over repeated runs;
+``prepare`` (stratify + serialize the dataset + profile + build
+optimizer) is the one-time cost the paper amortizes over repeated runs;
 it can be reused across strategies and α values on the same
 dataset/workload pair.
 
 **Staging.** A partition is staged once, as the KV codec's framed
 bytes (:class:`~repro.kvstore.codec.FramedPartition`): ``prepare``
-serializes the dataset into columnar form, each run frames its index
-arrays out of that by a vectorised gather, the buffer optionally hops
+serializes the dataset into columnar form, the profiling probes and
+each run frame their index arrays out of that by a vectorised gather,
+the buffer optionally hops
 through the KV middleware (``stage_via_kv``: two round trips per
 partition), and the engine ships it to the worker, which decodes it —
 the parent process never touches a record. Phase 2 of a two-phase
@@ -232,11 +233,12 @@ class ParetoPartitioner:
         with obs.span("pipeline.prepare", items=len(items), kind=self.kind):
             if stratification is None:
                 stratification = self.stratifier().stratify(items)
+            # Staged first: the probe samples are gathers of it too.
+            staged = encode_dataset(self.kind, items)
             sampler = ProgressiveSampler(engine=self.engine, seed=self.seed)
-            profiling = sampler.profile(workload, items, stratification)
+            profiling = sampler.profile(workload, items, stratification, staged)
             dirty = self.engine.cluster.dirty_power_coefficients()
             optimizer = ParetoOptimizer(models=profiling.models, dirty_coeffs=dirty)
-            staged = encode_dataset(self.kind, items)
             transactions = workload.count_records(items)
             counted = (
                 staged if transactions is items else encode_dataset("set", transactions)

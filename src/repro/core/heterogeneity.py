@@ -25,6 +25,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.cluster.engines import ExecutionEngine
+from repro.kvstore.codec import EncodedDataset
 from repro.stratify.stratifier import Stratification
 from repro.workloads.base import Workload
 
@@ -185,19 +186,25 @@ class ProgressiveSampler:
         workload: Workload,
         items: Sequence[Any],
         stratification: Stratification,
+        staged: EncodedDataset | None = None,
     ) -> ProfilingReport:
         """Fit one time model per cluster node.
 
         Samples are *stratified* samples of ``items`` (Section III-E:
         the stratifier feeds the estimator payload-representative
-        samples), re-drawn per fraction with a deterministic RNG.
+        samples), re-drawn per fraction with a deterministic RNG. Pass
+        the dataset already ``staged`` (``encode_dataset`` of ``items``)
+        to draw each sample as a gather of it, as a job's partitions
+        are, instead of as a list of records.
         """
         rng = np.random.default_rng(self.seed)
         n_items = len(items)
         if n_items == 0:
             raise ValueError("cannot profile an empty dataset")
+        if staged is not None and len(staged) != n_items:
+            raise ValueError(f"staged dataset holds {len(staged)} items, not {n_items}")
         with obs.span("stage.profile", items=n_items) as profile_span:
-            report = self._profile(workload, items, stratification, rng, n_items)
+            report = self._profile(workload, items, stratification, staged, rng, n_items)
             profile_span.set_attr("sample_sizes", list(report.sample_sizes))
             profile_span.set_attr("nodes", report.num_nodes)
             return report
@@ -207,12 +214,17 @@ class ProgressiveSampler:
         workload: Workload,
         items: Sequence[Any],
         stratification: Stratification,
+        staged: EncodedDataset | None,
         rng: np.random.Generator,
         n_items: int,
     ) -> ProfilingReport:
         num_nodes = self.engine.cluster.num_nodes
+
+        def draw(idx: np.ndarray) -> Sequence[Any]:
+            return staged.gather(idx) if staged is not None else [items[i] for i in idx]
+
         sizes: list[int] = []
-        samples: list[list[Any]] = []
+        samples: list[Sequence[Any]] = []
         for fraction in auto_fractions(n_items):
             target = max(MIN_SAMPLE, int(round(fraction * n_items)))
             target = min(target, n_items)
@@ -223,20 +235,20 @@ class ProgressiveSampler:
             if sizes and idx.size <= sizes[-1]:
                 continue
             sizes.append(int(idx.size))
-            samples.append([items[i] for i in idx])
+            samples.append(draw(idx))
         if len(sizes) < 2:
             # Dataset too small for distinct fractions: probe half and full.
             half = max(1, n_items // 2)
             idx = rng.choice(n_items, size=half, replace=False)
             sizes = [half, n_items]
-            samples = [[items[i] for i in idx], list(items)]
+            samples = [draw(idx), draw(np.arange(n_items))]
 
-        # One probe per (sample, node); engines that can derive all nodes
-        # from a single run do so inside profile_all_nodes. Samples run
-        # smallest-first. A worker's first run of a kind is slow, and on
-        # the cheapest probe that would flatten the slope, so a measured
-        # engine warms its workers on each kind before timing it.
-        per_sample = [self.engine.profile_all_nodes(workload, s) for s in samples]
+        # The whole ladder in one engine call: every sample measured
+        # once and priced on every node. A worker's first run of a kind
+        # is slow, and on the cheapest probe that would flatten the
+        # slope, so a measured engine warms its workers on each kind
+        # before timing it.
+        per_sample = self.engine.profile_samples(workload, samples)
         models: list[LinearTimeModel] = []
         r2: list[float] = []
         times: list[list[float]] = []

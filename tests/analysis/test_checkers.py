@@ -481,6 +481,31 @@ class TestSpanCoverage:
         )
         assert run_checker(SpanCoverageChecker(self.REQUIRED), abstract) == []
 
+    def test_true_positive_uninstrumented_probe_ladder(self):
+        # The ladder is the planner's only probe path: without a span
+        # of its own, profiling time vanishes into its caller's.
+        bad = mod(
+            """
+            import repro.obs as obs
+
+            class Engine:
+                def run_job(self, workload, partitions):
+                    with obs.span("engine.run_job"):
+                        return self._measure(workload, partitions)
+
+                def profile_samples(self, workload, samples):
+                    return self._measure(workload, samples, one_shot=True)
+
+                def profile_all_nodes(self, workload, records):
+                    with obs.span("engine.profile_all_nodes"):
+                        return self._measure(workload, [records])
+            """,
+            "src/repro/cluster/engines.py",
+        )
+        findings = run_checker(SpanCoverageChecker(), bad)
+        assert [f.rule for f in findings] == ["SPAN-COVERAGE"]
+        assert "Engine.profile_samples" in findings[0].message
+
     def test_default_contract_covers_service_manager(self):
         required = SpanCoverageChecker().required["repro.service.manager"]
         assert required == frozenset({"submit", "run_record", "drain"})

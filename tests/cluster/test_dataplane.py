@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from repro.cluster import dataplane
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.dataplane import (
     SEGMENT_CACHE_LIMIT,
@@ -216,6 +217,28 @@ class TestCacheLimit:
                 store.put([i] * 10)
             assert store.live_segments == SEGMENT_CACHE_LIMIT
             assert store.stats.segments_evicted == 2
+
+    def test_worker_attachments_are_bounded(self, monkeypatch):
+        # A worker keeps at most SEGMENT_CACHE_LIMIT mappings, least
+        # recently used first out, so pages of segments the parent has
+        # unlinked are not pinned for the worker's lifetime. A mapping
+        # that a fetched object still views cannot close and stays.
+        monkeypatch.setattr(dataplane, "_ATTACHED", {})
+        extra = 4
+        with SharedPartitionStore(cache_limit=SEGMENT_CACHE_LIMIT + extra + 1) as store:
+            viewed_ref = store.put(np.arange(512))
+            viewed = fetch_partition(viewed_ref)  # zero-copy view into its mapping
+            refs = [store.put([i] * 10) for i in range(SEGMENT_CACHE_LIMIT + extra)]
+            assert [fetch_partition(r) for r in refs] == [[i] * 10 for i in range(len(refs))]
+            attached = list(dataplane._ATTACHED)
+            assert attached == [viewed_ref.segment] + [r.segment for r in refs[extra:]]
+            assert np.array_equal(viewed, np.arange(512))
+            del viewed
+            assert fetch_partition(refs[-1]) == [len(refs) - 1] * 10
+            assert list(dataplane._ATTACHED) == [r.segment for r in refs[extra:]]
+            # A segment released by the worker attaches again on demand.
+            assert fetch_partition(refs[0]) == [0] * 10
+            assert len(dataplane._ATTACHED) == SEGMENT_CACHE_LIMIT
 
     def test_rejects_non_positive_limit(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,22 @@ class OtherLoggingWorkload(LoggingWorkload):
     name = "logging-other"
 
 
+class BurningWorkload(CountingWorkload):
+    """Counting plus a busy loop of ``spin`` steps per record: CPU time
+    in proportion to the partition's size."""
+
+    name = "burning"
+
+    def __init__(self, spin: int = 2000):
+        self.spin = spin
+
+    def run(self, records: Sequence[int]) -> WorkloadResult:
+        acc = 0
+        for i in range(self.spin * len(records)):
+            acc += i & 1
+        return super().run(records)
+
+
 def logged_runs(path) -> list[int]:
     return sorted(int(line) for line in path.read_text().split())
 
@@ -329,3 +345,65 @@ class TestProcessPoolEngine:
             job = engine.run_job(CountingWorkload(), [[1], [2]], assignment=[0, 1])
             assert job.merged_output == 3
         assert engine._pool is None
+
+
+def raw_seconds(cluster, node_id: int, runtime_s: float) -> float:
+    """Undo a pool engine's pricing: ``runtime = (overhead + raw) / speed``."""
+    node = cluster[node_id]
+    return runtime_s * node.speed_factor - node.task_overhead_s
+
+
+class TestCpuBilling:
+    """A pool task is billed the CPU time its worker spent in
+    ``workload.run``, so a wait (a sleep here; a busy neighbour or a
+    core shared with the parent in production) costs nothing."""
+
+    def test_a_sleeping_task_bills_no_wall_time(self, cluster):
+        with ProcessPoolEngine(cluster, max_workers=1) as engine:
+            (task,) = engine.run_job(SlowWorkload(), [[1, 2, 3]], assignment=[0]).tasks
+            probe = engine.profile_samples(SlowWorkload(), [[1, 2, 3]])[0][0]
+        assert task.output == 6
+        assert raw_seconds(cluster, 0, task.runtime_s) < 0.005
+        assert raw_seconds(cluster, 0, probe) < 0.005
+
+
+class TestProbeLadder:
+    def test_simulated_ladder_is_the_per_sample_probes(self, engine):
+        samples = [list(range(n)) for n in (40, 5, 17)]
+        ladder = engine.profile_samples(CountingWorkload(), samples)
+        assert ladder == [engine.profile_all_nodes(CountingWorkload(), s) for s in samples]
+
+    def test_one_measure_per_ladder_in_sample_order(self, cluster, monkeypatch):
+        sizes = (10, 300, 60)
+        with ProcessPoolEngine(cluster, max_workers=2) as engine:
+            calls = []
+            measure = engine._measure
+
+            def spy(workload, partitions, one_shot=False):
+                calls.append((len(partitions), one_shot))
+                return measure(workload, partitions, one_shot)
+
+            monkeypatch.setattr(engine, "_measure", spy)
+            times = engine.profile_samples(BurningWorkload(), [[1] * n for n in sizes])
+        assert calls == [(3, True)]
+        assert len(times) == 3 and all(len(t) == cluster.num_nodes for t in times)
+        # Sample order, not dispatch order: per-sample CPU follows size.
+        raw = [raw_seconds(cluster, 0, t[0]) for t in times]
+        assert raw[1] > raw[2] > raw[0]
+
+    def test_samples_dispatch_largest_first(self, cluster, tmp_path):
+        # One worker runs tasks in dispatch order: the warm-up run of the
+        # smallest sample, then the ladder largest first.
+        log = tmp_path / "runs"
+        with ProcessPoolEngine(cluster, max_workers=1) as engine:
+            engine.profile_samples(LoggingWorkload(str(log)), [[1] * n for n in (2, 7, 4)])
+        assert [int(line) for line in log.read_text().split()] == [2, 7, 4, 2]
+
+    def test_ladder_leaves_the_shared_store_alone(self, cluster):
+        with ProcessPoolEngine(cluster, max_workers=2) as engine:
+            engine.run_job(CountingWorkload(), [[1, 2], [3]], assignment=[0, 1])
+            before = engine.dataplane_stats
+            before = (before.serializations, before.segments_created, before.refs_issued)
+            engine.profile_samples(CountingWorkload(), [[1] * n for n in (3, 9, 5)])
+            after = engine.dataplane_stats
+        assert (after.serializations, after.segments_created, after.refs_issued) == before

@@ -16,8 +16,12 @@ from repro.core.heterogeneity import (
     ProgressiveSampler,
     auto_fractions,
 )
+from repro.core.framework import ParetoPartitioner
 from repro.core.optimizer import ParetoOptimizer
+from repro.data import load_dataset
+from repro.kvstore.codec import encode_dataset
 from repro.stratify.stratifier import Stratification
+from repro.workloads.catalog import WORKLOADS
 from repro.workloads.base import Workload, WorkloadResult
 
 
@@ -199,3 +203,72 @@ class TestProgressiveSampler:
             QuadraticWorkload(), items, flat_stratification(1000)
         )
         assert min(quad.r_squared) < min(lin.r_squared) + 1e-9
+
+
+class TestProbeLadder:
+    """The sampler probes with one :meth:`profile_samples` call over
+    samples gathered from the staged dataset; on the deterministic
+    engine that must be the report the per-sample record-list probes
+    gave."""
+
+    #: ``(workload, dataset, size_scale)`` → the sample sizes and the
+    #: speed-1 node's times that one ``profile_all_nodes`` call per
+    #: record-list sample measured (seed 3, support 0.3).
+    PINNED = {
+        ("treemining", "swissprot", 0.2): (
+            [8, 12, 16, 20], [0.59378, 0.52116, 0.527, 0.53316]
+        ),
+        ("fpgrowth", "rcv1", 0.1): (
+            [8, 10, 14, 19, 24], [0.5112, 0.51666, 0.515, 0.5169, 0.5178]
+        ),
+        ("webgraph", "uk", 0.05): (
+            [8, 10, 15, 20, 25], [0.5902000000000001, 0.6348, 0.7718, 0.9044, 0.988]
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: c[0])
+    def test_staged_ladder_reproduces_the_record_probes(self, case):
+        name, dataset, scale = case
+        spec = WORKLOADS[name]
+        data = load_dataset(dataset, size_scale=scale, seed=3)
+        engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=spec.unit_rate)
+        stratification = ParetoPartitioner(engine, kind=data.kind, seed=3).stratifier().stratify(
+            data.items
+        )
+        sampler = ProgressiveSampler(engine=engine, seed=3)
+        workload = spec.build(0.3)
+        staged = sampler.profile(
+            workload, data.items, stratification, encode_dataset(data.kind, data.items)
+        )
+        records = sampler.profile(workload, data.items, stratification)
+        assert (staged.sample_sizes, staged.times[3]) == self.PINNED[case]
+        assert staged.sample_sizes == records.sample_sizes
+        assert staged.times == records.times
+        assert staged.models == records.models
+        assert staged.r_squared == records.r_squared
+
+    def test_one_ladder_call_per_profile(self, monkeypatch):
+        engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=100.0)
+        calls = []
+        ladder = engine.profile_samples
+
+        def spy(workload, samples):
+            calls.append([len(s) for s in samples])
+            return ladder(workload, samples)
+
+        monkeypatch.setattr(engine, "profile_samples", spy)
+        monkeypatch.setattr(engine, "profile_all_nodes", None)  # not the probe path
+        report = ProgressiveSampler(engine=engine, seed=0).profile(
+            LinearWorkload(), list(range(400)), flat_stratification(400)
+        )
+        assert calls == [report.sample_sizes]
+
+    def test_staged_dataset_must_match_items(self):
+        engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=100.0)
+        with pytest.raises(ValueError, match="staged dataset holds 3 items"):
+            ProgressiveSampler(engine=engine).profile(
+                LinearWorkload(),
+                [[1], [2]],
+                flat_stratification(2),
+                encode_dataset("set", [[1], [2], [3]]),
+            )

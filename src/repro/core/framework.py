@@ -60,7 +60,10 @@ from repro.workloads.fpm.apriori import CandidateCountWorkload, LocalMiningWorkl
 class PreparedInput:
     """Cached one-time work: stratification, profiling, optimizer and
     the serialized dataset. Never mutated after ``prepare`` built it,
-    so threads may run jobs over one instance concurrently."""
+    so threads may run jobs over one instance concurrently. The one
+    state that grows is the optimizer's memo of its front, one entry
+    per ``(N, floor)``, filled idempotently: repeat plans and budget
+    plans on one input are lookups in it."""
 
     items: list[Any]
     stratification: Stratification

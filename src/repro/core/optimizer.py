@@ -16,8 +16,9 @@ form: at a given makespan ``v`` the cheapest feasible plan fills nodes
 in ascending ``k_i·m_i`` (joules per extra item) up to their capacity
 ``(v − c_i)/m_i`` — a fractional knapsack — so the vertices sit at the
 makespans where the ``j`` cheapest nodes, all full, hold exactly ``N``.
-:meth:`ParetoOptimizer.front` enumerates them once; the paper's
-scalarised ``min α·v + (1−α)·Σ k_i f_i(x_i)`` is then a choice among
+:meth:`ParetoOptimizer.front` enumerates them once per ``(N, floor)``
+and the optimizer keeps them; the paper's scalarised
+``min α·v + (1−α)·Σ k_i f_i(x_i)`` is then a choice among
 them (:meth:`ParetoOptimizer.solve` — a weighted-sum LP optimum is
 always a vertex; ``α = 1`` is Het-Aware), and a dirty-energy budget is
 a point on one segment between two of them (:mod:`repro.core.budget`).
@@ -26,6 +27,7 @@ Sizes are rounded to integers with the largest-remainder method.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -83,6 +85,10 @@ def predict_dirty_energy(
 #: One plan before rounding: (makespan, dirty energy, real sizes).
 _Vertex = tuple[float, float, np.ndarray]
 
+#: What one ``(N, floor)`` enumerates: each band of α as ``(highest α,
+#: its plan)``, highest first, and the distinct plans, fastest first.
+_Enumerated = tuple[list[tuple[float, PartitionPlan]], list[PartitionPlan]]
+
 
 #: No caller states α to more digits than this.
 _UNSTATABLE = 1e-12
@@ -96,7 +102,9 @@ def _tie_alpha(faster: _Vertex, greener: _Vertex) -> float:
 
 @dataclass
 class ParetoOptimizer:
-    """The partition-sizing solver: one exact front, read three ways.
+    """The partition-sizing solver: one front, read three ways, and
+    enumerated once per ``(N, floor)``: the models never change, so the
+    plans are kept and every later read is a lookup.
 
     Parameters
     ----------
@@ -112,6 +120,12 @@ class ParetoOptimizer:
     _m: np.ndarray = field(init=False, repr=False)
     _c: np.ndarray = field(init=False, repr=False)
     _least_capable_first: np.ndarray = field(init=False, repr=False)
+    #: ``(N, floor)`` → what it enumerates, filled by ``setdefault``: two
+    #: threads sharing the optimizer may both enumerate a key, and both
+    #: then read the one entry kept.
+    _enumerated: dict[tuple[int, int], _Enumerated] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.models) == 0:
@@ -257,6 +271,20 @@ class ParetoOptimizer:
             served.append((above, min(rivals, key=lambda w: w[:2])))
         return served
 
+    def _enumerate(self, total_items: int, min_items: int) -> _Enumerated:
+        """The bands and the front of ``(total_items, min_items)`` as
+        integer plans, computed on the first call and kept."""
+        kept = self._enumerated.get((total_items, min_items))
+        if kept is not None:
+            return kept
+        bands = self._bands(total_items, min_items)
+        distinct = {v[:2]: v[2] for _, v in bands}
+        enumerated = (
+            [(above, self.plan_from(v[2], total_items)) for above, v in bands],
+            [self.plan_from(distinct[point], total_items) for point in sorted(distinct)],
+        )
+        return self._enumerated.setdefault((total_items, min_items), enumerated)
+
     def front(self, total_items: int, min_items: int = 0) -> list[PartitionPlan]:
         """The Pareto-optimal plans, fastest first, greenest last.
 
@@ -275,8 +303,9 @@ class ParetoOptimizer:
         ValueError
             For non-positive item counts or a negative floor.
         """
-        distinct = {v[:2]: v[2] for _, v in self._bands(total_items, min_items)}
-        return [self.plan_from(distinct[point], total_items) for point in sorted(distinct)]
+        _, plans = self._enumerate(total_items, min_items)
+        # Copies: the kept plans are shared by every later caller.
+        return [dataclasses.replace(plan, sizes=plan.sizes.copy()) for plan in plans]
 
     def solve(self, total_items: int, alpha: float, min_items: int = 0) -> PartitionPlan:
         """The front vertex minimising ``α·T + (1−α)·E`` over the nodes
@@ -291,7 +320,7 @@ class ParetoOptimizer:
         """
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        bands = self._bands(total_items, min_items)
+        bands, _ = self._enumerate(total_items, min_items)
         # α's band is the lowest one that still reaches up to it.
-        _, _, x = next((v for above, v in reversed(bands) if above >= alpha), bands[0][1])
-        return self.plan_from(x, total_items, alpha)
+        plan = next((plan for above, plan in reversed(bands) if above >= alpha), bands[0][1])
+        return dataclasses.replace(plan, sizes=plan.sizes.copy(), alpha=alpha)

@@ -1,5 +1,7 @@
 """Integration-grade unit tests for the ParetoPartitioner framework."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,18 +65,27 @@ class TestPlanning:
             assert s == 0 or s >= min(floor, prepared.num_items // 4) - 1
 
     def test_plan_and_budget_plan_see_the_same_floor(self, pp, prepared, monkeypatch):
-        floors = []
+        """Plans at several α and a budget plan on one prepared input
+        read one front, enumerated once, at the framework's floor."""
+        # A fresh optimizer: the fixture's is shared, its memo already filled.
+        optimizer = ParetoOptimizer(prepared.optimizer.models, prepared.optimizer.dirty_coeffs)
+        prepared = dataclasses.replace(prepared, optimizer=optimizer)
+        enumerated = []
         bands = ParetoOptimizer._bands  # what solve and the budget planner both read
 
         def spy(self, total_items, min_items):
-            floors.append(min_items)
+            enumerated.append((total_items, min_items))
             return bands(self, total_items, min_items)
 
         monkeypatch.setattr(ParetoOptimizer, "_bands", spy)
-        pp.plan(prepared, HET_AWARE)
-        pp.plan_for_budget(prepared, max_dirty_energy_j=1e12)
+        plans = [pp.plan(prepared, Strategy("x", alpha)) for alpha in (1.0, 0.997, 0.9, 0.0)]
+        budgeted = pp.plan_for_budget(prepared, max_dirty_energy_j=1e12)
+        plans.append(pp.plan(prepared, HET_AWARE))
         wanted = min(prepared.profiling.sample_sizes)
-        assert floors == [min(wanted, prepared.num_items // 4)] * 2
+        assert enumerated == [(prepared.num_items, min(wanted, prepared.num_items // 4))]
+        front = [plan.sizes.tolist() for plan in optimizer.front(*enumerated[0])]
+        assert all(plan.sizes.tolist() in front for plan in plans)
+        assert budgeted.sizes.tolist() == front[0]  # an unbinding budget: the fastest
 
     def test_placement_matches_plan_sizes(self, pp, prepared):
         for strategy in (STRATIFIED, HET_AWARE, RANDOM):

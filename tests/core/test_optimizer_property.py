@@ -8,6 +8,9 @@ floor above N/p. ``scipy``'s ``linprog`` is the independent oracle; the
 production path does not import it.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -156,6 +159,97 @@ class TestFrontProperties:
         a = ParetoOptimizer(models, coeffs).front(total, floor)
         b = ParetoOptimizer(models, coeffs).front(total, floor)
         assert [p.sizes.tolist() for p in a] == [p.sizes.tolist() for p in b]
+
+
+ALPHAS = (1.0, 0.999, 0.997, 0.99, 0.9, 0.5, 0.0)
+
+
+def plan_tuple(plan):
+    """A plan as comparable values (α as text: a front plan's is NaN)."""
+    return (
+        plan.sizes.tolist(), str(plan.alpha), plan.predicted_makespan_s,
+        plan.predicted_dirty_energy_j,
+    )
+
+
+class TestEnumeratedOnce:
+    """The front is enumerated once per ``(N, floor)`` and kept; what a
+    warm optimizer hands out is what a fresh one computes."""
+
+    @given(instance_strategy, floor_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_kept_plans_equal_fresh_ones(self, instance, floor):
+        models, coeffs, total, _alpha = instance
+        warm = ParetoOptimizer(models, coeffs)
+        warm.front(total, floor)
+        for alpha in ALPHAS:
+            fresh = ParetoOptimizer(models, coeffs).solve(total, alpha, floor)
+            assert plan_tuple(warm.solve(total, alpha, floor)) == plan_tuple(fresh)
+        fresh_front = ParetoOptimizer(models, coeffs).front(total, floor)
+        assert [plan_tuple(p) for p in warm.front(total, floor)] == [
+            plan_tuple(p) for p in fresh_front
+        ]
+
+    def test_one_enumeration_per_key(self, monkeypatch):
+        calls = []
+        bands = ParetoOptimizer._bands
+
+        def spy(self, total_items, min_items):
+            calls.append((total_items, min_items))
+            return bands(self, total_items, min_items)
+
+        monkeypatch.setattr(ParetoOptimizer, "_bands", spy)
+        models = [LinearTimeModel(1e-3 / s, 0.02 / s) for s in (4.0, 3.0, 2.0, 1.0)]
+        opt = ParetoOptimizer(models, [193.0, 51.0, 0.0, 0.0])
+        for alpha in ALPHAS:
+            opt.solve(4800, alpha, min_items=240)
+        opt.front(4800, 240)
+        opt.solve(4800, 1.0)
+        opt.front(4800)
+        assert calls == [(4800, 240), (4800, 0)]
+
+    def test_handed_out_plans_are_copies(self):
+        models = [LinearTimeModel(1e-3 / s, 0.02 / s) for s in (4.0, 3.0, 2.0, 1.0)]
+        opt = ParetoOptimizer(models, [193.0, 51.0, 0.0, 0.0])
+        front = [plan_tuple(p) for p in opt.front(4800, 240)]
+        solved = [plan_tuple(opt.solve(4800, a, 240)) for a in ALPHAS]
+        for plan in opt.front(4800, 240) + [opt.solve(4800, a, 240) for a in ALPHAS]:
+            plan.sizes[:] = 0
+            plan.predicted_makespan_s = -1.0
+        assert [plan_tuple(p) for p in opt.front(4800, 240)] == front
+        assert [plan_tuple(opt.solve(4800, a, 240)) for a in ALPHAS] == solved
+
+    def test_threads_sharing_an_optimizer_get_identical_plans(self):
+        """More threads than cores, switching often: each may enumerate
+        the key, and all then read the one entry kept."""
+        speeds = (4.0, 3.0, 2.0, 1.0) * 2
+        models = [LinearTimeModel(1e-3 / s, 0.02 / s) for s in speeds]
+        coeffs = [440.0, 100.0, 50.0, 80.0, 430.0, 200.0, 60.0, 60.0]
+        expected = [plan_tuple(ParetoOptimizer(models, coeffs).solve(6000, a, 300)) for a in ALPHAS]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = ParetoOptimizer(models, coeffs)
+                start = threading.Barrier(4)
+                seen: list[list] = [[] for _ in range(4)]
+
+                def work(slot):
+                    start.wait()
+                    seen[slot] += [plan_tuple(shared.solve(6000, a, 300)) for a in ALPHAS]
+                    seen[slot].append([plan_tuple(p) for p in shared.front(6000, 300)])
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(s == seen[0] for s in seen)
+                assert seen[0][: len(ALPHAS)] == expected
+                assert list(shared._enumerated) == [(6000, 300)]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def billed_as_planned(instance):

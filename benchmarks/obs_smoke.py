@@ -8,14 +8,17 @@ contract of the ``repro.obs`` subsystem:
   partition/execute) plus every executed task;
 - per-task energy attributes in the trace sum (within 1e-6) to the
   run report's job totals;
-- the metrics snapshot carries job/task/energy series;
+- the metrics snapshot carries job/task/energy series, and is exactly
+  the fold of the exported trace (``fold_span`` over ``read_spans``
+  into a fresh registry) — one stream, not two;
 - ``repro obs report`` renders the per-stage / per-node tables.
 
 It also gates the **live telemetry plane**:
 
 - the tracer-sink marginal cost per span, measured directly, must keep
   the live plane under 2% of the smoke pipeline's wall time when
-  enabled, and add ~nothing when the plane is detached;
+  enabled, and add ~nothing when the plane is detached (the µs per
+  span, fold included, is printed for both);
 - a live-enabled service must serve ``GET /live`` and render through
   ``repro obs top --once`` (snapshot + rendered frame become
   artifacts).
@@ -43,8 +46,10 @@ from repro.bench.harness import StrategyRunner
 from repro.cli import main as repro_main
 from repro.core.strategies import HET_AWARE
 from repro.obs.energy import energy_split
+from repro.obs.fold import fold_span
 from repro.obs.live import enable_live, reset_live
 from repro.obs.live.dashboard import fetch_live
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import report_from_file
 from repro.workloads.fpm.apriori import AprioriWorkload
 
@@ -78,7 +83,7 @@ def run_smoke(out: pathlib.Path) -> dict:
     span_count = obs.export_jsonl(jsonl)
     obs.export_chrome(chrome)
     snapshot = obs.metrics_snapshot()
-    (out / "metrics.json").write_text(json.dumps(snapshot, indent=2) + "\n")
+    (out / "metrics_snapshot.json").write_text(json.dumps(snapshot, indent=2) + "\n")
     (out / "metrics.prom").write_text(obs.render_prometheus())
     obs.disable()
 
@@ -101,7 +106,8 @@ def run_smoke(out: pathlib.Path) -> dict:
         split["dirty_energy_j"], report.total_dirty_energy_j, abs_tol=1e-6
     )
 
-    # 3. Metrics snapshot carries the expected series.
+    # 3. Metrics snapshot carries the expected series, and is the fold
+    #    of the trace it came with.
     for prefix in (
         "repro_jobs_total",
         "repro_tasks_total",
@@ -109,6 +115,10 @@ def run_smoke(out: pathlib.Path) -> dict:
         "repro_energy_joules_total",
     ):
         assert any(k.startswith(prefix) for k in snapshot), prefix
+    folded = MetricsRegistry()
+    for span in spans:
+        fold_span(folded, span)
+    assert folded.snapshot() == snapshot, "metrics are not the fold of the trace"
 
     # 4. The report command renders both tables.
     assert repro_main(["obs", "report", str(jsonl)]) == 0
@@ -129,7 +139,8 @@ def run_smoke(out: pathlib.Path) -> dict:
 
 
 def _per_span_cost(n: int = 20000) -> float:
-    """Seconds per ``tracer.emit`` of a fully-attributed task span."""
+    """Seconds per ``tracer.emit`` of a fully-attributed task span,
+    its fold into the registry included."""
     tracer = obs.get_tracer()
     t0 = time.perf_counter()
     for _ in range(n):
@@ -153,15 +164,21 @@ def run_live_overhead(pipeline_spans: int, pipeline_wall_s: float) -> dict:
     reset_live()
     obs.enable()
     obs.reset()
-    _per_span_cost(2000)  # warm the emit path before measuring
-    off_s = min(_per_span_cost() for _ in range(3))
-    plane = enable_live()
-    obs.reset()
-    on_s = min(_per_span_cost() for _ in range(3))
-    plane.detach()
-    obs.enable()
-    obs.reset()
-    detached_s = min(_per_span_cost() for _ in range(3))
+    _per_span_cost()  # warm the emit path (and the allocator) first
+    # Fifteen short rounds (5,000 spans) of off → attached → detached,
+    # best of each kept: finely interleaved, the host's drift lands in
+    # all three alike instead of in whichever was measured first.
+    off, on, detached = [], [], []
+    for _ in range(15):
+        obs.reset()
+        off.append(_per_span_cost(5000))
+        plane = enable_live()
+        obs.reset()
+        on.append(_per_span_cost(5000))
+        plane.detach()
+        obs.reset()
+        detached.append(_per_span_cost(5000))
+    off_s, on_s, detached_s = min(off), min(on), min(detached)
     reset_live()
     obs.disable()
     obs.reset()
@@ -177,6 +194,7 @@ def run_live_overhead(pipeline_spans: int, pipeline_wall_s: float) -> dict:
     return {
         "per_span_off_us": off_s * 1e6,
         "per_span_on_us": on_s * 1e6,
+        "per_span_detached_us": detached_s * 1e6,
         "marginal_us_per_span": marginal_s * 1e6,
         "enabled_overhead_pct_of_pipeline": enabled_pct,
         "detached_delta_us_per_span": detached_delta_s * 1e6,
@@ -252,6 +270,11 @@ def main(argv: list[str] | None = None) -> int:
         f"stages: {', '.join(info['stages'])}), {info['metric_series']} metric "
         f"series, {info['energy_j']:.1f} J traced "
         f"(green fraction {info['green_fraction']:.3f})"
+    )
+    print(
+        f"per span (emit + fold): {overhead['per_span_on_us']:.2f} us attached, "
+        f"{overhead['per_span_detached_us']:.2f} us detached, "
+        f"{overhead['per_span_off_us']:.2f} us before attaching"
     )
     print(
         f"live plane OK: {overhead['marginal_us_per_span']:.2f} us/span attached "

@@ -88,10 +88,7 @@ def cmd_compare(args) -> int:
         count = obs.export_jsonl(args.trace)
         chrome = f"{args.trace}.chrome.json"
         obs.export_chrome(chrome)
-        metrics_path = f"{args.trace}.metrics.json"
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            json.dump(obs.metrics_snapshot(), fh, indent=2, sort_keys=True)
-        print(f"wrote {count} spans to {args.trace} (+ {chrome}, {metrics_path})")
+        print(f"wrote {count} spans to {args.trace} (+ {chrome})")
     return 0
 
 

@@ -53,6 +53,7 @@ import hashlib
 import logging
 import pickle
 import threading
+import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -194,16 +195,30 @@ class SharedPartitionStore:
     def put_many(self, partitions: list) -> list[PartitionRef]:
         """Publish every partition, packing cache misses into one new
         segment; returns one ref per partition, in order. Thread-safe:
-        concurrent publishers serialize on the store lock."""
+        concurrent publishers serialize on the store lock. Traced, a
+        ``dataplane.put_many`` mark after the lock carries the call's
+        change in each running total of :class:`DataPlaneStats` and the
+        live segment count."""
+        traced = obs.enabled()
         with self._lock:
-            return self._put_many_locked(partitions)
+            before = vars(self.stats).copy() if traced else {}
+            refs = self._put_many_locked(partitions)
+            if traced:
+                deltas = {
+                    key: value - before[key]
+                    for key, value in vars(self.stats).items()
+                    if key != "pinned_objects"
+                }
+                live = len(self._segments)
+        if traced:
+            obs.emit("dataplane.put_many", time.time(), 0.0, live_segments=live, **deltas)
+        return refs
 
     def _put_many_locked(self, partitions: list) -> list[PartitionRef]:
         if self._closed:
             raise RuntimeError("store is closed")
         refs: list[PartitionRef | None] = [None] * len(partitions)
         misses: list[tuple[int, object, bytes, bytes, list[memoryview]]] = []
-        before = DataPlaneStats(**vars(self.stats)) if obs.enabled() else None
         for i, part in enumerate(partitions):
             cached = self._by_identity.get(id(part))
             if cached is not None and cached[0] is part:
@@ -262,36 +277,7 @@ class SharedPartitionStore:
         self.stats.bytes_referenced += sum(r.total_bytes for r in out)
         self._evict_over_limit(pinned={r.segment for r in out})
         self.stats.pinned_objects = len(self._by_identity)
-        if before is not None:
-            self._record_metrics(before)
         return out
-
-    def _record_metrics(self, before: DataPlaneStats) -> None:
-        """Bridge this call's stat deltas into the obs metrics registry
-        (bytes copied into segments vs bytes merely referenced, cache
-        hit/miss counts, segment churn)."""
-        metrics = obs.get_metrics()
-        after = self.stats
-        deltas = {
-            "repro_dataplane_refs_total": after.refs_issued - before.refs_issued,
-            "repro_dataplane_serializations_total": after.serializations
-            - before.serializations,
-            "repro_dataplane_identity_hits_total": after.identity_hits
-            - before.identity_hits,
-            "repro_dataplane_digest_hits_total": after.digest_hits - before.digest_hits,
-            "repro_dataplane_segments_created_total": after.segments_created
-            - before.segments_created,
-            "repro_dataplane_segments_evicted_total": after.segments_evicted
-            - before.segments_evicted,
-            "repro_dataplane_bytes_copied_total": after.shared_bytes
-            - before.shared_bytes,
-            "repro_dataplane_bytes_referenced_total": after.bytes_referenced
-            - before.bytes_referenced,
-        }
-        for name, delta in deltas.items():
-            if delta:
-                metrics.counter(name).inc(delta)
-        metrics.gauge("repro_dataplane_live_segments").set(len(self._segments))
 
     def put(self, partition) -> PartitionRef:
         """Publish one partition (see :meth:`put_many`)."""

@@ -32,7 +32,8 @@ is defined once — in three steps:
   :class:`TaskResult` s — energy and dirty energy billed against each
   node's green trace over the task's interval — merge the non-wasted
   outputs and sum the :class:`JobResult`; :func:`record_job_telemetry`
-  then emits the spans and metrics.
+  then emits the task spans (every ``repro_*`` series is a fold of
+  them, see :mod:`repro.obs.fold`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import repro.obs as obs
 from repro.cluster.cluster import Cluster
@@ -58,7 +59,7 @@ from repro.cluster.dataplane import (
 )
 from repro.cluster.node import Node
 from repro.kvstore.codec import FramedPartition, records_of
-from repro.obs.energy import record_job_metrics, task_energy_attrs
+from repro.obs.energy import task_energy_attrs
 from repro.obs.log import get_logger, log_event
 from repro.obs.trace import NOOP_SPAN, Tracer
 from repro.workloads.base import Workload, WorkloadResult
@@ -96,38 +97,19 @@ class JobResult:
     merged_output: Any = None
 
 
-def emit_timeline_mark(
-    name: str,
-    start_s: float,
-    duration_s: float,
-    counters: Iterable[tuple[str, dict[str, str], float]],
-    **attrs: Any,
-) -> None:
-    """One scheduler decision (fault, retry, steal) on the simulated
-    timeline: a pre-timed span and its ``(name, labels, amount)``
-    counter bumps."""
-    if not obs.enabled():
-        return
-    obs.get_tracer().emit(name, start_s=start_s, duration_s=duration_s, **attrs)
-    metrics = obs.get_metrics()
-    for counter, labels, amount in counters:
-        metrics.counter(counter, **labels).inc(amount)
-
-
-def record_job_telemetry(
-    job: JobResult, job_span, wall0: float, engine: str, workload: str
-) -> None:
+def record_job_telemetry(job: JobResult, job_span, wall0: float, workload: str) -> None:
     """Emit one ``task.execute`` span per task (on the job's node-local
-    timeline, anchored at the job's wall start) plus the per-node
-    latency/energy metrics. Sums of the span energy attrs reproduce
-    the job totals exactly — the spans carry the same floats the
-    :class:`JobResult` summed. Callers must check ``obs.enabled()``.
+    timeline, anchored at the job's wall start, with its offset there
+    as ``queue_wait_s``) and set the job's books on ``job_span``. Sums
+    of the span energy attrs reproduce the job totals exactly — the
+    spans carry the same floats the :class:`JobResult` summed. Callers
+    must check ``obs.enabled()``.
 
     ``workload`` tags each span with the workload name so a consumer
     of the span stream can fit per-workload time models (mixing
     workloads with different per-item costs would bias a pooled
-    slope). Energy burnt on wasted (fault-lost) tasks is
-    additionally counted and set on the job span as ``wasted_energy_j``.
+    slope). Energy burnt on wasted (fault-lost) tasks is set on the
+    job span as ``wasted_energy_j``.
     """
     tracer = obs.get_tracer()
     for task in job.tasks:
@@ -137,15 +119,14 @@ def record_job_telemetry(
             duration_s=task.runtime_s,
             parent_id=job_span.span_id,
             **task_energy_attrs(task),
+            queue_wait_s=task.start_s,
             workload=workload,
         )
     job_span.set_attr("makespan_s", job.makespan_s)
     job_span.set_attr("total_energy_j", job.total_energy_j)
     job_span.set_attr("total_dirty_energy_j", job.total_dirty_energy_j)
-    record_job_metrics(obs.get_metrics(), job, engine=engine)
     wasted_j = sum(t.energy_j for t in job.tasks if t.stats.get("wasted"))
     if wasted_j:
-        obs.get_metrics().counter("repro_fault_wasted_energy_joules_total").inc(wasted_j)
         job_span.set_attr("wasted_energy_j", wasted_j)
 
 
@@ -335,9 +316,7 @@ class ExecutionEngine(abc.ABC):
             events = self._schedule(workload, partitions, assignment, job_span, wall0)
             job = account_job(self.cluster, workload, events, start_offset_s)
             if obs.enabled():
-                record_job_telemetry(
-                    job, job_span, wall0, type(self).__name__, workload.name
-                )
+                record_job_telemetry(job, job_span, wall0, workload.name)
             return job
 
 
@@ -483,7 +462,8 @@ class ProcessPoolEngine(ExecutionEngine):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lifecycle:
-            if self._pool is None:
+            created = self._pool is None
+            if created:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     initializer=_worker_ignore_sigint,
@@ -494,9 +474,10 @@ class ProcessPoolEngine(ExecutionEngine):
                     _log, logging.DEBUG, "engine.pool.created",
                     total=self._pools_created, max_workers=self.max_workers,
                 )
-                if obs.enabled():
-                    obs.get_metrics().counter("repro_pool_creations_total").inc()
-            return self._pool
+            pool = self._pool
+        if created and obs.enabled():
+            obs.emit("engine.pool.created", time.time(), 0.0, max_workers=self.max_workers)
+        return pool
 
     def _ensure_store(self) -> SharedPartitionStore:
         with self._lifecycle:

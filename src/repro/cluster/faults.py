@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import repro.obs as obs
 from repro.cluster.cluster import Cluster
-from repro.cluster.engines import JobResult, SimulatedEngine, emit_timeline_mark
+from repro.cluster.engines import JobResult, SimulatedEngine
 
 
 @dataclass
@@ -76,11 +77,10 @@ class FaultInjectingEngine(SimulatedEngine):
                 events.append((pid, node_id, start, fail_time - start, result, True))
                 clock[node_id] = fail_time
             orphans.append((pid, fail_time))
-            emit_timeline_mark(
+            obs.emit(
                 "fault.injected",
                 wall0 + fail_time,
                 0.0,
-                [("repro_fault_injected_total", {"node": str(node_id)}, 1)],
                 node_id=node_id,
                 partition_id=pid,
                 lost_at_s=fail_time,
@@ -98,11 +98,10 @@ class FaultInjectingEngine(SimulatedEngine):
             start, runtime = placed[best]
             events.append((pid, best, start, runtime, result, False))
             clock[best] = start + runtime
-            emit_timeline_mark(
+            obs.emit(
                 "fault.retried",
                 wall0 + start,
                 runtime,
-                [("repro_fault_retried_total", {"node": str(best)}, 1)],
                 partition_id=pid,
                 node_id=best,
                 detection_latency_s=self.detection_latency_s,

@@ -23,8 +23,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+import repro.obs as obs
 from repro.cluster.cluster import Cluster
-from repro.cluster.engines import SimulatedEngine, emit_timeline_mark
+from repro.cluster.engines import SimulatedEngine
 from repro.kvstore.codec import records_of
 
 #: Per-chunk dispatch cost at unit speed (much smaller than a partition
@@ -115,14 +116,10 @@ class WorkStealingScheduler(SimulatedEngine):
                 self.events.append(
                     StealEvent(time_s=now, thief=node, victim=victim, chunk_items=items)
                 )
-                emit_timeline_mark(
+                obs.emit(
                     "worksteal.steal",
                     wall0 + now,
                     overhead,
-                    [
-                        ("repro_worksteal_steals_total", {"thief": str(node)}, 1),
-                        ("repro_worksteal_items_stolen_total", {}, items),
-                    ],
                     thief=node,
                     victim=victim,
                     chunk_items=items,

@@ -5,9 +5,8 @@ Two views, matching the paper's Section III-B/III-D:
 - **Planning view** (fed to the LP): the mean-rate approximation
   ``g(x_i) ≈ k_i · f(x_i)`` with ``k_i = E_i − ḠE_i`` the node's *dirty
   power coefficient* — consumption rate minus mean green supply over
-  the node's trace. By default ``k_i`` is clamped at zero
-  (surplus green power cannot make dirty energy negative); pass
-  ``allow_negative=True`` for the paper's raw linear form.
+  the node's trace, clamped at zero (surplus green power cannot make
+  dirty energy negative).
 - **Measurement view** (reported by the evaluation harness): the exact
   integral ``∫₀ᵀ max(0, E_i − GE_i(t)) dt`` over the trace.
 """
@@ -28,29 +27,23 @@ class DirtyEnergyAccountant:
 
     power: NodePowerModel
     trace: EnergyTrace
-    allow_negative: bool = False
 
     def dirty_power_coefficient(self) -> float:
         """``k_i = E_i − ḠE_i`` with ``ḠE_i`` the whole trace's mean (W).
 
         The green supply credited to a node is capped at its own draw —
-        a node cannot bank more green power than it consumes — unless
-        ``allow_negative`` reproduces the paper's uncapped form. The
+        a node cannot bank more green power than it consumes. The
         planner's estimate ``k_i · f_i(x_i)`` is
         :func:`repro.core.optimizer.predict_dirty_energy`.
         """
         mean_green = self.trace.mean_power(0.0)
-        k = self.power.watts - mean_green
-        if self.allow_negative:
-            return k
-        return max(k, 0.0)
+        return max(self.power.watts - mean_green, 0.0)
 
     def measured_dirty_energy(self, runtime_s: float, start_s: float = 0.0) -> float:
         """Exact dirty energy over ``[start, start + runtime)`` (J).
 
-        Integrates ``max(0, E_i − GE_i(t))`` sample by sample; with
-        ``allow_negative`` the instantaneous surplus is allowed to
-        offset deficit elsewhere in the window (paper's accounting).
+        Integrates ``max(0, E_i − GE_i(t))`` sample by sample, so a
+        surplus in one sample never offsets a deficit in another.
         """
         if runtime_s < 0:
             raise ValueError("runtime must be non-negative")
@@ -67,14 +60,9 @@ class DirtyEnergyAccountant:
             if idx == self.trace.watts.size - 1:
                 cell_end = max(cell_end, end)
             step = min(cell_end, end) - t
-            deficit = draw - float(self.trace.watts[idx])
-            if not self.allow_negative:
-                deficit = max(deficit, 0.0)
-            total += deficit * step
+            total += max(draw - float(self.trace.watts[idx]), 0.0) * step
             t += step
-        if self.allow_negative:
-            return total
-        return max(total, 0.0)
+        return total
 
     def green_fraction(self, runtime_s: float, start_s: float = 0.0) -> float:
         """Share of consumed energy covered by green supply in [0, 1]."""

@@ -6,9 +6,9 @@ default) every instrumentation point reduces to a single flag check —
 timings and the kernels' bit-identity are untouched (the pipeline
 benchmark asserts the disabled overhead on the sketch stage is < 2%).
 
-Enabled, the process-global :class:`~repro.obs.trace.Tracer` and
-:class:`~repro.obs.metrics.MetricsRegistry` collect spans and
-instrument updates from every instrumented layer::
+Enabled, the process-global :class:`~repro.obs.trace.Tracer` collects
+the spans of every instrumented layer, and its metrics registry is
+their fold (:mod:`repro.obs.fold`)::
 
     from repro import obs
 
@@ -30,21 +30,10 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from repro.obs.energy import (
-    energy_split,
-    node_energy_breakdown,
-    record_job_metrics,
-    task_energy_attrs,
-)
+from repro.obs.energy import energy_split, node_energy_breakdown, task_energy_attrs
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import get_logger, log_event
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     NOOP_SPAN,
     SCHEMA_VERSION,
@@ -75,7 +64,6 @@ __all__ = [
     "node_energy_breakdown",
     "task_energy_attrs",
     "energy_split",
-    "record_job_metrics",
     "read_spans",
     "validate_jsonl",
     "Tracer",
@@ -83,16 +71,11 @@ __all__ = [
     "NoopSpan",
     "NOOP_SPAN",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS",
     "SCHEMA_VERSION",
 ]
 
 _enabled: bool = False
 _tracer = Tracer()
-_metrics = MetricsRegistry()
 
 
 def enabled() -> bool:
@@ -114,23 +97,21 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Clear all collected spans and metric instruments."""
+    """Clear all collected spans and, with them, their metrics."""
     _tracer.reset()
-    _metrics.reset()
 
 
 def reset_after_fork() -> None:
     """Fresh, empty collectors for a forked child process.
 
-    A forked child inherits the parent's tracer and registry, locks and
-    live sink included, and a lock that another parent thread held at
-    the fork stays held for ever in the child. Replacing both objects,
+    A forked child inherits the parent's tracer and its registry, locks
+    and live sink included, and a lock that another parent thread held
+    at the fork stays held for ever in the child. Replacing the tracer,
     rather than :func:`reset`, which takes those locks, is safe whatever
     was held.
     """
-    global _tracer, _metrics
+    global _tracer
     _tracer = Tracer()
-    _metrics = MetricsRegistry()
 
 
 def get_tracer() -> Tracer:
@@ -138,7 +119,8 @@ def get_tracer() -> Tracer:
 
 
 def get_metrics() -> MetricsRegistry:
-    return _metrics
+    """The fold of the global tracer's spans: read it, never write it."""
+    return _tracer.metrics
 
 
 def span(name: str, **attrs: Any):
@@ -170,8 +152,8 @@ def export_chrome(path: str | os.PathLike) -> int:
 
 
 def metrics_snapshot() -> dict[str, Any]:
-    return _metrics.snapshot()
+    return _tracer.metrics.snapshot()
 
 
 def render_prometheus() -> str:
-    return _metrics.render_prometheus()
+    return _tracer.metrics.render_prometheus()

@@ -22,7 +22,6 @@ __all__ = [
     "node_energy_breakdown",
     "task_energy_attrs",
     "energy_split",
-    "record_job_metrics",
 ]
 
 
@@ -126,23 +125,3 @@ def energy_split(spans: Iterable[dict]) -> dict[str, float]:
         dirty += float(attrs.get("dirty_energy_j", 0.0))
         tasks += 1
     return split_summary(tasks, total, dirty)
-
-
-def record_job_metrics(metrics: Any, job: Any, engine: str) -> None:
-    """Feed one job's per-node energy/latency numbers into a registry."""
-    metrics.counter("repro_jobs_total", engine=engine).inc()
-    for task in job.tasks:
-        node = str(int(task.node_id))
-        metrics.counter("repro_tasks_total", node=node).inc()
-        metrics.histogram("repro_task_runtime_seconds", node=node).observe(
-            float(task.runtime_s)
-        )
-        metrics.histogram("repro_task_queue_wait_seconds", node=node).observe(
-            float(task.start_s)
-        )
-        metrics.counter("repro_energy_joules_total", node=node).inc(
-            float(task.energy_j)
-        )
-        metrics.counter("repro_dirty_energy_joules_total", node=node).inc(
-            float(task.dirty_energy_j)
-        )

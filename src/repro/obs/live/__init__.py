@@ -8,7 +8,7 @@ run is in flight*:
   writes into; subscribers snapshot by sequence number or long-poll.
 - :class:`NodeEstimator` — online per-node time models + power split,
   shaped for :class:`repro.core.optimizer.ParetoOptimizer` (the
-  feedback interface for online re-planning, ROADMAP item 2).
+  feedback interface for online re-planning, ROADMAP item 8).
 - :class:`Ledger` — per-tenant green/dirty energy accounts that
   reconcile with :func:`repro.obs.energy.energy_split` to 1e-6.
 - :class:`SLOMonitor` — multi-window burn-rate alerting over p99 job

@@ -38,6 +38,9 @@ _LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: dict[str, str]) -> _LabelKey:
+    if len(labels) == 1:  # most series: one label, nothing to sort
+        ((k, v),) = labels.items()
+        return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

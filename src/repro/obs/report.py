@@ -7,22 +7,24 @@ renders the three views an engineer reads first:
 - per-node latency + energy split (``task.execute`` spans carry the
   energy attributes the engines attach),
 - top-N slowest spans of any kind,
-- the job-service section, when a ``<trace>.metrics.json`` sidecar
-  (written by ``repro compare --trace``) sits next to the trace and
-  carries ``repro_service_*`` series — submissions/rejections, terminal
-  states, queue-depth posture, p50/p99 queue-wait and run latency.
+- the job-service section, when the trace has ``service.*`` spans:
+  they are folded into a fresh registry (:func:`~repro.obs.fold.fold_span`,
+  the same fold that feeds the live one) and read back as
+  submissions/rejections, terminal states, queue-depth posture and
+  p50/p99 queue-wait and run latency.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import re
 from collections import defaultdict
 from typing import Any, Iterable, Sequence
 
 from repro.obs.energy import carries_energy, fold_task, node_rows, split_summary
+from repro.obs.fold import fold_span
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import iter_spans
 
 __all__ = [
@@ -78,6 +80,8 @@ class TraceAggregate:
         self._energy_spans = 0
         self._heap: list[tuple[float, int, dict]] = []
         self._tiebreak = 0
+        # The fold of the service.* spans, what service_section reads.
+        self.service_metrics = MetricsRegistry()
 
     def add(self, span: dict) -> None:
         self.spans += 1
@@ -93,6 +97,8 @@ class TraceAggregate:
         if name == "task.execute" and "node_id" in attrs:
             self.task_spans += 1
             fold_task(self._nodes, attrs)
+        if name.startswith("service."):
+            fold_span(self.service_metrics, span)
         if carries_energy(attrs):
             self._energy_j += float(attrs["energy_j"])
             self._dirty_j += float(attrs.get("dirty_energy_j", 0.0))
@@ -165,8 +171,8 @@ def service_section(metrics: dict[str, Any]) -> dict[str, Any] | None:
     """Job-service posture from a metrics snapshot, or None when the
     snapshot carries no ``repro_service_*`` series.
 
-    Aggregates the counters/histograms the
-    :class:`~repro.service.manager.JobManager` records: submissions,
+    Reads the series :func:`~repro.obs.fold.fold_span` folds out of
+    the :class:`~repro.service.manager.JobManager`'s spans: submissions,
     terminal states, rejections by reason, the queue-depth distribution
     (sampled at every admission and dequeue — depth over time), and
     p50/p99 queue-wait and run latency.
@@ -231,12 +237,7 @@ def _fmt_quantile(value: Any) -> str:
     return f"{value:.4f}"
 
 
-def render_report(
-    spans: Iterable[dict],
-    top_n: int = 10,
-    title: str = "",
-    metrics: dict[str, Any] | None = None,
-) -> str:
+def render_report(spans: Iterable[dict], top_n: int = 10, title: str = "") -> str:
     """The full ASCII report over one trace's spans.
 
     ``spans`` may be any iterable — it is consumed exactly once, folded
@@ -318,7 +319,7 @@ def render_report(
             )
         )
 
-    service = service_section(metrics) if metrics else None
+    service = service_section(agg.service_metrics.snapshot())
     if service:
         sections.append("\n== service ==")
         rejected = sum(service["rejections"].values())
@@ -370,19 +371,5 @@ def render_report(
 def report_from_file(path: str | os.PathLike, top_n: int = 10) -> str:
     """Validate and summarise one JSONL trace file, in one streaming pass
     (:func:`~repro.obs.trace.iter_spans`: a corrupt trace still raises
-    :class:`ValueError`, and the span list is never materialised).
-
-    A ``<trace>.metrics.json`` sidecar next to the trace (written by
-    ``repro compare --trace``) contributes the service section.
-    """
-    metrics: dict[str, Any] | None = None
-    sidecar = str(path) + ".metrics.json"
-    if os.path.exists(sidecar):
-        try:
-            with open(sidecar, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError):
-            loaded = None
-        if isinstance(loaded, dict):
-            metrics = loaded
-    return render_report(iter_spans(path), top_n, f"trace: {path}", metrics)
+    :class:`ValueError`, and the span list is never materialised)."""
+    return render_report(iter_spans(path), top_n, f"trace: {path}")

@@ -13,7 +13,8 @@ own :class:`Tracer` and return ``finished_spans()`` with the task
 result, which the parent re-parents under the span that launched the
 task (:meth:`Tracer.adopt`). Wall-clock timestamps (``time.time``)
 anchor spans on a cross-process-comparable axis while durations come
-from ``perf_counter``.
+from ``perf_counter``. Every record a tracer keeps is also folded into
+its :attr:`Tracer.metrics` registry (:mod:`repro.obs.fold`).
 
 Export targets:
 
@@ -32,6 +33,9 @@ import os
 import threading
 import time
 from typing import Any, Callable, Iterable
+
+from repro.obs.fold import fold_span
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "Span",
@@ -133,11 +137,14 @@ class Tracer:
     def __init__(self) -> None:
         self._spans: list[dict] = []
         self._lock = threading.Lock()
+        # The fold of every kept record; read, never written, elsewhere.
+        self.metrics = MetricsRegistry()
         self._stack = threading.local()
         # Optional live consumer: every finished span record is handed
-        # to the sink (outside the collection lock) — the hook the
-        # repro.obs.live telemetry bus installs. None costs one check,
-        # and is what a sink detached for failing reads as afterwards.
+        # to the sink (outside the collection lock, after the fold) —
+        # the hook the repro.obs.live telemetry bus installs. None costs
+        # one check, and is what a sink detached for failing reads as
+        # afterwards.
         self.sink: Callable[[dict], None] | None = None
 
     def set_sink(self, sink: Callable[[dict], None] | None) -> None:
@@ -149,7 +156,9 @@ class Tracer:
         """
         self.sink = sink
 
-    def _feed_sink(self, record: dict) -> None:
+    def _publish(self, record: dict) -> None:
+        """Fold a kept record into :attr:`metrics`, then feed the sink."""
+        fold_span(self.metrics, record)
         sink = self.sink
         if sink is None:
             return
@@ -188,7 +197,7 @@ class Tracer:
     def _record(self, record: dict) -> None:
         with self._lock:
             self._spans.append(record)
-        self._feed_sink(record)
+        self._publish(record)
 
     def current_span_id(self) -> str | None:
         stack = self._stack_list()
@@ -232,7 +241,7 @@ class Tracer:
                 self._spans.append(record)
                 adopted.append(record)
         for record in adopted:
-            self._feed_sink(record)
+            self._publish(record)
 
     # -- access & export ----------------------------------------------------
 
@@ -247,8 +256,10 @@ class Tracer:
             return len(self._spans)
 
     def reset(self) -> None:
+        """Drop every kept span and, with them, their fold."""
         with self._lock:
             self._spans.clear()
+        self.metrics.reset()
 
     def export_jsonl(self, path: str | os.PathLike) -> int:
         """Write the meta header + one span per line; returns span count."""

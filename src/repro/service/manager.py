@@ -21,13 +21,14 @@ with ``concurrency`` worker threads. Its contract:
   :meth:`shutdown` additionally closes the executor (which drains the
   engine pool before unlinking shared memory).
 
-Every path is instrumented: ``service.submit`` / ``service.run`` /
-``service.drain`` spans, a pre-timed ``service.queue_wait`` span per
-dequeued job (it and ``service.submit`` carry the queue posture,
-``depth`` and ``running``, at those two moments), queue-depth gauges +
-samples, and counters for submissions, rejections (by reason) and
-terminal states. Spans are also all the live plane is fed: its SLO
-streams are read off ``service.queue_wait`` and ``service.run``.
+Every path emits spans and nothing else: ``service.submit`` /
+``service.run`` / ``service.drain``, a pre-timed ``service.queue_wait``
+span per dequeued job (it and an admitted ``service.submit`` carry the
+queue posture, ``depth``, ``peak`` and ``running``), and the
+``service.cancel`` / ``service.evict`` marks, all after the lock is
+released. The ``repro_service_*`` series are their fold
+(:mod:`repro.obs.fold`); the live plane's SLO streams are read off
+``service.queue_wait`` and ``service.run``.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ from repro.service.jobs import JobRecord, JobSpec, JobState
 __all__ = ["ServiceConfig", "JobManager"]
 
 _log = get_logger(__name__)
-
-#: Queue-depth histogram buckets (jobs waiting, sampled at every
-#: admission and dequeue — the "queue depth over time" distribution).
-QUEUE_DEPTH_BUCKETS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: Retry hint before any job has finished, and the floor afterwards.
 DEFAULT_RETRY_AFTER_S = 0.5
@@ -115,34 +112,30 @@ class JobManager:
         ) as sp:
             spec.validate()
             with self._cond:
-                self._evict_expired_locked()
+                evicted = self._evict_expired_locked()
                 reason = self._admission_reason_locked(spec)
                 if reason is not None:
                     record = self._reject_locked(spec, reason)
-                    sp.set_attr("state", record.state.value)
-                    sp.set_attr("reason", reason)
-                    return record
-                record = JobRecord(spec=spec)
-                self._queue.append(record)
-                self._jobs[record.job_id] = record
-                self._tenant_inflight[spec.tenant] = (
-                    self._tenant_inflight.get(spec.tenant, 0) + 1
-                )
-                depth = len(self._queue)
-                self._peak_queue_depth = max(self._peak_queue_depth, depth)
-                peak, running = self._peak_queue_depth, self._running
-                self._cond.notify()
+                else:
+                    record = JobRecord(spec=spec)
+                    self._queue.append(record)
+                    self._jobs[record.job_id] = record
+                    self._tenant_inflight[spec.tenant] = (
+                        self._tenant_inflight.get(spec.tenant, 0) + 1
+                    )
+                    depth = len(self._queue)
+                    self._peak_queue_depth = max(self._peak_queue_depth, depth)
+                    peak, running = self._peak_queue_depth, self._running
+                    self._cond.notify()
+            _note_evicted(evicted)
             sp.set_attr("state", record.state.value)
+            if reason is not None:
+                sp.set_attr("reason", reason)
+                return record
             sp.set_attr("job_id", record.job_id)
             sp.set_attr("depth", depth)
+            sp.set_attr("peak", peak)
             sp.set_attr("running", running)
-            if obs.enabled():
-                metrics = obs.get_metrics()
-                metrics.counter("repro_service_submitted_total").inc()
-                metrics.counter(
-                    "repro_service_accepted_total", tenant=spec.tenant
-                ).inc()
-                self._record_queue_depth(depth, peak)
             return record
 
     def _admission_reason_locked(self, spec: JobSpec) -> str | None:
@@ -163,10 +156,6 @@ class JobManager:
         record.retry_after_s = self._retry_after_locked()
         self._jobs[record.job_id] = record
         self._stamp_finished_locked(record)
-        if obs.enabled():
-            metrics = obs.get_metrics()
-            metrics.counter("repro_service_submitted_total").inc()
-            metrics.counter("repro_service_rejected_total", reason=reason).inc()
         log_event(
             _log, logging.DEBUG, "service.submit.rejected",
             job_id=record.job_id, tenant=spec.tenant, reason=reason,
@@ -187,8 +176,10 @@ class JobManager:
 
     def get(self, job_id: str) -> JobRecord | None:
         with self._cond:
-            self._evict_expired_locked()
-            return self._jobs.get(job_id)
+            evicted = self._evict_expired_locked()
+            record = self._jobs.get(job_id)
+        _note_evicted(evicted)
+        return record
 
     def result(self, job_id: str) -> dict[str, Any] | None:
         record = self.get(job_id)
@@ -210,11 +201,9 @@ class JobManager:
             # Out of the deque now: its length is what admission and
             # the depth gauges read.
             self._queue.remove(record)
-            if obs.enabled():
-                obs.get_metrics().counter(
-                    "repro_service_jobs_total", state=JobState.CANCELLED.value
-                ).inc()
-            return True
+        if obs.enabled():
+            obs.emit("service.cancel", time.time(), 0.0, job_id=job_id)
+        return True
 
     def stats(self) -> dict[str, Any]:
         """Queue/lifecycle posture for ``/healthz`` and the harness."""
@@ -255,20 +244,16 @@ class JobManager:
                 depth = len(self._queue)
                 peak, running = self._peak_queue_depth, self._running
             if obs.enabled():
-                self._record_queue_depth(depth, peak)
-                wait_s = record.queue_wait_s or 0.0
                 obs.emit(
                     "service.queue_wait",
                     start_s=record.submitted_wall_s,
-                    duration_s=wait_s,
+                    duration_s=record.queue_wait_s or 0.0,
                     job_id=record.job_id,
                     tenant=record.spec.tenant,
                     depth=depth,
+                    peak=peak,
                     running=running,
                 )
-                obs.get_metrics().histogram(
-                    "repro_service_queue_wait_seconds"
-                ).observe(wait_s)
             self.run_record(record)
 
     def run_record(self, record: JobRecord) -> None:
@@ -324,10 +309,6 @@ class JobManager:
                 else 0.8 * self._run_ewma_s + 0.2 * run_s
             )
             self._cond.notify_all()
-        if obs.enabled():
-            metrics = obs.get_metrics()
-            metrics.counter("repro_service_jobs_total", state=state.value).inc()
-            metrics.histogram("repro_service_run_seconds").observe(run_s)
 
     def _release_tenant_locked(self, tenant: str) -> None:
         left = self._tenant_inflight.get(tenant, 0) - 1
@@ -347,25 +328,14 @@ class JobManager:
         record.expires_at = now + self.config.result_ttl_s
         self._expiry.append((record.expires_at, record.job_id))
 
-    def _evict_expired_locked(self) -> None:
+    def _evict_expired_locked(self) -> int:
+        """Drop every expired terminal record; returns how many."""
         now = time.monotonic()
         evicted = 0
         while self._expiry and self._expiry[0][0] <= now:
             del self._jobs[self._expiry.popleft()[1]]
             evicted += 1
-        if evicted and obs.enabled():
-            obs.get_metrics().counter("repro_service_results_evicted_total").inc(evicted)
-
-    def _record_queue_depth(self, depth: int, peak: int) -> None:
-        # Callers capture depth/peak under self._cond and pass them in,
-        # so this method touches no shared state while recording (the
-        # metrics registry locks internally).
-        metrics = obs.get_metrics()
-        metrics.gauge("repro_service_queue_depth").set(depth)
-        metrics.gauge("repro_service_queue_depth_peak").set(peak)
-        metrics.histogram(
-            "repro_service_queue_depth_jobs", bounds=QUEUE_DEPTH_BUCKETS
-        ).observe(depth)
+        return evicted
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -403,3 +373,9 @@ class JobManager:
         drained = self.drain(timeout_s)
         self.executor.close()
         return drained
+
+
+def _note_evicted(evicted: int) -> None:
+    """The ``service.evict`` mark; call it after releasing the lock."""
+    if evicted and obs.enabled():
+        obs.emit("service.evict", time.time(), 0.0, evicted=evicted)

@@ -8,11 +8,10 @@ from repro.energy.power import NodePowerModel
 from repro.energy.traces import EnergyTrace
 
 
-def accountant(watts_trace, cores=2, allow_negative=False, resolution=1.0):
+def accountant(watts_trace, cores=2, resolution=1.0):
     return DirtyEnergyAccountant(
         power=NodePowerModel(cores=cores),  # 60 + cores*95 W
         trace=EnergyTrace(watts=np.asarray(watts_trace, dtype=float), resolution_s=resolution),
-        allow_negative=allow_negative,
     )
 
 
@@ -24,10 +23,6 @@ class TestDirtyPowerCoefficient:
     def test_surplus_clamped_to_zero(self):
         acc = accountant([1000.0])
         assert acc.dirty_power_coefficient() == 0.0
-
-    def test_surplus_allowed_when_negative_permitted(self):
-        acc = accountant([1000.0], allow_negative=True)
-        assert acc.dirty_power_coefficient() == pytest.approx(250.0 - 1000.0)
 
 
 class TestMeasuredDirtyEnergy:
@@ -47,10 +42,6 @@ class TestMeasuredDirtyEnergy:
         acc = accountant([500.0, 0.0])
         # Surplus in second 1 cannot cancel the deficit in second 2.
         assert acc.measured_dirty_energy(2.0) == pytest.approx(250.0)
-
-    def test_surplus_offsets_when_allowed(self):
-        acc = accountant([500.0, 0.0], allow_negative=True)
-        assert acc.measured_dirty_energy(2.0) == pytest.approx(0.0)
 
     def test_start_offset(self):
         acc = accountant([0.0, 250.0])

@@ -71,31 +71,44 @@ class TestCommands:
         assert rc == 0
         assert "compression_ratio" in capsys.readouterr().out
 
-    def test_compare_trace_writes_metrics_sidecar(self, capsys, tmp_path):
-        import json
+    def test_compare_trace_is_one_stream(self, capsys, tmp_path):
+        # The trace is the whole record: folding it rebuilds the live
+        # registry exactly, and no metrics file is written beside it.
+        import repro.obs as obs
+        from repro.obs.fold import fold_span
+        from repro.obs.metrics import MetricsRegistry
 
         trace = tmp_path / "run.trace.jsonl"
-        rc = main(
-            [
-                "compare",
-                "--dataset",
-                "rcv1",
-                "--scale",
-                "0.25",
-                "--support",
-                "0.2",
-                "--partitions",
-                "4",
-                "--trace",
-                str(trace),
-            ]
-        )
-        assert rc == 0
+        try:
+            rc = main(
+                [
+                    "compare",
+                    "--dataset",
+                    "rcv1",
+                    "--scale",
+                    "0.25",
+                    "--support",
+                    "0.2",
+                    "--partitions",
+                    "4",
+                    "--trace",
+                    str(trace),
+                ]
+            )
+            assert rc == 0
+            live = obs.metrics_snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
         capsys.readouterr()
-        sidecar = tmp_path / "run.trace.jsonl.metrics.json"
-        assert sidecar.exists()
-        snapshot = json.loads(sidecar.read_text(encoding="utf-8"))
-        assert any(k.startswith("repro_jobs_total{") for k in snapshot)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.trace.jsonl", "run.trace.jsonl.chrome.json"
+        ]
+        folded = MetricsRegistry()
+        for span in obs.read_spans(trace)[1]:
+            fold_span(folded, span)
+        assert any(k.startswith("repro_jobs_total{") for k in live)
+        assert folded.snapshot() == live
         assert main(["obs", "report", str(trace)]) == 0
         assert "per-node tasks & energy" in capsys.readouterr().out
 

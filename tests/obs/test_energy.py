@@ -2,14 +2,11 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
-from repro.obs.energy import (
-    energy_split,
-    node_energy_breakdown,
-    record_job_metrics,
-    task_energy_attrs,
-)
+from repro.obs.energy import energy_split, node_energy_breakdown, task_energy_attrs
+from repro.obs.fold import fold_span
 from repro.obs.metrics import MetricsRegistry
 from tests.obs.test_report import SumWorkload
 
@@ -58,9 +55,14 @@ class TestEnergySplit:
 
 
 class TestJobMetrics:
-    def test_registry_population(self, job):
+    def test_registry_population(self):
+        # The job's series are the fold of its spans.
+        obs.enable()
+        engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=10.0)
+        job = engine.run_job(SumWorkload(), [[1] * 30, [2] * 30, [3] * 30, [4] * 30])
         reg = MetricsRegistry()
-        record_job_metrics(reg, job, engine="SimulatedEngine")
+        for span in obs.get_tracer().finished_spans():
+            fold_span(reg, span)
         snap = reg.snapshot()
         assert snap['repro_jobs_total{engine="SimulatedEngine"}']["value"] == 1
         per_node_tasks = sum(

@@ -1,6 +1,5 @@
 """Report rendering + the ``repro obs report`` CLI command."""
 
-import json
 from typing import Sequence
 
 import pytest
@@ -27,6 +26,18 @@ class SumWorkload(Workload):
 
     def merge(self, partials):
         return sum(p.output for p in partials)
+
+
+@pytest.fixture()
+def service_spans():
+    """The spans of a traced in-process service run (see
+    ``run_service``: three accepted jobs, three rejections, a cancel
+    and six evictions)."""
+    from tests.obs.test_metrics_characterisation import run_service
+
+    obs.enable()
+    run_service()
+    return obs.get_tracer().finished_spans()
 
 
 @pytest.fixture()
@@ -87,7 +98,7 @@ class TestRender:
         assert "0 spans" in text
 
 
-#: A sidecar with no ``repro_service_*`` series.
+#: A snapshot with no ``repro_service_*`` series.
 _SNAPSHOT = {'repro_other_metric_total{x="y"}': {"type": "counter", "value": 9}}
 
 
@@ -157,31 +168,28 @@ class TestServiceSection:
         overflow = {"count": 2, "buckets": {"1": 1, "+inf": 1}}
         assert histogram_quantile(overflow, 0.99) == float("inf")
 
-    def test_render_includes_service_section(self, trace_path):
-        _meta, spans = obs.read_spans(trace_path)
-        text = render_report(spans, metrics=_SERVICE_SNAPSHOT)
+    def test_render_includes_service_section(self, service_spans):
+        text = render_report(service_spans)
         assert "== service ==" in text
-        assert "queue_full=2" in text
-        assert "SUCCEEDED=8" in text
-        assert "queue depth" in text
+        assert (
+            "submitted 6  accepted 3  rejected 3 "
+            "(draining=1, queue_full=1, tenant_cap=1)"
+        ) in text
+        assert "terminal states: CANCELLED=1, SUCCEEDED=2" in text
+        assert "results evicted (TTL): 6" in text
+        assert "queue depth: current 0.0000  peak 2.0000" in text
+        assert "(over 5 samples)" in text
 
-    def test_report_from_file_renders_service_sidecar(self, trace_path):
-        sidecar = trace_path.parent / (trace_path.name + ".metrics.json")
-        sidecar.write_text(json.dumps(_SERVICE_SNAPSHOT), encoding="utf-8")
-        text = report_from_file(trace_path)
-        assert "== service ==" in text
+    def test_report_from_file_renders_service_spans(self, service_spans, tmp_path):
+        # The section comes from the trace's own service.* spans: the
+        # file is all the report reads.
+        path = tmp_path / "service.trace.jsonl"
+        obs.export_jsonl(path)
+        obs.reset()
+        assert report_from_file(path) == render_report(service_spans, title=f"trace: {path}")
 
     def test_report_without_service_metrics_omits_section(self, trace_path):
-        sidecar = trace_path.parent / (trace_path.name + ".metrics.json")
-        sidecar.write_text(json.dumps(_SNAPSHOT), encoding="utf-8")
         assert "== service ==" not in report_from_file(trace_path)
-
-    def test_malformed_sidecar_is_ignored(self, trace_path):
-        sidecar = trace_path.parent / (trace_path.name + ".metrics.json")
-        sidecar.write_text("{broken", encoding="utf-8")
-        text = report_from_file(trace_path)
-        assert "per-node tasks & energy" in text
-        assert "== service ==" not in text
 
 
 class TestCli:

@@ -25,13 +25,18 @@ object-graph pickle; plain record lists
 
 Repeats are cheap twice over:
 
-- **identity cache** — a partition object already published (same
-  ``id``, pinned by a strong reference so the id cannot be recycled)
-  returns its existing ref without touching pickle;
+- **identity cache** — a partition object already published, and
+  still alive, returns its existing ref without touching pickle. The
+  cache holds a staged partition by *weak* reference, so once its job
+  drops it its bytes live only in the shared segment; an entry counts
+  only while its reference resolves to the very object asked about, so
+  a new object at a recycled ``id`` never gets a dead one's ref. Plain
+  record lists cannot be weakly referenced and stay pinned by a strong
+  one. Dead entries are swept under the store lock (no callbacks);
 - **digest cache** — a new object with byte-identical serialized form
   (blake2b over frame + buffers) reuses the published bytes and takes
-  over the ref's pin: at most one object is held alive per live ref,
-  however many equal copies repeat jobs hand in.
+  over the ref's identity entry: at most one object answers per live
+  ref, however many equal copies repeat jobs hand in.
 
 Segments live until :meth:`SharedPartitionStore.close` (idempotent,
 also registered via ``atexit`` so interpreter exit never leaks
@@ -54,8 +59,10 @@ import logging
 import pickle
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from typing import Callable
 
 import repro.obs as obs
 from repro.obs.log import get_logger, log_event
@@ -107,8 +114,9 @@ class DataPlaneStats:
     evicted_bytes: int = 0
     ref_bytes_total: int = 0
     bytes_referenced: int = 0
-    #: Objects the identity cache holds alive right now (a level, not a
-    #: running total): at most one per live ref.
+    #: Live objects the identity cache answers for right now (a level,
+    #: not a running total): at most one per live ref. A staged
+    #: partition leaves once its owner drops it; a plain list is pinned.
     pinned_objects: int = 0
 
 
@@ -122,7 +130,7 @@ class SharedPartitionStore:
         if cache_limit <= 0:
             raise ValueError("cache_limit must be positive")
         self.cache_limit = cache_limit
-        self.stats = DataPlaneStats()
+        self._stats = DataPlaneStats()
         # One lock serializes publishing against eviction and close, so
         # concurrent engine callers (the job service runs several worker
         # threads over one engine) cannot corrupt the LRU/cache maps or
@@ -131,12 +139,13 @@ class SharedPartitionStore:
         # name -> segment; insertion order doubles as LRU order (oldest
         # first) — hits re-append via _touch().
         self._segments: dict[str, shared_memory.SharedMemory] = {}
-        # id(obj) -> (obj, ref); the strong reference pins the object so
-        # its id cannot be recycled while the cache entry lives.
-        self._by_identity: dict[int, tuple[object, PartitionRef]] = {}
-        # ref -> id of the one object pinned for it: a byte-identical
-        # duplicate replaces the older pin instead of joining it.
-        self._pinned: dict[PartitionRef, int] = {}
+        # id(obj) -> ref; an entry answers only while ``_pinned[ref]``
+        # resolves to an object with that id.
+        self._by_identity: dict[int, PartitionRef] = {}
+        # ref -> the one object that answers for it by identity (see
+        # _holder): a byte-identical duplicate replaces the older one
+        # instead of joining it.
+        self._pinned: dict[PartitionRef, Callable[[], object | None]] = {}
         self._by_digest: dict[bytes, PartitionRef] = {}
         self._closed = False
         atexit.register(self.close)
@@ -145,6 +154,13 @@ class SharedPartitionStore:
     def live_segments(self) -> int:
         with self._lock:
             return len(self._segments)
+
+    @property
+    def stats(self) -> DataPlaneStats:
+        """The store's counters, ``pinned_objects`` swept current."""
+        with self._lock:
+            self._sweep()
+            return self._stats
 
     def _touch(self, name: str) -> None:
         seg = self._segments.pop(name, None)
@@ -165,11 +181,11 @@ class SharedPartitionStore:
                 d: r for d, r in self._by_digest.items() if r.segment != name
             }
             self._by_identity = {
-                i: (o, r) for i, (o, r) in self._by_identity.items() if r.segment != name
+                i: r for i, r in self._by_identity.items() if r.segment != name
             }
-            self._pinned = {r: i for r, i in self._pinned.items() if r.segment != name}
-            self.stats.segments_evicted += 1
-            self.stats.evicted_bytes += seg.size
+            self._pinned = {r: h for r, h in self._pinned.items() if r.segment != name}
+            self._stats.segments_evicted += 1
+            self._stats.evicted_bytes += seg.size
             log_event(
                 _log, logging.DEBUG, "dataplane.segment.evicted",
                 segment=name, bytes=seg.size, live=len(self._segments),
@@ -186,9 +202,28 @@ class SharedPartitionStore:
     def _pin(self, part: object, ref: PartitionRef) -> None:
         """Make ``part`` the one object whose identity answers for
         ``ref``, releasing whichever duplicate held that place."""
-        self._by_identity.pop(self._pinned.get(ref), None)
-        self._by_identity[id(part)] = (part, ref)
-        self._pinned[ref] = id(part)
+        self._by_identity[id(part)] = ref
+        self._pinned[ref] = _holder(part)
+
+    def _identity_hit(self, part: object) -> PartitionRef | None:
+        """``part``'s ref if ``part`` itself is the object answering
+        for it (not a dead one whose id it reuses, nor a duplicate's)."""
+        ref = self._by_identity.get(id(part))
+        if ref is None:
+            return None
+        holder = self._pinned.get(ref)
+        return ref if holder is not None and holder() is part else None
+
+    def _sweep(self) -> None:
+        """Forget the entries of objects that died or whose ref passed
+        to a duplicate, and restate ``pinned_objects``. Caller holds
+        the lock."""
+        live = {r: h() for r, h in self._pinned.items()}
+        self._pinned = {r: h for r, h in self._pinned.items() if live[r] is not None}
+        self._by_identity = {
+            i: r for i, r in self._by_identity.items() if id(live.get(r)) == i
+        }
+        self._stats.pinned_objects = len(self._pinned)
 
     # -- publishing ---------------------------------------------------------
 
@@ -201,12 +236,12 @@ class SharedPartitionStore:
         live segment count."""
         traced = obs.enabled()
         with self._lock:
-            before = vars(self.stats).copy() if traced else {}
+            before = vars(self._stats).copy() if traced else {}
             refs = self._put_many_locked(partitions)
             if traced:
                 deltas = {
                     key: value - before[key]
-                    for key, value in vars(self.stats).items()
+                    for key, value in vars(self._stats).items()
                     if key != "pinned_objects"
                 }
                 live = len(self._segments)
@@ -220,18 +255,18 @@ class SharedPartitionStore:
         refs: list[PartitionRef | None] = [None] * len(partitions)
         misses: list[tuple[int, object, bytes, bytes, list[memoryview]]] = []
         for i, part in enumerate(partitions):
-            cached = self._by_identity.get(id(part))
-            if cached is not None and cached[0] is part:
-                self.stats.identity_hits += 1
-                refs[i] = cached[1]
-                self._touch(cached[1].segment)
+            ref = self._identity_hit(part)
+            if ref is not None:
+                self._stats.identity_hits += 1
+                refs[i] = ref
+                self._touch(ref.segment)
                 continue
             frame, buffers = _serialize(part)
-            self.stats.serializations += 1
+            self._stats.serializations += 1
             digest = _digest(frame, buffers)
             ref = self._by_digest.get(digest)
             if ref is not None:
-                self.stats.digest_hits += 1
+                self._stats.digest_hits += 1
                 self._pin(part, ref)
                 refs[i] = ref
                 self._touch(ref.segment)
@@ -245,8 +280,8 @@ class SharedPartitionStore:
             )
             seg = shared_memory.SharedMemory(create=True, size=max(total, 1))
             self._segments[seg.name] = seg
-            self.stats.segments_created += 1
-            self.stats.shared_bytes += total
+            self._stats.segments_created += 1
+            self._stats.shared_bytes += total
             cursor = 0
             for i, part, digest, frame, buffers in misses:
                 offset = cursor
@@ -270,13 +305,13 @@ class SharedPartitionStore:
 
         out = [r for r in refs if r is not None]
         assert len(out) == len(partitions)
-        self.stats.refs_issued += len(out)
-        self.stats.ref_bytes_total += sum(
+        self._stats.refs_issued += len(out)
+        self._stats.ref_bytes_total += sum(
             len(pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL)) for r in out
         )
-        self.stats.bytes_referenced += sum(r.total_bytes for r in out)
+        self._stats.bytes_referenced += sum(r.total_bytes for r in out)
         self._evict_over_limit(pinned={r.segment for r in out})
-        self.stats.pinned_objects = len(self._by_identity)
+        self._sweep()
         return out
 
     def put(self, partition) -> PartitionRef:
@@ -297,7 +332,7 @@ class SharedPartitionStore:
             self._by_identity.clear()
             self._pinned.clear()
             self._by_digest.clear()
-            self.stats.pinned_objects = 0
+            self._stats.pinned_objects = 0
 
     def close(self) -> None:
         """Close and unlink every segment. Idempotent and exit-safe."""
@@ -323,6 +358,16 @@ class SharedPartitionStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _holder(part: object) -> Callable[[], object | None]:
+    """A weak reference to ``part``, or, for an object that cannot be
+    weakly referenced (a plain list), a strong one: it keeps ``part``
+    alive, so its id cannot be recycled while the entry lives."""
+    try:
+        return weakref.ref(part)
+    except TypeError:
+        return lambda: part
 
 
 def _serialize(obj) -> tuple[bytes, list[memoryview]]:

@@ -38,6 +38,7 @@ is defined once — in three steps:
 
 from __future__ import annotations
 
+import _thread
 import abc
 import logging
 import os
@@ -47,6 +48,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Any, Sequence
 
 import repro.obs as obs
@@ -344,16 +346,26 @@ class SimulatedEngine(ExecutionEngine):
         return node.runtime_for_work(raw, self.unit_rate)
 
 
-def _worker_ignore_sigint() -> None:
-    """Pool-worker initializer: leave Ctrl-C to the parent.
+def _pool_worker_init() -> None:
+    """Pool-worker initializer: leave Ctrl-C to the parent, and give the
+    worker a resource-tracker lock of its own.
 
     A terminal delivers SIGINT to the whole foreground process group; a
     worker interrupted mid ``call_queue.get()`` prints a traceback and
     can wedge the queue into a BrokenProcessPool. Workers ignore the
     signal so only the parent reacts and drains via :meth:`shutdown`
     (which still SIGTERMs workers if they hang).
+
+    A fork copies the tracker's lock as it stands: held, if another
+    parent thread was registering a segment at that instant (a
+    concurrent job's ``put_many``). Python 3.11 registers attachments
+    too, so the worker's first ``fetch_partition`` would then wait on
+    it for ever. The worker is single-threaded here, so a fresh lock is
+    safe. It is the C lock the tracker makes for itself (it calls
+    ``_recursion_count``), whatever wraps ``threading.RLock``.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    resource_tracker._resource_tracker._lock = _thread.RLock()
 
 
 def _pool_task(
@@ -466,7 +478,7 @@ class ProcessPoolEngine(ExecutionEngine):
             if created:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
-                    initializer=_worker_ignore_sigint,
+                    initializer=_pool_worker_init,
                 )
                 self._pools_created += 1
                 self._warmed.clear()
@@ -537,6 +549,11 @@ class ProcessPoolEngine(ExecutionEngine):
         self.shutdown()
 
     def __del__(self) -> None:
+        # The collector runs finalizers wherever it fires, under other
+        # objects' locks too, so an engine already shut down takes no
+        # lock here (nothing else can reach it any more).
+        if getattr(self, "_pool", None) is None and getattr(self, "_store", None) is None:
+            return
         # Interpreter teardown may have already dismantled the modules
         # shutdown() needs (ImportError/TypeError/AttributeError from
         # half-dead internals); a dying engine must not raise — but it
@@ -589,11 +606,11 @@ class ProcessPoolEngine(ExecutionEngine):
     ) -> list[tuple[WorkloadResult, float]]:
         """``(result, CPU seconds of workload.run)`` per partition.
 
-        ``one_shot`` partitions skip the shared store (publishing
-        samples that never repeat would only pin segments the LRU keeps
-        for jobs) and go out largest first, so the last task to start
-        is the shortest and the workers finish together; results come
-        back in partition order either way.
+        Tasks go out largest first, so the last task to start is the
+        shortest and the workers finish together; results come back in
+        partition order. ``one_shot`` partitions skip the shared store
+        (publishing samples that never repeat would only pin segments
+        the LRU keeps for jobs).
         """
         pool = self._ensure_pool()
         workers = self.max_workers or os.cpu_count() or 1
@@ -621,9 +638,7 @@ class ProcessPoolEngine(ExecutionEngine):
                     error=type(exc).__name__, detail=str(exc),
                 )
                 self._shm_usable = False
-        order = range(len(parts))
-        if one_shot:
-            order = sorted(order, key=lambda i: len(parts[i]), reverse=True)
+        order = sorted(range(len(parts)), key=lambda i: len(parts[i]), reverse=True)
         tasks = [(workload, payloads[i], trace) for i in order]
         try:
             smallest = min(range(len(parts)), key=lambda i: len(parts[i]))

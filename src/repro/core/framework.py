@@ -59,13 +59,13 @@ from repro.workloads.fpm.apriori import CandidateCountWorkload, LocalMiningWorkl
 @dataclass
 class PreparedInput:
     """Cached one-time work: stratification, profiling, optimizer and
-    the serialized dataset. Never mutated after ``prepare`` built it,
-    so threads may run jobs over one instance concurrently. The one
-    state that grows is the optimizer's memo of its front, one entry
-    per ``(N, floor)``, filled idempotently: repeat plans and budget
-    plans on one input are lookups in it."""
+    the serialized dataset — columns only, no record. Never mutated
+    after ``prepare`` built it, so threads may run jobs over one
+    instance concurrently. The one state that grows is the optimizer's
+    memo of its front, one entry per ``(N, floor)``, filled
+    idempotently: repeat plans and budget plans on one input are
+    lookups in it."""
 
-    items: list[Any]
     stratification: Stratification
     profiling: ProfilingReport
     optimizer: ParetoOptimizer
@@ -82,7 +82,7 @@ class PreparedInput:
 
     @property
     def num_items(self) -> int:
-        return len(self.items)
+        return len(self.staged)
 
 
 @dataclass
@@ -217,37 +217,53 @@ class ParetoPartitioner:
 
     def prepare(
         self,
-        items: Sequence[Any],
+        items: Sequence[Any] | EncodedDataset,
         workload: Workload,
         stratification: Stratification | None = None,
     ) -> PreparedInput:
         """Stratify, profile and build the optimizer (the one-time cost).
 
-        Pass a precomputed ``stratification`` (from :meth:`stratifier`'s
-        ``stratify`` on the same items) to skip stratifying — the
-        service builds it in a separate process.
+        ``items`` is the dataset's records, or the dataset already
+        encoded (``encode_dataset`` with this partitioner's ``kind``)
+        together with its ``stratification`` — the service builds both
+        in a separate process, so it never holds a record. Pass a
+        precomputed ``stratification`` (from :meth:`stratifier`'s
+        ``stratify`` on the same items) with records too, to skip
+        stratifying. The prepared input keeps the encoding only; an
+        encoded dataset is decoded, transiently, just for a two-phase
+        workload whose ``count_records`` converts the records.
         """
-        items = list(items)
-        if stratification is not None and stratification.num_items != len(items):
-            raise ValueError(
-                f"stratification labels {stratification.num_items} items, "
-                f"not {len(items)}"
-            )
-        with obs.span("pipeline.prepare", items=len(items), kind=self.kind):
+        if isinstance(items, EncodedDataset):
             if stratification is None:
-                stratification = self.stratifier().stratify(items)
+                raise ValueError("an encoded dataset needs its stratification")
+            if items.kind != self.kind:
+                raise ValueError(f"dataset encoded as {items.kind!r}, not {self.kind!r}")
+            records, staged = None, items
+        else:
+            records, staged = list(items), None
+        n = len(staged) if records is None else len(records)
+        if stratification is not None and stratification.num_items != n:
+            raise ValueError(
+                f"stratification labels {stratification.num_items} items, not {n}"
+            )
+        with obs.span("pipeline.prepare", items=n, kind=self.kind):
+            if stratification is None:
+                stratification = self.stratifier().stratify(records)
             # Staged first: the probe samples are gathers of it too.
-            staged = encode_dataset(self.kind, items)
+            if staged is None:
+                staged = encode_dataset(self.kind, records)
             sampler = ProgressiveSampler(engine=self.engine, seed=self.seed)
-            profiling = sampler.profile(workload, items, stratification, staged)
+            profiling = sampler.profile(workload, staged, stratification)
             dirty = self.engine.cluster.dirty_power_coefficients()
             optimizer = ParetoOptimizer(models=profiling.models, dirty_coeffs=dirty)
-            transactions = workload.count_records(items)
-            counted = (
-                staged if transactions is items else encode_dataset("set", transactions)
-            )
+            counted = staged
+            if workload.two_phase and type(workload).count_records is not Workload.count_records:
+                if records is None:
+                    records = staged.gather(np.arange(n)).records()
+                transactions = workload.count_records(records)
+                if transactions is not records:
+                    counted = encode_dataset("set", transactions)
         return PreparedInput(
-            items=items,
             stratification=stratification,
             profiling=profiling,
             optimizer=optimizer,

@@ -184,16 +184,15 @@ class ProgressiveSampler:
     def profile(
         self,
         workload: Workload,
-        items: Sequence[Any],
+        items: Sequence[Any] | EncodedDataset,
         stratification: Stratification,
-        staged: EncodedDataset | None = None,
     ) -> ProfilingReport:
         """Fit one time model per cluster node.
 
         Samples are *stratified* samples of ``items`` (Section III-E:
         the stratifier feeds the estimator payload-representative
         samples), re-drawn per fraction with a deterministic RNG. Pass
-        the dataset already ``staged`` (``encode_dataset`` of ``items``)
+        the dataset already staged (``encode_dataset`` of the records)
         to draw each sample as a gather of it, as a job's partitions
         are, instead of as a list of records.
         """
@@ -201,10 +200,12 @@ class ProgressiveSampler:
         n_items = len(items)
         if n_items == 0:
             raise ValueError("cannot profile an empty dataset")
-        if staged is not None and len(staged) != n_items:
-            raise ValueError(f"staged dataset holds {len(staged)} items, not {n_items}")
+        if stratification.num_items != n_items:
+            raise ValueError(
+                f"stratification labels {stratification.num_items} items, not {n_items}"
+            )
         with obs.span("stage.profile", items=n_items) as profile_span:
-            report = self._profile(workload, items, stratification, staged, rng, n_items)
+            report = self._profile(workload, items, stratification, rng, n_items)
             profile_span.set_attr("sample_sizes", list(report.sample_sizes))
             profile_span.set_attr("nodes", report.num_nodes)
             return report
@@ -212,16 +213,17 @@ class ProgressiveSampler:
     def _profile(
         self,
         workload: Workload,
-        items: Sequence[Any],
+        items: Sequence[Any] | EncodedDataset,
         stratification: Stratification,
-        staged: EncodedDataset | None,
         rng: np.random.Generator,
         n_items: int,
     ) -> ProfilingReport:
         num_nodes = self.engine.cluster.num_nodes
 
         def draw(idx: np.ndarray) -> Sequence[Any]:
-            return staged.gather(idx) if staged is not None else [items[i] for i in idx]
+            if isinstance(items, EncodedDataset):
+                return items.gather(idx)
+            return [items[i] for i in idx]
 
         sizes: list[int] = []
         samples: list[Sequence[Any]] = []

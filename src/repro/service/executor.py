@@ -12,15 +12,22 @@ The service's whole performance story lives here: every job runs on the
   and amortized across every job that hits the same scenario, exactly
   the paper's amortization argument applied to sustained traffic.
 
+What the caches hold is columns, not records: a dataset key is its
+codec encoding (:class:`~repro.kvstore.codec.EncodedDataset`) and its
+stratification, and a scenario is the :class:`PreparedInput` built
+from them. The service process never unpickles, encodes or keeps a
+record; a job's partitions are gathers of the encoding.
+
 Thread-safe: the manager runs several worker threads over one executor.
 ``_lock`` guards only two dicts of futures, one per dataset key and one
 per scenario key. The first job of a key builds it outside the lock and
 later jobs of that key wait on its future, so a cold build never holds
 up a job of any other key. The dataset half of a build — generating the
-items and stratifying them — runs in a one-process build pool, off the
-service process's interpreter. Engine job execution relies on the
-engine's own concurrency guarantees (pool maps are thread-safe, the
-dataplane store locks internally, shutdown drains in-flight jobs).
+items, stratifying and encoding them — runs in a one-process build
+pool, off the service process's interpreter. Engine job execution
+relies on the engine's own concurrency guarantees (pool maps are
+thread-safe, the dataplane store locks internally, shutdown drains
+in-flight jobs).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from repro.cluster.engines import ExecutionEngine, ProcessPoolEngine, SimulatedE
 from repro.core.framework import ParetoPartitioner, PreparedInput
 from repro.core.strategies import at_alpha
 from repro.data.datasets import load_dataset
+from repro.kvstore.codec import EncodedDataset, encode_dataset
 from repro.service.jobs import JobSpec, build_workload
 from repro.stratify.stratifier import Stratification, Stratifier
 
@@ -49,8 +57,8 @@ _T = TypeVar("_T")
 #: must agree on it).
 NUM_STRATA = 8
 
-#: ``(kind, items, stratification)`` of one dataset key.
-BuiltDataset = tuple[str, list, Stratification]
+#: ``(kind, encoded items, stratification)`` of one dataset key.
+BuiltDataset = tuple[str, EncodedDataset, Stratification]
 
 
 def _build_process_init() -> None:
@@ -62,12 +70,14 @@ def _build_process_init() -> None:
 
 def _build_task(
     key: tuple[str, float, int], trace: bool
-) -> tuple[str, list, Stratification, tuple]:
-    """Build-pool task: generate a dataset key's items and stratify them.
+) -> tuple[str, EncodedDataset, Stratification, tuple]:
+    """Build-pool task: generate a dataset key's items, stratify them
+    and encode them in the codec's columnar form.
 
-    A pure function of the key. Returns the built dataset and, when
-    ``trace`` is set, the ``stage.sketch`` / ``stage.stratify`` spans
-    for the parent to adopt.
+    A pure function of the key. Returns the built dataset — columns
+    only, so the parent unpickles a few arrays, not a record per item —
+    and, when ``trace`` is set, the ``stage.sketch`` /
+    ``stage.stratify`` spans for the parent to adopt.
     """
     name, size_scale, seed = key
     tracer = obs.get_tracer()
@@ -77,7 +87,8 @@ def _build_task(
     stratifier = Stratifier(kind=dataset.kind, num_strata=NUM_STRATA, seed=seed)
     stratification = stratifier.stratify(dataset.items)
     spans = tuple(tracer.finished_spans()) if trace else ()
-    return dataset.kind, dataset.items, stratification, spans
+    encoded = encode_dataset(dataset.kind, dataset.items)
+    return dataset.kind, encoded, stratification, spans
 
 
 def _build_pool() -> ProcessPoolExecutor:
@@ -132,7 +143,7 @@ class ScenarioExecutor:
         with self._lock:
             pool = self._build_pool
         try:
-            kind, items, stratification, spans = pool.submit(
+            kind, encoded, stratification, spans = pool.submit(
                 _build_task, key, obs.enabled()
             ).result()
         except BrokenProcessPool as exc:
@@ -146,11 +157,11 @@ class ScenarioExecutor:
         if spans:
             tracer = obs.get_tracer()
             tracer.adopt(spans, parent_id=tracer.current_span_id())
-        return kind, items, stratification
+        return kind, encoded, stratification
 
     def _dataset_for(self, spec: JobSpec) -> BuiltDataset:
-        """The spec's dataset, generated and stratified once per key in
-        the build process."""
+        """The spec's dataset, generated, stratified and encoded once
+        per key in the build process."""
         key = (spec.dataset, spec.size_scale, spec.seed)
         return self._once(self._datasets, key, lambda: self._build(key))
 
@@ -164,7 +175,7 @@ class ScenarioExecutor:
             workload=spec.workload,
             scale=spec.size_scale,
         ):
-            kind, items, stratification = self._dataset_for(spec)
+            kind, encoded, stratification = self._dataset_for(spec)
             # No KV hop: it keys a partition by id alone, so concurrent
             # jobs over one cluster would share keys.
             pp = ParetoPartitioner(
@@ -175,7 +186,7 @@ class ScenarioExecutor:
                 stage_via_kv=False,
             )
             prep = pp.prepare(
-                items,
+                encoded,
                 build_workload(spec.workload, spec.support),
                 stratification=stratification,
             )
@@ -202,7 +213,7 @@ class ScenarioExecutor:
         pp, prep = self.prepared_for(spec)
         workload = build_workload(spec.workload, spec.support)
         strategy = at_alpha(spec.alpha, spec.effective_placement)
-        report = pp.execute(prep.items, workload, strategy, prepared=prep)
+        report = pp.execute(prep.staged, workload, strategy, prepared=prep)
         return {
             "workload": spec.workload,
             "dataset": spec.dataset,

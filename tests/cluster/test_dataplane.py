@@ -1,6 +1,7 @@
 """Tests for the shared-memory partition data plane."""
 
 import errno
+import gc
 import glob
 import logging
 import os
@@ -23,6 +24,7 @@ from repro.cluster.dataplane import (
     fetch_partition,
 )
 from repro.cluster.engines import ProcessPoolEngine
+from repro.kvstore.codec import FramedPartition
 from repro.workloads.base import Workload, WorkloadResult
 
 
@@ -121,6 +123,65 @@ class TestCaching:
             store.put([1, 2, 3])  # a duplicate takes the pin
             store.put([4] * 100)  # evicts the first segment
             assert store.stats.pinned_objects == len(store._pinned) == 1
+
+
+def _framed(*records):
+    return FramedPartition.from_records(records)
+
+
+class TestWeakIdentity:
+    """The identity cache holds a staged partition weakly: once its
+    caller drops it, its bytes live only in the shared segment."""
+
+    def test_a_dropped_partition_is_freed_and_unpinned(self, store):
+        part = _framed([1, 2, 3], [4])
+        ref = store.put(part)
+        watcher = weakref.ref(part)
+        assert store.stats.pinned_objects == 1
+        del part
+        assert watcher() is None  # nothing but its caller held it
+        assert store.stats.pinned_objects == 0
+        assert store._by_identity == {} and store._pinned == {}
+        assert fetch_partition(ref).records() == [[1, 2, 3], [4]]
+
+    def test_a_live_partition_resubmitted_is_an_identity_hit(self, store):
+        part = _framed([5, 6])
+        ref = store.put(part)
+        assert store.put(part) == ref  # phase 2 hands the same object in
+        assert store.stats.identity_hits == 1 and store.stats.serializations == 1
+        del part
+        assert store.put(_framed([5, 6])) == ref  # a repeat: digest hit
+        assert store.stats.digest_hits == 1 and store.stats.serializations == 2
+
+    def test_a_recycled_id_never_gets_the_dead_objects_ref(self, store):
+        other = _framed([8, 9])  # other bytes: no digest hit either
+        dead = _framed([7, 7, 7])
+        dead_ref, dead_id = store.put(dead), id(dead)
+        del dead
+        # CPython hands a freed object's memory to the next object of
+        # its size; allocate until one lands on the dead id.
+        held = []
+        for _ in range(1000):
+            fresh = FramedPartition(other.kind, other.words, other.bounds)
+            if id(fresh) == dead_id:
+                break
+            held.append(fresh)
+        else:
+            pytest.fail("no object reused the dead partition's id")
+        ref = store.put(fresh)
+        assert ref != dead_ref
+        assert fetch_partition(ref).records() == [[8, 9]]
+        assert store.stats.identity_hits == 0
+
+    def test_plain_lists_keep_their_pin(self, store):
+        part = [1, 2, 3]
+        ref, ident = store.put(part), id(part)
+        del part
+        assert store.stats.pinned_objects == 1
+        pinned = [o for o in gc.get_objects() if id(o) == ident]
+        assert pinned == [[1, 2, 3]]
+        assert store.put(pinned[0]) == ref
+        assert store.stats.identity_hits == 1
 
 
 class TestRefSize:

@@ -340,6 +340,43 @@ class TestProcessPoolEngine:
         assert engine.pools_created == 1
         engine.shutdown()
 
+    def test_a_fork_while_another_thread_registers_a_segment_does_not_wedge(
+        self, cluster
+    ):
+        """Workers fork while another parent thread holds the resource
+        tracker's lock (as a concurrent job's ``put_many`` does for a
+        moment); their first attach must still go through."""
+        import threading
+        from multiprocessing import resource_tracker
+
+        from repro.cluster.dataplane import fetch_partition
+
+        held, release = threading.Event(), threading.Event()
+
+        def register_slowly():
+            with resource_tracker._resource_tracker._lock:
+                held.set()
+                release.wait(timeout=30.0)
+
+        with ProcessPoolEngine(cluster, max_workers=1) as engine:
+            ref = engine._ensure_store().put([1, 2, 3])  # the tracker runs
+            holder = threading.Thread(target=register_slowly)
+            holder.start()
+            try:
+                assert held.wait(timeout=30.0)
+                pool = engine._ensure_pool()
+                assert pool.submit(int).result(timeout=30.0) == 0  # the fork
+            finally:
+                release.set()
+                holder.join(timeout=30.0)
+            fetched = pool.submit(fetch_partition, ref)
+            try:
+                assert fetched.result(timeout=20.0) == [1, 2, 3]
+            finally:
+                if not fetched.done():  # a wedged worker must not hang the teardown
+                    for process in list(pool._processes.values()):
+                        process.kill()
+
     def test_context_manager_releases_pool(self, cluster):
         with ProcessPoolEngine(cluster, max_workers=1) as engine:
             job = engine.run_job(CountingWorkload(), [[1], [2]], assignment=[0, 1])

@@ -11,6 +11,7 @@ from repro.core.framework import ParetoPartitioner
 from repro.core.optimizer import ParetoOptimizer
 from repro.core.strategies import HET_AWARE, RANDOM, STRATIFIED, Strategy
 from repro.data.datasets import load_dataset
+from repro.kvstore.codec import encode_dataset
 from repro.workloads.compression.distributed import CompressionWorkload
 from repro.workloads.fpm.apriori import AprioriWorkload
 
@@ -180,6 +181,37 @@ class TestStaging:
         assert mined.counted is not mined.staged
         everything = mined.counted.gather(range(len(ds.items)))
         assert everything.records() == miner.count_records(ds.items)
+
+    @pytest.mark.parametrize("name", ["rcv1", "swissprot"])
+    def test_an_encoded_dataset_prepares_as_its_records_do(self, name):
+        """The service's path: the dataset encoded, with its
+        stratification, and no record kept by the prepared input."""
+        from repro.workloads.fpm.treemining import TreeMiningWorkload
+
+        ds = load_dataset(name, size_scale=0.15, seed=0)
+        engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=5e4)
+        pp2 = ParetoPartitioner(engine, kind=ds.kind, num_strata=6, seed=0)
+        if ds.kind == "tree":
+            miner = TreeMiningWorkload(0.15, max_len=1)
+        else:
+            miner = AprioriWorkload(min_support=0.15, max_len=2)
+        strata = pp2.stratifier().stratify(ds.items)
+        from_records = pp2.prepare(ds.items, miner, stratification=strata)
+        encoded = encode_dataset(ds.kind, ds.items)
+        from_columns = pp2.prepare(encoded, miner, stratification=strata)
+        assert from_columns.staged is encoded and not hasattr(from_columns, "items")
+        assert from_columns.num_items == len(ds.items)
+        assert from_columns.profiling == from_records.profiling
+        for form in ("values", "offsets"):
+            assert np.array_equal(
+                getattr(from_columns.counted, form), getattr(from_records.counted, form)
+            )
+        plans = [pp2.plan(p, HET_AWARE).sizes.tolist() for p in (from_records, from_columns)]
+        assert plans[0] == plans[1]
+        with pytest.raises(ValueError, match="needs its stratification"):
+            pp2.prepare(encoded, miner)
+        with pytest.raises(ValueError, match="encoded as"):
+            pp2.prepare(encode_dataset("set", [[1], [2]]), miner, stratification=strata)
 
 
 class TestCompressionPath:

@@ -238,7 +238,7 @@ class TestProbeLadder:
         sampler = ProgressiveSampler(engine=engine, seed=3)
         workload = spec.build(0.3)
         staged = sampler.profile(
-            workload, data.items, stratification, encode_dataset(data.kind, data.items)
+            workload, encode_dataset(data.kind, data.items), stratification
         )
         records = sampler.profile(workload, data.items, stratification)
         assert (staged.sample_sizes, staged.times[3]) == self.PINNED[case]
@@ -264,11 +264,11 @@ class TestProbeLadder:
         assert calls == [report.sample_sizes]
 
     def test_staged_dataset_must_match_items(self):
+        """The items the stratification labels are the staged ones."""
         engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=100.0)
-        with pytest.raises(ValueError, match="staged dataset holds 3 items"):
+        with pytest.raises(ValueError, match="stratification labels 2 items, not 3"):
             ProgressiveSampler(engine=engine).profile(
                 LinearWorkload(),
-                [[1], [2]],
-                flat_stratification(2),
                 encode_dataset("set", [[1], [2], [3]]),
+                flat_stratification(2),
             )

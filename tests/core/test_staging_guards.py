@@ -128,18 +128,30 @@ def test_warm_repeat_does_no_per_record_work_in_the_parent(engine, name, monkeyp
         assert len(spies["tree_triples"]) == 1  # one batch, not one call per tree
 
 
-def test_repeat_jobs_keep_one_pin_per_live_ref(engine):
-    """Every repeat rebuilds byte-identical partitions; the identity
-    cache must hold one object per published ref, not one per job."""
+def test_repeat_jobs_keep_one_pin_per_live_ref(engine, monkeypatch):
+    """Every repeat rebuilds byte-identical partitions. While a job
+    runs, the identity cache answers for at most one live object per
+    published ref, each one of that job's partitions; once the job has
+    dropped them, for none — their bytes live on in shared memory only."""
     run, _items, _workload = _scenario(engine, "fpgrowth")
     run(HET_AWARE)
     store = engine._store
-    pinned = engine.dataplane_stats.pinned_objects
+    put_many, calls = store.put_many, []
+
+    def watched(partitions):
+        refs = put_many(partitions)
+        live = [holder() for holder in store._pinned.values()]
+        assert store.stats.pinned_objects == len(live) <= len(set(refs))
+        assert all(any(obj is part for part in partitions) for obj in live)
+        calls.append(len(partitions))
+        return refs
+
+    monkeypatch.setattr(store, "put_many", watched)
     for _ in range(50):
         run(HET_AWARE)
-    assert engine.dataplane_stats.pinned_objects == pinned == len(store._by_identity)
-    live_refs = {ref for _obj, ref in store._by_identity.values()}
-    assert len(live_refs) == pinned  # no two pinned objects answer for one ref
+        assert engine.dataplane_stats.pinned_objects == 0
+    assert len(calls) == 100  # both phases of every job were watched
+    assert store._by_identity == {} and store._pinned == {}
 
 
 @pytest.mark.parametrize("name", MINING_WORKLOADS)

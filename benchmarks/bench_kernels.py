@@ -11,15 +11,19 @@ Apriori mining, the fast LZ77 coder (on chunk-repetitive bytes and on the uk tex
 end-to-end benchmark compresses), the whole-partition WebGraph coder
 (on synthetic lists, on the end-to-end benchmark's uk partitions and on
 a probe-shaped shuffled sample) and the array-forest FP-growth miner (on
-the end-to-end benchmark's rcv1 partitions and on probe-sized samples) —
-asserting bit-identical outputs before reporting any number, and writes
-the measurements to ``benchmarks/results/BENCH_kernels.json``.
+the end-to-end benchmark's rcv1 partitions and on probe-sized samples),
+and the columns leg: ``workload.run`` of webgraph, lz77 and fpgrowth on
+the staged partitions of a ruler plan, against decoding them and running
+on the records — asserting bit-identical outputs before reporting any
+number, and writes the measurements to
+``benchmarks/results/BENCH_kernels.json``.
 
 Each section records both timings under ``tiers`` — ``reference`` (the
 oracle: ``tree_triples_reference``, ``trees_to_pivot_sets``,
 ``sketch_all_reference``, ``fit_reference``, ``mine_reference``,
 ``compress_reference``) and ``numpy`` (the kernel the method itself
-runs). ``speedup`` is numpy vs reference. The file is a record
+runs; in the columns leg ``reference`` is the record path and ``numpy``
+the staged one). ``speedup`` is numpy vs reference. The file is a record
 (``docs/performance.md`` cites it); nothing reads it back.
 
 Runs standalone (no pytest needed)::
@@ -404,6 +408,42 @@ def run_kernel_bench(cfg: dict) -> dict:
             transactions=[len(p) for p in parts],
             patterns=patterns,
         )
+
+    # -- Columns: each flat kernel on a staged partition vs its records ----
+    # What a pool worker runs: workload.run on the FramedPartition
+    # staging built (one gather of the dataset's columnar encoding),
+    # read through columns_of. The "reference" tier decodes the
+    # partition and runs on its records, the path the worker took
+    # before; outputs, stats and work units must be equal.
+    from repro.data.datasets import DATASET_KINDS
+    from repro.kvstore.codec import encode_dataset
+
+    for workload, dataset, scale in (
+        ("webgraph", "uk", cfg["webgraph_uk_scale"]),
+        ("lz77", "uk", cfg["lz77_uk_scale"]),
+        ("fpgrowth", "rcv1", cfg["fpgrowth_rcv1_scale"]),
+    ):
+        job = build_workload(workload, 0.1)
+        partitions, _ = ruler_plan_partitions(workload, dataset, scale)
+        staged = [
+            encode_dataset(DATASET_KINDS[dataset], part).gather(np.arange(len(part)))
+            for part in partitions
+        ]
+        for part in staged:
+            on_columns, on_records = job.run(part), job.run(part.records())
+            assert on_columns.work_units == on_records.work_units, f"{workload} columns diverged"
+            assert on_columns.stats == on_records.stats, f"{workload} columns diverged"
+            if workload == "fpgrowth":
+                assert list(on_columns.output.counts.items()) == list(
+                    on_records.output.counts.items()
+                ), f"{workload} columns diverged"
+            else:
+                assert on_columns.output == on_records.output, f"{workload} columns diverged"
+        results[f"{workload}_run_columns"] = _section(
+            _best_of(lambda: [job.run(p.records()) for p in staged], repeats=11),
+            _best_of(lambda: [job.run(p) for p in staged], repeats=11),
+            records=[len(p) for p in staged],
+        )
     return results
 
 
@@ -445,6 +485,9 @@ _KERNEL_SECTIONS = (
     "webgraph_compress_probe",
     "fpgrowth_mine_rcv1",
     "fpgrowth_mine_probe",
+    "webgraph_run_columns",
+    "lz77_run_columns",
+    "fpgrowth_run_columns",
 )
 
 

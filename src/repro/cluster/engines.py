@@ -4,11 +4,12 @@ Every engine runs a job the same way — :meth:`ExecutionEngine.run_job`
 is defined once — in three steps:
 
 - **measure** (``_execute_partitions``): run the workload on each
-  partition's records (:func:`~repro.kvstore.codec.records_of` decodes
-  a staged partition, once, where the workload runs) and price the
-  measurement on the assigned node. An engine states only those two
-  halves — ``_measure`` (one raw figure per partition) and ``_runtime``
-  (a raw figure priced on one node) — so a job and a profiling probe
+  partition as it was staged (a
+  :class:`~repro.kvstore.codec.FramedPartition` goes into
+  ``workload.run`` undecoded; the workload reads it as it needs) and
+  price the measurement on the assigned node. An engine states only
+  those two halves — ``_measure`` (one raw figure per partition) and
+  ``_runtime`` (a raw figure priced on one node) — so a job and a profiling probe
   (:meth:`ExecutionEngine.profile_samples`, the planner's whole probe
   ladder measured in one ``_measure`` and priced on every node) cannot
   disagree on what a node costs.
@@ -60,7 +61,7 @@ from repro.cluster.dataplane import (
     fetch_partition,
 )
 from repro.cluster.node import Node
-from repro.kvstore.codec import FramedPartition, records_of
+from repro.kvstore.codec import FramedPartition
 from repro.obs.energy import task_energy_attrs
 from repro.obs.log import get_logger, log_event
 from repro.obs.trace import NOOP_SPAN, Tracer
@@ -339,7 +340,7 @@ class SimulatedEngine(ExecutionEngine):
         self.unit_rate = unit_rate
 
     def _measure(self, workload, partitions, one_shot=False):
-        results = [workload.run(records_of(partition)) for partition in partitions]
+        results = [workload.run(partition) for partition in partitions]
         return [(result, result.work_units) for result in results]
 
     def _runtime(self, node, raw):
@@ -374,27 +375,26 @@ def _pool_task(
     workload, payload, trace = args
     tracer = Tracer() if trace else None
     shm = isinstance(payload, PartitionRef)
-    # Fetch and decode outside the timer: on the eager path the payload
-    # was unpickled by the executor before this function started, and a
-    # staged partition is framed bytes until this point either way, so
-    # the billed figure covers only workload.run.
+    # Fetch outside the timer (on the eager path the executor unpickled
+    # the payload before this function started). A staged partition
+    # goes into workload.run as framed bytes: reading them, as columns
+    # or as records, is part of the workload's billed work.
     fetch_span = (
         tracer.span("worker.fetch", segment=payload.segment, bytes=payload.total_bytes)
         if shm and tracer is not None
         else NOOP_SPAN
     )
     with fetch_span:
-        staged = fetch_partition(payload) if shm else payload
-        t0 = time.perf_counter()
-        records = records_of(staged)
-        fetch_span.set_attr("decode_s", time.perf_counter() - t0)
-    span = tracer.span("worker.run", items=len(records), shm=shm) if tracer is not None else NOOP_SPAN
+        partition = fetch_partition(payload) if shm else payload
+    span = (
+        tracer.span("worker.run", items=len(partition), shm=shm) if tracer is not None else NOOP_SPAN
+    )
     # Billed on the worker's CPU clock (every thread of this process):
     # what the work cost, not how long it waited for a core beside
     # another worker or a busy parent. The span keeps the wall time.
     with span:
         c0 = time.process_time()
-        result = workload.run(records)
+        result = workload.run(partition)
         cpu = time.process_time() - c0
     # Worker spans ship back through the normal task return path; the
     # parent re-parents them under the span that launched the job.
@@ -432,8 +432,8 @@ class ProcessPoolEngine(ExecutionEngine):
     ``run_job``/``profile_all_nodes`` calls over the same partitions (the same
     objects, or new ones with the same bytes) publish nothing. A
     partition arrives either as a plain record list or as a staged
-    :class:`~repro.kvstore.codec.FramedPartition`; the worker turns the
-    latter into records (``records_of``) before the task timer starts.
+    :class:`~repro.kvstore.codec.FramedPartition`, and the worker hands
+    it to ``workload.run`` as it arrived.
     Probe-ladder samples (:meth:`profile_samples`) never repeat, so they
     skip the store and ride in the task tuple, dispatched largest first
     so the workers finish together. :meth:`shutdown` unlinks the

@@ -20,8 +20,11 @@ emits — are the **single representation of a staged partition**:
 contiguous :class:`FramedPartition` by a vectorised gather, and that
 buffer is what moves — through the KV list (one blob per record, so
 ``LINDEX``/``LLEN`` still address items), into shared memory
-out-of-band, to the worker — until :func:`records_of` decodes it into
-the plain ``list`` a workload runs on, once, where the workload runs.
+out-of-band, to the worker — and into ``workload.run`` itself. There
+the flat-kind kernels read it as columns (:func:`columns_of`: the
+payload words with the headers stripped, the one flattener of record
+lists too), and only a consumer that walks records one by one decodes
+it into Python objects (:func:`records_of`).
 :func:`encode_record` / :func:`decode_record` stay the per-record
 reference the tests hold the vectorised path to.
 """
@@ -30,11 +33,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.kvstore.serializers import deserialize_items, flatten_items
+from repro.kvstore.serializers import FLAT_KINDS, deserialize_items, flatten_items
 
 _HEADER = struct.Struct("<I")
 
@@ -157,8 +161,9 @@ class FramedPartition:
         cuts = (_HEADER.size * self.bounds).tolist()
         return [data[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    def records(self) -> list[Any]:
-        """Decode into the plain list of items a workload runs on.
+    def lengths(self) -> np.ndarray:
+        """Every record's item count (int64), once the cut points are
+        checked against the length headers.
 
         Raises
         ------
@@ -174,6 +179,13 @@ class FramedPartition:
             or not np.array_equal(self.words[self.bounds[:-1]], lengths)
         ):
             raise ValueError("record length mismatch: cut points and headers disagree")
+        return lengths
+
+    def records(self) -> list[Any]:
+        """Decode into the plain list of items: the Python objects a
+        per-record consumer (tree mining, the work-stealing chunker)
+        walks. Raises what :meth:`lengths` raises."""
+        self.lengths()
         flat, cuts = self.words.tolist(), self.bounds.tolist()
         flats = [flat[a + 1 : b] for a, b in zip(cuts, cuts[1:])]
         return deserialize_items(self.kind, flats)
@@ -195,12 +207,43 @@ class FramedPartition:
 
 
 def records_of(partition: Any) -> Any:
-    """The records a workload runs on: a :class:`FramedPartition`
-    decoded, anything else (already a record list) as it is. The one
-    place engines turn a staged partition back into Python objects."""
+    """A partition as Python records: a :class:`FramedPartition`
+    decoded, anything else (already a record list) as it is. Only the
+    consumers that walk records one by one call it — tree mining's
+    per-tree conversion and the work-stealing chunker; the flat-kind
+    kernels read :func:`columns_of` instead."""
     if isinstance(partition, FramedPartition):
         return partition.records()
     return partition
+
+
+def columns_of(partition: Any) -> tuple[np.ndarray, np.ndarray]:
+    """A flat-kind partition as two columns: ``(values, sizes)``, both
+    int64, record ``i`` being the next ``sizes[i]`` entries of
+    ``values``.
+
+    A :class:`FramedPartition` is checked as :meth:`~FramedPartition
+    .records` checks it, then its length headers are stripped from the
+    words — no Python object per record or per value. Anything else is
+    a sequence of integer records, flattened by two ``fromiter`` passes
+    (``OverflowError`` on a value outside int64).
+
+    Raises
+    ------
+    ValueError
+        If a framed partition's cut points and headers disagree, or its
+        kind is not flat (a tree record is not a value list).
+    """
+    if isinstance(partition, FramedPartition):
+        if partition.kind not in FLAT_KINDS:
+            raise ValueError(f"{partition.kind!r} records are not flat value lists")
+        sizes = partition.lengths()
+        payload = np.ones(partition.words.size, dtype=bool)
+        payload[partition.bounds[:-1]] = False
+        return partition.words[payload].astype(np.int64), sizes
+    sizes = np.fromiter(map(len, partition), dtype=np.int64, count=len(partition))
+    values = np.fromiter(chain.from_iterable(partition), dtype=np.int64, count=int(sizes.sum()))
+    return values, sizes
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,11 @@ oracles (``tree_triples_reference``, ``sketch_all_reference``,
 ``count_patterns_reference``) and the equivalence is asserted by
 ``tests/perf/`` and ``benchmarks/bench_kernels.py``. Kernels are pure
 functions of their arguments (no imports from the stratifier modules)
-so they stay free of import cycles and are trivially testable.
+so they stay free of import cycles and are trivially testable. The
+partition kernels (WebGraph, LZ77 text framing, FP-growth, the packed
+FPM bitmap) take a staged :class:`~repro.kvstore.codec.FramedPartition`
+or a record list alike: both reach them through
+:func:`~repro.kvstore.codec.columns_of`, the one flattener.
 """
 
 from repro.perf.kmodes_kernels import (

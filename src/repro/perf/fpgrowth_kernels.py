@@ -32,10 +32,11 @@ The reference miner survives as ``FPGrowthMiner.mine_reference`` and
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
+
+from repro.kvstore.codec import FramedPartition, columns_of
 
 _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -55,8 +56,18 @@ class ForestMining(NamedTuple):
     visits: int
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort and an adjacent-difference
+    dedupe. (Flagless ``np.unique`` takes numpy's hash path, which
+    costs more than the sort on these integer keys.)"""
+    ordered = np.sort(values)
+    if ordered.size:
+        ordered = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    return ordered
+
+
 def distinct_items(
-    transactions: Sequence[Collection[int]],
+    transactions: Sequence[Collection[int]] | FramedPartition,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every transaction's distinct items: ``(tx, code, items)``.
 
@@ -64,12 +75,10 @@ def distinct_items(
     ``tx[j]`` contains ``items[code[j]]``, ordered by transaction then id.
     Ids must fit ``int64``.
     """
-    n = len(transactions)
-    sizes = np.fromiter(map(len, transactions), dtype=np.int64, count=n)
-    raw = np.fromiter(chain.from_iterable(transactions), dtype=np.int64, count=int(sizes.sum()))
+    raw, sizes = columns_of(transactions)
     items, code = np.unique(raw, return_inverse=True)
     stride = max(items.size, 1)
-    keys = np.unique(np.repeat(np.arange(n, dtype=np.int64), sizes) * stride + code)
+    keys = sorted_distinct(np.repeat(np.arange(sizes.size, dtype=np.int64), sizes) * stride + code)
     return keys // stride, keys % stride, items
 
 
@@ -109,7 +118,9 @@ def _group(trees: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def mine_forest(
-    transactions: Sequence[Collection[int]], min_count: int, max_len: int | None
+    transactions: Sequence[Collection[int]] | FramedPartition,
+    min_count: int,
+    max_len: int | None,
 ) -> ForestMining:
     """FP-growth over ``transactions`` at an absolute ``min_count``.
 
@@ -177,7 +188,7 @@ def mine_forest(
         if max_len is None or length < max_len:
             # The next forest: each node's filtered base is one row.
             g, i = g[keep], i[keep]
-            nodes = np.unique(g)
+            nodes = sorted_distinct(g)
             masks = _pack(np.searchsorted(nodes, g), i, nodes.size, words)
             trees, weights = node_tree[nodes], node_count[nodes]
     return ForestMining(_in_search_order(emitted, items[by_rank], num_ranks), bases, visits)

@@ -23,11 +23,11 @@ counts and the work-unit accounting all match the reference exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.kvstore.codec import FramedPartition, columns_of
 from repro.perf.minhash_kernels import DEFAULT_CHUNK_BYTES
 
 
@@ -83,20 +83,23 @@ class TransactionBitmap:
         return np.where(miss, self.sentinel_row, pos)
 
 
-def pack_transactions(transactions: Sequence[Iterable[int]]) -> TransactionBitmap:
-    """Pack transactions into a :class:`TransactionBitmap`.
+def pack_transactions(
+    transactions: Sequence[Iterable[int]] | FramedPartition,
+) -> TransactionBitmap:
+    """Pack transactions — a staged partition or a record sequence —
+    into a :class:`TransactionBitmap`.
 
     Duplicate items within a transaction collapse to one bit, matching
     the reference miners' ``frozenset(t)`` conversion. The items are
-    flattened once, ranked by one argsort and deduplicated per
-    transaction by one sort of the ``(item row, transaction)`` pairs,
-    with no per-transaction loop.
+    flattened once (:func:`~repro.kvstore.codec.columns_of`), ranked by
+    one argsort and deduplicated per transaction by one sort of the
+    ``(item row, transaction)`` pairs, with no per-transaction loop.
     """
-    sized = [t if hasattr(t, "__len__") else tuple(t) for t in transactions]
-    n_tx = len(sized)
-    lengths = np.fromiter(map(len, sized), dtype=np.int64, count=n_tx)
+    if not isinstance(transactions, FramedPartition):
+        transactions = [t if hasattr(t, "__len__") else tuple(t) for t in transactions]
+    vals, lengths = columns_of(transactions)
+    n_tx = lengths.size
     num_words = max(1, -(-n_tx // 64))
-    vals = np.fromiter(chain.from_iterable(sized), dtype=np.int64, count=int(lengths.sum()))
     if vals.size == 0:
         return TransactionBitmap(
             items=np.empty(0, dtype=np.int64),

@@ -7,21 +7,21 @@ The kernels here run no Python per chain candidate or per token while
 emitting the **byte-identical token stream** (and identical
 probe/match/literal statistics):
 
-- :func:`build_match_links` precomputes, with one vectorised stable
-  argsort over the 4-byte keys, a ``prev`` array linking every position
-  to the nearest earlier position with the same 4-byte prefix — the
-  hash chains of the reference, newest-first, materialised up front.
-  Because links compare the actual 32-bit key there are no hash
-  collisions to re-verify.
+- :func:`build_match_links` precomputes, with one plain sort of the
+  4-byte keys packed above their positions, a ``prev`` array linking
+  every position to the nearest earlier position with the same 4-byte
+  prefix — the hash chains of the reference, newest-first, materialised
+  up front. Because links compare the actual 32-bit key there are no
+  hash collisions to re-verify.
 - :func:`scan_matches` scores a block of positions at a time: it
   follows the links ``max_chain`` deep for every position of the block
   at once, extends every (position, candidate) pair eight bytes per
-  step on an unaligned little-endian ``uint64`` view of the buffer, and
-  applies the reference's probe discipline (``max_chain`` cap, the
-  window trimming the deques performed, the break on a match that
-  reaches the limit) as masks. The greedy parse then walks the block's
-  per-position best — the only sequential step, and it visits parse
-  positions only.
+  step on an aligned array of little-endian ``uint64`` words (one per
+  byte offset), and applies the reference's probe discipline
+  (``max_chain`` cap, the window trimming the deques performed, the
+  break on a match that reaches the limit) as masks. The greedy parse
+  then walks the block's per-position best — the only sequential step,
+  and it visits parse positions only.
 - :func:`serialize_tokens` lays the token stream out with one
   offsets cumsum and scatters headers, varints and literal bytes into
   one preallocated buffer; :func:`compress_block` composes the three.
@@ -55,23 +55,30 @@ def build_match_links(data: bytes) -> np.ndarray:
     """``prev[i]`` = nearest ``j < i`` with ``data[j:j+4] == data[i:i+4]``.
 
     Returns an int64 array of length ``max(len(data) - 3, 0)`` with
-    ``-1`` where no earlier occurrence exists. Equal keys keep position
-    order via a stable argsort, so following the links walks the
-    reference's deque newest-first.
+    ``-1`` where no earlier occurrence exists. One plain sort of the
+    packed ``key << 32 | position`` values orders equal keys by
+    position (what a stable argsort of the keys would), so following
+    the links walks the reference's deque newest-first. Positions must
+    fit 32 bits (inputs under 4 GiB).
     """
     n = len(data)
     if n < _MIN_MATCH:
         return np.empty(0, dtype=np.int64)
+    if n - 3 > 1 << 32:
+        raise ValueError("build_match_links takes inputs under 4 GiB")
     arr = np.frombuffer(data, dtype=np.uint8)
     keys = (
-        arr[: n - 3].astype(np.uint32)
-        | (arr[1 : n - 2].astype(np.uint32) << np.uint32(8))
-        | (arr[2 : n - 1].astype(np.uint32) << np.uint32(16))
-        | (arr[3:].astype(np.uint32) << np.uint32(24))
+        arr[: n - 3].astype(np.uint64)
+        | (arr[1 : n - 2].astype(np.uint64) << np.uint64(8))
+        | (arr[2 : n - 1].astype(np.uint64) << np.uint64(16))
+        | (arr[3:].astype(np.uint64) << np.uint64(24))
     )
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    prev = np.full(keys.size, -1, dtype=np.int64)
+    packed = keys << np.uint64(32)
+    packed |= np.arange(n - 3, dtype=np.uint64)
+    packed.sort()
+    order = (packed & np.uint64(0xFFFF_FFFF)).astype(np.int64)
+    sorted_keys = packed >> np.uint64(32)
+    prev = np.full(n - 3, -1, dtype=np.int64)
     same = sorted_keys[1:] == sorted_keys[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
@@ -131,6 +138,45 @@ def encode_varints_bytes(values: Sequence[int] | np.ndarray) -> bytes:
     return buf.tobytes()
 
 
+def text_lines(values: np.ndarray, sizes: np.ndarray) -> bytes:
+    """The records ``values`` holds back to back (record ``i`` is the
+    next ``sizes[i]`` int64 values) as text: one line per record, its
+    values in decimal separated by spaces — byte-identical to
+    ``"\\n".join(" ".join(map(str, rec)) for rec in records).encode()``.
+
+    Every value is written with its separator after it (a space, or the
+    newline that ends its record; an empty record is its newline alone),
+    so one cumsum places every value, and the digits are scattered one
+    decimal place per pass. The last newline is dropped.
+    """
+    if not sizes.size:
+        return b""
+    negative = values < 0
+    magnitude = values.view(np.uint64)
+    magnitude = np.where(negative, np.uint64(0) - magnitude, magnitude)
+    digits = np.ones(values.size, dtype=np.int64)
+    rest = magnitude // np.uint64(10)
+    while rest.any():
+        digits += rest > 0
+        rest //= np.uint64(10)
+    width = digits + negative
+    ends = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(width + 1, out=ends[1:])
+    value_end = np.cumsum(sizes)
+    empty = sizes == 0
+    record_end = ends[value_end] + np.cumsum(empty)
+    start = ends[:-1] + np.repeat(np.cumsum(empty) - empty, sizes)
+    total = int(record_end[-1])
+    text = np.full(total + 1, ord(" "), dtype=np.uint8)  # the last byte: a sink
+    text[record_end - 1] = ord("\n")
+    text[start[negative]] = ord("-")
+    last = start + width - 1
+    for place in range(int(digits.max(initial=0))):
+        magnitude, digit = np.divmod(magnitude, np.uint64(10))
+        text[np.where(digits > place, last - place, total)] = digit + ord("0")
+    return text[: total - 1].tobytes()
+
+
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``concat(arange(s, s + l) for s, l in zip(starts, lengths))``."""
     ends = np.cumsum(lengths)
@@ -141,10 +187,11 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _word_view(data: bytes) -> np.ndarray:
     """``w[i]`` = ``data[i:i+8]`` as a little-endian ``uint64``, zero-padded
-    past the end — an unaligned, overlapping view, one word per offset."""
+    past the end: one word per offset, copied out of an overlapping
+    view into an aligned array so every gather reads aligned words."""
     buf = np.zeros(len(data) + 8, dtype=np.uint8)
     buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    return np.ndarray((len(data) + 1,), dtype="<u8", buffer=buf, strides=(1,))
+    return np.ndarray((len(data) + 1,), dtype="<u8", buffer=buf, strides=(1,)).copy()
 
 
 def _extend(words: np.ndarray, a: np.ndarray, b: np.ndarray, limit: np.ndarray) -> np.ndarray:

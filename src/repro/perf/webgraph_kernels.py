@@ -6,9 +6,11 @@ every list and of every overlapping reference candidate, then keeps the
 shortest. The kernels here run no Python per list or per candidate while
 emitting the **byte-identical blob** (and identical statistics):
 
-- :func:`flatten_lists` lays the partition out as CSR — one ``uint64``
-  value array, one list-id array, per-list offsets — with each list
-  deduplicated and sorted. Membership keys ``list · R + rank`` (``rank``
+- :func:`flatten_lists` lays the partition — a staged
+  :class:`~repro.kvstore.codec.FramedPartition` or a record list, read
+  through :func:`~repro.kvstore.codec.columns_of` — out as CSR: one
+  ``uint64`` value array, one list-id array, per-list offsets, each
+  list deduplicated and sorted. Membership keys ``list · R + rank`` (``rank``
   is a value's dense rank over the partition) make "is id ``x`` in list
   ``j``" one ``searchsorted`` whatever the ids are.
 - :func:`plain_lengths` sizes every list's plain block at once:
@@ -34,6 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.kvstore.codec import FramedPartition, columns_of
 from repro.perf.lz77_kernels import encode_varints_bytes, varint_lengths
 
 #: WebGraph's ``Lmin`` (``webgraph.MIN_INTERVAL_LENGTH``): runs of
@@ -57,29 +60,32 @@ class Lists(NamedTuple):
     stride: int
 
 
-def _as_uint64(adjacency: Sequence[Sequence[int]], total: int) -> np.ndarray:
-    """Every id of every list, concatenated, as ``uint64``."""
+def _as_uint64(
+    adjacency: Sequence[Sequence[int]] | FramedPartition,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every id of every list, concatenated, as ``uint64``, and each
+    list's length."""
     try:
-        raw = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=total)
-        if not total or raw.min() >= 0:
-            return raw.view(np.uint64)
+        raw, sizes = columns_of(adjacency)
+        if not raw.size or raw.min() >= 0:
+            return raw.view(np.uint64), sizes
     except OverflowError:
         pass
-    # Ids ≥ 2^63, or some negative one: decide on the exact values.
+    # A record list with ids ≥ 2^63, or some negative one: decide on the
+    # exact values.
     exact = [int(v) for v in chain.from_iterable(adjacency)]
     if min(exact) < 0 or max(exact) >= 1 << 64:
         raise ValueError("webgraph ids must be non-negative and fit uint64")
-    return np.array(exact, dtype=np.uint64)
+    return np.array(exact, dtype=np.uint64), np.fromiter(map(len, adjacency), dtype=np.int64)
 
 
-def flatten_lists(adjacency: Sequence[Sequence[int]]) -> Lists:
+def flatten_lists(adjacency: Sequence[Sequence[int]] | FramedPartition) -> Lists:
     """CSR of ``[sorted(set(int(v) for v in raw)) for raw in adjacency]``.
 
     Raises ``ValueError`` on a negative id or one ≥ 2^64.
     """
-    n = len(adjacency)
-    sizes = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-    raw = _as_uint64(adjacency, int(sizes.sum()))
+    raw, sizes = _as_uint64(adjacency)
+    n = sizes.size
     distinct, rank = np.unique(raw, return_inverse=True)
     stride = max(distinct.size, 1)
     keys = np.repeat(np.arange(n, dtype=np.int64), sizes) * stride + rank
@@ -265,7 +271,9 @@ def _rank_in_group(groups: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(groups.size) - (np.cumsum(counts) - counts)[groups]
 
 
-def compress_lists(adjacency: Sequence[Sequence[int]], window: int) -> tuple[bytes, dict[str, int]]:
+def compress_lists(
+    adjacency: Sequence[Sequence[int]] | FramedPartition, window: int
+) -> tuple[bytes, dict[str, int]]:
     """WebGraph-compress a partition; byte-identical to the reference coder.
 
     Each list is coded plain or against one of the ``window`` lists

@@ -17,8 +17,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.kvstore.codec import decode_partition, encode_partition
-from repro.perf.lz77_kernels import compress_block
+from repro.kvstore.codec import FramedPartition, columns_of, decode_partition, encode_partition
+from repro.perf.lz77_kernels import compress_block, text_lines
 from repro.workloads.compression.varint import decode_varint, encode_varint
 
 _MIN_MATCH = 4
@@ -200,17 +200,19 @@ class LZ77Codec:
         return decode_partition(self.decompress(blob))
 
     def compress_text_records(
-        self, records: Sequence[Sequence[int]]
+        self, records: Sequence[Sequence[int]] | FramedPartition
     ) -> tuple[bytes, LZ77Stats]:
         """Compress the textual form (one space-separated line per record).
 
         This is what compressing the raw on-disk dataset looks like —
         the setting of the paper's LZ77 tables — and is far more
         compressible than the fixed-width binary framing because nearby
-        ids share digit prefixes.
+        ids share digit prefixes. The text is built in array passes over
+        :func:`~repro.kvstore.codec.columns_of` (a staged partition or a
+        record list; a record list's ints must fit int64, negative ones
+        keep their ``-``), byte-identical to joining ``str`` of every id.
         """
-        text = "\n".join(" ".join(map(str, rec)) for rec in records)
-        return self.compress(text.encode())
+        return self.compress(text_lines(*columns_of(records)))
 
     def decompress_text_records(self, blob: bytes) -> list[list[int]]:
         """Inverse of :meth:`compress_text_records`."""

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.kvstore.codec import FramedPartition, records_of
 from repro.stratify.pivots import PivotExtractor, tree_pivots
 from repro.workloads.base import WorkloadResult
 from repro.workloads.fpm.apriori import AprioriMiner, LocalMiningWorkload
@@ -45,13 +46,18 @@ class TreeMiningWorkload(LocalMiningWorkload):
     def __init__(self, min_support: float, max_len: int | None = 3):
         super().__init__(AprioriMiner(min_support=min_support, max_len=max_len))
 
-    def run(self, records: Sequence) -> WorkloadResult:
+    def run(self, records: Sequence | FramedPartition) -> WorkloadResult:
         # The per-tree conversion is the tree miner's probed, billed
-        # work, so it stays per tree on purpose: the batch kernel that
-        # ``count_records`` uses would make the worker ≈ 4× cheaper and
-        # idle node 2 of the α=1 warm plan (ROADMAP item 5(a)). Once
-        # that check is replaced, phase 1 mines ``PreparedInput.counted``
-        # and this conversion goes (ROADMAP item 6).
+        # work, so it stays per tree on purpose, and so does decoding a
+        # staged partition into (parent, labels) records for it (≈ 2 %
+        # of the run). The batch kernel that ``count_records`` uses
+        # would make the worker ≈ 4× cheaper, and the α=1 warm plans of
+        # the e2e benchmark's set-ups then idle node 2: [309, 91, 0, 0],
+        # and [276–329, 71–124, 0, 0] over seeds 1–3 (ROADMAP item
+        # 5(a)). Once that check is replaced, phase 1 mines
+        # ``PreparedInput.counted`` and this conversion goes (ROADMAP
+        # item 6).
+        records = records_of(records)
         transactions, convert_work = trees_to_pivot_sets(records)
         out = self.miner.mine(transactions)
         return WorkloadResult(

@@ -146,8 +146,9 @@ class TestProcessPoolTracing:
         assert len(run_jobs) == 2
         assert len(workers) == 2 * len(parts)  # every worker task traced
         assert len(fetches) == 2 * len(parts)
-        # The fetch span reports the share spent decoding the partition.
-        assert all(0 <= s["attrs"]["decode_s"] <= s["duration_s"] for s in fetches)
+        # Flat-kind fetch spans carry no decode: fetching is the
+        # shared-memory attach, and the workload reads the columns.
+        assert all("decode_s" not in s["attrs"] for s in fetches)
         job_ids = {s["span_id"] for s in run_jobs}
         assert all(s["parent_id"] in job_ids for s in workers + fetches)
         assert {s["pid"] for s in workers} != {run_jobs[0]["pid"]}

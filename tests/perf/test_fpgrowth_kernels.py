@@ -12,12 +12,13 @@ and the e2e benchmark's own partitions.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.bench_kernels import ruler_plan_partitions
-from repro.perf.fpgrowth_kernels import distinct_items
+from repro.perf.fpgrowth_kernels import distinct_items, sorted_distinct
 from repro.service.jobs import build_workload
 from repro.workloads.fpm.fpgrowth import FPGrowthMiner
 
@@ -105,3 +106,28 @@ class TestKernelPieces:
         rows, code, items = distinct_items(tx)
         got = [(int(r), int(items[c])) for r, c in zip(rows, code)]
         assert got == [(r, v) for r, t in enumerate(tx) for v in sorted(set(t))]
+
+
+class TestSortedDistinct:
+    """The sort-and-dedupe that replaced flagless ``np.unique``."""
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=200))
+    @settings(max_examples=80, deadline=None)
+    def test_random_int64(self, values):
+        values = np.array(values, dtype=np.int64)
+        got, expected = sorted_distinct(values), np.unique(values)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7] * 50, [-3] * 9, [-(2**63), 2**63 - 1, -1, 0, -1], list(range(100, -100, -3))],
+    )
+    def test_empty_all_equal_and_negative(self, values):
+        values = np.array(values, dtype=np.int64)
+        got = sorted_distinct(values)
+        assert got.dtype == np.int64 and np.array_equal(got, np.unique(values))
+
+    def test_leaves_its_argument_alone(self):
+        values = np.array([3, 1, 3, 2], dtype=np.int64)
+        sorted_distinct(values)
+        assert values.tolist() == [3, 1, 3, 2]

@@ -15,10 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.datasets import load_dataset
+from repro.kvstore.codec import columns_of
 from repro.perf.lz77_kernels import (
     build_match_links,
     encode_varint_batch,
     encode_varints_bytes,
+    text_lines,
     varint_lengths,
 )
 from repro.workloads.compression.lz77 import LZ77Codec
@@ -51,6 +53,87 @@ class TestBuildMatchLinks:
             if j >= 0:
                 assert data[j : j + 4] == data[i : i + 4]
                 assert j < i
+
+
+def match_links_by_stable_argsort(data: bytes) -> np.ndarray:
+    """The links as one stable argsort of the 4-byte keys computes them:
+    the form the packed-key sort replaced, kept as its oracle."""
+    n = len(data)
+    if n < 4:
+        return np.empty(0, dtype=np.int64)
+    arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
+    keys = arr[: n - 3] | arr[1 : n - 2] << 8 | arr[2 : n - 1] << 16 | arr[3:] << 24
+    order = np.argsort(keys, kind="stable")
+    prev = np.full(keys.size, -1, dtype=np.int64)
+    same = keys[order][1:] == keys[order][:-1]
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+class TestPackedKeyLinks:
+    @pytest.mark.parametrize("data", [b"", b"a", b"abc", b"\xff\xff\xff", b"abcd"])
+    def test_shorter_than_a_key_and_one_key(self, data):
+        assert np.array_equal(build_match_links(data), match_links_by_stable_argsort(data))
+
+    @pytest.mark.parametrize("byte", [b"\x00", b"a", b"\xff"])
+    def test_one_repeated_byte(self, byte):
+        data = byte * 5000  # every key equal: position order is the whole sort
+        links = build_match_links(data)
+        assert np.array_equal(links, match_links_by_stable_argsort(data))
+        assert links.tolist() == [-1, *range(len(data) - 4)]
+
+    @given(st.binary(max_size=3000), st.sampled_from([b"", b"abab" * 50]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_bytes(self, data, tail):
+        data += tail
+        assert np.array_equal(build_match_links(data), match_links_by_stable_argsort(data))
+
+
+def text_by_join(records) -> bytes:
+    """The text framing as ``str`` and ``join`` write it: the oracle of
+    the array framing."""
+    return "\n".join(" ".join(map(str, rec)) for rec in records).encode()
+
+
+class TestTextLines:
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [],
+            [[]],
+            [[], []],
+            [[0]],
+            [[2**32 - 1], [0, 2**32 - 1]],
+            [[], [7], [], [10, 100, 1000], []],
+            [[9, 10, 99, 100, 999, 1000, 10**9, 10**18, 2**63 - 1]],
+        ],
+    )
+    def test_edges_match_the_join(self, records):
+        assert text_lines(*columns_of(records)) == text_by_join(records)
+
+    def test_negative_ints_keep_their_sign_on_the_record_list_path(self):
+        # A staged partition holds uint32 values only; a record list may
+        # carry negative ints, and they are written as str writes them.
+        records = [[-5, 3], [-1, 0, -(2**63)], [], [-10]]
+        assert text_lines(*columns_of(records)) == text_by_join(records)
+        assert text_lines(*columns_of([[-5]])) == b"-5"
+
+    @given(
+        st.lists(
+            st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 99), max_size=8),
+            max_size=20,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_records_match_the_join(self, records):
+        assert text_lines(*columns_of(records)) == text_by_join(records)
+
+    def test_a_staged_partition_frames_as_its_records(self):
+        from repro.kvstore.codec import encode_dataset
+
+        records = [[5, 40, 2**32 - 1], [], [0]]
+        framed = encode_dataset("graph", records).gather(np.arange(3))
+        assert text_lines(*columns_of(framed)) == text_by_join(records)
 
 
 class TestVarintBatch:

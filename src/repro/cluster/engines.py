@@ -108,10 +108,10 @@ def record_job_telemetry(job: JobResult, job_span, wall0: float, workload: str) 
     spans carry the same floats the :class:`JobResult` summed. Callers
     must check ``obs.enabled()``.
 
-    ``workload`` tags each span with the workload name so a consumer
-    of the span stream can fit per-workload time models (mixing
-    workloads with different per-item costs would bias a pooled
-    slope). Energy burnt on wasted (fault-lost) tasks is set on the
+    ``workload`` tags each span with the workload name: the live
+    estimator keeps one decayed regression per ``(node, workload)``,
+    so each workload's evidence ages only with its own samples, and
+    pools them when ``/live`` reads them. Energy burnt on wasted (fault-lost) tasks is set on the
     job span as ``wasted_energy_j``.
     """
     tracer = obs.get_tracer()

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from repro.obs.energy import energy_split, node_energy_breakdown, task_energy_attrs
+from repro.obs.energy import energy_split, task_energy_attrs
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry
@@ -61,7 +61,6 @@ __all__ = [
     "get_logger",
     "log_event",
     "configure_logging",
-    "node_energy_breakdown",
     "task_energy_attrs",
     "energy_split",
     "read_spans",

@@ -1,28 +1,24 @@
-"""Energy telemetry: per-node time/energy breakdowns from job results.
+"""Energy telemetry: the energy attributes of a task span, and a
+trace's energy split.
 
 Bridges :mod:`repro.energy.accounting` into the observability plane
-without importing any cluster types — everything here duck-types on
-the ``TaskResult`` fields (``node_id``, ``runtime_s``, ``energy_j``,
-``dirty_energy_j``), so it works on :class:`~repro.cluster.engines.JobResult`
-from any engine (simulated, process-pool, fault-injecting,
-work-stealing).
+without importing any cluster types — :func:`task_energy_attrs`
+duck-types on the ``TaskResult`` fields (``node_id``, ``runtime_s``,
+``energy_j``, ``dirty_energy_j``), so it works for a task of any
+engine (simulated, process-pool, fault-injecting, work-stealing).
 
-The invariant the acceptance tests pin: summing the per-node (or
-per-span) attributes reproduces the job totals exactly — the breakdown
-is an exact regrouping of the same floats, never a re-measurement.
+The per-node books are not kept here: they are the ``node``-labelled
+series :func:`~repro.obs.fold.fold_span` folds out of ``task.execute``
+spans. The invariant the acceptance tests pin: summing the per-node
+(or per-span) attributes reproduces the job totals exactly — the books
+are an exact regrouping of the same floats, never a re-measurement.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
-__all__ = [
-    "fold_task",
-    "node_rows",
-    "node_energy_breakdown",
-    "task_energy_attrs",
-    "energy_split",
-]
+__all__ = ["task_energy_attrs", "energy_split"]
 
 
 def task_energy_attrs(task: Any) -> dict[str, Any]:
@@ -45,53 +41,6 @@ def task_energy_attrs(task: Any) -> dict[str, Any]:
         # discarded; the live ledger bills this separately per tenant.
         attrs["wasted"] = True
     return attrs
-
-
-def fold_task(rows: dict[int, dict[str, float]], attrs: Mapping[str, Any]) -> None:
-    """Add one task's attributes — what :func:`task_energy_attrs` builds
-    and a ``task.execute`` span carries — to its node's row in ``rows``.
-
-    The one per-node regrouping: a job's breakdown, the trace report's
-    node table and the live estimator's books all keep their rows here.
-    """
-    node = int(attrs["node_id"])
-    row = rows.get(node)
-    if row is None:
-        row = rows[node] = {
-            "tasks": 0, "busy_s": 0.0, "energy_j": 0.0, "dirty_energy_j": 0.0
-        }
-    row["tasks"] += 1
-    row["busy_s"] += float(attrs.get("runtime_s", 0.0))
-    row["energy_j"] += float(attrs.get("energy_j", 0.0))
-    row["dirty_energy_j"] += float(attrs.get("dirty_energy_j", 0.0))
-
-
-def node_rows(rows: Mapping[int, Mapping[str, float]]) -> dict[int, dict[str, float]]:
-    """The folded rows in node-id order, each with its green share:
-    ``{tasks, busy_s, energy_j, dirty_energy_j, green_energy_j,
-    green_fraction}``."""
-    out: dict[int, dict[str, float]] = {}
-    for node, row in sorted(rows.items()):
-        green = row["energy_j"] - row["dirty_energy_j"]
-        out[node] = {
-            **row,
-            "green_energy_j": green,
-            "green_fraction": green / row["energy_j"] if row["energy_j"] > 0 else 1.0,
-        }
-    return out
-
-
-def node_energy_breakdown(job: Any) -> dict[int, dict[str, float]]:
-    """Per-node rows (see :func:`node_rows`) folded over ``job.tasks``.
-
-    Sums are exact regroupings of the task fields, so
-    ``sum(row["energy_j"]) == job.total_energy_j`` (and likewise for
-    dirty energy) up to float addition order.
-    """
-    rows: dict[int, dict[str, float]] = {}
-    for task in job.tasks:
-        fold_task(rows, task_energy_attrs(task))
-    return node_rows(rows)
 
 
 def carries_energy(attrs: dict) -> bool:

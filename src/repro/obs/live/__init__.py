@@ -6,9 +6,8 @@ run is in flight*:
 
 - :class:`TelemetryBus` — bounded drop-oldest ring the span sink
   writes into; subscribers snapshot by sequence number or long-poll.
-- :class:`NodeEstimator` — online per-node time models + power split,
-  shaped for :class:`repro.core.optimizer.ParetoOptimizer` (the
-  feedback interface for online re-planning, ROADMAP item 8).
+- :class:`NodeEstimator` — online per-node time models (seconds per
+  work unit) + power split, the ``nodes`` list of ``/live``.
 - :class:`Ledger` — per-tenant green/dirty energy accounts that
   reconcile with :func:`repro.obs.energy.energy_split` to 1e-6.
 - :class:`SLOMonitor` — multi-window burn-rate alerting over p99 job
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import repro.obs as obs
 from repro.obs.live.bus import TelemetryBus
-from repro.obs.live.estimator import ClusterEstimate, NodeEstimate, NodeEstimator
+from repro.obs.live.estimator import NodeEstimator
 from repro.obs.live.ledger import Ledger
 from repro.obs.live.plane import LivePlane, current_tenant, tenant_context
 from repro.obs.live.slo import Objective, SLOMonitor, default_objectives
@@ -40,8 +39,6 @@ from repro.obs.live.slo import Objective, SLOMonitor, default_objectives
 __all__ = [
     "TelemetryBus",
     "NodeEstimator",
-    "NodeEstimate",
-    "ClusterEstimate",
     "Ledger",
     "SLOMonitor",
     "Objective",

@@ -12,28 +12,30 @@ energy_j, dirty_energy_j)``; :class:`NodeEstimator` folds those into
 - EWMA **power** estimates (total / dirty / green watts) per node.
 
 The regression decays old evidence geometrically (sample weight
-``decay^age``), so a node that slows down — co-location interference,
+``_DECAY^age``, age counted in the samples of its own ``(node,
+workload)``), so a node that slows down — co-location interference,
 thermal throttling — re-converges instead of being anchored to history.
+:meth:`NodeEstimator.snapshot` is the read side, the ``nodes`` list of
+the ``/live`` payload: per node, the regressions of every workload
+merged, the power split and the count of tasks seen.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
-from repro.obs.energy import fold_task
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
-    from repro.core.heterogeneity import LinearTimeModel
-
-__all__ = ["NodeEstimate", "ClusterEstimate", "NodeEstimator"]
+__all__ = ["NodeEstimator"]
 
 #: Pseudo-workload key for samples that carry no workload attribute.
 _ANY_WORKLOAD = "_"
 
 #: EWMA step of the per-node power split.
 _POWER_ALPHA = 0.2
+
+#: Per-sample geometric weight on old regression evidence (≈ a
+#: 100-task memory).
+_DECAY = 0.99
 
 
 class _RegAcc:
@@ -79,80 +81,37 @@ class _RegAcc:
 
 
 class _PowerAcc:
-    """EWMA power split for one node (constant-alpha, per-task samples)."""
+    """EWMA power split for one node (constant-alpha, per-task samples)
+    and the count of tasks it has seen."""
 
-    __slots__ = ("power_w", "dirty_w")
+    __slots__ = ("power_w", "dirty_w", "samples")
 
     def __init__(self) -> None:
-        self.power_w: float | None = None
-        self.dirty_w: float | None = None
+        self.power_w = self.dirty_w = 0.0
+        self.samples = 0
 
     def add(self, runtime_s: float, energy_j: float, dirty_j: float) -> None:
         watts = energy_j / runtime_s
         dirty_watts = dirty_j / runtime_s
-        if self.power_w is None:
+        if self.samples == 0:
             self.power_w = watts
             self.dirty_w = dirty_watts
         else:
             self.power_w += _POWER_ALPHA * (watts - self.power_w)
             self.dirty_w += _POWER_ALPHA * (dirty_watts - self.dirty_w)
-
-
-@dataclass(frozen=True)
-class NodeEstimate:
-    """One node's live picture: time model + power split.
-
-    ``model`` predicts seconds from work units and
-    ``throughput_items_per_s`` is its inverse slope — work units per
-    second; the ``/live`` payload keeps both under the key names it has
-    always had.
-    """
-
-    node_id: int
-    model: "LinearTimeModel"
-    throughput_items_per_s: float
-    power_w: float
-    dirty_power_w: float
-    green_power_w: float
-    samples: int
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "node_id": self.node_id,
-            "slope_s_per_item": self.model.slope,
-            "intercept_s": self.model.intercept,
-            "throughput_items_per_s": self.throughput_items_per_s,
-            "power_w": self.power_w,
-            "dirty_power_w": self.dirty_power_w,
-            "green_power_w": self.green_power_w,
-            "samples": self.samples,
-        }
-
-
-@dataclass(frozen=True)
-class ClusterEstimate:
-    """Per-node estimates, node-id order."""
-
-    nodes: tuple[NodeEstimate, ...]
+        self.samples += 1
 
 
 class NodeEstimator:
     """Folds ``task.execute`` span attrs into per-node live estimates.
 
-    ``decay`` is the per-sample geometric weight on old regression
-    evidence (0.99 ≈ a ~100-task memory). Thread-safe: spans arrive
-    from any manager worker thread.
+    Thread-safe: spans arrive from any manager worker thread.
     """
 
-    def __init__(self, decay: float = 0.99):
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.decay = decay
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._reg: dict[tuple[int, str], _RegAcc] = {}
         self._power: dict[int, _PowerAcc] = {}
-        #: node → the :func:`~repro.obs.energy.fold_task` row of its tasks.
-        self._books: dict[int, dict[str, float]] = {}
 
     def observe_task(self, attrs: Mapping[str, Any]) -> None:
         """Ingest one ``task.execute`` span's attributes."""
@@ -166,7 +125,6 @@ class NodeEstimator:
         workload = str(attrs.get("workload", _ANY_WORKLOAD))
         wasted = bool(attrs.get("wasted"))
         with self._lock:
-            fold_task(self._books, attrs)
             power = self._power.get(node)
             if power is None:
                 power = self._power[node] = _PowerAcc()
@@ -178,54 +136,32 @@ class NodeEstimator:
                 reg = self._reg.get(key)
                 if reg is None:
                     reg = self._reg[key] = _RegAcc()
-                reg.add(work, runtime, self.decay)
+                reg.add(work, runtime, _DECAY)
 
     # -- read side ----------------------------------------------------------
 
-    def estimates(
-        self, workload: str | None = None, num_nodes: int | None = None
-    ) -> ClusterEstimate:
-        """Current per-node estimates, node-id order.
-
-        ``workload=None`` pools every workload's regression evidence
-        per node (fine when per-item costs are similar; pass an explicit
-        workload for an unbiased model of that workload). ``num_nodes``
-        forces the output length; nodes with no samples yet get a zero
-        model and zero watts, flagged by ``samples == 0``.
-        """
-        from repro.core.heterogeneity import LinearTimeModel
-
-        with self._lock:
-            node_ids = sorted(self._books)
-            if num_nodes is not None:
-                node_ids = list(range(num_nodes))
-            out: list[NodeEstimate] = []
-            for node in node_ids:
-                acc = _RegAcc()
-                for (n, wl), reg in self._reg.items():
-                    if n != node:
-                        continue
-                    if workload is not None and wl != workload:
-                        continue
-                    acc.merge(reg)
-                slope, intercept = acc.fit()
-                books = self._books.get(node)
-                power = self._power.get(node)
-                watts = power.power_w if power and power.power_w is not None else 0.0
-                dirty_w = power.dirty_w if power and power.dirty_w is not None else 0.0
-                out.append(
-                    NodeEstimate(
-                        node_id=node,
-                        model=LinearTimeModel(slope=slope, intercept=intercept),
-                        throughput_items_per_s=1.0 / slope if slope > 0 else 0.0,
-                        power_w=watts,
-                        dirty_power_w=dirty_w,
-                        green_power_w=max(watts - dirty_w, 0.0),
-                        samples=books["tasks"] if books else 0,
-                    )
-                )
-        return ClusterEstimate(nodes=tuple(out))
-
     def snapshot(self) -> list[dict[str, Any]]:
-        """JSON-ready per-node view (pooled across workloads)."""
-        return [n.as_dict() for n in self.estimates().nodes]
+        """JSON-ready per-node view, node-id order, pooled across
+        workloads. The time model predicts seconds from work units
+        (``slope_s_per_item``, ``intercept_s``), and
+        ``throughput_items_per_s`` is its inverse slope: the key names
+        the ``/live`` payload has always had."""
+        out: list[dict[str, Any]] = []
+        with self._lock:
+            for node, power in sorted(self._power.items()):
+                acc = _RegAcc()
+                for (n, _workload), reg in self._reg.items():
+                    if n == node:
+                        acc.merge(reg)
+                slope, intercept = acc.fit()
+                out.append({
+                    "node_id": node,
+                    "slope_s_per_item": slope,
+                    "intercept_s": intercept,
+                    "throughput_items_per_s": 1.0 / slope if slope > 0 else 0.0,
+                    "power_w": power.power_w,
+                    "dirty_power_w": power.dirty_w,
+                    "green_power_w": max(power.power_w - power.dirty_w, 0.0),
+                    "samples": power.samples,
+                })
+        return out

@@ -82,7 +82,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down."""
+    """A value that can go up and down: the last one :meth:`set`."""
 
     __slots__ = ("name", "labels", "_value", "_lock")
 
@@ -95,13 +95,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:

@@ -4,14 +4,15 @@ Consumes the JSONL format written by :meth:`Tracer.export_jsonl` and
 renders the three views an engineer reads first:
 
 - per-stage latency (``stage.*`` spans, the five-stage pipeline),
-- per-node latency + energy split (``task.execute`` spans carry the
-  energy attributes the engines attach),
+- per-node tasks, busy time and energy split (``task.execute`` spans
+  carry the energy attributes the engines attach),
 - top-N slowest spans of any kind,
-- the job-service section, when the trace has ``service.*`` spans:
-  they are folded into a fresh registry (:func:`~repro.obs.fold.fold_span`,
-  the same fold that feeds the live one) and read back as
-  submissions/rejections, terminal states, queue-depth posture and
-  p50/p99 queue-wait and run latency.
+- the job-service section, when the trace has ``service.*`` spans.
+
+Every span is folded into a fresh registry
+(:func:`~repro.obs.fold.fold_span`, the same fold that feeds the live
+one): the node table and the service section are read back off its
+series, so the report keeps no per-node books of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from collections import defaultdict
 from typing import Any, Iterable, Sequence
 
-from repro.obs.energy import carries_energy, fold_task, node_rows, split_summary
+from repro.obs.energy import carries_energy, split_summary
 from repro.obs.fold import fold_span
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import iter_spans
@@ -37,6 +38,14 @@ __all__ = [
 
 _LABELLED_KEY = re.compile(r'^(?P<name>[^{]+)\{(?P<labels>.*)\}$')
 _LABEL_PAIR = re.compile(r'(\w+)="([^"]*)"')
+
+#: ``node``-labelled series -> (node-row field, snapshot field it reads).
+_NODE_SERIES = {
+    "repro_tasks_total": ("tasks", "value"),
+    "repro_task_runtime_seconds": ("busy_s", "sum"),
+    "repro_energy_joules_total": ("energy_j", "value"),
+    "repro_dirty_energy_joules_total": ("dirty_energy_j", "value"),
+}
 
 
 def _parse_metric_key(key: str) -> tuple[str, dict[str, str]]:
@@ -61,27 +70,26 @@ def _fmt_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 class TraceAggregate:
     """Everything the report needs, folded span-by-span in one pass.
 
-    Holds per-stage and per-node sums, energy-split accumulators and a
-    bounded top-N heap of slowest spans — memory is O(stages + nodes +
-    top_n) regardless of trace size, which is what lets
-    ``repro obs report`` digest multi-hundred-MB service traces.
+    Holds per-stage sums, the fold of every span (per-node and service
+    series), energy-split accumulators and a bounded top-N heap of
+    slowest spans — memory is O(stages + series + top_n) regardless of
+    trace size, which is what lets ``repro obs report`` digest
+    multi-hundred-MB service traces.
     """
 
     def __init__(self, top_n: int = 10):
         self.top_n = top_n
         self.spans = 0
-        self.task_spans = 0
         self.pids: set[int] = set()
         # stage name -> [spans, seconds, items]
         self._stages: dict[str, list[float]] = defaultdict(lambda: [0, 0.0, 0])
-        self._nodes: dict[int, dict[str, float]] = {}
         self._energy_j = 0.0
         self._dirty_j = 0.0
         self._energy_spans = 0
         self._heap: list[tuple[float, int, dict]] = []
         self._tiebreak = 0
-        # The fold of the service.* spans, what service_section reads.
-        self.service_metrics = MetricsRegistry()
+        # The fold of every span: node_rows and service_section read it.
+        self.metrics = MetricsRegistry()
 
     def add(self, span: dict) -> None:
         self.spans += 1
@@ -94,11 +102,7 @@ class TraceAggregate:
             bucket[0] += 1
             bucket[1] += duration
             bucket[2] += int(attrs.get("items", 0))
-        if name == "task.execute" and "node_id" in attrs:
-            self.task_spans += 1
-            fold_task(self._nodes, attrs)
-        if name.startswith("service."):
-            fold_span(self.service_metrics, span)
+        fold_span(self.metrics, span)
         if carries_energy(attrs):
             self._energy_j += float(attrs["energy_j"])
             self._dirty_j += float(attrs.get("dirty_energy_j", 0.0))
@@ -132,7 +136,33 @@ class TraceAggregate:
         ]
 
     def node_rows(self) -> list[dict[str, Any]]:
-        return [{"node": node, **row} for node, row in node_rows(self._nodes).items()]
+        """Per node, in node-id order: tasks, busy seconds, energy, dirty
+        and green energy and the green share, read off the fold's
+        ``node``-labelled series (:data:`_NODE_SERIES`)."""
+        books: dict[int, dict[str, float]] = defaultdict(dict)
+        for key, entry in self.metrics.snapshot().items():
+            name, labels = _parse_metric_key(key)
+            if name in _NODE_SERIES and "node" in labels:
+                field, source = _NODE_SERIES[name]
+                books[int(labels["node"])][field] = entry[source]
+        rows = []
+        for node, book in sorted(books.items()):
+            energy, dirty = book["energy_j"], book["dirty_energy_j"]
+            rows.append({
+                "node": node,
+                "tasks": int(book["tasks"]),
+                "busy_s": book["busy_s"],
+                "energy_j": energy,
+                "dirty_energy_j": dirty,
+                "green_energy_j": energy - dirty,
+                "green_fraction": (energy - dirty) / energy if energy > 0 else 1.0,
+            })
+        return rows
+
+    @property
+    def task_spans(self) -> int:
+        """``task.execute`` spans with a ``node_id``: the node rows' tasks."""
+        return sum(row["tasks"] for row in self.node_rows())
 
     def top_spans(self) -> list[dict]:
         return [
@@ -319,7 +349,7 @@ def render_report(spans: Iterable[dict], top_n: int = 10, title: str = "") -> st
             )
         )
 
-    service = service_section(agg.service_metrics.snapshot())
+    service = service_section(agg.metrics.snapshot())
     if service:
         sections.append("\n== service ==")
         rejected = sum(service["rejections"].values())

@@ -304,10 +304,16 @@ def iter_records(path: str | os.PathLike) -> Iterable[dict]:
     """Stream a JSONL trace file record-by-record, validating as it goes.
 
     Yields every record (the ``meta`` header first, then each span) with
-    per-record schema checks, holding only one line in memory at a time —
-    the reader `repro obs report` and `validate_jsonl` are built on, so
-    multi-hundred-MB service traces never get materialised.
+    per-record schema checks, holding only one line in memory at a time.
+    Once the last record has been yielded the meta header is checked
+    against what was read, so a wrong schema version or a span-count
+    mismatch raises :class:`ValueError`. Every trace reader —
+    :func:`iter_spans`, :func:`read_spans`, :func:`validate_jsonl` and
+    ``repro obs report`` — is built on it, so multi-hundred-MB service
+    traces never get materialised unless asked for.
     """
+    meta: dict = {}
+    count = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -316,7 +322,7 @@ def iter_records(path: str | os.PathLike) -> Iterable[dict]:
             record = json.loads(line)
             kind = record.get("type")
             if kind == "meta":
-                pass
+                meta = record
             elif kind == "span":
                 missing = SPAN_REQUIRED_KEYS - record.keys()
                 if missing:
@@ -329,49 +335,39 @@ def iter_records(path: str | os.PathLike) -> Iterable[dict]:
                     raise ValueError(
                         f"{path}:{lineno}: span duration must be non-negative"
                     )
+                count += 1
             else:
                 raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
             yield record
-
-
-def read_spans(path: str | os.PathLike) -> tuple[dict, list[dict]]:
-    """Load a JSONL trace file → ``(meta, spans)``, validating as it goes.
-
-    Materialises the whole span list; prefer :func:`iter_records` for
-    large service traces.
-    """
-    meta: dict = {}
-    spans: list[dict] = []
-    for record in iter_records(path):
-        if record.get("type") == "meta":
-            meta = record
-        else:
-            spans.append(record)
-    return meta, spans
-
-
-def iter_spans(path: str | os.PathLike) -> Iterable[dict]:
-    """Stream the span records of a JSONL trace file.
-
-    Per-record checks happen in :func:`iter_records`; once the last
-    span has been yielded the meta header is checked against what was
-    read, so a wrong schema version or a span-count mismatch raises
-    :class:`ValueError` without the span list ever being materialised.
-    """
-    meta: dict = {}
-    count = 0
-    for record in iter_records(path):
-        if record.get("type") == "meta":
-            meta = record
-            continue
-        count += 1
-        yield record
     if meta.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {meta.get('schema_version')!r}")
     if meta.get("span_count") != count:
         raise ValueError(
             f"meta span_count {meta.get('span_count')} != {count} span lines"
         )
+
+
+def iter_spans(path: str | os.PathLike) -> Iterable[dict]:
+    """Stream the span records of a JSONL trace file (checked as
+    :func:`iter_records` checks them)."""
+    return (record for record in iter_records(path) if record["type"] == "span")
+
+
+def read_spans(path: str | os.PathLike) -> tuple[dict, list[dict]]:
+    """Load a JSONL trace file → ``(meta, spans)``, checked as
+    :func:`iter_records` checks it.
+
+    Materialises the whole span list; prefer :func:`iter_spans` for
+    large service traces.
+    """
+    meta: dict = {}
+    spans: list[dict] = []
+    for record in iter_records(path):
+        if record["type"] == "meta":
+            meta = record
+        else:
+            spans.append(record)
+    return meta, spans
 
 
 def validate_jsonl(path: str | os.PathLike) -> dict:

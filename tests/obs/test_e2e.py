@@ -17,7 +17,7 @@ from repro.cluster.engines import ProcessPoolEngine, SimulatedEngine
 from repro.core.framework import ParetoPartitioner
 from repro.core.strategies import HET_AWARE
 from repro.data.datasets import load_dataset
-from repro.obs.energy import energy_split, node_energy_breakdown
+from repro.obs.energy import energy_split
 from repro.workloads.fpm.apriori import AprioriWorkload
 
 FIVE_STAGES = {
@@ -94,14 +94,19 @@ class TestEnergyInvariant:
         )
 
     def test_per_node_breakdown_sums_to_totals(self, traced_run):
-        report, _spans, _snap = traced_run
-        rows = node_energy_breakdown(report.job)
-        assert sum(r["energy_j"] for r in rows.values()) == pytest.approx(
-            report.total_energy_j, abs=1e-6
-        )
-        assert sum(r["dirty_energy_j"] for r in rows.values()) == pytest.approx(
+        # The per-node books are the fold's node-labelled series.
+        report, _spans, snap = traced_run
+
+        def per_node(series):
+            return [v["value"] for k, v in snap.items() if k.startswith(series + "{node=")]
+
+        energy = per_node("repro_energy_joules_total")
+        assert len(energy) == len({t.node_id for t in report.job.tasks})
+        assert sum(energy) == pytest.approx(report.total_energy_j, abs=1e-6)
+        assert sum(per_node("repro_dirty_energy_joules_total")) == pytest.approx(
             report.total_dirty_energy_j, abs=1e-6
         )
+        assert sum(per_node("repro_tasks_total")) == len(report.job.tasks)
 
 
 class TestExportAndMetrics:

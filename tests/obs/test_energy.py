@@ -5,9 +5,10 @@ import pytest
 import repro.obs as obs
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
-from repro.obs.energy import energy_split, node_energy_breakdown, task_energy_attrs
+from repro.obs.energy import energy_split, task_energy_attrs
 from repro.obs.fold import fold_span
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import TraceAggregate
 from tests.obs.test_report import SumWorkload
 
 
@@ -30,15 +31,23 @@ class TestTaskAttrs:
 
 
 class TestNodeBreakdown:
-    def test_sums_match_job_totals(self, job):
-        rows = node_energy_breakdown(job)
-        assert sum(r["energy_j"] for r in rows.values()) == pytest.approx(
+    def test_sums_match_job_totals(self):
+        # The per-node books are the fold of the job's task spans.
+        obs.enable()
+        engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=10.0)
+        job = engine.run_job(SumWorkload(), [[1] * 30, [2] * 30, [3] * 30, [4] * 30])
+        agg = TraceAggregate()
+        for span in obs.get_tracer().finished_spans():
+            agg.add(span)
+        rows = agg.node_rows()
+        assert [r["node"] for r in rows] == sorted({t.node_id for t in job.tasks})
+        assert sum(r["energy_j"] for r in rows) == pytest.approx(
             job.total_energy_j, abs=1e-6
         )
-        assert sum(r["dirty_energy_j"] for r in rows.values()) == pytest.approx(
+        assert sum(r["dirty_energy_j"] for r in rows) == pytest.approx(
             job.total_dirty_energy_j, abs=1e-6
         )
-        assert sum(r["tasks"] for r in rows.values()) == len(job.tasks)
+        assert sum(r["tasks"] for r in rows) == len(job.tasks)
 
 
 class TestEnergySplit:

@@ -130,64 +130,55 @@ class TestNodeEstimator:
     def test_recovers_linear_models_and_power(self):
         est = NodeEstimator()
         self._feed(est)
-        cluster_est = est.estimates(workload="sum")
-        assert [n.node_id for n in cluster_est.nodes] == [0, 1, 2, 3]
-        for node in cluster_est.nodes:
-            speed = self.SPEEDS[node.node_id]
+        nodes = est.snapshot()
+        assert [n["node_id"] for n in nodes] == [0, 1, 2, 3]
+        for node in nodes:
+            speed = self.SPEEDS[node["node_id"]]
+            watts = self.WATTS[node["node_id"]]
             true_slope = 1.0 / (self.UNIT_RATE * speed)
-            assert node.model.slope == pytest.approx(true_slope, rel=0.01)
-            assert node.model.intercept == pytest.approx(
+            assert node["slope_s_per_item"] == pytest.approx(true_slope, rel=0.01)
+            assert node["intercept_s"] == pytest.approx(
                 self.OVERHEAD / speed, rel=0.05
             )
-            assert node.throughput_items_per_s == pytest.approx(
+            assert node["throughput_items_per_s"] == pytest.approx(
                 self.UNIT_RATE * speed, rel=0.01
             )
-            assert node.power_w == pytest.approx(self.WATTS[node.node_id])
-            assert node.dirty_power_w == pytest.approx(
-                0.4 * self.WATTS[node.node_id]
-            )
-            assert node.green_power_w == pytest.approx(
-                0.6 * self.WATTS[node.node_id]
-            )
+            assert node["power_w"] == pytest.approx(watts)
+            assert node["dirty_power_w"] == pytest.approx(0.4 * watts)
+            assert node["green_power_w"] == pytest.approx(0.6 * watts)
+            assert node["samples"] == 5
 
     def test_wasted_tasks_inform_power_but_not_the_model(self):
         est = NodeEstimator()
         runtime = 0.5
         est.observe_task(_task_attrs(0, 100.0, runtime, 440.0, wasted=True))
-        one = est.estimates(num_nodes=1).nodes[0]
-        assert one.power_w == pytest.approx(440.0)
-        assert one.model.slope == 0.0  # no regression evidence
+        (one,) = est.snapshot()
+        assert one["power_w"] == pytest.approx(440.0)
+        assert one["samples"] == 1
+        assert one["slope_s_per_item"] == 0.0  # no regression evidence
 
     def test_decay_tracks_a_slowing_node(self):
-        est = NodeEstimator(decay=0.9)
+        est = NodeEstimator()
         works = (100, 200, 400, 800)
         for _ in range(3):
             for work in works:
                 est.observe_task(_task_attrs(0, work, work * 1e-4, 440.0))
-        fast_slope = est.estimates().nodes[0].model.slope
+        fast_slope = est.snapshot()[0]["slope_s_per_item"]
         assert fast_slope == pytest.approx(1e-4, rel=0.01)
         # The node halves in speed; old evidence must decay away.
-        for _ in range(30):
+        for _ in range(100):
             for work in works:
                 est.observe_task(_task_attrs(0, work, work * 2e-4, 440.0))
-        slow_slope = est.estimates().nodes[0].model.slope
-        assert slow_slope == pytest.approx(2e-4, rel=0.05)
-
-    def test_num_nodes_pads_unseen_nodes(self):
-        est = NodeEstimator()
-        est.observe_task(_task_attrs(1, 100.0, 0.01, 345.0))
-        nodes = est.estimates(num_nodes=3).nodes
-        assert [n.node_id for n in nodes] == [0, 1, 2]
-        assert nodes[0].samples == 0 and nodes[2].samples == 0
-        assert nodes[1].samples == 1
+        slow_slope = est.snapshot()[0]["slope_s_per_item"]
+        assert slow_slope == pytest.approx(2e-4, rel=0.01)
 
     def test_degenerate_single_size_falls_back_to_flat_model(self):
         est = NodeEstimator()
         for _ in range(5):
             est.observe_task(_task_attrs(0, 100.0, 0.25, 440.0))
-        model = est.estimates().nodes[0].model
-        assert model.slope == 0.0
-        assert model.intercept == pytest.approx(0.25)
+        (node,) = est.snapshot()
+        assert node["slope_s_per_item"] == 0.0
+        assert node["intercept_s"] == pytest.approx(0.25)
 
 
 # -- ledger ------------------------------------------------------------------
@@ -327,7 +318,7 @@ class TestPlaneSpanSink:
         assert recon["ok"], recon
         assert list(plane.ledger.totals()) == ["acme"]
         # Estimator saw every node the job touched.
-        assert [n.node_id for n in plane.estimator.estimates().nodes] == [0, 1, 2, 3]
+        assert [n["node_id"] for n in plane.estimator.snapshot()] == [0, 1, 2, 3]
         # The bus carries spans and nothing else; the job's summary
         # rides on the engine.run_job span's attributes.
         published = plane.bus.events_since(0)

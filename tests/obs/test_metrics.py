@@ -42,12 +42,13 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self, reg):
+    def test_set(self, reg):
         g = reg.gauge("live")
+        assert g.value == 0.0
         g.set(10)
-        g.inc(2)
-        g.dec(5)
-        assert g.value == 7
+        assert g.value == 10.0
+        g.set(3)  # a gauge goes down as well as up
+        assert g.value == 3.0
 
 
 class TestHistogram:

@@ -133,6 +133,21 @@ class TestExport:
         assert meta["span_count"] == 2
         assert [s["name"] for s in spans] == ["stage.sketch", "task.execute"]
 
+    @pytest.mark.parametrize(
+        "meta_patch, message",
+        [({"span_count": 5}, "span_count"), ({"schema_version": 99}, "schema_version")],
+    )
+    def test_read_spans_checks_the_header(self, tmp_path, meta_patch, message):
+        tracer = Tracer()
+        self._populate(tracer)
+        path = tmp_path / "t.jsonl"
+        tracer.export_jsonl(path)
+        meta, *spans = path.read_text().splitlines()
+        patched = {**json.loads(meta), **meta_patch}
+        path.write_text("\n".join([json.dumps(patched), *spans]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_spans(path)
+
     def test_validate_jsonl(self, tmp_path):
         tracer = Tracer()
         self._populate(tracer)

@@ -75,14 +75,18 @@ class TestEstimatorUnderServiceLoad:
         _run_mixed_load(svc)
         cluster = svc.executor.engine.cluster
         unit_rate = svc.executor.engine.unit_rate
-        estimate = plane.estimator.estimates(num_nodes=len(cluster.nodes))
-        for node, est in zip(cluster.nodes, estimate.nodes):
-            assert est.samples > 0, f"node {node.node_id} never observed"
-            # ISSUE acceptance: within 15% of the configured cluster.
-            assert est.throughput_items_per_s == pytest.approx(
+        estimate = plane.estimator.snapshot()
+        # Every node observed: the estimator lists only nodes it has seen.
+        assert [est["node_id"] for est in estimate] == [
+            node.node_id for node in cluster.nodes
+        ]
+        for node, est in zip(cluster.nodes, estimate):
+            assert est["samples"] > 0
+            # Within 15% of the configured cluster.
+            assert est["throughput_items_per_s"] == pytest.approx(
                 unit_rate * node.speed_factor, rel=0.15
             )
-            assert est.power_w == pytest.approx(node.watts, rel=0.15)
+            assert est["power_w"] == pytest.approx(node.watts, rel=0.15)
 
 
 class TestLedgerUnderServiceLoad:

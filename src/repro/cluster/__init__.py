@@ -6,7 +6,7 @@ a PVWATTS energy trace from one of four Google data-center sites. This
 subpackage reproduces that environment in-process:
 
 - :class:`~repro.cluster.node.Node` — speed factor, core count, power
-  model and green-energy accountant per node;
+  model and green-energy trace per node, which bills its own joules;
 - :func:`~repro.cluster.cluster.paper_cluster` — the 4-type preset;
 - execution engines that run partitioned workloads either in
   deterministic simulated time (work units ÷ speed) or on a real

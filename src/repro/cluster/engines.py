@@ -99,6 +99,11 @@ class JobResult:
     total_energy_j: float
     merged_output: Any = None
 
+    @property
+    def wasted_energy_j(self) -> float:
+        """Energy burnt on runs that were lost to failures."""
+        return sum(t.energy_j for t in self.tasks if t.stats.get("wasted"))
+
 
 def record_job_telemetry(job: JobResult, job_span, wall0: float, workload: str) -> None:
     """Emit one ``task.execute`` span per task (on the job's node-local
@@ -128,7 +133,7 @@ def record_job_telemetry(job: JobResult, job_span, wall0: float, workload: str) 
     job_span.set_attr("makespan_s", job.makespan_s)
     job_span.set_attr("total_energy_j", job.total_energy_j)
     job_span.set_attr("total_dirty_energy_j", job.total_dirty_energy_j)
-    wasted_j = sum(t.energy_j for t in job.tasks if t.stats.get("wasted"))
+    wasted_j = job.wasted_energy_j
     if wasted_j:
         job_span.set_attr("wasted_energy_j", wasted_j)
 
@@ -157,15 +162,15 @@ def account_job(
 ) -> JobResult:
     """Turn a placed timeline into the job's books.
 
-    Each event becomes one :class:`TaskResult` charged the node's
-    energy for its runtime and the dirty share of it over the window
+    Each event becomes one :class:`TaskResult` billed by its node
+    (:meth:`~repro.cluster.node.Node.bill`) over the window
     ``start_offset_s + start_s`` of the node's green trace; a wasted
     event is charged but contributes no work or output. The makespan
     is the latest end time; outputs merge in event order.
     """
     tasks: list[TaskResult] = []
     for pid, node_id, start, runtime, result, wasted in events:
-        accountant = cluster[node_id].accountant
+        energy, dirty = cluster[node_id].bill(runtime, start_offset_s + start)
         tasks.append(
             TaskResult(
                 partition_id=pid,
@@ -173,10 +178,8 @@ def account_job(
                 start_s=start,
                 runtime_s=runtime,
                 work_units=0.0 if wasted else result.work_units,
-                dirty_energy_j=accountant.measured_dirty_energy(
-                    runtime, start_s=start_offset_s + start
-                ),
-                energy_j=accountant.power.energy_joules(runtime),
+                dirty_energy_j=dirty,
+                energy_j=energy,
                 output=None if wasted else result.output,
                 stats={"wasted": True} if wasted else result.stats,
             )

@@ -5,7 +5,8 @@ fail periodically and are often replaced with upgraded hardware").
 :class:`FaultInjectingEngine` is the simulated engine with a different
 *schedule* step (see :mod:`repro.cluster.engines`): it kills chosen
 nodes at chosen times, so a partition running on a failed node is
-lost (its energy is still charged — wasted work costs real joules) and
+lost (its energy is still charged — wasted work costs real joules, read
+as :attr:`~repro.cluster.engines.JobResult.wasted_energy_j`) and
 re-executed, after a detection latency, on the surviving node that can
 finish it earliest. Because the framework's partitions are independent
 (Savasere phase 1, per-partition compression), recovery is exactly
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import repro.obs as obs
 from repro.cluster.cluster import Cluster
-from repro.cluster.engines import JobResult, SimulatedEngine
+from repro.cluster.engines import SimulatedEngine
 
 
 @dataclass
@@ -107,8 +108,3 @@ class FaultInjectingEngine(SimulatedEngine):
                 detection_latency_s=self.detection_latency_s,
             )
         return events
-
-    @staticmethod
-    def wasted_energy_j(job: JobResult) -> float:
-        """Energy burnt on runs that were lost to failures."""
-        return sum(t.energy_j for t in job.tasks if t.stats.get("wasted"))

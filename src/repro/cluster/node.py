@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.energy.accounting import DirtyEnergyAccountant
 from repro.energy.power import NodePowerModel
 from repro.energy.traces import EnergyTrace
 
@@ -49,26 +48,27 @@ class Node:
     node_type:
         Machine class (speed + cores + power).
     trace:
-        Green-energy trace of the site hosting this node.
+        Green-energy trace of the site hosting this node; what the node
+        bills against, so assigning a new trace re-bills what follows.
     task_overhead_s:
         Fixed per-task startup cost at unit speed; surfaces as the
         intercept ``c_i`` the regression learns.
+
+    The node's power model, ``power``, is built once from ``node_type``.
     """
 
     node_id: int
     node_type: NodeType
     trace: EnergyTrace
     task_overhead_s: float = 0.5
-    accountant: DirtyEnergyAccountant = field(init=False)
+    power: NodePowerModel = field(init=False)
 
     def __post_init__(self) -> None:
         if self.node_id < 0:
             raise ValueError("node_id must be non-negative")
         if self.task_overhead_s < 0:
             raise ValueError("task_overhead_s must be non-negative")
-        self.accountant = DirtyEnergyAccountant(
-            power=self.node_type.power_model(), trace=self.trace
-        )
+        self.power = self.node_type.power_model()
 
     @property
     def speed_factor(self) -> float:
@@ -76,7 +76,7 @@ class Node:
 
     @property
     def watts(self) -> float:
-        return self.node_type.power_model().watts
+        return self.power.watts
 
     def runtime_for_work(self, work_units: float, unit_rate: float) -> float:
         """Emulated runtime (s) to process ``work_units`` on this node.
@@ -94,5 +94,24 @@ class Node:
         )
 
     def dirty_power_coefficient(self) -> float:
-        """``k_i`` for the LP (see :class:`DirtyEnergyAccountant`)."""
-        return self.accountant.dirty_power_coefficient()
+        """``k_i = E_i − ḠE_i`` for the LP, with ``ḠE_i`` the whole
+        trace's mean (W).
+
+        The green supply credited to a node is capped at its own draw —
+        a node cannot bank more green power than it consumes. The
+        planner's estimate ``k_i · f_i(x_i)`` is
+        :func:`repro.core.optimizer.predict_dirty_energy`.
+        """
+        mean_green = self.trace.mean_power(0.0)
+        return max(self.power.watts - mean_green, 0.0)
+
+    def bill(self, runtime_s: float, start_s: float = 0.0) -> tuple[float, float]:
+        """``(energy_j, dirty_energy_j)`` of running flat-out over
+        ``[start_s, start_s + runtime_s)`` of the node's trace: the draw
+        ``E_i · runtime`` and its exact deficit ``∫ max(0, E_i − GE_i(t))
+        dt`` against the green supply (see
+        :meth:`~repro.energy.traces.EnergyTrace.deficit_joules`)."""
+        return (
+            self.power.energy_joules(runtime_s),
+            self.trace.deficit_joules(self.power.watts, start_s, runtime_s),
+        )

@@ -163,7 +163,6 @@ def cluster_at_hour(num_nodes: int, start_hour: float, *, seed: int = 0) -> Clus
             resolution_s=60.0,
             seed=seed * 1009 + i,
         )
-        node.accountant.trace = node.trace
     return cluster
 
 

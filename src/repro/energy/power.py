@@ -40,10 +40,3 @@ class NodePowerModel:
         if duration_s < 0:
             raise ValueError("duration must be non-negative")
         return self.watts * duration_s
-
-
-def paper_power_model(node_type: int) -> NodePowerModel:
-    """Power model for paper machine type 1..4 (1 = fastest, 4 cores)."""
-    if node_type not in (1, 2, 3, 4):
-        raise ValueError("node_type must be in 1..4")
-    return NodePowerModel(cores=5 - node_type)

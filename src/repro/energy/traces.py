@@ -12,6 +12,7 @@ rescaled to per second average for greater precision").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -57,8 +58,9 @@ class EnergyTrace:
     """A renewable power trace: ``watts[i]`` at time ``i * resolution_s``.
 
     Provides the two views the framework needs: the mean available green
-    power over a window (feeds ``k_i`` in the LP) and the exact integral
-    of green energy over an interval (feeds measured dirty energy).
+    power over a window (feeds ``k_i`` in the LP) and exact integrals
+    over an interval, of the green energy itself and of a draw's deficit
+    against it (the dirty energy a node is billed).
     """
 
     watts: np.ndarray
@@ -131,25 +133,40 @@ class EnergyTrace:
             watts=np.array(watts), resolution_s=resolution, location=location
         )
 
-    def energy_joules(self, start_s: float, duration_s: float) -> float:
-        """Exact green energy (J) available in the window, integrating the
-        piecewise-constant trace; windows past the end of the trace hold
-        the final sample (steady-state extrapolation)."""
+    def _cells(self, start_s: float, duration_s: float) -> Iterator[tuple[float, float]]:
+        """The piecewise-constant samples under ``[start_s, start_s +
+        duration_s)`` as ``(green_w, seconds)`` pairs, in time order;
+        windows past the end of the trace hold the final sample
+        (steady-state extrapolation)."""
         if duration_s < 0:
             raise ValueError("duration must be non-negative")
-        if duration_s == 0:
-            return 0.0
-        total = 0.0
+        last = self.watts.size - 1
         t = start_s
         end = start_s + duration_s
         while t < end:
-            idx = min(int(t / self.resolution_s), self.watts.size - 1)
+            idx = min(int(t / self.resolution_s), last)
             cell_end = (idx + 1) * self.resolution_s
-            if idx == self.watts.size - 1:
+            if idx == last:
                 cell_end = max(cell_end, end)
             step = min(cell_end, end) - t
-            total += float(self.watts[idx]) * step
+            yield float(self.watts[idx]), step
             t += step
+
+    def energy_joules(self, start_s: float, duration_s: float) -> float:
+        """Exact green energy (J) available in the window."""
+        total = 0.0
+        for green_w, step in self._cells(start_s, duration_s):
+            total += green_w * step
+        return total
+
+    def deficit_joules(self, draw_w: float, start_s: float, duration_s: float) -> float:
+        """Exact energy (J) a constant ``draw_w`` takes beyond the green
+        supply in the window: ``∫ max(0, draw_w − GE(t)) dt``, sample by
+        sample, so a surplus in one sample never offsets a deficit in
+        another."""
+        total = 0.0
+        for green_w, step in self._cells(start_s, duration_s):
+            total += max(draw_w - green_w, 0.0) * step
         return total
 
 

@@ -1,9 +1,9 @@
 """Energy telemetry: the energy attributes of a task span, and a
 trace's energy split.
 
-Bridges :mod:`repro.energy.accounting` into the observability plane
-without importing any cluster types — :func:`task_energy_attrs`
-duck-types on the ``TaskResult`` fields (``node_id``, ``runtime_s``,
+Carries what a node billed into the observability plane without
+importing any cluster types — :func:`task_energy_attrs` duck-types on
+the ``TaskResult`` fields (``node_id``, ``runtime_s``,
 ``energy_j``, ``dirty_energy_j``), so it works for a task of any
 engine (simulated, process-pool, fault-injecting, work-stealing).
 

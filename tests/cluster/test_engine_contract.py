@@ -9,6 +9,7 @@ override only the schedule step — these tests pin what that buys.
 
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
@@ -19,6 +20,7 @@ from repro.cluster.workstealing import WorkStealingScheduler
 from repro.core.framework import ParetoPartitioner
 from repro.core.strategies import HET_AWARE
 from repro.data.datasets import load_dataset
+from repro.energy.traces import EnergyTrace
 from repro.obs.energy import energy_split
 from repro.workloads.base import Workload, WorkloadResult
 from repro.workloads.fpm.apriori import AprioriMiner, AprioriWorkload
@@ -122,12 +124,28 @@ class TestStartOffset:
         assert late.makespan_s == base.makespan_s
         assert late.merged_output == base.merged_output
         for t in late.tasks:
-            accountant = cluster[t.node_id].accountant
-            assert t.dirty_energy_j == accountant.measured_dirty_energy(
+            assert (t.energy_j, t.dirty_energy_j) == cluster[t.node_id].bill(
                 t.runtime_s, start_s=offset + t.start_s
             )
         # Three hours on, the sites' green supply differs: the books move.
         assert late.total_dirty_energy_j != base.total_dirty_energy_j
+
+
+class TestTraceSwap:
+    def test_assigned_trace_is_what_the_job_bills(self):
+        """A node bills against the trace it holds now: swap in a dark
+        trace on node 0 and a flooded one on node 1, and node 0's tasks
+        are all dirty and node 1's all green."""
+        cluster = paper_cluster(4, seed=0)
+        steps = cluster[0].trace.watts.size
+        cluster[0].trace = EnergyTrace(watts=np.zeros(steps), resolution_s=60.0)
+        cluster[1].trace = EnergyTrace(watts=np.full(steps, 1e4), resolution_s=60.0)
+        job = SimulatedEngine(cluster, unit_rate=10.0).run_job(SumWorkload(), PARTS)
+        by_node = {t.node_id: t for t in job.tasks}
+        assert by_node[0].dirty_energy_j == pytest.approx(by_node[0].energy_j)
+        assert by_node[0].energy_j > 0
+        assert by_node[1].dirty_energy_j == 0.0
+        assert cluster.dirty_power_coefficients()[:2].tolist() == [440.0, 0.0]
 
 
 class TestUnderTheFramework:

@@ -68,13 +68,13 @@ class TestRecovery:
     def test_wasted_energy_charged(self, cluster):
         engine = FaultInjectingEngine(cluster, fail_at={3: 1.0}, unit_rate=10.0)
         job = engine.run_job(SumWorkload(), PARTS)
-        assert FaultInjectingEngine.wasted_energy_j(job) > 0
+        assert job.wasted_energy_j > 0
 
     def test_failure_before_start_loses_no_energy(self, cluster):
         # Node 3 dies at t=0: its partition never starts there.
         engine = FaultInjectingEngine(cluster, fail_at={3: 0.0}, unit_rate=10.0)
         job = engine.run_job(SumWorkload(), PARTS)
-        assert FaultInjectingEngine.wasted_energy_j(job) == 0.0
+        assert job.wasted_energy_j == 0.0
         assert job.merged_output == sum(sum(p) for p in PARTS)
 
     def test_recovery_lands_on_survivor(self, cluster):
@@ -133,7 +133,7 @@ class TestTelemetry:
         job = engine.run_job(SumWorkload(), PARTS)
         wasted_tasks = [t for t in job.tasks if t.stats.get("wasted")]
         assert wasted_tasks
-        assert FaultInjectingEngine.wasted_energy_j(job) == pytest.approx(
+        assert job.wasted_energy_j == pytest.approx(
             sum(t.energy_j for t in wasted_tasks)
         )
         # Wasted runs still burn real joules inside the job totals.
@@ -178,7 +178,7 @@ class TestTelemetry:
         assert retried_total == 1
         assert snap["repro_fault_wasted_energy_joules_total"][
             "value"
-        ] == pytest.approx(FaultInjectingEngine.wasted_energy_j(job))
+        ] == pytest.approx(job.wasted_energy_j)
 
     def test_no_fault_spans_without_failures(self, cluster, _obs):
         obs = _obs

@@ -80,8 +80,10 @@ class TestNodeValidation:
 
     def test_accountant_wired(self):
         node = make_node(cores=1, green=55.0)
-        # draw 155 W − 55 W green = 100 W dirty.
+        # draw 155 W − 55 W green = 100 W dirty, billed by the node itself.
         assert node.dirty_power_coefficient() == pytest.approx(100.0)
+        assert node.bill(2.0) == pytest.approx((310.0, 200.0))
+        assert node.power == PAPER_NODE_TYPES[3].power_model()
 
     def test_watts_property(self):
         assert make_node(cores=3).watts == pytest.approx(345.0)

@@ -186,7 +186,7 @@ class TestFaultGolden:
             WeightWorkload(), PARTS, assignment=FAULT_ASSIGNMENT
         )
         check_job(job, FAULT_ROWS, FAULT_DIRTY, FAULT_MAKESPAN, FAULT_MERGED)
-        assert FaultInjectingEngine.wasted_energy_j(job) == sum(
+        assert job.wasted_energy_j == sum(
             r[5] for r in FAULT_ROWS if r[6]
         )
 

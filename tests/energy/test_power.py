@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.energy.power import (
-    PAPER_BASE_WATTS,
-    PAPER_CORE_WATTS,
-    NodePowerModel,
-    paper_power_model,
-)
+from repro.cluster.node import PAPER_NODE_TYPES
+from repro.energy.power import PAPER_BASE_WATTS, PAPER_CORE_WATTS, NodePowerModel
 
 
 class TestPaperArithmetic:
@@ -20,13 +16,7 @@ class TestPaperArithmetic:
         [(1, 440.0), (2, 345.0), (3, 250.0), (4, 155.0)],
     )
     def test_four_machine_types(self, node_type, expected_watts):
-        assert paper_power_model(node_type).watts == expected_watts
-
-    def test_invalid_type(self):
-        with pytest.raises(ValueError):
-            paper_power_model(0)
-        with pytest.raises(ValueError):
-            paper_power_model(5)
+        assert PAPER_NODE_TYPES[node_type - 1].power_model().watts == expected_watts
 
 
 class TestNodePowerModel:

@@ -44,12 +44,13 @@ class TestTraceCSV:
             EnergyTrace.from_csv(path)
 
     def test_real_export_usable_in_accounting(self, tmp_path):
-        """A trace loaded from CSV plugs straight into the accountant."""
-        from repro.energy.accounting import DirtyEnergyAccountant
-        from repro.energy.power import NodePowerModel
+        """A trace loaded from CSV plugs straight into a node's books."""
+        from repro.cluster.node import PAPER_NODE_TYPES, Node
 
         path = tmp_path / "t.csv"
         path.write_text("time_s,watts\n0.0,100.0\n60.0,200.0\n")
         trace = EnergyTrace.from_csv(path)
-        acc = DirtyEnergyAccountant(power=NodePowerModel(cores=2), trace=trace)
-        assert acc.dirty_power_coefficient() == pytest.approx(250.0 - 150.0)
+        node = Node(node_id=0, node_type=PAPER_NODE_TYPES[2], trace=trace)  # 250 W
+        assert node.dirty_power_coefficient() == pytest.approx(250.0 - 150.0)
+        # 60 s at 150 W short, then 30 s at 50 W short.
+        assert node.bill(90.0) == pytest.approx((250.0 * 90.0, 150.0 * 60 + 50.0 * 30))

@@ -365,7 +365,7 @@ class TestFaultLedgerReconciliation:
         parts = [[1] * 40, [2] * 40, [3] * 40, [4] * 40]
         with tenant_context("acme"):
             job = engine.run_job(SumWorkload(), parts, assignment=[0, 0, 0, 0])
-        wasted = FaultInjectingEngine.wasted_energy_j(job)
+        wasted = job.wasted_energy_j
         assert wasted > 0  # the failure really wasted energy
         totals = plane.ledger.totals()["acme"]
         assert totals["wasted_j"] == pytest.approx(wasted, abs=1e-6)

@@ -9,8 +9,9 @@ test:
 	pytest tests/
 
 # Project-invariant static analysis (zero-dependency; pyflakes runs in CI).
+# Any finding not silenced by an inline `# repro: noqa[RULE]` fails it.
 lint:
-	PYTHONPATH=src python -m repro lint src tests benchmarks examples --baseline .lint-baseline.json
+	PYTHONPATH=src python -m repro lint src tests benchmarks examples
 
 # Static rules + the runtime lock watchdog: re-run the concurrent test
 # surface with every lock instrumented, then merge the observed
@@ -18,7 +19,7 @@ lint:
 lint-runtime:
 	rm -f lock_order.json
 	REPRO_LOCK_WATCH=lock_order.json PYTHONPATH=src python -m pytest -q tests/service tests/cluster/test_dataplane.py tests/obs/test_live.py
-	PYTHONPATH=src python -m repro lint src tests benchmarks examples --baseline .lint-baseline.json --runtime-report lock_order.json
+	PYTHONPATH=src python -m repro lint src tests benchmarks examples --runtime-report lock_order.json
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -82,6 +82,87 @@ def terminal_name(node: ast.AST) -> str | None:
     return None
 
 
+def self_attr(node: ast.AST) -> str | None:
+    """``self.X`` → ``"X"``, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def assignment(node: ast.AST) -> tuple[list[ast.expr], ast.expr | None]:
+    """``(targets, value)`` of an ``Assign`` or of an ``AnnAssign`` with a
+    value; ``([], None)`` for anything else."""
+    if isinstance(node, ast.Assign):
+        return node.targets, node.value
+    if isinstance(node, ast.AnnAssign) and node.value is not None:
+        return [node.target], node.value
+    return [], None
+
+
+#: Methods that mutate their receiver in place.
+MUTATING_METHODS = {
+    "append",
+    "extend",
+    "insert",
+    "add",
+    "update",
+    "setdefault",
+    "pop",
+    "popitem",
+    "clear",
+    "remove",
+    "discard",
+    "sort",
+    "reverse",
+    "fill",
+    "resize",
+    "sort_values",
+}
+
+
+def writes(node: ast.AST) -> Iterator[tuple[ast.expr, str]]:
+    """What ``node`` itself writes into, as ``(container, how)`` pairs.
+
+    A ``MUTATING_METHODS`` call writes its receiver and ``out=`` its
+    argument. An assignment, augmented assignment or ``del`` (tuple and
+    list targets unpacked) writes the value of each subscript or
+    attribute target, and an augmented assignment writes a bare name.
+    """
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Attribute) and node.func.attr in MUTATING_METHODS:
+            yield node.func.value, f"mutated via .{node.func.attr}()"
+        for kw in node.keywords:
+            if kw.arg == "out":
+                yield kw.value, "written via out="
+        return
+    targets, _ = assignment(node)
+    if isinstance(node, ast.AugAssign):
+        targets = [node.target]
+    elif isinstance(node, ast.Delete):
+        targets = node.targets
+    for target in _unpacked(targets):
+        if isinstance(target, ast.Subscript):
+            yield target.value, "mutated via subscript store"
+        elif isinstance(target, ast.Attribute):
+            yield target.value, "mutated via attribute store"
+        elif isinstance(node, ast.AugAssign):
+            yield target, "mutated via augmented assignment"
+
+
+def _unpacked(targets: list[ast.expr]) -> Iterator[ast.expr]:
+    for target in targets:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            yield from _unpacked(target.elts)
+        elif isinstance(target, ast.Starred):
+            yield from _unpacked([target.value])
+        else:
+            yield target
+
+
 #: Compound statements whose nested bodies can define functions.
 _BLOCK_STMTS: tuple[type[ast.stmt], ...] = (
     ast.If,

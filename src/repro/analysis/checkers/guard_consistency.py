@@ -37,8 +37,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.base import ModuleChecker
-from repro.analysis.checkers.race_global import MUTATING_METHODS
+from repro.analysis.base import ModuleChecker, self_attr, writes
 from repro.analysis.findings import Finding
 from repro.analysis.locks import (
     INIT_METHODS,
@@ -78,7 +77,7 @@ class GuardConsistencyChecker(ModuleChecker):
         class_infos = collect_class_locks(module)
         if not class_infos:
             return
-        module_locks = frozenset(collect_module_locks(module))
+        module_locks = collect_module_locks(module)
 
         for info in class_infos.values():
             scans: dict[str, _MethodScan] = {}
@@ -132,70 +131,34 @@ class GuardConsistencyChecker(ModuleChecker):
     def _scan_method(
         self,
         info,
-        module_locks: frozenset[str],
+        module_locks,
         method: ast.FunctionDef | ast.AsyncFunctionDef,
     ) -> _MethodScan:
         scan = _MethodScan()
         seen_nodes: set[int] = set()
-        writes: set[int] = set()
-        # Writes the Attribute node's own ctx can't show: AugAssign
-        # (`self._n += 1`), container stores (`self._d[k] = v`,
-        # `del self._d[k]`) and mutating method calls
-        # (`self._d.pop(k)`) all mutate the attribute's value.
-        def is_self_attr(node: ast.AST) -> bool:
-            return (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            )
+        # Writes the Attribute node's own ctx can't show: container
+        # stores (`self._d[k] = v`, `del self._d[k]`), mutating method
+        # calls (`self._d.pop(k)`) and the rest of the shared write
+        # classifier all mutate the attribute's value.
+        written = {
+            id(base)
+            for node in ast.walk(method)
+            for base, _how in writes(node)
+            if self_attr(base) is not None
+        }
 
-        for node in ast.walk(method):
-            if isinstance(node, ast.AugAssign) and isinstance(
-                node.target, ast.Attribute
-            ):
-                writes.add(id(node.target))
-            elif isinstance(node, ast.Subscript) and isinstance(
-                node.ctx, (ast.Store, ast.Del)
-            ):
-                if is_self_attr(node.value):
-                    writes.add(id(node.value))
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in MUTATING_METHODS
-                and is_self_attr(node.func.value)
-            ):
-                writes.add(id(node.func.value))
-
-        for event in iter_with_held(
-            method,
-            lock_attrs=frozenset(info.locks),
-            module_locks=module_locks,
-        ):
+        for event in iter_with_held(method, info.locks, module_locks):
             node = event.node
             if event.kind != "node" or id(node) in seen_nodes:
                 continue
             seen_nodes.add(id(node))
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-                and node.func.attr in info.methods
-            ):
-                scan.call_sites.setdefault(node.func.attr, []).append(
-                    bool(event.held)
-                )
-            if not (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
+            callee = self_attr(node.func) if isinstance(node, ast.Call) else None
+            if callee in info.methods:
+                scan.call_sites.setdefault(callee, []).append(bool(event.held))
+            attr = self_attr(node)
+            if attr is None or attr in info.locks or attr in info.methods:
                 continue
-            attr = node.attr
-            if attr in info.locks or attr in info.methods:
-                continue
-            is_write = isinstance(node.ctx, (ast.Store, ast.Del)) or id(node) in writes
+            is_write = isinstance(node.ctx, (ast.Store, ast.Del)) or id(node) in written
             scan.accesses.append(
                 _Access(
                     attr=attr,

@@ -16,10 +16,12 @@ Two shapes, both of which the repo's own history makes load-bearing:
   drain both re-check in a loop; this rule keeps it that way.
   (``wait_for`` loops internally and is exempt.)
 
-Receivers resolve strictly — ``self.<attr>`` where the attribute was
-seen constructed as a ``threading`` lock in this class, a module-level
-lock binding, or a local alias of either. ``barrier.wait()`` on an
-unknown receiver is not assumed to be a Condition.
+Receivers resolve through the shared lock model
+(:func:`repro.analysis.locks.lock_key`) — ``self.<attr>`` where the
+attribute was seen constructed as a ``threading`` lock in this class, a
+module-level lock binding, a local alias of either, or a fresh local
+lock. ``barrier.wait()`` on an unknown receiver is not assumed to be a
+Condition, and neither is a fresh local one.
 """
 
 from __future__ import annotations
@@ -27,17 +29,14 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.base import (
-    ModuleChecker,
-    iter_functions,
-    terminal_name,
-    walk_function_scope,
-)
+from repro.analysis.base import ModuleChecker, iter_functions
 from repro.analysis.findings import Finding
 from repro.analysis.locks import (
     collect_class_locks,
     collect_module_locks,
-    lock_call_kind,
+    iter_with_held,
+    lock_def,
+    lock_display,
 )
 from repro.analysis.project import SourceModule
 
@@ -58,70 +57,33 @@ class LockLeakChecker(ModuleChecker):
 
         for func, cls in iter_functions(module.tree):
             info = class_infos.get(cls.name) if cls is not None else None
-            lock_attrs = set(info.locks) if info else set()
-            conditions = {
-                a for a in lock_attrs if info and info.locks[a].kind == "Condition"
-            }
-            module_conditions = {
-                n for n, d in module_locks.items() if d.kind == "Condition"
-            }
+            class_locks = info.locks if info else {}
             where = f"{cls.name}.{func.name}" if cls is not None else func.name
-
-            aliases = _local_lock_aliases(func, lock_attrs, set(module_locks))
-
-            def resolve(expr: ast.expr) -> str | None:
-                """Receiver → display name if it is a known lock."""
-                if (
-                    isinstance(expr, ast.Attribute)
-                    and isinstance(expr.value, ast.Name)
-                    and expr.value.id == "self"
-                    and expr.attr in lock_attrs
-                ):
-                    return f"self.{expr.attr}"
-                if isinstance(expr, ast.Name):
-                    if expr.id in aliases:
-                        return aliases[expr.id]
-                    if expr.id in module_locks:
-                        return expr.id
-                return None
-
-            def is_condition(display: str) -> bool:
-                name = display.removeprefix("self.")
-                return name in conditions or name in module_conditions
-
-            yield from self._check_function(
-                module, func, where, resolve, is_condition
-            )
-
-    def _check_function(
-        self,
-        module: SourceModule,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        where: str,
-        resolve,
-        is_condition,
-    ) -> Iterable[Finding]:
-        released_in_finally: set[str] = set()
-        with_guarded: set[int] = set()  # ids of Calls that are `with` items
-        for node in walk_function_scope(func):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    ctx = item.context_expr
-                    if isinstance(ctx, ast.Call):
-                        with_guarded.add(id(ctx))
-            if isinstance(node, ast.Try) or (
-                hasattr(ast, "TryStar") and isinstance(node, ast.TryStar)
-            ):
-                for stmt in node.finalbody:
-                    for sub in ast.walk(stmt):
-                        name = _method_call_target(sub, "release", resolve)
-                        if name is not None:
-                            released_in_finally.add(name)
-
-        for node in walk_function_scope(func):
-            name = _method_call_target(node, "acquire", resolve)
-            if name is not None and id(node) not in with_guarded:
-                if name not in released_in_finally:
+            acquires: list[tuple[ast.AST, str]] = []
+            released_in_finally: set[str] = set()
+            for event in iter_with_held(func, class_locks, module_locks):
+                if event.kind != "node" or event.lock is None:
+                    continue
+                method = event.node.func.attr
+                if method == "acquire":
+                    acquires.append((event.node, event.lock))
+                elif method == "release" and event.in_finally:
+                    released_in_finally.add(event.lock)
+                elif method == "wait" and not event.in_while:
+                    lock = lock_def(event.lock, class_locks, module_locks)
+                    if lock is not None and lock.kind == "Condition":
+                        name = lock_display(event.lock)
+                        yield self.finding(
+                            module,
+                            event.node,
+                            f"{name}.wait() in {where}() outside a 'while "
+                            "predicate' loop — spurious wake-ups and missed "
+                            "signals break the invariant; re-check the "
+                            "predicate in a loop or use wait_for()",
+                        )
+            for node, key in acquires:
+                if key not in released_in_finally:
+                    name = lock_display(key)
                     yield self.finding(
                         module,
                         node,
@@ -129,124 +91,3 @@ class LockLeakChecker(ModuleChecker):
                         "release() in a finally — an exception leaks the lock; "
                         f"use 'with {name}:' or release in try/finally",
                     )
-
-        yield from self._check_waits(module, func, where, resolve, is_condition)
-
-    def _check_waits(
-        self,
-        module: SourceModule,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        where: str,
-        resolve,
-        is_condition,
-    ) -> Iterable[Finding]:
-        def walk(stmts: list[ast.stmt], in_while: bool) -> Iterable[Finding]:
-            for stmt in stmts:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue  # nested scope: visited by iter_functions
-                if isinstance(stmt, ast.While):
-                    yield from _waits_in_expr(stmt.test, in_while)
-                    yield from walk(stmt.body, True)
-                    yield from walk(stmt.orelse, in_while)
-                    continue
-                for child_stmts in _nested_bodies(stmt):
-                    yield from walk(child_stmts, in_while)
-                for expr in _own_exprs(stmt):
-                    yield from _waits_in_expr(expr, in_while)
-
-        def _waits_in_expr(expr: ast.expr, in_while: bool) -> Iterable[Finding]:
-            if in_while:
-                return
-            for sub in ast.walk(expr):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "wait"
-                ):
-                    name = resolve(sub.func.value)
-                    if name is not None and is_condition(name):
-                        yield self.finding(
-                            module,
-                            sub,
-                            f"{name}.wait() in {where}() outside a 'while "
-                            "predicate' loop — spurious wake-ups and missed "
-                            "signals break the invariant; re-check the "
-                            "predicate in a loop or use wait_for()",
-                        )
-
-        yield from walk(func.body, False)
-
-
-def _method_call_target(node: ast.AST, method: str, resolve) -> str | None:
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == method
-    ):
-        return resolve(node.func.value)
-    return None
-
-
-def _local_lock_aliases(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-    lock_attrs: set[str],
-    module_locks: set[str],
-) -> dict[str, str]:
-    """``lifecycle = self._lifecycle`` (or the getattr form) → alias map."""
-    aliases: dict[str, str] = {}
-    for node in walk_function_scope(func):
-        if not (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            continue
-        target = node.targets[0].id
-        value = node.value
-        if (
-            isinstance(value, ast.Attribute)
-            and isinstance(value.value, ast.Name)
-            and value.value.id == "self"
-            and value.attr in lock_attrs
-        ):
-            aliases[target] = f"self.{value.attr}"
-        elif (
-            isinstance(value, ast.Call)
-            and terminal_name(value.func) == "getattr"
-            and len(value.args) >= 2
-            and isinstance(value.args[0], ast.Name)
-            and value.args[0].id == "self"
-            and isinstance(value.args[1], ast.Constant)
-            and value.args[1].value in lock_attrs
-        ):
-            aliases[target] = f"self.{value.args[1].value}"
-        elif isinstance(value, ast.Name) and value.id in module_locks:
-            aliases[target] = value.id
-        elif lock_call_kind(value) is not None:
-            # A fresh local lock: leaks are still leaks.
-            aliases[target] = target
-    return aliases
-
-
-def _nested_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
-    out: list[list[ast.stmt]] = []
-    for name in ("body", "orelse", "finalbody"):
-        sub = getattr(stmt, name, None)
-        if sub and isinstance(sub[0], ast.stmt):
-            out.append(sub)
-    for handler in getattr(stmt, "handlers", []):
-        out.append(handler.body)
-    for case in getattr(stmt, "cases", []):
-        out.append(case.body)
-    return out
-
-
-def _own_exprs(stmt: ast.stmt) -> list[ast.expr]:
-    """Expression children of a statement that are not nested statements."""
-    out: list[ast.expr] = []
-    for child in ast.iter_child_nodes(stmt):
-        if isinstance(child, ast.expr):
-            out.append(child)
-        elif isinstance(child, (ast.withitem,)):
-            out.append(child.context_expr)
-    return out

@@ -32,15 +32,15 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.analysis.base import Checker, terminal_name
+from repro.analysis.base import Checker, assignment, dotted_name, self_attr, terminal_name
 from repro.analysis.findings import Finding
 from repro.analysis.locks import (
-    AMBIENT_GUARD,
     ClassLockInfo,
     LockDef,
     collect_class_locks,
     collect_module_locks,
     iter_with_held,
+    lock_def,
 )
 from repro.analysis.project import Project, SourceModule
 
@@ -168,31 +168,22 @@ class LockOrderChecker(Checker):
         # delegation (`store = SharedPartitionStore(...)` … `store.get()`).
         local_types: dict[str, str] = {}
         for node in ast.walk(method):
+            targets, value = assignment(node)
             if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
+                len(targets) == 1
+                and isinstance(targets[0], ast.Name)
+                and isinstance(value, ast.Call)
             ):
-                ctor = terminal_name(node.value.func)
+                ctor = terminal_name(value.func)
                 if ctor and ctor[:1].isupper():
-                    local_types[node.targets[0].id] = ctor
+                    local_types[targets[0].id] = ctor
 
         def site_of(key: str) -> str | None:
-            if key == AMBIENT_GUARD:
-                return None
-            if key.startswith("::"):
-                lock = module_locks.get(key[2:])
-            else:
-                lock = info.locks.get(key)
+            lock = lock_def(key, info.locks, module_locks)
             return lock.site if lock else None
 
         seen_calls: set[int] = set()
-        for event in iter_with_held(
-            method,
-            lock_attrs=frozenset(info.locks),
-            module_locks=frozenset(module_locks),
-        ):
+        for event in iter_with_held(method, info.locks, module_locks):
             held_sites = tuple(s for s in (site_of(k) for k in event.held) if s)
             if event.kind == "acquire":
                 dst = site_of(event.lock or "")
@@ -223,19 +214,13 @@ class LockOrderChecker(Checker):
                 if not isinstance(func, ast.Attribute):
                     continue
                 recv = func.value
-                if isinstance(recv, ast.Name) and recv.id == "self":
+                if dotted_name(recv) == "self":
                     # self.m() — same class.
                     fact.calls.append((info.name, func.attr, held_sites, event.node.lineno))
-                elif (
-                    isinstance(recv, ast.Attribute)
-                    and isinstance(recv.value, ast.Name)
-                    and recv.value.id == "self"
-                    and recv.attr in info.attr_types
-                ):
+                elif self_attr(recv) in info.attr_types:
                     # self.attr.m() — type from the constructor assignment.
-                    fact.calls.append(
-                        (info.attr_types[recv.attr], func.attr, held_sites, event.node.lineno)
-                    )
+                    ctor = info.attr_types[recv.attr]
+                    fact.calls.append((ctor, func.attr, held_sites, event.node.lineno))
                 elif isinstance(recv, ast.Name) and recv.id in local_types:
                     fact.calls.append(
                         (local_types[recv.id], func.attr, held_sites, event.node.lineno)

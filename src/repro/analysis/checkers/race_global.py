@@ -27,10 +27,12 @@ from typing import Iterable
 
 from repro.analysis.base import (
     ModuleChecker,
+    assignment,
     dotted_name,
     iter_functions,
     terminal_name,
     walk_function_scope,
+    writes,
 )
 from repro.analysis.findings import Finding
 from repro.analysis.project import SourceModule
@@ -50,26 +52,6 @@ _MUTABLE_CALLS = {
     "deque",
 }
 _NDARRAY_CALLS = {"empty", "zeros", "ones", "full", "array", "arange", "empty_like", "zeros_like"}
-
-MUTATING_METHODS = {
-    "append",
-    "extend",
-    "insert",
-    "add",
-    "update",
-    "setdefault",
-    "pop",
-    "popitem",
-    "clear",
-    "remove",
-    "discard",
-    "sort",
-    "reverse",
-    "fill",
-    "resize",
-    "sort_values",
-}
-
 
 def _is_mutable_value(node: ast.expr) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
@@ -103,12 +85,7 @@ class RaceGlobalChecker(ModuleChecker):
         tracked: dict[str, int] = {}
         module_level: dict[str, int] = {}
         for stmt in module.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
+            targets, value = assignment(stmt)
             if value is None:
                 continue
             mutable = _is_mutable_value(value)
@@ -167,44 +144,7 @@ class RaceGlobalChecker(ModuleChecker):
                 for name in node.names:
                     if name in rebindable:
                         yield hit(node, name, "rebound via 'global'")
-            elif isinstance(node, ast.Call):
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in MUTATING_METHODS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in live
-                ):
-                    yield hit(node, node.func.value.id, f"mutated via .{node.func.attr}()")
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "out"
-                        and isinstance(kw.value, ast.Name)
-                        and kw.value.id in live
-                    ):
-                        yield hit(node, kw.value.id, "written via out=")
-            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                    if isinstance(node, ast.AugAssign)
-                    else node.targets
-                )
-                for target in targets:
-                    base = target
-                    how = "rebound"
-                    if isinstance(target, ast.Subscript):
-                        base = target.value
-                        how = "mutated via subscript store"
-                    elif isinstance(target, ast.Attribute):
-                        base = target.value
-                        how = "mutated via attribute store"
-                    if isinstance(base, ast.Name) and base.id in live:
-                        if how == "rebound" and not isinstance(node, ast.AugAssign):
-                            # Plain `NAME = ...` in a function without a
-                            # `global` declaration creates a local; the
-                            # Global branch above catches real rebinds.
-                            continue
-                        if isinstance(node, ast.AugAssign) and base is target:
-                            how = "mutated via augmented assignment"
-                        yield hit(node, base.id, how)
+                continue
+            for base, how in writes(node):
+                if isinstance(base, ast.Name) and base.id in live:
+                    yield hit(node, base.id, how)

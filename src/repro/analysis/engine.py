@@ -1,8 +1,8 @@
-"""The analysis driver: load → check → suppress → baseline → report.
+"""The analysis driver: load → check → suppress → report.
 
-Checkers never see the noqa map or the baseline; the engine applies
-both filters after collection so suppression semantics are uniform
-across rules (and testable in one place). Unparseable files surface as
+Checkers never see the noqa map; the engine applies it after
+collection so suppression semantics are uniform across rules (and
+testable in one place). Unparseable files surface as
 ``SYNTAX-ERROR`` findings rather than crashing the run — a file the
 linter cannot read is a finding, not an excuse.
 """
@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.base import Checker
-from repro.analysis.baseline import split_baselined
 from repro.analysis.checkers import (
     GuardConsistencyChecker,
     KernelOracleChecker,
@@ -55,7 +54,6 @@ def all_checkers(runtime_report: dict | None = None) -> list[Checker]:
 def analyze_project(
     project: Project,
     checkers: Sequence[Checker] | None = None,
-    baseline_keys: set[str] | None = None,
 ) -> AnalysisReport:
     checkers = list(all_checkers()) if checkers is None else list(checkers)
     findings: list[Finding] = []
@@ -83,15 +81,9 @@ def analyze_project(
         else:
             kept.append(finding)
 
-    baselined = 0
-    if baseline_keys:
-        kept, grandfathered = split_baselined(kept, baseline_keys)
-        baselined = len(grandfathered)
-
     return AnalysisReport(
         findings=sorted(kept),
         suppressed=suppressed,
-        baselined=baselined,
         files_scanned=project.num_modules,
         rules=[c.rule_id for c in checkers],
     )
@@ -100,8 +92,7 @@ def analyze_project(
 def analyze_paths(
     paths: Iterable[str | Path],
     checkers: Sequence[Checker] | None = None,
-    baseline_keys: set[str] | None = None,
     root: Path | None = None,
 ) -> AnalysisReport:
     project = load_project([Path(p) for p in paths], root=root)
-    return analyze_project(project, checkers=checkers, baseline_keys=baseline_keys)
+    return analyze_project(project, checkers=checkers)

@@ -1,11 +1,5 @@
-"""The :class:`Finding` record every checker emits.
-
-A finding is one rule violation at one source location. Its
-``baseline_key`` deliberately omits the line number: baselined findings
-survive unrelated edits that shift code up or down, and go stale only
-when the offending construct itself changes (message text embeds the
-construct, e.g. the variable or class name).
-"""
+"""The :class:`Finding` record every checker emits: one rule violation
+at one source location."""
 
 from __future__ import annotations
 
@@ -24,10 +18,6 @@ class Finding:
     message: str
     #: Optional machine-readable extras (never part of identity).
     extra: dict[str, Any] = field(default_factory=dict, compare=False)
-
-    def baseline_key(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        return f"{self.path}::{self.rule}::{self.message}"
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {

@@ -10,7 +10,7 @@ from repro.analysis.findings import Finding
 
 #: Schema version of the ``--format json`` payload; bump on breaking
 #: changes so CI consumers can pin.
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -19,7 +19,6 @@ class AnalysisReport:
 
     findings: list[Finding]
     suppressed: int = 0
-    baselined: int = 0
     files_scanned: int = 0
     rules: list[str] = field(default_factory=list)
 
@@ -33,8 +32,7 @@ def render_text(report: AnalysisReport) -> str:
     noun = "finding" if len(report.findings) == 1 else "findings"
     lines.append(
         f"{len(report.findings)} {noun} "
-        f"({report.files_scanned} files, {report.suppressed} suppressed, "
-        f"{report.baselined} baselined)"
+        f"({report.files_scanned} files, {report.suppressed} suppressed)"
     )
     return "\n".join(lines)
 
@@ -48,7 +46,6 @@ def render_json(report: AnalysisReport) -> str:
             "files_scanned": report.files_scanned,
             "findings": len(report.findings),
             "suppressed": report.suppressed,
-            "baselined": report.baselined,
         },
     }
     return json.dumps(payload, indent=2)

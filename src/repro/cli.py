@@ -150,8 +150,7 @@ def cmd_obs_top(args) -> int:
 def cmd_lint(args) -> int:
     from pathlib import Path
 
-    from repro.analysis import analyze_paths, render_json, render_text, write_baseline
-    from repro.analysis.baseline import BaselineError, load_baseline
+    from repro.analysis import analyze_paths, render_json, render_text
     from repro.analysis.engine import all_checkers
     from repro.analysis.reporters import render_rules
 
@@ -193,31 +192,7 @@ def cmd_lint(args) -> int:
         print(f"repro lint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    baseline_keys: set[str] | None = None
-    if args.baseline:
-        if not Path(args.baseline).exists():
-            print(f"repro lint: baseline not found: {args.baseline}", file=sys.stderr)
-            return 2
-        try:
-            baseline_keys = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-
-    # --write-baseline must snapshot the *unfiltered* findings: writing
-    # after --baseline filtering would drop still-present grandfathered
-    # entries, so the very next gated run reports them as new.
-    report = analyze_paths(
-        paths,
-        checkers=checkers,
-        baseline_keys=None if args.write_baseline else baseline_keys,
-    )
-
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, report.findings)
-        print(f"wrote {count} baseline entries to {args.write_baseline}")
-        return 0
-
+    report = analyze_paths(paths, checkers=checkers)
     print(render_json(report) if args.format == "json" else render_text(report))
     return report.exit_code
 
@@ -384,18 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="JSON baseline of grandfathered findings to filter out",
-    )
-    p.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write current findings as a new baseline and exit 0",
     )
     p.add_argument(
         "--rules",

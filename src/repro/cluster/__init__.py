@@ -26,7 +26,6 @@ from repro.cluster.workstealing import WorkStealingScheduler, StealEvent
 from repro.cluster.faults import FaultInjectingEngine
 from repro.cluster.scenarios import (
     SCENARIOS,
-    geo_distributed_cluster,
     iswitch_cluster,
     rack_level_cluster,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "StealEvent",
     "FaultInjectingEngine",
     "SCENARIOS",
-    "geo_distributed_cluster",
     "iswitch_cluster",
     "rack_level_cluster",
     "Node",

@@ -8,12 +8,38 @@ from typing import Iterator
 import numpy as np
 
 from repro.cluster.node import Node, NodeType, PAPER_NODE_TYPES
-from repro.energy.traces import GOOGLE_DC_LOCATIONS, generate_trace
+from repro.energy.traces import GOOGLE_DC_LOCATIONS, EnergyTrace, Location, generate_trace
 from repro.kvstore.client import ClusterClient
 
 #: Length of every preset node's renewable trace (a window past its end
 #: is billed at the final sample).
 TRACE_DURATION_S = 6 * 3600.0
+
+
+def _site_trace(location: Location, seed: int, **kwargs) -> EnergyTrace:
+    """A preset node's renewable trace at ``location``:
+    :data:`TRACE_DURATION_S` long, one sample a minute, weather
+    realisation ``seed`` (``kwargs`` go to :func:`generate_trace`)."""
+    return generate_trace(
+        location, duration_s=TRACE_DURATION_S, resolution_s=60.0, seed=seed, **kwargs
+    )
+
+
+def _grid_tied_trace() -> EnergyTrace:
+    """A preset node with no green supply at all."""
+    return EnergyTrace(watts=np.zeros(int(TRACE_DURATION_S / 60.0)), resolution_s=60.0)
+
+
+def _paper_node(i: int, seed: int, task_overhead_s: float = 0.5, **trace_kwargs) -> Node:
+    """Node ``i`` of the paper preset: machine type and Google DC site
+    cycled, its own weather realisation."""
+    location = GOOGLE_DC_LOCATIONS[i % len(GOOGLE_DC_LOCATIONS)]
+    return Node(
+        node_id=i,
+        node_type=PAPER_NODE_TYPES[i % len(PAPER_NODE_TYPES)],
+        trace=_site_trace(location, seed * 1009 + i, **trace_kwargs),
+        task_overhead_s=task_overhead_s,
+    )
 
 
 @dataclass
@@ -65,25 +91,7 @@ def paper_cluster(
     """
     if num_nodes <= 0:
         raise ValueError("num_nodes must be positive")
-    nodes = []
-    for i in range(num_nodes):
-        ntype = PAPER_NODE_TYPES[i % len(PAPER_NODE_TYPES)]
-        location = GOOGLE_DC_LOCATIONS[i % len(GOOGLE_DC_LOCATIONS)]
-        trace = generate_trace(
-            location,
-            duration_s=TRACE_DURATION_S,
-            resolution_s=60.0,
-            seed=seed * 1009 + i,
-        )
-        nodes.append(
-            Node(
-                node_id=i,
-                node_type=ntype,
-                trace=trace,
-                task_overhead_s=task_overhead_s,
-            )
-        )
-    return Cluster(nodes=nodes)
+    return Cluster(nodes=[_paper_node(i, seed, task_overhead_s) for i in range(num_nodes)])
 
 
 def homogeneous_cluster(
@@ -100,9 +108,7 @@ def homogeneous_cluster(
         Node(
             node_id=i,
             node_type=ntype,
-            trace=generate_trace(
-                location, duration_s=TRACE_DURATION_S, resolution_s=60.0, seed=seed * 1009 + i
-            ),
+            trace=_site_trace(location, seed * 1009 + i),
         )
         for i in range(num_nodes)
     ]

@@ -19,12 +19,16 @@ heterogeneity is identical — only the green-supply structure differs.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.cluster.cluster import TRACE_DURATION_S, Cluster, paper_cluster
+from repro.cluster.cluster import (
+    Cluster,
+    _grid_tied_trace,
+    _paper_node,
+    _site_trace,
+    paper_cluster,
+)
 from repro.cluster.node import PAPER_NODE_TYPES, Node
 from repro.energy.solar import SolarPanel
-from repro.energy.traces import GOOGLE_DC_LOCATIONS, EnergyTrace, generate_trace
+from repro.energy.traces import GOOGLE_DC_LOCATIONS
 
 #: Rated panel watts per rack of the rack-level design (0 W = a purely
 #: grid-tied rack), cycled over the nodes.
@@ -45,17 +49,10 @@ def rack_level_cluster(num_nodes: int, *, seed: int = 0) -> Cluster:
     for i in range(num_nodes):
         watts = RACK_PANEL_WATTS[i % len(RACK_PANEL_WATTS)]
         if watts > 0:
-            trace = generate_trace(
-                location,
-                duration_s=TRACE_DURATION_S,
-                resolution_s=60.0,
-                panel=SolarPanel(rated_dc_watts=watts),
-                seed=seed * 1009,  # one shared weather realisation
-            )
+            # One shared weather realisation.
+            trace = _site_trace(location, seed * 1009, panel=SolarPanel(rated_dc_watts=watts))
         else:
-            trace = EnergyTrace(
-                watts=np.zeros(int(TRACE_DURATION_S / 60.0)), resolution_s=60.0
-            )
+            trace = _grid_tied_trace()
         nodes.append(
             Node(
                 node_id=i,
@@ -90,24 +87,11 @@ def iswitch_cluster(
         if i < num_green:
             # Panel sized ~3x the node's draw: covers it through clouds.
             panel = SolarPanel(rated_dc_watts=3.0 * ntype.power_model().watts)
-            trace = generate_trace(
-                location,
-                duration_s=TRACE_DURATION_S,
-                resolution_s=60.0,
-                panel=panel,
-                seed=seed * 1009 + i,
-            )
+            trace = _site_trace(location, seed * 1009 + i, panel=panel)
         else:
-            trace = EnergyTrace(
-                watts=np.zeros(int(TRACE_DURATION_S / 60.0)), resolution_s=60.0
-            )
+            trace = _grid_tied_trace()
         nodes.append(Node(node_id=i, node_type=ntype, trace=trace))
     return Cluster(nodes=nodes)
-
-
-def geo_distributed_cluster(num_nodes: int, *, seed: int = 0, **kwargs) -> Cluster:
-    """Geo-distributed sites (the paper's evaluation setup)."""
-    return paper_cluster(num_nodes, seed=seed, **kwargs)
 
 
 def spread_cluster(num_nodes: int, max_speed_ratio: float, *, seed: int = 0) -> Cluster:
@@ -137,12 +121,7 @@ def spread_cluster(num_nodes: int, max_speed_ratio: float, *, seed: int = 0) -> 
             Node(
                 node_id=i,
                 node_type=types[i % len(types)],
-                trace=generate_trace(
-                    location,
-                    duration_s=TRACE_DURATION_S,
-                    resolution_s=60.0,
-                    seed=seed * 1009 + i,
-                ),
+                trace=_site_trace(location, seed * 1009 + i),
             )
         )
     return Cluster(nodes=nodes)
@@ -153,21 +132,13 @@ def cluster_at_hour(num_nodes: int, start_hour: float, *, seed: int = 0) -> Clus
     local solar hour — for time-of-day scheduling studies."""
     if not 0.0 <= start_hour < 24.0:
         raise ValueError("start_hour must be in [0, 24)")
-    cluster = paper_cluster(num_nodes, seed=seed)
-    for i, node in enumerate(cluster.nodes):
-        location = GOOGLE_DC_LOCATIONS[i % len(GOOGLE_DC_LOCATIONS)]
-        node.trace = generate_trace(
-            location,
-            duration_s=TRACE_DURATION_S,
-            start_hour=start_hour,
-            resolution_s=60.0,
-            seed=seed * 1009 + i,
-        )
-    return cluster
+    return Cluster(
+        nodes=[_paper_node(i, seed, start_hour=start_hour) for i in range(num_nodes)]
+    )
 
 
 SCENARIOS = {
     "rack-level": rack_level_cluster,
     "iswitch": iswitch_cluster,
-    "geo-distributed": geo_distributed_cluster,
+    "geo-distributed": paper_cluster,
 }

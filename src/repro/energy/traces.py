@@ -12,8 +12,6 @@ rescaled to per second average for greater precision").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from repro.energy.solar import SolarModel, SolarPanel
@@ -58,9 +56,9 @@ class EnergyTrace:
     """A renewable power trace: ``watts[i]`` at time ``i * resolution_s``.
 
     Provides the two views the framework needs: the mean available green
-    power over a window (feeds ``k_i`` in the LP) and exact integrals
-    over an interval, of the green energy itself and of a draw's deficit
-    against it (the dirty energy a node is billed).
+    power over a window (feeds ``k_i`` in the LP) and the exact deficit
+    of a constant draw against it over an interval (the dirty energy a
+    node is billed).
     """
 
     watts: np.ndarray
@@ -79,13 +77,6 @@ class EnergyTrace:
     @property
     def duration_s(self) -> float:
         return self.watts.size * self.resolution_s
-
-    def power_at(self, t_s: float) -> float:
-        """Green power (W) at time ``t_s`` (piecewise-constant samples)."""
-        if t_s < 0:
-            raise ValueError("time must be non-negative")
-        idx = min(int(t_s / self.resolution_s), self.watts.size - 1)
-        return float(self.watts[idx])
 
     def mean_power(self, start_s: float = 0.0, duration_s: float | None = None) -> float:
         """Mean green power over ``[start_s, start_s + duration_s)``."""
@@ -133,14 +124,16 @@ class EnergyTrace:
             watts=np.array(watts), resolution_s=resolution, location=location
         )
 
-    def _cells(self, start_s: float, duration_s: float) -> Iterator[tuple[float, float]]:
-        """The piecewise-constant samples under ``[start_s, start_s +
-        duration_s)`` as ``(green_w, seconds)`` pairs, in time order;
-        windows past the end of the trace hold the final sample
-        (steady-state extrapolation)."""
+    def deficit_joules(self, draw_w: float, start_s: float, duration_s: float) -> float:
+        """Exact energy (J) a constant ``draw_w`` takes beyond the green
+        supply in the window: ``∫ max(0, draw_w − GE(t)) dt``, sample by
+        sample, so a surplus in one sample never offsets a deficit in
+        another. Windows past the end of the trace hold the final
+        sample (steady-state extrapolation)."""
         if duration_s < 0:
             raise ValueError("duration must be non-negative")
         last = self.watts.size - 1
+        total = 0.0
         t = start_s
         end = start_s + duration_s
         while t < end:
@@ -149,24 +142,8 @@ class EnergyTrace:
             if idx == last:
                 cell_end = max(cell_end, end)
             step = min(cell_end, end) - t
-            yield float(self.watts[idx]), step
+            total += max(draw_w - float(self.watts[idx]), 0.0) * step
             t += step
-
-    def energy_joules(self, start_s: float, duration_s: float) -> float:
-        """Exact green energy (J) available in the window."""
-        total = 0.0
-        for green_w, step in self._cells(start_s, duration_s):
-            total += green_w * step
-        return total
-
-    def deficit_joules(self, draw_w: float, start_s: float, duration_s: float) -> float:
-        """Exact energy (J) a constant ``draw_w`` takes beyond the green
-        supply in the window: ``∫ max(0, draw_w − GE(t)) dt``, sample by
-        sample, so a surplus in one sample never offsets a deficit in
-        another."""
-        total = 0.0
-        for green_w, step in self._cells(start_s, duration_s):
-            total += max(draw_w - green_w, 0.0) * step
         return total
 
 

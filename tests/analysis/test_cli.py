@@ -1,5 +1,5 @@
 """``repro lint`` CLI contract: exit codes (0 clean / 1 findings /
-2 usage error), JSON schema, baseline filtering, noqa semantics."""
+2 usage error), JSON schema, noqa semantics."""
 
 from __future__ import annotations
 
@@ -71,25 +71,12 @@ class TestExitCodes:
             main(["lint", "--format", "yaml", str(clean_file)])
         assert exc.value.code == 2
 
-    def test_two_on_missing_baseline_file(self, clean_file, capsys):
-        assert (
-            main(["lint", "--baseline", "no/such/baseline.json", str(clean_file)])
-            == 2
-        )
-        assert "baseline not found" in capsys.readouterr().err
-
-    def test_two_on_malformed_baseline(self, tmp_path, clean_file, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{not json")
-        assert main(["lint", "--baseline", str(baseline), str(clean_file)]) == 2
-        assert "invalid JSON" in capsys.readouterr().err
-
 
 class TestJsonOutput:
     def test_schema(self, bad_file, capsys):
         assert main(["lint", "--format", "json", str(bad_file)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert set(payload["rules"]) == {
             "RACE-GLOBAL",
             "TRUTHY-SIZED",
@@ -107,62 +94,16 @@ class TestJsonOutput:
         assert isinstance(finding["line"], int) and finding["line"] > 0
         assert isinstance(finding["col"], int)
         assert "message" in finding
-        summary = payload["summary"]
-        assert summary["findings"] == 1
-        assert summary["files_scanned"] == 1
-        assert summary["suppressed"] == 0
-        assert summary["baselined"] == 0
+        assert payload["summary"] == {
+            "files_scanned": 1,
+            "findings": 1,
+            "suppressed": 0,
+        }
 
     def test_json_clean(self, clean_file, capsys):
         assert main(["lint", "--format", "json", str(clean_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] == []
-
-
-class TestBaselineFlow:
-    def test_write_then_filter(self, tmp_path, bad_file, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", "--write-baseline", str(baseline), str(bad_file)]) == 0
-        assert "wrote 1 baseline entries" in capsys.readouterr().out
-
-        assert main(["lint", "--baseline", str(baseline), str(bad_file)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_write_baseline_ignores_baseline_filter(self, tmp_path, bad_file, capsys):
-        first = tmp_path / "baseline.json"
-        main(["lint", "--write-baseline", str(first), str(bad_file)])
-        capsys.readouterr()
-
-        # Regenerating with the old baseline active must keep the
-        # still-present grandfathered finding in the new file.
-        second = tmp_path / "regenerated.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    "--baseline",
-                    str(first),
-                    "--write-baseline",
-                    str(second),
-                    str(bad_file),
-                ]
-            )
-            == 0
-        )
-        assert "wrote 1 baseline entries" in capsys.readouterr().out
-        assert main(["lint", "--baseline", str(second), str(bad_file)]) == 0
-
-    def test_baseline_does_not_mask_new_findings(self, tmp_path, bad_file, capsys):
-        baseline = tmp_path / "baseline.json"
-        main(["lint", "--write-baseline", str(baseline), str(bad_file)])
-        capsys.readouterr()
-
-        fresh = tmp_path / "fresh.py"
-        fresh.write_text(LEGACY_RNG)
-        assert main(["lint", "--baseline", str(baseline), str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "NONDET" in out
-        assert "SILENT-EXCEPT" not in out
 
 
 class TestNoqaSemantics:

@@ -1,5 +1,5 @@
-"""Engine semantics: suppression, baseline filtering, syntax errors,
-project loading — the machinery every rule relies on."""
+"""Engine semantics: suppression, syntax errors, project loading — the
+machinery every rule relies on."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.base import iter_functions
-from repro.analysis.baseline import load_baseline, split_baselined, write_baseline
 from repro.analysis.checkers import NondetChecker, SilentExceptChecker
 from repro.analysis.engine import SYNTAX_RULE, analyze_paths, analyze_project
-from repro.analysis.findings import Finding
 from repro.analysis.project import (
     Project,
     SourceModule,
@@ -40,9 +38,12 @@ def analyze_sources(*pairs: tuple[str, str], **kwargs):
 
 class TestSelfClean:
     def test_repo_src_and_tests_are_lint_clean(self):
-        """The merged tree must satisfy its own invariants (ISSUE 5)."""
+        """The merged tree must satisfy its own invariants: the four
+        roots ``make lint`` and CI scan, so this fails wherever they
+        would."""
         report = analyze_paths(
-            [REPO_ROOT / "src", REPO_ROOT / "tests"], root=REPO_ROOT
+            [REPO_ROOT / d for d in ("src", "tests", "benchmarks", "examples")],
+            root=REPO_ROOT,
         )
         assert [f.render() for f in report.findings] == []
         assert report.files_scanned > 100
@@ -125,48 +126,6 @@ class TestNoqa:
     def test_parse_noqa_empty_brackets(self):
         assert parse_noqa(["x = 1  # repro: noqa[]"]) == {}
         assert parse_noqa(["x = 1  # repro: noqa[ ]"]) == {}
-
-
-class TestBaseline:
-    def test_round_trip_and_filtering(self, tmp_path):
-        report = analyze_sources((SWALLOW, "src/repro/x.py"))
-        assert len(report.findings) == 1
-
-        path = tmp_path / "baseline.json"
-        assert write_baseline(path, report.findings) == 1
-        keys = load_baseline(path)
-
-        filtered = analyze_sources((SWALLOW, "src/repro/x.py"), baseline_keys=keys)
-        assert filtered.findings == []
-        assert filtered.baselined == 1
-
-    def test_new_findings_not_masked(self, tmp_path):
-        report = analyze_sources((SWALLOW, "src/repro/x.py"))
-        path = tmp_path / "baseline.json"
-        write_baseline(path, report.findings)
-        keys = load_baseline(path)
-
-        fresh = textwrap.dedent(
-            """
-            import random
-
-            def g():
-                return random.random()
-            """
-        )
-        combined = analyze_sources(
-            (SWALLOW, "src/repro/x.py"), (fresh, "src/repro/y.py"), baseline_keys=keys
-        )
-        assert combined.baselined == 1
-        assert len(combined.findings) == 1
-        assert combined.findings[0].rule == "NONDET"
-
-    def test_baseline_key_ignores_line(self):
-        a = Finding(path="p.py", line=3, col=0, rule="R", message="m")
-        b = Finding(path="p.py", line=30, col=4, rule="R", message="m")
-        assert a.baseline_key() == b.baseline_key()
-        new, old = split_baselined([b], {a.baseline_key()})
-        assert new == [] and old == [b]
 
 
 class TestFunctionTraversal:

@@ -1,16 +1,19 @@
 """TP + clean fixtures for the concurrency rules (LOCK-ORDER,
-LOCK-LEAK, GUARD-CONSISTENCY) and the runtime-report merge."""
+LOCK-LEAK, GUARD-CONSISTENCY), the runtime-report merge, and the lock
+model and write classifier they share."""
 
 from __future__ import annotations
 
+import ast
 import textwrap
 
+from repro.analysis.base import writes
 from repro.analysis.checkers import (
     GuardConsistencyChecker,
     LockLeakChecker,
     LockOrderChecker,
 )
-from repro.analysis.locks import collect_class_locks
+from repro.analysis.locks import collect_class_locks, lock_key
 from repro.analysis.project import Project, SourceModule
 
 
@@ -633,3 +636,130 @@ class TestGuardConsistency:
             """,
         )
         assert findings == []
+
+
+# ---------------------------------------------------------------------------
+# The shared lock model and write classifier
+
+
+class TestLockKey:
+    """``lock_key`` is the one map from an expression to a lock: every
+    lock rule resolves receivers through it."""
+
+    @staticmethod
+    def key(src: str, aliases=None, binds=None):
+        expr = ast.parse(src, mode="eval").body
+        return lock_key(expr, {"_lock"}, {"_M"}, aliases or {}, binds)
+
+    def test_each_form(self):
+        assert self.key("self._lock") == "_lock"
+        assert self.key('getattr(self, "_lock", None)') == "_lock"
+        assert self.key("_M") == "::_M"
+        assert self.key("lk", aliases={"lk": "_lock"}) == "_lock"
+        assert self.key("threading.Lock()", binds="lk") == "<local>lk"
+
+    def test_other_expressions_name_no_lock(self):
+        assert self.key("self._other") is None
+        assert self.key('getattr(other, "_lock")') is None
+        assert self.key("_N") is None
+        assert self.key("threading.Lock()") is None  # unbound: nothing to key it by
+        assert self.key("make_lock()", binds="lk") is None
+
+    def test_every_rule_sees_a_getattr_receiver(self):
+        source = """
+            import threading
+
+            class Box:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._n = 0
+
+                def bump(self):
+                    with getattr(self, "_lock"):
+                        self._n += 1
+
+                def peek(self):
+                    with getattr(self, "_lock", None):
+                        return self._n
+
+                def grab(self):
+                    getattr(self, "_lock").acquire()
+            """
+        assert run(GuardConsistencyChecker(), source) == []
+        (leak,) = run(LockLeakChecker(), source)
+        assert "bare self._lock.acquire() in Box.grab()" in leak.message
+
+    def test_fresh_local_lock_leaks_but_guards_nothing(self):
+        source = """
+            import threading
+
+            class Box:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._n = 0
+
+                def bump(self):
+                    with self._lock:
+                        self._n += 1
+
+                def peek(self):
+                    mine = threading.Lock()
+                    mine.acquire()
+                    with mine:
+                        return self._n
+            """
+        (leak,) = run(LockLeakChecker(), source)
+        assert "bare mine.acquire() in Box.peek()" in leak.message
+        (guard,) = run(GuardConsistencyChecker(), source)
+        assert "'Box._n'" in guard.message and "read with no lock" in guard.message
+
+
+class TestWrites:
+    """``writes`` is the one write classifier RACE-GLOBAL and
+    GUARD-CONSISTENCY share."""
+
+    @staticmethod
+    def classify(src: str):
+        return [
+            (ast.unparse(base), how)
+            for node in ast.walk(ast.parse(src))
+            for base, how in writes(node)
+        ]
+
+    def test_each_form(self):
+        assert self.classify("d[k] = v") == [("d", "mutated via subscript store")]
+        assert self.classify("del d[k]") == [("d", "mutated via subscript store")]
+        assert self.classify("o.a = v") == [("o", "mutated via attribute store")]
+        assert self.classify("n += 1") == [("n", "mutated via augmented assignment")]
+        assert self.classify("d[k]: int = v") == [("d", "mutated via subscript store")]
+        assert self.classify("a, *d[k] = v") == [("d", "mutated via subscript store")]
+        assert self.classify("xs.append(v)") == [("xs", "mutated via .append()")]
+        assert self.classify("np.multiply(a, b, out=buf)") == [("buf", "written via out=")]
+
+    def test_reads_and_rebinds_write_nothing(self):
+        assert self.classify("n = d[k]") == []
+        assert self.classify("del n") == []
+        assert self.classify("xs.count(v)") == []
+
+    def test_guard_consistency_counts_every_form_as_a_write(self):
+        (finding,) = run(
+            GuardConsistencyChecker(),
+            """
+            import threading
+
+            import numpy as np
+
+            class Buf:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._out = np.zeros(4)
+
+                def fill(self, a):
+                    with self._lock:
+                        np.add(a, a, out=self._out)
+
+                def clobber(self, a):
+                    np.add(a, a, out=self._out)
+            """,
+        )
+        assert "'Buf._out' is written under a lock elsewhere but written" in finding.message

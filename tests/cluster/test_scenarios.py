@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import paper_cluster
 from repro.cluster.scenarios import (
     SCENARIOS,
-    geo_distributed_cluster,
     iswitch_cluster,
     rack_level_cluster,
 )
@@ -77,7 +77,8 @@ class TestRegistry:
         assert set(SCENARIOS) == {"rack-level", "iswitch", "geo-distributed"}
 
     def test_geo_is_paper_cluster(self):
-        cluster = geo_distributed_cluster(8, seed=0)
+        assert SCENARIOS["geo-distributed"] is paper_cluster
+        cluster = SCENARIOS["geo-distributed"](8, seed=0)
         names = {n.trace.location.name for n in cluster}
         assert len(names) == 4
 

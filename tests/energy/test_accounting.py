@@ -46,6 +46,14 @@ class TestMeasuredDirtyEnergy:
         # Surplus in second 1 cannot cancel the deficit in second 2.
         assert trace.deficit_joules(250.0, 0.0, 2.0) == pytest.approx(250.0)
 
+    def test_mid_cell_start(self):
+        trace = EnergyTrace(watts=np.array([10.0, 20.0]), resolution_s=1.0)
+        # Draw 250 W from 0.5 s for 2 s: 0.5 s against 10 W, 1 s against
+        # 20 W, then 0.5 s against the extrapolated final 20 W sample.
+        assert trace.deficit_joules(250.0, 0.5, 2.0) == pytest.approx(
+            0.5 * 240.0 + 1.0 * 230.0 + 0.5 * 230.0
+        )
+
     def test_start_offset(self):
         n = node([0.0, 250.0])
         assert dirty(n, 1.0, start_s=1.0) == pytest.approx(0.0)

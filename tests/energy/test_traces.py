@@ -38,34 +38,10 @@ class TestEnergyTrace:
         with pytest.raises(ValueError):
             EnergyTrace(watts=np.array([1.0]), resolution_s=0.0)
 
-    def test_power_at_samples(self):
-        trace = EnergyTrace(watts=np.array([10.0, 20.0, 30.0]), resolution_s=1.0)
-        assert trace.power_at(0.5) == 10.0
-        assert trace.power_at(1.0) == 20.0
-        assert trace.power_at(100.0) == 30.0  # clamps to final sample
-
-    def test_power_at_negative_rejected(self):
-        trace = EnergyTrace(watts=np.array([1.0]))
-        with pytest.raises(ValueError):
-            trace.power_at(-1.0)
-
     def test_mean_power_window(self):
         trace = EnergyTrace(watts=np.array([10.0, 20.0, 30.0, 40.0]), resolution_s=1.0)
         assert trace.mean_power(0.0, 2.0) == pytest.approx(15.0)
         assert trace.mean_power() == pytest.approx(25.0)
-
-    def test_energy_integral_constant_trace(self):
-        trace = EnergyTrace(watts=np.full(10, 50.0), resolution_s=1.0)
-        assert trace.energy_joules(0.0, 5.0) == pytest.approx(250.0)
-
-    def test_energy_integral_partial_cells(self):
-        trace = EnergyTrace(watts=np.array([10.0, 20.0]), resolution_s=1.0)
-        # 0.5s at 10W + 1s at 20W + 0.5s at 20W (extrapolated final sample)
-        assert trace.energy_joules(0.5, 2.0) == pytest.approx(5.0 + 20.0 + 10.0)
-
-    def test_energy_zero_duration(self):
-        trace = EnergyTrace(watts=np.array([5.0]))
-        assert trace.energy_joules(0.0, 0.0) == 0.0
 
     def test_duration(self):
         trace = EnergyTrace(watts=np.zeros(60), resolution_s=60.0)

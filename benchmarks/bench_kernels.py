@@ -3,10 +3,11 @@
 Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — column-wise pivot hashing, the batch
 tree-pivot kernel (``extract_flat`` and ``count_records`` on the
-benchmark's swissprot trees), ragged-batch sketching, code-space
-compositeKModes fit (on synthetic clusters, and on the end-to-end
-benchmark's own sketches: K = 16 at its batch-cold sizes, K = 8 at the
-service's warm sizes, each with its ``tracemalloc`` peak), packed-bitmap
+benchmark's swissprot trees), ragged-batch sketching and code-space
+compositeKModes fit (on synthetic sets and clusters, and on the
+end-to-end benchmark's own pivots and sketches: the fit at K = 16 at its
+batch-cold sizes and K = 8 at the service's warm sizes, each kernel with
+its ``tracemalloc`` peak and minor page faults per call), packed-bitmap
 Apriori mining, the fast LZ77 coder (on chunk-repetitive bytes and on the uk text the
 end-to-end benchmark compresses), the whole-partition WebGraph coder
 (on synthetic lists, on the end-to-end benchmark's uk partitions and on
@@ -46,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import resource
 import time
 import tracemalloc
 
@@ -79,8 +81,8 @@ FULL = {
     "kmodes_rows": 5_000,
     "kmodes_hashes": 64,
     "kmodes_clusters": 8,
-    "kmodes_cold": (("uk", 0.8), ("uk", 0.4), ("swissprot", 0.4), ("rcv1", 2.0)),
-    "kmodes_warm": (("uk", 2.4), ("uk", 0.8), ("swissprot", 0.8), ("rcv1", 4.0)),
+    "stratify_cold": (("uk", 0.8), ("uk", 0.4), ("swissprot", 0.4), ("rcv1", 2.0)),
+    "stratify_warm": (("uk", 2.4), ("uk", 0.8), ("swissprot", 0.8), ("rcv1", 4.0)),
     "tree_scales": (0.4, 0.8),
     "apriori_transactions": 4_000,
     "apriori_items": 48,
@@ -103,8 +105,8 @@ SMOKE = {
     "kmodes_rows": 400,
     "kmodes_hashes": 16,
     "kmodes_clusters": 4,
-    "kmodes_cold": (("uk", 0.1), ("swissprot", 0.1), ("rcv1", 0.2)),
-    "kmodes_warm": (("uk", 0.2), ("rcv1", 0.3)),
+    "stratify_cold": (("uk", 0.1), ("swissprot", 0.1), ("rcv1", 0.2)),
+    "stratify_warm": (("uk", 0.2), ("rcv1", 0.3)),
     "tree_scales": (0.1, 0.2),
     "apriori_transactions": 300,
     "apriori_items": 24,
@@ -147,6 +149,30 @@ def _best_of(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _peak_mib(fn) -> float:
+    """``tracemalloc``'s peak over one call of ``fn``, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _minor_faults(fn, calls: int = 3) -> float:
+    """Minor page faults per call of ``fn`` after one warm-up call: the
+    ``ru_minflt`` delta. A report, not a gate: glibc serves a block
+    above its mmap threshold (128 KiB at start) with fresh pages on every
+    call, but freeing such a block raises the threshold for the rest of
+    the process, so what an earlier section freed can hide a later
+    section's faults."""
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 
 
 def run_kernel_bench(cfg: dict) -> dict:
@@ -209,7 +235,7 @@ def run_kernel_bench(cfg: dict) -> dict:
     # -- sketch_all: ragged batch vs per-set loop --------------------------
     sets = _pivot_sets(cfg["num_sets"], cfg["pivots_per_set"], rng)
     hasher = MinHasher(num_hashes=cfg["sketch_hashes"], seed=0)
-    batched = hasher.sketch_all(sets)  # warm scratch + caches
+    batched = hasher.sketch_all(sets)  # warm caches
     reference = hasher.sketch_all_reference(sets)
     assert np.array_equal(batched, reference), "sketch kernel diverged"
     t_batched = _best_of(lambda: hasher.sketch_all(sets))
@@ -232,36 +258,61 @@ def run_kernel_bench(cfg: dict) -> dict:
     t_reference = _best_of(lambda: kmodes.fit_reference(sketches), repeats=1)
     results["kmodes_fit"] = _section(t_reference, t_batched, iterations=fit_b.iterations)
 
-    # The fit on what the e2e benchmark clusters: each dataset's own
-    # sketches (library defaults, 48 hashes), K = 16 as a batch-cold
-    # prepare fits them and K = 8 as the service's warm scenarios do.
-    # The peak is tracemalloc's, the sketch matrix itself not counted.
-    for name, num_clusters in (("kmodes_fit_cold", 16), ("kmodes_fit_warm", 8)):
-        fits = []
-        for dataset, scale in cfg[name.replace("_fit", "")]:
+    # The sketch and the fit on what the e2e benchmark stratifies: each
+    # dataset's own pivots and sketches (library defaults, 48 hashes),
+    # fitted at K = 16 as a batch-cold prepare does and at K = 8 as the
+    # service's warm scenarios do. Beside each kernel's time: its
+    # tracemalloc peak (its input not counted) and its minor page faults
+    # per call.
+    for size, num_clusters in (("cold", 16), ("warm", 8)):
+        sketch_runs, fits = [], []
+        for dataset, scale in cfg[f"stratify_{size}"]:
+            label = f"{dataset}x{scale}"
             data = load_dataset(dataset, size_scale=scale, seed=1)
-            sketches = Stratifier(kind=data.kind, seed=1).sketch(data.items)
+            stratifier = Stratifier(kind=data.kind, seed=1)
+            hasher = MinHasher(num_hashes=stratifier.num_hashes, seed=stratifier.seed)
+            flat, offsets = PivotExtractor(data.kind).extract_flat(data.items)
+            sketches = hasher.sketch_flat(flat, offsets)
+            sets = np.split(flat, offsets[1:-1])
+            assert np.array_equal(sketches, hasher.sketch_all_reference(sets)), (
+                f"sketch_{size} diverged"
+            )
+            sketch_runs.append((label, hasher, flat, offsets, sets))
             km = CompositeKModes(num_clusters=num_clusters, seed=2)
             fast, slow = km.fit(sketches), km.fit_reference(sketches)
-            assert np.array_equal(fast.labels, slow.labels), f"{name} labels diverged"
-            assert np.array_equal(fast.centers, slow.centers), f"{name} centers diverged"
+            assert np.array_equal(fast.labels, slow.labels), f"kmodes_fit_{size} labels diverged"
+            assert np.array_equal(fast.centers, slow.centers), f"kmodes_fit_{size} centers diverged"
             assert fast.cost == slow.cost and fast.iterations == slow.iterations
-            fits.append((f"{dataset}x{scale}", km, sketches, fast.iterations))
-        peaks = {}
-        for label, km, sketches, _ in fits:
-            peaks[label] = {}
-            for tier, fit in (("numpy", km.fit), ("reference", km.fit_reference)):
-                tracemalloc.start()
-                fit(sketches)
-                peaks[label][tier] = tracemalloc.get_traced_memory()[1] / 2**20
-                tracemalloc.stop()
-        results[name] = _section(
+            fits.append((label, km, sketches, fast.iterations))
+        results[f"sketch_{size}"] = _section(
+            _best_of(
+                lambda: [h.sketch_all_reference(s) for _, h, _, _, s in sketch_runs], repeats=1
+            ),
+            _best_of(lambda: [h.sketch_flat(f, o) for _, h, f, o, _ in sketch_runs], repeats=5),
+            sets={label: len(s) for label, _, _, _, s in sketch_runs},
+            peak_mib={
+                label: _peak_mib(lambda: h.sketch_flat(f, o))
+                for label, h, f, o, _ in sketch_runs
+            },
+            minor_faults={
+                label: _minor_faults(lambda: h.sketch_flat(f, o))
+                for label, h, f, o, _ in sketch_runs
+            },
+        )
+        results[f"kmodes_fit_{size}"] = _section(
             _best_of(lambda: [km.fit_reference(sk) for _, km, sk, _ in fits], repeats=1),
             _best_of(lambda: [km.fit(sk) for _, km, sk, _ in fits], repeats=5),
             num_clusters=num_clusters,
             rows={label: int(sk.shape[0]) for label, _, sk, _ in fits},
             iterations={label: it for label, _, _, it in fits},
-            peak_mib=peaks,
+            peak_mib={
+                label: {
+                    "numpy": _peak_mib(lambda: km.fit(sk)),
+                    "reference": _peak_mib(lambda: km.fit_reference(sk)),
+                }
+                for label, km, sk, _ in fits
+            },
+            minor_faults={label: _minor_faults(lambda: km.fit(sk)) for label, km, sk, _ in fits},
         )
 
     # -- Apriori: packed vertical bitmaps vs containment scan --------------
@@ -475,7 +526,9 @@ _KERNEL_SECTIONS = (
     "tree_pivots_count",
     "sketch_all",
     "kmodes_fit",
+    "sketch_cold",
     "kmodes_fit_cold",
+    "sketch_warm",
     "kmodes_fit_warm",
     "apriori_mine",
     "lz77_compress",

@@ -3,12 +3,14 @@ their wake-up.
 
 Two shapes, both of which the repo's own history makes load-bearing:
 
-- A bare ``lock.acquire()`` statement with no ``with`` block and no
-  ``finally: lock.release()`` in the same function leaks the lock on
-  any exception between acquire and release — every other thread then
-  blocks forever. (``with lock:`` is the fix; a try/finally release is
-  accepted for the split-acquire patterns a context manager can't
-  express.)
+- A bare ``lock.acquire()`` that no ``try: … finally: lock.release()``
+  guards leaks the lock on any exception between acquire and release —
+  every other thread then blocks forever. (``with lock:`` is the fix; a
+  try/finally release is accepted for the split-acquire patterns a
+  context manager can't express.) A ``try`` guards the acquires in its
+  body and the one right before it: in the statement before it, or in
+  the test of the ``if`` whose body it opens. Any other acquire of the
+  same lock in the function is still bare.
 - ``Condition.wait()`` outside a ``while predicate`` loop acts on
   spurious wake-ups and missed-signal races: ``wait()`` may return
   without a ``notify`` and the predicate may already be false again by
@@ -29,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.base import ModuleChecker, iter_functions
+from repro.analysis.base import ModuleChecker, iter_functions, walk_function_scope
 from repro.analysis.findings import Finding
 from repro.analysis.locks import (
     collect_class_locks,
@@ -60,15 +62,16 @@ class LockLeakChecker(ModuleChecker):
             class_locks = info.locks if info else {}
             where = f"{cls.name}.{func.name}" if cls is not None else func.name
             acquires: list[tuple[ast.AST, str]] = []
-            released_in_finally: set[str] = set()
+            lock_calls: dict[int, str] = {}  # id of an acquire/release call → its lock
             for event in iter_with_held(func, class_locks, module_locks):
                 if event.kind != "node" or event.lock is None:
                     continue
                 method = event.node.func.attr
                 if method == "acquire":
                     acquires.append((event.node, event.lock))
-                elif method == "release" and event.in_finally:
-                    released_in_finally.add(event.lock)
+                    lock_calls[id(event.node)] = event.lock
+                elif method == "release":
+                    lock_calls[id(event.node)] = event.lock
                 elif method == "wait" and not event.in_while:
                     lock = lock_def(event.lock, class_locks, module_locks)
                     if lock is not None and lock.kind == "Condition":
@@ -81,8 +84,9 @@ class LockLeakChecker(ModuleChecker):
                             "signals break the invariant; re-check the "
                             "predicate in a loop or use wait_for()",
                         )
+            guarded = _guarded_acquires(func, lock_calls)
             for node, key in acquires:
-                if key not in released_in_finally:
+                if id(node) not in guarded:
                     name = lock_display(key)
                     yield self.finding(
                         module,
@@ -91,3 +95,38 @@ class LockLeakChecker(ModuleChecker):
                         "release() in a finally — an exception leaks the lock; "
                         f"use 'with {name}:' or release in try/finally",
                     )
+
+
+def _guarded_acquires(
+    func: ast.FunctionDef | ast.AsyncFunctionDef, lock_calls: dict[int, str]
+) -> set[int]:
+    """Ids of the ``acquire()`` calls a ``try`` whose ``finally`` releases
+    the same lock guards: those in its body, and those in what runs
+    right before it (the statement before it, or the test of the ``if``
+    whose body it opens)."""
+
+    def calls(nodes: list[ast.AST], method: str) -> list[tuple[int, str]]:
+        return [
+            (id(sub), lock_calls[id(sub)])
+            for node in nodes
+            for sub in ast.walk(node)
+            if id(sub) in lock_calls and sub.func.attr == method
+        ]
+
+    guarded: set[int] = set()
+    for node in walk_function_scope(func):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list):
+                continue
+            opens_if = isinstance(node, ast.If) and field == "body"
+            before: ast.AST | None = node.test if opens_if else None
+            for stmt in block:
+                if isinstance(stmt, ast.Try) or (
+                    hasattr(ast, "TryStar") and isinstance(stmt, ast.TryStar)
+                ):
+                    released = {key for _, key in calls(stmt.finalbody, "release")}
+                    covered = stmt.body + ([before] if before is not None else [])
+                    guarded.update(i for i, key in calls(covered, "acquire") if key in released)
+                before = stmt
+    return guarded

@@ -248,15 +248,14 @@ class HeldEvent:
     — ``lock`` then names the key being acquired and ``held`` is the
     set held *before* it. On a ``"node"`` event for a method call on a
     lock (``lk.acquire(…)``, ``cv.wait()``), ``lock`` is the receiver's
-    key. ``in_while`` marks nodes inside a ``while`` body and
-    ``in_finally`` nodes inside a ``finally`` block, at any depth."""
+    key. ``in_while`` marks nodes inside a ``while`` body, at any
+    depth."""
 
     kind: str
     node: ast.AST
     held: tuple[str, ...]
     lock: str | None = None
     in_while: bool = False
-    in_finally: bool = False
 
 
 class _At(NamedTuple):
@@ -264,10 +263,9 @@ class _At(NamedTuple):
 
     held: tuple[str, ...]
     in_while: bool = False
-    in_finally: bool = False
 
     def event(self, kind: str, node: ast.AST, lock: str | None = None) -> HeldEvent:
-        return HeldEvent(kind, node, self.held, lock, self.in_while, self.in_finally)
+        return HeldEvent(kind, node, self.held, lock, self.in_while)
 
 
 def iter_with_held(
@@ -355,10 +353,28 @@ def iter_with_held(
                     take(entered, key)
             yield from walk_body(stmt.body, at._replace(held=tuple(entered)))
             return
-        if isinstance(stmt, (ast.If, ast.While)):
+        if isinstance(stmt, ast.While):
             yield from yield_expr(stmt.test, at)
-            loop = isinstance(stmt, ast.While)
-            yield from walk_body(stmt.body, at._replace(in_while=True) if loop else at)
+            yield from walk_body(stmt.body, at._replace(in_while=True))
+            yield from walk_body(stmt.orelse, at)
+            return
+        if isinstance(stmt, ast.If):
+            # `if X.acquire(...):` holds X in its body only: the call
+            # returned True there and False in the `else`.
+            yield from yield_expr(stmt.test, at)
+            test = stmt.test
+            key = (
+                lock_key(test.func.value, *scope)
+                if isinstance(test, ast.Call)
+                and isinstance(test.func, ast.Attribute)
+                and test.func.attr == "acquire"
+                else None
+            )
+            guarded = list(at.held)
+            if key is not None:
+                yield at.event("acquire", test, key)
+                take(guarded, key)
+            yield from walk_body(stmt.body, at._replace(held=tuple(guarded)))
             yield from walk_body(stmt.orelse, at)
             return
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -376,7 +392,7 @@ def iter_with_held(
                     yield from yield_expr(handler.type, at)
                 yield from walk_body(handler.body, at)
             yield from walk_body(stmt.orelse, at)
-            yield from walk_body(stmt.finalbody, at._replace(in_finally=True))
+            yield from walk_body(stmt.finalbody, at)
             return
         if isinstance(stmt, ast.Match):
             yield from yield_expr(stmt.subject, at)

@@ -109,6 +109,9 @@ def generate_webgraph(config: WebGraphConfig) -> WebGraph:
         config.num_vertices - 1,
     )
 
+    # One int object per vertex id, shared by every list that links to
+    # it: a fresh int per link would cost 28 bytes per edge.
+    vertex = list(range(config.num_vertices))
     adjacency: list[list[int]] = []
     for v in range(config.num_vertices):
         h = int(host_of[v])
@@ -135,6 +138,6 @@ def generate_webgraph(config: WebGraphConfig) -> WebGraph:
                 u = int(rng.integers(0, config.num_vertices))
             if u != v:
                 links.add(u)
-        adjacency.append(sorted(links))
+        adjacency.append([vertex[u] for u in sorted(links)])
 
     return WebGraph(adjacency=adjacency, host_of=host_of, host_ranges=host_ranges)

@@ -82,6 +82,8 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
     mix = _zipf_weights(config.num_topics, config.topic_skew)
     topics = rng.choice(config.num_topics, size=config.num_docs, p=mix)
 
+    # One int object per token id, shared by every document holding it.
+    token = list(range(config.vocab_size))
     documents: list[list[int]] = []
     for t in topics:
         length = int(
@@ -99,6 +101,6 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
             tokens.update(
                 rng.choice(topic_vocab[int(t)], size=n_topic, p=topic_weights[int(t)]).tolist()
             )
-        documents.append(sorted(int(x) for x in tokens))
+        documents.append([token[x] for x in sorted(tokens)])
 
     return Corpus(documents=documents, topic_of=topics, vocab_size=config.vocab_size)

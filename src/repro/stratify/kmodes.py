@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from repro.perf.kmodes_kernels import (
+    FitBuffers,
     code_sketches,
     distinct_rows,
     match_counts,
@@ -235,7 +236,10 @@ class CompositeKModes:
         iterations), then matched and its centres updated in that code
         space. From the second round on only the clusters a row left or
         joined are re-ranked and re-matched; every other cluster's
-        centre, and so its column of match counts, is unchanged.
+        centre, and so its column of match counts, is unchanged. The
+        fit allocates every per-round buffer once — the match counts,
+        the membership mask and the kernels' buffers — and the rounds
+        write into them.
 
         Parameters
         ----------
@@ -254,10 +258,11 @@ class CompositeKModes:
             dtype=np.uint8 if sketches.shape[1] <= 255 else np.int64,
         )
         member = np.empty(centers.shape[0], dtype=bool)
+        buffers = FitBuffers.for_coded(coded, self.chunk_bytes)
 
         def match(clusters, _centers, center_ids):
             counts[:, clusters] = match_counts_coded(
-                coded, center_ids[clusters], chunk_bytes=self.chunk_bytes
+                coded, center_ids[clusters], buffers=buffers
             )
             return counts
 
@@ -266,7 +271,7 @@ class CompositeKModes:
             member[clusters] = True
             return top_l_centers(
                 coded, labels, np.flatnonzero(member[labels]), centers, center_ids,
-                top_l=self.top_l, fill=_FILL,
+                top_l=self.top_l, fill=_FILL, buffers=buffers,
             )
 
         return self._iterate(sketches.shape, (centers, center_ids), match, update)

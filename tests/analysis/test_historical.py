@@ -107,7 +107,7 @@ class TestPR2ScratchRace:
         findings = list(
             RaceGlobalChecker().check_project(Project(modules=[module]))
         )
-        assert findings == [], "the threading.local() fix must not be flagged"
+        assert findings == [], "the module as it stands must not be flagged"
 
 
 class TestPR3TracerTruthiness:

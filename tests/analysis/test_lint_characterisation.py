@@ -21,6 +21,13 @@ resolver and write path:
 Pinned: every finding as ``(path, line, col, rule, message)`` and the
 suppressed count, compared as JSON text. Run this module as a script
 to re-record the golden.
+
+Entries moved on purpose since it was recorded: an ``if X.acquire(...)``
+body now holds ``X``, so ``Store.if_acquire_released`` and
+``Store.if_acquire_leaks`` lost their GUARD-CONSISTENCY findings on
+``self._n`` (the leak in the second is still LOCK-LEAK's); and a
+``finally`` release now excuses only the acquire its own ``try``
+guards, so ``guarded_then_bare``'s second acquire is a LOCK-LEAK.
 """
 
 from __future__ import annotations
@@ -142,6 +149,16 @@ CORPUS = {
 
         def work():
             return None
+
+
+        def guarded_then_bare():
+            _LOCK.acquire()
+            try:
+                work()
+            finally:
+                _LOCK.release()
+            _LOCK.acquire()
+            work()
         """,
     # Instance state behind self locks: LOCK-LEAK, GUARD-CONSISTENCY and
     # LOCK-ORDER on one class each, plus a dataclass lock.

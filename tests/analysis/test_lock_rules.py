@@ -322,6 +322,50 @@ class TestLockLeak:
         )
         assert findings == []
 
+    def test_finally_excuses_only_the_acquire_its_try_guards(self):
+        findings = run(
+            LockLeakChecker(),
+            """
+            import threading
+
+            _LOCK = threading.Lock()
+
+            def step():
+                _LOCK.acquire()
+                try:
+                    do_work()
+                finally:
+                    _LOCK.release()
+                _LOCK.acquire()
+                do_work()
+
+            def gap():
+                _LOCK.acquire()
+                do_work()
+                try:
+                    do_work()
+                finally:
+                    _LOCK.release()
+
+            def inside():
+                try:
+                    _LOCK.acquire()
+                    do_work()
+                finally:
+                    _LOCK.release()
+
+            def if_guard():
+                if _LOCK.acquire(timeout=1.0):
+                    try:
+                        do_work()
+                    finally:
+                        _LOCK.release()
+            """,
+        )
+        # step's second acquire, and gap's, where do_work() can raise
+        # before the try is entered.
+        assert [(f.line, f.rule) for f in findings] == [(12, "LOCK-LEAK"), (16, "LOCK-LEAK")]
+
     def test_with_statement_is_clean(self):
         findings = run(
             LockLeakChecker(),
@@ -457,6 +501,34 @@ class TestGuardConsistency:
         assert findings[0].rule == "GUARD-CONSISTENCY"
         assert "Bus._seq" in findings[0].message
         assert "last_seq" in findings[0].message
+
+    def test_if_acquire_body_holds_the_lock_and_else_does_not(self):
+        findings = run(
+            GuardConsistencyChecker(),
+            """
+            import threading
+
+            class Bus:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._seq = 0
+
+                def publish(self):
+                    with self._lock:
+                        self._seq += 1
+
+                def try_publish(self):
+                    if self._lock.acquire(timeout=1.0):
+                        try:
+                            self._seq += 1
+                        finally:
+                            self._lock.release()
+                    else:
+                        self._seq -= 1
+            """,
+        )
+        assert [(f.line, f.rule) for f in findings] == [(20, "GUARD-CONSISTENCY")]
+        assert "try_publish" in findings[0].message
 
     def test_fully_guarded_class_is_clean(self):
         findings = run(

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.perf.kmodes_kernels import (
+    FitBuffers,
     code_sketches,
     distinct_rows,
     factorize_columns,
@@ -73,6 +74,17 @@ class TestSketchBatchEquivalence:
         assert got.dtype == ref.dtype == np.uint64
         assert np.array_equal(got, ref)
 
+    @given(
+        st.lists(st.lists(st.integers(0, 20), max_size=30), max_size=25),
+        st.sampled_from([64, 1024, 8 * 1024 * 1024]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shared_and_repeated_pivots_match_per_set(self, sets, chunk_bytes):
+        # Pivots recur across sets and within one: each window hashes a
+        # distinct value once and gathers it back for every element.
+        hasher = MinHasher(num_hashes=9, seed=3, chunk_bytes=chunk_bytes)
+        assert np.array_equal(hasher.sketch_all(sets), hasher.sketch_all_reference(sets))
+
     @given(ragged_strategy)
     @settings(max_examples=20, deadline=None)
     def test_chunking_is_invisible(self, sets):
@@ -103,10 +115,11 @@ class TestSketchBatchEquivalence:
 
     def test_concurrent_sketch_all_is_race_free(self):
         # Callers may sketch from several threads at once (the service
-        # runs jobs on manager threads); the kernel's reusable scratch
-        # must be thread-local or concurrent `out=` writes corrupt each
-        # other's hashes nondeterministically. Small chunk_bytes forces many chunk
-        # iterations per call to maximise interleaving.
+        # runs jobs on manager threads); the kernel writes through `out=`
+        # into buffers of its own call, and a buffer shared across calls
+        # would let concurrent writes corrupt each other's hashes
+        # nondeterministically. Small chunk_bytes forces many windows per
+        # call to maximise interleaving.
         import threading
 
         rng = np.random.default_rng(12)
@@ -244,6 +257,20 @@ class TestKModesEquivalence:
         columns = np.flatnonzero(subset)
         got = match_counts_coded(coded, center_ids[columns], chunk_bytes=chunk_bytes)
         assert np.array_equal(got, expected[:, columns])
+
+        # The same steps through one set of buffers, each step leaving
+        # them dirty for the next as a fit's rounds do; the lane table
+        # is clean again after every match.
+        shared = FitBuffers.for_coded(coded, chunk_bytes)
+        for _ in range(2):
+            again = top_l_centers(
+                coded, labels, np.arange(n), stale, stale_ids, top_l=top_l, fill=_FILL,
+                buffers=shared,
+            )
+            assert all(np.array_equal(a, b) for a, b in zip(again, (centers, center_ids)))
+            got = match_counts_coded(coded, center_ids[columns], buffers=shared)
+            assert np.array_equal(got, expected[:, columns])
+            assert not shared.lanes.any()
 
     @given(
         st.integers(min_value=1, max_value=40),

@@ -19,6 +19,7 @@ from repro.core.heterogeneity import (
     ProgressiveSampler,
 )
 from repro.data.datasets import load_dataset
+from repro.kvstore.codec import encode_dataset
 from repro.stratify.stratifier import Stratifier
 from repro.workloads.fpm.apriori import AprioriWorkload
 
@@ -27,11 +28,10 @@ def _run():
     dataset = load_dataset("rcv1")
     engine = SimulatedEngine(paper_cluster(4, seed=0))
     workload = AprioriWorkload(min_support=0.1, max_len=3)
-    stratification = Stratifier(kind="text", num_strata=8, seed=0).stratify(
-        dataset.items
-    )
+    encoded = encode_dataset("text", dataset.items)
+    stratification = Stratifier(kind="text", num_strata=8, seed=0).stratify(encoded)
     report = ProgressiveSampler(engine=engine, seed=0).profile(
-        workload, dataset.items, stratification
+        workload, encoded, stratification
     )
     truth = engine.profile_all_nodes(workload, dataset.items)
 

@@ -46,8 +46,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -167,12 +170,42 @@ def _minor_faults(fn, calls: int = 3) -> float:
     above its mmap threshold (128 KiB at start) with fresh pages on every
     call, but freeing such a block raises the threshold for the rest of
     the process, so what an earlier section freed can hide a later
-    section's faults."""
+    section's faults — hence :func:`_fresh_faults`."""
     fn()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(calls):
         fn()
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
+def _fault_row(stage: str, dataset: str, scale: float, num_clusters: int) -> float:
+    """:func:`_minor_faults` of one ``sketch`` or ``fit`` row, on the
+    dataset's own pivots (or their sketches) as the timed rows build
+    them, in this process."""
+    from repro.data.datasets import load_dataset
+
+    data = load_dataset(dataset, size_scale=scale, seed=1)
+    stratifier = Stratifier(kind=data.kind, seed=1)
+    hasher = MinHasher(num_hashes=stratifier.num_hashes, seed=stratifier.seed)
+    flat, offsets = PivotExtractor(data.kind).extract_flat(data.items)
+    if stage == "sketch":
+        return _minor_faults(lambda: hasher.sketch_flat(flat, offsets))
+    sketches = hasher.sketch_flat(flat, offsets)
+    km = CompositeKModes(num_clusters=num_clusters, seed=2)
+    return _minor_faults(lambda: km.fit(sketches))
+
+
+def _fresh_faults(stage: str, dataset: str, scale: float, num_clusters: int) -> float:
+    """:func:`_fault_row` in a fresh interpreter — this file run as a
+    subprocess with ``--faults`` — so no block an earlier section freed
+    has raised glibc's mmap threshold before the row is measured (the
+    row's own set-up still runs first)."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    argv = [sys.executable, __file__, "--faults", stage, dataset, str(scale), str(num_clusters)]
+    done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+    return float(done.stdout)
 
 
 def run_kernel_bench(cfg: dict) -> dict:
@@ -263,7 +296,7 @@ def run_kernel_bench(cfg: dict) -> dict:
     # fitted at K = 16 as a batch-cold prepare does and at K = 8 as the
     # service's warm scenarios do. Beside each kernel's time: its
     # tracemalloc peak (its input not counted) and its minor page faults
-    # per call.
+    # per call, each row counted in a fresh interpreter.
     for size, num_clusters in (("cold", 16), ("warm", 8)):
         sketch_runs, fits = [], []
         for dataset, scale in cfg[f"stratify_{size}"]:
@@ -295,8 +328,8 @@ def run_kernel_bench(cfg: dict) -> dict:
                 for label, h, f, o, _ in sketch_runs
             },
             minor_faults={
-                label: _minor_faults(lambda: h.sketch_flat(f, o))
-                for label, h, f, o, _ in sketch_runs
+                f"{dataset}x{scale}": _fresh_faults("sketch", dataset, scale, num_clusters)
+                for dataset, scale in cfg[f"stratify_{size}"]
             },
         )
         results[f"kmodes_fit_{size}"] = _section(
@@ -312,7 +345,10 @@ def run_kernel_bench(cfg: dict) -> dict:
                 }
                 for label, km, sk, _ in fits
             },
-            minor_faults={label: _minor_faults(lambda: km.fit(sk)) for label, km, sk, _ in fits},
+            minor_faults={
+                f"{dataset}x{scale}": _fresh_faults("fit", dataset, scale, num_clusters)
+                for dataset, scale in cfg[f"stratify_{size}"]
+            },
         )
 
     # -- Apriori: packed vertical bitmaps vs containment scan --------------
@@ -461,9 +497,9 @@ def run_kernel_bench(cfg: dict) -> dict:
         )
 
     # -- Columns: each flat kernel on a staged partition vs its records ----
-    # What a pool worker runs: workload.run on the FramedPartition
-    # staging built (one gather of the dataset's columnar encoding),
-    # read through columns_of. The "reference" tier decodes the
+    # What a pool worker runs: workload.run on the slice staging built
+    # (one gather of the dataset's columnar encoding), read through
+    # columns_of. The "reference" tier decodes the
     # partition and runs on its records, the path the worker took
     # before; outputs, stats and work units must be equal.
     from repro.data.datasets import DATASET_KINDS
@@ -564,7 +600,17 @@ def main(argv: list[str] | None = None) -> None:
         type=pathlib.Path,
         default=pathlib.Path(__file__).parent / "results" / "BENCH_kernels.json",
     )
+    parser.add_argument(
+        "--faults",
+        nargs=4,
+        metavar=("STAGE", "DATASET", "SCALE", "K"),
+        help="print one sketch/fit row's minor faults per call and exit",
+    )
     args = parser.parse_args(argv)
+    if args.faults:
+        stage, dataset, scale, k = args.faults
+        print(_fault_row(stage, dataset, float(scale), int(k)))
+        return
     results = run_kernel_bench(SMOKE if args.smoke else FULL)
     args.out.parent.mkdir(exist_ok=True)
     args.out.write_text(json.dumps(results, indent=2) + "\n")

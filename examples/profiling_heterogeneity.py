@@ -27,6 +27,7 @@ from repro.core.heterogeneity import (
     PolynomialTimeModel,
     ProgressiveSampler,
 )
+from repro.kvstore.codec import encode_dataset
 from repro.stratify.stratifier import Stratifier
 from repro.workloads.compression import CompressionWorkload
 from repro.workloads.fpm import AprioriWorkload
@@ -36,14 +37,14 @@ def main() -> None:
     dataset = load_dataset("rcv1")
     cluster = paper_cluster(4, seed=0)
     engine = SimulatedEngine(cluster)
-    stratification = Stratifier(kind="text", num_strata=8, seed=0).stratify(
-        dataset.items
-    )
+    # The sampler draws its probes from the dataset's codec encoding.
+    encoded = encode_dataset("text", dataset.items)
+    stratification = Stratifier(kind="text", num_strata=8, seed=0).stratify(encoded)
     sampler = ProgressiveSampler(engine=engine, seed=0)
 
     print("1) slopes recover emulated node speeds (4x, 3x, 2x, 1x):")
     mining = sampler.profile(
-        AprioriWorkload(min_support=0.1, max_len=3), dataset.items, stratification
+        AprioriWorkload(min_support=0.1, max_len=3), encoded, stratification
     )
     slopes = np.array([m.slope for m in mining.models])
     print(f"   slopes      : {np.round(slopes, 5).tolist()}")
@@ -52,7 +53,7 @@ def main() -> None:
 
     print("\n2) models are task-specific (same cluster, different workloads):")
     compression = sampler.profile(
-        CompressionWorkload("lz77", max_chain=8), dataset.items, stratification
+        CompressionWorkload("lz77", max_chain=8), encoded, stratification
     )
     print(f"   mining node-0 model     : {mining.models[0]}")
     print(f"   compression node-0 model: {compression.models[0]}")
@@ -61,7 +62,7 @@ def main() -> None:
     for support in (0.1, 0.2):
         report = sampler.profile(
             AprioriWorkload(min_support=support, max_len=3),
-            dataset.items,
+            encoded,
             stratification,
         )
         print(

@@ -22,8 +22,9 @@ Receivers resolve through the shared lock model
 (:func:`repro.analysis.locks.lock_key`) — ``self.<attr>`` where the
 attribute was seen constructed as a ``threading`` lock in this class, a
 module-level lock binding, a local alias of either, or a fresh local
-lock. ``barrier.wait()`` on an unknown receiver is not assumed to be a
-Condition, and neither is a fresh local one.
+lock, whose constructor gives its kind
+(:func:`repro.analysis.locks.collect_local_locks`). ``barrier.wait()``
+on an unknown receiver is not assumed to be a Condition.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.analysis.base import ModuleChecker, iter_functions, walk_function_sco
 from repro.analysis.findings import Finding
 from repro.analysis.locks import (
     collect_class_locks,
+    collect_local_locks,
     collect_module_locks,
     iter_with_held,
     lock_def,
@@ -54,13 +56,11 @@ class LockLeakChecker(ModuleChecker):
         assert module.tree is not None
         class_infos = collect_class_locks(module)
         module_locks = collect_module_locks(module)
-        if not class_infos and not module_locks:
-            return
-
         for func, cls in iter_functions(module.tree):
             info = class_infos.get(cls.name) if cls is not None else None
             class_locks = info.locks if info else {}
             where = f"{cls.name}.{func.name}" if cls is not None else func.name
+            local_locks = collect_local_locks(func, module.relpath)
             acquires: list[tuple[ast.AST, str]] = []
             lock_calls: dict[int, str] = {}  # id of an acquire/release call → its lock
             for event in iter_with_held(func, class_locks, module_locks):
@@ -73,7 +73,7 @@ class LockLeakChecker(ModuleChecker):
                 elif method == "release":
                     lock_calls[id(event.node)] = event.lock
                 elif method == "wait" and not event.in_while:
-                    lock = lock_def(event.lock, class_locks, module_locks)
+                    lock = lock_def(event.lock, class_locks, module_locks, local_locks)
                     if lock is not None and lock.kind == "Condition":
                         name = lock_display(event.lock)
                         yield self.finding(

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Container, Iterator, Mapping, NamedTuple
 
 from repro.analysis.base import assignment, dotted_name, self_attr, terminal_name
+from repro.analysis.base import walk_function_scope
 from repro.analysis.project import SourceModule
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "HeldEvent",
     "LockDef",
     "collect_class_locks",
+    "collect_local_locks",
     "collect_module_locks",
     "iter_with_held",
     "lock_call_kind",
@@ -184,6 +186,20 @@ def collect_module_locks(module: SourceModule) -> dict[str, LockDef]:
     return out
 
 
+def collect_local_locks(
+    func: ast.FunctionDef | ast.AsyncFunctionDef, path: str
+) -> dict[str, LockDef]:
+    """Fresh ``name = threading.Lock()`` bindings in ``func``'s own
+    scope, by name: what :func:`lock_key`'s ``"<local>name"`` keys stand for."""
+    out: dict[str, LockDef] = {}
+    for node in walk_function_scope(func):
+        targets, value = assignment(node)
+        kind = lock_call_kind(value)
+        if kind and len(targets) == 1 and isinstance(targets[0], ast.Name):
+            out[targets[0].id] = LockDef(func.name, targets[0].id, kind, path, node.lineno)
+    return out
+
+
 def lock_key(
     expr: ast.expr,
     class_locks: Container[str],
@@ -223,11 +239,15 @@ def lock_def(
     key: str,
     class_locks: Mapping[str, LockDef],
     module_locks: Mapping[str, LockDef],
+    local_locks: Mapping[str, LockDef] | None = None,
 ) -> LockDef | None:
-    """The definition behind a :func:`lock_key` key (``None`` for a fresh
-    local lock or the ambient guard)."""
+    """The definition behind a :func:`lock_key` key (``None`` for the
+    ambient guard, or a fresh local lock when ``local_locks`` — from
+    :func:`collect_local_locks` — is not given)."""
     if key.startswith(MODULE_KEY):
         return module_locks.get(key[len(MODULE_KEY):])
+    if key.startswith(LOCAL_KEY):
+        return (local_locks or {}).get(key[len(LOCAL_KEY):])
     return class_locks.get(key)
 
 

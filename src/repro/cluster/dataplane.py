@@ -17,8 +17,9 @@ attachment cache, bounded like the store) and unpickle straight out of
 the mapping: the pickle
 frame is read through a memoryview and out-of-band buffers stay
 zero-copy. A staged partition
-(:class:`~repro.kvstore.codec.FramedPartition`) is two flat arrays
-(the framed words and where each record starts), so its frame is O(1)
+(:class:`~repro.kvstore.codec.EncodedDataset`, a slice of the
+dataset's encoding) is two flat arrays (the values and where each
+record starts), so its frame is O(1)
 and a ``serialization`` costs a memcpy and a digest pass, not an
 object-graph pickle; plain record lists
 (profiling probes, direct ``run_job`` callers) still pickle in-band.

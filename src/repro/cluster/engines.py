@@ -4,8 +4,8 @@ Every engine runs a job the same way — :meth:`ExecutionEngine.run_job`
 is defined once — in three steps:
 
 - **measure** (``_execute_partitions``): run the workload on each
-  partition as it was staged (a
-  :class:`~repro.kvstore.codec.FramedPartition` goes into
+  partition as it was staged (a slice of the dataset's encoding, an
+  :class:`~repro.kvstore.codec.EncodedDataset`, goes into
   ``workload.run`` undecoded; the workload reads it as it needs) and
   price the measurement on the assigned node. An engine states only
   those two halves — ``_measure`` (one raw figure per partition) and
@@ -61,7 +61,7 @@ from repro.cluster.dataplane import (
     fetch_partition,
 )
 from repro.cluster.node import Node
-from repro.kvstore.codec import FramedPartition
+from repro.kvstore.codec import EncodedDataset
 from repro.obs.energy import task_energy_attrs
 from repro.obs.log import get_logger, log_event
 from repro.obs.trace import NOOP_SPAN, Tracer
@@ -373,15 +373,15 @@ def _pool_worker_init() -> None:
 
 
 def _pool_task(
-    args: tuple[Workload, Sequence[Any] | FramedPartition | PartitionRef, bool]
+    args: tuple[Workload, Sequence[Any] | EncodedDataset | PartitionRef, bool]
 ) -> tuple[WorkloadResult, float, tuple]:
     workload, payload, trace = args
     tracer = Tracer() if trace else None
     shm = isinstance(payload, PartitionRef)
     # Fetch outside the timer (on the eager path the executor unpickled
     # the payload before this function started). A staged partition
-    # goes into workload.run as framed bytes: reading them, as columns
-    # or as records, is part of the workload's billed work.
+    # goes into workload.run as the encoding's slice: reading it, as
+    # columns or as records, is part of the workload's billed work.
     fetch_span = (
         tracer.span("worker.fetch", segment=payload.segment, bytes=payload.total_bytes)
         if shm and tracer is not None
@@ -435,7 +435,7 @@ class ProcessPoolEngine(ExecutionEngine):
     ``run_job``/``profile_all_nodes`` calls over the same partitions (the same
     objects, or new ones with the same bytes) publish nothing. A
     partition arrives either as a plain record list or as a staged
-    :class:`~repro.kvstore.codec.FramedPartition`, and the worker hands
+    :class:`~repro.kvstore.codec.EncodedDataset` slice, and the worker hands
     it to ``workload.run`` as it arrived.
     Probe-ladder samples (:meth:`profile_samples`) never repeat, so they
     skip the store and ride in the task tuple, dispatched largest first
@@ -623,11 +623,11 @@ class ProcessPoolEngine(ExecutionEngine):
         # The tracing flag rides in the task tuple, so toggling obs
         # needs no pool restart (workers may predate enable()).
         trace = obs.enabled()
-        # Workers must see a real list or a staged buffer either way;
+        # Workers must see a real list or a staged slice either way;
         # keeping those un-copied lets the store's identity cache
         # recognise repeats.
         parts = [
-            p if isinstance(p, (list, FramedPartition)) else list(p) for p in partitions
+            p if isinstance(p, (list, EncodedDataset)) else list(p) for p in partitions
         ]
         payloads: list = parts
         if self._shm_usable and not one_shot:

@@ -19,16 +19,17 @@ optimizer) is the one-time cost the paper amortizes over repeated runs;
 it can be reused across strategies and α values on the same
 dataset/workload pair.
 
-**Staging.** A partition is staged once, as the KV codec's framed
-bytes (:class:`~repro.kvstore.codec.FramedPartition`): ``prepare``
-serializes the dataset into columnar form, the profiling probes and
-each run frame their index arrays out of that by a vectorised gather,
-the buffer optionally hops
-through the KV middleware (``stage_via_kv``: two round trips per
-partition), and the engine ships it to the worker, which decodes it —
-the parent process never touches a record. Phase 2 of a two-phase
-workload gathers from ``count_records`` of the dataset, also computed
-once in ``prepare``.
+**Staging.** A dataset is encoded once, into the KV codec's columnar
+form (:class:`~repro.kvstore.codec.EncodedDataset`), at the start of
+``prepare``: the stratifier reads its pivots off that encoding, the
+profiling probes and each run's partitions are slices of it (a
+vectorised gather per index array), a slice optionally hops through
+the KV middleware (``stage_via_kv``: two round trips per partition,
+framed into length-prefixed records there and back), and the engine
+ships it to the worker, which reads it as columns or decodes it — the
+parent process never touches a record after the encode. Phase 2 of a
+two-phase workload gathers from ``count_records`` of the encoding,
+also computed once in ``prepare``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from repro.core.partitioner import (
     similar_partitions,
 )
 from repro.core.strategies import Strategy, at_alpha
-from repro.kvstore.codec import EncodedDataset, FramedPartition, encode_dataset
+from repro.kvstore.codec import EncodedDataset, encode_dataset
 from repro.stratify.stratifier import Stratification, Stratifier
 from repro.workloads.base import Workload
 from repro.workloads.fpm.apriori import CandidateCountWorkload, LocalMiningWorkload
@@ -221,47 +222,38 @@ class ParetoPartitioner:
         workload: Workload,
         stratification: Stratification | None = None,
     ) -> PreparedInput:
-        """Stratify, profile and build the optimizer (the one-time cost).
+        """Encode, stratify, profile and build the optimizer (the
+        one-time cost).
 
         ``items`` is the dataset's records, or the dataset already
-        encoded (``encode_dataset`` with this partitioner's ``kind``)
-        together with its ``stratification`` — the service builds both
-        in a separate process, so it never holds a record. Pass a
-        precomputed ``stratification`` (from :meth:`stratifier`'s
-        ``stratify`` on the same items) with records too, to skip
-        stratifying. The prepared input keeps the encoding only; an
-        encoded dataset is decoded, transiently, just for a two-phase
-        workload whose ``count_records`` converts the records.
+        encoded (``encode_dataset`` with this partitioner's ``kind``) —
+        the service encodes in a separate process, so it never holds a
+        record. Records are encoded first, and every stage reads that
+        one encoding. Pass a precomputed ``stratification`` (from
+        :meth:`stratifier`'s ``stratify`` on the same dataset) to skip
+        stratifying. The prepared input keeps the encoding only.
         """
-        if isinstance(items, EncodedDataset):
-            if stratification is None:
-                raise ValueError("an encoded dataset needs its stratification")
-            if items.kind != self.kind:
-                raise ValueError(f"dataset encoded as {items.kind!r}, not {self.kind!r}")
-            records, staged = None, items
-        else:
-            records, staged = list(items), None
-        n = len(staged) if records is None else len(records)
+        staged = items if isinstance(items, EncodedDataset) else None
+        if staged is not None and staged.kind != self.kind:
+            raise ValueError(f"dataset encoded as {staged.kind!r}, not {self.kind!r}")
+        n = len(items)
         if stratification is not None and stratification.num_items != n:
             raise ValueError(
                 f"stratification labels {stratification.num_items} items, not {n}"
             )
         with obs.span("pipeline.prepare", items=n, kind=self.kind):
-            if stratification is None:
-                stratification = self.stratifier().stratify(records)
-            # Staged first: the probe samples are gathers of it too.
             if staged is None:
-                staged = encode_dataset(self.kind, records)
+                staged = encode_dataset(self.kind, items)
+            if stratification is None:
+                stratification = self.stratifier().stratify(staged)
             sampler = ProgressiveSampler(engine=self.engine, seed=self.seed)
             profiling = sampler.profile(workload, staged, stratification)
             dirty = self.engine.cluster.dirty_power_coefficients()
             optimizer = ParetoOptimizer(models=profiling.models, dirty_coeffs=dirty)
             counted = staged
             if workload.two_phase and type(workload).count_records is not Workload.count_records:
-                if records is None:
-                    records = staged.gather(np.arange(n)).records()
-                transactions = workload.count_records(records)
-                if transactions is not records:
+                transactions = workload.count_records(staged)
+                if transactions is not staged:
                     counted = encode_dataset("set", transactions)
         return PreparedInput(
             stratification=stratification,
@@ -315,18 +307,18 @@ class ParetoPartitioner:
 
     def _materialize(
         self, prepared: PreparedInput, indices: list[np.ndarray]
-    ) -> tuple[list[FramedPartition], int]:
-        """Frame each index array into one staged buffer; with
-        ``stage_via_kv`` every buffer then makes the hop through its
+    ) -> tuple[list[EncodedDataset], int]:
+        """Slice each index array out of the staged encoding; with
+        ``stage_via_kv`` every slice then makes the hop through its
         node's KV store. Returns the partitions and the round trips."""
         partitions = [prepared.staged.gather(idx) for idx in indices]
         round_trips = 0
         if self.stage_via_kv:
             kv = self.engine.cluster.kv
             before = kv.total_round_trips()
-            for pid, framed in enumerate(partitions):
+            for pid, part in enumerate(partitions):
                 node = pid % self.engine.cluster.num_nodes
-                kv.put_partition(node, pid, framed)
+                kv.put_partition(node, pid, part)
                 partitions[pid] = kv.get_partition(node, pid)
             round_trips = kv.total_round_trips() - before
         return partitions, round_trips

@@ -19,7 +19,7 @@ overfit, which the ablation bench demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -184,17 +184,16 @@ class ProgressiveSampler:
     def profile(
         self,
         workload: Workload,
-        items: Sequence[Any] | EncodedDataset,
+        items: EncodedDataset,
         stratification: Stratification,
     ) -> ProfilingReport:
         """Fit one time model per cluster node.
 
-        Samples are *stratified* samples of ``items`` (Section III-E:
-        the stratifier feeds the estimator payload-representative
-        samples), re-drawn per fraction with a deterministic RNG. Pass
-        the dataset already staged (``encode_dataset`` of the records)
-        to draw each sample as a gather of it, as a job's partitions
-        are, instead of as a list of records.
+        Samples are *stratified* samples of ``items``, the staged
+        dataset (``encode_dataset`` of the records; Section III-E: the
+        stratifier feeds the estimator payload-representative samples),
+        re-drawn per fraction with a deterministic RNG, each a gather of
+        the encoding as a job's partitions are.
         """
         rng = np.random.default_rng(self.seed)
         n_items = len(items)
@@ -213,20 +212,14 @@ class ProgressiveSampler:
     def _profile(
         self,
         workload: Workload,
-        items: Sequence[Any] | EncodedDataset,
+        items: EncodedDataset,
         stratification: Stratification,
         rng: np.random.Generator,
         n_items: int,
     ) -> ProfilingReport:
         num_nodes = self.engine.cluster.num_nodes
-
-        def draw(idx: np.ndarray) -> Sequence[Any]:
-            if isinstance(items, EncodedDataset):
-                return items.gather(idx)
-            return [items[i] for i in idx]
-
         sizes: list[int] = []
-        samples: list[Sequence[Any]] = []
+        samples: list[EncodedDataset] = []
         for fraction in auto_fractions(n_items):
             target = max(MIN_SAMPLE, int(round(fraction * n_items)))
             target = min(target, n_items)
@@ -237,13 +230,13 @@ class ProgressiveSampler:
             if sizes and idx.size <= sizes[-1]:
                 continue
             sizes.append(int(idx.size))
-            samples.append(draw(idx))
+            samples.append(items.gather(idx))
         if len(sizes) < 2:
             # Dataset too small for distinct fractions: probe half and full.
             half = max(1, n_items // 2)
             idx = rng.choice(n_items, size=half, replace=False)
             sizes = [half, n_items]
-            samples = [draw(idx), draw(np.arange(n_items))]
+            samples = [items.gather(idx), items.gather(np.arange(n_items))]
 
         # The whole ladder in one engine call: every sample measured
         # once and priced on every node. A worker's first run of a kind

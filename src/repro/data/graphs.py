@@ -127,7 +127,10 @@ def generate_webgraph(config: WebGraphConfig) -> WebGraph:
             t_links = [u for u in adjacency[template] if u != v]
             if t_links:
                 keep = max(1, int(round(0.9 * min(len(t_links), target_deg))))
-                links.update(rng.choice(t_links, size=keep, replace=False).tolist())
+                # Positions, not values: the stream choice(t_links, …)
+                # draws, without turning the list into an array.
+                picks = rng.choice(len(t_links), size=keep, replace=False)
+                links.update(t_links[i] for i in picks)
         # Fresh links: mostly intra-host, occasionally global.
         attempts = 0
         while len(links) < target_deg and attempts < 8 * target_deg:

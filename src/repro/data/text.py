@@ -64,20 +64,34 @@ def _zipf_weights(n: int, exponent: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """``weights``' running sum, normalised to end at 1 — what
+    ``Generator.choice`` builds from its ``p`` on every call."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, a: np.ndarray, cdf: np.ndarray, n: int) -> np.ndarray:
+    """``rng.choice(a, n, p=weights)`` given ``_cdf(weights)``: the same
+    draws from the same stream (one ``random`` per draw, located in the
+    running sum), without re-summing the weights per document."""
+    return a[cdf.searchsorted(rng.random(n), side="right")]
+
+
 def generate_corpus(config: CorpusConfig) -> Corpus:
     """Generate the corpus described by ``config`` (deterministic in seed)."""
     rng = np.random.default_rng(config.seed)
     # Background slice occupies the lowest token ids (the "stopwords").
     background = np.arange(config.background_tokens)
-    bg_weights = _zipf_weights(config.background_tokens, config.zipf_exponent)
+    bg_cdf = _cdf(_zipf_weights(config.background_tokens, config.zipf_exponent))
 
     content_pool = np.arange(config.background_tokens, config.vocab_size)
     topic_vocab: list[np.ndarray] = []
-    topic_weights: list[np.ndarray] = []
     for _t in range(config.num_topics):
         vocab = rng.choice(content_pool, size=config.tokens_per_topic, replace=False)
         topic_vocab.append(vocab)
-        topic_weights.append(_zipf_weights(config.tokens_per_topic, config.zipf_exponent))
+    topic_cdf = _cdf(_zipf_weights(config.tokens_per_topic, config.zipf_exponent))
 
     mix = _zipf_weights(config.num_topics, config.topic_skew)
     topics = rng.choice(config.num_topics, size=config.num_docs, p=mix)
@@ -96,11 +110,9 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
         n_topic = length - n_bg
         tokens: set[int] = set()
         if n_bg:
-            tokens.update(rng.choice(background, size=n_bg, p=bg_weights).tolist())
+            tokens.update(_draw(rng, background, bg_cdf, n_bg).tolist())
         if n_topic:
-            tokens.update(
-                rng.choice(topic_vocab[int(t)], size=n_topic, p=topic_weights[int(t)]).tolist()
-            )
+            tokens.update(_draw(rng, topic_vocab[int(t)], topic_cdf, n_topic).tolist())
         documents.append([token[x] for x in sorted(tokens)])
 
     return Corpus(documents=documents, topic_of=topics, vocab_size=config.vocab_size)

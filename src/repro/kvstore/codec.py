@@ -12,28 +12,28 @@ stratifier produces for trees, graphs and text: pivot-id sets, adjacency
 lists, token-id sets). Integers are packed little-endian uint32 after
 the 4-byte length header, so a record is ``[len:u32][payload:u32 * n]``.
 
-A partition's records back to back — what :func:`encode_partition`
-emits — are the **single representation of a staged partition**:
-:func:`encode_dataset` packs a dataset once into columnar form
-(:class:`EncodedDataset`: flat ``uint32`` values + record offsets),
-:meth:`EncodedDataset.gather` frames any index array into one
-contiguous :class:`FramedPartition` by a vectorised gather, and that
-buffer is what moves — through the KV list (one blob per record, so
-``LINDEX``/``LLEN`` still address items), into shared memory
-out-of-band, to the worker — and into ``workload.run`` itself. There
-the flat-kind kernels read it as columns (:func:`columns_of`: the
-payload words with the headers stripped, the one flattener of record
-lists too), and only a consumer that walks records one by one decodes
-it into Python objects (:func:`records_of`).
-:func:`encode_record` / :func:`decode_record` stay the per-record
-reference the tests hold the vectorised path to.
+The vectorised forms keep one representation of a dataset and of a
+staged partition: :func:`encode_dataset` packs a dataset once into
+columnar form (:class:`EncodedDataset`: flat ``uint32`` values +
+record offsets, what :func:`~repro.kvstore.serializers.flatten_items`
+produces), and :meth:`EncodedDataset.gather` slices any index array
+out of it into another :class:`EncodedDataset` by a vectorised gather.
+That slice is what moves — into shared memory out-of-band, to the
+worker — and into ``workload.run`` itself. There the flat-kind kernels
+read it as columns (:func:`columns_of`, which flattens a plain record
+list through ``flatten_items`` too), and only a consumer that walks
+records one by one decodes it into Python objects (:func:`records_of`).
+The length headers exist only on the KV list:
+:meth:`~repro.kvstore.client.ClusterClient.put_partition` frames a
+slice into one blob per record and ``get_partition`` strips them
+again. :func:`encode_record` / :func:`decode_record` stay the
+per-record reference the tests hold the vectorised path to.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -113,106 +113,66 @@ def decode_partition(blob: bytes) -> list[list[int]]:
     return out
 
 
-def _bounds(lengths: np.ndarray) -> np.ndarray:
-    """Where each record's header sits among the framed words, then the
-    end: the running sum of ``1 + length``."""
-    bounds = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths + 1, out=bounds[1:])
-    return bounds
-
-
 @dataclass(frozen=True, eq=False)
-class FramedPartition:
-    """One staged partition: its records framed back to back in one
-    contiguous ``uint32`` buffer, where each record starts, and how the
-    records map back to items.
-
-    ``len()`` is the record count, so engines can size and validate a
-    job without decoding. Whoever builds one already knows the record
-    lengths (the gather, the ``LRANGE`` reply), so the cut points are
-    kept rather than re-walked header by header. Pickle protocol 5
-    ships both arrays out-of-band (the dataplane copies them into
-    shared memory with a memcpy each); the in-band frame is O(1).
-    """
+class EncodedDataset:
+    """A dataset serialized once, columnar: record ``i`` is
+    ``values[offsets[i]:offsets[i + 1]]`` (``uint32`` values, int64
+    offsets). A staged partition is one too — a :meth:`gather` of its
+    dataset. Immutable after construction, so threads share it; pickle
+    protocol 5 ships both arrays out-of-band (the dataplane copies them
+    into shared memory with a memcpy each), so the in-band frame is
+    O(1). ``len()`` is the record count, so engines can size a job
+    without decoding."""
 
     #: Dataset kind the records deserialize to (see ``serializers``).
     kind: str
-    #: ``[count:u32][item:u32]*`` per record, back to back.
-    words: np.ndarray
-    #: Word position of every record's header, then ``words.size``.
-    bounds: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
 
     def __len__(self) -> int:
-        return self.bounds.size - 1
+        return self.offsets.size - 1
 
     @property
     def nbytes(self) -> int:
-        """Size of the framed bytes (what moves through the KV list)."""
-        return self.words.nbytes
+        """Size of the records framed for the KV list: a length header
+        per record plus the values."""
+        return self.values.nbytes + _HEADER.size * len(self)
 
-    def tobytes(self) -> bytes:
-        """The framed bytes — ``encode_partition`` of the records."""
-        return self.words.tobytes()
-
-    def blobs(self) -> list[bytes]:
-        """The framed bytes cut at the record boundaries: one
-        :func:`encode_record` blob per record, for the KV list layout."""
-        data = self.tobytes()
-        cuts = (_HEADER.size * self.bounds).tolist()
-        return [data[a:b] for a, b in zip(cuts, cuts[1:])]
-
-    def lengths(self) -> np.ndarray:
-        """Every record's item count (int64), once the cut points are
-        checked against the length headers.
-
-        Raises
-        ------
-        ValueError
-            If the cut points and the length headers disagree (what
-            :func:`decode_record` raises one record at a time).
-        """
-        lengths = np.diff(self.bounds) - 1
-        if (
-            self.bounds[0] != 0
-            or self.bounds[-1] != self.words.size
-            or (lengths < 0).any()
-            or not np.array_equal(self.words[self.bounds[:-1]], lengths)
-        ):
-            raise ValueError("record length mismatch: cut points and headers disagree")
-        return lengths
+    def gather(self, indices: Any) -> "EncodedDataset":
+        """The records at ``indices`` (any order, repeats allowed), as
+        their own encoding."""
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
+            raise IndexError(f"record index out of range [0, {len(self)})")
+        starts = self.offsets[idx]
+        lengths = self.offsets[idx + 1] - starts
+        offsets = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        at = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        return EncodedDataset(self.kind, self.values[at], offsets)
 
     def records(self) -> list[Any]:
         """Decode into the plain list of items: the Python objects a
         per-record consumer (tree mining, the work-stealing chunker)
-        walks. Raises what :meth:`lengths` raises."""
-        self.lengths()
-        flat, cuts = self.words.tolist(), self.bounds.tolist()
-        flats = [flat[a + 1 : b] for a, b in zip(cuts, cuts[1:])]
-        return deserialize_items(self.kind, flats)
+        walks.
 
-    @classmethod
-    def from_blobs(cls, kind: str, blobs: Sequence[bytes]) -> "FramedPartition":
-        """Rejoin per-record blobs (an ``LRANGE`` reply)."""
-        sizes = np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs))
-        if (sizes < _HEADER.size).any() or (sizes % _HEADER.size).any():
-            raise ValueError("record blob is not a length header plus whole uint32 words")
-        words = np.frombuffer(b"".join(blobs), dtype="<u4")
-        return cls(kind, words, _bounds(sizes // _HEADER.size - 1))
-
-    @classmethod
-    def from_records(cls, records: Sequence[Iterable[int]]) -> "FramedPartition":
-        """Frame already-flat integer records one by one (the reference
-        encoder; staging uses :meth:`EncodedDataset.gather`)."""
-        return cls.from_blobs("set", [encode_record(rec) for rec in records])
+        Raises
+        ------
+        ValueError
+            If the kind is unknown or a tree frame is malformed (what
+            :func:`~repro.kvstore.serializers.deserialize_item` raises).
+        """
+        flat, cuts = self.values.tolist(), self.offsets.tolist()
+        return deserialize_items(self.kind, [flat[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def records_of(partition: Any) -> Any:
-    """A partition as Python records: a :class:`FramedPartition`
+    """A partition as Python records: an :class:`EncodedDataset`
     decoded, anything else (already a record list) as it is. Only the
     consumers that walk records one by one call it — tree mining's
     per-tree conversion and the work-stealing chunker; the flat-kind
     kernels read :func:`columns_of` instead."""
-    if isinstance(partition, FramedPartition):
+    if isinstance(partition, EncodedDataset):
         return partition.records()
     return partition
 
@@ -222,63 +182,24 @@ def columns_of(partition: Any) -> tuple[np.ndarray, np.ndarray]:
     int64, record ``i`` being the next ``sizes[i]`` entries of
     ``values``.
 
-    A :class:`FramedPartition` is checked as :meth:`~FramedPartition
-    .records` checks it, then its length headers are stripped from the
-    words — no Python object per record or per value. Anything else is
-    a sequence of integer records, flattened by two ``fromiter`` passes
-    (``OverflowError`` on a value outside int64).
+    An :class:`EncodedDataset` already is those columns, with no Python
+    object per record or per value. Anything else is a sequence of
+    integer records, flattened by
+    :func:`~repro.kvstore.serializers.flatten_items` (``OverflowError``
+    on a value outside int64).
 
     Raises
     ------
     ValueError
-        If a framed partition's cut points and headers disagree, or its
-        kind is not flat (a tree record is not a value list).
+        If an encoding's kind is not flat (a tree record is not a value
+        list).
     """
-    if isinstance(partition, FramedPartition):
+    if isinstance(partition, EncodedDataset):
         if partition.kind not in FLAT_KINDS:
             raise ValueError(f"{partition.kind!r} records are not flat value lists")
-        sizes = partition.lengths()
-        payload = np.ones(partition.words.size, dtype=bool)
-        payload[partition.bounds[:-1]] = False
-        return partition.words[payload].astype(np.int64), sizes
-    sizes = np.fromiter(map(len, partition), dtype=np.int64, count=len(partition))
-    values = np.fromiter(chain.from_iterable(partition), dtype=np.int64, count=int(sizes.sum()))
-    return values, sizes
-
-
-@dataclass(frozen=True, eq=False)
-class EncodedDataset:
-    """A dataset serialized once, columnar: record ``i`` is
-    ``values[offsets[i]:offsets[i + 1]]`` (``uint32`` values, int64
-    offsets). Immutable after construction, so threads share it."""
-
-    kind: str
-    values: np.ndarray
-    offsets: np.ndarray
-
-    def __len__(self) -> int:
-        return self.offsets.size - 1
-
-    def gather(self, indices: Any) -> FramedPartition:
-        """Frame the records at ``indices`` (any order, repeats
-        allowed) into one buffer, byte-identical to
-        ``encode_partition`` over their ``serialize_item`` forms."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
-            raise IndexError(f"record index out of range [0, {len(self)})")
-        starts = self.offsets[idx]
-        lengths = self.offsets[idx + 1] - starts
-        total = int(lengths.sum())
-        words = np.empty(total + idx.size, dtype="<u4")
-        bounds = _bounds(lengths)
-        words[bounds[:-1]] = lengths
-        first = bounds[:-1] - np.arange(idx.size)  # of each record, among the payload words
-        # Payload word e of record j lands j + 1 headers further on.
-        e = np.arange(total)
-        words[e + np.repeat(np.arange(1, idx.size + 1), lengths)] = self.values[
-            e + np.repeat(starts - first, lengths)
-        ]
-        return FramedPartition(self.kind, words, bounds)
+        return partition.values.astype(np.int64), np.diff(partition.offsets)
+    values, offsets = flatten_items("set", partition)
+    return values, np.diff(offsets)
 
 
 def encode_dataset(kind: str, items: Sequence[Any]) -> EncodedDataset:

@@ -7,10 +7,13 @@ shift makes the root's ``-1`` representable).
 
 :func:`serialize_item` / :func:`deserialize_item` define the layout one
 record at a time and are the reference the tests hold the whole-dataset
-forms to: :func:`flatten_items` serializes a dataset in one pass with
-no per-record Python (what ``prepare`` runs, once), and
-:func:`deserialize_items` maps a partition's decoded records back to
-items (what a worker runs, once per task).
+forms to. :func:`flatten_items` serializes a dataset in one pass with
+no per-record Python, and it is the one place a record becomes
+integers: the codec's encoding, the stratifier's pivots and the
+flat-kind kernels' columns all start from it. :func:`tree_columns`
+reads the tree frames back as columns (what the tree-pivot kernel
+takes), and :func:`deserialize_items` maps a partition's records back
+to items (what a per-record consumer runs, once per task).
 """
 
 from __future__ import annotations
@@ -66,10 +69,16 @@ def flatten_items(kind: str, items: Sequence[Any]) -> tuple[np.ndarray, np.ndarr
 
     Returns ``(values, offsets)``, both int64: record ``i`` serializes
     to ``values[offsets[i]:offsets[i + 1]]``. Values are not range
-    checked here (the codec does that when it packs them as uint32).
+    checked here (the codec does that when it packs them as uint32); a
+    value outside int64 raises ``OverflowError``. Unsized flat records
+    (iterators) are materialised first.
     """
     if kind in FLAT_KINDS:
-        lengths = _lengths(items)
+        try:
+            lengths = _lengths(items)
+        except TypeError:
+            items = [it if hasattr(it, "__len__") else tuple(it) for it in items]
+            lengths = _lengths(items)
         values = _concatenated(items, int(lengths.sum()))
     elif kind == "tree":
         if set(map(len, items)) - {2}:
@@ -95,6 +104,29 @@ def flatten_items(kind: str, items: Sequence[Any]) -> tuple[np.ndarray, np.ndarr
     offsets = np.zeros(len(items) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return values, offsets
+
+
+def tree_columns(
+    values: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tree frames of :func:`flatten_items` (or of an encoding) as
+    int64 ``(sizes, parents, labels)``: tree ``t``'s parent and label
+    arrays are the next ``sizes[t]`` entries of the other two. Raises
+    :func:`deserialize_item`'s ``ValueError`` on a malformed frame."""
+    lengths = np.diff(offsets)
+    if (lengths == 0).any():
+        raise ValueError("empty tree record")
+    heads = offsets[:-1]
+    sizes = values[heads].astype(np.int64)
+    if not np.array_equal(lengths, 1 + 2 * sizes):
+        raise ValueError("tree record length mismatch")
+    # Node k of tree t: its parent + 1 sits at heads[t] + 1 + k and its
+    # label sizes[t] words further on.
+    first_node = np.cumsum(sizes) - sizes
+    at = np.arange(int(sizes.sum())) + np.repeat(heads + 1 - first_node, sizes)
+    parents = values[at].astype(np.int64) - 1
+    labels = values[at + np.repeat(sizes, sizes)].astype(np.int64)
+    return sizes, parents, labels
 
 
 def _tree(flat: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -37,9 +37,12 @@ oracles (``tree_triples_reference``, ``sketch_all_reference``,
 functions of their arguments (no imports from the stratifier modules)
 so they stay free of import cycles and are trivially testable. The
 partition kernels (WebGraph, LZ77 text framing, FP-growth, the packed
-FPM bitmap) take a staged :class:`~repro.kvstore.codec.FramedPartition`
-or a record list alike: both reach them through
-:func:`~repro.kvstore.codec.columns_of`, the one flattener.
+FPM bitmap) take a staged :class:`~repro.kvstore.codec.EncodedDataset`
+slice or a record list alike: both reach them through
+:func:`~repro.kvstore.codec.columns_of`, whose record lists go through
+:func:`~repro.kvstore.serializers.flatten_items`, the one flattener.
+The tree-pivot kernel takes the codec's tree frames as columns
+(:func:`~repro.kvstore.serializers.tree_columns`).
 """
 
 from repro.perf.kmodes_kernels import (

@@ -36,7 +36,7 @@ from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.kvstore.codec import FramedPartition, columns_of
+from repro.kvstore.codec import EncodedDataset, columns_of
 
 _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -67,7 +67,7 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 
 def distinct_items(
-    transactions: Sequence[Collection[int]] | FramedPartition,
+    transactions: Sequence[Collection[int]] | EncodedDataset,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every transaction's distinct items: ``(tx, code, items)``.
 
@@ -118,7 +118,7 @@ def _group(trees: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def mine_forest(
-    transactions: Sequence[Collection[int]] | FramedPartition,
+    transactions: Sequence[Collection[int]] | EncodedDataset,
     min_count: int,
     max_len: int | None,
 ) -> ForestMining:

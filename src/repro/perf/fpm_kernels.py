@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.kvstore.codec import FramedPartition, columns_of
+from repro.kvstore.codec import EncodedDataset, columns_of
 from repro.perf.minhash_kernels import DEFAULT_CHUNK_BYTES
 
 
@@ -84,7 +84,7 @@ class TransactionBitmap:
 
 
 def pack_transactions(
-    transactions: Sequence[Iterable[int]] | FramedPartition,
+    transactions: Sequence[Iterable[int]] | EncodedDataset,
 ) -> TransactionBitmap:
     """Pack transactions — a staged partition or a record sequence —
     into a :class:`TransactionBitmap`.
@@ -95,8 +95,6 @@ def pack_transactions(
     one argsort and deduplicated per transaction by one sort of the
     ``(item row, transaction)`` pairs, with no per-transaction loop.
     """
-    if not isinstance(transactions, FramedPartition):
-        transactions = [t if hasattr(t, "__len__") else tuple(t) for t in transactions]
     vals, lengths = columns_of(transactions)
     n_tx = lengths.size
     num_words = max(1, -(-n_tx // 64))

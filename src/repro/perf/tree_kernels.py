@@ -8,8 +8,10 @@ non-root node in id order. The reference builds them one tree at a time
 loop and a walking LCA per pair). :func:`tree_triples` builds the same
 columns, in the same per-tree order, for every tree of a batch at once:
 
-- the batch is flattened once (``np.fromiter``) and validated with
-  per-node masks;
+- the batch arrives as columns — node counts, parent ids and labels,
+  each concatenated over the batch, as the KV codec's tree frames hold
+  them (``repro.kvstore.serializers.tree_columns``) — and is validated
+  with per-node masks;
 - depths and the ``2**j``-th ancestors come from pointer jumping, which
   also finds cycles (a node that never reaches its root);
 - the Prüfer sequences of all trees run in lockstep, one step per
@@ -30,36 +32,16 @@ reference's own error (:class:`InvalidTree` names the first bad tree).
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Sequence
-
 import numpy as np
 
 
 class InvalidTree(Exception):
     """The batch cannot be converted as given: ``index`` is its first
-    record that is not a valid tree, or ``None`` when the records do not
-    flatten into ``int64`` columns at all."""
+    record that is not a valid tree."""
 
-    def __init__(self, index: int | None):
-        what = "the records do not flatten" if index is None else f"record {index} is not a tree"
-        super().__init__(what)
+    def __init__(self, index: int):
+        super().__init__(f"record {index} is not a tree")
         self.index = index
-
-
-def _flatten(records: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(sizes, parent, label_sizes, labels)`` of ``(parent, labels)``
-    records, each column concatenated over the batch as ``int64``."""
-    try:
-        parents = [parent for parent, _ in records]
-        labels = [lab for _, lab in records]
-        sizes = np.fromiter(map(len, parents), dtype=np.int64, count=len(parents))
-        label_sizes = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
-        par = np.fromiter(chain.from_iterable(parents), dtype=np.int64, count=int(sizes.sum()))
-        lab = np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=int(label_sizes.sum()))
-    except (TypeError, ValueError, OverflowError):  # not pairs, unsized, non-integer, too wide
-        raise InvalidTree(None) from None
-    return sizes, par, label_sizes, lab
 
 
 def _ancestors(up: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -125,26 +107,25 @@ def _prufer_lockstep(
 
 
 def tree_triples(
-    records: Sequence,
+    sizes: np.ndarray, par: np.ndarray, lab: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pivot label triples of every ``(parent, labels)`` record.
+    """Pivot label triples of a batch of labelled trees, given as int64
+    columns: tree ``t`` has ``sizes[t]`` nodes, and its parent ids and
+    labels are the next ``sizes[t]`` entries of ``par`` and ``lab``.
 
     Returns ``(first, second, third, offsets)``: tree ``t``'s triples
     are rows ``offsets[t]:offsets[t + 1]`` of the three ``int64``
     columns, in the reference's order (Prüfer pairs, then children in
-    id order). Raises :class:`InvalidTree` naming the first record that
+    id order). Raises :class:`InvalidTree` naming the first tree that
     is empty, has not exactly one root, has a parent id out of range or
-    equal to its own id, has a label list of another length, or has a
-    cycle — or naming none when the records do not flatten (a record
-    that is not a pair, a non-integer, an id beyond ``int64``).
+    equal to its own id, or has a cycle.
     """
-    sizes, par, label_sizes, lab = _flatten(records)
     num = sizes.size
     base = np.cumsum(sizes) - sizes
     tree_of = np.repeat(np.arange(num), sizes)
     local = np.arange(par.size) - base[tree_of]
 
-    bad = (sizes == 0) | (label_sizes != sizes)
+    bad = sizes == 0
     bad |= np.bincount(tree_of[par == -1], minlength=num) != 1
     bad[tree_of[(par < -1) | (par >= sizes[tree_of]) | (par == local)]] = True
     # Pointer jumping over the trees that passed: a node whose 2**j-th

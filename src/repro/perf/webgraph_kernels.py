@@ -7,7 +7,7 @@ shortest. The kernels here run no Python per list or per candidate while
 emitting the **byte-identical blob** (and identical statistics):
 
 - :func:`flatten_lists` lays the partition — a staged
-  :class:`~repro.kvstore.codec.FramedPartition` or a record list, read
+  :class:`~repro.kvstore.codec.EncodedDataset` or a record list, read
   through :func:`~repro.kvstore.codec.columns_of` — out as CSR: one
   ``uint64`` value array, one list-id array, per-list offsets, each
   list deduplicated and sorted. Membership keys ``list · R + rank`` (``rank``
@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.kvstore.codec import FramedPartition, columns_of
+from repro.kvstore.codec import EncodedDataset, columns_of
 from repro.perf.lz77_kernels import encode_varints_bytes, varint_lengths
 
 #: WebGraph's ``Lmin`` (``webgraph.MIN_INTERVAL_LENGTH``): runs of
@@ -61,7 +61,7 @@ class Lists(NamedTuple):
 
 
 def _as_uint64(
-    adjacency: Sequence[Sequence[int]] | FramedPartition,
+    adjacency: Sequence[Sequence[int]] | EncodedDataset,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every id of every list, concatenated, as ``uint64``, and each
     list's length."""
@@ -79,7 +79,7 @@ def _as_uint64(
     return np.array(exact, dtype=np.uint64), np.fromiter(map(len, adjacency), dtype=np.int64)
 
 
-def flatten_lists(adjacency: Sequence[Sequence[int]] | FramedPartition) -> Lists:
+def flatten_lists(adjacency: Sequence[Sequence[int]] | EncodedDataset) -> Lists:
     """CSR of ``[sorted(set(int(v) for v in raw)) for raw in adjacency]``.
 
     Raises ``ValueError`` on a negative id or one ≥ 2^64.
@@ -272,7 +272,7 @@ def _rank_in_group(groups: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def compress_lists(
-    adjacency: Sequence[Sequence[int]] | FramedPartition, window: int
+    adjacency: Sequence[Sequence[int]] | EncodedDataset, window: int
 ) -> tuple[bytes, dict[str, int]]:
     """WebGraph-compress a partition; byte-identical to the reference coder.
 

@@ -23,7 +23,7 @@ Thread-safe: the manager runs several worker threads over one executor.
 per scenario key. The first job of a key builds it outside the lock and
 later jobs of that key wait on its future, so a cold build never holds
 up a job of any other key. The dataset half of a build — generating the
-items, stratifying and encoding them — runs in a one-process build
+items, encoding and stratifying them — runs in a one-process build
 pool, off the service process's interpreter. Engine job execution
 relies on the engine's own concurrency guarantees (pool maps are
 thread-safe, the dataplane store locks internally, shutdown drains
@@ -71,8 +71,8 @@ def _build_process_init() -> None:
 def _build_task(
     key: tuple[str, float, int], trace: bool
 ) -> tuple[str, EncodedDataset, Stratification, tuple]:
-    """Build-pool task: generate a dataset key's items, stratify them
-    and encode them in the codec's columnar form.
+    """Build-pool task: generate a dataset key's items, encode them in
+    the codec's columnar form and stratify the encoding.
 
     A pure function of the key. Returns the built dataset — columns
     only, so the parent unpickles a few arrays, not a record per item —
@@ -84,10 +84,10 @@ def _build_task(
     tracer.reset()
     (obs.enable if trace else obs.disable)()
     dataset = load_dataset(name, size_scale=size_scale, seed=seed)
-    stratifier = Stratifier(kind=dataset.kind, num_strata=NUM_STRATA, seed=seed)
-    stratification = stratifier.stratify(dataset.items)
-    spans = tuple(tracer.finished_spans()) if trace else ()
     encoded = encode_dataset(dataset.kind, dataset.items)
+    stratifier = Stratifier(kind=dataset.kind, num_strata=NUM_STRATA, seed=seed)
+    stratification = stratifier.stratify(encoded)
+    spans = tuple(tracer.finished_spans()) if trace else ()
     return dataset.kind, encoded, stratification, spans
 
 

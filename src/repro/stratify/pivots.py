@@ -20,20 +20,21 @@ integer tuple in the interpreter and is the definition.
 :func:`pivot_ids` is the same function over whole columns — ``uint64``
 arrays wrap on overflow exactly where the scalar form masks with
 ``2**64 - 1`` — and is what production runs:
-:meth:`PivotExtractor.extract_flat` flattens a dataset once, hashes
-every pivot of every item in one call and hands MinHash the ragged
-batch ``(flat, offsets)`` directly, so no per-pivot Python call and no
-per-item ``set`` is ever built (a min-wise hash ignores duplicates
-anyway). The tree triples exist twice for the same reason.
+:meth:`PivotExtractor.extract_flat` reads a dataset's codec columns
+(its encoding, or ``flatten_items`` of its records), hashes every pivot
+of every item in one call and hands MinHash the ragged batch ``(flat,
+offsets)`` directly, so no per-pivot Python call and no per-item
+``set`` is ever built (a min-wise hash ignores duplicates anyway). The
+tree triples exist twice for the same reason.
 :func:`_append_tree_triples` builds one tree's in the interpreter and
 is the definition (:func:`tree_triples_reference` runs it over a
 batch); :func:`repro.perf.tree_kernels.tree_triples` builds every
-tree's at once in array passes, byte for byte the same, and is what
-``extract_flat`` and the tree-mining workload's ``count_records`` run —
-a batch it rejects is handed back to the definition, so a bad tree
-raises the same error either way. :func:`tree_pivots` (the tree-mining
-workload's per-record conversion inside the pool workers) still
-collects one tree's triples per call. The per-item ``__call__`` /
+tree's at once in array passes over the codec's tree frames, byte for
+byte the same, and is what ``extract_flat`` and the tree-mining
+workload's ``count_records`` run — a batch it rejects is handed back to
+the definition, so a bad tree raises the same error either way. :func:`tree_pivots` (the
+tree-mining workload's per-record conversion inside the pool workers)
+still collects one tree's triples per call. The per-item ``__call__`` /
 ``extract_all`` forms return sets and are the reference the tests hold
 ``extract_flat`` to.
 """
@@ -41,11 +42,12 @@ collects one tree's triples per call. The per-item ``__call__`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.kvstore.codec import EncodedDataset
+from repro.kvstore.serializers import flatten_items, tree_columns
 from repro.perf.tree_kernels import InvalidTree, tree_triples
 from repro.stratify.prufer import _depths, _lca, _prufer, _validate_parent_array
 
@@ -153,23 +155,6 @@ def tree_triples_reference(items) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return first, second, third, np.array(offsets, dtype=np.int64)
 
 
-def _batch_tree_triples(items: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`~repro.perf.tree_kernels.tree_triples` of ``items``, with
-    the per-tree reference's errors: the first tree of a batch the
-    kernel rejects goes through :func:`_append_tree_triples`, which
-    raises its ``ValueError``; a batch that will not flatten into
-    ``int64`` goes through :func:`tree_triples_reference` whole, which
-    converts (or raises) as one tree at a time does."""
-    try:
-        return tree_triples(items)
-    except InvalidTree as bad:
-        if bad.index is None:
-            return tree_triples_reference(items)
-        parent, labels = items[bad.index]
-        _append_tree_triples(parent, labels, ([], [], []))
-        raise AssertionError(f"tree {bad.index} failed a batch check only") from None
-
-
 def tree_pivots(parent: Sequence[int], labels: Sequence[int]) -> set[int]:
     """Pivot set of one labelled tree.
 
@@ -237,29 +222,47 @@ class PivotExtractor:
         of :meth:`extract_flat`."""
         return [self(item) for item in items]
 
-    def extract_flat(self, items: Iterable) -> tuple[np.ndarray, np.ndarray]:
-        """Pivots of a whole dataset as one ragged batch.
+    def extract_flat(self, items: Iterable | EncodedDataset) -> tuple[np.ndarray, np.ndarray]:
+        """Pivots of a whole dataset — its encoding, or its records,
+        flattened first by :func:`~repro.kvstore.serializers
+        .flatten_items` — as one ragged batch.
 
         Returns ``(flat, offsets)``: item ``i``'s pivots are
         ``flat[offsets[i]:offsets[i + 1]]``, equal *as a set* to
         ``self(items[i])`` (duplicates are kept; MinHash ignores them).
         ``flat`` is ``uint64`` pivot ids, except for ``"set"`` items,
-        which pass through unhashed as ``int64``.
+        which pass through unhashed as ``int64``. A graph/text id beyond
+        int64 raises ``ValueError``, and so does a bad tree: the first
+        one the batch kernel rejects goes through
+        :func:`_append_tree_triples`, and a record batch the codec will
+        not frame through :func:`tree_triples_reference` whole.
         """
+        records = None
+        if isinstance(items, EncodedDataset):
+            if items.kind != self.kind:
+                raise ValueError(f"dataset encoded as {items.kind!r}, not {self.kind!r}")
+            values, offsets = items.values, items.offsets
+        else:
+            records = list(items)
+            try:
+                values, offsets = flatten_items(self.kind, records)
+            except (TypeError, ValueError, OverflowError) as exc:
+                if self.kind == "tree":
+                    *columns, offsets = tree_triples_reference(records)
+                    return pivot_ids(*columns), offsets
+                if isinstance(exc, OverflowError):
+                    raise ValueError(f"{self.kind} id does not fit int64") from None
+                raise
         if self.kind == "tree":
-            *columns, offsets = _batch_tree_triples(list(items))
+            try:
+                *columns, offsets = tree_triples(*tree_columns(values, offsets))
+            except InvalidTree as bad:
+                i = bad.index
+                parent, labels = records[i] if records else items.gather([i]).records()[0]
+                _append_tree_triples(parent, labels, ([], [], []))
+                raise AssertionError(f"tree {i} failed a batch check only") from None
             return pivot_ids(*columns), offsets
-        offsets = [0]
-        sized = [it if hasattr(it, "__len__") else tuple(it) for it in items]
-        for it in sized:
-            offsets.append(offsets[-1] + len(it))
-        try:
-            raw = np.fromiter(
-                chain.from_iterable(sized), dtype=np.int64, count=offsets[-1]
-            )
-        except OverflowError:
-            raise ValueError(f"{self.kind} id does not fit int64") from None
-        if self.kind != "set":
-            tag = _DOMAIN_TAG[self.kind]
-            raw = pivot_ids(raw, tag, tag)
-        return raw, np.array(offsets, dtype=np.int64)
+        if self.kind == "set":
+            return values.astype(np.int64, copy=False), offsets
+        tag = _DOMAIN_TAG[self.kind]
+        return pivot_ids(values, tag, tag), offsets

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 import repro.obs as obs
+from repro.kvstore.codec import EncodedDataset
 from repro.stratify.kmodes import CompositeKModes, KModesResult
 from repro.stratify.minhash import MinHasher
 from repro.stratify.pivots import PivotExtractor
@@ -137,8 +138,10 @@ class Stratifier:
             raise ValueError("num_strata must be positive")
         self._extractor = PivotExtractor(self.kind)
 
-    def sketch(self, items: Sequence) -> np.ndarray:
-        """Pivot-extract and sketch a dataset; ``(n, num_hashes)``."""
+    def sketch(self, items: Sequence | EncodedDataset) -> np.ndarray:
+        """Pivot-extract and sketch a dataset — its records or its
+        encoding (see :meth:`PivotExtractor.extract_flat`); ``(n,
+        num_hashes)``."""
         with obs.span(
             "stage.sketch", items=len(items), kind=self.kind, num_hashes=self.num_hashes
         ):
@@ -174,28 +177,15 @@ class Stratifier:
             [raw_to_compact.get(int(r), fallback) for r in raw], dtype=np.int64
         )
 
-    def stratify(
-        self, items: Sequence, sketches: np.ndarray | None = None
-    ) -> Stratification:
-        """Run the full pipeline on ``items``.
-
-        Pass precomputed ``sketches`` (from :meth:`sketch` with the same
-        configuration) to skip re-sketching — callers that stage the
-        pipeline, or that already sketched for another purpose, avoid
-        paying the hash pass twice.
-        """
+    def stratify(self, items: Sequence | EncodedDataset) -> Stratification:
+        """Run the full pipeline on ``items`` (records or their
+        encoding): sketch, then cluster the sketches."""
         if len(items) == 0:
             raise ValueError("cannot stratify an empty dataset")
         with obs.span(
             "stage.stratify", items=len(items), num_strata=self.num_strata
         ) as sp:
-            if sketches is None:
-                sketches = self.sketch(items)
-            elif sketches.shape != (len(items), self.num_hashes):
-                raise ValueError(
-                    f"sketches shape {sketches.shape} does not match "
-                    f"({len(items)}, {self.num_hashes})"
-                )
+            sketches = self.sketch(items)
             kmodes = CompositeKModes(
                 num_clusters=self.num_strata,
                 top_l=self.top_l,

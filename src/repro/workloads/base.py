@@ -77,8 +77,9 @@ class Workload(abc.ABC):
         — one transaction (a flat sequence of non-negative ints) per
         record, in order, so ``count_records(a + b) == count_records(a)
         + count_records(b)``. The framework relies on it: it converts
-        the whole dataset once, in ``prepare``, and every phase-2
-        partition is a gather of that. Return the argument itself (the
-        same object) when there is nothing to convert.
+        the whole dataset once, in ``prepare``, passing its encoding
+        (:class:`~repro.kvstore.codec.EncodedDataset`), and every
+        phase-2 partition is a gather of that. Return the argument
+        itself (the same object) when there is nothing to convert.
         """
         return partition

@@ -17,7 +17,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.kvstore.codec import FramedPartition, columns_of, decode_partition, encode_partition
+from repro.kvstore.codec import EncodedDataset, columns_of, decode_partition, encode_partition
 from repro.perf.lz77_kernels import compress_block, text_lines
 from repro.workloads.compression.varint import decode_varint, encode_varint
 
@@ -200,7 +200,7 @@ class LZ77Codec:
         return decode_partition(self.decompress(blob))
 
     def compress_text_records(
-        self, records: Sequence[Sequence[int]] | FramedPartition
+        self, records: Sequence[Sequence[int]] | EncodedDataset
     ) -> tuple[bytes, LZ77Stats]:
         """Compress the textual form (one space-separated line per record).
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kvstore.codec import FramedPartition, records_of
+from repro.kvstore.codec import EncodedDataset, records_of
 from repro.stratify.pivots import PivotExtractor, tree_pivots
 from repro.workloads.base import WorkloadResult
 from repro.workloads.fpm.apriori import AprioriMiner, LocalMiningWorkload
@@ -46,7 +46,7 @@ class TreeMiningWorkload(LocalMiningWorkload):
     def __init__(self, min_support: float, max_len: int | None = 3):
         super().__init__(AprioriMiner(min_support=min_support, max_len=max_len))
 
-    def run(self, records: Sequence | FramedPartition) -> WorkloadResult:
+    def run(self, records: Sequence | EncodedDataset) -> WorkloadResult:
         # The per-tree conversion is the tree miner's probed, billed
         # work, so it stays per tree on purpose, and so does decoding a
         # staged partition into (parent, labels) records for it (≈ 2 %
@@ -70,10 +70,11 @@ class TreeMiningWorkload(LocalMiningWorkload):
             },
         )
 
-    def count_records(self, partition: Sequence) -> list[list[int]]:
+    def count_records(self, partition: Sequence | EncodedDataset) -> list[list[int]]:
         """``trees_to_pivot_sets(partition)[0]`` from one batch of pivot
         ids: one sort-and-dedupe of ``tree << 32 | id`` gives every
-        tree's sorted pivot set. Only ``prepare`` calls this; ``run``
+        tree's sorted pivot set. ``partition`` is records or their
+        encoding; ``prepare`` passes the staged encoding, and ``run``
         keeps the per-tree conversion (see there)."""
         flat, offsets = PivotExtractor("tree").extract_flat(partition)
         trees = offsets.size - 1

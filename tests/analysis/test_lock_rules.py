@@ -454,6 +454,33 @@ class TestLockLeak:
         )
         assert findings == []
 
+    def test_fresh_local_condition_wait_outside_loop_flagged(self):
+        # The module holds no class or module lock: the local binding's
+        # constructor alone says the receiver is a Condition. A fresh
+        # local Event's wait() is not a Condition's.
+        findings = run(
+            LockLeakChecker(),
+            """
+            import threading
+
+            def handshake():
+                cv = threading.Condition()
+                with cv:
+                    cv.wait()
+
+            def looped():
+                cv = threading.Condition()
+                with cv:
+                    while True:
+                        cv.wait()
+
+            def event():
+                done = threading.Event()
+                done.wait()
+            """,
+        )
+        assert [(f.line, f.message.split(" in ")[0]) for f in findings] == [(7, "cv.wait()")]
+
     def test_unknown_receiver_wait_not_assumed_condition(self):
         # `threading.Barrier.wait()` and friends: `barrier.wait()` on a
         # receiver that is not a known Condition must not fire.

@@ -111,7 +111,7 @@ class TestAnomalies:
         with watch_locks(held_warn_s=0.05, root=REPO_ROOT) as wd:
             cond = threading.Condition()
             with cond:
-                cond.wait(timeout=0.15)
+                cond.wait(timeout=0.15)  # repro: noqa[LOCK-LEAK] — a timed wait nothing notifies, by design
         assert wd.report()["anomalies"] == []
 
     def test_wait_resumes_held_tracking(self):
@@ -121,7 +121,7 @@ class TestAnomalies:
             cond = threading.Condition()
             inner = threading.Lock()
             with cond:
-                cond.wait(timeout=0.01)
+                cond.wait(timeout=0.01)  # repro: noqa[LOCK-LEAK] — a timed wait nothing notifies, by design
                 with inner:
                     pass
         (edge,) = wd.report()["edges"]

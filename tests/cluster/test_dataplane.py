@@ -24,7 +24,7 @@ from repro.cluster.dataplane import (
     fetch_partition,
 )
 from repro.cluster.engines import ProcessPoolEngine
-from repro.kvstore.codec import FramedPartition
+from repro.kvstore.codec import EncodedDataset, encode_dataset
 from repro.workloads.base import Workload, WorkloadResult
 
 
@@ -125,8 +125,8 @@ class TestCaching:
             assert store.stats.pinned_objects == len(store._pinned) == 1
 
 
-def _framed(*records):
-    return FramedPartition.from_records(records)
+def _staged(*records):
+    return encode_dataset("set", records)
 
 
 class TestWeakIdentity:
@@ -134,7 +134,7 @@ class TestWeakIdentity:
     caller drops it, its bytes live only in the shared segment."""
 
     def test_a_dropped_partition_is_freed_and_unpinned(self, store):
-        part = _framed([1, 2, 3], [4])
+        part = _staged([1, 2, 3], [4])
         ref = store.put(part)
         watcher = weakref.ref(part)
         assert store.stats.pinned_objects == 1
@@ -145,24 +145,24 @@ class TestWeakIdentity:
         assert fetch_partition(ref).records() == [[1, 2, 3], [4]]
 
     def test_a_live_partition_resubmitted_is_an_identity_hit(self, store):
-        part = _framed([5, 6])
+        part = _staged([5, 6])
         ref = store.put(part)
         assert store.put(part) == ref  # phase 2 hands the same object in
         assert store.stats.identity_hits == 1 and store.stats.serializations == 1
         del part
-        assert store.put(_framed([5, 6])) == ref  # a repeat: digest hit
+        assert store.put(_staged([5, 6])) == ref  # a repeat: digest hit
         assert store.stats.digest_hits == 1 and store.stats.serializations == 2
 
     def test_a_recycled_id_never_gets_the_dead_objects_ref(self, store):
-        other = _framed([8, 9])  # other bytes: no digest hit either
-        dead = _framed([7, 7, 7])
+        other = _staged([8, 9])  # other bytes: no digest hit either
+        dead = _staged([7, 7, 7])
         dead_ref, dead_id = store.put(dead), id(dead)
         del dead
         # CPython hands a freed object's memory to the next object of
         # its size; allocate until one lands on the dead id.
         held = []
         for _ in range(1000):
-            fresh = FramedPartition(other.kind, other.words, other.bounds)
+            fresh = EncodedDataset(other.kind, other.values, other.offsets)
             if id(fresh) == dead_id:
                 break
             held.append(fresh)

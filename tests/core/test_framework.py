@@ -208,8 +208,10 @@ class TestStaging:
             )
         plans = [pp2.plan(p, HET_AWARE).sizes.tolist() for p in (from_records, from_columns)]
         assert plans[0] == plans[1]
-        with pytest.raises(ValueError, match="needs its stratification"):
-            pp2.prepare(encoded, miner)
+        # An encoding without its stratification is stratified as is.
+        stratified_here = pp2.prepare(encoded, miner)
+        assert np.array_equal(stratified_here.stratification.labels, strata.labels)
+        assert stratified_here.profiling == from_records.profiling
         with pytest.raises(ValueError, match="encoded as"):
             pp2.prepare(encode_dataset("set", [[1], [2]]), miner, stratification=strata)
 

@@ -42,6 +42,11 @@ class QuadraticWorkload(Workload):
         return WorkloadResult(work_units=float(len(records)) ** 2 / 10.0, output=None)
 
 
+def staged(n):
+    """An ``n``-record dataset as the sampler takes it: encoded."""
+    return encode_dataset("set", [[i] for i in range(n)])
+
+
 def flat_stratification(n):
     return Stratification(labels=np.zeros(n, dtype=np.int64), strata=[np.arange(n)])
 
@@ -132,7 +137,7 @@ class TestProgressiveSampler:
 
     def test_recovers_speed_ratios(self, engine):
         """Per-node slopes must mirror the emulated speed factors."""
-        items = list(range(2000))
+        items = staged(2000)
         sampler = ProgressiveSampler(engine=engine, seed=0)
         report = sampler.profile(LinearWorkload(), items, flat_stratification(2000))
         slopes = np.array([m.slope for m in report.models])
@@ -141,14 +146,14 @@ class TestProgressiveSampler:
         assert np.allclose(ratios, [0.25, 1 / 3, 0.5, 1.0], rtol=0.05)
 
     def test_linear_fit_is_good(self, engine):
-        items = list(range(1000))
+        items = staged(1000)
         report = ProgressiveSampler(engine=engine, seed=0).profile(
             LinearWorkload(), items, flat_stratification(1000)
         )
         assert all(r2 > 0.99 for r2 in report.r_squared)
 
     def test_sample_sizes_ascending_distinct(self, engine):
-        items = list(range(500))
+        items = staged(500)
         report = ProgressiveSampler(engine=engine, seed=0).profile(
             LinearWorkload(), items, flat_stratification(500)
         )
@@ -156,7 +161,7 @@ class TestProgressiveSampler:
         assert len(report.sample_sizes) >= 2
 
     def test_one_model_per_node(self, engine):
-        items = list(range(300))
+        items = staged(300)
         report = ProgressiveSampler(engine=engine, seed=0).profile(
             LinearWorkload(), items, flat_stratification(300)
         )
@@ -164,7 +169,7 @@ class TestProgressiveSampler:
         assert len(report.times) == 4
 
     def test_tiny_dataset_still_profiles(self, engine):
-        items = list(range(10))
+        items = staged(10)
         report = ProgressiveSampler(engine=engine, seed=0).profile(
             LinearWorkload(), items, flat_stratification(10)
         )
@@ -177,7 +182,7 @@ class TestProgressiveSampler:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = ProgressiveSampler(engine=engine, seed=0).profile(
-                LinearWorkload(), [0], flat_stratification(1)
+                LinearWorkload(), staged(1), flat_stratification(1)
             )
         assert report.sample_sizes == [1, 1]
         assert all(m.slope == 0.0 for m in report.models)
@@ -191,11 +196,11 @@ class TestProgressiveSampler:
     def test_empty_dataset_rejected(self, engine):
         with pytest.raises(ValueError):
             ProgressiveSampler(engine=engine).profile(
-                LinearWorkload(), [], flat_stratification(1)
+                LinearWorkload(), staged(0), flat_stratification(1)
             )
 
     def test_nonlinear_workload_lower_r2(self, engine):
-        items = list(range(1000))
+        items = staged(1000)
         lin = ProgressiveSampler(engine=engine, seed=0).profile(
             LinearWorkload(), items, flat_stratification(1000)
         )
@@ -209,7 +214,7 @@ class TestProbeLadder:
     """The sampler probes with one :meth:`profile_samples` call over
     samples gathered from the staged dataset; on the deterministic
     engine that must be the report the per-sample record-list probes
-    gave."""
+    gave (pinned)."""
 
     #: ``(workload, dataset, size_scale)`` → the sample sizes and the
     #: speed-1 node's times that one ``profile_all_nodes`` call per
@@ -237,15 +242,10 @@ class TestProbeLadder:
         )
         sampler = ProgressiveSampler(engine=engine, seed=3)
         workload = spec.build(0.3)
-        staged = sampler.profile(
+        report = sampler.profile(
             workload, encode_dataset(data.kind, data.items), stratification
         )
-        records = sampler.profile(workload, data.items, stratification)
-        assert (staged.sample_sizes, staged.times[3]) == self.PINNED[case]
-        assert staged.sample_sizes == records.sample_sizes
-        assert staged.times == records.times
-        assert staged.models == records.models
-        assert staged.r_squared == records.r_squared
+        assert (report.sample_sizes, report.times[3]) == self.PINNED[case]
 
     def test_one_ladder_call_per_profile(self, monkeypatch):
         engine = SimulatedEngine(paper_cluster(4, seed=0), unit_rate=100.0)
@@ -259,7 +259,7 @@ class TestProbeLadder:
         monkeypatch.setattr(engine, "profile_samples", spy)
         monkeypatch.setattr(engine, "profile_all_nodes", None)  # not the probe path
         report = ProgressiveSampler(engine=engine, seed=0).profile(
-            LinearWorkload(), list(range(400)), flat_stratification(400)
+            LinearWorkload(), staged(400), flat_stratification(400)
         )
         assert calls == [report.sample_sizes]
 

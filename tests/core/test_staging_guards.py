@@ -1,7 +1,8 @@
 """Count-based guards on the staging path (deterministic, tier-1).
 
 One warm repeat per benchmark job kind on a real ``ProcessPoolEngine``:
-a partition is staged as framed bytes, so the parent process performs
+a partition is staged as a slice of the dataset's encoding, so the
+parent process performs
 no per-record work — no per-record codec call, no tree conversion, no
 re-publication — and the KV hop costs two round trips per partition.
 Timings live in ``benchmarks/e2e``; these are the counts behind them.
@@ -99,9 +100,9 @@ def test_warm_repeat_does_no_per_record_work_in_the_parent(engine, name, monkeyp
         )
     }
     decodes = []
-    records = codec.FramedPartition.records
+    records = codec.EncodedDataset.records
     monkeypatch.setattr(
-        codec.FramedPartition, "records", lambda self: decodes.append(self) or records(self)
+        codec.EncodedDataset, "records", lambda self: decodes.append(self) or records(self)
     )
     before = engine.dataplane_stats
     before = (before.refs_issued, before.identity_hits + before.digest_hits, before.shared_bytes)
@@ -109,7 +110,7 @@ def test_warm_repeat_does_no_per_record_work_in_the_parent(engine, name, monkeyp
     after = engine.dataplane_stats
 
     assert {k: len(v) for k, v in spies.items() if v} == {}
-    assert decodes == []  # framed bytes all the way to the workers
+    assert decodes == []  # encoded slices all the way to the workers
     assert 0 < report.kv_round_trips <= 2 * report.plan.num_partitions
     # Nothing new was copied into shared memory; every ref was a hit.
     assert after.shared_bytes == before[2]

@@ -2,8 +2,9 @@
 
 ``serialize_item`` / ``deserialize_item`` / ``encode_record`` /
 ``decode_record`` define the wire format one record at a time;
-``encode_dataset`` + ``gather`` + ``FramedPartition.records`` must be
-indistinguishable from them — same bytes, same items, same errors —
+``encode_dataset`` + ``gather`` + ``EncodedDataset.records``, and the
+KV list that ``put_partition`` writes and ``get_partition`` reads, must
+be indistinguishable from them — same bytes, same items, same errors —
 for every kind, including the shapes real datasets rarely produce.
 """
 
@@ -16,14 +17,14 @@ from hypothesis import strategies as st
 
 from repro.kvstore.client import ClusterClient
 from repro.kvstore.codec import (
-    FramedPartition,
+    EncodedDataset,
     decode_record,
     encode_dataset,
     encode_partition,
     encode_records,
     records_of,
 )
-from repro.kvstore.serializers import deserialize_item, serialize_item
+from repro.kvstore.serializers import deserialize_item, serialize_item, tree_columns
 
 U32 = 2**32 - 1
 FLAT_KINDS = ("graph", "text", "set")
@@ -63,31 +64,46 @@ def reference_blobs(kind, items, indices):
     return encode_records([serialize_item(kind, items[i]) for i in indices])
 
 
+def stored_blobs(part, node=0, pid=0):
+    """The KV list ``put_partition`` writes for ``part``."""
+    client = ClusterClient(num_nodes=1)
+    client.put_partition(node, pid, part)
+    return client.store_for(node).lrange(f"partition:{pid}")
+
+
+def same_slice(a, b):
+    return (
+        a.kind == b.kind
+        and a.values.dtype == b.values.dtype
+        and a.values.tobytes() == b.values.tobytes()
+        and a.offsets.tolist() == b.offsets.tolist()
+    )
+
+
 class TestAgainstTheReference:
     @given(dataset_and_indices())
     @settings(max_examples=300, deadline=None)
     def test_gather_frames_the_reference_bytes(self, case):
+        """A gather is the encoding of the gathered items, and the KV
+        list frames it into the reference's blobs."""
         kind, items, indices = case
-        framed = encode_dataset(kind, items).gather(np.array(indices, dtype=np.int64))
+        part = encode_dataset(kind, items).gather(np.array(indices, dtype=np.int64))
+        assert same_slice(part, encode_dataset(kind, [items[i] for i in indices]))
         blobs = reference_blobs(kind, items, indices)
-        assert framed.tobytes() == b"".join(blobs)
-        assert framed.tobytes() == encode_partition(
-            [serialize_item(kind, items[i]) for i in indices]
-        )
-        assert framed.blobs() == blobs
-        assert len(framed) == len(indices) and framed.nbytes == sum(map(len, blobs))
+        assert stored_blobs(part) == blobs
+        assert len(part) == len(indices) and part.nbytes == sum(map(len, blobs))
 
     @given(dataset_and_indices())
     @settings(max_examples=300, deadline=None)
     def test_records_decode_to_the_reference_items(self, case):
         kind, items, indices = case
-        framed = encode_dataset(kind, items).gather(indices)
+        part = encode_dataset(kind, items).gather(indices)
         expected = [
             deserialize_item(kind, decode_record(blob))
             for blob in reference_blobs(kind, items, indices)
         ]
-        assert framed.records() == expected
-        assert records_of(framed) == expected
+        assert part.records() == expected
+        assert records_of(part) == expected
         # The generated items are already in canonical form (lists of
         # ints, tuple pairs), so decoding returns the items themselves.
         assert expected == [items[i] for i in indices]
@@ -96,25 +112,27 @@ class TestAgainstTheReference:
     @settings(max_examples=100, deadline=None)
     def test_survives_the_out_of_band_pickle(self, case):
         kind, items, indices = case
-        framed = encode_dataset(kind, items).gather(indices)
+        part = encode_dataset(kind, items).gather(indices)
         buffers = []
-        frame = pickle.dumps(framed, protocol=5, buffer_callback=buffers.append)
-        assert len(frame) < 400  # O(1): the words travel out of band
+        frame = pickle.dumps(part, protocol=5, buffer_callback=buffers.append)
+        assert len(frame) < 400  # O(1): the columns travel out of band
         back = pickle.loads(frame, buffers=[b.raw() for b in buffers])
         assert (back.kind, len(back)) == (kind, len(indices))
-        assert back.tobytes() == framed.tobytes()
-        assert back.records() == framed.records()
+        assert same_slice(back, part)
+        assert back.records() == part.records()
 
     def test_whole_dataset_in_order_is_the_identity_gather(self):
         items = [[3, 1, 2], [], [U32], [0]]
         encoded = encode_dataset("text", items)
         assert len(encoded) == 4
+        assert same_slice(encoded.gather(np.arange(4)), encoded)
         assert encoded.gather(np.arange(4)).records() == items
 
     def test_blobs_are_cut_at_the_kept_bounds_not_by_walking_headers(self):
-        words = np.array([9, 9, 9], dtype="<u4")  # no header here says where to cut
-        framed = FramedPartition("set", words, np.array([0, 1, 3]))
-        assert framed.blobs() == [words[:1].tobytes(), words[1:].tobytes()]
+        """The KV list frames each record from the slice's offsets: the
+        values alone say nothing about where a record ends."""
+        part = EncodedDataset("set", np.array([9, 9, 9], dtype="<u4"), np.array([0, 1, 3]))
+        assert stored_blobs(part) == encode_records([[9], [9, 9]])
 
     def test_plain_records_pass_through_the_seam(self):
         records = [[1, 2], [3]]
@@ -161,7 +179,7 @@ class TestSameErrors:
         with pytest.raises(ValueError, match="unknown kind"):
             encode_dataset("audio", [[1]])
         with pytest.raises(ValueError, match="unknown kind"):
-            FramedPartition("audio", np.array([1, 7], dtype="<u4"), np.array([0, 2])).records()
+            EncodedDataset("audio", np.array([1, 7], dtype="<u4"), np.array([0, 2])).records()
 
     @pytest.mark.parametrize("bad", [[-1], [3], [0, 3]])
     def test_index_out_of_range(self, bad):
@@ -170,52 +188,57 @@ class TestSameErrors:
             encoded.gather(np.array(bad))
 
     def test_corrupt_buffers_do_not_decode(self):
-        framed = encode_dataset("set", [[1, 2, 3], [4]]).gather([0, 1])
-        assert framed.bounds.tolist() == [0, 4, 6]
-        for words, bounds in [
-            (framed.words[:-1], [0, 4, 6]),  # truncated payload
-            (framed.words, [0, 4, 6, 7]),  # a record more than was framed
-            (framed.words, [0, 3, 6]),  # cut inside a record
-            (framed.words, [0, 6]),  # a header skipped
-            (framed.words, [1, 4, 6]),
-            (framed.words, [0, 4, 4, 6]),  # no room for a header
+        """Tree frames whose node count and length disagree raise what
+        ``deserialize_item`` raises, when decoded and when read as
+        columns."""
+        values = encode_dataset("set", [[1, 2, 3], [4]]).values
+        for offsets, message in [
+            ([0, 3, 4], "tree record length mismatch"),  # [4] claims 4 nodes in 1 word
+            ([0, 0, 4], "empty tree record"),
         ]:
-            with pytest.raises(ValueError, match="length mismatch"):
-                FramedPartition("set", words, np.array(bounds)).records()
-        with pytest.raises(ValueError, match="tree record length mismatch"):
-            FramedPartition("tree", framed.words, framed.bounds).records()
-        with pytest.raises(ValueError, match="empty tree record"):
-            FramedPartition("tree", np.array([0], dtype="<u4"), np.array([0, 1])).records()
+            part = EncodedDataset("tree", values, np.array(offsets))
+            with pytest.raises(ValueError, match=message):
+                part.records()
+            with pytest.raises(ValueError, match=message):
+                tree_columns(part.values, part.offsets)
+
+    @staticmethod
+    def _get_raw(blobs):
+        """``get_partition`` over a KV list holding ``blobs`` as is."""
+        client = ClusterClient(num_nodes=1)
+        client.store_for(0).rpush("partition:0", *blobs)
+        return client.get_partition(0, 0)
 
     @pytest.mark.parametrize("blob", [b"", b"\x01\x00", b"\x00\x00\x00\x00\x07"])
     def test_blobs_that_are_not_records_do_not_join(self, blob):
         with pytest.raises(ValueError):
             decode_record(blob)
         with pytest.raises(ValueError, match="length header"):
-            FramedPartition.from_blobs("set", [b"\x00\x00\x00\x00", blob])
+            self._get_raw([b"\x00\x00\x00\x00", blob])
 
     def test_a_blob_whose_header_lies_does_not_decode(self):
         lying = b"\x02\x00\x00\x00" + b"\x07\x00\x00\x00"  # says 2 items, holds 1
         with pytest.raises(ValueError, match="length mismatch"):
             decode_record(lying)
         with pytest.raises(ValueError, match="length mismatch"):
-            FramedPartition.from_blobs("set", [lying]).records()
+            self._get_raw([lying])
 
 
 class TestThroughTheStore:
     @given(dataset_and_indices())
     @settings(max_examples=100, deadline=None)
     def test_lrange_joins_back_to_the_put_buffer(self, case):
+        """``get_partition(put_partition(slice))`` is the slice, and the
+        list in between holds ``encode_records`` of its records."""
         kind, items, indices = case
-        framed = encode_dataset(kind, items).gather(indices)
+        part = encode_dataset(kind, items).gather(indices)
         client = ClusterClient(num_nodes=2)
-        assert client.put_partition(1, 3, framed) == len(indices)
+        assert client.put_partition(1, 3, part) == len(indices)
         store = client.store_for(1)
-        assert b"".join(store.lrange("partition:3")) == framed.tobytes()
+        assert store.lrange("partition:3") == reference_blobs(kind, items, indices)
         assert client.partition_size(1, 3) == len(indices)
         fetched = client.get_partition(1, 3)
-        assert (fetched.kind, len(fetched)) == (kind, len(indices))
-        assert fetched.tobytes() == framed.tobytes()
+        assert same_slice(fetched, part)
         assert fetched.records() == [items[i] for i in indices]
         for position, i in enumerate(indices):
             assert client.get_item(1, 3, position) == serialize_item(kind, items[i])

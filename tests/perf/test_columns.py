@@ -1,7 +1,7 @@
 """Flat-kind kernels on staged columns: ``columns_of`` and its callers.
 
 A staged partition reaches ``workload.run`` as the
-:class:`~repro.kvstore.codec.FramedPartition` it was staged as, and the
+:class:`~repro.kvstore.codec.EncodedDataset` slice it was staged as, and the
 flat-kind kernels (WebGraph, LZ77 text framing, FP-growth, the packed
 Apriori/Eclat bitmap and the phase-2 count) read it through
 :func:`~repro.kvstore.codec.columns_of`. These tests hold that seam to
@@ -20,7 +20,7 @@ from benchmarks.bench_kernels import ruler_plan_partitions
 from repro.cluster import ProcessPoolEngine, SimulatedEngine, paper_cluster
 from repro.data.datasets import DATASET_KINDS, load_dataset
 from repro.kvstore import codec
-from repro.kvstore.codec import FramedPartition, columns_of, encode_dataset, records_of
+from repro.kvstore.codec import columns_of, encode_dataset, records_of
 from repro.service.jobs import build_workload
 from repro.workloads.fpm.apriori import AprioriWorkload, CandidateCountWorkload
 from repro.workloads.fpm.eclat import EclatWorkload
@@ -31,7 +31,7 @@ records_strategy = st.lists(
 
 
 def staged(kind, partition):
-    """``partition`` framed as staging frames it: one gather of the
+    """``partition`` staged as staging stages it: one gather of the
     dataset's columnar encoding."""
     return encode_dataset(kind, partition).gather(np.arange(len(partition)))
 
@@ -40,7 +40,7 @@ class TestColumnsOf:
     @given(records_strategy)
     @settings(max_examples=60, deadline=None)
     def test_framed_and_record_columns_agree(self, records):
-        framed_values, framed_sizes = columns_of(FramedPartition.from_records(records))
+        framed_values, framed_sizes = columns_of(staged("set", records))
         values, sizes = columns_of(records)
         assert framed_values.dtype == values.dtype == np.int64
         assert framed_sizes.dtype == sizes.dtype == np.int64
@@ -52,23 +52,6 @@ class TestColumnsOf:
         assert values.tolist() == [3, 1, 7] and sizes.tolist() == [2, 0, 1]
         values, sizes = columns_of(staged("set", []))
         assert values.size == 0 and sizes.size == 0
-
-    @pytest.mark.parametrize(
-        "words, bounds",
-        [
-            ([2, 1, 2, 5], [0, 3, 4]),  # second header says 5, its cut says 0
-            ([1, 7], [0, 1, 2]),  # a header where a payload word is
-            ([1, 7, 0], [0, 2]),  # last cut short of the words
-            ([1, 7], [1, 2]),  # first cut past the start
-        ],
-    )
-    def test_headers_that_disagree_raise_as_records_does(self, words, bounds):
-        part = FramedPartition("set", np.array(words, dtype="<u4"), np.array(bounds))
-        with pytest.raises(ValueError) as decoded:
-            part.records()
-        with pytest.raises(ValueError) as flattened:
-            columns_of(part)
-        assert str(flattened.value) == str(decoded.value)
 
     def test_tree_records_are_not_flat(self):
         trees = [((-1, 0), (4, 5))]
@@ -178,7 +161,7 @@ def _answers(engine, jobs):
 
 
 def test_flat_jobs_never_decode_on_either_engine(monkeypatch):
-    """With ``FramedPartition.records`` raising — in the parent, and so
+    """With ``EncodedDataset.records`` raising — in the parent, and so
     in a pool forked after the patch — webgraph, lz77 and fpgrowth jobs
     on staged partitions still run, and answer as their decoded record
     lists do."""
@@ -191,7 +174,7 @@ def test_flat_jobs_never_decode_on_either_engine(monkeypatch):
     def refuse(self):
         raise AssertionError("a flat-kind partition was decoded")
 
-    monkeypatch.setattr(codec.FramedPartition, "records", refuse)
+    monkeypatch.setattr(codec.EncodedDataset, "records", refuse)
     assert _answers(SimulatedEngine(cluster), jobs) == expected
     with ProcessPoolEngine(cluster, max_workers=2) as engine:
         assert engine.pools_created == 0  # forked below, after the patch

@@ -16,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.datasets import load_dataset
+from repro.kvstore.codec import encode_dataset
+from repro.kvstore.serializers import flatten_items, tree_columns
 from repro.perf.tree_kernels import InvalidTree, tree_triples
 from repro.stratify.minhash import EMPTY_SLOT
 from repro.stratify.pivots import (
@@ -53,6 +55,12 @@ def trees(draw, max_nodes=14):
         shuffled[perm[node]] = -1 if up == -1 else perm[up]
     labels = draw(st.lists(labels_strategy, min_size=n, max_size=n))
     return shuffled, labels
+
+
+def _kernel(items):
+    """``tree_triples`` on the records' codec columns, as
+    ``extract_flat`` calls it."""
+    return tree_triples(*tree_columns(*flatten_items("tree", items)))
 
 
 def _reference_flat(items):
@@ -108,9 +116,8 @@ def test_inputs_other_than_lists_of_lists():
     # Labels that do not flatten into int64 take the reference path whole,
     # with its own conversion (here: a wrap, not an error).
     wide = [([-1, 0, 0, 1], np.array([2**63, 1, 2, 3], dtype=np.uint64))]
-    with pytest.raises(InvalidTree) as info:
-        tree_triples(wide)
-    assert info.value.index is None
+    with pytest.raises(OverflowError):
+        flatten_items("tree", wide)
     _assert_same_flat(wide)
     # A record that is not a pair fails as the reference fails.
     with pytest.raises(ValueError, match="unpack"):
@@ -142,14 +149,22 @@ def test_first_bad_tree_raises_the_reference_message(bad, later):
     good = [([-1, 0, 0, 1, 1], [1, 2, 3, 4, 5]), ([-1], [9])]
     batch = good + [INVALID[bad]] + good + [INVALID[later]]
     message = _reference_error(INVALID[bad])
-    with pytest.raises(InvalidTree) as info:
-        tree_triples(batch)
-    assert info.value.index == len(good)
-    for call in (
+    calls = [
         lambda: PivotExtractor("tree").extract_flat(batch),
         lambda: TreeMiningWorkload(min_support=0.5).count_records(batch),
         lambda: Stratifier(kind="tree").sketch(batch),
-    ):
+    ]
+    # The codec frames only equal-length pairs with parents ≥ −1; the
+    # batches it does frame reach the kernel, from records and encoded.
+    if "label_length" not in (bad, later):
+        with pytest.raises(InvalidTree) as info:
+            _kernel(batch)
+        assert info.value.index == len(good)
+        if "parent_below_minus_one" not in (bad, later):
+            encoded = encode_dataset("tree", batch)
+            calls.append(lambda: PivotExtractor("tree").extract_flat(encoded))
+            calls.append(lambda: TreeMiningWorkload(min_support=0.5).count_records(encoded))
+    for call in calls:
         with pytest.raises(ValueError) as raised:
             call()
         assert str(raised.value) == message

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.kvstore.codec import encode_dataset
 from repro.stratify.minhash import MinHasher
 from repro.stratify.pivots import (
     UNIVERSE_SIZE,
@@ -223,3 +224,65 @@ class TestExtractFlat:
     def test_negative_ids_wrap_like_the_scalar_mixer(self):
         flat, _ = PivotExtractor("graph").extract_flat([[-1, -(2**63)]])
         assert flat.tolist() == [stable_pivot_id(-1, 1, 1), stable_pivot_id(-(2**63), 1, 1)]
+
+
+U32 = 2**32 - 1
+words = st.integers(0, U32)
+
+
+@st.composite
+def encodable_dataset(draw):
+    """``(kind, items)`` the codec frames: flat records of uint32 ids,
+    or ``(parent, labels)`` pairs of equal length with parents from −1
+    up — well-formed or not (cycles, no or two roots, ids out of range,
+    a node its own parent, empty trees)."""
+    kind = draw(st.sampled_from(["graph", "text", "set", "tree"]))
+    if kind != "tree":
+        return kind, draw(st.lists(st.lists(words, max_size=8), max_size=12))
+    trees = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 7))
+            parent = tree_from_prufer(
+                draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0))),
+                n,
+            )
+        else:
+            n = draw(st.integers(0, 5))
+            parent = draw(st.lists(st.integers(-1, 6), min_size=n, max_size=n))
+        trees.append((list(parent), draw(st.lists(words, min_size=n, max_size=n))))
+    return kind, trees
+
+
+def _outcome(extract):
+    try:
+        flat, offsets = extract()
+    except ValueError as exc:
+        return "raises", str(exc)
+    return flat.dtype, flat.tobytes(), offsets.tolist()
+
+
+class TestExtractFlatOnTheEncoding:
+    @given(encodable_dataset())
+    @settings(max_examples=300, deadline=None)
+    def test_encoding_and_records_agree_with_the_oracle(self, case):
+        """``extract_flat`` of an encoding is ``extract_flat`` of its
+        records, byte for byte or error for error, and its slices are
+        the ``extract_all`` sets — or it raises the oracle's error."""
+        kind, items = case
+        extractor = PivotExtractor(kind)
+        encoded = encode_dataset(kind, items)
+        got = _outcome(lambda: extractor.extract_flat(encoded))
+        assert got == _outcome(lambda: extractor.extract_flat(items))
+        if got[0] == "raises":
+            with pytest.raises(ValueError) as oracle:
+                extractor.extract_all(items)
+            assert str(oracle.value) == got[1]
+            return
+        flat, offsets = extractor.extract_flat(encoded)
+        sets = [set(flat[lo:hi].tolist()) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        assert sets == extractor.extract_all(items)
+
+    def test_an_encoding_of_another_kind_is_refused(self):
+        with pytest.raises(ValueError, match="encoded as 'graph'"):
+            PivotExtractor("text").extract_flat(encode_dataset("graph", [[1]]))

@@ -22,6 +22,7 @@ import pytest
 
 from repro.data.datasets import load_dataset
 from repro.stratify.kmodes import CompositeKModes
+from repro.kvstore.codec import encode_dataset
 from repro.stratify.minhash import MinHasher
 from repro.stratify.pivots import PivotExtractor
 from repro.stratify.stratifier import Stratification, Stratifier
@@ -40,7 +41,10 @@ def _characterise(name: str, scale: float, seed: int) -> dict:
     dataset = load_dataset(name, size_scale=scale, seed=seed)
     stratifier = Stratifier(kind=dataset.kind, seed=seed)  # the framework's defaults
     sketches = stratifier.sketch(dataset.items)
-    return _digests(sketches, stratifier.stratify(dataset.items, sketches=sketches))
+    # Sketched from the records, stratified from their encoding (what
+    # prepare runs): both must land on the goldens.
+    encoded = encode_dataset(dataset.kind, dataset.items)
+    return _digests(sketches, stratifier.stratify(encoded))
 
 
 def _digests(sketches: np.ndarray, strat: Stratification) -> dict:

@@ -39,7 +39,6 @@ is defined once — in three steps:
 
 from __future__ import annotations
 
-import _thread
 import abc
 import logging
 import os
@@ -49,17 +48,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker
 from typing import Any, Sequence
 
 import repro.obs as obs
 from repro.cluster.cluster import Cluster
-from repro.cluster.dataplane import (
-    DataPlaneStats,
-    PartitionRef,
-    SharedPartitionStore,
-    fetch_partition,
-)
+from repro.cluster.dataplane import DataPlaneStats
 from repro.cluster.node import Node
 from repro.kvstore.codec import EncodedDataset
 from repro.obs.energy import task_energy_attrs
@@ -203,15 +196,10 @@ class ExecutionEngine(abc.ABC):
 
     @abc.abstractmethod
     def _measure(
-        self,
-        workload: Workload,
-        partitions: Sequence[Sequence[Any]],
-        one_shot: bool = False,
+        self, workload: Workload, partitions: Sequence[Sequence[Any]]
     ) -> list[tuple[WorkloadResult, float]]:
         """Run the workload once per partition: ``(result, raw)`` in
-        order, where ``raw`` is what :meth:`_runtime` prices.
-        ``one_shot`` partitions (probe samples) are never seen again,
-        so an engine need not cache them."""
+        order, where ``raw`` is what :meth:`_runtime` prices."""
 
     @abc.abstractmethod
     def _runtime(self, node: Node, raw: float) -> float:
@@ -247,16 +235,14 @@ class ExecutionEngine(abc.ABC):
             samples=len(samples),
             records=sum(len(s) for s in samples),
         ):
-            measured = self._measure(workload, samples, one_shot=True)
+            measured = self._measure(workload, samples)
             return [[self._runtime(node, raw) for node in self.cluster] for _, raw in measured]
 
     def profile_all_nodes(
         self, workload: Workload, records: Sequence[Any]
     ) -> list[float]:
         """Runtime of one sample on *every* node (node-id order): the
-        one-sample view of :meth:`profile_samples`. Unlike a ladder
-        sample, ``records`` may repeat, so a pool engine publishes it to
-        its shared store like a job's partition."""
+        one-sample view of :meth:`profile_samples`."""
         with obs.span(
             "engine.profile_all_nodes",
             engine=type(self).__name__,
@@ -342,7 +328,7 @@ class SimulatedEngine(ExecutionEngine):
             raise ValueError("unit_rate must be positive")
         self.unit_rate = unit_rate
 
-    def _measure(self, workload, partitions, one_shot=False):
+    def _measure(self, workload, partitions):
         results = [workload.run(partition) for partition in partitions]
         return [(result, result.work_units) for result in results]
 
@@ -351,47 +337,26 @@ class SimulatedEngine(ExecutionEngine):
 
 
 def _pool_worker_init() -> None:
-    """Pool-worker initializer: leave Ctrl-C to the parent, and give the
-    worker a resource-tracker lock of its own.
+    """Pool-worker initializer: leave Ctrl-C to the parent.
 
     A terminal delivers SIGINT to the whole foreground process group; a
     worker interrupted mid ``call_queue.get()`` prints a traceback and
     can wedge the queue into a BrokenProcessPool. Workers ignore the
     signal so only the parent reacts and drains via :meth:`shutdown`
     (which still SIGTERMs workers if they hang).
-
-    A fork copies the tracker's lock as it stands: held, if another
-    parent thread was registering a segment at that instant (a
-    concurrent job's ``put_many``). Python 3.11 registers attachments
-    too, so the worker's first ``fetch_partition`` would then wait on
-    it for ever. The worker is single-threaded here, so a fresh lock is
-    safe. It is the C lock the tracker makes for itself (it calls
-    ``_recursion_count``), whatever wraps ``threading.RLock``.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    resource_tracker._resource_tracker._lock = _thread.RLock()
 
 
 def _pool_task(
-    args: tuple[Workload, Sequence[Any] | EncodedDataset | PartitionRef, bool]
+    args: tuple[Workload, Sequence[Any] | EncodedDataset, bool]
 ) -> tuple[WorkloadResult, float, tuple]:
-    workload, payload, trace = args
+    # The executor unpickled the partition before this function started.
+    # A staged partition goes into workload.run as the encoding's slice:
+    # reading it, as columns or as records, is part of the billed work.
+    workload, partition, trace = args
     tracer = Tracer() if trace else None
-    shm = isinstance(payload, PartitionRef)
-    # Fetch outside the timer (on the eager path the executor unpickled
-    # the payload before this function started). A staged partition
-    # goes into workload.run as the encoding's slice: reading it, as
-    # columns or as records, is part of the workload's billed work.
-    fetch_span = (
-        tracer.span("worker.fetch", segment=payload.segment, bytes=payload.total_bytes)
-        if shm and tracer is not None
-        else NOOP_SPAN
-    )
-    with fetch_span:
-        partition = fetch_partition(payload) if shm else payload
-    span = (
-        tracer.span("worker.run", items=len(partition), shm=shm) if tracer is not None else NOOP_SPAN
-    )
+    span = tracer.span("worker.run", items=len(partition)) if tracer is not None else NOOP_SPAN
     # Billed on the worker's CPU clock (every thread of this process):
     # what the work cost, not how long it waited for a core beside
     # another worker or a busy parent. The span keeps the wall time.
@@ -428,38 +393,21 @@ class ProcessPoolEngine(ExecutionEngine):
     release the workers deterministically; a garbage-collected engine
     tears its pool down without waiting.
 
-    Partitions travel through the :mod:`repro.cluster.dataplane`
-    shared-memory store:
-    each distinct partition is copied once into a shared segment and
-    tasks carry only a tiny :class:`PartitionRef`, so repeated
-    ``run_job``/``profile_all_nodes`` calls over the same partitions (the same
-    objects, or new ones with the same bytes) publish nothing. A
-    partition arrives either as a plain record list or as a staged
-    :class:`~repro.kvstore.codec.EncodedDataset` slice, and the worker hands
-    it to ``workload.run`` as it arrived.
-    Probe-ladder samples (:meth:`profile_samples`) never repeat, so they
-    skip the store and ride in the task tuple, dispatched largest first
-    so the workers finish together. :meth:`shutdown` unlinks the
-    segments. On a host with no usable
-    shared memory (the store raises ``OSError``) the engine pickles
-    partitions into every task tuple instead, from then on. The store
-    keeps at most :data:`~repro.cluster.dataplane.SEGMENT_CACHE_LIMIT`
-    segments, unlinking the least recently used beyond that, so
-    long-running engines streaming many distinct jobs keep a bounded
-    ``/dev/shm`` footprint.
+    A partition rides in its task tuple, pickled with the task: a
+    plain record list, or a staged
+    :class:`~repro.kvstore.codec.EncodedDataset` slice (two flat
+    arrays), which the worker hands to ``workload.run`` as it arrived.
+    Tasks go out largest first so the workers finish together.
     """
 
     def __init__(self, cluster: Cluster, max_workers: int | None = None):
         super().__init__(cluster)
         self.max_workers = max_workers
-        # Cleared for good by the first OSError from the store.
-        self._shm_usable = True
         self._pool: ProcessPoolExecutor | None = None
-        self._store: SharedPartitionStore | None = None
         self._pools_created = 0
-        # Serializes pool/store creation against teardown and counts
-        # in-flight pool jobs so shutdown(wait=True) can drain before
-        # unlinking shared-memory segments workers may still be reading.
+        # Serializes pool creation against teardown and counts in-flight
+        # pool jobs so shutdown(wait=True) drains them before it tears
+        # the pool down.
         self._lifecycle = threading.Condition()
         self._inflight = 0
         # Workload kinds the current pool's workers have run (see _warm).
@@ -494,32 +442,21 @@ class ProcessPoolEngine(ExecutionEngine):
             obs.emit("engine.pool.created", time.time(), 0.0, max_workers=self.max_workers)
         return pool
 
-    def _ensure_store(self) -> SharedPartitionStore:
-        with self._lifecycle:
-            if self._store is None or self._store.closed:
-                self._store = SharedPartitionStore()
-            return self._store
-
     @property
     def dataplane_stats(self) -> DataPlaneStats:
-        """Counters from the shared-memory store (zeros before first use)."""
-        with self._lifecycle:
-            store = self._store
-        if store is None:
-            return DataPlaneStats()
-        return store.stats
+        """All zeros: partitions ride in the task tuple (see
+        :class:`~repro.cluster.dataplane.DataPlaneStats`)."""
+        return DataPlaneStats()
 
     def shutdown(self, wait: bool = True) -> None:
-        """Release the worker processes and unlink any shared-memory
-        segments. Idempotent; the next job after a shutdown
-        transparently builds a fresh pool (and store).
+        """Release the worker processes. Idempotent; the next job after
+        a shutdown transparently builds a fresh pool.
 
         With ``wait=True`` (the default) the call **drains first**: it
         blocks until every in-flight :meth:`run_job` / :meth:`profile_samples`
-        on other threads has finished, then unlinks — so concurrent
-        callers never observe their segments disappearing mid-fetch.
-        ``wait=False`` tears down immediately (interpreter exit, broken
-        pool).
+        on other threads has finished, so concurrent callers never see
+        their pool torn down mid-map. ``wait=False`` tears down
+        immediately (interpreter exit).
         """
         lifecycle = getattr(self, "_lifecycle", None)
         if lifecycle is None:
@@ -529,21 +466,12 @@ class ProcessPoolEngine(ExecutionEngine):
             if wait:
                 while self._inflight > 0:
                     lifecycle.wait()
-            # Detach the handles before tearing them down so a failure (or
-            # a re-entrant call) can never double-release.
+            # Detach the pool before tearing it down so a failure (or a
+            # re-entrant call) can never double-release.
             pool, self._pool = self._pool, None
-            store, self._store = self._store, None
-        if pool is not None or store is not None:
-            log_event(
-                _log, logging.DEBUG, "engine.shutdown",
-                wait=wait, had_pool=pool is not None, had_store=store is not None,
-            )
-        try:
-            if pool is not None:
-                pool.shutdown(wait=wait)
-        finally:
-            if store is not None:
-                store.close()
+        if pool is not None:
+            log_event(_log, logging.DEBUG, "engine.shutdown", wait=wait)
+            pool.shutdown(wait=wait)
 
     def __enter__(self) -> "ProcessPoolEngine":
         return self
@@ -555,7 +483,7 @@ class ProcessPoolEngine(ExecutionEngine):
         # The collector runs finalizers wherever it fires, under other
         # objects' locks too, so an engine already shut down takes no
         # lock here (nothing else can reach it any more).
-        if getattr(self, "_pool", None) is None and getattr(self, "_store", None) is None:
+        if getattr(self, "_pool", None) is None:
             return
         # Interpreter teardown may have already dismantled the modules
         # shutdown() needs (ImportError/TypeError/AttributeError from
@@ -572,13 +500,13 @@ class ProcessPoolEngine(ExecutionEngine):
             except BaseException:  # repro: noqa[SILENT-EXCEPT] — logging itself is gone this deep into interpreter teardown
                 pass
 
-    def _measure(self, workload, partitions, one_shot=False):
+    def _measure(self, workload, partitions):
         # Every pool round-trip is bracketed by the in-flight counter so
-        # a concurrent shutdown(wait=True) drains us before unlinking.
+        # a concurrent shutdown(wait=True) drains us first.
         with self._lifecycle:
             self._inflight += 1
         try:
-            return self._map_tasks(workload, partitions, one_shot)
+            return self._map_tasks(workload, partitions)
         finally:
             with self._lifecycle:
                 self._inflight -= 1
@@ -605,15 +533,13 @@ class ProcessPoolEngine(ExecutionEngine):
         list(pool.map(_pool_task, [task] * workers))
 
     def _map_tasks(
-        self, workload: Workload, partitions: Sequence[Sequence[Any]], one_shot: bool
+        self, workload: Workload, partitions: Sequence[Sequence[Any]]
     ) -> list[tuple[WorkloadResult, float]]:
         """``(result, CPU seconds of workload.run)`` per partition.
 
         Tasks go out largest first, so the last task to start is the
         shortest and the workers finish together; results come back in
-        partition order. ``one_shot`` partitions skip the shared store
-        (publishing samples that never repeat would only pin segments
-        the LRU keeps for jobs).
+        partition order.
         """
         pool = self._ensure_pool()
         workers = self.max_workers or os.cpu_count() or 1
@@ -623,37 +549,28 @@ class ProcessPoolEngine(ExecutionEngine):
         # The tracing flag rides in the task tuple, so toggling obs
         # needs no pool restart (workers may predate enable()).
         trace = obs.enabled()
-        # Workers must see a real list or a staged slice either way;
-        # keeping those un-copied lets the store's identity cache
-        # recognise repeats.
+        # Workers must see a real list or a staged slice.
         parts = [
             p if isinstance(p, (list, EncodedDataset)) else list(p) for p in partitions
         ]
-        payloads: list = parts
-        if self._shm_usable and not one_shot:
-            try:
-                payloads = self._ensure_store().put_many(parts)
-            except OSError as exc:
-                # No usable shared memory on this host (e.g. /dev/shm
-                # missing): fall back to eager pickling for good.
-                log_event(
-                    _log, logging.DEBUG, "engine.dataplane.fallback",
-                    error=type(exc).__name__, detail=str(exc),
-                )
-                self._shm_usable = False
         order = sorted(range(len(parts)), key=lambda i: len(parts[i]), reverse=True)
-        tasks = [(workload, payloads[i], trace) for i in order]
+        tasks = [(workload, parts[i], trace) for i in order]
         try:
             smallest = min(range(len(parts)), key=lambda i: len(parts[i]))
-            self._warm(pool, (workload, payloads[smallest], False), workers)
+            self._warm(pool, (workload, parts[smallest], False), workers)
             raw = [None] * len(tasks)
             for i, task_out in zip(order, pool.map(_pool_task, tasks, chunksize=chunksize)):
                 raw[i] = task_out
         except BrokenProcessPool:
-            # A dead worker poisons the whole executor; discard it so
-            # the next job starts clean, then surface the failure.
+            # A dead worker poisons the whole executor; discard it so the
+            # next job starts clean, then surface the failure. Detach it
+            # only if it is still the engine's pool: another thread may
+            # already run on a fresh one.
             log_event(_log, logging.DEBUG, "engine.pool.broken", tasks=len(tasks))
-            self.shutdown(wait=False)
+            with self._lifecycle:
+                if self._pool is pool:
+                    self._pool = None
+            pool.shutdown(wait=False)
             raise
         out = []
         tracer = obs.get_tracer() if obs.enabled() else None

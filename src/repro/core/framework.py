@@ -310,17 +310,19 @@ class ParetoPartitioner:
     ) -> tuple[list[EncodedDataset], int]:
         """Slice each index array out of the staged encoding; with
         ``stage_via_kv`` every slice then makes the hop through its
-        node's KV store. Returns the partitions and the round trips."""
+        node's KV store. Returns the partitions and this job's round
+        trips (the client's staging lock keeps other jobs out of both)."""
         partitions = [prepared.staged.gather(idx) for idx in indices]
         round_trips = 0
         if self.stage_via_kv:
             kv = self.engine.cluster.kv
-            before = kv.total_round_trips()
-            for pid, part in enumerate(partitions):
-                node = pid % self.engine.cluster.num_nodes
-                kv.put_partition(node, pid, part)
-                partitions[pid] = kv.get_partition(node, pid)
-            round_trips = kv.total_round_trips() - before
+            with kv.staging_lock:
+                before = kv.total_round_trips()
+                for pid, part in enumerate(partitions):
+                    node = pid % self.engine.cluster.num_nodes
+                    kv.put_partition(node, pid, part)
+                    partitions[pid] = kv.get_partition(node, pid)
+                round_trips = kv.total_round_trips() - before
         return partitions, round_trips
 
     def measure_frontier(
@@ -434,8 +436,7 @@ class ParetoPartitioner:
             extra = {}
         else:
             # Phase 2 reads what each node already holds: the staged
-            # partitions themselves (same objects — the dataplane
-            # answers by identity), or the same records' transactions.
+            # partitions themselves, or the same records' transactions.
             if prepared.counted is prepared.staged:
                 count_parts = partitions
             else:

@@ -12,7 +12,7 @@ variadic ``RPUSH`` of every record, metadata) and read back in one
 (``LRANGE`` + the kind), so staging costs two round trips per
 partition whatever its size. What goes in and comes out is a staged
 partition (:class:`~repro.kvstore.codec.EncodedDataset`, the same
-slice the dataplane and the workers see). The length-prefixed layout
+slice the workers see). The length-prefixed layout
 lives here only: :meth:`ClusterClient.put_partition` frames the slice
 into one ``encode_record`` blob per record, so ``LINDEX``/``LLEN``
 still address single items, and :meth:`ClusterClient.get_partition`
@@ -21,6 +21,7 @@ checks the blobs and strips the headers again.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -71,11 +72,19 @@ META_KEY = "partition:{pid}:meta"
 
 @dataclass
 class ClusterClient:
-    """Routes commands to per-node store instances by explicit node id."""
+    """Routes commands to per-node store instances by explicit node id.
+
+    Partition keys carry no job, so a job that stages through the client
+    holds ``staging_lock`` across its puts, its gets and its
+    round-trip count: two jobs never read each other's partitions.
+    """
 
     num_nodes: int
     pipeline_width: int = 128
     stores: list[KeyValueStore] = field(init=False)
+    staging_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:

@@ -18,7 +18,7 @@ columnar form (:class:`EncodedDataset`: flat ``uint32`` values +
 record offsets, what :func:`~repro.kvstore.serializers.flatten_items`
 produces), and :meth:`EncodedDataset.gather` slices any index array
 out of it into another :class:`EncodedDataset` by a vectorised gather.
-That slice is what moves — into shared memory out-of-band, to the
+That slice is what moves — in its task tuple, to the
 worker — and into ``workload.run`` itself. There the flat-kind kernels
 read it as columns (:func:`columns_of`, which flattens a plain record
 list through ``flatten_items`` too), and only a consumer that walks
@@ -118,11 +118,10 @@ class EncodedDataset:
     """A dataset serialized once, columnar: record ``i`` is
     ``values[offsets[i]:offsets[i + 1]]`` (``uint32`` values, int64
     offsets). A staged partition is one too — a :meth:`gather` of its
-    dataset. Immutable after construction, so threads share it; pickle
-    protocol 5 ships both arrays out-of-band (the dataplane copies them
-    into shared memory with a memcpy each), so the in-band frame is
-    O(1). ``len()`` is the record count, so engines can size a job
-    without decoding."""
+    dataset. Immutable after construction, so threads share it; it
+    pickles as its two arrays, so a pool task carries it as two byte
+    copies, not an object graph. ``len()`` is the record count, so
+    engines can size a job without decoding."""
 
     #: Dataset kind the records deserialize to (see ``serializers``).
     kind: str

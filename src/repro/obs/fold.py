@@ -20,19 +20,6 @@ __all__ = ["fold_span", "QUEUE_DEPTH_BUCKETS"]
 #: admission and dequeue — the "queue depth over time" distribution).
 QUEUE_DEPTH_BUCKETS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-#: ``dataplane.put_many`` attribute (one call's change in a
-#: ``DataPlaneStats`` field) → the counter it feeds when non-zero.
-_DATAPLANE = {
-    "refs_issued": "repro_dataplane_refs_total",
-    "serializations": "repro_dataplane_serializations_total",
-    "identity_hits": "repro_dataplane_identity_hits_total",
-    "digest_hits": "repro_dataplane_digest_hits_total",
-    "segments_created": "repro_dataplane_segments_created_total",
-    "segments_evicted": "repro_dataplane_segments_evicted_total",
-    "shared_bytes": "repro_dataplane_bytes_copied_total",
-    "bytes_referenced": "repro_dataplane_bytes_referenced_total",
-}
-
 
 def _queue_depth(reg: MetricsRegistry, attrs: Mapping[str, Any]) -> None:
     if "depth" not in attrs:
@@ -79,11 +66,6 @@ def fold_span(reg: MetricsRegistry, record: Mapping[str, Any]) -> None:
         reg.counter("repro_worksteal_items_stolen_total").inc(attrs.get("chunk_items", 0))
     elif name == "engine.pool.created":
         reg.counter("repro_pool_creations_total").inc()
-    elif name == "dataplane.put_many" and "live_segments" in attrs:
-        for field, series in _DATAPLANE.items():
-            if attrs.get(field):
-                reg.counter(series).inc(attrs[field])
-        reg.gauge("repro_dataplane_live_segments").set(attrs["live_segments"])
     elif name == "service.submit" and "state" in attrs:
         reg.counter("repro_service_submitted_total").inc()
         if attrs["state"] == "REJECTED":

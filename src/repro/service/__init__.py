@@ -6,7 +6,7 @@ long-lived process serves sustained multi-tenant traffic:
 
 - :mod:`repro.service.jobs` — job specs, lifecycle states, records;
 - :mod:`repro.service.executor` — shared engine + per-scenario prepared
-  cache (repeat jobs ride the shared-memory dataplane for free);
+  cache;
 - :mod:`repro.service.manager` — bounded queue, admission control,
   per-tenant caps, backpressure with retry-after hints, TTL-evicted
   results, graceful drain;

@@ -5,8 +5,6 @@ The service's whole performance story lives here: every job runs on the
 
 - the :class:`~repro.cluster.engines.ProcessPoolEngine` worker pool is
   forked once for the service lifetime, not once per request;
-- the shared-memory dataplane's identity/digest caches make repeat jobs
-  over the same partitions near-free (no re-pickling);
 - the one-time prepare cost (stratify + profile + optimizer) is cached
   per scenario — ``(dataset, size_scale, seed, workload, support)`` —
   and amortized across every job that hits the same scenario, exactly
@@ -26,8 +24,7 @@ up a job of any other key. The dataset half of a build — generating the
 items, encoding and stratifying them — runs in a one-process build
 pool, off the service process's interpreter. Engine job execution
 relies on the engine's own concurrency guarantees (pool maps are
-thread-safe, the dataplane store locks internally, shutdown drains
-in-flight jobs).
+thread-safe, shutdown drains in-flight jobs).
 """
 
 from __future__ import annotations
@@ -103,7 +100,7 @@ def _build_pool() -> ProcessPoolExecutor:
 
 class ScenarioExecutor:
     """Runs one :class:`JobSpec` at a time per calling thread, sharing
-    engine, dataplane and prepared state across all of them."""
+    engine and prepared state across all of them."""
 
     def __init__(self, engine: ExecutionEngine):
         self.engine = engine
@@ -231,20 +228,10 @@ class ScenarioExecutor:
     # -- lifecycle ----------------------------------------------------------
 
     def dataplane_audit(self) -> dict[str, Any]:
-        """Shared-memory posture for shutdown assertions: live segment
-        count and cache counters (zeros for engines without a plane)."""
-        engine = self.engine
-        stats = getattr(engine, "dataplane_stats", None)
-        store = getattr(engine, "_store", None)
-        return {
-            "live_segments": 0 if store is None else store.live_segments,
-            "store_closed": store is None or store.closed,
-            "segments_created": 0 if stats is None else stats.segments_created,
-            "identity_hits": 0 if stats is None else stats.identity_hits,
-            "digest_hits": 0 if stats is None else stats.digest_hits,
-            "serializations": 0 if stats is None else stats.serializations,
-            "pinned_objects": 0 if stats is None else stats.pinned_objects,
-        }
+        """``{"live_segments": 0}``: partitions ride in the task tuple,
+        so no engine holds a shared segment. The frozen end-to-end
+        benchmark's service audit reads it (ROADMAP 5(c))."""
+        return {"live_segments": 0}
 
     def close(self) -> None:
         """Stop the build process, then release the engine (drains
@@ -267,7 +254,7 @@ def build_executor(
     """Standard service executor: a paper cluster plus the chosen engine.
 
     ``engine_kind="process"`` (default) runs real parallel jobs on the
-    persistent pool + shared-memory dataplane; ``"simulated"`` gives
+    persistent pool; ``"simulated"`` gives
     deterministic closed-form runtimes (useful for tests and capacity
     math).
     """

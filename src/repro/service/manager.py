@@ -369,7 +369,7 @@ class JobManager:
             return drained
 
     def shutdown(self, timeout_s: float | None = None) -> bool:
-        """Drain, then close the executor (engine pool + dataplane)."""
+        """Drain, then close the executor (build process and engine pool)."""
         drained = self.drain(timeout_s)
         self.executor.close()
         return drained

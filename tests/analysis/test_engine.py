@@ -48,8 +48,8 @@ class TestSelfClean:
         assert [f.render() for f in report.findings] == []
         assert report.files_scanned > 100
         # The justified noqa sites (engines teardown, distributed error
-        # collection, dataplane per-process cache) are suppressions, not
-        # silence: they must still be visible in the summary.
+        # collection) are suppressions, not silence: they must still be
+        # visible in the summary.
         assert report.suppressed >= 3
 
     def test_rng_discipline_in_stratify_benchmarks_examples(self):

@@ -1,13 +1,23 @@
 """Unit tests for the execution engines."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import shared_memory
 from typing import Sequence
 
 import numpy as np
 import pytest
 
 from repro.cluster.cluster import paper_cluster
+from repro.cluster.dataplane import SharedPartitionStore
 from repro.cluster.engines import ProcessPoolEngine, SimulatedEngine
+from repro.kvstore.codec import encode_dataset
+from repro.service.executor import ScenarioExecutor
 from repro.workloads.base import Workload, WorkloadResult
 
 
@@ -68,6 +78,18 @@ class BurningWorkload(CountingWorkload):
         for i in range(self.spin * len(records)):
             acc += i & 1
         return super().run(records)
+
+
+class EchoWorkload(CountingWorkload):
+    """Returns the partition the worker received, as it arrived."""
+
+    name = "echo"
+
+    def run(self, records) -> WorkloadResult:
+        return WorkloadResult(work_units=float(len(records)), output=records)
+
+    def merge(self, partials):
+        return [p.output for p in partials]
 
 
 def logged_runs(path) -> list[int]:
@@ -270,8 +292,8 @@ class TestProcessPoolEngine:
 
     def test_shutdown_waits_for_inflight_job(self, cluster):
         # shutdown(wait=True) racing an active run_job must drain the
-        # job before unlinking shared memory: the job completes with a
-        # correct result instead of crashing on a vanished segment.
+        # job before tearing the pool down: the job completes with a
+        # correct result instead of failing on a shut-down executor.
         import threading
 
         engine = ProcessPoolEngine(cluster, max_workers=2)
@@ -294,7 +316,7 @@ class TestProcessPoolEngine:
         assert not worker.is_alive()
         job = done["job"]
         assert job.merged_output == sum(range(200)) * 8
-        assert engine._pool is None and engine._store is None
+        assert engine._pool is None
 
     def test_concurrent_shutdown_callers(self, cluster):
         # Two threads racing shutdown(): exactly-once teardown, no error.
@@ -316,11 +338,11 @@ class TestProcessPoolEngine:
         for t in threads:
             t.join(timeout=10.0)
         assert errors == []
-        assert engine._pool is None and engine._store is None
+        assert engine._pool is None
 
     def test_concurrent_run_jobs_share_pool(self, cluster):
         # Two submitting threads must both complete against the one
-        # persistent pool/store pair (lifecycle lock serialises setup).
+        # persistent pool (lifecycle lock serialises setup).
         import threading
 
         engine = ProcessPoolEngine(cluster, max_workers=2)
@@ -339,43 +361,6 @@ class TestProcessPoolEngine:
         assert results == {10: 3 * 10 + 3, 20: 3 * 20 + 3}
         assert engine.pools_created == 1
         engine.shutdown()
-
-    def test_a_fork_while_another_thread_registers_a_segment_does_not_wedge(
-        self, cluster
-    ):
-        """Workers fork while another parent thread holds the resource
-        tracker's lock (as a concurrent job's ``put_many`` does for a
-        moment); their first attach must still go through."""
-        import threading
-        from multiprocessing import resource_tracker
-
-        from repro.cluster.dataplane import fetch_partition
-
-        held, release = threading.Event(), threading.Event()
-
-        def register_slowly():
-            with resource_tracker._resource_tracker._lock:
-                held.set()
-                release.wait(timeout=30.0)
-
-        with ProcessPoolEngine(cluster, max_workers=1) as engine:
-            ref = engine._ensure_store().put([1, 2, 3])  # the tracker runs
-            holder = threading.Thread(target=register_slowly)
-            holder.start()
-            try:
-                assert held.wait(timeout=30.0)
-                pool = engine._ensure_pool()
-                assert pool.submit(int).result(timeout=30.0) == 0  # the fork
-            finally:
-                release.set()
-                holder.join(timeout=30.0)
-            fetched = pool.submit(fetch_partition, ref)
-            try:
-                assert fetched.result(timeout=20.0) == [1, 2, 3]
-            finally:
-                if not fetched.done():  # a wedged worker must not hang the teardown
-                    for process in list(pool._processes.values()):
-                        process.kill()
 
     def test_context_manager_releases_pool(self, cluster):
         with ProcessPoolEngine(cluster, max_workers=1) as engine:
@@ -416,13 +401,13 @@ class TestProbeLadder:
             calls = []
             measure = engine._measure
 
-            def spy(workload, partitions, one_shot=False):
-                calls.append((len(partitions), one_shot))
-                return measure(workload, partitions, one_shot)
+            def spy(workload, partitions):
+                calls.append(len(partitions))
+                return measure(workload, partitions)
 
             monkeypatch.setattr(engine, "_measure", spy)
             times = engine.profile_samples(BurningWorkload(), [[1] * n for n in sizes])
-        assert calls == [(3, True)]
+        assert calls == [3]
         assert len(times) == 3 and all(len(t) == cluster.num_nodes for t in times)
         # Sample order, not dispatch order: per-sample CPU follows size.
         raw = [raw_seconds(cluster, 0, t[0]) for t in times]
@@ -436,11 +421,115 @@ class TestProbeLadder:
             engine.profile_samples(LoggingWorkload(str(log)), [[1] * n for n in (2, 7, 4)])
         assert [int(line) for line in log.read_text().split()] == [2, 7, 4, 2]
 
-    def test_ladder_leaves_the_shared_store_alone(self, cluster):
+
+class TestTransport:
+    """A partition reaches a pool worker in its task tuple, whatever
+    entry point sends it; no shared-memory segment is ever made."""
+
+    def test_no_entry_point_makes_a_shared_memory_segment(self, cluster, monkeypatch):
+        made = []
+        real = shared_memory.SharedMemory
+
+        class Spy(real):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", Spy)
+        staged = encode_dataset("set", [[1, 2], [3], [4, 5, 6]])
         with ProcessPoolEngine(cluster, max_workers=2) as engine:
-            engine.run_job(CountingWorkload(), [[1, 2], [3]], assignment=[0, 1])
-            before = engine.dataplane_stats
-            before = (before.serializations, before.segments_created, before.refs_issued)
+            job = engine.run_job(CountingWorkload(), [[1, 2, 3], [4, 5]], assignment=[0, 1])
+            engine.run_job(CountingWorkload(), [[1, 2, 3], [4, 5]], assignment=[0, 1])
+            engine.run_job(EchoWorkload(), [staged.gather([0, 2]), staged.gather([1])])
             engine.profile_samples(CountingWorkload(), [[1] * n for n in (3, 9, 5)])
-            after = engine.dataplane_stats
-        assert (after.serializations, after.segments_created, after.refs_issued) == before
+            engine.profile_all_nodes(CountingWorkload(), [1, 2])
+        assert job.merged_output == 15
+        assert made == []
+
+    def test_the_names_the_frozen_benchmark_reads_stay(self, cluster):
+        # ROADMAP 5(c): the ruler imports SharedPartitionStore (and wraps
+        # put_many only where a class defines it), reads five counters off
+        # dataplane_stats and live_segments off dataplane_audit().
+        assert "put_many" not in vars(SharedPartitionStore)
+        engine = ProcessPoolEngine(cluster, max_workers=1)
+        stats = dataclasses.asdict(engine.dataplane_stats)
+        read = ("refs_issued", "serializations", "identity_hits", "digest_hits", "shared_bytes")
+        assert stats == dict.fromkeys(read, 0)
+        assert ScenarioExecutor(engine).dataplane_audit()["live_segments"] == 0
+
+    def test_interpreter_exit_without_shutdown_is_silent(self):
+        """A script that never calls shutdown() must not print teardown
+        noise (ImportError / TypeError / KeyError) at exit."""
+        script = textwrap.dedent(
+            """
+            from tests.cluster.test_engines import CountingWorkload
+            from repro.cluster.cluster import paper_cluster
+            from repro.cluster.engines import ProcessPoolEngine
+
+            engine = ProcessPoolEngine(paper_cluster(2, seed=0), max_workers=2)
+            job = engine.run_job(CountingWorkload(), [[1, 2], [3]])
+            assert job.merged_output == 6
+            # no shutdown(): __del__ must clean up quietly
+            """
+        )
+        env = dict(os.environ)
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for noise in ("Traceback", "ImportError", "TypeError", "KeyError", "leaked"):
+            assert noise not in proc.stderr, proc.stderr
+
+
+class BrokenPool:
+    """An executor whose worker died: every map raises."""
+
+    def __init__(self):
+        self.shut_down = []
+
+    def map(self, *args, **kwargs):
+        raise BrokenProcessPool("a worker died")
+
+    def shutdown(self, wait=True):
+        self.shut_down.append(wait)
+
+
+class TestBrokenPool:
+    def test_a_broken_pool_discards_only_itself(self, cluster, monkeypatch):
+        """A call whose pool broke while another thread already runs on
+        a fresh one tears down its own pool, not the engine's live one."""
+        with ProcessPoolEngine(cluster, max_workers=1) as engine:
+            engine.run_job(CountingWorkload(), [[1, 2]], assignment=[0])
+            live = engine._pool
+            broken = BrokenPool()
+            monkeypatch.setattr(engine, "_ensure_pool", lambda: broken)
+            with pytest.raises(BrokenProcessPool):
+                engine.run_job(CountingWorkload(), [[3]], assignment=[0])
+            monkeypatch.undo()
+            assert broken.shut_down == [False]
+            assert engine._pool is live
+            assert engine.pools_created == 1
+            job = engine.run_job(CountingWorkload(), [[3, 4]], assignment=[0])
+            assert job.merged_output == 7
+            assert engine.pools_created == 1
+
+    def test_the_broken_current_pool_is_replaced_by_the_next_job(self, cluster):
+        with ProcessPoolEngine(cluster, max_workers=1) as engine:
+            engine.run_job(CountingWorkload(), [[1]], assignment=[0])
+            for process in list(engine._pool._processes.values()):
+                process.kill()
+                process.join(timeout=10.0)
+            with pytest.raises(BrokenProcessPool):
+                engine.run_job(CountingWorkload(), [[2]], assignment=[0])
+            assert engine._pool is None
+            job = engine.run_job(CountingWorkload(), [[2, 3]], assignment=[0])
+            assert job.merged_output == 5
+            assert engine.pools_created == 2

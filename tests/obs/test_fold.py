@@ -73,19 +73,6 @@ class TestFoldSpan:
             self.record("service.run", job_id="j"),
         ]) == {}
 
-    def test_put_many_counts_only_what_moved(self):
-        snap = fold_all([
-            self.record(
-                "dataplane.put_many", refs_issued=2, identity_hits=2,
-                serializations=0, live_segments=3,
-            )
-        ])
-        assert snap == {
-            "repro_dataplane_identity_hits_total": {"type": "counter", "value": 2.0},
-            "repro_dataplane_live_segments": {"type": "gauge", "value": 3.0},
-            "repro_dataplane_refs_total": {"type": "counter", "value": 2.0},
-        }
-
     def test_rejection_counts_the_submission_not_the_queue(self):
         snap = fold_all([
             self.record("service.submit", state="REJECTED", reason="queue_full"),
@@ -156,5 +143,5 @@ def test_every_documented_series_is_one_the_fold_emits():
 
 
 def test_the_catalogue_in_the_docs_is_complete():
-    assert len(FOLDED) == 31
+    assert len(FOLDED) == 22
     assert FOLDED <= documented_tokens()["observability.md"]

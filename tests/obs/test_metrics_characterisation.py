@@ -9,8 +9,8 @@ each on a fresh registry:
   phase billed after the first one's makespan);
 - ``faults`` / ``worksteal`` — a :class:`FaultInjectingEngine` and a
   :class:`WorkStealingScheduler` job;
-- ``process_pool`` — a :class:`ProcessPoolEngine` job run twice, so
-  the dataplane publishes and then hits its caches, on one pool;
+- ``process_pool`` — a :class:`ProcessPoolEngine` job run twice on one
+  pool;
 - ``service`` — an in-process :class:`JobManager` over a
   :class:`SimulatedEngine`: accepted jobs, ``tenant_cap``,
   ``queue_full`` and ``draining`` rejections, a cancel and a TTL

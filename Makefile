@@ -18,7 +18,7 @@ lint:
 # acquisition graph into LOCK-ORDER (see docs/static-analysis.md).
 lint-runtime:
 	rm -f lock_order.json
-	REPRO_LOCK_WATCH=lock_order.json PYTHONPATH=src python -m pytest -q tests/service tests/cluster/test_engines.py tests/obs/test_live.py
+	REPRO_LOCK_WATCH=lock_order.json PYTHONPATH=src python -m pytest -q tests/service tests/cluster/test_engines.py tests/core/test_profile_reuse.py tests/obs/test_live.py
 	PYTHONPATH=src python -m repro lint src tests benchmarks examples --runtime-report lock_order.json
 
 bench:

@@ -35,6 +35,7 @@ also computed once in ``prepare``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -42,7 +43,13 @@ import numpy as np
 import repro.obs as obs
 from repro.cluster.engines import ExecutionEngine, JobResult
 from repro.core.budget import CarbonBudgetPlanner
-from repro.core.heterogeneity import ProfilingReport, ProgressiveSampler
+from repro.core.heterogeneity import (
+    ProfilingReport,
+    ProgressiveSampler,
+    confirm,
+    prediction_error,
+    profile_key,
+)
 from repro.core.optimizer import ParetoOptimizer, PartitionPlan
 from repro.core.partitioner import (
     random_partitions,
@@ -134,6 +141,7 @@ def run_two_phase(
     workload: LocalMiningWorkload,
     partitions: Sequence[Sequence[Any]],
     count_parts: Sequence[Sequence[Any]] | None = None,
+    check: Callable[[JobResult, Any], None] | None = None,
 ) -> tuple[JobResult, dict[str, Any]]:
     """Savasere's partition algorithm: two jobs separated by a barrier.
 
@@ -148,11 +156,16 @@ def run_two_phase(
     phase breakdown. The false-positive count is the skew indicator the
     paper highlights: representative partitions produce few, skewed
     partitions many, and phase 2 costs in proportion to the candidates.
+    ``check`` is called with the phase-1 job and its span.
     """
     if count_parts is None:
         count_parts = partitions
-    with obs.span("stage.execute", partitions=len(partitions), phase="local-mine"):
+    with obs.span(
+        "stage.execute", partitions=len(partitions), phase="local-mine"
+    ) as local_span:
         local_job = engine.run_job(workload, partitions)
+        if check is not None:
+            check(local_job, local_span)
     candidates = local_job.merged_output
     counter = CandidateCountWorkload(
         candidates=sorted(candidates),
@@ -411,10 +424,33 @@ class ParetoPartitioner:
         with obs.span("pipeline.execute_fpm", strategy=strategy.name):
             return self._run(prepared, workload, strategy)
 
+    def _check_profile(
+        self,
+        prepared: PreparedInput,
+        workload: Workload,
+        plan: PartitionPlan,
+        phase1: JobResult,
+        span: Any,
+    ) -> None:
+        """Score the profile against the job it planned (phase 1's
+        tasks, partition ``i`` on node ``i``) and, when the running
+        workload is the one profiled, store the profile if the job
+        confirmed it or drop it if not. Both go on phase 1's span."""
+        report = prepared.profiling
+        runtimes = [t.runtime_s for t in phase1.tasks[: len(plan.sizes)]]
+        error = prediction_error(report, plan.sizes, runtimes)
+        confirmed = False
+        if profile_key(workload, prepared.staged) == report.key:
+            confirmed = confirm(self.engine, report, error)
+        span.set_attr("profile_confirmed", confirmed)
+        if error is not None:
+            span.set_attr("prediction_error", error)
+
     def _run(
         self, prepared: PreparedInput, workload: Workload, strategy: Strategy
     ) -> RunReport:
-        """Plan → place → materialize → run, shared by both entry points."""
+        """Plan → place → materialize → run, shared by both entry points;
+        phase 1 then confirms or drops the profile (``_check_profile``)."""
         if workload.two_phase and type(workload).count_records is not prepared.counted_by:
             raise ValueError(
                 f"prepared input holds {prepared.counted_by.__qualname__} of the "
@@ -430,9 +466,11 @@ class ParetoPartitioner:
             sp.set_attr("items", prepared.num_items)
             sp.set_attr("bytes", sum(p.nbytes for p in partitions))
             sp.set_attr("round_trips", round_trips)
+        check = partial(self._check_profile, prepared, workload, plan)
         if not workload.two_phase:
-            with obs.span("stage.execute", partitions=len(partitions)):
+            with obs.span("stage.execute", partitions=len(partitions)) as sp:
                 job = self.engine.run_job(workload, partitions)
+                check(job, sp)
             extra = {}
         else:
             # Phase 2 reads what each node already holds: the staged
@@ -441,7 +479,9 @@ class ParetoPartitioner:
                 count_parts = partitions
             else:
                 count_parts = [prepared.counted.gather(idx) for idx in indices]
-            job, extra = run_two_phase(self.engine, workload, partitions, count_parts)
+            job, extra = run_two_phase(
+                self.engine, workload, partitions, count_parts, check=check
+            )
         return RunReport(
             strategy=strategy, plan=plan, job=job, kv_round_trips=round_trips, extra=extra
         )

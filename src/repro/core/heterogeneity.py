@@ -14,12 +14,25 @@ payload distribution — rather than trusting nominal CPU speeds.
 A polynomial model is also provided for the Section III-D ablation:
 with the few samples progressive sampling affords, higher-degree fits
 overfit, which the ablation bench demonstrates.
+
+**Profile reuse.** The paper treats profiling as a one-time cost that
+repeated runs amortise. Each engine keeps the reports its jobs have
+confirmed, one per :func:`profile_key` — the workload's type and
+pickled state (what a pool task ships), the dataset kind and its item
+count — and a later profile of that key returns the stored report
+without running a probe. A report is stored only by :func:`confirm`,
+after a job planned from it ran within :data:`CONFIRM_BAND` of its
+prediction, and a job outside the band drops it; the ladder stays the
+only code that makes a model.
 """
 
 from __future__ import annotations
 
+import pickle
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -41,6 +54,13 @@ SMALL_DATA_FRACTIONS: tuple[float, ...] = (0.05, 0.08, 0.12, 0.16, 0.2)
 #: Floor on a probe's item count, so tiny datasets still give the
 #: regression distinct x-values.
 MIN_SAMPLE = 8
+
+#: A job confirms its report when its phase-1 task time is within this
+#: relative distance of what the report's models predicted for it.
+CONFIRM_BAND = 0.15
+
+#: Confirmed reports an engine keeps; the oldest key is dropped first.
+STORE_CAP = 32
 
 
 def auto_fractions(num_items: int) -> tuple[float, ...]:
@@ -130,9 +150,11 @@ class PolynomialTimeModel:
         return cls(coefficients=tuple(float(c) for c in coeffs))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProfilingReport:
-    """Everything the progressive-sampling pass produced.
+    """Everything the progressive-sampling pass produced. Frozen:
+    one report is shared by every prepared input (and thread) that
+    reuses it.
 
     Attributes
     ----------
@@ -144,16 +166,109 @@ class ProfilingReport:
         ``times[node][j]`` = measured runtime of sample ``j`` on node.
     r_squared:
         Per-node coefficient of determination of the linear fit.
+    key:
+        The :func:`profile_key` it was profiled under (``None``: a
+        workload that does not pickle, never stored).
     """
 
     models: list[LinearTimeModel]
     sample_sizes: list[int]
     times: list[list[float]]
     r_squared: list[float] = field(default_factory=list)
+    key: Hashable | None = None
 
     @property
     def num_nodes(self) -> int:
         return len(self.models)
+
+
+#: engine → {profile key → confirmed report}, insertion-ordered. An
+#: engine's reports die with it.
+_STORE: weakref.WeakKeyDictionary[ExecutionEngine, dict[Hashable, ProfilingReport]] = (
+    weakref.WeakKeyDictionary()
+)
+_STORE_LOCK = threading.Lock()
+
+
+def profile_key(workload: Workload, items: EncodedDataset) -> Hashable | None:
+    """What a time model is a property of on one engine: the workload's
+    type and pickled state (two supports or ``max_len`` never share a
+    model), the dataset kind and its item count (so the probe floor
+    carries over). ``None`` for a workload that does not pickle."""
+    try:
+        state = pickle.dumps(workload)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+    return (type(workload), state, items.kind, len(items))
+
+
+def _engine_reports(engine: ExecutionEngine) -> dict[Hashable, ProfilingReport] | None:
+    """``engine``'s confirmed reports, made on first use; the caller
+    holds ``_STORE_LOCK``. ``None`` for an unhashable (dataclass)
+    engine — the fault and work-stealing schedulers, whose task rows
+    are not one per partition, so no job of theirs could confirm a
+    report."""
+    try:
+        reports = _STORE.get(engine)
+        if reports is None:
+            reports = _STORE[engine] = {}
+    except TypeError:
+        return None
+    return reports
+
+
+def stored_report(engine: ExecutionEngine, key: Hashable | None) -> ProfilingReport | None:
+    """The report a job on ``engine`` confirmed for ``key``, if any."""
+    if key is None:
+        return None
+    with _STORE_LOCK:
+        reports = _engine_reports(engine)
+        return None if reports is None else reports.get(key)
+
+
+def prediction_error(
+    report: ProfilingReport, sizes: Sequence[int], runtimes_s: Sequence[float]
+) -> float | None:
+    """Signed relative error of a job against its plan, over the
+    partitions that carried items: their summed runtime (partition
+    ``i`` on node ``i``) over their summed prediction, minus one.
+    ``None`` when the models predict no time.
+
+    An empty partition's task is its node's fixed overhead alone, so it
+    says nothing about the model's per-item cost. Counted, an intercept
+    that over-predicts an idle node cancels a slope that under-predicts
+    a loaded one: that is the fit behind a degenerate plan, which the
+    whole-job sum would confirm."""
+    loaded = [
+        (m.predict(int(x)), t) for m, x, t in zip(report.models, sizes, runtimes_s) if x > 0
+    ]
+    predicted = sum(p for p, _ in loaded)
+    if predicted <= 0.0:
+        return None
+    return sum(t for _, t in loaded) / predicted - 1.0
+
+
+def confirm(
+    engine: ExecutionEngine, report: ProfilingReport, error: float | None
+) -> bool:
+    """Store ``report`` under its key when a job ran within
+    :data:`CONFIRM_BAND` of it, else drop the key's entry if it is this
+    report. Returns whether the report is now stored."""
+    if report.key is None:
+        return False
+    confirmed = error is not None and abs(error) <= CONFIRM_BAND
+    with _STORE_LOCK:
+        reports = _engine_reports(engine)
+        if reports is None:
+            return False
+        if confirmed:
+            reports.pop(report.key, None)
+            reports[report.key] = report
+            while len(reports) > STORE_CAP:
+                del reports[next(iter(reports))]
+        elif reports.get(report.key) is report:
+            del reports[report.key]
+    return confirmed
 
 
 def _r_squared(x: np.ndarray, y: np.ndarray, model: LinearTimeModel) -> float:
@@ -193,7 +308,9 @@ class ProgressiveSampler:
         dataset (``encode_dataset`` of the records; Section III-E: the
         stratifier feeds the estimator payload-representative samples),
         re-drawn per fraction with a deterministic RNG, each a gather of
-        the encoding as a job's partitions are.
+        the encoding as a job's partitions are. A key a job on this
+        engine has confirmed (:func:`confirm`) returns its stored
+        report and runs no probe.
         """
         rng = np.random.default_rng(self.seed)
         n_items = len(items)
@@ -203,8 +320,12 @@ class ProgressiveSampler:
             raise ValueError(
                 f"stratification labels {stratification.num_items} items, not {n_items}"
             )
+        key = profile_key(workload, items)
         with obs.span("stage.profile", items=n_items) as profile_span:
-            report = self._profile(workload, items, stratification, rng, n_items)
+            report = stored_report(self.engine, key)
+            profile_span.set_attr("reused", report is not None)
+            if report is None:
+                report = self._profile(workload, items, stratification, rng, n_items, key)
             profile_span.set_attr("sample_sizes", list(report.sample_sizes))
             profile_span.set_attr("nodes", report.num_nodes)
             return report
@@ -216,6 +337,7 @@ class ProgressiveSampler:
         stratification: Stratification,
         rng: np.random.Generator,
         n_items: int,
+        key: Hashable | None,
     ) -> ProfilingReport:
         num_nodes = self.engine.cluster.num_nodes
         sizes: list[int] = []
@@ -255,4 +377,6 @@ class ProgressiveSampler:
             times.append(node_times)
             models.append(model)
             r2.append(_r_squared(x, y, model))
-        return ProfilingReport(models=models, sample_sizes=sizes, times=times, r_squared=r2)
+        return ProfilingReport(
+            models=models, sample_sizes=sizes, times=times, r_squared=r2, key=key
+        )

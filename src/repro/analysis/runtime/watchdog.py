@@ -13,9 +13,12 @@ Design constraints that shaped the implementation:
   factories on the ``threading`` module *and* on every already-imported
   module that bound them directly (``from threading import Lock``
   — ``repro.obs.live.slo`` does exactly this); ``uninstall()`` restores
-  every binding it touched. Locks created before install are simply
-  not tracked — wrapping only at creation time means no guessing about
-  foreign lock internals.
+  every binding it touched. A module-global ``Lock``/``RLock`` that
+  already exists at install (``import repro`` ran first) is wrapped in
+  place, keyed by its definition line, and listed in the report once
+  it is first acquired (the lint reads a listed lock as exercised);
+  any other lock made before install is not tracked — no guessing
+  about foreign lock internals.
 - **Only repo code is tracked.** The creation site (the first stack
   frame outside this file) keys every lock; sites outside the current
   working tree get an ordinary untracked lock, so stdlib machinery
@@ -42,7 +45,11 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Iterator
+
+from repro.analysis.locks import collect_module_locks
+from repro.analysis.project import SourceModule
 
 __all__ = [
     "LockWatchdog",
@@ -61,6 +68,9 @@ _ORIGINALS = {
     "RLock": _ORIG_RLOCK,
     "Condition": _ORIG_CONDITION,
 }
+
+#: The raw lock types a module global may hold, by kind.
+_RAW_KINDS = {type(_ORIG_LOCK()): "Lock", type(_ORIG_RLOCK()): "RLock"}
 
 #: The currently-installed watchdog (at most one; install() enforces it).
 _ACTIVE: LockWatchdog | None = None
@@ -121,6 +131,7 @@ class LockWatchdog:
         self._meta = _ORIG_LOCK()  # raw: never tracked, never ordered
         self._threads = _ThreadState()
         self._locks: dict[str, dict[str, Any]] = {}  # site → {kind, count}
+        self._unseen: dict[str, str] = {}  # wrapped module lock site → kind
         self._edges: dict[tuple[str, str], int] = {}
         self._cycles: list[list[str]] = []
         self._cycle_keys: set[frozenset[str]] = set()
@@ -155,9 +166,36 @@ class LockWatchdog:
                     if getattr(module, name, None) is original:
                         self._patched.append((module, name, original))
                         setattr(module, name, wrappers[name])
+            self._wrap_module_locks()
             _ACTIVE = self
             self._installed = True
             _ensure_fork_hook()
+
+    def _wrap_module_locks(self) -> None:
+        """Wrap every raw ``Lock``/``RLock`` a loaded module under
+        ``root`` defines at module level, keyed by its definition line
+        (the static rule's site), and rebind every module global that
+        holds it (``from m import _LOCK`` included)."""
+        bindings: list[tuple[Any, str, Any]] = []
+        wrapped: dict[int, _TrackedLock] = {}
+        for module in list(sys.modules.values()):
+            path = os.path.abspath(getattr(module, "__file__", None) or "")
+            if not path.startswith(self.root + os.sep) or not path.endswith(".py"):
+                continue
+            raw = [(n, v) for n, v in list(vars(module).items()) if type(v) in _RAW_KINDS]
+            if not raw:
+                continue
+            defs = collect_module_locks(SourceModule.from_path(Path(path), Path(self.root)))
+            for name, lock in raw:
+                bindings.append((module, name, lock))
+                if name in defs and id(lock) not in wrapped:
+                    site, kind = defs[name].site, _RAW_KINDS[type(lock)]
+                    self._unseen[site] = kind
+                    wrapped[id(lock)] = _TrackedLock(self, site, lock, reentrant=kind == "RLock")
+        for module, name, lock in bindings:
+            if id(lock) in wrapped:
+                self._patched.append((module, name, lock))
+                setattr(module, name, wrapped[id(lock)])
 
     def uninstall(self) -> None:
         """Restore every binding touched by :meth:`install`."""
@@ -207,6 +245,9 @@ class LockWatchdog:
     # -- bookkeeping ------------------------------------------------------
 
     def _note_acquired(self, site: str) -> None:
+        kind = self._unseen.pop(site, None)  # a wrapped module lock's first acquire
+        if kind is not None:
+            self._register(site, kind)
         stack = self._threads.stack
         now = time.monotonic()
         for rec in stack:

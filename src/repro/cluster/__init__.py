@@ -23,7 +23,6 @@ from repro.cluster.engines import (
     TaskResult,
 )
 from repro.cluster.workstealing import WorkStealingScheduler, StealEvent
-from repro.cluster.faults import FaultInjectingEngine
 from repro.cluster.scenarios import (
     SCENARIOS,
     iswitch_cluster,
@@ -33,7 +32,6 @@ from repro.cluster.scenarios import (
 __all__ = [
     "WorkStealingScheduler",
     "StealEvent",
-    "FaultInjectingEngine",
     "SCENARIOS",
     "iswitch_cluster",
     "rack_level_cluster",

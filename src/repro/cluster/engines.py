@@ -24,17 +24,16 @@ is defined once — in three steps:
   only the work, not whatever else shared the box.
 - **schedule** (``_schedule``): place the measured work on per-node
   timelines as events ``(partition_id, node_id, start_s, runtime_s,
-  result, wasted)``. The base policy queues a node's partitions back
-  to back (as a slow node with two chunks would);
-  :class:`~repro.cluster.faults.FaultInjectingEngine` kills nodes and
-  re-runs lost partitions, :class:`~repro.cluster.workstealing
-  .WorkStealingScheduler` lets idle nodes steal chunks.
+  result)``. The base policy queues a node's partitions back to back
+  (as a slow node with two chunks would);
+  :class:`~repro.cluster.workstealing.WorkStealingScheduler` lets idle
+  nodes steal chunks.
 - **account** (:func:`account_job`): turn the events into
   :class:`TaskResult` s — energy and dirty energy billed against each
-  node's green trace over the task's interval — merge the non-wasted
-  outputs and sum the :class:`JobResult`; :func:`record_job_telemetry`
-  then emits the task spans (every ``repro_*`` series is a fold of
-  them, see :mod:`repro.obs.fold`).
+  node's green trace over the task's interval — merge the outputs and
+  sum the :class:`JobResult`; :func:`record_job_telemetry` then emits
+  the task spans (every ``repro_*`` series is a fold of them, see
+  :mod:`repro.obs.fold`).
 """
 
 from __future__ import annotations
@@ -92,11 +91,6 @@ class JobResult:
     total_energy_j: float
     merged_output: Any = None
 
-    @property
-    def wasted_energy_j(self) -> float:
-        """Energy burnt on runs that were lost to failures."""
-        return sum(t.energy_j for t in self.tasks if t.stats.get("wasted"))
-
 
 def record_job_telemetry(job: JobResult, job_span, wall0: float, workload: str) -> None:
     """Emit one ``task.execute`` span per task (on the job's node-local
@@ -109,8 +103,7 @@ def record_job_telemetry(job: JobResult, job_span, wall0: float, workload: str) 
     ``workload`` tags each span with the workload name: the live
     estimator keeps one decayed regression per ``(node, workload)``,
     so each workload's evidence ages only with its own samples, and
-    pools them when ``/live`` reads them. Energy burnt on wasted (fault-lost) tasks is set on the
-    job span as ``wasted_energy_j``.
+    pools them when ``/live`` reads them.
     """
     tracer = obs.get_tracer()
     for task in job.tasks:
@@ -126,9 +119,6 @@ def record_job_telemetry(job: JobResult, job_span, wall0: float, workload: str) 
     job_span.set_attr("makespan_s", job.makespan_s)
     job_span.set_attr("total_energy_j", job.total_energy_j)
     job_span.set_attr("total_dirty_energy_j", job.total_dirty_energy_j)
-    wasted_j = job.wasted_energy_j
-    if wasted_j:
-        job_span.set_attr("wasted_energy_j", wasted_j)
 
 
 def _validate_assignment(cluster: Cluster, partitions: Sequence, assignment: Sequence[int]) -> None:
@@ -142,9 +132,8 @@ def _validate_assignment(cluster: Cluster, partitions: Sequence, assignment: Seq
 
 
 #: One placed piece of work: ``(partition_id, node_id, start_s,
-#: runtime_s, result, wasted)``. A wasted event burnt energy on a run
-#: whose output was lost (the node died mid-task).
-TimelineEvent = tuple[int, int, float, float, WorkloadResult, bool]
+#: runtime_s, result)``.
+TimelineEvent = tuple[int, int, float, float, WorkloadResult]
 
 
 def account_job(
@@ -157,12 +146,11 @@ def account_job(
 
     Each event becomes one :class:`TaskResult` billed by its node
     (:meth:`~repro.cluster.node.Node.bill`) over the window
-    ``start_offset_s + start_s`` of the node's green trace; a wasted
-    event is charged but contributes no work or output. The makespan
-    is the latest end time; outputs merge in event order.
+    ``start_offset_s + start_s`` of the node's green trace. The
+    makespan is the latest end time; outputs merge in event order.
     """
     tasks: list[TaskResult] = []
-    for pid, node_id, start, runtime, result, wasted in events:
+    for pid, node_id, start, runtime, result in events:
         energy, dirty = cluster[node_id].bill(runtime, start_offset_s + start)
         tasks.append(
             TaskResult(
@@ -170,11 +158,11 @@ def account_job(
                 node_id=node_id,
                 start_s=start,
                 runtime_s=runtime,
-                work_units=0.0 if wasted else result.work_units,
+                work_units=result.work_units,
                 dirty_energy_j=dirty,
                 energy_j=energy,
-                output=None if wasted else result.output,
-                stats={"wasted": True} if wasted else result.stats,
+                output=result.output,
+                stats=result.stats,
             )
         )
     return JobResult(
@@ -182,9 +170,7 @@ def account_job(
         makespan_s=max((t.end_s for t in tasks), default=0.0),
         total_dirty_energy_j=sum(t.dirty_energy_j for t in tasks),
         total_energy_j=sum(t.energy_j for t in tasks),
-        merged_output=workload.merge(
-            [result for *_, result, wasted in events if not wasted]
-        ),
+        merged_output=workload.merge([result for *_, result in events]),
     )
 
 
@@ -271,7 +257,7 @@ class ExecutionEngine(abc.ABC):
         clock: dict[int, float] = {}
         for pid, ((result, runtime), node_id) in enumerate(zip(executed, assignment)):
             start = clock.get(node_id, 0.0)
-            events.append((pid, node_id, start, runtime, result, False))
+            events.append((pid, node_id, start, runtime, result))
             clock[node_id] = start + runtime
         return events
 

@@ -130,7 +130,7 @@ class WorkStealingScheduler(SimulatedEngine):
                 + CHUNK_OVERHEAD_S / speed
                 + result.work_units / (self.unit_rate * speed)
             )
-            events.append((len(events), node, now, runtime, result, False))
+            events.append((len(events), node, now, runtime, result))
             heapq.heappush(heap, (now + runtime, node))
         job_span.set_attr("chunk_size", self.chunk_size)
         job_span.set_attr("steals", len(self.events))

@@ -205,9 +205,8 @@ def profile_key(workload: Workload, items: EncodedDataset) -> Hashable | None:
 def _engine_reports(engine: ExecutionEngine) -> dict[Hashable, ProfilingReport] | None:
     """``engine``'s confirmed reports, made on first use; the caller
     holds ``_STORE_LOCK``. ``None`` for an unhashable (dataclass)
-    engine — the fault and work-stealing schedulers, whose task rows
-    are not one per partition, so no job of theirs could confirm a
-    report."""
+    engine — the work-stealing scheduler, whose task rows are not one
+    per partition, so no job of it could confirm a report."""
     try:
         reports = _STORE.get(engine)
         if reports is None:

@@ -5,7 +5,7 @@ Carries what a node billed into the observability plane without
 importing any cluster types — :func:`task_energy_attrs` duck-types on
 the ``TaskResult`` fields (``node_id``, ``runtime_s``,
 ``energy_j``, ``dirty_energy_j``), so it works for a task of any
-engine (simulated, process-pool, fault-injecting, work-stealing).
+engine (simulated, process-pool, work-stealing).
 
 The per-node books are not kept here: they are the ``node``-labelled
 series :func:`~repro.obs.fold.fold_span` folds out of ``task.execute``
@@ -25,7 +25,7 @@ def task_energy_attrs(task: Any) -> dict[str, Any]:
     """Span attributes for one executed task, energy fields included."""
     energy = float(task.energy_j)
     dirty = float(task.dirty_energy_j)
-    attrs = {
+    return {
         "partition_id": int(task.partition_id),
         "node_id": int(task.node_id),
         "work_units": float(task.work_units),
@@ -35,12 +35,6 @@ def task_energy_attrs(task: Any) -> dict[str, Any]:
         "green_energy_j": energy - dirty,
         "green_fraction": (energy - dirty) / energy if energy > 0 else 1.0,
     }
-    stats = getattr(task, "stats", None) or {}
-    if stats.get("wasted"):
-        # Fault-injected attempts: energy was burned but the output was
-        # discarded; the live ledger bills this separately per tenant.
-        attrs["wasted"] = True
-    return attrs
 
 
 def carries_energy(attrs: dict) -> bool:

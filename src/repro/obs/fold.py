@@ -51,16 +51,8 @@ def fold_span(reg: MetricsRegistry, record: Mapping[str, Any]) -> None:
         reg.counter("repro_dirty_energy_joules_total", node=node).inc(
             attrs.get("dirty_energy_j", 0.0)
         )
-    elif name == "engine.run_job":
-        if "makespan_s" in attrs:
-            reg.counter("repro_jobs_total", engine=attrs.get("engine", "")).inc()
-        wasted = attrs.get("wasted_energy_j")
-        if wasted:
-            reg.counter("repro_fault_wasted_energy_joules_total").inc(wasted)
-    elif name == "fault.injected" and "node_id" in attrs:
-        reg.counter("repro_fault_injected_total", node=str(attrs["node_id"])).inc()
-    elif name == "fault.retried" and "node_id" in attrs:
-        reg.counter("repro_fault_retried_total", node=str(attrs["node_id"])).inc()
+    elif name == "engine.run_job" and "makespan_s" in attrs:
+        reg.counter("repro_jobs_total", engine=attrs.get("engine", "")).inc()
     elif name == "worksteal.steal" and "thief" in attrs:
         reg.counter("repro_worksteal_steals_total", thief=str(attrs["thief"])).inc()
         reg.counter("repro_worksteal_items_stolen_total").inc(attrs.get("chunk_items", 0))

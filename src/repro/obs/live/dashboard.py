@@ -60,8 +60,7 @@ def _nodes_section(nodes: list[dict]) -> list[str]:
 
 def _tenants_section(tenants: dict[str, dict]) -> list[str]:
     lines = [
-        f"{'TENANT':<16}{'energy J':>12}{'green J':>12}{'dirty J':>12}"
-        f"{'wasted J':>12}{'tasks':>7}"
+        f"{'TENANT':<16}{'energy J':>12}{'green J':>12}{'dirty J':>12}{'tasks':>7}"
     ]
     if not tenants:
         return lines + ["  (no charges yet)"]
@@ -71,7 +70,6 @@ def _tenants_section(tenants: dict[str, dict]) -> list[str]:
             f"{_fmt(account['energy_j'], 12)}"
             f"{_fmt(account['green_j'], 12)}"
             f"{_fmt(account['dirty_j'], 12)}"
-            f"{_fmt(account['wasted_j'], 12)}"
             f"{_fmt(account['tasks'], 7)}"
         )
     return lines

@@ -123,15 +123,14 @@ class NodeEstimator:
         energy = float(attrs.get("energy_j", 0.0))
         dirty = float(attrs.get("dirty_energy_j", 0.0))
         workload = str(attrs.get("workload", _ANY_WORKLOAD))
-        wasted = bool(attrs.get("wasted"))
         with self._lock:
             power = self._power.get(node)
             if power is None:
                 power = self._power[node] = _PowerAcc()
             power.add(runtime, energy, dirty)
-            # Wasted (fault-killed) attempts burn watts but their
-            # work_units are zeroed — they inform power, not the model.
-            if not wasted and work > 0.0:
+            # A task with no work units burns watts but says nothing
+            # about time per unit — it informs power, not the model.
+            if work > 0.0:
                 key = (node, workload)
                 reg = self._reg.get(key)
                 if reg is None:

@@ -5,10 +5,7 @@ Charges arrive from the live plane's tracer sink — every span that
 attribute predicate) is billed to the tenant whose job emitted it, so
 by construction the ledger's grand totals reconcile with
 ``energy_split`` over the same spans to float-sum precision (the
-acceptance bound is 1e-6). Wasted fault-retry energy is billed too —
-a tenant whose jobs trigger re-execution pays for the lost watts —
-and tracked separately so budgets can distinguish useful from wasted
-joules.
+acceptance bound is 1e-6).
 """
 
 from __future__ import annotations
@@ -30,14 +27,7 @@ class Ledger:
         self._lock = threading.Lock()
         self._accounts: dict[str, dict[str, float]] = {}
 
-    def charge(
-        self,
-        tenant: str,
-        green_j: float,
-        dirty_j: float,
-        *,
-        wasted: bool = False,
-    ) -> None:
+    def charge(self, tenant: str, green_j: float, dirty_j: float) -> None:
         """Bill one task's energy to ``tenant``."""
         with self._lock:
             account = self._accounts.get(tenant)
@@ -46,14 +36,11 @@ class Ledger:
                     "energy_j": 0.0,
                     "green_j": 0.0,
                     "dirty_j": 0.0,
-                    "wasted_j": 0.0,
                     "tasks": 0,
                 }
             account["green_j"] += green_j
             account["dirty_j"] += dirty_j
             account["energy_j"] += green_j + dirty_j
-            if wasted:
-                account["wasted_j"] += green_j + dirty_j
             account["tasks"] += 1
 
     # -- read side ----------------------------------------------------------
@@ -68,7 +55,7 @@ class Ledger:
 
     def grand_total(self) -> dict[str, float]:
         """Sum over every tenant — the reconciliation side."""
-        out = {"energy_j": 0.0, "green_j": 0.0, "dirty_j": 0.0, "wasted_j": 0.0, "tasks": 0}
+        out = {"energy_j": 0.0, "green_j": 0.0, "dirty_j": 0.0, "tasks": 0}
         with self._lock:
             for account in self._accounts.values():
                 for key in out:

@@ -96,12 +96,7 @@ class LivePlane:
         if "energy_j" in attrs:
             energy = float(attrs["energy_j"])
             dirty = float(attrs.get("dirty_energy_j", 0.0))
-            self.ledger.charge(
-                current_tenant(),
-                green_j=energy - dirty,
-                dirty_j=dirty,
-                wasted=bool(attrs.get("wasted")),
-            )
+            self.ledger.charge(current_tenant(), green_j=energy - dirty, dirty_j=dirty)
             if name == "task.execute":
                 self.estimator.observe_task(attrs)
         elif name == "service.queue_wait":

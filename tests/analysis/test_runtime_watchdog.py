@@ -4,7 +4,9 @@ patching hygiene, report merge and validation."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -169,6 +171,32 @@ class TestPatching:
             with before:
                 pass
         assert wd.report()["locks"] == {}
+
+    def test_module_locks_made_before_install_are_tracked_at_their_definition(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "lockmod.py"
+        path.write_text(
+            "import threading\n\n_A = threading.Lock()\n_B = threading.RLock()\n"
+            "_IDLE = threading.Lock()\n"
+        )
+        spec = importlib.util.spec_from_file_location("lockmod", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setitem(sys.modules, "lockmod", module)
+        raw = (module._A, module._B)
+        with watch_locks(root=str(tmp_path)) as wd:
+            with module._A:
+                with module._B:
+                    pass
+        report = wd.report()
+        # Listed once acquired: _IDLE was never exercised.
+        assert report["locks"] == {
+            "lockmod.py:3": {"kind": "Lock", "count": 1},
+            "lockmod.py:4": {"kind": "RLock", "count": 1},
+        }
+        assert report["edges"] == [{"from": "lockmod.py:3", "to": "lockmod.py:4", "count": 1}]
+        assert (module._A, module._B) == raw
 
 
 class TestDumpAndLoad:

@@ -1,10 +1,10 @@
 """Every engine honours the one ``ExecutionEngine`` contract.
 
-The fault-injecting and work-stealing runners used to be stand-alone
-classes with their own ``run_job`` loops; they had drifted from the
-real engines (no profiling, no ``start_offset_s``, weaker
-validation). They are now :class:`SimulatedEngine` subclasses that
-override only the schedule step — these tests pin what that buys.
+The work-stealing runner used to be a stand-alone class with its own
+``run_job`` loop; it had drifted from the real engines (no profiling,
+no ``start_offset_s``, weaker validation). It is now a
+:class:`SimulatedEngine` subclass that overrides only the schedule
+step — these tests pin what that buys.
 """
 
 from typing import Sequence
@@ -15,7 +15,6 @@ import pytest
 import repro.obs as obs
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import ExecutionEngine, ProcessPoolEngine, SimulatedEngine
-from repro.cluster.faults import FaultInjectingEngine
 from repro.cluster.workstealing import WorkStealingScheduler
 from repro.core.framework import ParetoPartitioner
 from repro.core.strategies import HET_AWARE
@@ -27,7 +26,6 @@ from repro.workloads.fpm.apriori import AprioriMiner, AprioriWorkload
 
 ENGINES = {
     "simulated": lambda c: SimulatedEngine(c, unit_rate=10.0),
-    "faults": lambda c: FaultInjectingEngine(c, fail_at={3: 1.0}, unit_rate=10.0),
     "stealing": lambda c: WorkStealingScheduler(c, unit_rate=10.0, chunk_size=8),
 }
 PARTS = [[1] * 40, [2] * 40, [3] * 40, [4] * 40]
@@ -71,17 +69,8 @@ class TestOneProbePath:
     """A probe and a job price a node with the same ``_runtime``: what
     the planner learns per node is what the engine then bills."""
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda c: SimulatedEngine(c, unit_rate=10.0),
-            # Every failure falls after the one-partition job ends.
-            lambda c: FaultInjectingEngine(c, fail_at={3: 1e6}, unit_rate=10.0),
-        ],
-        ids=["simulated", "faults-after-the-job"],
-    )
-    def test_probe_equals_the_job_it_predicts(self, make, cluster):
-        engine = make(cluster)
+    def test_probe_equals_the_job_it_predicts(self, cluster):
+        engine = SimulatedEngine(cluster, unit_rate=10.0)
         records = list(range(30))
         probe = engine.profile_all_nodes(SumWorkload(), records)
         for node in range(cluster.num_nodes):
@@ -149,7 +138,7 @@ class TestTraceSwap:
 
 
 class TestUnderTheFramework:
-    """Faults and stealing now run under ``ParetoPartitioner.execute``
+    """Stealing now runs under ``ParetoPartitioner.execute``
     — profiling, both mining phases, offset billing and telemetry."""
 
     @pytest.fixture(scope="class")
@@ -160,7 +149,6 @@ class TestUnderTheFramework:
     def test_two_phase_job_reconciles(self, name, dataset):
         make = {
             "simulated": lambda c: SimulatedEngine(c, unit_rate=5e4),
-            "faults": lambda c: FaultInjectingEngine(c, fail_at={3: 0.2}, unit_rate=5e4),
             "stealing": lambda c: WorkStealingScheduler(c, unit_rate=5e4, chunk_size=25),
         }[name]
         pp = ParetoPartitioner(
@@ -177,8 +165,6 @@ class TestUnderTheFramework:
             obs.disable()
             obs.reset()
         assert int(report.plan.sizes.sum()) == len(dataset)
-        # The fault really fires (in both phases) and is retried.
-        assert any(t.stats.get("wasted") for t in report.job.tasks) == (name == "faults")
         assert split["energy_j"] == pytest.approx(report.total_energy_j, abs=1e-6)
         assert split["dirty_energy_j"] == pytest.approx(
             report.total_dirty_energy_j, abs=1e-6

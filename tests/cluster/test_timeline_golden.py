@@ -1,12 +1,12 @@
-"""Golden characterisation of the three simulated job timelines.
+"""Golden characterisation of the simulated job timelines.
 
 Written against the code *before* the four ``run_job`` loops were
 collapsed into measure → schedule → account; the refactor had to pass
 it unmodified. Every literal below was printed by the parent commit
-for the fixed cluster / partitions / ``fail_at`` / chunk size named
-here, so a change to placement order, retry choice, steal order, the
-energy window a task is billed against, merge order or the emitted
-telemetry shows up as a diff against a number, not as a feeling.
+for the fixed cluster / partitions / chunk size named here, so a
+change to placement order, steal order, the energy window a task is
+billed against, merge order or the emitted telemetry shows up as a
+diff against a number, not as a feeling.
 
 Timeline fields (start, runtime, work units, energy, makespan) are
 plain IEEE arithmetic on small constants and are compared exactly.
@@ -22,7 +22,6 @@ import pytest
 import repro.obs as obs
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
-from repro.cluster.faults import FaultInjectingEngine
 from repro.cluster.workstealing import StealEvent, WorkStealingScheduler
 from repro.workloads.base import Workload, WorkloadResult
 
@@ -50,17 +49,9 @@ def cluster():
 
 def task_rows(job):
     """``(partition_id, node_id, start_s, runtime_s, work_units,
-    energy_j, wasted)`` per task, in task order."""
+    energy_j)`` per task, in task order."""
     return [
-        (
-            t.partition_id,
-            t.node_id,
-            t.start_s,
-            t.runtime_s,
-            t.work_units,
-            t.energy_j,
-            bool(t.stats.get("wasted")),
-        )
+        (t.partition_id, t.node_id, t.start_s, t.runtime_s, t.work_units, t.energy_j)
         for t in job.tasks
     ]
 
@@ -82,11 +73,11 @@ def check_job(job, rows, dirty_j, makespan, merged):
 # -- SimulatedEngine ----------------------------------------------------------
 
 SIM_ROWS = [
-    (0, 0, 0.0, 1.125, 40.0, 495.0, False),
-    (1, 1, 0.0, 2.1666666666666665, 60.0, 747.5, False),
-    (2, 2, 0.0, 3.25, 60.0, 812.5, False),
-    (3, 3, 0.0, 4.5, 40.0, 697.5, False),
-    (4, 0, 1.125, 1.125, 40.0, 495.0, False),
+    (0, 0, 0.0, 1.125, 40.0, 495.0),
+    (1, 1, 0.0, 2.1666666666666665, 60.0, 747.5),
+    (2, 2, 0.0, 3.25, 60.0, 812.5),
+    (3, 3, 0.0, 4.5, 40.0, 697.5),
+    (4, 0, 1.125, 1.125, 40.0, 495.0),
 ]
 SIM_DIRTY = [311.874640591133, 357.59180914853937, 217.18584234317694, 0.0, 311.874640591133]
 SIM_DIRTY_OFFSET = [165.76025076056695, 61.39577987403613, 0.0, 0.0, 165.76025076056695]
@@ -105,108 +96,22 @@ class TestSimulatedGolden:
         check_job(job, SIM_ROWS, SIM_DIRTY_OFFSET, 4.5, [40, 60, 60, 40, 40])
 
 
-# -- FaultInjectingEngine -----------------------------------------------------
-
-FAULT_ASSIGNMENT = [0, 1, 2, 3, 3]
-FAULT_ROWS = [
-    (0, 0, 0.0, 1.125, 40.0, 495.0, False),
-    (1, 1, 0.0, 2.1666666666666665, 60.0, 747.5, False),
-    (2, 2, 0.0, 0.5, 0.0, 125.0, True),  # cut short at node 2's failure
-    (3, 3, 0.0, 1.0, 0.0, 155.0, True),  # cut short at node 3's failure
-    (2, 0, 1.5, 1.625, 60.0, 715.0, False),  # retries: earliest finish on survivors
-    (3, 1, 2.1666666666666665, 1.5, 40.0, 517.5, False),
-    (4, 0, 3.125, 1.125, 40.0, 495.0, False),  # never started on dead node 3
-]
-FAULT_DIRTY = [
-    311.874640591133,
-    357.59180914853937,
-    33.41320651433492,
-    0.0,
-    450.4855919649699,
-    247.56356017975804,
-    311.874640591133,
-]
-FAULT_MAKESPAN = 4.25
-FAULT_MERGED = [40, 60, 60, 40, 40]
-FAULT_SPANS = [
-    ("fault.injected", 0.0, {"node_id": 2, "partition_id": 2, "lost_at_s": 0.5}),
-    ("fault.injected", 0.0, {"node_id": 3, "partition_id": 3, "lost_at_s": 1.0}),
-    ("fault.injected", 0.0, {"node_id": 3, "partition_id": 4, "lost_at_s": 1.0}),
-    ("fault.retried", 1.625, {"partition_id": 2, "node_id": 0, "detection_latency_s": 1.0}),
-    ("fault.retried", 1.5, {"partition_id": 3, "node_id": 1, "detection_latency_s": 1.0}),
-    ("fault.retried", 1.125, {"partition_id": 4, "node_id": 0, "detection_latency_s": 1.0}),
-    *[("task.execute",)] * 7,
-    (
-        "engine.run_job",
-        None,
-        {
-            "engine": "FaultInjectingEngine",
-            "workload": "weight",
-            "partitions": 5,
-            "nodes": 4,
-            "failures": 2,
-            "makespan_s": 4.25,
-            "total_energy_j": 3250.0,
-            "total_dirty_energy_j": 1712.8034489898682,
-            "wasted_energy_j": 280.0,
-        },
-    ),
-]
-FAULT_COUNTERS = {
-    'repro_dirty_energy_joules_total{node="0"}': 1074.234873147236,
-    'repro_dirty_energy_joules_total{node="1"}': 605.1553693282974,
-    'repro_dirty_energy_joules_total{node="2"}': 33.41320651433492,
-    'repro_dirty_energy_joules_total{node="3"}': 0.0,
-    'repro_energy_joules_total{node="0"}': 1705.0,
-    'repro_energy_joules_total{node="1"}': 1265.0,
-    'repro_energy_joules_total{node="2"}': 125.0,
-    'repro_energy_joules_total{node="3"}': 155.0,
-    'repro_fault_injected_total{node="2"}': 1.0,
-    'repro_fault_injected_total{node="3"}': 2.0,
-    'repro_fault_retried_total{node="0"}': 2.0,
-    'repro_fault_retried_total{node="1"}': 1.0,
-    "repro_fault_wasted_energy_joules_total": 280.0,
-    'repro_jobs_total{engine="FaultInjectingEngine"}': 1.0,
-    'repro_tasks_total{node="0"}': 3.0,
-    'repro_tasks_total{node="1"}': 2.0,
-    'repro_tasks_total{node="2"}': 1.0,
-    'repro_tasks_total{node="3"}': 1.0,
-}
-
-
-def fault_engine(cluster):
-    return FaultInjectingEngine(
-        cluster, fail_at={2: 0.5, 3: 1.0}, unit_rate=10.0, detection_latency_s=1.0
-    )
-
-
-class TestFaultGolden:
-    def test_timeline(self, cluster):
-        job = fault_engine(cluster).run_job(
-            WeightWorkload(), PARTS, assignment=FAULT_ASSIGNMENT
-        )
-        check_job(job, FAULT_ROWS, FAULT_DIRTY, FAULT_MAKESPAN, FAULT_MERGED)
-        assert job.wasted_energy_j == sum(
-            r[5] for r in FAULT_ROWS if r[6]
-        )
-
-
 # -- WorkStealingScheduler ----------------------------------------------------
 
 STEAL_ROWS = [
-    (0, 0, 0.0, 0.01125, 4.0, 4.95, False),
-    (1, 1, 0.0, 0.028333333333333335, 8.0, 9.775, False),
-    (2, 2, 0.0, 0.0625, 12.0, 15.625, False),
-    (3, 3, 0.0, 0.165, 16.0, 25.575000000000003, False),
-    (4, 0, 0.01125, 0.01125, 4.0, 4.95, False),
-    (5, 0, 0.0225, 0.00625, 2.0, 2.75, False),
-    (6, 1, 0.028333333333333335, 0.028333333333333335, 8.0, 9.775, False),
-    (7, 0, 0.028749999999999998, 0.06825, 6.0, 30.03, False),  # stolen from 2
-    (8, 1, 0.05666666666666667, 0.008333333333333333, 2.0, 2.875, False),
-    (9, 2, 0.0625, 0.0625, 12.0, 15.625, False),
-    (10, 1, 0.065, 0.09466666666666668, 12.0, 32.660000000000004, False),  # stolen from 3
-    (11, 0, 0.097, 0.08525, 12.0, 37.510000000000005, False),  # stolen from 2
-    (12, 2, 0.125, 0.1365, 16.0, 34.125, False),  # stolen from 3
+    (0, 0, 0.0, 0.01125, 4.0, 4.95),
+    (1, 1, 0.0, 0.028333333333333335, 8.0, 9.775),
+    (2, 2, 0.0, 0.0625, 12.0, 15.625),
+    (3, 3, 0.0, 0.165, 16.0, 25.575000000000003),
+    (4, 0, 0.01125, 0.01125, 4.0, 4.95),
+    (5, 0, 0.0225, 0.00625, 2.0, 2.75),
+    (6, 1, 0.028333333333333335, 0.028333333333333335, 8.0, 9.775),
+    (7, 0, 0.028749999999999998, 0.06825, 6.0, 30.03),  # stolen from 2
+    (8, 1, 0.05666666666666667, 0.008333333333333333, 2.0, 2.875),
+    (9, 2, 0.0625, 0.0625, 12.0, 15.625),
+    (10, 1, 0.065, 0.09466666666666668, 12.0, 32.660000000000004),  # stolen from 3
+    (11, 0, 0.097, 0.08525, 12.0, 37.510000000000005),  # stolen from 2
+    (12, 2, 0.125, 0.1365, 16.0, 34.125),  # stolen from 3
 ]
 STEAL_DIRTY = [
     3.1187464059113297,
@@ -331,7 +236,6 @@ def check_spans(spans, job, golden, offsets):
             assert tuple(attrs[k] for k in TASK_KEYS) == tuple(
                 getattr(task, k) for k in TASK_KEYS
             )
-            assert attrs.get("wasted", False) == bool(task.stats.get("wasted"))
             assert attrs["workload"] == "weight"
             assert span["start_s"] - t0 == pytest.approx(task.start_s, abs=1e-4)
         else:
@@ -345,18 +249,6 @@ def counters(snapshot):
 
 
 class TestTelemetryGolden:
-    def test_fault_spans_and_counters(self, cluster, traced):
-        job = fault_engine(cluster).run_job(
-            WeightWorkload(), PARTS, assignment=FAULT_ASSIGNMENT
-        )
-        check_spans(
-            obs.get_tracer().finished_spans(),
-            job,
-            FAULT_SPANS,
-            offsets=[0.5, 1.0, 1.0, 1.5, 2.1666666666666665, 3.125],
-        )
-        assert counters(obs.metrics_snapshot()) == pytest.approx(FAULT_COUNTERS, rel=1e-9)
-
     def test_steal_spans_and_counters(self, cluster, traced):
         job = steal_scheduler(cluster).run_job(WeightWorkload(), STEAL_PARTS)
         check_spans(

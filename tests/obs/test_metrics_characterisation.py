@@ -2,13 +2,12 @@
 
 Recorded at the commit where each instrumented module still updated its
 own series by hand, before the registry became a fold of the span
-stream; the fold had to pass it unmodified. Five fixed traced runs,
+stream; the fold had to pass it unmodified. Four fixed traced runs,
 each on a fresh registry:
 
 - ``simulated`` — a :class:`SimulatedEngine` two-phase job (the second
   phase billed after the first one's makespan);
-- ``faults`` / ``worksteal`` — a :class:`FaultInjectingEngine` and a
-  :class:`WorkStealingScheduler` job;
+- ``worksteal`` — a :class:`WorkStealingScheduler` job;
 - ``process_pool`` — a :class:`ProcessPoolEngine` job run twice on one
   pool;
 - ``service`` — an in-process :class:`JobManager` over a
@@ -41,7 +40,6 @@ import pytest
 import repro.obs as obs
 from repro.cluster.cluster import paper_cluster
 from repro.cluster.engines import ProcessPoolEngine, SimulatedEngine
-from repro.cluster.faults import FaultInjectingEngine
 from repro.cluster.workstealing import WorkStealingScheduler
 from repro.service.jobs import JobSpec, JobState
 from repro.service.manager import JobManager, ServiceConfig
@@ -79,13 +77,6 @@ def run_simulated() -> list:
         WeightWorkload(), PARTS[:3], start_offset_s=first.makespan_s
     )
     return [first, second]
-
-
-def run_faults() -> list:
-    engine = FaultInjectingEngine(
-        _cluster(), fail_at={2: 0.5, 3: 1.0}, unit_rate=10.0, detection_latency_s=1.0
-    )
-    return [engine.run_job(WeightWorkload(), PARTS, assignment=[0, 1, 2, 3, 3])]
 
 
 def run_worksteal() -> list:
@@ -161,7 +152,6 @@ def run_service() -> list:
 #: name -> (run, the series whose values are measured)
 SCENARIOS = {
     "simulated": (run_simulated, ()),
-    "faults": (run_faults, ()),
     "worksteal": (run_worksteal, ()),
     "process_pool": (
         run_process_pool,

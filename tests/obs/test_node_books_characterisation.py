@@ -3,15 +3,15 @@
 Recorded while the trace report and the live estimator each kept their
 own per-node fold of ``task.execute`` spans beside the metrics
 registry's; reading the books off the registry had to pass it
-unmodified. Pinned, for three deterministic traced runs (the
-``simulated``, ``faults`` and ``worksteal`` scenarios of
+unmodified. Pinned, for two deterministic traced runs (the
+``simulated`` and ``worksteal`` scenarios of
 :mod:`tests.obs.test_metrics_characterisation`):
 
 - the report's ``node_rows()``, ``split()`` and task-span count, and
   the per-node table and energy-split lines of the rendered report;
 
 and, over one fixed span stream with two interleaved workloads, a
-zero-runtime task and a wasted task, ``LivePlane.snapshot()["nodes"]``.
+zero-runtime task and a zero-work task, ``LivePlane.snapshot()["nodes"]``.
 
 Values are compared as their JSON text, so a float that moves in its
 last bit, or an int that becomes a float, fails. Run this module as a
@@ -32,7 +32,7 @@ from repro.obs.report import TraceAggregate, render_report
 from tests.obs.test_metrics_characterisation import SCENARIOS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "node_books.json"
-TRACES = ("simulated", "faults", "worksteal")
+TRACES = ("simulated", "worksteal")
 
 
 def _report_section(text: str) -> list[str]:
@@ -68,26 +68,24 @@ def report_books(name: str) -> dict:
 
 
 def _task(node: int, workload: str, work: float, runtime: float, watts: float,
-          dirty_frac: float, wasted: bool = False) -> dict:
+          dirty_frac: float) -> dict:
     energy = watts * runtime
     attrs = {
         "partition_id": 0,
         "node_id": node,
-        "work_units": 0.0 if wasted else work,
+        "work_units": work,
         "runtime_s": runtime,
         "energy_j": energy,
         "dirty_energy_j": dirty_frac * energy,
         "green_energy_j": energy - dirty_frac * energy,
         "workload": workload,
     }
-    if wasted:
-        attrs["wasted"] = True
     return {"name": "task.execute", "duration_s": runtime, "attrs": attrs}
 
 
 def live_stream() -> list[dict]:
     """Three nodes, two workloads interleaved task by task (each with its
-    own per-item cost), one zero-runtime task, one wasted attempt and a
+    own per-item cost), one zero-runtime task, one zero-work task and a
     span the estimator does not read."""
     watts = {0: 440.0, 1: 345.0, 2: 155.0}
     cost = {"sum": 1.3e-4, "sort": 3.7e-4}
@@ -106,9 +104,7 @@ def live_stream() -> list[dict]:
         if i == 7:
             records.append(_task(1, "sum", 90.0, 0.0, watts[1], 0.35))
         if i == 11:
-            records.append(
-                _task(2, "sort", 300.0, 0.41, watts[2], 0.4, wasted=True)
-            )
+            records.append(_task(2, "sort", 0.0, 0.41, watts[2], 0.4))
     return records
 
 

@@ -4,7 +4,8 @@ The executor's lock guards only two dicts of futures (dataset key and
 scenario key); a key's first job builds it outside the lock, and the
 dataset half of the build runs in a forked build process. These tests
 hold builds open, fail them and kill the build process, on the
-simulated engine so that only the build process is a child.
+simulated engine so that only the build process is a child; one kills
+the process engine's run pool instead.
 """
 
 from __future__ import annotations
@@ -158,6 +159,35 @@ def test_killed_build_process_fails_the_job_and_is_replaced(monkeypatch, lock_wa
         assert wait_for(lambda: retried.done, timeout_s=60.0)
         assert retried.state is JobState.SUCCEEDED, retried.error
         assert executor._build_pool is not first_pool
+    finally:
+        manager.shutdown(timeout_s=30.0)
+    left = [p for p in multiprocessing.active_children() if p.pid not in before]
+    assert left == []
+
+
+def test_killed_run_pool_fails_one_job_and_is_replaced(lock_watch):
+    before = {p.pid for p in multiprocessing.active_children()}
+    executor = build_executor("process", max_workers=2)
+    manager = JobManager(executor, ServiceConfig(concurrency=1, max_queue_depth=4))
+    try:
+        first = manager.submit(WARM)
+        assert wait_for(lambda: first.done, timeout_s=60.0)
+        assert first.state is JobState.SUCCEEDED, first.error
+        workers = list(executor.engine._pool._processes.values())
+        for process in workers:
+            os.kill(process.pid, signal.SIGKILL)
+        # Polled, not joined: the pool's own manager thread reaps them too.
+        assert wait_for(lambda: all(p.exitcode is not None for p in workers), timeout_s=10.0)
+
+        killed = manager.submit(WARM)
+        assert wait_for(lambda: killed.done, timeout_s=30.0)
+        assert killed.state is JobState.FAILED
+        assert "BrokenProcessPool" in killed.error
+
+        retried = manager.submit(WARM)
+        assert wait_for(lambda: retried.done, timeout_s=60.0)
+        assert retried.state is JobState.SUCCEEDED, retried.error
+        assert executor.engine.pools_created == 2
     finally:
         manager.shutdown(timeout_s=30.0)
     left = [p for p in multiprocessing.active_children() if p.pid not in before]

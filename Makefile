@@ -53,7 +53,7 @@ obs-smoke:
 	PYTHONPATH=src python benchmarks/obs_smoke.py
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f; done
+	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
 
 results: test bench
 	pytest tests/ 2>&1 | tee test_output.txt

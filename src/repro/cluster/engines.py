@@ -526,8 +526,12 @@ class ProcessPoolEngine(ExecutionEngine):
         Tasks go out largest first, so the last task to start is the
         shortest and the workers finish together; results come back in
         partition order.
+
+        A pool whose worker died while idle is only found broken by the
+        next call, at a submit or at its first result. So a break before
+        this call's first result (in :meth:`_warm` too) reruns the call
+        once on a fresh pool; a break after it, or a second one, raises.
         """
-        pool = self._ensure_pool()
         workers = self.max_workers or os.cpu_count() or 1
         # Hand each worker a few tasks per round-trip: one pickle per
         # chunk instead of one per partition.
@@ -541,23 +545,32 @@ class ProcessPoolEngine(ExecutionEngine):
         ]
         order = sorted(range(len(parts)), key=lambda i: len(parts[i]), reverse=True)
         tasks = [(workload, parts[i], trace) for i in order]
-        try:
-            smallest = min(range(len(parts)), key=lambda i: len(parts[i]))
-            self._warm(pool, (workload, parts[smallest], False), workers)
+        smallest = min(range(len(parts)), key=lambda i: len(parts[i]))
+        for retry in (False, True):
+            pool = self._ensure_pool()
             raw = [None] * len(tasks)
-            for i, task_out in zip(order, pool.map(_pool_task, tasks, chunksize=chunksize)):
-                raw[i] = task_out
-        except BrokenProcessPool:
-            # A dead worker poisons the whole executor; discard it so the
-            # next job starts clean, then surface the failure. Detach it
-            # only if it is still the engine's pool: another thread may
-            # already run on a fresh one.
-            log_event(_log, logging.DEBUG, "engine.pool.broken", tasks=len(tasks))
-            with self._lifecycle:
-                if self._pool is pool:
-                    self._pool = None
-            pool.shutdown(wait=False)
-            raise
+            received = False
+            try:
+                self._warm(pool, (workload, parts[smallest], False), workers)
+                for i, task_out in zip(order, pool.map(_pool_task, tasks, chunksize=chunksize)):
+                    raw[i] = task_out
+                    received = True
+                break
+            except BrokenProcessPool:
+                # A dead worker poisons the whole executor; discard it so
+                # the next call starts clean. Detach it only if it is
+                # still the engine's pool: another thread may already run
+                # on a fresh one.
+                log_event(
+                    _log, logging.DEBUG, "engine.pool.broken",
+                    tasks=len(tasks), received=received, retry=retry,
+                )
+                with self._lifecycle:
+                    if self._pool is pool:
+                        self._pool = None
+                pool.shutdown(wait=False)
+                if received or retry:
+                    raise
         out = []
         tracer = obs.get_tracer() if obs.enabled() else None
         parent = tracer.current_span_id() if tracer is not None else None

@@ -82,37 +82,6 @@ def decode_records(blobs: Iterable[bytes]) -> list[list[int]]:
     return [decode_record(blob) for blob in blobs]
 
 
-def encode_partition(records: Sequence[Iterable[int]]) -> bytes:
-    """Concatenate a partition's records into a single byte string.
-
-    Useful when the partition should move as one ``SET``/``GET`` rather
-    than a list of blobs; records remain individually addressable through
-    the length headers.
-    """
-    return b"".join(encode_record(rec) for rec in records)
-
-
-def decode_partition(blob: bytes) -> list[list[int]]:
-    """Invert :func:`encode_partition`, walking the length headers."""
-    out: list[list[int]] = []
-    offset = 0
-    n = len(blob)
-    while offset < n:
-        if n - offset < _HEADER.size:
-            raise ValueError("trailing bytes too short for a record header")
-        (count,) = _HEADER.unpack_from(blob, offset)
-        end = offset + _HEADER.size + 4 * count
-        if end > n:
-            raise ValueError("record payload truncated")
-        out.append(
-            np.frombuffer(blob, dtype="<u4", count=count, offset=offset + _HEADER.size)
-            .astype(int)
-            .tolist()
-        )
-        offset = end
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class EncodedDataset:
     """A dataset serialized once, columnar: record ``i`` is

@@ -140,8 +140,8 @@ def _tree(flat: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def deserialize_items(kind: str, flats: list[list[int]]) -> list[Any]:
     """:func:`deserialize_item` over a partition's decoded records
-    (lists of Python ints, as :func:`~repro.kvstore.codec
-    .decode_partition` returns them — flat kinds pass through)."""
+    (lists of Python ints, as :meth:`~repro.kvstore.codec.EncodedDataset
+    .records` slices them — flat kinds pass through)."""
     if kind == "tree":
         return [_tree(flat) for flat in flats]
     if kind in FLAT_KINDS:

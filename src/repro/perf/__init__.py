@@ -47,12 +47,10 @@ The tree-pivot kernel takes the codec's tree frames as columns
 
 from repro.perf.kmodes_kernels import (
     factorize_columns,
-    match_counts,
     match_counts_coded,
     top_l_centers,
 )
 from repro.perf.minhash_kernels import (
-    DEFAULT_CHUNK_BYTES,
     as_uint64_elements,
     flatten_sets,
     hash_elements,
@@ -60,12 +58,10 @@ from repro.perf.minhash_kernels import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_BYTES",
     "as_uint64_elements",
     "factorize_columns",
     "flatten_sets",
     "hash_elements",
-    "match_counts",
     "match_counts_coded",
     "sketch_batch",
     "top_l_centers",

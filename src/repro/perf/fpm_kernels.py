@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.kvstore.codec import EncodedDataset, columns_of
-from repro.perf.minhash_kernels import DEFAULT_CHUNK_BYTES
+from repro.perf import minhash_kernels
 
 
 @dataclass(frozen=True)
@@ -138,18 +138,14 @@ def pack_transactions(
     )
 
 
-def candidate_supports(
-    bitmap: TransactionBitmap,
-    rows: np.ndarray,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> np.ndarray:
+def candidate_supports(bitmap: TransactionBitmap, rows: np.ndarray) -> np.ndarray:
     """Support of each candidate row-tuple: popcount(AND of item rows).
 
     ``rows`` is ``(n_cand, k)`` int64 of row indices (see
     :meth:`TransactionBitmap.rows_for`). Candidates are processed in
     blocks sized so the ``(block, num_words)`` AND temporary stays under
-    ``chunk_bytes``. ``k == 0`` means the empty itemset, contained in
-    every transaction.
+    :data:`~repro.perf.minhash_kernels.CHUNK_BYTES`. ``k == 0`` means
+    the empty itemset, contained in every transaction.
     """
     n_cand, k = rows.shape
     if n_cand == 0:
@@ -158,7 +154,7 @@ def candidate_supports(
         return np.full(n_cand, bitmap.num_transactions, dtype=np.int64)
     num_words = bitmap.bits.shape[1]
     out = np.empty(n_cand, dtype=np.int64)
-    block = max(1, chunk_bytes // (num_words * 8))
+    block = max(1, minhash_kernels.CHUNK_BYTES // (num_words * 8))
     for start in range(0, n_cand, block):
         stop = min(start + block, n_cand)
         acc = bitmap.bits[rows[start:stop, 0]]  # fancy index: fresh copy
@@ -169,9 +165,7 @@ def candidate_supports(
 
 
 def pattern_supports(
-    bitmap: TransactionBitmap,
-    patterns: Sequence[tuple[int, ...]],
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+    bitmap: TransactionBitmap, patterns: Sequence[tuple[int, ...]]
 ) -> dict[tuple[int, ...], int]:
     """Support of arbitrary (mixed-length) patterns, grouped by length.
 
@@ -189,7 +183,7 @@ def pattern_supports(
                 counts[p] = bitmap.num_transactions
             continue
         idx = bitmap.rows_for(np.asarray(group, dtype=np.int64).reshape(len(group), k))
-        sup = candidate_supports(bitmap, idx, chunk_bytes)
+        sup = candidate_supports(bitmap, idx)
         for p, c in zip(group, sup):
             counts[p] = int(c)
     return counts

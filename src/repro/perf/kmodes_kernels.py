@@ -14,9 +14,7 @@ only the clusters whose membership moved, and both write into buffers
 the fit allocates once (:class:`FitBuffers`): a fit runs a dozen
 rounds or more, and a fresh array above glibc's 128 KiB mmap threshold
 is faulted in page by page on every round. :func:`distinct_rows` draws
-the initial centres' pool from the ids. :func:`match_counts` stays in
-value space for :meth:`CompositeKModes.assign`, whose rows are new and
-have no ids.
+the initial centres' pool from the ids.
 """
 
 from __future__ import annotations
@@ -25,34 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perf.minhash_kernels import DEFAULT_CHUNK_BYTES
-
-
-def match_counts(
-    sketches: np.ndarray,
-    centers: np.ndarray,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> np.ndarray:
-    """``(n, K)`` matched-attribute counts, batched over all clusters.
-
-    A row matches an attribute if its value appears anywhere in the
-    centre's top-``L`` list. The ``(rows, K·L, k)`` equality block is
-    the only temporary; ``rows`` keeps it below ``chunk_bytes``.
-    """
-    n, k = sketches.shape
-    K, _, L = centers.shape
-    # (K, k, L) -> (K·L, k), cluster-major then slot: row c*L + l holds
-    # slot l of cluster c, so the reshape back to (rows, K, L, k) below
-    # groups slots of one cluster together.
-    flat_centers = np.ascontiguousarray(centers.transpose(0, 2, 1)).reshape(K * L, k)
-    rows = max(1, chunk_bytes // max(1, K * L * k))
-    counts = np.empty((n, K), dtype=np.int64)
-    for start in range(0, n, rows):
-        block = sketches[start : start + rows]
-        eq = block[:, None, :] == flat_centers[None, :, :]
-        hit = eq.reshape(block.shape[0], K, L, k).any(axis=2)
-        counts[start : start + rows] = hit.sum(axis=2, dtype=np.int64)
-    return counts
+from repro.perf import minhash_kernels
 
 
 def factorize_columns(sketches: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,12 +143,10 @@ class FitBuffers:
     keep: np.ndarray
 
     @classmethod
-    def for_coded(
-        cls, coded: CodedSketches, chunk_bytes: int = DEFAULT_CHUNK_BYTES
-    ) -> "FitBuffers":
+    def for_coded(cls, coded: CodedSketches) -> "FitBuffers":
         k, n = coded.column_ids.shape
         cells = coded.cell_keys.size
-        rows = max(1, min(n, chunk_bytes // (8 * min(max(k, 1), 255))))
+        rows = max(1, min(n, minhash_kernels.CHUNK_BYTES // (8 * min(max(k, 1), 255))))
         return cls(
             lanes=np.zeros(coded.values.size, dtype=np.uint64),
             words=np.empty(cells, dtype=np.uint64),  # a row block holds slab·rows ≤ n·k
@@ -191,11 +160,11 @@ class FitBuffers:
 def match_counts_coded(
     coded: CodedSketches,
     center_ids: np.ndarray,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     *,
     buffers: FitBuffers | None = None,
 ) -> np.ndarray:
-    """:func:`match_counts` in code space, for the clusters given.
+    """``(n, C)`` matched-attribute counts of the clusters given: a row
+    matches an attribute if its value is among the centre's top-``L``.
 
     ``center_ids`` is ``(C, k, L)`` ids, ``-1`` for an unused slot; the
     result is ``(n, C)``, ``uint8`` when ``k`` ≤ 255 and ``int64``
@@ -204,18 +173,18 @@ def match_counts_coded(
     into one ``uint64`` lane word per id (one byte lane per cluster), so
     gathering the words of a block of rows attribute by attribute and
     summing over ≤ 255 attributes adds every lane at once without a
-    carry. The gathered ``(k, rows)`` words stay under ``chunk_bytes``;
-    ``buffers`` (built for the same ``chunk_bytes``) holds them, made
-    afresh when not given. The gather passes ``mode="clip"``: with the
-    default ``"raise"``, ``np.take`` gathers into a temporary and copies
-    it to ``out``, allocating anyway. Ids are always in range, so the
+    carry. The gathered ``(k, rows)`` words stay under
+    :data:`~repro.perf.minhash_kernels.CHUNK_BYTES`; ``buffers`` holds
+    them, made afresh when not given. The gather passes
+    ``mode="clip"``: with the default ``"raise"``, ``np.take`` gathers
+    into a temporary and copies it to ``out``, allocating anyway. Ids are always in range, so the
     clip never acts.
     """
     column_ids = coded.column_ids
     k, n = column_ids.shape
     C = center_ids.shape[0]
     if buffers is None:
-        buffers = FitBuffers.for_coded(coded, chunk_bytes)
+        buffers = FitBuffers.for_coded(coded)
     slab = min(max(k, 1), 255)
     rows = buffers.sums.size
     lane_bytes = buffers.lanes.view(np.uint8).reshape(-1, 8)

@@ -22,11 +22,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Default ceiling for a kernel's largest temporary. The sketch kernel's
-#: window is ``chunk_bytes / 8k`` elements, about twenty thousand at 48
-#: hashes: large enough that per-window numpy dispatch and re-hashing a
-#: pivot that recurs in the next window stay small.
-DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
+#: Ceiling on the largest temporary of every chunked kernel (sketch
+#: windows, k-modes row blocks, FPM candidate blocks), read at call time.
+#: A sketch window is ``CHUNK_BYTES / 8k`` elements, about twenty
+#: thousand at 48 hashes: large enough that per-window numpy dispatch
+#: and re-hashing a pivot that recurs in the next window stay small.
+CHUNK_BYTES = 8 * 1024 * 1024
 
 _SIXTEEN = np.uint64(16)
 _LOW_MASK = np.uint64(0xFFFF)
@@ -135,12 +136,11 @@ def sketch_batch(
     *,
     prime: int,
     empty_slot: int,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> np.ndarray:
     """Sketch every set of a ragged batch; returns ``(n_sets, k)``.
 
     Bit-identical to per-set :func:`hash_elements` + ``min``. The flat
-    array goes in windows of ``chunk_bytes / 8k`` elements, a set
+    array goes in windows of ``CHUNK_BYTES / 8k`` elements, a set
     spanning two windows in two parts. A window hashes each *distinct*
     pivot it holds once (:func:`_hash_distinct`; pivot sets share most
     of their elements, so a window of twenty thousand elements holds a
@@ -148,8 +148,8 @@ def sketch_batch(
     it gathers that slot's hashes back into element order and takes
     each set's minimum with one ``np.minimum.reduceat``. The largest
     temporaries are the window's ``(k, distinct)`` hashes and its
-    ``(k, sets)`` minima, each at most ``chunk_bytes`` at any dataset
-    size; the one gathered row is ``chunk_bytes / k``. Nothing is kept
+    ``(k, sets)`` minima, each at most ``CHUNK_BYTES`` at any dataset
+    size; the one gathered row is ``CHUNK_BYTES / k``. Nothing is kept
     between calls.
 
     Every row starts at ``empty_slot``, the reference sentinel sketch,
@@ -163,7 +163,7 @@ def sketch_batch(
     k = int(a.size)
     out = np.full((offsets.size - 1, k), empty_slot, dtype=np.uint64)
     end = int(offsets[-1])
-    window = max(1, min(chunk_bytes // (8 * k), end - int(offsets[0])))
+    window = max(1, min(CHUNK_BYTES // (8 * k), end - int(offsets[0])))
     gathered = np.empty(window, dtype=np.uint64)
     for w0 in range(int(offsets[0]), end, window):
         w1 = min(w0 + window, end)

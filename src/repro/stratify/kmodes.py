@@ -31,11 +31,9 @@ from repro.perf.kmodes_kernels import (
     FitBuffers,
     code_sketches,
     distinct_rows,
-    match_counts,
     match_counts_coded,
     top_l_centers,
 )
-from repro.perf.minhash_kernels import DEFAULT_CHUNK_BYTES
 
 
 @dataclass
@@ -88,17 +86,12 @@ class CompositeKModes:
         Cap on assign/update rounds.
     seed:
         RNG seed for centre initialisation.
-    chunk_bytes:
-        Ceiling on the batched matchers' largest temporary (a row
-        block's gathered words in :meth:`fit`, its equality block in
-        :meth:`assign`); a pure speed/memory knob.
     """
 
     num_clusters: int = 8
     top_l: int = 3
     max_iter: int = 50
     seed: int = 0
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES
 
     def __post_init__(self) -> None:
         if self.num_clusters <= 0:
@@ -214,21 +207,6 @@ class CompositeKModes:
 
     # -- public API ----------------------------------------------------------
 
-    def assign(self, sketches: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Assign rows to the nearest existing centres (no refitting).
-
-        Supports the framework's incremental path: new data joins the
-        strata learned on the original payload, so the one-time
-        stratification cost is amortized across dataset growth.
-        """
-        sketches = np.ascontiguousarray(np.asarray(sketches, dtype=np.uint64))
-        if sketches.ndim != 2:
-            raise ValueError("sketches must be a 2-D matrix")
-        if centers.ndim != 3 or centers.shape[1] != sketches.shape[1]:
-            raise ValueError("centers do not match sketch dimensionality")
-        counts = match_counts(sketches, centers, chunk_bytes=self.chunk_bytes)
-        return np.argmax(counts, axis=1).astype(np.int64)
-
     def fit(self, sketches: np.ndarray) -> KModesResult:
         """Cluster sketch rows; returns labels, centres and diagnostics.
 
@@ -258,7 +236,7 @@ class CompositeKModes:
             dtype=np.uint8 if sketches.shape[1] <= 255 else np.int64,
         )
         member = np.empty(centers.shape[0], dtype=bool)
-        buffers = FitBuffers.for_coded(coded, self.chunk_bytes)
+        buffers = FitBuffers.for_coded(coded)
 
         def match(clusters, _centers, center_ids):
             counts[:, clusters] = match_counts_coded(

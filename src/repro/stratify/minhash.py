@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.perf.minhash_kernels import (
-    DEFAULT_CHUNK_BYTES,
     as_uint64_elements,
     flatten_sets,
     hash_elements,
@@ -98,15 +97,10 @@ class MinHasher:
     seed:
         Seed for drawing the permutation coefficients; two hashers with
         the same seed produce identical, comparable sketches.
-    chunk_bytes:
-        Ceiling on the batch kernel's largest temporary (the hashed
-        ``(m, k)`` block in ``sketch_all``). Purely a speed/memory knob
-        — results are identical for any positive value.
     """
 
     num_hashes: int = 64
     seed: int = 0
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES
     _a: np.ndarray = field(init=False, repr=False)
     _b: np.ndarray = field(init=False, repr=False)
 
@@ -168,13 +162,7 @@ class MinHasher:
         if flat.size and int(flat.max()) >= UNIVERSE_SIZE:
             raise ValueError("element outside the pivot universe")
         return sketch_batch(
-            flat,
-            offsets,
-            self._a,
-            self._b,
-            prime=PRIME,
-            empty_slot=EMPTY_SLOT,
-            chunk_bytes=self.chunk_bytes,
+            flat, offsets, self._a, self._b, prime=PRIME, empty_slot=EMPTY_SLOT
         )
 
     def sketch_all_reference(self, sets: Sequence[Iterable[int]]) -> np.ndarray:

@@ -148,35 +148,6 @@ class Stratifier:
             hasher = MinHasher(num_hashes=self.num_hashes, seed=self.seed)
             return hasher.sketch_flat(*self._extractor.extract_flat(items))
 
-    def assign_new(
-        self, stratification: Stratification, new_items: Sequence
-    ) -> np.ndarray:
-        """Assign *new* items to existing strata without reclustering.
-
-        Sketches the new items with the same hash family and matches
-        them against the fitted compositeKModes centres, so a growing
-        dataset amortizes the one-time stratification cost (the paper's
-        Section III motivation). Returns the compact stratum label per
-        new item. Raises if the stratification carries no kmodes state.
-        """
-        if stratification.kmodes is None:
-            raise ValueError("stratification has no kmodes centres to assign against")
-        if len(new_items) == 0:
-            return np.empty(0, dtype=np.int64)
-        sketches = self.sketch(new_items)
-        kmodes = CompositeKModes(
-            num_clusters=self.num_strata, top_l=self.top_l, seed=self.seed + 1
-        )
-        raw = kmodes.assign(sketches, stratification.kmodes.centers)
-        # Map raw kmodes cluster ids onto the compact stratum ids.
-        raw_to_compact = {}
-        for compact_id, members in enumerate(stratification.strata):
-            raw_to_compact[int(stratification.kmodes.labels[members[0]])] = compact_id
-        fallback = 0  # raw clusters that were empty at fit time
-        return np.array(
-            [raw_to_compact.get(int(r), fallback) for r in raw], dtype=np.int64
-        )
-
     def stratify(self, items: Sequence | EncodedDataset) -> Stratification:
         """Run the full pipeline on ``items`` (records or their
         encoding): sketch, then cluster the sketches."""

@@ -17,7 +17,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.kvstore.codec import EncodedDataset, columns_of, decode_partition, encode_partition
+from repro.kvstore.codec import EncodedDataset, columns_of
 from repro.perf.lz77_kernels import compress_block, text_lines
 from repro.workloads.compression.varint import decode_varint, encode_varint
 
@@ -190,14 +190,6 @@ class LZ77Codec:
         return bytes(out)
 
     # -- record-level convenience -------------------------------------------
-
-    def compress_records(self, records: Sequence[Sequence[int]]) -> tuple[bytes, LZ77Stats]:
-        """Frame integer records through the KV codec, then compress."""
-        return self.compress(encode_partition(records))
-
-    def decompress_records(self, blob: bytes) -> list[list[int]]:
-        """Inverse of :meth:`compress_records`."""
-        return decode_partition(self.decompress(blob))
 
     def compress_text_records(
         self, records: Sequence[Sequence[int]] | EncodedDataset

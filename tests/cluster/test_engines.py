@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -62,6 +63,23 @@ class LoggingWorkload(CountingWorkload):
 
 class OtherLoggingWorkload(LoggingWorkload):
     name = "logging-other"
+
+
+class KillingWorkload(LoggingWorkload):
+    """Logging that SIGKILLs its own worker on a partition of
+    ``fatal`` records."""
+
+    name = "killing"
+
+    def __init__(self, path: str, fatal: int):
+        super().__init__(path)
+        self.fatal = fatal
+
+    def run(self, records: Sequence[int]) -> WorkloadResult:
+        result = super().run(records)
+        if len(records) == self.fatal:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return result
 
 
 class BurningWorkload(CountingWorkload):
@@ -505,7 +523,8 @@ class BrokenPool:
 class TestBrokenPool:
     def test_a_broken_pool_discards_only_itself(self, cluster, monkeypatch):
         """A call whose pool broke while another thread already runs on
-        a fresh one tears down its own pool, not the engine's live one."""
+        a fresh one tears down its own pool, not the engine's live one —
+        on its first try and on its one rerun."""
         with ProcessPoolEngine(cluster, max_workers=1) as engine:
             engine.run_job(CountingWorkload(), [[1, 2]], assignment=[0])
             live = engine._pool
@@ -514,7 +533,7 @@ class TestBrokenPool:
             with pytest.raises(BrokenProcessPool):
                 engine.run_job(CountingWorkload(), [[3]], assignment=[0])
             monkeypatch.undo()
-            assert broken.shut_down == [False]
+            assert broken.shut_down == [False, False]
             assert engine._pool is live
             assert engine.pools_created == 1
             job = engine.run_job(CountingWorkload(), [[3, 4]], assignment=[0])
@@ -522,14 +541,41 @@ class TestBrokenPool:
             assert engine.pools_created == 1
 
     def test_the_broken_current_pool_is_replaced_by_the_next_job(self, cluster):
+        """A worker killed between jobs breaks the pool while idle; the
+        next job finds it broken before any result and reruns on a
+        fresh pool, so it succeeds."""
         with ProcessPoolEngine(cluster, max_workers=1) as engine:
             engine.run_job(CountingWorkload(), [[1]], assignment=[0])
-            for process in list(engine._pool._processes.values()):
+            old = engine._pool
+            for process in list(old._processes.values()):
                 process.kill()
                 process.join(timeout=10.0)
-            with pytest.raises(BrokenProcessPool):
-                engine.run_job(CountingWorkload(), [[2]], assignment=[0])
-            assert engine._pool is None
             job = engine.run_job(CountingWorkload(), [[2, 3]], assignment=[0])
             assert job.merged_output == 5
             assert engine.pools_created == 2
+            assert engine._pool is not old
+            assert engine.run_job(CountingWorkload(), [[4]], assignment=[0]).merged_output == 4
+            assert engine.pools_created == 2
+
+    def test_a_task_that_kills_its_worker_fails_after_one_rerun(self, cluster, tmp_path):
+        log = tmp_path / "runs.log"
+        with ProcessPoolEngine(cluster, max_workers=1) as engine:
+            with pytest.raises(BrokenProcessPool):
+                engine.run_job(KillingWorkload(str(log), fatal=3), [[1], [1, 2, 3]], assignment=[0, 1])
+            # Per pool: the warm-up on the smallest partition, then the
+            # largest first, which kills the worker before any result.
+            assert log.read_text().split() == ["1", "3", "1", "3"]
+            assert engine.pools_created == 2 and engine._pool is None
+            job = engine.run_job(CountingWorkload(), [[5]], assignment=[0])
+            assert job.merged_output == 5 and engine.pools_created == 3
+
+    def test_a_break_after_the_first_result_is_not_rerun(self, cluster, tmp_path):
+        log = tmp_path / "runs.log"
+        with ProcessPoolEngine(cluster, max_workers=1) as engine:
+            with pytest.raises(BrokenProcessPool):
+                engine.run_job(
+                    KillingWorkload(str(log), fatal=2), [[1], [1, 2], [1, 2, 3]],
+                    assignment=[0, 1, 2],
+                )
+            assert log.read_text().split() == ["1", "3", "2"]
+            assert engine.pools_created == 1 and engine._pool is None

@@ -22,10 +22,14 @@ def _load(path: pathlib.Path):
 
 
 class TestExamples:
-    def test_six_examples_present(self):
-        assert len(EXAMPLE_FILES) >= 6
-        names = {p.stem for p in EXAMPLE_FILES}
-        assert "quickstart" in names
+    def test_examples_present(self):
+        assert {p.stem for p in EXAMPLE_FILES} == {
+            "carbon_budget_scheduling",
+            "green_datacenter_tradeoff",
+            "profiling_heterogeneity",
+            "quickstart",
+            "webgraph_compression",
+        }
 
     @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.stem)
     def test_imports_cleanly(self, path):

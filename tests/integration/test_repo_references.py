@@ -1,9 +1,11 @@
 """Every script and ``make`` target that the Makefile, CI, the README,
 ``docs/*.md`` and the verify skill name has to exist, and so does every
 ``repro`` module the Markdown among them (plus DESIGN.md and
-EXPERIMENTS.md) names — so deleting a benchmark, a target or a module
-means deleting its mentions in the same change."""
+EXPERIMENTS.md) names, down to the attribute — so deleting a benchmark,
+a target, a module or a function means deleting its mentions in the
+same change."""
 
+import importlib
 import pathlib
 import re
 
@@ -53,18 +55,23 @@ def test_named_scripts_and_make_targets_exist(path):
 
 
 def _resolves(dotted: str) -> bool:
-    """``.a.b.c`` below ``repro``: packages and modules must exist on
-    disk; what follows a module is an attribute and is not checked; a
-    name read off a package must at least occur in its ``__init__``."""
-    here = PACKAGE
-    for part in dotted.strip(".").split("."):
-        if (here / part).is_dir():
-            here = here / part
-        elif (here / f"{part}.py").is_file():
-            return True
-        else:
-            init = (here / "__init__.py").read_text(encoding="utf-8")
-            return re.search(rf"\b{part}\b", init) is not None
+    """``.a.b.c`` below ``repro``: the longest prefix that is a module
+    must import, and every name after it must be an attribute of what
+    precedes it."""
+    parts = ["repro", *dotted.strip(".").split(".")]
+    for cut in range(len(parts), 0, -1):
+        name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if not f"{name}.".startswith(f"{exc.name}."):  # a module's own import failed
+                raise
+            continue
+        break
+    for attr in parts[cut:]:
+        if not hasattr(target, attr):
+            return False
+        target = getattr(target, attr)
     return True
 
 

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from repro.kvstore.codec import (
     MAX_RECORD_ITEMS,
-    decode_partition,
     decode_record,
     decode_records,
-    encode_partition,
     encode_record,
     encode_records,
 )
@@ -62,38 +60,3 @@ class TestRecords:
     @settings(max_examples=50)
     def test_roundtrip_property(self, recs):
         assert decode_records(encode_records(recs)) == recs
-
-
-class TestPartition:
-    def test_roundtrip(self):
-        recs = [[10, 20], [], [5]]
-        assert decode_partition(encode_partition(recs)) == recs
-
-    def test_empty_partition(self):
-        assert decode_partition(encode_partition([])) == []
-
-    def test_truncated_payload_rejected(self):
-        blob = encode_partition([[1, 2, 3]])
-        with pytest.raises(ValueError):
-            decode_partition(blob[:-2])
-
-    def test_truncated_header_rejected(self):
-        blob = encode_partition([[1]]) + b"\x05"
-        with pytest.raises(ValueError):
-            decode_partition(blob)
-
-    @given(st.lists(items_strategy, max_size=12))
-    @settings(max_examples=50)
-    def test_roundtrip_property(self, recs):
-        assert decode_partition(encode_partition(recs)) == recs
-
-    def test_records_individually_addressable(self):
-        # The length headers let a reader walk to any record.
-        recs = [[1, 2], [3], [4, 5, 6]]
-        blob = encode_partition(recs)
-        offset = 0
-        for expected in recs:
-            count = int.from_bytes(blob[offset : offset + 4], "little")
-            assert count == len(expected)
-            offset += 4 + 4 * count
-        assert offset == len(blob)

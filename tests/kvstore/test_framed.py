@@ -20,7 +20,6 @@ from repro.kvstore.codec import (
     EncodedDataset,
     decode_record,
     encode_dataset,
-    encode_partition,
     encode_records,
     records_of,
 )
@@ -148,7 +147,7 @@ class TestSameErrors:
     def test_out_of_range_value(self, kind, bad):
         items = [[1, 2], [3, bad]]
         with pytest.raises(ValueError):
-            encode_partition([serialize_item(kind, it) for it in items])
+            encode_records([serialize_item(kind, it) for it in items])
         with pytest.raises(ValueError, match="uint32"):
             encode_dataset(kind, items)
 
@@ -158,7 +157,7 @@ class TestSameErrors:
     )
     def test_out_of_range_tree(self, tree):
         with pytest.raises(ValueError):
-            encode_partition([serialize_item("tree", tree)])
+            encode_records([serialize_item("tree", tree)])
         with pytest.raises(ValueError, match="uint32"):
             encode_dataset("tree", [((-1,), (0,)), tree])
 

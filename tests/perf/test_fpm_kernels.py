@@ -7,11 +7,14 @@ reference paths they replace. Hypothesis drives degenerate shapes
 query items, tiny supports) through both and asserts exact equality.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.perf import minhash_kernels
 from repro.perf.fpm_kernels import (
     TransactionBitmap,
     candidate_supports,
@@ -99,7 +102,13 @@ class TestPackTransactions:
         pairs = [(int(a), int(b)) for a in bm.items[:6] for b in bm.items[6:12]]
         rows = bm.rows_for(pairs)
         big = candidate_supports(bm, rows)
-        tiny = candidate_supports(bm, rows, chunk_bytes=64)
+        # One popcount per block: 64 bytes hold one 5-word candidate row.
+        with (
+            mock.patch.object(minhash_kernels, "CHUNK_BYTES", 64),
+            mock.patch.object(np, "bitwise_count", wraps=np.bitwise_count) as blocks,
+        ):
+            tiny = candidate_supports(bm, rows)
+        assert bm.bits.shape[1] == 5 and blocks.call_count == len(pairs) == 36
         assert np.array_equal(big, tiny)
 
 

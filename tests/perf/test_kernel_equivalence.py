@@ -7,11 +7,15 @@ elements, heavy value ties, chunk boundaries) through both paths and
 asserts exact array equality — no tolerances.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.perf import minhash_kernels
 from repro.perf.kmodes_kernels import (
     FitBuffers,
     code_sketches,
@@ -61,15 +65,49 @@ def _fit_kwargs(seed):
     return dict(num_clusters=5, top_l=2, seed=seed % 1000, max_iter=30)
 
 
+def _patch_chunk(value):
+    """Patch the chunked kernels' shared ceiling, which they read at call time."""
+    return mock.patch.object(minhash_kernels, "CHUNK_BYTES", value)
+
+
+@contextmanager
+def _sketch_windows(ceiling):
+    """Sketch under ``CHUNK_BYTES = ceiling``; yields a list that
+    gets one entry per window the kernel hashes."""
+    windows = []
+    hash_distinct = minhash_kernels._hash_distinct
+
+    def spy(values, *args):
+        windows.append(values.size)
+        return hash_distinct(values, *args)
+
+    with _patch_chunk(ceiling), mock.patch.object(minhash_kernels, "_hash_distinct", spy):
+        yield windows
+
+
+def _window_count(sets, num_hashes, ceiling):
+    """Windows of ``ceiling / 8k`` elements over every set's pivots."""
+    return -(-sum(len(s) for s in sets) // max(1, ceiling // (8 * num_hashes)))
+
+
+def _block_rows(n, k, ceiling):
+    """Rows per block of the code-space matcher under ``ceiling``."""
+    return max(1, min(n, ceiling // (8 * min(k, 255))))
+
+
 class TestSketchBatchEquivalence:
     @given(ragged_strategy, st.sampled_from([64, 1024, 8 * 1024 * 1024]))
     @example([], 64)
     @example([set()], 64)
     @example([{7}], 64)
+    @example([set(range(40))], 1024)
     @settings(max_examples=40, deadline=None)
-    def test_batched_matches_per_set(self, sets, chunk_bytes):
-        hasher = MinHasher(num_hashes=9, seed=3, chunk_bytes=chunk_bytes)
-        got = hasher.sketch_all(sets)
+    def test_batched_matches_per_set(self, sets, ceiling):
+        hasher = MinHasher(num_hashes=9, seed=3)
+        with _sketch_windows(ceiling) as windows:
+            got = hasher.sketch_all(sets)
+        # 64 bytes is one pivot per window, 1,024 fourteen.
+        assert len(windows) == _window_count(sets, 9, ceiling)
         ref = hasher.sketch_all_reference(sets)
         assert got.dtype == ref.dtype == np.uint64
         assert np.array_equal(got, ref)
@@ -79,18 +117,23 @@ class TestSketchBatchEquivalence:
         st.sampled_from([64, 1024, 8 * 1024 * 1024]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_shared_and_repeated_pivots_match_per_set(self, sets, chunk_bytes):
+    def test_shared_and_repeated_pivots_match_per_set(self, sets, ceiling):
         # Pivots recur across sets and within one: each window hashes a
         # distinct value once and gathers it back for every element.
-        hasher = MinHasher(num_hashes=9, seed=3, chunk_bytes=chunk_bytes)
-        assert np.array_equal(hasher.sketch_all(sets), hasher.sketch_all_reference(sets))
+        hasher = MinHasher(num_hashes=9, seed=3)
+        with _sketch_windows(ceiling) as windows:
+            got = hasher.sketch_all(sets)
+        assert len(windows) == _window_count(sets, 9, ceiling)
+        assert np.array_equal(got, hasher.sketch_all_reference(sets))
 
     @given(ragged_strategy)
     @settings(max_examples=20, deadline=None)
     def test_chunking_is_invisible(self, sets):
-        tiny = MinHasher(num_hashes=7, seed=1, chunk_bytes=64)
-        big = MinHasher(num_hashes=7, seed=1)
-        assert np.array_equal(tiny.sketch_all(sets), big.sketch_all(sets))
+        hasher = MinHasher(num_hashes=7, seed=1)
+        with _sketch_windows(64) as windows:
+            tiny = hasher.sketch_all(sets)
+        assert len(windows) == sum(len(s) for s in sets)  # one pivot per window
+        assert np.array_equal(tiny, hasher.sketch_all(sets))
 
     def test_ndarray_list_set_inputs_agree(self):
         rng = np.random.default_rng(0)
@@ -118,8 +161,8 @@ class TestSketchBatchEquivalence:
         # runs jobs on manager threads); the kernel writes through `out=`
         # into buffers of its own call, and a buffer shared across calls
         # would let concurrent writes corrupt each other's hashes
-        # nondeterministically. Small chunk_bytes forces many windows per
-        # call to maximise interleaving.
+        # nondeterministically. A small CHUNK_BYTES forces many windows
+        # per call to maximise interleaving.
         import threading
 
         rng = np.random.default_rng(12)
@@ -127,8 +170,10 @@ class TestSketchBatchEquivalence:
             rng.integers(0, 2**32, size=int(rng.integers(5, 60))).astype(np.uint64)
             for _ in range(400)
         ]
-        hasher = MinHasher(num_hashes=16, seed=2, chunk_bytes=2048)
-        expected = hasher.sketch_all(sets)
+        hasher = MinHasher(num_hashes=16, seed=2)
+        with _sketch_windows(2048) as windows:
+            expected = hasher.sketch_all(sets)
+        assert len(windows) == _window_count(sets, 16, 2048) > 1
         results: dict[int, np.ndarray] = {}
 
         def work(tid: int) -> None:
@@ -136,10 +181,11 @@ class TestSketchBatchEquivalence:
                 results[tid] = hasher.sketch_all(sets)
 
         threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with _patch_chunk(2048):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         for tid, got in results.items():
             assert np.array_equal(got, expected), f"thread {tid} diverged"
 
@@ -169,17 +215,27 @@ class TestElementCoercion:
 
 
 class TestKModesEquivalence:
-    @given(matrix_strategy, st.sampled_from([256, 8 * 1024 * 1024]))
-    @example((1, 3, 1, 0), 256)  # one row; an empty matrix is rejected before dispatch
-    @example(FIT_EXAMPLES["k_exceeds_distinct_rows"], 256)
-    @example(FIT_EXAMPLES["one_row_moves"], 256)
-    @example(FIT_EXAMPLES["cluster_empties"], 256)
+    @given(matrix_strategy, st.sampled_from([8, 256, 8 * 1024 * 1024]))
+    @example((1, 3, 1, 0), 8)  # one row; an empty matrix is rejected before dispatch
+    @example(FIT_EXAMPLES["k_exceeds_distinct_rows"], 8)
+    @example(FIT_EXAMPLES["one_row_moves"], 8)
+    @example(FIT_EXAMPLES["cluster_empties"], 8)
     @settings(max_examples=25, deadline=None)
-    def test_fit_matches_reference(self, spec, chunk_bytes):
+    def test_fit_matches_reference(self, spec, ceiling):
         n, k, card, seed = spec
         data = _low_card_matrix(n, k, card, seed)
         kwargs = _fit_kwargs(seed)
-        batched = CompositeKModes(chunk_bytes=chunk_bytes, **kwargs).fit(data)
+        made = []
+        for_coded = FitBuffers.for_coded
+
+        def spy(coded):
+            made.append(for_coded(coded))
+            return made[-1]
+
+        with _patch_chunk(ceiling), mock.patch.object(FitBuffers, "for_coded", spy):
+            batched = CompositeKModes(**kwargs).fit(data)
+        # 8 bytes is one row per block; 256 is 32 // k rows.
+        assert [b.sums.size for b in made] == [_block_rows(n, k, ceiling)]
         reference = CompositeKModes(**kwargs).fit_reference(data)
         assert np.array_equal(batched.labels, reference.labels)
         assert np.array_equal(batched.centers, reference.centers)
@@ -212,12 +268,12 @@ class TestKModesEquivalence:
 
     @given(matrix_strategy, st.integers(min_value=1, max_value=7), st.sampled_from([1, 64, 1 << 23]))
     @settings(max_examples=40, deadline=None)
-    def test_code_space_kernels_match_the_python_oracles(self, spec, num_clusters, chunk_bytes):
+    def test_code_space_kernels_match_the_python_oracles(self, spec, num_clusters, ceiling):
         # One step of fit, driven by hand: random labels (ties, and with
         # 7 clusters over few rows, empty clusters and n < K), stale
         # centres to keep, then a match against the updated centres —
         # for every cluster, and for a subset given its members only.
-        # chunk_bytes=1 is one row per block; 64 a handful.
+        # CHUNK_BYTES = 1 is one row per block; 64 a handful.
         n, k, card, seed = spec
         data = _low_card_matrix(n, k, card, seed)
         rng = np.random.default_rng(seed)
@@ -252,16 +308,18 @@ class TestKModesEquivalence:
         assert np.array_equal(part_ids[~subset], stale_ids[~subset])
 
         expected = oracle._match_counts_reference(data, centers)
-        got = match_counts_coded(coded, center_ids, chunk_bytes=chunk_bytes)
-        assert np.array_equal(got, expected)
         columns = np.flatnonzero(subset)
-        got = match_counts_coded(coded, center_ids[columns], chunk_bytes=chunk_bytes)
-        assert np.array_equal(got, expected[:, columns])
+        with _patch_chunk(ceiling):
+            got = match_counts_coded(coded, center_ids)
+            assert np.array_equal(got, expected)
+            got = match_counts_coded(coded, center_ids[columns])
+            assert np.array_equal(got, expected[:, columns])
+            shared = FitBuffers.for_coded(coded)
+        assert shared.sums.size == _block_rows(n, k, ceiling)
 
         # The same steps through one set of buffers, each step leaving
         # them dirty for the next as a fit's rounds do; the lane table
         # is clean again after every match.
-        shared = FitBuffers.for_coded(coded, chunk_bytes)
         for _ in range(2):
             again = top_l_centers(
                 coded, labels, np.arange(n), stale, stale_ids, top_l=top_l, fill=_FILL,
@@ -327,14 +385,3 @@ class TestKModesEquivalence:
             assert not result.converged and result.iterations == 1
             counts = km._match_counts_reference(data, result.centers)
             assert result.cost == float(np.sum(6 - counts[np.arange(120), result.labels]))
-
-    def test_assign_matches_reference(self):
-        data = _low_card_matrix(80, 5, 4, seed=9)
-        km = CompositeKModes(num_clusters=4, top_l=2, seed=1)
-        result = km.fit(data)
-        new = _low_card_matrix(40, 5, 4, seed=10)
-        for rows in (new, new[:1], new[:0]):
-            oracle = km._match_counts_reference(rows, result.centers)
-            assert np.array_equal(
-                km.assign(rows, result.centers), np.argmax(oracle, axis=1)
-            )

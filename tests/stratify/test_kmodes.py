@@ -111,37 +111,6 @@ class TestCompositeLBehaviour:
         assert km3.cost <= km1.cost
 
 
-class TestAssign:
-    def test_assign_members_to_own_cluster(self):
-        sketches, _ = planted_sketches()
-        km = CompositeKModes(num_clusters=3, top_l=2, seed=1)
-        result = km.fit(sketches)
-        labels = km.assign(sketches, result.centers)
-        agreement = (labels == result.labels).mean()
-        assert agreement > 0.95
-
-    def test_assign_new_rows(self):
-        sketches, truth = planted_sketches(seed=0)
-        km = CompositeKModes(num_clusters=3, top_l=2, seed=1)
-        result = km.fit(sketches)
-        new_sketches, new_truth = planted_sketches(n_per_cluster=10, seed=99)
-        labels = km.assign(new_sketches, result.centers)
-        # New rows of one planted cluster land together.
-        for c in range(3):
-            members = labels[new_truth == c]
-            assert (members == members[0]).mean() > 0.8
-
-    def test_assign_validation(self):
-        import numpy as np
-
-        km = CompositeKModes(num_clusters=2)
-        result = km.fit(np.array([[1, 2], [3, 4]], dtype=np.uint64))
-        with pytest.raises(ValueError):
-            km.assign(np.zeros(3, dtype=np.uint64), result.centers)
-        with pytest.raises(ValueError):
-            km.assign(np.zeros((2, 5), dtype=np.uint64), result.centers)
-
-
 class TestCostMonotonicity:
     def test_cost_nonincreasing_over_restarts_of_same_fit(self):
         # The returned cost is consistent with the labels/centres pair.

@@ -26,10 +26,18 @@ bench:
 
 # The committed paper artefacts regenerate byte for byte: the seven
 # figure/table benches and the ten ablations are deterministic, so any
-# diff under benchmarks/results/ is a behaviour change.
+# diff under benchmarks/results/ is a behaviour change. `repro
+# reproduce` must then write the same seven files.
+PAPER_ARTEFACTS = table1_datasets fig2_tree_mining fig3_text_mining fig4_graph_compression table2_3_lz77 fig5_pareto_frontiers fig6_support_sweep
+
 results-check:
 	PYTHONPATH=src python -m pytest -q benchmarks/bench_fig*.py benchmarks/bench_table*.py benchmarks/bench_ablation_*.py --benchmark-only
 	git diff --exit-code benchmarks/results/
+	out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	PYTHONPATH=src python -m repro reproduce --out "$$out" && \
+	for name in $(PAPER_ARTEFACTS); do \
+		diff -u benchmarks/results/$$name.txt "$$out/$$name.txt" || exit 1; \
+	done
 
 # Each kernel timed against its oracle (asserts bit-identity first); the
 # record docs/performance.md cites is benchmarks/results/BENCH_kernels.json.

@@ -9,21 +9,12 @@ energy while still beating the stratified baseline's runtime.
 
 from conftest import run_once, save_result
 
-from repro.bench import experiments
-from repro.bench.reporting import format_table
+from repro.bench.experiments import ARTEFACTS
 
 
 def test_fig2_tree_mining(benchmark):
-    rows = run_once(
-        benchmark,
-        lambda: experiments.fig2_tree_mining(
-            size_scale=1.0, partition_counts=(4, 8, 16)
-        ),
-    )
-    save_result(
-        "fig2_tree_mining",
-        format_table(rows, "FIG 2 — frequent tree mining (time + dirty energy)"),
-    )
+    rows, text = run_once(benchmark, ARTEFACTS["fig2_tree_mining"])
+    save_result("fig2_tree_mining", text)
     # Shape assertions per dataset at 8 partitions.
     for dataset in ("swissprot", "treebank"):
         at8 = {

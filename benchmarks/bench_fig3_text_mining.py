@@ -8,24 +8,13 @@ less dirty energy than the stratified baseline.
 
 from conftest import run_once, save_result
 
-from repro.bench import experiments
-from repro.bench.reporting import format_table, improvement
+from repro.bench.experiments import ARTEFACTS
 
 
 def test_fig3_text_mining(benchmark):
-    rows = run_once(
-        benchmark,
-        lambda: experiments.fig3_text_mining(
-            size_scale=1.0, partition_counts=(4, 8, 16)
-        ),
-    )
+    rows, text = run_once(benchmark, ARTEFACTS["fig3_text_mining"])
+    save_result("fig3_text_mining", text)
     at8 = {r.strategy: r for r in rows if r.partitions == 8}
-    speedup = improvement(at8["Stratified"].makespan_s, at8["Het-Aware"].makespan_s)
-    lines = [
-        format_table(rows, "FIG 3 — Apriori on RCV1 analog"),
-        f"Het-Aware time reduction at 8 partitions: {speedup:.1f}% (paper: up to 37%)",
-    ]
-    save_result("fig3_text_mining", "\n".join(lines))
     assert at8["Het-Aware"].makespan_s < at8["Stratified"].makespan_s
     hea = at8["Het-Energy-Aware"]
     assert hea.makespan_s < at8["Stratified"].makespan_s

@@ -9,30 +9,15 @@ schemes match the baseline's compression ratio.
 
 from conftest import run_once, save_result
 
-from repro.bench import experiments
-from repro.bench.reporting import format_table, improvement
+from repro.bench.experiments import ARTEFACTS
 
 
 def test_fig4_graph_compression(benchmark):
-    rows = run_once(
-        benchmark,
-        lambda: experiments.fig4_graph_compression(
-            size_scale=1.0, partition_counts=(4, 8, 16)
-        ),
-    )
+    rows, text = run_once(benchmark, ARTEFACTS["fig4_graph_compression"])
+    save_result("fig4_graph_compression", text)
     at8 = {
         (r.dataset, r.strategy): r for r in rows if r.partitions == 8
     }
-    speedup = improvement(
-        at8[("arabic", "Stratified")].makespan_s,
-        at8[("arabic", "Het-Aware")].makespan_s,
-    )
-    lines = [
-        format_table(rows, "FIG 4 — WebGraph compression (time, energy, ratio)"),
-        f"Het-Aware time reduction on arabic at 8 partitions: {speedup:.1f}% (paper: 51%)",
-    ]
-    save_result("fig4_graph_compression", "\n".join(lines))
-
     for ds in ("uk", "arabic"):
         base = at8[(ds, "Stratified")]
         het = at8[(ds, "Het-Aware")]

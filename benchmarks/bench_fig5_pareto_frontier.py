@@ -10,23 +10,12 @@ above / right of the frontier (not Pareto-efficient).
 
 from conftest import run_once, save_result
 
-from repro.bench import experiments
-from repro.bench.reporting import format_frontier
+from repro.bench.experiments import ARTEFACTS
 
 
 def test_fig5_pareto_frontiers(benchmark):
-    series = run_once(
-        benchmark,
-        lambda: experiments.fig5_pareto_frontiers(size_scale=0.8, partitions=8),
-    )
-    blocks = []
-    for fs in series:
-        blocks.append(
-            format_frontier(
-                fs.points, baseline=fs.baseline, title=f"FIG 5 — {fs.label}"
-            )
-        )
-    save_result("fig5_pareto_frontiers", "\n\n".join(blocks))
+    series, text = run_once(benchmark, ARTEFACTS["fig5_pareto_frontiers"])
+    save_result("fig5_pareto_frontiers", text)
 
     for fs in series:
         makespans = [m for _, m, _ in fs.points]

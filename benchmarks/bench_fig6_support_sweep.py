@@ -8,28 +8,12 @@ low-α-greenest structure.
 
 from conftest import run_once, save_result
 
-from repro.bench import experiments
-from repro.bench.reporting import format_frontier
-
-ALPHAS = (1.0, 0.998, 0.997, 0.995, 0.99, 0.9, 0.0)
+from repro.bench.experiments import ARTEFACTS
 
 
 def test_fig6_support_sweep(benchmark):
-    series = run_once(
-        benchmark,
-        lambda: experiments.fig6_support_sweep(
-            size_scale=0.8,
-            partitions=8,
-            tree_supports=(0.12, 0.15),
-            text_supports=(0.1, 0.15),
-            alphas=ALPHAS,
-        ),
-    )
-    blocks = [
-        format_frontier(fs.points, baseline=fs.baseline, title=f"FIG 6 — {fs.label}")
-        for fs in series
-    ]
-    save_result("fig6_support_sweep", "\n\n".join(blocks))
+    series, text = run_once(benchmark, ARTEFACTS["fig6_support_sweep"])
+    save_result("fig6_support_sweep", text)
 
     assert len(series) == 4
     for fs in series:

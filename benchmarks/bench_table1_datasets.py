@@ -2,13 +2,10 @@
 
 from conftest import run_once, save_result
 
-from repro.bench import experiments
+from repro.bench.experiments import ARTEFACTS
 
 
 def test_table1_datasets(benchmark):
-    rows = run_once(benchmark, lambda: experiments.table1_datasets(size_scale=1.0))
-    lines = ["TABLE I — datasets (synthetic analogs)"]
-    for row in rows:
-        lines.append(str(row))
-    save_result("table1_datasets", "\n".join(lines))
+    rows, text = run_once(benchmark, ARTEFACTS["table1_datasets"])
+    save_result("table1_datasets", text)
     assert len(rows) == 5

@@ -7,18 +7,12 @@ of all three strategies are comparable.
 
 from conftest import run_once, save_result
 
-from repro.bench import experiments
-from repro.bench.reporting import format_table
+from repro.bench.experiments import ARTEFACTS
 
 
 def test_table2_3_lz77(benchmark):
-    rows = run_once(
-        benchmark, lambda: experiments.table2_3_lz77(size_scale=1.0, partitions=8)
-    )
-    save_result(
-        "table2_3_lz77",
-        format_table(rows, "TABLES II–III — LZ77 on UK and Arabic (8 partitions)"),
-    )
+    rows, text = run_once(benchmark, ARTEFACTS["table2_3_lz77"])
+    save_result("table2_3_lz77", text)
     for ds in ("uk", "arabic"):
         per = {r.strategy: r for r in rows if r.dataset == ds}
         base = per["Stratified"]

@@ -3,7 +3,9 @@
 - :mod:`repro.bench.harness` — generic strategy-comparison runner
   (dataset × workload × partition count × strategy);
 - :mod:`repro.bench.experiments` — one entry point per paper artefact
-  (Fig. 2–6, Tables I–III) returning structured rows/series;
+  (Fig. 2–6, Tables I–III) returning structured rows/series, and the
+  ``ARTEFACTS`` table that runs and renders each committed file (the
+  benches and ``repro reproduce`` both read it);
 - :mod:`repro.bench.reporting` — plain-text table and series rendering.
 """
 

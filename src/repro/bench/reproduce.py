@@ -1,91 +1,29 @@
-"""One-shot reproduction driver: every paper artefact into a directory.
+"""``repro reproduce``: every committed paper artefact into a directory.
 
-``python -m repro reproduce --out results/`` regenerates Table I,
-Figures 2–6 and Tables II–III, writing one text artefact per figure
-plus machine-readable CSVs for the row-based experiments. The bench
-suite (`pytest benchmarks/ --benchmark-only`) does the same with
-timing and shape assertions; this driver is the packaging-friendly
-entry point.
+``python -m repro reproduce --out results/`` runs each entry of
+:data:`repro.bench.experiments.ARTEFACTS` — the code and parameters the
+``benchmarks/bench_fig*``/``bench_table*`` files run — and writes
+``<name>.txt``, byte-identical to ``benchmarks/results/<name>.txt``,
+plus ``<name>.csv`` for the row-based artefacts. A scaled run goes
+through the experiment functions' ``size_scale`` instead.
 """
 
 from __future__ import annotations
 
 import pathlib
-from typing import Callable, Sequence
 
 from repro.bench import experiments
-from repro.bench.reporting import format_frontier, format_table, rows_to_csv
+from repro.bench.harness import ExperimentRow
+from repro.bench.reporting import rows_to_csv
 
 
-def _write(out_dir: pathlib.Path, name: str, text: str) -> None:
-    (out_dir / f"{name}.txt").write_text(text + "\n")
-
-
-def reproduce_all(
-    out_dir,
-    *,
-    size_scale: float = 1.0,
-    partition_counts: Sequence[int] = (4, 8, 16),
-    frontier_partitions: int = 8,
-    frontier_alphas: Sequence[float] | None = None,
-    seed: int = 0,
-    progress: Callable[[str], None] = print,
-) -> list[str]:
-    """Regenerate every artefact; returns the list of files written."""
+def reproduce_all(out_dir) -> list[str]:
+    """Write every artefact into ``out_dir``; returns their names."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-
-    def done(name: str) -> None:
-        written.append(name)
-        progress(f"[reproduce] {name} done")
-
-    rows = experiments.table1_datasets(size_scale=size_scale, seed=seed)
-    _write(out, "table1_datasets", "\n".join(str(r) for r in rows))
-    done("table1_datasets")
-
-    for name, fn in (
-        ("fig2_tree_mining", experiments.fig2_tree_mining),
-        ("fig3_text_mining", experiments.fig3_text_mining),
-        ("fig4_graph_compression", experiments.fig4_graph_compression),
-    ):
-        rows = fn(size_scale=size_scale, partition_counts=partition_counts, seed=seed)
-        _write(out, name, format_table(rows, name))
-        rows_to_csv(rows, out / f"{name}.csv")
-        done(name)
-
-    rows = experiments.table2_3_lz77(size_scale=size_scale, seed=seed)
-    _write(out, "table2_3_lz77", format_table(rows, "table2_3_lz77"))
-    rows_to_csv(rows, out / "table2_3_lz77.csv")
-    done("table2_3_lz77")
-
-    sweep_kwargs = {}
-    if frontier_alphas is not None:
-        sweep_kwargs["alphas"] = tuple(frontier_alphas)
-    series = experiments.fig5_pareto_frontiers(
-        size_scale=size_scale, partitions=frontier_partitions, seed=seed, **sweep_kwargs
-    )
-    _write(
-        out,
-        "fig5_pareto_frontiers",
-        "\n\n".join(
-            format_frontier(fs.points, baseline=fs.baseline, title=fs.label)
-            for fs in series
-        ),
-    )
-    done("fig5_pareto_frontiers")
-
-    series = experiments.fig6_support_sweep(
-        size_scale=size_scale, partitions=frontier_partitions, seed=seed, **sweep_kwargs
-    )
-    _write(
-        out,
-        "fig6_support_sweep",
-        "\n\n".join(
-            format_frontier(fs.points, baseline=fs.baseline, title=fs.label)
-            for fs in series
-        ),
-    )
-    done("fig6_support_sweep")
-
-    return written
+    for name, run in experiments.ARTEFACTS.items():
+        result, text = run()
+        (out / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        if isinstance(result[0], ExperimentRow):
+            rows_to_csv(result, out / f"{name}.csv")
+    return list(experiments.ARTEFACTS)

@@ -27,6 +27,9 @@ Commands
 ``submit``
     Submit one job to a running service and (by default) wait for and
     print its result.
+``reproduce``
+    Write the seven committed paper artefacts (Figs. 2–6, Tables I–III)
+    into a directory, byte for byte as ``benchmarks/results/`` has them.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ import json
 import sys
 from typing import Sequence
 
-from repro.bench.experiments import FRONTIER_ALPHAS, frontier_series
+from repro.bench.experiments import FRONTIER_ALPHAS, frontier_series, table1_datasets
 from repro.bench.harness import StrategyRunner
 from repro.bench.plotting import ascii_scatter
 from repro.bench.reporting import format_frontier, format_table
 from repro.core.strategies import RANDOM
-from repro.data.datasets import DATASET_NAMES, dataset_summary, load_dataset
+from repro.data.datasets import DATASET_NAMES, load_dataset
 from repro.workloads.catalog import WORKLOADS, paper_strategies
 
 
@@ -69,8 +72,7 @@ def _runner(args) -> tuple[StrategyRunner, str]:
 
 
 def cmd_datasets(args) -> int:
-    for name in DATASET_NAMES:
-        row = dataset_summary(load_dataset(name, size_scale=args.scale, seed=args.seed))
+    for row in table1_datasets(size_scale=args.scale, seed=args.seed):
         print(row)
     return 0
 
@@ -269,7 +271,7 @@ def cmd_submit(args) -> int:
 def cmd_reproduce(args) -> int:
     from repro.bench.reproduce import reproduce_all
 
-    written = reproduce_all(args.out, size_scale=args.scale, seed=args.seed)
+    written = reproduce_all(args.out)
     print(f"wrote {len(written)} artefacts to {args.out}/")
     return 0
 
@@ -434,9 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(
-        "reproduce", help="regenerate every paper artefact into a directory"
+        "reproduce", help="write the committed paper artefacts into a directory"
     )
-    common(p, dataset=False)
     p.add_argument("--out", default="results", help="output directory")
     p.set_defaults(func=cmd_reproduce)
 

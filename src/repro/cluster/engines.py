@@ -533,9 +533,6 @@ class ProcessPoolEngine(ExecutionEngine):
         once on a fresh pool; a break after it, or a second one, raises.
         """
         workers = self.max_workers or os.cpu_count() or 1
-        # Hand each worker a few tasks per round-trip: one pickle per
-        # chunk instead of one per partition.
-        chunksize = max(1, len(partitions) // (4 * workers))
         # The tracing flag rides in the task tuple, so toggling obs
         # needs no pool restart (workers may predate enable()).
         trace = obs.enabled()
@@ -552,7 +549,7 @@ class ProcessPoolEngine(ExecutionEngine):
             received = False
             try:
                 self._warm(pool, (workload, parts[smallest], False), workers)
-                for i, task_out in zip(order, pool.map(_pool_task, tasks, chunksize=chunksize)):
+                for i, task_out in zip(order, pool.map(_pool_task, tasks)):
                     raw[i] = task_out
                     received = True
                 break

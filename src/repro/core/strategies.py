@@ -45,7 +45,8 @@ class Strategy:
     placement:
         ``"representative"`` (each partition mirrors the payload),
         ``"similar"`` (strata kept together), ``"random"`` or
-        ``"round-robin"``.
+        ``"round-robin"``. Round-robin deals equal shares, so it takes
+        no ``alpha``: the plan's sizes would never run.
     """
 
     name: str
@@ -59,6 +60,10 @@ class Strategy:
             raise ValueError("alpha must be in [0, 1]")
         if self.placement not in self._PLACEMENTS:
             raise ValueError(f"placement must be one of {self._PLACEMENTS}")
+        if self.placement == "round-robin" and self.alpha is not None:
+            raise ValueError(
+                "round-robin placement is the equal-split baseline: alpha must be None"
+            )
 
     @property
     def het_aware(self) -> bool:

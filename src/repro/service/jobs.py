@@ -19,6 +19,7 @@ queue full, tenant over its in-flight cap, or the service draining).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -76,6 +77,14 @@ def build_workload(name: str, support: float):
     return WORKLOADS[name].build(support)
 
 
+def _number(name: str, value: Any) -> float:
+    """``value`` if it is a finite int or float (not a bool), else a
+    ValueError naming the field."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    raise ValueError(f"{name} must be a finite number")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One validated job request.
@@ -108,14 +117,16 @@ class JobSpec:
         WORKLOADS[self.workload].check_runs_on(
             DATASET_KINDS[self.dataset], self.dataset
         )
-        if not 0.0 < self.support <= 1.0:
+        if not 0.0 < _number("support", self.support) <= 1.0:
             raise ValueError("support must be in (0, 1]")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
+        if self.alpha is not None and not 0.0 <= _number("alpha", self.alpha) <= 1.0:
             raise ValueError("alpha must be in [0, 1] (or null for the baseline)")
         if self.placement not in (None, "representative", "similar", "random"):
             raise ValueError(f"unknown placement {self.placement!r}")
-        if self.size_scale <= 0:
+        if _number("size_scale", self.size_scale) <= 0:
             raise ValueError("size_scale must be positive")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not self.tenant or not isinstance(self.tenant, str):
             raise ValueError("tenant must be a non-empty string")
 

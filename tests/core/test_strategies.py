@@ -53,6 +53,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Strategy(name="x", alpha=None, placement="hashmod")
 
+    def test_round_robin_takes_no_alpha(self):
+        # Round-robin deals equal shares whatever a plan says, so a
+        # het-aware round-robin run would report sizes that never ran.
+        with pytest.raises(ValueError, match="round-robin"):
+            Strategy(name="x", alpha=1.0, placement="round-robin")
+        with pytest.raises(ValueError, match="round-robin"):
+            HET_AWARE.with_placement("round-robin")
+        assert STRATIFIED.with_placement("round-robin").alpha is None
+
     def test_with_placement(self):
         s = HET_AWARE.with_placement("similar")
         assert s.placement == "similar"

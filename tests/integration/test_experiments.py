@@ -7,7 +7,7 @@ from repro.bench.experiments import FrontierSeries
 from repro.cli import main
 from repro.core.framework import ParetoPartitioner
 
-SMALL = dict(size_scale=0.35, seed=0)
+SMALL = dict(size_scale=0.35)
 
 
 @pytest.fixture

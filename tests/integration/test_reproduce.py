@@ -1,72 +1,82 @@
-"""Tests for the one-shot reproduction driver."""
+"""``repro reproduce`` writes the committed paper artefacts byte for byte.
+
+It runs :data:`repro.bench.experiments.ARTEFACTS`, the table the
+figure/table benches read too. Here the table is cut to its two
+cheapest entries (Table I and Fig. 3); ``make results-check`` runs all
+seven through the CLI and diffs them against ``benchmarks/results/``.
+"""
+
+import pathlib
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.reproduce import reproduce_all
 from repro.cli import main
 
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+CHEAP = ("table1_datasets", "fig3_text_mining")
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artefacts")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            experiments, "ARTEFACTS", {n: experiments.ARTEFACTS[n] for n in CHEAP}
+        )
+        written = reproduce_all(out)
+    return out, written
+
 
 class TestReproduceAll:
-    @pytest.fixture(scope="class")
-    def outputs(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("artefacts")
-        messages = []
-        written = reproduce_all(
-            out,
-            size_scale=0.3,
-            partition_counts=(4,),
-            frontier_partitions=4,
-            frontier_alphas=(1.0, 0.99, 0.0),
-            progress=messages.append,
-        )
-        return out, written, messages
+    def test_table_names_the_seven_committed_artefacts(self):
+        assert len(experiments.ARTEFACTS) == 7
+        for name in experiments.ARTEFACTS:
+            assert (RESULTS / f"{name}.txt").is_file(), name
 
     def test_all_artefacts_written(self, outputs):
-        out, written, _ = outputs
-        expected = {
-            "table1_datasets",
-            "fig2_tree_mining",
-            "fig3_text_mining",
-            "fig4_graph_compression",
-            "table2_3_lz77",
-            "fig5_pareto_frontiers",
-            "fig6_support_sweep",
-        }
-        assert set(written) == expected
-        for name in expected:
-            assert (out / f"{name}.txt").exists(), name
+        out, written = outputs
+        assert written == list(CHEAP)
+        assert sorted(f.name for f in out.glob("*.txt")) == sorted(
+            f"{name}.txt" for name in CHEAP
+        )
+
+    def test_writes_the_committed_text_byte_for_byte(self, outputs):
+        out, _ = outputs
+        for name in CHEAP:
+            assert (out / f"{name}.txt").read_bytes() == (
+                RESULTS / f"{name}.txt"
+            ).read_bytes(), name
 
     def test_csvs_written_for_row_experiments(self, outputs):
-        out, _, _ = outputs
-        for name in ("fig2_tree_mining", "fig3_text_mining", "table2_3_lz77"):
-            csv = (out / f"{name}.csv").read_text().splitlines()
-            assert csv[0].startswith("dataset,")
-            assert len(csv) > 1
-
-    def test_progress_reported(self, outputs):
-        _, written, messages = outputs
-        assert len(messages) == len(written)
-
-    def test_frontier_artefact_contains_baseline(self, outputs):
-        out, _, _ = outputs
-        text = (out / "fig5_pareto_frontiers.txt").read_text()
-        assert "base" in text
-        assert "alpha" in text
+        out, _ = outputs
+        csv = (out / "fig3_text_mining.csv").read_text().splitlines()
+        assert csv[0].startswith("dataset,")
+        assert len(csv) == 1 + 9  # 3 partition counts × 3 strategies
+        assert not (out / "table1_datasets.csv").exists()
 
 
 class TestReproduceCli:
     def test_cli_command(self, tmp_path, capsys, monkeypatch):
-        # Tiny scale through the CLI path end to end.
         import repro.bench.reproduce as mod
 
-        called = {}
+        called = []
 
-        def fake(out, size_scale, seed):
-            called["args"] = (str(out), size_scale, seed)
+        def fake(out):
+            called.append(out)
             return ["x"]
 
         monkeypatch.setattr(mod, "reproduce_all", fake)
-        rc = main(["reproduce", "--out", str(tmp_path / "r"), "--scale", "0.2"])
-        assert rc == 0
-        assert called["args"][1] == 0.2
+        out = str(tmp_path / "r")
+        assert main(["reproduce", "--out", out]) == 0
+        assert called == [out]
         assert "wrote 1 artefacts" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--scale", "--seed"])
+    def test_no_scaled_reproduce(self, tmp_path, flag):
+        # The command means the committed artefacts; a scaled run goes
+        # through the experiment functions' ``size_scale``.
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--out", str(tmp_path), flag, "1"])
+        assert exc.value.code == 2

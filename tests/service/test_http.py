@@ -78,6 +78,16 @@ class TestSubmitAndResult:
         assert client.submit({"bogus_field": 1}).status == 400
 
     @pytest.mark.parametrize(
+        "fields",
+        [{"size_scale": float("inf")}, {"seed": "x"}, {"seed": -3}, {"alpha": True}],
+    )
+    def test_malformed_spec_is_400_not_queued(self, immediate, fields):
+        client, _manager = immediate
+        resp = client.submit({"workload": "apriori", **fields})
+        assert resp.status == 400
+        assert next(iter(fields)) in resp.body["error"]
+
+    @pytest.mark.parametrize(
         "request_head, status",
         [
             ("POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n", 400),

@@ -17,7 +17,10 @@ and the columns leg: ``workload.run`` of webgraph, lz77 and fpgrowth on
 the staged partitions of a ruler plan, against decoding them and running
 on the records — asserting bit-identical outputs before reporting any
 number, and writes the measurements to
-``benchmarks/results/BENCH_kernels.json``.
+``benchmarks/results/BENCH_kernels.json``. Its ``datasets`` rows are
+set-up's layer line, with no oracle: ``load_dataset`` of the end-to-end
+benchmark's own inputs, best-of-7 CPU seconds each (the records
+themselves are pinned by ``tests/data/test_dataset_golden.py``).
 
 Each section records both timings under ``tiers`` — ``reference`` (the
 oracle: ``tree_triples_reference``, ``trees_to_pivot_sets``,
@@ -99,6 +102,12 @@ FULL = {
     "webgraph_probe_lists": 1_200,
     "fpgrowth_rcv1_scale": 4.0,
     "fpgrowth_probe_sizes": (240, 960),
+    # (dataset, scale, seed): batch-cold's inputs at its seed 1 (data
+    # seed 1000), then the warm workloads' at seed 1.
+    "datasets": (
+        ("uk", 0.8, 1000), ("uk", 0.4, 1000), ("swissprot", 0.4, 1000), ("rcv1", 2.0, 1000),
+        ("uk", 2.4, 1), ("uk", 0.8, 1), ("swissprot", 0.8, 1), ("rcv1", 4.0, 1),
+    ),
 }
 SMOKE = {
     "pivot_triples": 5_000,
@@ -123,6 +132,7 @@ SMOKE = {
     "webgraph_probe_lists": 150,
     "fpgrowth_rcv1_scale": 0.5,
     "fpgrowth_probe_sizes": (30, 120),
+    "datasets": (("uk", 0.2, 1),),
 }
 
 
@@ -145,13 +155,32 @@ def _clustered_sets(num_sets: int, groups: int, size_range: tuple[int, int], rng
     return sets
 
 
-def _best_of(fn, repeats: int = 3) -> float:
+def _best_of(fn, repeats: int = 3, clock=time.perf_counter) -> float:
     best = float("inf")
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0 = clock()
         fn()
-        best = min(best, time.perf_counter() - t0)
+        best = min(best, clock() - t0)
     return best
+
+
+def dataset_rows(inputs, repeats: int = 7) -> list[dict]:
+    """Set-up's layer line: ``load_dataset`` of each ``(dataset, scale,
+    seed)``, best-of-``repeats`` CPU seconds, with its record count."""
+    from repro.data.datasets import load_dataset
+
+    return [
+        {
+            "dataset": name,
+            "scale": scale,
+            "seed": seed,
+            "items": len(load_dataset(name, size_scale=scale, seed=seed)),
+            "cpu_s": _best_of(
+                lambda: load_dataset(name, size_scale=scale, seed=seed), repeats, time.process_time
+            ),
+        }
+        for name, scale, seed in inputs
+    ]
 
 
 def _peak_mib(fn) -> float:
@@ -211,6 +240,9 @@ def _fresh_faults(stage: str, dataset: str, scale: float, num_clusters: int) -> 
 def run_kernel_bench(cfg: dict) -> dict:
     rng = np.random.default_rng(0)
     results: dict[str, dict] = {"config": dict(cfg)}
+
+    # -- set-up: generating the benchmark's datasets ------------------------
+    results["datasets"] = dataset_rows(cfg["datasets"])
 
     # -- pivot hashing: one mixer call per pivot vs whole columns ----------
     # Label triples as the tree extractor hashes them, negative and
@@ -589,6 +621,10 @@ def _render(results: dict) -> str:
             f"{name:<24} {tiers['reference']:>8.3f}s  {tiers['numpy']:>8.3f}s"
             f"  {r['speedup']:>10.2f}x"
         )
+    lines.append("dataset (load_dataset)       items      cpu")
+    for row in results["datasets"]:
+        label = f"{row['dataset']} x {row['scale']} seed {row['seed']}"
+        lines.append(f"{label:<26} {row['items']:>7}  {row['cpu_s'] * 1e3:>7.1f}ms")
     return "\n".join(lines)
 
 
@@ -629,6 +665,7 @@ def test_bench_kernels(benchmark):
         assert results[name]["bit_identical"]
         tiers = results[name]["tiers"]
         assert tiers["reference"] > 0 and tiers["numpy"] > 0
+    assert all(row["items"] > 0 and row["cpu_s"] > 0 for row in results["datasets"])
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -276,6 +277,15 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+def positive_scale(text: str) -> float:
+    """``--scale``'s type: a positive, finite float (anything else is a
+    usage error, exit 2)."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, dataset: bool = True) -> None:
-        p.add_argument("--scale", type=float, default=1.0, help="dataset size scale")
+        p.add_argument("--scale", type=positive_scale, default=1.0, help="dataset size scale")
         p.add_argument("--seed", type=int, default=0)
         if dataset:
             p.add_argument("--dataset", choices=DATASET_NAMES, default="rcv1")
@@ -424,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", choices=DATASET_NAMES, default="rcv1")
     p.add_argument("--support", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--scale", type=float, default=0.1, help="dataset size scale")
+    p.add_argument("--scale", type=positive_scale, default=0.1, help="dataset size scale")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tenant", default="default")
     p.add_argument(

@@ -18,6 +18,7 @@ rcv1        text  804,414 docs / 47,236 vocabulary        Zipfian topic corpus
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -74,8 +75,8 @@ def load_dataset(name: str, *, size_scale: float = 1.0, seed: int = 0) -> Datase
     """
     if name not in DATASET_NAMES:
         raise ValueError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
-    if size_scale <= 0:
-        raise ValueError("size_scale must be positive")
+    if not 0 < size_scale < math.inf:  # False for NaN too
+        raise ValueError("size_scale must be positive and finite")
 
     def scaled(n: int, minimum: int = 50) -> int:
         return max(minimum, int(round(n * size_scale)))

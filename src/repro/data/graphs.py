@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.draws import PCG64Draws
+
 
 @dataclass(frozen=True)
 class WebGraphConfig:
@@ -112,33 +114,32 @@ def generate_webgraph(config: WebGraphConfig) -> WebGraph:
     # One int object per vertex id, shared by every list that links to
     # it: a fresh int per link would cost 28 bytes per edge.
     vertex = list(range(config.num_vertices))
+    # The loop's scalar draws come from a replay of the rest of rng's
+    # stream (rng is not drawn from again).
+    draws = PCG64Draws(rng)
+    random, integers, choice = draws.random, draws.integers, draws.choice
     adjacency: list[list[int]] = []
-    for v in range(config.num_vertices):
-        h = int(host_of[v])
+    for v, h, target_deg in zip(vertex, host_of.tolist(), degrees.tolist()):
         lo, hi = host_ranges[h]
-        target_deg = int(degrees[v])
         links: set[int] = set()
         # Copy links from a *recent* same-host page: URL-ordered crawls
         # put template-sharing pages at adjacent ids, which is exactly
         # the structure WebGraph's bounded reference window exploits.
         local_prev = v - lo
-        if local_prev > 0 and rng.random() < config.copy_prob:
-            template = int(rng.integers(max(lo, v - 6), v))
+        if local_prev > 0 and random() < config.copy_prob:
+            template = integers(max(lo, v - 6), v)
             t_links = [u for u in adjacency[template] if u != v]
             if t_links:
                 keep = max(1, int(round(0.9 * min(len(t_links), target_deg))))
-                # Positions, not values: the stream choice(t_links, …)
-                # draws, without turning the list into an array.
-                picks = rng.choice(len(t_links), size=keep, replace=False)
-                links.update(t_links[i] for i in picks)
+                links.update(choice(t_links, keep, replace=False))
         # Fresh links: mostly intra-host, occasionally global.
         attempts = 0
         while len(links) < target_deg and attempts < 8 * target_deg:
             attempts += 1
-            if rng.random() < config.intra_host_prob and hi - lo > 1:
-                u = int(rng.integers(lo, hi))
+            if random() < config.intra_host_prob and hi - lo > 1:
+                u = integers(lo, hi)
             else:
-                u = int(rng.integers(0, config.num_vertices))
+                u = integers(0, config.num_vertices)
             if u != v:
                 links.add(u)
         adjacency.append([vertex[u] for u in sorted(links)])

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.data.draws import PCG64Draws
 from repro.stratify.prufer import tree_from_prufer
 
 
@@ -103,52 +104,48 @@ def generate_tree_dataset(config: TreeDatasetConfig) -> list[LabeledTree]:
     """Generate the dataset described by ``config`` (deterministic in seed)."""
     rng = np.random.default_rng(config.seed)
     # Template per cluster: structure + preferred label subset.
-    templates: list[tuple[list[int], np.ndarray, np.ndarray]] = []
+    templates: list[tuple[list[int], list[int], list[int]]] = []
     for c in range(config.num_clusters):
         n = int(rng.integers(config.nodes_mean - config.nodes_spread,
                              config.nodes_mean + config.nodes_spread + 1))
         parent = _random_tree(n, rng)
         alphabet = rng.choice(config.num_labels, size=config.labels_per_cluster, replace=False)
         labels = rng.choice(alphabet, size=n)
-        templates.append((parent, labels, alphabet))
+        templates.append((parent, labels.tolist(), alphabet.tolist()))
 
     mix = _cluster_mix(config.num_clusters, config.skew, rng)
     assignments = rng.choice(config.num_clusters, size=config.num_trees, p=mix)
 
+    # The loop's scalar draws come from a replay of the rest of rng's
+    # stream (rng is not drawn from again).
+    draws = PCG64Draws(rng)
+    random, integers, choice = draws.random, draws.integers, draws.choice
     trees: list[LabeledTree] = []
-    for cluster in assignments:
-        parent_t, labels_t, alphabet = templates[int(cluster)]
+    for cluster in assignments.tolist():
+        parent_t, labels_t, alphabet = templates[cluster]
         n = len(parent_t)
-        labels = labels_t.copy()
+        labels = list(labels_t)
         # Mutate a fraction of the labels within the cluster alphabet.
         n_mut = int(round(config.mutation_rate * n))
         if n_mut:
-            idx = rng.choice(n, size=n_mut, replace=False)
-            labels[idx] = rng.choice(alphabet, size=n_mut)
+            idx = choice(n, n_mut, replace=False)
+            for i, label in zip(idx, choice(alphabet, n_mut)):
+                labels[i] = label
         parent = list(parent_t)
         # Graft a random chain/subtree under a random node.
         n_graft = int(round(config.graft_fraction * n))
         if n_graft:
-            attach = int(rng.integers(0, n))
-            extra_labels = rng.choice(alphabet, size=n_graft)
-            new_parents = []
+            attach = integers(0, n)
+            labels += choice(alphabet, n_graft)
             prev = attach
             for j in range(n_graft):
                 new_id = n + j
                 # Half the grafted nodes chain, half attach to random spots.
-                if j and rng.random() < 0.5:
-                    prev = int(rng.integers(0, new_id))
-                new_parents.append(prev)
+                if j and random() < 0.5:
+                    prev = integers(0, new_id)
+                parent.append(prev)
                 prev = new_id
-            parent = parent + new_parents
-            labels = np.concatenate([labels, extra_labels])
-        trees.append(
-            LabeledTree(
-                parent=tuple(int(p) for p in parent),
-                labels=tuple(int(l) for l in labels),
-                cluster=int(cluster),
-            )
-        )
+        trees.append(LabeledTree(parent=tuple(parent), labels=tuple(labels), cluster=cluster))
     return trees
 
 

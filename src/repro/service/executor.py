@@ -73,15 +73,19 @@ def _build_task(
 
     A pure function of the key. Returns the built dataset — columns
     only, so the parent unpickles a few arrays, not a record per item —
-    and, when ``trace`` is set, the ``stage.sketch`` /
-    ``stage.stratify`` spans for the parent to adopt.
+    and, when ``trace`` is set, its ``stage.generate``,
+    ``stage.encode``, ``stage.sketch`` and ``stage.stratify`` spans for
+    the parent to adopt.
     """
     name, size_scale, seed = key
     tracer = obs.get_tracer()
     tracer.reset()
     (obs.enable if trace else obs.disable)()
-    dataset = load_dataset(name, size_scale=size_scale, seed=seed)
-    encoded = encode_dataset(dataset.kind, dataset.items)
+    with obs.span("stage.generate", dataset=name, scale=size_scale) as span:
+        dataset = load_dataset(name, size_scale=size_scale, seed=seed)
+        span.set_attr("items", len(dataset))
+    with obs.span("stage.encode", items=len(dataset), kind=dataset.kind):
+        encoded = encode_dataset(dataset.kind, dataset.items)
     stratifier = Stratifier(kind=dataset.kind, num_strata=NUM_STRATA, seed=seed)
     stratification = stratifier.stratify(encoded)
     spans = tuple(tracer.finished_spans()) if trace else ()

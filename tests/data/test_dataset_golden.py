@@ -4,9 +4,11 @@ Each generator must keep producing exactly these records: the md5 of
 ``pickle.dumps(items, protocol=4)`` pins every record, at two seeds and
 two scales (recorded before the generators started sharing their int
 objects, so the sharing is proven invisible to pickle and to every
-consumer). Graph and text records hold one ``int`` object per distinct
-id, so a dataset's memory grows with its records, not with their
-element count.
+consumer), and at the end-to-end benchmark's own inputs (recorded before
+the tree and graph loops moved to :mod:`repro.data.draws`, so the replay
+is proven to draw what numpy drew). Graph and text records hold one
+``int`` object per distinct id, so a dataset's memory grows with its
+records, not with their element count.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ GOLDEN = {
     ("rcv1", 0, 1.0): "2cd3858d8770ef00bb5e2f34f8a142f7",
     ("rcv1", 7, 0.2): "fb602915693cfd70d132c510a6668040",
     ("rcv1", 7, 1.0): "94c8780d38639547e2e919a435cedcbe",
+    # The end-to-end benchmark's own inputs at its seed 1: the
+    # batch-cold sizes (data seed 1000) and the warm sizes (seed 1).
+    ("uk", 1000, 0.8): "8075620c17330bcd8c3e7b01bbaf9d9b",
+    ("uk", 1000, 0.4): "da26e8cfdd876bffda5ca4e68c923a27",
+    ("swissprot", 1000, 0.4): "3d9fc298837aa6077bf9e6129ccd8fd2",
+    ("rcv1", 1000, 2.0): "a48b84fc46c5e9de6a95a57b7fa8c164",
+    ("uk", 1, 2.4): "9a912048ddf251923bb0172d8618fc1c",
+    ("uk", 1, 0.8): "3e492cf54c132d61d54b9c338bcb5023",
+    ("swissprot", 1, 0.8): "916121df4aab28a0b98785ba3f83d4c0",
+    ("rcv1", 1, 4.0): "e3cdbc8577976021f67ebac2c8cc4c19",
 }
 
 

@@ -32,6 +32,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             load_dataset("uk", size_scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_scale(self, scale):
+        with pytest.raises(ValueError, match="size_scale must be positive and finite"):
+            load_dataset("uk", size_scale=scale)
+
     def test_scaling_changes_size(self):
         small = load_dataset("rcv1", size_scale=0.1)
         large = load_dataset("rcv1", size_scale=0.5)

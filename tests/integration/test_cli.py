@@ -28,6 +28,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--workload", "zstd"])
 
+    @pytest.mark.parametrize("command", ["datasets", "compare", "frontier", "profile", "submit"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+    def test_scale_must_be_positive_and_finite(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--scale", scale])
+        assert exc.value.code == 2
+        assert "--scale: must be positive and finite" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets(self, capsys):

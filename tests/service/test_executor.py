@@ -203,3 +203,21 @@ def test_traced_job_adopts_the_build_process_spans(executor):
     assert sketches and all(s["parent_id"] == stratify["span_id"] for s in sketches)
     # Built in the build process, adopted by the service process.
     assert stratify["pid"] != os.getpid() == prepare["pid"]
+
+
+def test_traced_cold_job_splits_generation_from_encoding(executor):
+    # A cold job's prepare time splits into generating the dataset,
+    # encoding it and stratifying it, each a span under service.prepare.
+    obs.enable()
+    executor.run(COLD)
+    spans = obs.get_tracer().finished_spans()
+    (prepare,) = [s for s in spans if s["name"] == "service.prepare"]
+    (generate,) = [s for s in spans if s["name"] == "stage.generate"]
+    (encode,) = [s for s in spans if s["name"] == "stage.encode"]
+    (stratify,) = [s for s in spans if s["name"] == "stage.stratify"]
+    for span in (generate, encode, stratify):
+        assert span["parent_id"] == prepare["span_id"]
+        assert span["pid"] != os.getpid()
+    assert generate["attrs"]["dataset"] == COLD.dataset
+    assert generate["attrs"]["scale"] == COLD.size_scale
+    assert generate["attrs"]["items"] == encode["attrs"]["items"] == stratify["attrs"]["items"] > 0
